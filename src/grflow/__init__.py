@@ -59,6 +59,7 @@ from .errors import (
 )
 from .exact_torus import (
     TorusFieldState,
+    TorusFields,
     TorusGeometry,
     TorusParams,
     TorusTrace,
@@ -68,6 +69,7 @@ from .exact_torus import (
     lambda_torus,
     perturbed_state,
     run_torus_flow,
+    torus_fields,
     torus_rhs,
 )
 from .flow_ode import (

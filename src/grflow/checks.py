@@ -332,8 +332,9 @@ def run_torus_checks(seed: int = 0, N: int = 16) -> list[CheckResult]:
 
     st_h0 = et.perturbed_state(geom, seed + 2, amplitude=0.04, k=0.0)
     st_h0.B[:] = 0.0  # the regression hypothesis is B = 0 and H0 = 0
-    dg1, db1, dphi1 = et.torus_rhs(st_h0)
-    dg2, db2, dphi2 = et.ricci_dilaton_rhs(st_h0)
+    fields_h0 = et.torus_fields(st_h0)
+    dg1, db1, dphi1 = et.torus_rhs(fields_h0)
+    dg2, db2, dphi2 = et.ricci_dilaton_rhs(fields_h0)
     reg = max(float(np.max(np.abs(dg1 - dg2))), float(np.max(np.abs(db1 - db2))), float(np.max(np.abs(dphi1 - dphi2))))
     results.append(_result("torus_ricci_dilaton_regression", reg, 1e-12))
 
@@ -348,7 +349,7 @@ def run_torus_checks(seed: int = 0, N: int = 16) -> list[CheckResult]:
     lam_drift = float(np.max(np.maximum(0.0, -(np.diff(lam) / np.diff(ts)))))
     results.append(_result("torus_lambda_monotone_benchmark", lam_drift, 1e-6))
     results.append(_result("torus_lambda_flux_value", abs(lam[0] + 0.5), 1e-6))
-    results.append(_result("torus_lambda_flat_value", abs(et.lambda_torus(et.flat_state(geom))), 1e-6))
+    results.append(_result("torus_lambda_flat_value", abs(et.lambda_torus(et.torus_fields(et.flat_state(geom)))), 1e-6))
 
     pert = et.run_torus_flow(et.perturbed_state(geom, seed + 4, amplitude=0.05), et.TorusParams(T=0.5, cfl=0.2))
     lam_p = np.array(pert.lam)

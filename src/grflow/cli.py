@@ -268,7 +268,7 @@ def mode_validate(cfg, seed, out_dir):
     rep = alg.validate_algebra(a)
     body = {"algebra": rep.as_dict()}
     if "metric" in cfg:
-        gm_rep = met.validate_metric(a, _raw_metric_matrix(cfg, a))
+        gm_rep = met.validate_metric(a, build_metric(cfg, a).G)
         body["metric"] = gm_rep.as_dict()
         ok = rep.passed and gm_rep.pseudometric
     else:
@@ -277,10 +277,6 @@ def mode_validate(cfg, seed, out_dir):
     print(f"validate: {'pass' if ok else 'FAIL'} "
           f"(antisymmetry {rep.antisymmetry_residual:.2e}, jacobi {rep.jacobi_residual:.2e})")
     return 0 if ok else 2
-
-
-def _raw_metric_matrix(cfg, a):
-    return build_metric(cfg, a).G
 
 
 def mode_curvature(cfg, seed, out_dir):
@@ -307,21 +303,19 @@ def mode_flow(cfg, seed, out_dir):
     gm = build_metric(cfg, a)
     params = _flow_params(cfg)
     state = fl.FlowState(0.0, gm.G, float(cfg.get("flow", {}).get("log_sigma0", 0.0)))
-    code = 0
     try:
         trace = fl.run_flow(a, state, params)
     except (GrfError,) as exc:
-        trace = getattr(exc, "trace", None)
+        trace = getattr(exc, "trace", None)  # runners attach it with the abort note set
         if trace is None:
             raise
-        code = 3
     write_csv(out_dir / "flow_trace.csv", _header_line(cfg, seed), fl.FlowTrace.COLUMNS, trace.rows())
     if trace.aborted:
         write_json(out_dir / "flow_abort.json", cfg, seed, {"aborted": trace.aborted, "last_t": trace.t[-1]})
         print(f"flow: aborted ({trace.aborted}) after {len(trace.t)} records")
-    else:
-        print(f"flow: {len(trace.t)} records to t = {trace.t[-1]!r}")
-    return code
+        return 3
+    print(f"flow: {len(trace.t)} records to t = {trace.t[-1]!r}")
+    return 0
 
 
 def _torus_state_params(cfg, seed):
@@ -343,23 +337,21 @@ def _torus_state_params(cfg, seed):
 
 def mode_torus(cfg, seed, out_dir):
     state, params = _torus_state_params(cfg, seed)
-    code = 0
     try:
         trace = et.run_torus_flow(state, params)
     except (GrfError,) as exc:
-        trace = getattr(exc, "trace", None)
+        trace = getattr(exc, "trace", None)  # runners attach it with the abort note set
         if trace is None:
             raise
-        code = 3
     write_csv(out_dir / "torus_trace.csv", _header_line(cfg, seed), et.TorusTrace.COLUMNS, trace.rows())
     if cfg.get("torus", {}).get("dump_fields") and trace.final_state is not None:
         et.write_field_dump(trace.final_state, out_dir / "final_fields.grfd")
     if trace.aborted:
         write_json(out_dir / "torus_abort.json", cfg, seed, {"aborted": trace.aborted, "last_t": trace.t[-1]})
         print(f"torus: aborted ({trace.aborted}) after {len(trace.t)} records")
-    else:
-        print(f"torus: {len(trace.t)} records to t = {trace.t[-1]!r}")
-    return code
+        return 3
+    print(f"torus: {len(trace.t)} records to t = {trace.t[-1]!r}")
+    return 0
 
 
 def mode_check(cfg, seed, out_dir):

@@ -13,6 +13,10 @@ The Laplace-Beltrami operator is kept in divergence form, which makes it
 exactly self-adjoint for the discrete dV-weighted inner product (central
 difference matrices are antisymmetric circulants); the lambda solver and the
 quadrature identity for the Einstein-Hilbert density rely on this.
+
+Geometry is built once per state: state -> ``torus_fields`` -> a read-only
+``TorusFields`` record (positivity margin, g^-1, sqrt(det g), Gamma, Rc, H,
+H_i^{kl}, |H|^2) that the right sides, the scalar field and lambda all read.
 """
 
 from __future__ import annotations
@@ -236,14 +240,6 @@ def hessian(geom: TorusGeometry, gamma: np.ndarray, f: np.ndarray) -> np.ndarray
     return ddf - np.einsum("...kij,...k->...ij", gamma, df)
 
 
-def _geometry_pack(state: TorusFieldState):
-    g = state.g
-    ginv = np.linalg.inv(g)
-    ginv = 0.5 * (ginv + np.swapaxes(ginv, -1, -2))
-    w = np.sqrt(np.linalg.det(g))
-    return ginv, w
-
-
 def degenerate_nodes(state: TorusFieldState) -> float:
     margin = state.spd_margin()
     if margin < SPD_FLOOR:
@@ -251,23 +247,46 @@ def degenerate_nodes(state: TorusFieldState) -> float:
     return margin
 
 
-def torus_rhs(state: TorusFieldState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dt g, dt B, dt phi) of the exact-case flow, evaluated as printed."""
-    geom = state.geom
-    degenerate_nodes(state)
-    ginv, w = _geometry_pack(state)
+@dataclass(frozen=True)
+class TorusFields:
+    """Read-only geometry of one state; build it with ``torus_fields``."""
+
+    state: TorusFieldState
+    margin: float  # smallest eigenvalue of g over the grid
+    ginv: np.ndarray
+    w: np.ndarray  # sqrt(det g)
+    gamma: np.ndarray
+    rc: np.ndarray
+    H: np.ndarray
+    h_mixed: np.ndarray  # H_i^{kl}
+    h_norm_sq: np.ndarray  # |H|^2_g
+
+    @property
+    def geom(self) -> TorusGeometry:
+        return self.state.geom
+
+
+def torus_fields(state: TorusFieldState) -> TorusFields:
+    """The one place g^-1, Gamma, Rc, H and |H|^2 are computed; raises on lost positivity."""
+    margin = degenerate_nodes(state)
+    ginv = np.linalg.inv(state.g)
+    ginv = 0.5 * (ginv + np.swapaxes(ginv, -1, -2))
+    w = np.sqrt(np.linalg.det(state.g))
     gamma = christoffel(state, ginv)
-    rc = ricci_tensor(state, gamma)
-    dphi = grad(geom, state.phi)
-    hess = hessian(geom, gamma, state.phi)
-
+    rc = ricci_tensor(state, gamma)  # before H, so its temporaries never sit beside H (peak memory)
     H = flux_H(state)
-    h_mixed = np.einsum("...ikl,...km,...ln->...imn", H, ginv, ginv)  # H_i^{kl}
-    h2 = np.einsum("...ikl,...jkl->...ij", h_mixed, H)
-    h_norm_sq = np.einsum("...ikl,...im->...mkl", h_mixed, ginv)
-    h_norm_sq = np.einsum("...mkl,...mkl->...", h_norm_sq, H)
+    h_mixed = np.einsum("...ikl,...km,...ln->...imn", H, ginv, ginv)
+    h_up = np.einsum("...mkl,...im->...ikl", h_mixed, ginv)
+    return TorusFields(state, margin, ginv, w, gamma, rc, H, h_mixed, np.einsum("...ikl,...ikl->...", h_up, H))
 
-    dg = -2.0 * rc + 0.5 * h2 - 4.0 * hess
+
+def torus_rhs(fields: TorusFields) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dt g, dt B, dt phi) of the exact-case flow, evaluated as printed."""
+    geom, phi, ginv, gamma, H = fields.geom, fields.state.phi, fields.ginv, fields.gamma, fields.H
+    dphi = grad(geom, phi)
+    hess = hessian(geom, gamma, phi)
+    h2 = np.einsum("...ikl,...jkl->...ij", fields.h_mixed, H)
+    dg = -2.0 * fields.rc + 0.5 * h2 - 4.0 * hess
 
     dH = np.stack([deriv(geom, H, l) for l in range(geom.d)], axis=-4)  # (l, k, i, j)
     covH = (
@@ -280,57 +299,40 @@ def torus_rhs(state: TorusFieldState) -> tuple[np.ndarray, np.ndarray, np.ndarra
     grad_phi_up = np.einsum("...kl,...l->...k", ginv, dphi)
     db = div_h - 2.0 * np.einsum("...k,...kij->...ij", grad_phi_up, H)
 
-    lap_phi = laplace_beltrami(geom, w, ginv, state.phi)
-    dphi_rhs = lap_phi - 2.0 * np.einsum("...i,...i->...", grad_phi_up, dphi) + h_norm_sq / 12.0
+    lap_phi = laplace_beltrami(geom, fields.w, ginv, phi)
+    dphi_rhs = lap_phi - 2.0 * np.einsum("...i,...i->...", grad_phi_up, dphi) + fields.h_norm_sq / 12.0
     return dg, db, dphi_rhs
 
 
-def ricci_dilaton_rhs(state: TorusFieldState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def ricci_dilaton_rhs(fields: TorusFields) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dedicated H-free path: Ricci flow coupled to the dilaton only."""
-    geom = state.geom
-    degenerate_nodes(state)
-    ginv, w = _geometry_pack(state)
-    gamma = christoffel(state, ginv)
-    rc = ricci_tensor(state, gamma)
-    dphi = grad(geom, state.phi)
-    hess = hessian(geom, gamma, state.phi)
-    dg = -2.0 * rc - 4.0 * hess
-    lap_phi = laplace_beltrami(geom, w, ginv, state.phi)
+    geom, phi, ginv = fields.geom, fields.state.phi, fields.ginv
+    dphi = grad(geom, phi)
+    dg = -2.0 * fields.rc - 4.0 * hessian(geom, fields.gamma, phi)
+    lap_phi = laplace_beltrami(geom, fields.w, ginv, phi)
     grad_phi_up = np.einsum("...kl,...l->...k", ginv, dphi)
     dphi_rhs = lap_phi - 2.0 * np.einsum("...i,...i->...", grad_phi_up, dphi)
-    return dg, np.zeros_like(state.B), dphi_rhs
+    return dg, np.zeros_like(fields.state.B), dphi_rhs
 
 
-def generalized_scalar_field(state: TorusFieldState) -> np.ndarray:
+def _potential(fields: TorusFields) -> np.ndarray:
+    """R - |H|^2/12 per node."""
+    return np.einsum("...ij,...ij->...", fields.ginv, fields.rc) - fields.h_norm_sq / 12.0
+
+
+def generalized_scalar_field(fields: TorusFields) -> np.ndarray:
     """Nodewise R - 1/12 |H|^2_g - 4 e^phi Lap_g e^-phi."""
-    geom = state.geom
-    degenerate_nodes(state)
-    ginv, w = _geometry_pack(state)
-    gamma = christoffel(state, ginv)
-    rc = ricci_tensor(state, gamma)
-    r = np.einsum("...ij,...ij->...", ginv, rc)
-    H = flux_H(state)
-    h_mixed = np.einsum("...ikl,...km,...ln->...imn", H, ginv, ginv)
-    h_up = np.einsum("...mkl,...im->...ikl", h_mixed, ginv)
-    h_norm_sq = np.einsum("...ikl,...ikl->...", h_up, H)
-    u = np.exp(-state.phi)
-    return r - h_norm_sq / 12.0 - 4.0 * np.exp(state.phi) * laplace_beltrami(geom, w, ginv, u)
+    phi = fields.state.phi
+    return _potential(fields) - 4.0 * np.exp(phi) * laplace_beltrami(fields.geom, fields.w, fields.ginv, np.exp(-phi))
 
 
 # -- lambda functional ---------------------------------------------------------
 
 
-def _dirichlet_operator(state: TorusFieldState):
+def _dirichlet_operator(fields: TorusFields):
     """Returns (apply_L, weights) for L u = -4 Lap_g u + (R - |H|^2/12) u."""
-    geom = state.geom
-    ginv, w = _geometry_pack(state)
-    gamma = christoffel(state, ginv)
-    rc = ricci_tensor(state, gamma)
-    r = np.einsum("...ij,...ij->...", ginv, rc)
-    H = flux_H(state)
-    h_mixed = np.einsum("...ikl,...km,...ln->...imn", H, ginv, ginv)
-    h_up = np.einsum("...mkl,...im->...ikl", h_mixed, ginv)
-    pot = r - np.einsum("...ikl,...ikl->...", h_up, H) / 12.0
+    geom, w, ginv = fields.geom, fields.w, fields.ginv
+    pot = _potential(fields)
     weights = w * geom.h**geom.d  # dV per node
 
     def apply_l(u):
@@ -339,7 +341,7 @@ def _dirichlet_operator(state: TorusFieldState):
     return apply_l, weights
 
 
-def lambda_torus(state: TorusFieldState, u0: np.ndarray | None = None, per_iter_tol: float = 1e-10,
+def lambda_torus(fields: TorusFields, u0: np.ndarray | None = None, per_iter_tol: float = 1e-10,
                  max_iter: int = 50_000, return_vector: bool = False):
     """Minimum of int(4 |grad u|^2_g + (R - |H|^2/12) u^2) dV over unit-mass u.
 
@@ -347,9 +349,8 @@ def lambda_torus(state: TorusFieldState, u0: np.ndarray | None = None, per_iter_
     mass renormalization each iterate; stops when the quotient moves less
     than ``per_iter_tol`` per iterate.  Matrix-free; reuses grid operators.
     """
-    geom = state.geom
-    apply_l, wts = _dirichlet_operator(state)
-    u = np.ones(geom.shape) if u0 is None else np.asarray(u0, dtype=float).copy()
+    apply_l, wts = _dirichlet_operator(fields)
+    u = np.ones(fields.geom.shape) if u0 is None else np.asarray(u0, dtype=float).copy()
     u /= np.sqrt(np.sum(wts * u * u))
     lu = apply_l(u)
     q = float(np.sum(wts * u * lu))
@@ -387,14 +388,11 @@ def eh_density_identity_residual(state: TorusFieldState) -> float:
     Exact to round-off because the Laplacian is discretized in divergence
     form; run on random states before trusting the lambda solver's energy.
     """
-    geom = state.geom
-    ginv, w = _geometry_pack(state)
-    wts = w * geom.h**geom.d
+    fields = torus_fields(state)
     u = np.exp(-state.phi)
-    gr = generalized_scalar_field(state)
-    lhs = float(np.sum(wts * gr * u * u))
-    apply_l, wts2 = _dirichlet_operator(state)
-    rhs = float(np.sum(wts2 * u * apply_l(u)))
+    apply_l, wts = _dirichlet_operator(fields)
+    lhs = float(np.sum(wts * generalized_scalar_field(fields) * u * u))
+    rhs = float(np.sum(wts * u * apply_l(u)))
     return abs(lhs - rhs) / (1.0 + abs(lhs))
 
 
@@ -430,29 +428,18 @@ class TorusTrace:
     COLUMNS = ("t", "minR", "meanR", "lambda", "spd_margin", "g_norm", "B_norm", "phi_norm")
 
     def rows(self):
-        for i in range(len(self.t)):
-            yield (
-                self.t[i], self.minR[i], self.meanR[i], self.lam[i],
-                self.spd_margin[i], self.g_norm[i], self.B_norm[i], self.phi_norm[i],
-            )
+        return zip(self.t, self.minR, self.meanR, self.lam, self.spd_margin, self.g_norm, self.B_norm, self.phi_norm)
 
 
-def _stability_dt(state: TorusFieldState, cfl: float) -> float:
-    # max diffusion coefficient = largest eigenvalue of g^{-1} over the grid
-    margin = degenerate_nodes(state)
-    return cfl * state.geom.h**2 * margin  # 1/lambda_max(g^{-1}) = lambda_min(g)
-
-
-def _rk4_torus(state: TorusFieldState, dt: float, rhs) -> TorusFieldState:
+def _rk4_torus(state: TorusFieldState, dt: float, rhs, k1) -> TorusFieldState:
     def shifted(fac, k):
         s = state.copy()
         s.g = state.g + fac * k[0]
         s.B = state.B + fac * k[1]
         s.phi = state.phi + fac * k[2]
         s.t = state.t + fac
-        return s
+        return torus_fields(s)
 
-    k1 = rhs(state)
     k2 = rhs(shifted(dt / 2, k1))
     k3 = rhs(shifted(dt / 2, k2))
     k4 = rhs(shifted(dt, k3))
@@ -469,48 +456,58 @@ def run_torus_flow(state: TorusFieldState, params: TorusParams, rhs=torus_rhs) -
 
     The step is dt = cfl h^2 / max_node ||g^{-1}|| recomputed per step, cut to
     land exactly on T.  Symmetry of g and antisymmetry of B are asserted each
-    step (the right sides preserve them by construction).
+    step (the right sides preserve them by construction).  A run stopped by
+    ``max_steps`` before T returns with ``aborted`` set.
     """
     trace = TorusTrace()
     st = state.copy()
     lam_vec = None
 
-    def record(s: TorusFieldState):
+    def record(f: TorusFields):
         nonlocal lam_vec
-        gr = generalized_scalar_field(s)
+        s = f.state
+        gr = generalized_scalar_field(f)
         trace.t.append(s.t)
         trace.minR.append(float(np.min(gr)))
         trace.meanR.append(float(np.mean(gr)))
         if params.compute_lambda and (len(trace.t) - 1) % params.lambda_every == 0:
-            lam, lam_vec = lambda_torus(s, u0=lam_vec, return_vector=True)
+            lam, lam_vec = lambda_torus(f, u0=lam_vec, return_vector=True)
             trace.lam.append(lam)
         else:
             trace.lam.append(trace.lam[-1] if trace.lam else float("nan"))
-        trace.spd_margin.append(s.spd_margin())
+        trace.spd_margin.append(f.margin)
         trace.g_norm.append(float(np.max(np.abs(s.g))))
         trace.B_norm.append(float(np.max(np.abs(s.B))))
         trace.phi_norm.append(float(np.max(np.abs(s.phi))))
 
     try:
-        record(st)
+        fields = torus_fields(st)
+        record(fields)
         steps = 0
         while st.t < params.T - 1e-12 and steps < params.max_steps:
-            dt = min(_stability_dt(st, params.cfl), params.T - st.t)
+            # max diffusion coefficient: 1/lambda_max(g^{-1}) = lambda_min(g)
+            dt = min(params.cfl * st.geom.h**2 * fields.margin, params.T - st.t)
             if dt < 1e-14:
                 raise StepUnderflow(f"torus step underflow at t = {st.t}")
-            st = _rk4_torus(st, dt, rhs)
+            k1 = rhs(fields)
+            del fields  # the later stages build their own records; keeping this one raises peak memory
+            st = _rk4_torus(st, dt, rhs, k1)
+            del k1  # likewise, before the next record and its k1
             gsym = float(np.max(np.abs(st.g - np.swapaxes(st.g, -1, -2))))
             banti = float(np.max(np.abs(st.B + np.swapaxes(st.B, -1, -2))))
             scale = max(1.0, float(np.max(np.abs(st.g))))
             if gsym > 1e-12 * scale or banti > 1e-12 * scale:
                 raise DegenerateMetric(f"symmetry drift: g {gsym:.2e}, B {banti:.2e}")
-            record(st)
+            fields = torus_fields(st)
+            record(fields)
             steps += 1
     except (DegenerateMetric, StepUnderflow) as exc:
         trace.aborted = str(exc)
         trace.final_state = st
         exc.trace = trace
         raise
+    if st.t < params.T - 1e-12:
+        trace.aborted = f"step budget max_steps = {params.max_steps} used up at t = {st.t!r} < T = {params.T!r}"
     trace.final_state = st
     return trace
 

@@ -220,7 +220,8 @@ def run_flow(a: QuadraticLieAlgebra, init: FlowState, params: FlowParams) -> Flo
 
     Strict positivity of the initial metric is monitored: if it fails at a
     later step the run stops and the trace carries the abort reason (the
-    theory guarantees preservation only through smooth existence).
+    theory guarantees preservation only through smooth existence).  A run
+    stopped by ``max_steps`` before T also returns with ``aborted`` set.
     """
     rep = validate_metric(a, init.G)
     if not rep.pseudometric:
@@ -290,6 +291,9 @@ def run_flow(a: QuadraticLieAlgebra, init: FlowState, params: FlowParams) -> Flo
         trace.step_dt.append(actual_dt)
         state, gr_cur, rc2_cur = new_state, gr_new, rc2_new
         steps += 1
+    if trace.aborted is None and state.t < params.T - 1e-12:
+        trace.aborted = (f"step budget max_steps = {params.max_steps} used up "
+                         f"at t = {state.t!r} < T = {params.T!r}")
     trace.final_G = state.G
     return trace
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import QuadraticLieAlgebra, change_basis
+from .algebra import QuadraticLieAlgebra
 from .errors import DegenerateSubspace, ForbiddenRank
 
 METRIC_TOL = 1e-10
@@ -232,11 +232,6 @@ def adapted_frame(a: QuadraticLieAlgebra, G) -> AdaptedFrame:
     q = np.concatenate(frames, axis=1) if frames else np.zeros((a.n, 0))
     signs = np.concatenate(signs) if signs else np.zeros(0)
     return AdaptedFrame(q, np.linalg.inv(q), signs, n_plus, n_minus, a)
-
-
-def adapted_algebra(frame: AdaptedFrame) -> QuadraticLieAlgebra:
-    """The algebra expressed in the adapted frame (eta = diag(signs))."""
-    return change_basis(frame.algebra, frame.Q)
 
 
 @dataclass(frozen=True)

@@ -190,7 +190,7 @@ def test_criterion_9_torus_lambda_monotonicity():
     lam_p = np.array(pert.lam)
     ts_p = np.array(pert.t)
     drift_p = float(np.max(np.maximum(0.0, -np.diff(lam_p) / np.diff(ts_p))))
-    lam_flat = et.lambda_torus(et.flat_state(geom, 0.0))
+    lam_flat = et.lambda_torus(et.torus_fields(et.flat_state(geom, 0.0)))
     lam_flux = lam_b[0]
     ok = (
         drift_b <= 1e-6

@@ -104,6 +104,36 @@ def test_flow_abort_exit_3(tmp_path):
     assert "underflow" in abort["aborted"]
 
 
+def test_flow_max_steps_exit_3(tmp_path):
+    cfg = {
+        "mode": "flow",
+        "algebra": {"preset": "so3"},
+        "metric": {"identity": True},
+        "flow": {"dt": 0.001, "T": 1.0, "max_steps": 5},
+    }
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main(["flow", "--config", str(path), "--out", str(tmp_path)]) == 3
+    abort = json.loads((tmp_path / "flow_abort.json").read_text())
+    assert "max_steps = 5" in abort["aborted"]
+    assert abort["last_t"] < 1.0
+
+
+def test_torus_aborted_trace_exit_3(tmp_path, monkeypatch):
+    # a trace returned with an abort note, as a run cut by max_steps returns it
+    run = cli.et.run_torus_flow
+
+    def truncated(state, params):
+        return run(state, cli.et.TorusParams(T=params.T, cfl=params.cfl, max_steps=1, compute_lambda=False))
+
+    monkeypatch.setattr(cli.et, "run_torus_flow", truncated)
+    cfg = {"mode": "torus", "torus": {"d": 3, "N": 8, "k": 1.0, "T": 1.0, "init": "flat"}}
+    path = write_cfg(tmp_path, cfg)
+    assert cli.run_config(path, out=tmp_path) == 3
+    abort = json.loads((tmp_path / "torus_abort.json").read_text())
+    assert "max_steps = 1" in abort["aborted"]
+    assert len((tmp_path / "torus_trace.csv").read_text().splitlines()) == 4
+
+
 def test_torus_mode(tmp_path):
     cfg = {
         "mode": "torus",

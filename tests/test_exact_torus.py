@@ -81,7 +81,7 @@ def test_dd_scalar_and_one_form(geom8, rng):
 
 
 def test_rhs_flat_zero(geom8):
-    dg, db, dphi = et.torus_rhs(et.flat_state(geom8, 0.0))
+    dg, db, dphi = et.torus_rhs(et.torus_fields(et.flat_state(geom8, 0.0)))
     assert np.max(np.abs(dg)) == 0.0
     assert np.max(np.abs(db)) == 0.0
     assert np.max(np.abs(dphi)) == 0.0
@@ -89,7 +89,7 @@ def test_rhs_flat_zero(geom8):
 
 def test_rhs_flux_values(geom8):
     st = et.flat_state(geom8, k=1.5)
-    dg, db, dphi = et.torus_rhs(st)
+    dg, db, dphi = et.torus_rhs(et.torus_fields(st))
     assert np.max(np.abs(dg - 1.5**2 * np.eye(3))) <= 1e-13
     assert np.max(np.abs(db)) <= 1e-13
     assert np.max(np.abs(dphi - 1.5**2 / 2)) <= 1e-13
@@ -98,7 +98,7 @@ def test_rhs_flux_values(geom8):
 def test_rhs_isotropic_scaling(geom8):
     st = et.flat_state(geom8, k=1.0)
     st.g *= 1.7
-    dg, _, dphi = et.torus_rhs(st)
+    dg, _, dphi = et.torus_rhs(et.torus_fields(st))
     diag = dg[..., 0, 0]
     assert np.max(np.abs(dg - diag[..., None, None] * np.eye(3))) <= 1e-13
     assert np.max(np.abs(diag - 1.0 / 1.7**2)) <= 1e-13
@@ -108,13 +108,13 @@ def test_rhs_degenerate_metric(geom8):
     st = et.flat_state(geom8, 0.0)
     st.g *= 1e-9
     with pytest.raises(DegenerateMetric):
-        et.torus_rhs(st)
+        et.torus_fields(st)
 
 
 def test_generalized_scalar_flat(geom8):
-    assert np.max(np.abs(et.generalized_scalar_field(et.flat_state(geom8, 0.0)))) == 0.0
+    assert np.max(np.abs(et.generalized_scalar_field(et.torus_fields(et.flat_state(geom8, 0.0))))) == 0.0
     st = et.flat_state(geom8, k=2.0)
-    assert np.max(np.abs(et.generalized_scalar_field(st) + 2.0)) <= 1e-13  # -k^2/2
+    assert np.max(np.abs(et.generalized_scalar_field(et.torus_fields(st)) + 2.0)) <= 1e-13  # -k^2/2
 
 
 def test_generalized_scalar_dilaton_mode(geom16):
@@ -122,7 +122,7 @@ def test_generalized_scalar_dilaton_mode(geom16):
     x = geom16.grids()[0]
     eps = 1e-3
     st.phi = eps * np.sin(x)
-    gr = et.generalized_scalar_field(st)
+    gr = et.generalized_scalar_field(et.torus_fields(st))
     # -4 e^phi Lap e^-phi = 4 Lap phi - 4 |grad phi|^2 = -4 eps sin(x) + O(eps^2),
     # up to the O(h^4) stencil truncation of the unit mode
     ref = -4.0 * eps * np.sin(x)
@@ -135,8 +135,9 @@ def test_generalized_scalar_dilaton_mode(geom16):
 def test_ricci_dilaton_regression(geom16):
     st = et.perturbed_state(geom16, 3, amplitude=0.05)
     st.B[:] = 0.0
-    full = et.torus_rhs(st)
-    lean = et.ricci_dilaton_rhs(st)
+    fields = et.torus_fields(st)
+    full = et.torus_rhs(fields)
+    lean = et.ricci_dilaton_rhs(fields)
     for x, y in zip(full, lean):
         assert np.max(np.abs(x - y)) <= 1e-12
 
@@ -161,8 +162,8 @@ def test_homogeneous_benchmark_short(geom8):
 
 
 def test_lambda_values(geom16):
-    assert abs(et.lambda_torus(et.flat_state(geom16, 0.0))) <= 1e-10
-    assert et.lambda_torus(et.flat_state(geom16, k=1.0)) == pytest.approx(-0.5, abs=1e-10)
+    assert abs(et.lambda_torus(et.torus_fields(et.flat_state(geom16, 0.0)))) <= 1e-10
+    assert et.lambda_torus(et.torus_fields(et.flat_state(geom16, k=1.0))) == pytest.approx(-0.5, abs=1e-10)
 
 
 def test_lambda_dilaton_localization(geom16):
@@ -171,12 +172,12 @@ def test_lambda_dilaton_localization(geom16):
     st = et.flat_state(geom16, 0.0)
     x = geom16.grids()[0]
     st.phi = 0.3 * np.sin(x)
-    lam, u = et.lambda_torus(st, return_vector=True)
+    fields = et.torus_fields(st)
+    lam, u = et.lambda_torus(fields, return_vector=True)
     assert np.all(u > 0)
-    gr = et.generalized_scalar_field(st)
+    gr = et.generalized_scalar_field(fields)
     # direct Rayleigh value of u = e^-phi normalized must upper-bound lambda
-    ginv, w = et._geometry_pack(st)
-    wts = w * geom16.h**3
+    wts = fields.w * geom16.h**3
     u0 = np.exp(-st.phi)
     u0 /= np.sqrt(np.sum(wts * u0 * u0))
     upper = float(np.sum(wts * gr * u0 * u0))
@@ -221,3 +222,41 @@ def test_degenerate_abort_carries_trace(geom8):
     with pytest.raises(DegenerateMetric) as exc_info:
         et.run_torus_flow(st2, et.TorusParams(T=0.1, cfl=0.2))
     assert exc_info.value.trace is not None
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_geometry_built_once_per_state(monkeypatch, geom8):
+    # one record per accepted state (trace row, lambda, step size, k1) plus one
+    # per later RK4 stage: 4 per step and 1 for the initial state
+    gammas = _count_calls(monkeypatch, et, "christoffel")
+    margins = _count_calls(monkeypatch, et.TorusFieldState, "spd_margin")
+    tr = et.run_torus_flow(et.flat_state(geom8, k=1.0), et.TorusParams(T=0.3, cfl=0.2))
+    n = len(tr.t) - 1
+    assert n >= 2 and tr.aborted is None
+    assert len(gammas) == 4 * n + 1
+    assert len(margins) == 4 * n + 1
+
+
+def test_eh_density_builds_one_record(monkeypatch, geom8):
+    st = et.perturbed_state(geom8, 21, amplitude=0.08, k=0.7)
+    records = _count_calls(monkeypatch, et, "torus_fields")
+    gammas = _count_calls(monkeypatch, et, "christoffel")
+    assert et.eh_density_identity_residual(st) <= 1e-12
+    assert len(records) == 1 and len(gammas) == 1
+
+
+def test_max_steps_marks_abort(geom8):
+    tr = et.run_torus_flow(et.flat_state(geom8), et.TorusParams(T=1.0, cfl=0.2, max_steps=2))
+    assert len(tr.t) == 3 and tr.t[-1] < 1.0
+    assert "max_steps = 2" in tr.aborted and repr(tr.t[-1]) in tr.aborted

@@ -172,3 +172,9 @@ def test_run_flow_pseudometric_permitted(su2_double):
     assert len(tr.t) == 51
     assert max(tr.involution_residual) <= 1e-10
     assert np.all(np.isfinite(tr.GR))
+
+
+def test_run_flow_max_steps_marks_abort():
+    tr = fl.run_flow(alg.so3(1.0), fl.FlowState(0.0, np.eye(3), 0.0), fl.FlowParams(dt=1e-3, T=1.0, max_steps=5))
+    assert len(tr.t) == 6 and tr.t[-1] < 1.0
+    assert "max_steps = 5" in tr.aborted and repr(tr.t[-1]) in tr.aborted
