@@ -268,7 +268,10 @@ def mode_validate(cfg, seed, out_dir):
     rep = alg.validate_algebra(a)
     body = {"algebra": rep.as_dict()}
     if "metric" in cfg:
-        gm_rep = met.validate_metric(a, build_metric(cfg, a).G)
+        section = cfg["metric"]
+        # a raw matrix is reported on as given: building it would raise on the very input to report
+        raw = "matrix" in section and not section.get("identity")
+        gm_rep = met.validate_metric(a, np.asarray(section["matrix"], dtype=float) if raw else build_metric(cfg, a).G)
         body["metric"] = gm_rep.as_dict()
         ok = rep.passed and gm_rep.pseudometric
     else:

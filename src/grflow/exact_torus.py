@@ -11,8 +11,8 @@ and the scalar-curvature field R - 1/12 |H|^2_g - 4 e^phi Lap_g e^-phi.
 Discretization: 4th-order central differences on a uniform periodic grid.
 The Laplace-Beltrami operator is kept in divergence form, which makes it
 exactly self-adjoint for the discrete dV-weighted inner product (central
-difference matrices are antisymmetric circulants); the lambda solver and the
-quadrature identity for the Einstein-Hilbert density rely on this.
+difference matrices are antisymmetric circulants): lambda_torus's eigenproblem
+(W L) u = lambda W u is symmetric, and the Einstein-Hilbert quadrature exact.
 
 Geometry is built once per state: state -> ``torus_fields`` -> a read-only
 ``TorusFields`` record (positivity margin, g^-1, sqrt(det g), Gamma, Rc, H,
@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh as dense_eigh
 
 from .errors import DegenerateMetric, EigensolverStalled, StepUnderflow, ValidationError
 
@@ -341,42 +340,43 @@ def _dirichlet_operator(fields: TorusFields):
     return apply_l, weights
 
 
-def lambda_torus(fields: TorusFields, u0: np.ndarray | None = None, per_iter_tol: float = 1e-10,
-                 max_iter: int = 50_000, return_vector: bool = False):
+LAMBDA_RESIDUAL_TOL = 1e-8  # bound on ||L u - lambda u||_dV / (1 + |lambda|)
+LAMBDA_MAX_ITER = 500
+
+
+def _flat_inverse(geom: TorusGeometry):
+    """FFT inverse of -4 Lap + 1 on the flat torus; deriv's symbol is i (8 sin kh - sin 2kh) / 6h."""
+    kh = [2.0 * np.pi * np.fft.fftfreq(geom.N)] * (geom.d - 1) + [2.0 * np.pi * np.fft.rfftfreq(geom.N)]
+    inv = 1.0 / (4.0 * sum(np.ix_(*[((8.0 * np.sin(t) - np.sin(2.0 * t)) / (6.0 * geom.h)) ** 2 for t in kh])) + 1.0)
+    return lambda x: np.fft.irfftn(np.fft.rfftn(x.reshape(geom.shape)) * inv, geom.shape, range(geom.d)).reshape(x.shape)
+
+
+def lambda_torus(fields: TorusFields, u0: np.ndarray | None = None, return_vector: bool = False):
     """Minimum of int(4 |grad u|^2_g + (R - |H|^2/12) u^2) dV over unit-mass u.
 
-    Rayleigh-quotient descent with exact line search in span{u, residual} and
-    mass renormalization each iterate; stops when the quotient moves less
-    than ``per_iter_tol`` per iterate.  Matrix-free; reuses grid operators.
+    LOBPCG (Knyazev 2001) on (W L) u = lambda W u, W = dV, preconditioned by ``_flat_inverse``, from
+    ``u0`` (constant if None) unless u0 already meets the bound: lambda, the weighted Rayleigh quotient
+    of u, is returned only if ||L u - lambda u||_W <= LAMBDA_RESIDUAL_TOL (1 + |lambda|); else raises.
     """
     apply_l, wts = _dirichlet_operator(fields)
-    u = np.ones(fields.geom.shape) if u0 is None else np.asarray(u0, dtype=float).copy()
-    u /= np.sqrt(np.sum(wts * u * u))
-    lu = apply_l(u)
-    q = float(np.sum(wts * u * lu))
-    for _ in range(max_iter):
-        r = lu - q * u
-        rnorm = np.sqrt(np.sum(wts * r * r))
-        if rnorm < 1e-14 * (1.0 + abs(q)):
-            break
-        r /= rnorm
-        lr = apply_l(r)
-        a11, a12, a22 = q, float(np.sum(wts * u * lr)), float(np.sum(wts * r * lr))
-        m12 = float(np.sum(wts * u * r))
-        amat = np.array([[a11, a12], [a12, a22]])
-        mmat = np.array([[1.0, m12], [m12, 1.0]])
-        vals, vecs = dense_eigh(amat, mmat)
-        coef = vecs[:, 0]
-        u_new = coef[0] * u + coef[1] * r
-        u_new /= np.sqrt(np.sum(wts * u_new * u_new))
-        lu = apply_l(u_new)
-        q_new = float(np.sum(wts * u_new * lu))
-        moved = abs(q_new - q)
-        u, q = u_new, q_new
-        if moved <= per_iter_tol * (1.0 + abs(q)):
-            break
-    else:
-        raise EigensolverStalled(f"lambda solver did not settle in {max_iter} iterations")
+
+    def rayleigh(u):
+        u = u / np.sqrt(np.sum(wts * u * u))
+        lu = apply_l(u)
+        q = float(np.sum(wts * u * lu))
+        return q, u, float(np.sqrt(np.sum(wts * (lu - q * u) ** 2)))
+
+    q, u, res = rayleigh(np.ones(wts.shape) if u0 is None else np.asarray(u0, dtype=float))
+    if res > LAMBDA_RESIDUAL_TOL * (1.0 + abs(q)):
+        from scipy.sparse.linalg import lobpcg
+        # lobpcg's residual is W r, ||W r||_2 >= sqrt(min W) ||r||_W and lambda <= q: a tighter tol than ours
+        tol = 0.5 * LAMBDA_RESIDUAL_TOL * np.sqrt(np.min(wts)) * (1.0 + max(0.0, -q))
+        _, x = lobpcg(lambda v: (wts * apply_l(v.reshape(wts.shape))).reshape(v.shape), u.reshape(-1, 1),
+                      B=lambda v: wts.reshape(-1, 1) * v, M=_flat_inverse(fields.geom), tol=tol,
+                      maxiter=LAMBDA_MAX_ITER, largest=False)
+        q, u, res = rayleigh(x[:, 0].reshape(wts.shape))
+        if res > LAMBDA_RESIDUAL_TOL * (1.0 + abs(q)):
+            raise EigensolverStalled(f"lambda solver stalled at weighted residual {res:.3e}, lambda {q!r}")
     if float(np.sum(wts * u)) < 0:
         u = -u
     return (q, u) if return_vector else q
@@ -452,7 +452,7 @@ def _rk4_torus(state: TorusFieldState, dt: float, rhs, k1) -> TorusFieldState:
 
 
 def run_torus_flow(state: TorusFieldState, params: TorusParams, rhs=torus_rhs) -> TorusTrace:
-    """RK4 run with diffusion-limited steps; aborts cleanly on degeneracy.
+    """RK4 run with diffusion-limited steps; aborts cleanly on degeneracy or a stalled lambda.
 
     The step is dt = cfl h^2 / max_node ||g^{-1}|| recomputed per step, cut to
     land exactly on T.  Symmetry of g and antisymmetry of B are asserted each
@@ -467,14 +467,14 @@ def run_torus_flow(state: TorusFieldState, params: TorusParams, rhs=torus_rhs) -
         nonlocal lam_vec
         s = f.state
         gr = generalized_scalar_field(f)
+        if params.compute_lambda and len(trace.t) % params.lambda_every == 0:
+            lam, lam_vec = lambda_torus(f, u0=lam_vec, return_vector=True)  # may raise: no partial row
+        else:
+            lam = trace.lam[-1] if trace.lam else float("nan")
         trace.t.append(s.t)
         trace.minR.append(float(np.min(gr)))
         trace.meanR.append(float(np.mean(gr)))
-        if params.compute_lambda and (len(trace.t) - 1) % params.lambda_every == 0:
-            lam, lam_vec = lambda_torus(f, u0=lam_vec, return_vector=True)
-            trace.lam.append(lam)
-        else:
-            trace.lam.append(trace.lam[-1] if trace.lam else float("nan"))
+        trace.lam.append(lam)
         trace.spd_margin.append(f.margin)
         trace.g_norm.append(float(np.max(np.abs(s.g))))
         trace.B_norm.append(float(np.max(np.abs(s.B))))
@@ -501,7 +501,7 @@ def run_torus_flow(state: TorusFieldState, params: TorusParams, rhs=torus_rhs) -
             fields = torus_fields(st)
             record(fields)
             steps += 1
-    except (DegenerateMetric, StepUnderflow) as exc:
+    except (DegenerateMetric, StepUnderflow, EigensolverStalled) as exc:
         trace.aborted = str(exc)
         trace.final_state = st
         exc.trace = trace

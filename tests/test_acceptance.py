@@ -7,6 +7,7 @@ lines; every tolerance is pinned here exactly as stated.
 import time
 
 import numpy as np
+import pytest
 
 from grflow import algebra as alg
 from grflow import checks
@@ -162,11 +163,17 @@ def test_criterion_7_stationary_flows():
              f"slope error {slope_err:.2e} (tol 1e-8)")
 
 
-def test_criterion_8_torus_benchmark():
+@pytest.fixture(scope="module")
+def torus_benchmark_run():
+    """The 16^3 flux benchmark to T = 1, run once for criteria 8 and 9, with its runtime."""
     t0 = time.time()
     geom = et.TorusGeometry(3, 16, 2 * np.pi)
     tr = et.run_torus_flow(et.flat_state(geom, k=1.0), et.TorusParams(T=1.0, cfl=0.2))
-    elapsed = time.time() - t0
+    return tr, time.time() - t0
+
+
+def test_criterion_8_torus_benchmark(torus_benchmark_run):
+    tr, elapsed = torus_benchmark_run
     f_exact = (1 + 3 * 1.0) ** (1.0 / 3.0)
     eye = np.broadcast_to(np.eye(3), tr.final_state.g.shape)
     g_err = float(np.max(np.abs(tr.final_state.g / f_exact - eye)))
@@ -178,9 +185,9 @@ def test_criterion_8_torus_benchmark():
              f"runtime {elapsed:.1f}s (< 300s)")
 
 
-def test_criterion_9_torus_lambda_monotonicity():
+def test_criterion_9_torus_lambda_monotonicity(torus_benchmark_run):
     geom = et.TorusGeometry(3, 16, 2 * np.pi)
-    bench = et.run_torus_flow(et.flat_state(geom, k=1.0), et.TorusParams(T=1.0, cfl=0.2))
+    bench, _ = torus_benchmark_run
     lam_b = np.array(bench.lam)
     ts_b = np.array(bench.t)
     drift_b = float(np.max(np.maximum(0.0, -np.diff(lam_b) / np.diff(ts_b))))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from grflow import cli
-from grflow.errors import ConfigParseError
+from grflow.errors import ConfigParseError, EigensolverStalled
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -134,6 +134,27 @@ def test_torus_aborted_trace_exit_3(tmp_path, monkeypatch):
     assert len((tmp_path / "torus_trace.csv").read_text().splitlines()) == 4
 
 
+def test_torus_lambda_stall_exit_3(tmp_path, monkeypatch):
+    # a stalled lambda solve on the second record: the first row is kept and written
+    solve = cli.et.lambda_torus
+    calls = []
+
+    def stalls_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise EigensolverStalled("lambda solver stalled at weighted residual 1.000e-03")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli.et, "lambda_torus", stalls_second)
+    cfg = {"mode": "torus", "torus": {"d": 3, "N": 8, "k": 1.0, "T": 0.3, "init": "flat"}}
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main(["torus", "--config", str(path), "--out", str(tmp_path)]) == 3
+    abort = json.loads((tmp_path / "torus_abort.json").read_text())
+    assert "stalled" in abort["aborted"] and abort["last_t"] == 0.0
+    lines = (tmp_path / "torus_trace.csv").read_text().splitlines()
+    assert len(lines) == 3 and float(lines[2].split(",")[3]) == pytest.approx(-0.5, abs=1e-12)
+
+
 def test_torus_mode(tmp_path):
     cfg = {
         "mode": "torus",
@@ -244,3 +265,18 @@ def test_metric_validation_in_validate_mode(tmp_path):
     rep = json.loads((tmp_path / "validate.json").read_text())
     assert rep["metric"]["pseudometric"] is True
     assert rep["metric"]["strictly_positive"] is False
+
+
+def test_validate_reports_invalid_metric(tmp_path):
+    # not an involution: the report is still written, with exit 2
+    cfg = {
+        "mode": "validate",
+        "algebra": {"preset": "cotangent_double", "params": {"h": "su2"}},
+        "metric": {"matrix": np.diag([2.0, 1, 1, 1, 1, 1]).tolist()},
+    }
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main(["validate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    rep = json.loads((tmp_path / "validate.json").read_text())
+    assert rep["algebra"]["passed"] is True
+    assert rep["metric"]["pseudometric"] is False
+    assert rep["metric"]["involution_residual"] == pytest.approx(3.0)

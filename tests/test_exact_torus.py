@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 from grflow import exact_torus as et
-from grflow.errors import DegenerateMetric, ValidationError
+from grflow.errors import DegenerateMetric, EigensolverStalled, ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -260,3 +262,88 @@ def test_max_steps_marks_abort(geom8):
     tr = et.run_torus_flow(et.flat_state(geom8), et.TorusParams(T=1.0, cfl=0.2, max_steps=2))
     assert len(tr.t) == 3 and tr.t[-1] < 1.0
     assert "max_steps = 2" in tr.aborted and repr(tr.t[-1]) in tr.aborted
+
+
+def test_flat_inverse_inverts_flat_operator(rng):
+    # the preconditioner's symbol is exactly that of -4 Lap + 1 built from deriv's stencil
+    for d in (2, 3):
+        geom = et.TorusGeometry(d, 8)
+        apply_l, _ = et._dirichlet_operator(et.torus_fields(et.flat_state(geom)))
+        x = rng.standard_normal(geom.shape)
+        y = et._flat_inverse(geom)((apply_l(x) + x).reshape(-1, 1))
+        assert y.shape == (x.size, 1)
+        assert np.max(np.abs(y[:, 0] - x.ravel())) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_lambda_matches_dense_oracle(d):
+    # W L assembled column by column (64 and 512 nodes), then a dense generalized eigh
+    geom = et.TorusGeometry(d, 8)
+    fields = et.torus_fields(et.perturbed_state(geom, 11, amplitude=0.05, k=0.5 if d == 3 else 0.0))
+    apply_l, wts = et._dirichlet_operator(fields)
+    eye = np.eye(wts.size)
+    wl = np.stack([(wts * apply_l(e.reshape(geom.shape))).ravel() for e in eye], axis=1)
+    assert np.max(np.abs(wl - wl.T)) <= 1e-12 * np.max(np.abs(wl))  # L is W-self-adjoint
+    ref = scipy.linalg.eigh(0.5 * (wl + wl.T), np.diag(wts.ravel()), eigvals_only=True, subset_by_index=[0, 0])[0]
+    lam = et.lambda_torus(fields)
+    assert abs(lam - ref) <= 1e-9 * abs(ref)
+
+
+def test_lambda_residual_bound_and_warm_start(monkeypatch, geom8):
+    fields = et.torus_fields(et.perturbed_state(geom8, 9, amplitude=0.05, k=0.5))
+    lam, u = et.lambda_torus(fields, return_vector=True)
+    apply_l, wts = et._dirichlet_operator(fields)
+    r = apply_l(u) - lam * u
+    assert np.sqrt(np.sum(wts * r * r)) <= et.LAMBDA_RESIDUAL_TOL * (1 + abs(lam))
+    assert abs(np.sum(wts * u * u) - 1.0) <= 1e-12 and np.sum(wts * u) > 0
+    # a start that already meets the bound is returned without a solve
+    solves = _count_calls(monkeypatch, scipy.sparse.linalg, "lobpcg")
+    lam_warm, u_warm = et.lambda_torus(fields, u0=-3.0 * u, return_vector=True)
+    assert solves == []
+    assert lam_warm == pytest.approx(lam, abs=1e-12) and np.max(np.abs(u_warm - u)) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")  # lobpcg warns when it runs out of iterations short of its tol
+def test_lambda_scales_with_metric(geom8):
+    # with H = 0, lambda(c g) = lambda(g) / c on the grid too; lobpcg's tol must follow |lambda|
+    st = et.perturbed_state(geom8, 1, amplitude=0.05)
+    st.B[:] = 0.0
+    lam = et.lambda_torus(et.torus_fields(st))
+    for c in (1e-3, 1e-7):
+        shrunk = st.copy()
+        shrunk.g *= c
+        assert et.lambda_torus(et.torus_fields(shrunk)) * c == pytest.approx(lam, rel=1e-8)
+
+
+@pytest.mark.filterwarnings("ignore:Exited")  # lobpcg's own note that it ran out of iterations
+def test_lambda_stall_reports_residual(monkeypatch, geom8):
+    monkeypatch.setattr(et, "LAMBDA_MAX_ITER", 1)
+    fields = et.torus_fields(et.perturbed_state(geom8, 9, amplitude=0.05, k=0.5))
+    with pytest.raises(EigensolverStalled, match="weighted residual"):
+        et.lambda_torus(fields)
+
+
+def test_lambda_stall_keeps_partial_trace(monkeypatch, geom8):
+    solve = et.lambda_torus
+    calls = []
+
+    def stalls_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise EigensolverStalled("lambda solver stalled at weighted residual 1.000e-03")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(et, "lambda_torus", stalls_second)
+    with pytest.raises(EigensolverStalled) as exc_info:
+        et.run_torus_flow(et.flat_state(geom8, k=1.0), et.TorusParams(T=0.3, cfl=0.2))
+    tr = exc_info.value.trace
+    assert "stalled" in tr.aborted
+    assert len(tr.t) == len(tr.lam) == len(tr.minR) == len(tr.phi_norm) == 1  # no half-written row
+    assert tr.final_state.t > tr.t[-1]
+
+
+def test_small_perturbed_grid_reaches_T(geom8):
+    # an 8^3 input that takes about 100 LOBPCG iterations from the constant start
+    tr = et.run_torus_flow(et.perturbed_state(geom8, 9, amplitude=0.05, k=0.5), et.TorusParams(T=0.3))
+    assert tr.aborted is None and tr.t[-1] == pytest.approx(0.3)
+    assert np.all(np.diff(tr.lam) >= -1e-6 * np.diff(tr.t))
