@@ -102,8 +102,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "dt": {"type": "number", "exclusiveMinimum": 0},
                 "T": {"type": "number", "exclusiveMinimum": 0},
-                "integrator": {"enum": ["rk4", "rkf45"]},
-                "tol": {"type": "number", "exclusiveMinimum": 0},
+                "integrator": {"enum": ["rk4"]},
                 "retract_tol": {"type": "number", "exclusiveMinimum": 0},
                 "max_steps": {"type": "integer", "minimum": 1},
                 "log_sigma0": {"type": "number"},
@@ -202,6 +201,14 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _float_array(value, field: str) -> np.ndarray:
+    """A config array as floats; a ragged or non-numeric one is a config error."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigParseError(f"config field '{field}' is not a numeric array: {exc}") from exc
+
+
 def build_algebra(cfg: dict) -> alg.QuadraticLieAlgebra:
     section = cfg.get("algebra")
     if section is None:
@@ -210,7 +217,7 @@ def build_algebra(cfg: dict) -> alg.QuadraticLieAlgebra:
         return alg.preset_algebra(section["preset"], **section.get("params", {}))
     if "eta" in section and "c" in section:
         return alg.QuadraticLieAlgebra(
-            np.asarray(section["eta"], dtype=float), np.asarray(section["c"], dtype=float)
+            _float_array(section["eta"], "algebra/eta"), _float_array(section["c"], "algebra/c")
         )
     raise ConfigParseError("algebra section needs either a preset or explicit eta and c arrays")
 
@@ -222,13 +229,13 @@ def build_metric(cfg: dict, a: alg.QuadraticLieAlgebra) -> met.GeneralizedPseudo
     if section.get("identity"):
         return met.GeneralizedPseudometric.from_matrix(a, np.eye(a.n))
     if "matrix" in section:
-        return met.GeneralizedPseudometric.from_matrix(a, np.asarray(section["matrix"], dtype=float))
+        return met.GeneralizedPseudometric.from_matrix(a, _float_array(section["matrix"], "metric/matrix"))
     if "v_plus" in section:
-        return met.metric_from_subspace(a, np.asarray(section["v_plus"], dtype=float).T)
+        return met.metric_from_subspace(a, _float_array(section["v_plus"], "metric/v_plus").T)
     if "graph" in section:
-        g = np.asarray(section["graph"]["g"], dtype=float)
+        g = _float_array(section["graph"]["g"], "metric/graph/g")
         b = section["graph"].get("B")
-        return met.metric_from_graph(a, g, None if b is None else np.asarray(b, dtype=float))
+        return met.metric_from_graph(a, g, None if b is None else _float_array(b, "metric/graph/B"))
     if "random_positive_seed" in section:
         return met.random_strictly_positive_metric(a, int(section["random_positive_seed"]))
     raise ConfigParseError("metric section needs one of: matrix, v_plus, graph, identity, random_positive_seed")
@@ -271,7 +278,8 @@ def mode_validate(cfg, seed, out_dir):
         section = cfg["metric"]
         # a raw matrix is reported on as given: building it would raise on the very input to report
         raw = "matrix" in section and not section.get("identity")
-        gm_rep = met.validate_metric(a, np.asarray(section["matrix"], dtype=float) if raw else build_metric(cfg, a).G)
+        g = _float_array(section["matrix"], "metric/matrix") if raw else build_metric(cfg, a).G
+        gm_rep = met.validate_metric(a, g)
         body["metric"] = gm_rep.as_dict()
         ok = rep.passed and gm_rep.pseudometric
     else:
@@ -298,6 +306,7 @@ def mode_curvature(cfg, seed, out_dir):
 def _flow_params(cfg) -> fl.FlowParams:
     f = dict(cfg.get("flow", {}))
     f.pop("log_sigma0", None)
+    f.pop("integrator", None)  # RK4 is the only integrator
     return fl.FlowParams(**f)
 
 
@@ -402,6 +411,7 @@ def mode_sweep(cfg, seed, out_dir):
         cell_dir.mkdir(parents=True, exist_ok=True)
         entry = {"cell": idx, "params": {axis["path"]: v for axis, v in zip(axes, combo)}}
         try:
+            validate_config(cell_cfg)
             code = mode_flow(cell_cfg, seed, cell_dir)
             entry["status"] = "ok" if code == 0 else "aborted"
             any_failed = any_failed or code != 0

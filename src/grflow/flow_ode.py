@@ -2,9 +2,11 @@
 
 dG/dt = -2 GRc(G, 0) and d(log sigma)/dt = -GR(G, 0)/2: over a point every
 half-density induces the zero divergence, so the sigma equation decouples
-and only feeds the diagnostics.  Time stepping is RK4 (or embedded RKF45)
-followed by a Newton-Schulz retraction onto the involution manifold, which
-is a polynomial in G and therefore preserves eta-symmetry exactly.
+and only feeds the diagnostics.  Time stepping is classical RK4 followed by a
+Newton-Schulz retraction onto the involution manifold, which is a polynomial
+in G and therefore preserves eta-symmetry exactly.  The right-hand side at
+each accepted state is evaluated once: the trace reads GR and |GRc|^2_G from
+it, and the next step reuses it as its first stage (first same as last).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import QuadraticLieAlgebra
-from .curvature import ricci, ricci_closed_form, scalar, scalar_closed_form
+from .curvature import ricci_closed_form, scalar_closed_form
 from .errors import DegenerateSubspace, RetractionDiverged, StepUnderflow
 from .metric import (
     GeneralizedPseudometric,
@@ -24,8 +26,6 @@ from .metric import (
     mixed_norm_sq,
     validate_metric,
 )
-
-RHS_CROSS_CHECK_TOL = 1e-10
 
 
 @dataclass
@@ -46,17 +46,12 @@ class FlowState:
 class FlowParams:
     dt: float = 1e-3
     T: float = 10.0
-    integrator: str = "rk4"  # rk4 | rkf45
-    tol: float = 1e-8  # local error tolerance for rkf45
     retract_tol: float = 1e-10
     max_steps: int = 10_000_000
-    debug_rhs: bool = False  # cross-check closed forms against dual routes
 
     def __post_init__(self):
         if self.dt <= 0 or self.T <= 0:
             raise ValueError("dt and T must be positive")
-        if self.integrator not in ("rk4", "rkf45"):
-            raise ValueError(f"unknown integrator '{self.integrator}'")
 
 
 @dataclass
@@ -92,24 +87,14 @@ class FlowTrace:
             )
 
 
-def flow_rhs(a: QuadraticLieAlgebra, state: FlowState, debug: bool = False) -> tuple[np.ndarray, float]:
-    """(dG, dlog_sigma) = (-2 GRc(G, 0), -GR(G, 0)/2).
+def flow_rhs(a: QuadraticLieAlgebra, state: FlowState) -> tuple[np.ndarray, float]:
+    """(dG, dlog_sigma) = (-2 GRc(G, 0), -GR(G, 0)/2) from the point-base closed forms.
 
-    Uses the point-base closed forms; with ``debug`` the Ricci is
-    cross-checked against the contraction + bracket-trace routes and the
-    scalar against the Riemann trace route.
+    The dual routes ``curvature.ricci`` and ``curvature.scalar`` are the
+    independent oracles the tests compare these against.
     """
     g = state.G
-    grc = ricci_closed_form(a, g)
-    if debug:
-        ref = ricci(a, g, None)
-        gap = float(np.max(np.abs(grc - ref)))
-        if gap > RHS_CROSS_CHECK_TOL * (1.0 + float(np.max(np.abs(grc)))):
-            raise AssertionError(f"closed-form Ricci disagrees with dual routes: {gap:.3e}")
-        gr = scalar(a, g, None)
-    else:
-        gr = scalar_closed_form(a, g, None)
-    return -2.0 * grc, -0.5 * gr
+    return -2.0 * ricci_closed_form(a, g), -0.5 * scalar_closed_form(a, g, None)
 
 
 def involution_retract(G: np.ndarray, retract_tol: float = 1e-10, max_iter: int = 20) -> np.ndarray:
@@ -136,62 +121,32 @@ def involution_retract(G: np.ndarray, retract_tol: float = 1e-10, max_iter: int 
     raise RetractionDiverged(f"residual {res:.3e} after {max_iter} iterations")
 
 
-_RKF45_A = (
-    (),
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2, -3544 / 2565, 1859 / 4104, -11 / 40),
-)
-_RKF45_B5 = (16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
-_RKF45_B4 = (25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0)
-
-
-def _rk4_increment(a, state, dt, debug):
-    k1 = flow_rhs(a, state, debug)
-    k2 = flow_rhs(a, FlowState(state.t + dt / 2, state.G + dt / 2 * k1[0], state.log_sigma + dt / 2 * k1[1]), debug)
-    k3 = flow_rhs(a, FlowState(state.t + dt / 2, state.G + dt / 2 * k2[0], state.log_sigma + dt / 2 * k2[1]), debug)
-    k4 = flow_rhs(a, FlowState(state.t + dt, state.G + dt * k3[0], state.log_sigma + dt * k3[1]), debug)
+def _rk4_increment(a, state, dt, k1):
+    """RK4 increment (dG, dlog_sigma) over dt; ``k1`` is ``flow_rhs`` at ``state``."""
+    k2 = flow_rhs(a, FlowState(state.t + dt / 2, state.G + dt / 2 * k1[0], state.log_sigma + dt / 2 * k1[1]))
+    k3 = flow_rhs(a, FlowState(state.t + dt / 2, state.G + dt / 2 * k2[0], state.log_sigma + dt / 2 * k2[1]))
+    k4 = flow_rhs(a, FlowState(state.t + dt, state.G + dt * k3[0], state.log_sigma + dt * k3[1]))
     dg = dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
     ds = dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    return dg, ds, 0.0
+    return dg, ds
 
 
-def _rkf45_increment(a, state, dt, debug):
-    ks = []
-    for row in _RKF45_A:
-        gg = state.G.copy()
-        ls = state.log_sigma
-        for coeff, k in zip(row, ks):
-            gg = gg + dt * coeff * k[0]
-            ls = ls + dt * coeff * k[1]
-        ks.append(flow_rhs(a, FlowState(state.t, gg, ls), debug))
-    dg5 = sum(b * k[0] for b, k in zip(_RKF45_B5, ks)) * dt
-    ds5 = sum(b * k[1] for b, k in zip(_RKF45_B5, ks)) * dt
-    dg4 = sum(b * k[0] for b, k in zip(_RKF45_B4, ks)) * dt
-    ds4 = sum(b * k[1] for b, k in zip(_RKF45_B4, ks)) * dt
-    err = max(float(np.max(np.abs(dg5 - dg4))), abs(ds5 - ds4))
-    return dg5, ds5, err
+def flow_step(a: QuadraticLieAlgebra, state: FlowState, params: FlowParams, dt: float | None = None,
+              k1: tuple[np.ndarray, float] | None = None) -> FlowState:
+    """One accepted step: RK4 increment, then involution retraction.
 
-
-def flow_step(a: QuadraticLieAlgebra, state: FlowState, params: FlowParams, dt: float | None = None) -> FlowState:
-    """One accepted step: integrator increment, then involution retraction.
-
-    The step is rejected and halved whenever the retraction fails or, for
-    rkf45, the embedded error estimate exceeds the tolerance.
+    ``k1`` is ``flow_rhs(a, state)`` when the caller already has it.  The step
+    is halved whenever the increment is not finite or the retraction fails;
+    a halved retry starts from the same state, so it reuses ``k1``.
     """
     dt = params.dt if dt is None else dt
-    increment = _rk4_increment if params.integrator == "rk4" else _rkf45_increment
+    k1 = flow_rhs(a, state) if k1 is None else k1
     while True:
         if dt < 1e-14:
             raise StepUnderflow(f"time step underflow at t = {state.t}")
         with np.errstate(over="ignore", invalid="ignore"):
-            dg, ds, err = increment(a, state, dt, params.debug_rhs)
+            dg, ds = _rk4_increment(a, state, dt, k1)
         if not (np.all(np.isfinite(dg)) and np.isfinite(ds)):
-            dt /= 2
-            continue
-        if params.integrator == "rkf45" and err > params.tol:
             dt /= 2
             continue
         try:
@@ -248,7 +203,12 @@ def run_flow(a: QuadraticLieAlgebra, init: FlowState, params: FlowParams) -> Flo
         except DegenerateSubspace:
             return float("nan")
 
-    def record(st: FlowState, gr: float, rc2: float, defect: float):
+    def record(st: FlowState, rhs: tuple[np.ndarray, float], step_dt: float):
+        # GR and GRc read back from the RHS (-2 GRc, -GR/2): power-of-two rescalings, so exact
+        gr = -2.0 * rhs[1]
+        rc2 = mixed_norm_sq(a, a.eta @ (-0.5 * rhs[0]))
+        # dGR/dt = |GRc|^2_G against the trapezoidal mean over the step
+        defect = abs((gr - trace.GR[-1]) / step_dt - 0.5 * (trace.normRc2[-1] + rc2)) if trace.t else 0.0
         sigma_sq = float(np.exp(2 * st.log_sigma))
         trace.t.append(st.t)
         trace.GR.append(gr)
@@ -259,20 +219,15 @@ def run_flow(a: QuadraticLieAlgebra, init: FlowState, params: FlowParams) -> Flo
         trace.involution_residual.append(involution_residual(st.G))
         trace.soliton_residual.append(soliton_value(st.G, rc2))
         trace.monotonicity_defect.append(defect)
+        trace.step_dt.append(step_dt)
 
-    def diagnostics(g):
-        gr = scalar_closed_form(a, g, None)
-        rc2 = mixed_norm_sq(a, a.eta @ ricci_closed_form(a, g))
-        return gr, rc2
-
-    gr_cur, rc2_cur = diagnostics(state.G)
-    record(state, gr_cur, rc2_cur, 0.0)
-    trace.step_dt.append(0.0)
+    k1 = flow_rhs(a, state)
+    record(state, k1, 0.0)
     steps = 0
     while state.t < params.T - 1e-12 and steps < params.max_steps:
         dt = min(params.dt, params.T - state.t)
         try:
-            new_state = flow_step(a, state, params, dt)
+            new_state = flow_step(a, state, params, dt, k1)
         except StepUnderflow as exc:
             trace.aborted = f"step underflow at t = {state.t}"
             trace.final_G = state.G
@@ -283,13 +238,9 @@ def run_flow(a: QuadraticLieAlgebra, init: FlowState, params: FlowParams) -> Flo
             if np.min(np.linalg.eigvalsh((pairing + pairing.T) / 2)) <= 0:
                 trace.aborted = f"strict positivity lost at t = {new_state.t}"
                 break
-        actual_dt = new_state.t - state.t
-        gr_new, rc2_new = diagnostics(new_state.G)
-        dgr = (gr_new - gr_cur) / actual_dt
-        defect = abs(dgr - 0.5 * (rc2_cur + rc2_new))
-        record(new_state, gr_new, rc2_new, defect)
-        trace.step_dt.append(actual_dt)
-        state, gr_cur, rc2_cur = new_state, gr_new, rc2_new
+        k1 = flow_rhs(a, new_state)
+        record(new_state, k1, new_state.t - state.t)
+        state = new_state
         steps += 1
     if trace.aborted is None and state.t < params.T - 1e-12:
         trace.aborted = (f"step budget max_steps = {params.max_steps} used up "

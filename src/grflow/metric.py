@@ -65,7 +65,7 @@ class GeneralizedPseudometric:
         rep = validate_metric(a, g)
         if not rep.pseudometric:
             raise DegenerateSubspace(
-                "not a generalized pseudometric: "
+                f"not a generalized pseudometric on n = {a.n}: shape {g.shape}, "
                 f"involution residual {rep.involution_residual:.2e}, "
                 f"eta-symmetry residual {rep.eta_symmetry_residual:.2e}"
             )
@@ -99,8 +99,13 @@ class MetricValidation:
 
 
 def validate_metric(a: QuadraticLieAlgebra, G) -> MetricValidation:
-    """Report-style check of the pseudometric axioms; never raises."""
+    """Report-style check of the pseudometric axioms; never raises.
+
+    A G that is not n x n fails with both residuals reported as inf.
+    """
     g = _as_matrix(G)
+    if g.shape != (a.n, a.n):
+        return MetricValidation(False, False, 0, 0, float("inf"), float("inf"))
     inv_res = involution_residual(g)
     sym_res = eta_symmetry_residual(a, g)
     scale = max(1.0, float(np.max(np.abs(g))))

@@ -280,3 +280,64 @@ def test_validate_reports_invalid_metric(tmp_path):
     assert rep["algebra"]["passed"] is True
     assert rep["metric"]["pseudometric"] is False
     assert rep["metric"]["involution_residual"] == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("mode", ["validate", "curvature", "flow"])
+def test_wrong_shape_metric_exit_2(tmp_path, mode, capsys):
+    cfg = {"mode": mode, "algebra": {"preset": "so3"}, "metric": {"matrix": np.eye(2).tolist()}}
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main([mode, "--config", str(path), "--out", str(tmp_path)]) == 2
+    if mode == "validate":
+        rep = json.loads((tmp_path / "validate.json").read_text())
+        assert rep["metric"]["pseudometric"] is False
+    else:
+        assert "shape (2, 2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["validate", "flow"])
+def test_ragged_metric_matrix_exit_2(tmp_path, mode, capsys):
+    cfg = {"mode": mode, "algebra": {"preset": "abelian", "params": {"n": 2, "p": 1}},
+           "metric": {"matrix": [[1, 0], [0]]}}
+    path = write_cfg(tmp_path, cfg)
+    with pytest.raises(ConfigParseError, match="metric/matrix"):
+        cli.run_config(path, out=tmp_path)
+    assert cli.main([mode, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "metric/matrix" in capsys.readouterr().err
+
+
+def test_flow_integrator_rk4_only(tmp_path, capsys):
+    cfg = {
+        "mode": "flow",
+        "algebra": {"preset": "so3"},
+        "metric": {"identity": True},
+        "flow": {"dt": 0.01, "T": 0.05, "integrator": "rkf45"},
+    }
+    bad = write_cfg(tmp_path, cfg, "rkf45.json")
+    assert cli.main(["flow", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert "config field 'flow/integrator'" in capsys.readouterr().err
+    assert not (tmp_path / "flow_trace.csv").exists()
+    cfg["flow"]["integrator"] = "rk4"
+    good = write_cfg(tmp_path, cfg, "rk4.json")
+    assert cli.main(["flow", "--config", str(good), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "flow_trace.csv").exists()
+
+
+@pytest.mark.parametrize("axis", [
+    {"path": "flow.dt", "values": [1e-2, -1.0]},
+    {"path": "flow.integrator", "values": ["rk4", "rkf45"]},
+])
+def test_sweep_invalid_cell_isolated(tmp_path, axis):
+    cfg = {
+        "mode": "sweep",
+        "algebra": {"preset": "so3"},
+        "metric": {"identity": True},
+        "flow": {"dt": 0.01, "T": 0.05},
+        "sweep": {"axes": [axis]},
+    }
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 3
+    cells = json.loads((tmp_path / "index.json").read_text())["cells"]
+    assert [c["status"] for c in cells] == ["ok", "failed"]
+    assert f"config field '{axis['path'].replace('.', '/')}'" in cells[1]["error"]
+    assert (tmp_path / "cell_000" / "flow_trace.csv").exists()
+    assert not (tmp_path / "cell_001" / "flow_trace.csv").exists()

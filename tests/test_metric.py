@@ -54,6 +54,16 @@ def test_validate_metric_garbage():
     assert not rep.pseudometric
 
 
+def test_validate_metric_wrong_shape():
+    a = alg.so3(1.0)
+    for g in (np.eye(2), np.ones(3), np.eye(4)[:3]):
+        rep = met.validate_metric(a, g)
+        assert not rep.pseudometric and not rep.strictly_positive
+        assert rep.involution_residual == np.inf and rep.eta_symmetry_residual == np.inf
+    with pytest.raises(DegenerateSubspace, match=r"shape \(2, 2\)"):
+        met.GeneralizedPseudometric.from_matrix(a, np.eye(2))
+
+
 def test_metric_invariants_random(su2_double):
     for seed in range(5):
         gm = met.random_strictly_positive_metric(su2_double, seed)
