@@ -92,15 +92,17 @@ def run_algebraic_checks(seed: int = 0, instances: int = 100, kernel_shifts: int
     results.append(_result("change_basis_roundtrip", w_basis, 1e-12))
     results.append(_result("c_norm_invariance", w_cnorm, 1e-10))
 
-    names = [
-        "metric_invariants", "projector_algebra", "lie_derivative_tangency", "tangent_norm_identity",
-        "tau_tau_prime", "kappa_kappa_prime", "kappa_tau_prime", "tau_kappa_prime",
-        "lc_postconditions", "lc_fixed_point", "lc_kernel_constraints",
-        "riemann_symmetries", "riemann_mixed_trace", "ricci_triple_route", "scalar_dual_route",
-        "curvature_kernel_invariance", "ricci_divergence_shift", "scalar_divergence_shift",
-        "bianchi_identity", "curvature_equivariance", "monotonicity_identity",
-    ]
-    worst = {n: 0.0 for n in names}
+    tols = {
+        "metric_invariants": 1e-10, "projector_algebra": 1e-12, "lie_derivative_tangency": 1e-10,
+        "tangent_norm_identity": 1e-12, "tau_tau_prime": 1e-12, "kappa_kappa_prime": 1e-12,
+        "kappa_tau_prime": 1e-12, "tau_kappa_prime": 1e-12, "lc_postconditions": 1e-10,
+        "lc_fixed_point": 1e-12, "lc_kernel_constraints": 1e-12, "riemann_symmetries": 1e-10,
+        "riemann_mixed_trace": 1e-10, "ricci_triple_route": 1e-10, "scalar_dual_route": 1e-10,
+        "curvature_kernel_invariance": 1e-10, "ricci_divergence_shift": 1e-10,
+        "scalar_divergence_shift": 1e-10, "bianchi_identity": 1e-10, "curvature_equivariance": 1e-10,
+        "monotonicity_identity": 1e-10,
+    }
+    worst = dict.fromkeys(tols, 0.0)
 
     for a, gm, sub in instance_stream(seed, instances):
         g = gm.G
@@ -221,18 +223,8 @@ def run_algebraic_checks(seed: int = 0, instances: int = 100, kernel_shifts: int
         mono_rhs = met.mixed_norm_sq(a, a.eta @ grc)
         worst["monotonicity_identity"] = max(worst["monotonicity_identity"], abs(mono_lhs - mono_rhs) / (1 + abs(mono_rhs)))
 
-    tols = {
-        "metric_invariants": 1e-10, "projector_algebra": 1e-12, "lie_derivative_tangency": 1e-10,
-        "tangent_norm_identity": 1e-12, "tau_tau_prime": 1e-12, "kappa_kappa_prime": 1e-12,
-        "kappa_tau_prime": 1e-12, "tau_kappa_prime": 1e-12, "lc_postconditions": 1e-10,
-        "lc_fixed_point": 1e-12, "lc_kernel_constraints": 1e-12, "riemann_symmetries": 1e-10,
-        "riemann_mixed_trace": 1e-10, "ricci_triple_route": 1e-10, "scalar_dual_route": 1e-10,
-        "curvature_kernel_invariance": 1e-10, "ricci_divergence_shift": 1e-10,
-        "scalar_divergence_shift": 1e-10, "bianchi_identity": 1e-10, "curvature_equivariance": 1e-10,
-        "monotonicity_identity": 1e-10,
-    }
-    for n in names:
-        results.append(_result(n, worst[n], tols[n]))
+    for n, tol in tols.items():
+        results.append(_result(n, worst[n], tol))
 
     results.extend(run_variation_checks(seed))
     results.extend(run_flow_checks(seed))

@@ -315,19 +315,29 @@ def mode_flow(cfg, seed, out_dir):
     gm = build_metric(cfg, a)
     params = _flow_params(cfg)
     state = fl.FlowState(0.0, gm.G, float(cfg.get("flow", {}).get("log_sigma0", 0.0)))
+    return _run_to_csv("flow", lambda: fl.run_flow(a, state, params), fl.FlowTrace.COLUMNS, cfg, seed, out_dir)[1]
+
+
+def _run_to_csv(name, run, columns, cfg, seed, out_dir):
+    """Run, write ``<name>_trace.csv`` and return (trace, exit code): 0, or 3 with ``<name>_abort.json``
+    when the run did not reach T.
+
+    A runner that raises attaches its partial trace with the abort note set; an error without one
+    propagates.
+    """
     try:
-        trace = fl.run_flow(a, state, params)
-    except (GrfError,) as exc:
-        trace = getattr(exc, "trace", None)  # runners attach it with the abort note set
+        trace = run()
+    except GrfError as exc:
+        trace = getattr(exc, "trace", None)
         if trace is None:
             raise
-    write_csv(out_dir / "flow_trace.csv", _header_line(cfg, seed), fl.FlowTrace.COLUMNS, trace.rows())
+    write_csv(out_dir / f"{name}_trace.csv", _header_line(cfg, seed), columns, trace.rows())
     if trace.aborted:
-        write_json(out_dir / "flow_abort.json", cfg, seed, {"aborted": trace.aborted, "last_t": trace.t[-1]})
-        print(f"flow: aborted ({trace.aborted}) after {len(trace.t)} records")
-        return 3
-    print(f"flow: {len(trace.t)} records to t = {trace.t[-1]!r}")
-    return 0
+        write_json(out_dir / f"{name}_abort.json", cfg, seed, {"aborted": trace.aborted, "last_t": trace.t[-1]})
+        print(f"{name}: aborted ({trace.aborted}) after {len(trace.t)} records")
+        return trace, 3
+    print(f"{name}: {len(trace.t)} records to t = {trace.t[-1]!r}")
+    return trace, 0
 
 
 def _torus_state_params(cfg, seed):
@@ -349,21 +359,11 @@ def _torus_state_params(cfg, seed):
 
 def mode_torus(cfg, seed, out_dir):
     state, params = _torus_state_params(cfg, seed)
-    try:
-        trace = et.run_torus_flow(state, params)
-    except (GrfError,) as exc:
-        trace = getattr(exc, "trace", None)  # runners attach it with the abort note set
-        if trace is None:
-            raise
-    write_csv(out_dir / "torus_trace.csv", _header_line(cfg, seed), et.TorusTrace.COLUMNS, trace.rows())
+    trace, code = _run_to_csv("torus", lambda: et.run_torus_flow(state, params), et.TorusTrace.COLUMNS, cfg,
+                              seed, out_dir)
     if cfg.get("torus", {}).get("dump_fields") and trace.final_state is not None:
         et.write_field_dump(trace.final_state, out_dir / "final_fields.grfd")
-    if trace.aborted:
-        write_json(out_dir / "torus_abort.json", cfg, seed, {"aborted": trace.aborted, "last_t": trace.t[-1]})
-        print(f"torus: aborted ({trace.aborted}) after {len(trace.t)} records")
-        return 3
-    print(f"torus: {len(trace.t)} records to t = {trace.t[-1]!r}")
-    return 0
+    return code
 
 
 def mode_check(cfg, seed, out_dir):
@@ -384,15 +384,19 @@ def mode_check(cfg, seed, out_dir):
 
 
 def _set_by_path(obj, path: str, value):
-    keys = path.split(".")
+    """Set ``value`` at a dotted path, creating missing objects; ConfigParseError names a path that runs
+    through a scalar, a missing list index or a non-integer list key."""
+    *head, last = path.split(".")
     cur = obj
-    for key in keys[:-1]:
-        cur = cur[int(key)] if isinstance(cur, list) else cur.setdefault(key, {})
-    last = keys[-1]
-    if isinstance(cur, list):
-        cur[int(last)] = value
-    else:
-        cur[last] = value
+    try:
+        for key in head:
+            cur = cur[int(key)] if isinstance(cur, list) else cur.setdefault(key, {})
+        if isinstance(cur, list):
+            cur[int(last)] = value
+        else:
+            cur[last] = value
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigParseError(f"sweep path '{path}' cannot be set: {exc}") from None
 
 
 def mode_sweep(cfg, seed, out_dir):
@@ -405,12 +409,12 @@ def mode_sweep(cfg, seed, out_dir):
     any_failed = False
     for idx, combo in enumerate(cells):
         cell_cfg = json.loads(json.dumps({k: v for k, v in cfg.items() if k not in ("sweep", "mode")}))
-        for axis, value in zip(axes, combo):
-            _set_by_path(cell_cfg, axis["path"], value)
         cell_dir = out_dir / f"cell_{idx:03d}"
         cell_dir.mkdir(parents=True, exist_ok=True)
         entry = {"cell": idx, "params": {axis["path"]: v for axis, v in zip(axes, combo)}}
         try:
+            for axis, value in zip(axes, combo):
+                _set_by_path(cell_cfg, axis["path"], value)
             validate_config(cell_cfg)
             code = mode_flow(cell_cfg, seed, cell_dir)
             entry["status"] = "ok" if code == 0 else "aborted"

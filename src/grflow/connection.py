@@ -213,12 +213,7 @@ def levi_civita(a: QuadraticLieAlgebra, G, d=None) -> Connection:
     n_plus, n_minus = eigen_ranks(g)
     if n_plus == 1 or n_minus == 1:
         raise ForbiddenRank(f"no LC connection with prescribed divergence at ranks ({n_plus},{n_minus})")
-    div = as_divergence(d, a.n)
-    base = Connection(np.zeros((a.n, a.n, a.n)))
-    gamma = base.gamma - tau_prime(a, g, torsion(a, base))
-    missing = div.d - divergence_of(a, Connection(gamma)).d
-    gamma = gamma + kappa_prime(a, g, a.eta_inv @ missing)
-    return Connection(gamma).bind(a)
+    return lc_repair(a, g, d, Connection(np.zeros((a.n,) * 3)))
 
 
 def lc_repair(a: QuadraticLieAlgebra, G, d, D: Connection) -> Connection:
@@ -245,7 +240,8 @@ def lc_kernel_shift(a: QuadraticLieAlgebra, G, seed: int) -> np.ndarray:
     """Random element of ker tau  ^  ker kappa  ^  E (x) (Lam^2 V+ + Lam^2 V-).
 
     These are exactly the differences between Levi-Civita connections with
-    the same divergence.  Returns zeros when the kernel is trivial.
+    the same divergence.  Returns zeros when the kernel is trivial, recognized by a
+    projected shift at round-off relative to the start ``a0``.
     """
     g = _as_matrix(G)
     rng = np.random.default_rng(seed)
@@ -253,6 +249,6 @@ def lc_kernel_shift(a: QuadraticLieAlgebra, G, seed: int) -> np.ndarray:
     a0 = block_project(a, g, 0.5 * (raw - raw.transpose(0, 2, 1)))
     shift = a0 - tau_prime(a, g, tau_map(a0)) - kappa_prime(a, g, a.eta_inv @ kappa_map(a, a0))
     peak = float(np.max(np.abs(shift)))
-    if peak < 1e-13:
+    if peak <= 1e-10 * float(np.max(np.abs(a0))):
         return np.zeros_like(shift)
     return shift / peak

@@ -9,6 +9,8 @@ Explicit exact-case equations:
 and the scalar-curvature field R - 1/12 |H|^2_g - 4 e^phi Lap_g e^-phi.
 
 Discretization: 4th-order central differences on a uniform periodic grid.
+``deriv`` is the only stencil: ``grad`` stacks its partials with the derivative
+index first among the component axes, and ``div`` contracts that index again.
 The Laplace-Beltrami operator is kept in divergence form, which makes it
 exactly self-adjoint for the discrete dV-weighted inner product (central
 difference matrices are antisymmetric circulants): lambda_torus's eigenproblem
@@ -72,29 +74,27 @@ def deriv(geom: TorusGeometry, f: np.ndarray, axis: int) -> np.ndarray:
 
 
 def grad(geom: TorusGeometry, f: np.ndarray) -> np.ndarray:
-    """Stack of partial derivatives, shape grid + (d,)."""
-    return np.stack([deriv(geom, f, i) for i in range(geom.d)], axis=-1)
+    """Partials of a scalar or stacked field: shape grid + (d,) + components, (.., l, ...) = d_l f."""
+    return np.stack([deriv(geom, f, l) for l in range(geom.d)], axis=geom.d)
+
+
+def div(geom: TorusGeometry, f: np.ndarray) -> np.ndarray:
+    """Divergence over the first component index: sum_k d_k f[.., k, ...], the contraction of ``grad``."""
+    return sum(deriv(geom, f[(slice(None),) * geom.d + (k,)], k) for k in range(geom.d))
 
 
 def exterior_derivative(geom: TorusGeometry, omega: np.ndarray, degree: int) -> np.ndarray:
-    """Discrete exterior derivative of a p-form given by full component arrays."""
+    """Discrete exterior derivative of a p-form given by full component arrays, any degree.
+
+    (d omega)_{a0..ap} = sum_k (-1)^k d_{ak} omega_{a0..^ak..ap}; omega being antisymmetric, each term
+    is d omega with its p + 1 form slots rotated k places, a rotation of sign (-1)^(kp).
+    """
     d = geom.d
-    if degree == 0:
-        return grad(geom, omega)
-    if degree == 1:
-        da = np.stack([deriv(geom, omega, i) for i in range(d)], axis=-2)  # (.., i, j) = d_i A_j
-        return da - np.swapaxes(da, -1, -2)
-    if degree == 2:
-        db = np.stack([deriv(geom, omega, i) for i in range(d)], axis=-3)  # d_i B_jk
-        return db + np.moveaxis(db, (-3, -2, -1), (-2, -1, -3)) + np.moveaxis(db, (-3, -2, -1), (-1, -3, -2))
-    if degree == 3:
-        dh = np.stack([deriv(geom, omega, i) for i in range(d)], axis=-4)  # d_a H_bcd
-        out = dh.copy()
-        out -= np.swapaxes(dh, -4, -3)
-        out += np.moveaxis(dh, -4, -2)
-        out -= np.moveaxis(dh, -4, -1)
-        return out
-    raise ValidationError(f"unsupported form degree {degree}")
+    if degree < 0 or omega.ndim != d + degree:
+        raise ValidationError(f"a {degree}-form on T^{d} needs {d + degree} array axes, got {omega.ndim}")
+    dw = grad(geom, omega)
+    axes = tuple(range(d, d + degree + 1))
+    return sum((-1) ** (k * degree) * np.moveaxis(dw, axes, axes[k:] + axes[:k]) for k in range(degree + 1))
 
 
 def volume_coefficients(d: int, k: float) -> np.ndarray:
@@ -198,8 +198,7 @@ def flux_H(state: TorusFieldState) -> np.ndarray:
 
 def christoffel(state: TorusFieldState, ginv: np.ndarray) -> np.ndarray:
     """Gamma^k_{ij} per node, shape grid + (d, d, d) with k first."""
-    geom = state.geom
-    dg = np.stack([deriv(geom, state.g, l) for l in range(geom.d)], axis=-3)  # (l, i, j) = d_l g_ij
+    dg = grad(state.geom, state.g)  # (l, i, j) = d_l g_ij
     term_i = np.moveaxis(dg, -1, -3)  # [l, i, j] <- d_i g_{jl}
     term_j = np.swapaxes(term_i, -1, -2)  # [l, i, j] <- d_j g_{il}
     rhs = term_i + term_j - dg
@@ -214,27 +213,22 @@ def ricci_tensor(state: TorusFieldState, gamma: np.ndarray) -> np.ndarray:
     exactly symmetric (the two writings agree analytically).
     """
     geom = state.geom
-    div_gamma = sum(deriv(geom, gamma[..., k, :, :], k) for k in range(geom.d))
     v = np.einsum("...kkj->...j", gamma)
-    dv = np.stack([deriv(geom, v, i) for i in range(geom.d)], axis=-2)  # (i, j)
+    dv = grad(geom, v)  # (i, j) = d_i v_j
     dv_sym = 0.5 * (dv + np.swapaxes(dv, -1, -2))
     quad1 = np.einsum("...l,...lij->...ij", v, gamma)
     quad2 = np.einsum("...kil,...lkj->...ij", gamma, gamma)
-    return div_gamma - dv_sym + quad1 - quad2
+    return div(geom, gamma) - dv_sym + quad1 - quad2
 
 
 def laplace_beltrami(geom: TorusGeometry, w: np.ndarray, ginv: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Divergence-form Laplace-Beltrami: (1/w) d_i (w g^{ij} d_j f), w = sqrt(det g)."""
-    df = grad(geom, f)
-    flux = w[..., None] * np.einsum("...ij,...j->...i", ginv, df)
-    out = sum(deriv(geom, flux[..., i], i) for i in range(geom.d))
-    return out / w
+    return div(geom, w[..., None] * np.einsum("...ij,...j->...i", ginv, grad(geom, f))) / w
 
 
-def hessian(geom: TorusGeometry, gamma: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Covariant Hessian grad_i grad_j f, symmetrized to round-off."""
-    df = grad(geom, f)
-    ddf = np.stack([deriv(geom, df, i) for i in range(geom.d)], axis=-2)  # (i, j)
+def hessian(geom: TorusGeometry, gamma: np.ndarray, df: np.ndarray) -> np.ndarray:
+    """Covariant Hessian grad_i grad_j f from the gradient df = grad f, symmetrized to round-off."""
+    ddf = grad(geom, df)  # (i, j) = d_i d_j f
     ddf = 0.5 * (ddf + np.swapaxes(ddf, -1, -2))
     return ddf - np.einsum("...kij,...k->...ij", gamma, df)
 
@@ -283,11 +277,11 @@ def torus_rhs(fields: TorusFields) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(dt g, dt B, dt phi) of the exact-case flow, evaluated as printed."""
     geom, phi, ginv, gamma, H = fields.geom, fields.state.phi, fields.ginv, fields.gamma, fields.H
     dphi = grad(geom, phi)
-    hess = hessian(geom, gamma, phi)
+    hess = hessian(geom, gamma, dphi)
     h2 = np.einsum("...ikl,...jkl->...ij", fields.h_mixed, H)
     dg = -2.0 * fields.rc + 0.5 * h2 - 4.0 * hess
 
-    dH = np.stack([deriv(geom, H, l) for l in range(geom.d)], axis=-4)  # (l, k, i, j)
+    dH = grad(geom, H)  # (l, k, i, j) = d_l H_kij
     covH = (
         dH
         - np.einsum("...mlk,...mij->...lkij", gamma, H)
@@ -307,7 +301,7 @@ def ricci_dilaton_rhs(fields: TorusFields) -> tuple[np.ndarray, np.ndarray, np.n
     """Dedicated H-free path: Ricci flow coupled to the dilaton only."""
     geom, phi, ginv = fields.geom, fields.state.phi, fields.ginv
     dphi = grad(geom, phi)
-    dg = -2.0 * fields.rc - 4.0 * hessian(geom, fields.gamma, phi)
+    dg = -2.0 * fields.rc - 4.0 * hessian(geom, fields.gamma, dphi)
     lap_phi = laplace_beltrami(geom, fields.w, ginv, phi)
     grad_phi_up = np.einsum("...kl,...l->...k", ginv, dphi)
     dphi_rhs = lap_phi - 2.0 * np.einsum("...i,...i->...", grad_phi_up, dphi)

@@ -24,7 +24,6 @@ from .metric import (
     adapted_frame,
     involution_residual,
     mixed_norm_sq,
-    validate_metric,
 )
 
 
@@ -36,10 +35,6 @@ class FlowState:
 
     def __post_init__(self):
         self.G = np.asarray(self.G, dtype=float)
-
-    @classmethod
-    def from_metric(cls, gm: GeneralizedPseudometric, t: float = 0.0, log_sigma: float = 0.0) -> "FlowState":
-        return cls(t, gm.G.copy(), log_sigma)
 
 
 @dataclass
@@ -74,17 +69,8 @@ class FlowTrace:
     COLUMNS = ("t", "GR", "normRc2", "log_sigma", "S", "lambda", "involution_residual", "soliton_residual")
 
     def rows(self):
-        for i in range(len(self.t)):
-            yield (
-                self.t[i],
-                self.GR[i],
-                self.normRc2[i],
-                self.log_sigma[i],
-                self.S[i],
-                self.lam[i],
-                self.involution_residual[i],
-                self.soliton_residual[i],
-            )
+        return zip(self.t, self.GR, self.normRc2, self.log_sigma, self.S, self.lam, self.involution_residual,
+                   self.soliton_residual)
 
 
 def flow_rhs(a: QuadraticLieAlgebra, state: FlowState) -> tuple[np.ndarray, float]:
@@ -177,18 +163,9 @@ def run_flow(a: QuadraticLieAlgebra, init: FlowState, params: FlowParams) -> Flo
     later step the run stops and the trace carries the abort reason (the
     theory guarantees preservation only through smooth existence).  A run
     stopped by ``max_steps`` before T also returns with ``aborted`` set.
+    An initial G that is no generalized pseudometric raises a validation error.
     """
-    rep = validate_metric(a, init.G)
-    if not rep.pseudometric:
-        raise RetractionDiverged(
-            f"initial G violates the pseudometric constraints "
-            f"(involution {rep.involution_residual:.2e}, symmetry {rep.eta_symmetry_residual:.2e})"
-        )
-    if rep.n_plus == 1 or rep.n_minus == 1:
-        from .errors import ForbiddenRank
-
-        raise ForbiddenRank(f"eigenbundle ranks ({rep.n_plus},{rep.n_minus}) include 1")
-    watch_positivity = rep.strictly_positive
+    watch_positivity = GeneralizedPseudometric.from_matrix(a, init.G).strictly_positive
 
     trace = FlowTrace()
     state = FlowState(init.t, init.G.copy(), init.log_sigma)

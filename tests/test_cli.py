@@ -341,3 +341,21 @@ def test_sweep_invalid_cell_isolated(tmp_path, axis):
     assert f"config field '{axis['path'].replace('.', '/')}'" in cells[1]["error"]
     assert (tmp_path / "cell_000" / "flow_trace.csv").exists()
     assert not (tmp_path / "cell_001" / "flow_trace.csv").exists()
+
+
+@pytest.mark.parametrize("bad_path", ["flow.dt.x", "metric.graph.g.5.0", "metric.graph.g.x.0"])
+def test_sweep_unsettable_path_fails_cell(tmp_path, bad_path):
+    # through a scalar, past the end of a list, a non-integer list key: the cell fails, the sweep reports
+    cfg = {
+        "mode": "sweep",
+        "algebra": {"preset": "cotangent_double", "params": {"h": "su2"}},
+        "metric": {"graph": {"g": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}},
+        "flow": {"dt": 0.01, "T": 0.05},
+        "sweep": {"axes": [{"path": "flow.T", "values": [0.02]}, {"path": bad_path, "values": [1.0]}]},
+    }
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 3
+    cells = json.loads((tmp_path / "index.json").read_text())["cells"]
+    assert [c["status"] for c in cells] == ["failed"]
+    assert f"sweep path '{bad_path}'" in cells[0]["error"]
+    assert not (tmp_path / "cell_000" / "flow_trace.csv").exists()

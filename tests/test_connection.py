@@ -139,6 +139,16 @@ def test_lc_kernel_shift_trivial_low_rank():
     assert np.max(np.abs(shift)) == 0.0
 
 
+def test_lc_kernel_shift_trivial_kernel_is_not_rescaled_round_off():
+    # the kernel is trivial here and the projected shift is round-off of ~1e-13:
+    # normalized to peak 1 it violated tau(shift) = 0 at order one
+    a = alg.abelian(4, 2)
+    g = met.random_strictly_positive_metric(a, 432652533).G
+    shift = con.lc_kernel_shift(a, g, 432652516)
+    assert np.max(np.abs(shift)) == 0.0
+    assert np.max(np.abs(con.tau_map(shift))) <= 1e-12
+
+
 def test_lc_kernel_shift_constraints(su2_double, graph_metric_123):
     A = con.lc_kernel_shift(su2_double, graph_metric_123.G, 7)
     assert np.max(np.abs(A)) > 0

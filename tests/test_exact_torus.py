@@ -82,6 +82,24 @@ def test_dd_scalar_and_one_form(geom8, rng):
     assert np.max(np.abs(dda)) <= 1e-12 * (1 + np.max(np.abs(a_form)))
 
 
+def test_grad_div_convention(geom8):
+    # the derivative index comes first among the component axes, and div contracts it again
+    g = et.perturbed_state(geom8, 3, amplitude=0.2).g
+    dg = et.grad(geom8, g)
+    assert dg.shape == geom8.shape + (3, 3, 3)
+    for l in range(3):
+        assert np.array_equal(dg[..., l, :, :], et.deriv(geom8, g, l))
+    expected = sum(et.deriv(geom8, dg[..., k, :, :], k) for k in range(3))
+    assert np.array_equal(et.div(geom8, dg), expected)
+
+
+def test_exterior_derivative_rejects_wrong_degree(geom8):
+    b = np.zeros(geom8.shape + (3, 3))
+    for degree in (-1, 1, 3):
+        with pytest.raises(ValidationError):
+            et.exterior_derivative(geom8, b, degree)
+
+
 def test_rhs_flat_zero(geom8):
     dg, db, dphi = et.torus_rhs(et.torus_fields(et.flat_state(geom8, 0.0)))
     assert np.max(np.abs(dg)) == 0.0

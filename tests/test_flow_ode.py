@@ -7,7 +7,7 @@ from grflow import algebra as alg
 from grflow import flow_ode as fl
 from grflow import metric as met
 from grflow.curvature import ricci, scalar
-from grflow.errors import ForbiddenRank, RetractionDiverged, StepUnderflow
+from grflow.errors import DegenerateSubspace, ForbiddenRank, RetractionDiverged, StepUnderflow
 
 
 def test_flow_rhs_abelian_zero():
@@ -115,6 +115,13 @@ def test_run_flow_rejects_rank_one():
     a = alg.abelian(4, 3)
     with pytest.raises(ForbiddenRank):
         fl.run_flow(a, fl.FlowState(0.0, np.diag([1.0, -1, -1, -1]), 0.0), fl.FlowParams(dt=1e-3, T=0.1))
+
+
+def test_run_flow_rejects_invalid_initial_metric_as_bad_input():
+    # not an involution: a validation error (exit 2 in the CLI), not a numerical failure
+    g = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(DegenerateSubspace):
+        fl.run_flow(alg.so3(1.0), fl.FlowState(0.0, g, 0.0), fl.FlowParams(dt=1e-3, T=0.1))
 
 
 def test_run_flow_underflow_carries_trace(su2_double, graph_metric_123):
