@@ -354,7 +354,144 @@ def run_torus_checks(seed: int = 0, N: int = 16) -> list[CheckResult]:
 
     ratios = spatial_convergence_ratios(seed + 6)
     results.append(_band_result("torus_spatial_convergence_g", ratios["g"], 8.0, 32.0, "expect about 16"))
+
+    results.append(_result("torus_anisotropic_flux_closed_form", anisotropic_flux_residual(geom, seed + 8), 1e-12))
+    results.append(_result("torus_single_mode_B_exact", single_mode_b_residual(geom, seed + 9), 1e-12))
+    results.append(_band_result("torus_div_h_divergence_form", div_h_convergence_ratio(seed + 11), 8.0, 32.0,
+                                "expect about 16"))
+    sym = et.perturbed_state(geom, seed + 10, amplitude=0.05, k=0.5)
+    results.append(_result("torus_translation_commutes", symmetry_residual(sym, shift=(3, 1, 2)), 0.0, "bitwise"))
+    perm = max(symmetry_residual(sym, perm=(1, 0, 2)), symmetry_residual(sym, perm=(1, 2, 0)))
+    results.append(_result("torus_permutation_commutes", perm, 1e-12, "swap (0 1) and cycle (0 1 2)"))
+    results.append(_result("torus_reflection_commutes", symmetry_residual(sym, signs=(-1, 1, 1)), 1e-12))
     return results
+
+
+def _relative_error(x: np.ndarray, y: np.ndarray) -> float:
+    """max |x - y| relative to max |y|; where y vanishes, only x = 0 passes."""
+    err, scale = float(np.max(np.abs(x - y))), float(np.max(np.abs(y)))
+    return err / scale if scale > 0 else (0.0 if err == 0 else float("inf"))
+
+
+def constant_anisotropic_metric(seed: int, d: int = 3) -> np.ndarray:
+    """A symmetric positive definite d x d matrix with eigenvalues in [0.5, 2] and random eigenvectors."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    g = (q * rng.uniform(0.5, 2.0, d)) @ q.T
+    return 0.5 * (g + g.T)
+
+
+def anisotropic_flux_residual(geom: et.TorusGeometry, seed: int) -> float:
+    """Closed-form right side on T^3 at a constant non-diagonal g, B = 0, phi = 0 and H0 = k eps, k = 1.5.
+
+    Gamma and Rc vanish, and eps_ikl eps_jmn g^km g^ln = 2 g_ij / det g, so the exact right side is
+    dt g = (k^2 / det g) g, dt B = 0 and dt phi = k^2 / (2 det g). Returns the largest error of the
+    three relative to k^2 / det g.
+    """
+    k = 1.5
+    g0 = constant_anisotropic_metric(seed, geom.d)
+    st = et.TorusFieldState(geom, np.broadcast_to(g0, geom.shape + g0.shape).copy(), np.zeros(geom.shape + g0.shape),
+                            np.zeros(geom.shape), et.volume_coefficients(geom.d, k))
+    dg, db, dphi = et.torus_rhs(et.torus_fields(st))
+    c = k * k / np.linalg.det(g0)
+    return max(float(np.max(np.abs(dg - c * g0))), float(np.max(np.abs(db))),
+               float(np.max(np.abs(dphi - 0.5 * c)))) / c
+
+
+def single_mode_b_residual(geom: et.TorusGeometry, seed: int) -> float:
+    """Exact discrete right side for one Fourier mode of B at a constant non-diagonal g on T^3.
+
+    With B_ij = b_ij sin(m.x), m = (1, 2, 3), b constant antisymmetric, phi = 0 and H0 = k eps, k = 0.5,
+    ``deriv`` along axis l multiplies cos(m.x) by s_l = (8 sin(m_l h) - sin(2 m_l h)) / (6h) (sin by
+    -s_l), the symbol ``_flat_inverse`` uses. So H = H0 + cos(m.x) T with T_kij = s_k b_ij + s_i b_jk
+    + s_j b_ki, Gamma = 0, and the grid values are, to round-off,
+
+        dt B_ij = g^{kl} d_l H_kij = -sin(m.x) g^{kl} s_l T_kij,
+        dt g_ij = 1/2 H_ikl H_jmn g^km g^ln,   dt phi = 1/12 H_ikl H_jmn g^ij g^km g^ln.
+
+    Returns the largest error of the three, each relative to its largest exact value.
+    """
+    rng = np.random.default_rng(seed)
+    d, m = geom.d, np.array([1.0, 2.0, 3.0])
+    g0 = constant_anisotropic_metric(seed, d)
+    a = rng.standard_normal((d, d))
+    b = a - a.T
+    theta = sum(mi * x for mi, x in zip(m, geom.grids()))
+    sig = (8.0 * np.sin(m * geom.h) - np.sin(2.0 * m * geom.h)) / (6.0 * geom.h)
+    h0 = et.volume_coefficients(d, 0.5)
+    st = et.TorusFieldState(geom, np.broadcast_to(g0, geom.shape + (d, d)).copy(), b * np.sin(theta)[..., None, None],
+                            np.zeros(geom.shape), h0)
+    dg, db, dphi = et.torus_rhs(et.torus_fields(st))
+
+    gi = np.linalg.inv(g0)
+    t = (np.einsum("k,ij->kij", sig, b) + np.einsum("i,jk->kij", sig, b) + np.einsum("j,ki->kij", sig, b))
+    h = h0 + np.cos(theta)[..., None, None, None] * t
+    exact = (-np.sin(theta)[..., None, None] * np.einsum("kl,l,kij->ij", gi, sig, t),
+             0.5 * np.einsum("...ikl,...jmn,km,ln->...ij", h, h, gi, gi),
+             np.einsum("...ikl,...jmn,ij,km,ln->...", h, h, gi, gi, gi) / 12.0)
+    return max(_relative_error(x, y) for x, y in zip((db, dg, dphi), exact))
+
+
+def div_h_convergence_ratio(seed: int) -> float:
+    """Error factor, N = 16 -> 32, between dt B at phi = 0 and the divergence form of div^k H_kij.
+
+    For a totally antisymmetric H, div^k H_kij = g_ia g_jb w^-1 d_k (w H^{kab}) with w = sqrt(det g):
+    no Christoffel symbols, so this route is independent of how ``torus_rhs`` contracts Gamma with H.
+    Both are 4th-order discretizations of the same field on a perturbed g, so their difference falls
+    by about 16 when h halves; a wrong Gamma term leaves an O(1) difference and a factor near 1.
+    """
+    err = []
+    for n in (16, 32):
+        geom = et.TorusGeometry(3, n, 2 * np.pi)
+        st = et.perturbed_state(geom, seed, amplitude=0.1, k=0.5, kmax=1)
+        st.phi[:] = 0.0
+        _, db, _ = et.torus_rhs(et.torus_fields(st))
+        gi = np.linalg.inv(st.g)
+        w = np.sqrt(np.linalg.det(st.g))
+        h_up = np.einsum("...kab,...kc,...ad,...be->...cde", et.flux_H(st), gi, gi, gi)
+        div = et.div(geom, w[..., None, None, None] * h_up) / w[..., None, None]
+        err.append(float(np.max(np.abs(db - np.einsum("...ia,...jb,...ab->...ij", st.g, st.g, div)))))
+    return err[0] / err[1] if err[1] > 0 else float("inf")
+
+
+def _pullback(f: np.ndarray, grid: int, perm, signs, shift) -> np.ndarray:
+    """f (``grid`` leading grid axes, then tensor slots) pulled back along y_a = s_a x_perm[a] + shift_a.
+
+    Node j of the result along axis a is node s_a (j - shift_a) of input axis perm[a]; tensor slot a
+    takes input slot perm[a] with the sign s_a.
+    """
+    perm = list(perm)
+    out = np.transpose(f, perm + list(range(grid, f.ndim))) if grid else f
+    for a in range(grid):
+        if signs[a] < 0:
+            out = np.roll(np.flip(out, a), 1, a)  # node j -> -j
+    if grid:
+        out = np.roll(out, shift, tuple(range(grid)))
+    for ax in range(grid, f.ndim):
+        out = np.moveaxis(np.moveaxis(out, ax, -1)[..., perm] * np.asarray(signs, dtype=float), -1, ax)
+    return out
+
+
+def symmetry_residual(state: et.TorusFieldState, perm=None, signs=None, shift=None) -> float:
+    """How far ``torus_rhs`` is from commuting with a lattice symmetry of the grid: largest |rhs(P s) - P rhs(s)|.
+
+    P is an axis permutation, reflection and translation acting on the grid axes and on every tensor
+    slot (a discrete isometry of the flat torus); H0 transforms as a 3-form, so it takes the sign of
+    the permutation and of each reflection. Each field's error is relative to its largest value.
+    """
+    d = state.geom.d
+    perm = tuple(range(d)) if perm is None else tuple(perm)
+    signs = (1,) * d if signs is None else tuple(signs)
+    shift = (0,) * d if shift is None else tuple(shift)
+
+    def pull(f, grid):
+        return _pullback(f, grid, perm, signs, shift)
+
+    moved = et.TorusFieldState(state.geom, pull(state.g, d), pull(state.B, d), pull(state.phi, d), pull(state.H0, 0),
+                               state.t)
+    lhs = et.torus_rhs(et.torus_fields(moved))
+    rhs = [pull(x, d) for x in et.torus_rhs(et.torus_fields(state))]
+    return max(_relative_error(x, y) for x, y in zip(lhs, rhs))
 
 
 def spatial_convergence_ratios(seed: int, T: float = 0.05) -> dict:

@@ -18,7 +18,14 @@ difference matrices are antisymmetric circulants): lambda_torus's eigenproblem
 
 Geometry is built once per state: state -> ``torus_fields`` -> a read-only
 ``TorusFields`` record (positivity margin, g^-1, sqrt(det g), Gamma, Rc, H,
-H_i^{kl}, |H|^2) that the right sides, the scalar field and lambda all read.
+H_ikl H_j^{kl}, |H|^2) that the right sides, the scalar field and lambda all read.
+
+Contractions run in one fixed order, each by whichever of three forms is fastest
+on batched 3 x 3 tensors at N = 16-32: ``_PAIR``-planned einsum, batched matmul,
+or a plain einsum for the cheap vector ones. g^-1 and det g are closed-form
+cofactors (``inverse_and_det``), so g^-1 is symmetric bitwise. div^k H_kij takes
+g^{kl} into Gamma before H, so the 81-component covariant derivative of H is
+never formed.
 """
 
 from __future__ import annotations
@@ -30,6 +37,9 @@ import numpy as np
 from .errors import DegenerateMetric, EigensolverStalled, StepUnderflow, ValidationError
 
 SPD_FLOOR = 1e-8
+# numpy's planned pairwise route for a two-operand einsum: several times faster than the default
+# loop on the batched small-tensor products here (a path search per call costs as much again)
+_PAIR = ["einsum_path", (0, 1)]
 
 
 @dataclass(frozen=True)
@@ -118,10 +128,12 @@ class TorusFieldState:
 
     def __post_init__(self):
         d, shape = self.geom.d, self.geom.shape
-        self.g = np.asarray(self.g, dtype=float)
-        self.B = np.asarray(self.B, dtype=float)
-        self.phi = np.asarray(self.phi, dtype=float)
-        self.H0 = np.asarray(self.H0, dtype=float)
+        # C order: a planned einsum sums in an order that follows its operands' memory layout, and
+        # the right side should not depend on how the caller laid the arrays out
+        self.g = np.ascontiguousarray(self.g, dtype=float)
+        self.B = np.ascontiguousarray(self.B, dtype=float)
+        self.phi = np.ascontiguousarray(self.phi, dtype=float)
+        self.H0 = np.ascontiguousarray(self.H0, dtype=float)
         if self.g.shape != shape + (d, d) or self.B.shape != shape + (d, d) or self.phi.shape != shape:
             raise ValidationError("field arrays do not match the grid")
         if self.H0.shape != (d, d, d):
@@ -198,11 +210,12 @@ def flux_H(state: TorusFieldState) -> np.ndarray:
 
 def christoffel(state: TorusFieldState, ginv: np.ndarray) -> np.ndarray:
     """Gamma^k_{ij} per node, shape grid + (d, d, d) with k first."""
+    d = state.geom.d
     dg = grad(state.geom, state.g)  # (l, i, j) = d_l g_ij
     term_i = np.moveaxis(dg, -1, -3)  # [l, i, j] <- d_i g_{jl}
     term_j = np.swapaxes(term_i, -1, -2)  # [l, i, j] <- d_j g_{il}
     rhs = term_i + term_j - dg
-    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, rhs)
+    return 0.5 * (ginv @ rhs.reshape(rhs.shape[:-2] + (d * d,))).reshape(rhs.shape)
 
 
 def ricci_tensor(state: TorusFieldState, gamma: np.ndarray) -> np.ndarray:
@@ -217,7 +230,7 @@ def ricci_tensor(state: TorusFieldState, gamma: np.ndarray) -> np.ndarray:
     dv = grad(geom, v)  # (i, j) = d_i v_j
     dv_sym = 0.5 * (dv + np.swapaxes(dv, -1, -2))
     quad1 = np.einsum("...l,...lij->...ij", v, gamma)
-    quad2 = np.einsum("...kil,...lkj->...ij", gamma, gamma)
+    quad2 = np.einsum("...kil,...lkj->...ij", gamma, gamma, optimize=_PAIR)
     return div(geom, gamma) - dv_sym + quad1 - quad2
 
 
@@ -231,6 +244,25 @@ def hessian(geom: TorusGeometry, gamma: np.ndarray, df: np.ndarray) -> np.ndarra
     ddf = grad(geom, df)  # (i, j) = d_i d_j f
     ddf = 0.5 * (ddf + np.swapaxes(ddf, -1, -2))
     return ddf - np.einsum("...kij,...k->...ij", gamma, df)
+
+
+def inverse_and_det(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse and determinant of a field of symmetric 2 x 2 or 3 x 3 matrices, in closed form.
+
+    Only the upper triangle is read: g^-1 = adj g / det g from its cofactors, so g^-1 is symmetric
+    bitwise, and det g is the cofactor expansion along the first row.
+    """
+    if g.shape[-1] == 2:
+        a, b, c = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
+        det = a * c - b * b
+        adj = (c, -b, -b, a)
+    else:
+        a, b, c, e, f, i = g[..., 0, 0], g[..., 0, 1], g[..., 0, 2], g[..., 1, 1], g[..., 1, 2], g[..., 2, 2]
+        c00, c01, c02 = e * i - f * f, c * f - b * i, b * f - c * e
+        c11, c12, c22 = a * i - c * c, b * c - a * f, a * e - b * b
+        det = a * c00 + b * c01 + c * c02
+        adj = (c00, c01, c02, c01, c11, c12, c02, c12, c22)
+    return np.stack(adj, axis=-1).reshape(g.shape) / det[..., None, None], det
 
 
 def degenerate_nodes(state: TorusFieldState) -> float:
@@ -251,7 +283,7 @@ class TorusFields:
     gamma: np.ndarray
     rc: np.ndarray
     H: np.ndarray
-    h_mixed: np.ndarray  # H_i^{kl}
+    h2: np.ndarray  # H_ikl H_j^{kl}
     h_norm_sq: np.ndarray  # |H|^2_g
 
     @property
@@ -262,15 +294,14 @@ class TorusFields:
 def torus_fields(state: TorusFieldState) -> TorusFields:
     """The one place g^-1, Gamma, Rc, H and |H|^2 are computed; raises on lost positivity."""
     margin = degenerate_nodes(state)
-    ginv = np.linalg.inv(state.g)
-    ginv = 0.5 * (ginv + np.swapaxes(ginv, -1, -2))
-    w = np.sqrt(np.linalg.det(state.g))
+    ginv, det = inverse_and_det(state.g)
     gamma = christoffel(state, ginv)
     rc = ricci_tensor(state, gamma)  # before H, so its temporaries never sit beside H (peak memory)
     H = flux_H(state)
-    h_mixed = np.einsum("...ikl,...km,...ln->...imn", H, ginv, ginv)
-    h_up = np.einsum("...mkl,...im->...ikl", h_mixed, ginv)
-    return TorusFields(state, margin, ginv, w, gamma, rc, H, h_mixed, np.einsum("...ikl,...ikl->...", h_up, H))
+    h_mixed = ginv[..., None, :, :] @ H @ ginv[..., None, :, :]  # H_i^{kl}, g^-1 symmetric
+    h2 = np.einsum("...ikl,...jkl->...ij", h_mixed, H, optimize=_PAIR)
+    # |H|^2 = g^{ij} H_ikl H_j^{kl}
+    return TorusFields(state, margin, ginv, np.sqrt(det), gamma, rc, H, h2, np.einsum("...ij,...ij->...", ginv, h2))
 
 
 def torus_rhs(fields: TorusFields) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -278,19 +309,17 @@ def torus_rhs(fields: TorusFields) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     geom, phi, ginv, gamma, H = fields.geom, fields.state.phi, fields.ginv, fields.gamma, fields.H
     dphi = grad(geom, phi)
     hess = hessian(geom, gamma, dphi)
-    h2 = np.einsum("...ikl,...jkl->...ij", fields.h_mixed, H)
-    dg = -2.0 * fields.rc + 0.5 * h2 - 4.0 * hess
+    dg = -2.0 * fields.rc + 0.5 * fields.h2 - 4.0 * hess
 
-    dH = grad(geom, H)  # (l, k, i, j) = d_l H_kij
-    covH = (
-        dH
-        - np.einsum("...mlk,...mij->...lkij", gamma, H)
-        - np.einsum("...mli,...kmj->...lkij", gamma, H)
-        - np.einsum("...mlj,...kim->...lkij", gamma, H)
-    )
-    div_h = np.einsum("...kl,...lkij->...ij", ginv, covH)
+    # div^k H_kij = g^{kl} (d_l H_kij - Gamma^m_{lk} H_mij - Gamma^m_{li} H_kmj - Gamma^m_{lj} H_kim) with
+    # g^{kl} taken into Gamma first, G^{mk}_i = g^{kl} Gamma^m_{li}: the last two terms are -T_ij + T_ji,
+    # T_ij = G^{mk}_i H_kmj, and the second joins -2 (grad^m phi) H_mij
+    gam_up = ginv[..., None, :, :] @ gamma
+    t = np.einsum("...mki,...kmj->...ij", gam_up, H, optimize=_PAIR)
     grad_phi_up = np.einsum("...kl,...l->...k", ginv, dphi)
-    db = div_h - 2.0 * np.einsum("...k,...kij->...ij", grad_phi_up, H)
+    v = np.einsum("...mkk->...m", gam_up) + 2.0 * grad_phi_up
+    db = (np.einsum("...kl,...lkij->...ij", ginv, grad(geom, H), optimize=_PAIR)  # grad(H)[.., l, k, i, j] = d_l H_kij
+          - np.einsum("...m,...mij->...ij", v, H) - t + np.swapaxes(t, -1, -2))
 
     lap_phi = laplace_beltrami(geom, fields.w, ginv, phi)
     dphi_rhs = lap_phi - 2.0 * np.einsum("...i,...i->...", grad_phi_up, dphi) + fields.h_norm_sq / 12.0
@@ -426,32 +455,29 @@ class TorusTrace:
 
 
 def _rk4_torus(state: TorusFieldState, dt: float, rhs, k1) -> TorusFieldState:
+    """One RK4 step; every stage state goes through the constructor, which validates its own arrays."""
     def shifted(fac, k):
-        s = state.copy()
-        s.g = state.g + fac * k[0]
-        s.B = state.B + fac * k[1]
-        s.phi = state.phi + fac * k[2]
-        s.t = state.t + fac
-        return torus_fields(s)
+        return torus_fields(TorusFieldState(state.geom, state.g + fac * k[0], state.B + fac * k[1],
+                                            state.phi + fac * k[2], state.H0, state.t + fac))
 
     k2 = rhs(shifted(dt / 2, k1))
     k3 = rhs(shifted(dt / 2, k2))
     k4 = rhs(shifted(dt, k3))
-    out = state.copy()
-    out.g = state.g + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    out.B = state.B + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    out.phi = state.phi + dt / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-    out.t = state.t + dt
-    return out
+    return TorusFieldState(state.geom,
+                           state.g + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
+                           state.B + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
+                           state.phi + dt / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
+                           state.H0, state.t + dt)
 
 
 def run_torus_flow(state: TorusFieldState, params: TorusParams, rhs=torus_rhs) -> TorusTrace:
     """RK4 run with diffusion-limited steps; aborts cleanly on degeneracy or a stalled lambda.
 
     The step is dt = cfl h^2 / max_node ||g^{-1}|| recomputed per step, cut to
-    land exactly on T.  Symmetry of g and antisymmetry of B are asserted each
-    step (the right sides preserve them by construction).  A run stopped by
-    ``max_steps`` before T returns with ``aborted`` set.
+    land exactly on T.  Symmetry of g and antisymmetry of B are asserted for
+    every RK4 stage state (its constructor) and each step (the right sides
+    preserve them by construction); a violation aborts with DegenerateMetric.
+    A run stopped by ``max_steps`` before T returns with ``aborted`` set.
     """
     trace = TorusTrace()
     st = state.copy()
@@ -485,7 +511,10 @@ def run_torus_flow(state: TorusFieldState, params: TorusParams, rhs=torus_rhs) -
                 raise StepUnderflow(f"torus step underflow at t = {st.t}")
             k1 = rhs(fields)
             del fields  # the later stages build their own records; keeping this one raises peak memory
-            st = _rk4_torus(st, dt, rhs, k1)
+            try:
+                st = _rk4_torus(st, dt, rhs, k1)
+            except ValidationError as exc:  # the constructor rejected a stage: the step itself broke symmetry
+                raise DegenerateMetric(f"RK4 stage at t = {st.t!r}: {exc}") from exc
             del k1  # likewise, before the next record and its k1
             gsym = float(np.max(np.abs(st.g - np.swapaxes(st.g, -1, -2))))
             banti = float(np.max(np.abs(st.B + np.swapaxes(st.B, -1, -2))))

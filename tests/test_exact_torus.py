@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
+from grflow import checks
 from grflow import exact_torus as et
 from grflow.errors import DegenerateMetric, EigensolverStalled, ValidationError
 
@@ -122,6 +123,111 @@ def test_rhs_isotropic_scaling(geom8):
     diag = dg[..., 0, 0]
     assert np.max(np.abs(dg - diag[..., None, None] * np.eye(3))) <= 1e-13
     assert np.max(np.abs(diag - 1.0 / 1.7**2)) <= 1e-13
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_inverse_and_det_match_linalg(d, rng):
+    # random SPD fields with condition numbers up to ~1e4: agreement to round-off times cond(g)
+    q, _ = np.linalg.qr(rng.standard_normal((500, d, d)))
+    g = (q * 10.0 ** rng.uniform(-2.0, 2.0, (500, 1, d))) @ np.swapaxes(q, -1, -2)
+    g = 0.5 * (g + np.swapaxes(g, -1, -2))
+    ginv, det = et.inverse_and_det(g)
+    cond = np.linalg.cond(g)
+    ref_inv, ref_det = np.linalg.inv(g), np.linalg.det(g)
+    inv_err = np.max(np.abs(ginv - ref_inv), axis=(-1, -2)) / np.max(np.abs(ref_inv), axis=(-1, -2))
+    assert np.all(inv_err <= 1e-14 * cond)
+    assert np.all(np.abs(det - ref_det) <= 1e-14 * cond * np.abs(ref_det))
+    assert np.array_equal(ginv, np.swapaxes(ginv, -1, -2))  # symmetric bitwise
+
+
+def test_rhs_anisotropic_flux_closed_form(geom8):
+    # constant non-diagonal g, H0 = k eps: dt g = (k^2 / det g) g, dt B = 0, dt phi = k^2 / (2 det g)
+    assert checks.anisotropic_flux_residual(geom8, 8) <= 1e-12
+
+
+def test_rhs_single_mode_B_exact(geom8):
+    # one Fourier mode of B: the stencil's symbol gives dt B, dt g and dt phi exactly
+    assert checks.single_mode_b_residual(geom8, 9) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def sym_state(geom8):
+    return et.perturbed_state(geom8, 10, amplitude=0.05, k=0.5)
+
+
+def test_rhs_commutes_with_translation(sym_state):
+    assert checks.symmetry_residual(sym_state, shift=(3, 1, 2)) == 0.0
+
+
+@pytest.mark.parametrize("perm", [(1, 0, 2), (1, 2, 0), (2, 1, 0)])
+def test_rhs_commutes_with_axis_permutation(sym_state, perm):
+    assert checks.symmetry_residual(sym_state, perm=perm) <= 1e-12
+
+
+@pytest.mark.parametrize("signs", [(-1, 1, 1), (1, 1, -1), (-1, -1, -1)])
+def test_rhs_commutes_with_reflection(sym_state, signs):
+    assert checks.symmetry_residual(sym_state, signs=signs) <= 1e-12
+
+
+def test_rhs_commutes_with_t2_symmetries():
+    geom = et.TorusGeometry(2, 8)
+    st = et.perturbed_state(geom, 6, amplitude=0.05)
+    assert checks.symmetry_residual(st, shift=(5, 2)) == 0.0
+    assert checks.symmetry_residual(st, perm=(1, 0), signs=(1, -1)) <= 1e-12
+
+
+def test_pullback_is_the_lattice_isometry(geom8):
+    # y_a = s_a x_perm[a] + shift_a on the node coordinates, and a tensor slot takes s_a from slot perm[a]
+    x = geom8.grids()
+    f = np.sin(x[0]) + 2.0 * np.cos(x[1]) + 3.0 * np.sin(2.0 * x[2])
+    perm, signs, shift = (2, 0, 1), (-1, 1, 1), (1, 0, 3)
+    moved = checks._pullback(f, 3, perm, signs, shift)
+    j = (1, 5, 2)
+    src = [0, 0, 0]
+    for a in range(3):
+        src[perm[a]] = signs[a] * (j[a] - shift[a]) % 8
+    assert moved[j] == f[tuple(src)]
+    v = np.arange(3.0)
+    assert np.array_equal(checks._pullback(v, 0, perm, signs, shift), [-2.0, 0.0, 1.0])
+
+
+def test_div_h_matches_divergence_form():
+    # the Gamma terms of div^k H_kij against the Christoffel-free form: 4th order, factor about 16
+    assert 8.0 <= checks.div_h_convergence_ratio(11) <= 32.0
+
+
+def test_rk4_stage_state_is_validated(geom8):
+    # a right side that breaks the symmetry of g is stopped at the first stage state it builds
+    calls = []
+
+    def skewed(fields):
+        calls.append(1)
+        dg, db, dphi = et.torus_rhs(fields)
+        return dg + np.array([[0.0, 1e-3, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), db, dphi
+
+    with pytest.raises(DegenerateMetric, match="RK4 stage") as exc_info:
+        et.run_torus_flow(et.perturbed_state(geom8, 2, amplitude=0.05), et.TorusParams(T=0.1), rhs=skewed)
+    assert len(calls) == 1
+    assert len(exc_info.value.trace.t) == 1 and "symmetric" in exc_info.value.trace.aborted
+
+
+def test_state_arrays_are_c_ordered(geom8):
+    st = et.perturbed_state(geom8, 2, amplitude=0.05, k=0.5)
+    moved = et.TorusFieldState(geom8, np.asfortranarray(st.g), np.asfortranarray(st.B), np.asfortranarray(st.phi),
+                               np.asfortranarray(st.H0))
+    assert all(a.flags.c_contiguous for a in (moved.g, moved.B, moved.phi, moved.H0))
+    for x, y in zip(et.torus_rhs(et.torus_fields(st)), et.torus_rhs(et.torus_fields(moved))):
+        assert np.array_equal(x, y)
+
+
+def test_torus_check_suite_passes():
+    results = checks.run_torus_checks(N=8)
+    failed = [r.name for r in results if not r.passed]
+    assert failed == []
+    names = {r.name for r in results}
+    assert {"torus_anisotropic_flux_closed_form", "torus_single_mode_B_exact", "torus_div_h_divergence_form",
+            "torus_translation_commutes", "torus_permutation_commutes", "torus_reflection_commutes"} <= names
+    assert len(results) == 17
 
 
 def test_rhs_degenerate_metric(geom8):
