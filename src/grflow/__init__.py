@@ -98,7 +98,6 @@ from .variation import (
     connection_variation,
     eh_functional,
     eh_gradient_check,
-    lambda_functional,
     ricci_variation,
     scalar_variation,
 )

@@ -323,7 +323,7 @@ def run_torus_checks(seed: int = 0, N: int = 16) -> list[CheckResult]:
     results.append(_result("torus_eh_density_identity", et.eh_density_identity_residual(st), 1e-12))
 
     st_h0 = et.perturbed_state(geom, seed + 2, amplitude=0.04, k=0.0)
-    st_h0.B[:] = 0.0  # the regression hypothesis is B = 0 and H0 = 0
+    st_h0.B[:] = 0.0  # the regression hypothesis is H = 0: k = 0 and B = 0
     fields_h0 = et.torus_fields(st_h0)
     dg1, db1, dphi1 = et.torus_rhs(fields_h0)
     dg2, db2, dphi2 = et.ricci_dilaton_rhs(fields_h0)
@@ -382,7 +382,7 @@ def constant_anisotropic_metric(seed: int, d: int = 3) -> np.ndarray:
 
 
 def anisotropic_flux_residual(geom: et.TorusGeometry, seed: int) -> float:
-    """Closed-form right side on T^3 at a constant non-diagonal g, B = 0, phi = 0 and H0 = k eps, k = 1.5.
+    """Closed-form right side on T^3 at a constant non-diagonal g, B = 0, phi = 0 and flux H = k eps, k = 1.5.
 
     Gamma and Rc vanish, and eps_ikl eps_jmn g^km g^ln = 2 g_ij / det g, so the exact right side is
     dt g = (k^2 / det g) g, dt B = 0 and dt phi = k^2 / (2 det g). Returns the largest error of the
@@ -391,7 +391,7 @@ def anisotropic_flux_residual(geom: et.TorusGeometry, seed: int) -> float:
     k = 1.5
     g0 = constant_anisotropic_metric(seed, geom.d)
     st = et.TorusFieldState(geom, np.broadcast_to(g0, geom.shape + g0.shape).copy(), np.zeros(geom.shape + g0.shape),
-                            np.zeros(geom.shape), et.volume_coefficients(geom.d, k))
+                            np.zeros(geom.shape), k)
     dg, db, dphi = et.torus_rhs(et.torus_fields(st))
     c = k * k / np.linalg.det(g0)
     return max(float(np.max(np.abs(dg - c * g0))), float(np.max(np.abs(db))),
@@ -401,10 +401,11 @@ def anisotropic_flux_residual(geom: et.TorusGeometry, seed: int) -> float:
 def single_mode_b_residual(geom: et.TorusGeometry, seed: int) -> float:
     """Exact discrete right side for one Fourier mode of B at a constant non-diagonal g on T^3.
 
-    With B_ij = b_ij sin(m.x), m = (1, 2, 3), b constant antisymmetric, phi = 0 and H0 = k eps, k = 0.5,
+    With B_ij = b_ij sin(m.x), m = (1, 2, 3), b constant antisymmetric, phi = 0 and flux k = 0.5,
     ``deriv`` along axis l multiplies cos(m.x) by s_l = (8 sin(m_l h) - sin(2 m_l h)) / (6h) (sin by
-    -s_l), the symbol ``_flat_inverse`` uses. So H = H0 + cos(m.x) T with T_kij = s_k b_ij + s_i b_jk
-    + s_j b_ki, Gamma = 0, and the grid values are, to round-off,
+    -s_l), the symbol ``_flat_inverse`` uses. So H = k eps + cos(m.x) T with T_kij = s_k b_ij + s_i b_jk
+    + s_j b_ki, Gamma = 0, and the grid values are, to round-off (contracting all 27 components of H,
+    not its density),
 
         dt B_ij = g^{kl} d_l H_kij = -sin(m.x) g^{kl} s_l T_kij,
         dt g_ij = 1/2 H_ikl H_jmn g^km g^ln,   dt phi = 1/12 H_ikl H_jmn g^ij g^km g^ln.
@@ -418,14 +419,14 @@ def single_mode_b_residual(geom: et.TorusGeometry, seed: int) -> float:
     b = a - a.T
     theta = sum(mi * x for mi, x in zip(m, geom.grids()))
     sig = (8.0 * np.sin(m * geom.h) - np.sin(2.0 * m * geom.h)) / (6.0 * geom.h)
-    h0 = et.volume_coefficients(d, 0.5)
+    k = 0.5
     st = et.TorusFieldState(geom, np.broadcast_to(g0, geom.shape + (d, d)).copy(), b * np.sin(theta)[..., None, None],
-                            np.zeros(geom.shape), h0)
+                            np.zeros(geom.shape), k)
     dg, db, dphi = et.torus_rhs(et.torus_fields(st))
 
     gi = np.linalg.inv(g0)
     t = (np.einsum("k,ij->kij", sig, b) + np.einsum("i,jk->kij", sig, b) + np.einsum("j,ki->kij", sig, b))
-    h = h0 + np.cos(theta)[..., None, None, None] * t
+    h = k * alg.epsilon3() + np.cos(theta)[..., None, None, None] * t
     exact = (-np.sin(theta)[..., None, None] * np.einsum("kl,l,kij->ij", gi, sig, t),
              0.5 * np.einsum("...ikl,...jmn,km,ln->...ij", h, h, gi, gi),
              np.einsum("...ikl,...jmn,ij,km,ln->...", h, h, gi, gi, gi) / 12.0)
@@ -436,7 +437,8 @@ def div_h_convergence_ratio(seed: int) -> float:
     """Error factor, N = 16 -> 32, between dt B at phi = 0 and the divergence form of div^k H_kij.
 
     For a totally antisymmetric H, div^k H_kij = g_ia g_jb w^-1 d_k (w H^{kab}) with w = sqrt(det g):
-    no Christoffel symbols, so this route is independent of how ``torus_rhs`` contracts Gamma with H.
+    no Christoffel symbols, so this route is independent of how ``torus_rhs`` folds them into the trace
+    Gamma^m_{lm}. H = k eps + dB is built here with all its components, through ``exterior_derivative``.
     Both are 4th-order discretizations of the same field on a perturbed g, so their difference falls
     by about 16 when h halves; a wrong Gamma term leaves an O(1) difference and a factor near 1.
     """
@@ -448,7 +450,8 @@ def div_h_convergence_ratio(seed: int) -> float:
         _, db, _ = et.torus_rhs(et.torus_fields(st))
         gi = np.linalg.inv(st.g)
         w = np.sqrt(np.linalg.det(st.g))
-        h_up = np.einsum("...kab,...kc,...ad,...be->...cde", et.flux_H(st), gi, gi, gi)
+        H = st.k * alg.epsilon3() + et.exterior_derivative(geom, st.B, 2)
+        h_up = np.einsum("...kab,...kc,...ad,...be->...cde", H, gi, gi, gi)
         div = et.div(geom, w[..., None, None, None] * h_up) / w[..., None, None]
         err.append(float(np.max(np.abs(db - np.einsum("...ia,...jb,...ab->...ij", st.g, st.g, div)))))
     return err[0] / err[1] if err[1] > 0 else float("inf")
@@ -476,8 +479,8 @@ def symmetry_residual(state: et.TorusFieldState, perm=None, signs=None, shift=No
     """How far ``torus_rhs`` is from commuting with a lattice symmetry of the grid: largest |rhs(P s) - P rhs(s)|.
 
     P is an axis permutation, reflection and translation acting on the grid axes and on every tensor
-    slot (a discrete isometry of the flat torus); H0 transforms as a 3-form, so it takes the sign of
-    the permutation and of each reflection. Each field's error is relative to its largest value.
+    slot (a discrete isometry of the flat torus); the flux k eps is a 3-form, so k takes the determinant
+    of the signed permutation. Each field's error is relative to its largest value.
     """
     d = state.geom.d
     perm = tuple(range(d)) if perm is None else tuple(perm)
@@ -487,7 +490,8 @@ def symmetry_residual(state: et.TorusFieldState, perm=None, signs=None, shift=No
     def pull(f, grid):
         return _pullback(f, grid, perm, signs, shift)
 
-    moved = et.TorusFieldState(state.geom, pull(state.g, d), pull(state.B, d), pull(state.phi, d), pull(state.H0, 0),
+    det = round(np.linalg.det(np.asarray(signs, dtype=float)[:, None] * np.eye(d)[list(perm)]))
+    moved = et.TorusFieldState(state.geom, pull(state.g, d), pull(state.B, d), pull(state.phi, d), det * state.k,
                                state.t)
     lhs = et.torus_rhs(et.torus_fields(moved))
     rhs = [pull(x, d) for x in et.torus_rhs(et.torus_fields(state))]

@@ -177,26 +177,6 @@ def kappa_prime(a: QuadraticLieAlgebra, G, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def kappa_prime_unified(a: QuadraticLieAlgebra, G, u: np.ndarray) -> np.ndarray:
-    """Single-formula variant mixing n+ and n- prefactors (cross-check only)."""
-    g = _as_matrix(G)
-    n_plus, n_minus = eigen_ranks(g)
-    if n_plus <= 1 or n_minus <= 1:
-        raise ForbiddenRank("unified kappa' needs both ranks >= 2")
-    u = np.asarray(u, dtype=float)
-    u_dn = a.eta @ u
-    g_dn = a.eta @ g  # G with both indices down
-    gu_dn = g_dn @ u
-    c1 = (2 - (n_plus + n_minus)) / (2 * (n_plus - 1) * (n_minus - 1))
-    c2 = (n_plus - n_minus) / (2 * (n_plus - 1) * (n_minus - 1))
-
-    def wedge(m, v):
-        x = np.einsum("ab,g->abg", m, v)
-        return 0.5 * (x - x.transpose(0, 2, 1))
-
-    return 2 * (c1 * (wedge(a.eta, u_dn) + wedge(g_dn, gu_dn)) + c2 * (wedge(g_dn, u_dn) + wedge(a.eta, gu_dn)))
-
-
 def divergence_of(a: QuadraticLieAlgebra, D: Connection) -> Divergence:
     """div_D(u) = D_a u^a, i.e. d_g = eta^{ab} gamma[a,b,g]."""
     return Divergence(np.einsum("ab,abg->g", a.eta_inv, D.gamma))

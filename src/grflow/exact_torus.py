@@ -1,4 +1,4 @@
-"""Generalized Ricci flow on flat tori: fields (g, B, phi) with flux H = H0 + dB.
+"""Generalized Ricci flow on flat tori: fields (g, B, phi) with flux H = k eps + dB.
 
 Explicit exact-case equations:
 
@@ -7,6 +7,14 @@ Explicit exact-case equations:
     dt phi   = Lap_g phi - 2 |grad phi|^2 + 1/12 |H|^2
 
 and the scalar-curvature field R - 1/12 |H|^2_g - 4 e^phi Lap_g e^-phi.
+
+The flux is a closed 3-form, so on T^3 it is a top form H = h eps with one component, the density
+h = H_012 = k + div(*B), (*B)_k = 1/2 eps_kij B_ij; on T^2 it vanishes. Every flux term is then an
+algebraic identity of a top form in 3D (eps the coordinate symbol, v_l = Gamma^m_{lm}):
+
+    H_ikl H_j^kl = (2 h^2 / det g) g_ij,    |H|^2 = 6 h^2 / det g,
+    grad_l H_kij = (d_l h - h v_l) eps_kij, so dt B_ij = eps_kij X^k,
+    X^k = g^{kl} (d_l h - h (v_l + 2 d_l phi)).
 
 Discretization: 4th-order central differences on a uniform periodic grid.
 ``deriv`` is the only stencil: ``grad`` stacks its partials with the derivative
@@ -17,15 +25,12 @@ difference matrices are antisymmetric circulants): lambda_torus's eigenproblem
 (W L) u = lambda W u is symmetric, and the Einstein-Hilbert quadrature exact.
 
 Geometry is built once per state: state -> ``torus_fields`` -> a read-only
-``TorusFields`` record (positivity margin, g^-1, sqrt(det g), Gamma, Rc, H,
-H_ikl H_j^{kl}, |H|^2) that the right sides, the scalar field and lambda all read.
+``TorusFields`` record (positivity margin, g^-1, sqrt(det g), Gamma, Rc, h, |H|^2)
+that the right sides, the scalar field and lambda all read.
 
-Contractions run in one fixed order, each by whichever of three forms is fastest
-on batched 3 x 3 tensors at N = 16-32: ``_PAIR``-planned einsum, batched matmul,
-or a plain einsum for the cheap vector ones. g^-1 and det g are closed-form
-cofactors (``inverse_and_det``), so g^-1 is symmetric bitwise. div^k H_kij takes
-g^{kl} into Gamma before H, so the 81-component covariant derivative of H is
-never formed.
+Contractions run in one fixed order: ``_PAIR``-planned einsum or batched matmul for
+the batched 3 x 3 products, a plain einsum for the cheap vector ones. g^-1 and det g
+are closed-form cofactors (``inverse_and_det``), so g^-1 is symmetric bitwise.
 """
 
 from __future__ import annotations
@@ -40,6 +45,8 @@ SPD_FLOOR = 1e-8
 # numpy's planned pairwise route for a two-operand einsum: several times faster than the default
 # loop on the batched small-tensor products here (a path search per call costs as much again)
 _PAIR = ["einsum_path", (0, 1)]
+# (i, j) with eps_kij = 1 for k = 0, 1, 2: a 2-form's slots (i, j) and (j, i) hold +-(*B)_k
+_EPS_I, _EPS_J = [1, 2, 0], [2, 0, 1]
 
 
 @dataclass(frozen=True)
@@ -107,23 +114,13 @@ def exterior_derivative(geom: TorusGeometry, omega: np.ndarray, degree: int) -> 
     return sum((-1) ** (k * degree) * np.moveaxis(dw, axes, axes[k:] + axes[:k]) for k in range(degree + 1))
 
 
-def volume_coefficients(d: int, k: float) -> np.ndarray:
-    """Constant totally antisymmetric 3-index coefficients k * eps (zero for d = 2)."""
-    h0 = np.zeros((d, d, d))
-    if d == 3 and k != 0.0:
-        from .algebra import epsilon3
-
-        h0 = k * epsilon3()
-    return h0
-
-
 @dataclass
 class TorusFieldState:
     geom: TorusGeometry
     g: np.ndarray
     B: np.ndarray
     phi: np.ndarray
-    H0: np.ndarray
+    k: float  # constant flux k eps of H = k eps + dB
     t: float = 0.0
 
     def __post_init__(self):
@@ -133,35 +130,29 @@ class TorusFieldState:
         self.g = np.ascontiguousarray(self.g, dtype=float)
         self.B = np.ascontiguousarray(self.B, dtype=float)
         self.phi = np.ascontiguousarray(self.phi, dtype=float)
-        self.H0 = np.ascontiguousarray(self.H0, dtype=float)
+        self.k = float(self.k)
         if self.g.shape != shape + (d, d) or self.B.shape != shape + (d, d) or self.phi.shape != shape:
             raise ValidationError("field arrays do not match the grid")
-        if self.H0.shape != (d, d, d):
-            raise ValidationError("H0 must be a constant d x d x d array")
-        if d == 2 and np.any(self.H0):
-            raise ValidationError("three-forms vanish on T^2: H0 must be zero for d = 2")
+        if not np.isfinite(self.k):
+            raise ValidationError(f"flux strength k must be finite, got {self.k!r}")
+        if d == 2 and self.k != 0.0:
+            raise ValidationError(f"three-forms vanish on T^2: flux strength k must be 0 for d = 2, got {self.k!r}")
         if np.max(np.abs(self.g - np.swapaxes(self.g, -1, -2))) > 1e-12 * max(1.0, float(np.max(np.abs(self.g)))):
             raise ValidationError("g must be symmetric at every node")
         if np.max(np.abs(self.B + np.swapaxes(self.B, -1, -2))) > 1e-12 * max(1.0, float(np.max(np.abs(self.B))), 1e-30):
             raise ValidationError("B must be antisymmetric at every node")
-        r1 = float(np.max(np.abs(self.H0 + self.H0.transpose(1, 0, 2)), initial=0.0))
-        r2 = float(np.max(np.abs(self.H0 + self.H0.transpose(0, 2, 1)), initial=0.0))
-        if max(r1, r2) > 1e-14 * max(1.0, float(np.max(np.abs(self.H0), initial=0.0))):
-            raise ValidationError("H0 must be totally antisymmetric")
 
     def spd_margin(self) -> float:
         return float(np.min(np.linalg.eigvalsh(self.g)))
 
     def copy(self) -> "TorusFieldState":
-        return TorusFieldState(self.geom, self.g.copy(), self.B.copy(), self.phi.copy(), self.H0.copy(), self.t)
+        return TorusFieldState(self.geom, self.g.copy(), self.B.copy(), self.phi.copy(), self.k, self.t)
 
 
 def flat_state(geom: TorusGeometry, k: float = 0.0) -> TorusFieldState:
     """g = Id, B = 0, phi = 0, constant flux of strength k (volume form)."""
     eye = np.broadcast_to(np.eye(geom.d), geom.shape + (geom.d, geom.d)).copy()
-    return TorusFieldState(
-        geom, eye, np.zeros(geom.shape + (geom.d, geom.d)), np.zeros(geom.shape), volume_coefficients(geom.d, k)
-    )
+    return TorusFieldState(geom, eye, np.zeros(geom.shape + (geom.d, geom.d)), np.zeros(geom.shape), k)
 
 
 def perturbed_state(geom: TorusGeometry, seed: int, amplitude: float = 0.05, k: float = 0.0,
@@ -203,9 +194,11 @@ def perturbed_state(geom: TorusGeometry, seed: int, amplitude: float = 0.05, k: 
 
 
 def flux_H(state: TorusFieldState) -> np.ndarray:
-    """H = H0 + dB, totally antisymmetric per node."""
-    db = exterior_derivative(state.geom, state.B, 2)
-    return db + state.H0
+    """The flux density h = H_012 = k + div(*B), (*B)_k = 1/2 eps_kij B_ij, of H = h eps; zero on T^2."""
+    if state.geom.d == 2:
+        return np.zeros(state.geom.shape)
+    B = state.B
+    return state.k + div(state.geom, 0.5 * (B[..., _EPS_I, _EPS_J] - B[..., _EPS_J, _EPS_I]))
 
 
 def christoffel(state: TorusFieldState, ginv: np.ndarray) -> np.ndarray:
@@ -282,9 +275,8 @@ class TorusFields:
     w: np.ndarray  # sqrt(det g)
     gamma: np.ndarray
     rc: np.ndarray
-    H: np.ndarray
-    h2: np.ndarray  # H_ikl H_j^{kl}
-    h_norm_sq: np.ndarray  # |H|^2_g
+    h: np.ndarray  # flux density H_012
+    h_norm_sq: np.ndarray  # |H|^2_g = 6 h^2 / det g
 
     @property
     def geom(self) -> TorusGeometry:
@@ -292,35 +284,29 @@ class TorusFields:
 
 
 def torus_fields(state: TorusFieldState) -> TorusFields:
-    """The one place g^-1, Gamma, Rc, H and |H|^2 are computed; raises on lost positivity."""
+    """The one place g^-1, Gamma, Rc, h and |H|^2 are computed; raises on lost positivity."""
     margin = degenerate_nodes(state)
     ginv, det = inverse_and_det(state.g)
     gamma = christoffel(state, ginv)
-    rc = ricci_tensor(state, gamma)  # before H, so its temporaries never sit beside H (peak memory)
-    H = flux_H(state)
-    h_mixed = ginv[..., None, :, :] @ H @ ginv[..., None, :, :]  # H_i^{kl}, g^-1 symmetric
-    h2 = np.einsum("...ikl,...jkl->...ij", h_mixed, H, optimize=_PAIR)
-    # |H|^2 = g^{ij} H_ikl H_j^{kl}
-    return TorusFields(state, margin, ginv, np.sqrt(det), gamma, rc, H, h2, np.einsum("...ij,...ij->...", ginv, h2))
+    h = flux_H(state)
+    return TorusFields(state, margin, ginv, np.sqrt(det), gamma, ricci_tensor(state, gamma), h, 6.0 * h * h / det)
 
 
 def torus_rhs(fields: TorusFields) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dt g, dt B, dt phi) of the exact-case flow, evaluated as printed."""
-    geom, phi, ginv, gamma, H = fields.geom, fields.state.phi, fields.ginv, fields.gamma, fields.H
+    """(dt g, dt B, dt phi) of the exact-case flow with H = h eps, in the closed forms of the module docstring."""
+    geom, g, phi, ginv, gamma, h = fields.geom, fields.state.g, fields.state.phi, fields.ginv, fields.gamma, fields.h
     dphi = grad(geom, phi)
     hess = hessian(geom, gamma, dphi)
-    dg = -2.0 * fields.rc + 0.5 * fields.h2 - 4.0 * hess
+    dg = -2.0 * fields.rc + fields.h_norm_sq[..., None, None] / 6.0 * g - 4.0 * hess
 
-    # div^k H_kij = g^{kl} (d_l H_kij - Gamma^m_{lk} H_mij - Gamma^m_{li} H_kmj - Gamma^m_{lj} H_kim) with
-    # g^{kl} taken into Gamma first, G^{mk}_i = g^{kl} Gamma^m_{li}: the last two terms are -T_ij + T_ji,
-    # T_ij = G^{mk}_i H_kmj, and the second joins -2 (grad^m phi) H_mij
-    gam_up = ginv[..., None, :, :] @ gamma
-    t = np.einsum("...mki,...kmj->...ij", gam_up, H, optimize=_PAIR)
+    db = np.zeros_like(g)
+    if geom.d == 3:  # dt B_ij = eps_kij X^k, X^k = g^{kl} (d_l h - h (Gamma^m_{lm} + 2 d_l phi))
+        x = np.einsum("...kl,...l->...k", ginv,
+                      grad(geom, h) - h[..., None] * (np.einsum("...mlm->...l", gamma) + 2.0 * dphi))
+        db[..., _EPS_I, _EPS_J] = x
+        db[..., _EPS_J, _EPS_I] = -x
+
     grad_phi_up = np.einsum("...kl,...l->...k", ginv, dphi)
-    v = np.einsum("...mkk->...m", gam_up) + 2.0 * grad_phi_up
-    db = (np.einsum("...kl,...lkij->...ij", ginv, grad(geom, H), optimize=_PAIR)  # grad(H)[.., l, k, i, j] = d_l H_kij
-          - np.einsum("...m,...mij->...ij", v, H) - t + np.swapaxes(t, -1, -2))
-
     lap_phi = laplace_beltrami(geom, fields.w, ginv, phi)
     dphi_rhs = lap_phi - 2.0 * np.einsum("...i,...i->...", grad_phi_up, dphi) + fields.h_norm_sq / 12.0
     return dg, db, dphi_rhs
@@ -456,9 +442,9 @@ class TorusTrace:
 
 def _rk4_torus(state: TorusFieldState, dt: float, rhs, k1) -> TorusFieldState:
     """One RK4 step; every stage state goes through the constructor, which validates its own arrays."""
-    def shifted(fac, k):
-        return torus_fields(TorusFieldState(state.geom, state.g + fac * k[0], state.B + fac * k[1],
-                                            state.phi + fac * k[2], state.H0, state.t + fac))
+    def shifted(fac, rate):
+        return torus_fields(TorusFieldState(state.geom, state.g + fac * rate[0], state.B + fac * rate[1],
+                                            state.phi + fac * rate[2], state.k, state.t + fac))
 
     k2 = rhs(shifted(dt / 2, k1))
     k3 = rhs(shifted(dt / 2, k2))
@@ -467,7 +453,7 @@ def _rk4_torus(state: TorusFieldState, dt: float, rhs, k1) -> TorusFieldState:
                            state.g + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
                            state.B + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
                            state.phi + dt / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
-                           state.H0, state.t + dt)
+                           state.k, state.t + dt)
 
 
 def run_torus_flow(state: TorusFieldState, params: TorusParams, rhs=torus_rhs) -> TorusTrace:
@@ -475,9 +461,11 @@ def run_torus_flow(state: TorusFieldState, params: TorusParams, rhs=torus_rhs) -
 
     The step is dt = cfl h^2 / max_node ||g^{-1}|| recomputed per step, cut to
     land exactly on T.  Symmetry of g and antisymmetry of B are asserted for
-    every RK4 stage state (its constructor) and each step (the right sides
-    preserve them by construction); a violation aborts with DegenerateMetric.
-    A run stopped by ``max_steps`` before T returns with ``aborted`` set.
+    every RK4 stage state by its constructor (at the scale of g and of B), and
+    antisymmetry of B once more after each step at the scale of g, which a
+    custom ``rhs`` with a large B can still break (``torus_rhs`` keeps B
+    antisymmetric bitwise); a violation aborts with DegenerateMetric.  A run stopped by
+    ``max_steps`` before T returns with ``aborted`` set.
     """
     trace = TorusTrace()
     st = state.copy()
@@ -516,11 +504,9 @@ def run_torus_flow(state: TorusFieldState, params: TorusParams, rhs=torus_rhs) -
             except ValidationError as exc:  # the constructor rejected a stage: the step itself broke symmetry
                 raise DegenerateMetric(f"RK4 stage at t = {st.t!r}: {exc}") from exc
             del k1  # likewise, before the next record and its k1
-            gsym = float(np.max(np.abs(st.g - np.swapaxes(st.g, -1, -2))))
             banti = float(np.max(np.abs(st.B + np.swapaxes(st.B, -1, -2))))
-            scale = max(1.0, float(np.max(np.abs(st.g))))
-            if gsym > 1e-12 * scale or banti > 1e-12 * scale:
-                raise DegenerateMetric(f"symmetry drift: g {gsym:.2e}, B {banti:.2e}")
+            if banti > 1e-12 * max(1.0, float(np.max(np.abs(st.g)))):
+                raise DegenerateMetric(f"symmetry drift: B {banti:.2e}")
             fields = torus_fields(st)
             record(fields)
             steps += 1

@@ -207,9 +207,3 @@ def fd_error_ladder(exact, values_at, steps=FD_STEPS) -> list[float]:
         err = np.max(np.abs(fd - np.asarray(exact)))
         errors.append(float(err))
     return errors
-
-
-def lambda_functional(a: QuadraticLieAlgebra, G) -> float:
-    """Perelman-type lambda over a point: the unit-mass constraint forces
-    sigma = 1, so lambda(G) = GR(G, 0)."""
-    return scalar(a, _as_matrix(G), None)

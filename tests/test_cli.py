@@ -171,6 +171,15 @@ def test_torus_mode(tmp_path):
     assert dump["N"] == 8
 
 
+@pytest.mark.parametrize("init", ["flat", "perturbed"])
+def test_torus_flux_on_t2_exit_2(tmp_path, capsys, init):
+    # three-forms vanish on T^2: a flux strength there is an input error, not a flux-free run
+    path = write_cfg(tmp_path, {"mode": "torus", "torus": {"d": 2, "N": 8, "k": 1.0, "T": 0.01, "init": init}})
+    assert cli.main(["torus", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "T^2" in capsys.readouterr().err
+    assert not (tmp_path / "torus_trace.csv").exists()
+
+
 def test_check_mode_small(tmp_path):
     cfg = {"mode": "check", "check": {"scope": "algebraic", "instances": 8}}
     path = write_cfg(tmp_path, cfg)

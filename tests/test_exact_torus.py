@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from grflow import algebra as alg
 from grflow import checks
 from grflow import exact_torus as et
 from grflow.errors import DegenerateMetric, EigensolverStalled, ValidationError
@@ -29,14 +32,22 @@ def test_geometry_validation():
 
 def test_h0_on_t2_rejected():
     geom = et.TorusGeometry(2, 8)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="T\\^2"):
         et.TorusFieldState(
             geom,
             np.broadcast_to(np.eye(2), geom.shape + (2, 2)).copy(),
             np.zeros(geom.shape + (2, 2)),
             np.zeros(geom.shape),
-            np.ones((2, 2, 2)),
+            1.0,
         )
+    with pytest.raises(ValidationError):
+        et.flat_state(geom, k=1.0)
+
+
+@pytest.mark.parametrize("k", [np.nan, np.inf])
+def test_nonfinite_flux_rejected(geom8, k):
+    with pytest.raises(ValidationError, match="finite"):
+        et.flat_state(geom8, k=k)
 
 
 def test_deriv_fourth_order(geom16):
@@ -53,7 +64,8 @@ def test_flux_constant_B(geom8):
     st = et.flat_state(geom8, k=2.0)
     st.B[:] = 0.7 * (np.outer([1, 0, 0], [0, 1, 0]) - np.outer([0, 1, 0], [1, 0, 0]))
     h = et.flux_H(st)
-    assert np.max(np.abs(h - st.H0)) <= 1e-14  # constant B contributes nothing
+    assert h.shape == geom8.shape
+    assert np.max(np.abs(h - 2.0)) <= 1e-14  # constant B contributes nothing: h = k
 
 
 def test_flux_single_mode(geom16):
@@ -62,10 +74,29 @@ def test_flux_single_mode(geom16):
     st.B[..., 0, 1] = np.sin(x3)
     st.B[..., 1, 0] = -np.sin(x3)
     h = et.flux_H(st)
-    # H_{312} = d_3 B_12 (+ cyclic terms that vanish)
-    assert np.max(np.abs(h[..., 2, 0, 1] - et.deriv(geom16, st.B[..., 0, 1], 2))) <= 1e-14
-    anti = h + np.swapaxes(h, -1, -2)
-    assert np.max(np.abs(anti)) <= 1e-14
+    # h = H_012 = d_2 B_01 (+ cyclic terms that vanish)
+    assert np.max(np.abs(h - et.deriv(geom16, st.B[..., 0, 1], 2))) <= 1e-14
+
+
+def test_flux_density_is_H_012_of_dB(geom16):
+    # the density against the full 3-form k eps + dB from the exterior derivative
+    st = et.perturbed_state(geom16, 5, amplitude=0.3, k=0.7)
+    H = et.exterior_derivative(geom16, st.B, 2) + 0.7 * alg.epsilon3()
+    assert np.max(np.abs(et.flux_H(st) - H[..., 0, 1, 2])) <= 1e-14
+
+
+def test_flux_zero_on_t2():
+    geom = et.TorusGeometry(2, 8)
+    st = et.perturbed_state(geom, 4, amplitude=0.1)
+    assert np.array_equal(et.flux_H(st), np.zeros(geom.shape))
+    assert not np.any(et.torus_rhs(et.torus_fields(st))[1])
+
+
+def test_rhs_db_bitwise_antisymmetric(geom8):
+    # dt B = eps_kij X^k writes each X^k into one slot and its negative into the transposed one
+    _, db, _ = et.torus_rhs(et.torus_fields(et.perturbed_state(geom8, 10, amplitude=0.05, k=0.5)))
+    assert np.any(db)
+    assert np.array_equal(db, -np.swapaxes(db, -1, -2))
 
 
 def test_ddB_zero_random(geom16):
@@ -211,11 +242,57 @@ def test_rk4_stage_state_is_validated(geom8):
     assert len(exc_info.value.trace.t) == 1 and "symmetric" in exc_info.value.trace.aborted
 
 
+def test_run_step_check_catches_b_drift(geom8):
+    # the per-step test of B runs at the scale of g: with max|B| ~ 100 a drift of ~1e-11 passes the
+    # constructor's bound (1e-12 max|B|) and is stopped there
+    calls = []
+
+    def skewed(fields):
+        calls.append(1)
+        dg, db, dphi = et.torus_rhs(fields)
+        return dg, db + np.array([[0.0, 1e-10, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), dphi
+
+    st = et.perturbed_state(geom8, 2, amplitude=0.05)
+    st.B += 100.0 * (np.outer([1, 0, 0], [0, 1, 0]) - np.outer([0, 1, 0], [1, 0, 0]))  # constant: h unchanged
+    with pytest.raises(DegenerateMetric, match="symmetry drift: B") as exc_info:
+        et.run_torus_flow(st, et.TorusParams(T=0.5, compute_lambda=False), rhs=skewed)
+    assert len(calls) == 4 and len(exc_info.value.trace.t) == 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=hst.integers(0, 2**16), d=hst.sampled_from([2, 3]), amplitude=hst.floats(0.01, 0.08),
+       k=hst.floats(0.0, 1.5), T=hst.floats(0.01, 0.3), max_steps=hst.integers(1, 4))
+def test_run_torus_flow_terminal_states(seed, d, amplitude, k, T, max_steps):
+    # a run reaches T, or says that it did not; either way the record is whole, B stays antisymmetric
+    # bitwise and g symmetric, and lambda never falls on modes the grid resolves (kmax = 1: 8 nodes a period)
+    geom = et.TorusGeometry(d, 8)
+    st = et.perturbed_state(geom, seed, amplitude=amplitude, k=k if d == 3 else 0.0, kmax=1)
+    try:
+        tr = et.run_torus_flow(st, et.TorusParams(T=T, max_steps=max_steps))
+    except EigensolverStalled as exc:
+        tr = exc.trace
+        assert "stalled" in tr.aborted and tr.final_state.t > tr.t[-1]
+    else:
+        assert tr.final_state.t == tr.t[-1]
+        if tr.aborted is None:
+            assert tr.t[-1] == pytest.approx(T, abs=1e-12)
+        else:
+            assert f"max_steps = {max_steps}" in tr.aborted and tr.t[-1] < T and len(tr.t) == max_steps + 1
+    assert len({len(column) for column in (tr.t, tr.minR, tr.meanR, tr.lam, tr.spd_margin, tr.g_norm, tr.B_norm,
+                                           tr.phi_norm)}) == 1
+    fs = tr.final_state
+    assert fs.k == st.k
+    assert np.array_equal(fs.B, -np.swapaxes(fs.B, -1, -2))
+    assert np.max(np.abs(fs.g - np.swapaxes(fs.g, -1, -2))) <= 1e-12 * np.max(np.abs(fs.g))
+    assert min(tr.spd_margin) > et.SPD_FLOOR
+    assert np.all(np.diff(tr.lam) >= -1e-6 * np.diff(tr.t))
+
+
 def test_state_arrays_are_c_ordered(geom8):
     st = et.perturbed_state(geom8, 2, amplitude=0.05, k=0.5)
     moved = et.TorusFieldState(geom8, np.asfortranarray(st.g), np.asfortranarray(st.B), np.asfortranarray(st.phi),
-                               np.asfortranarray(st.H0))
-    assert all(a.flags.c_contiguous for a in (moved.g, moved.B, moved.phi, moved.H0))
+                               st.k)
+    assert all(a.flags.c_contiguous for a in (moved.g, moved.B, moved.phi))
     for x, y in zip(et.torus_rhs(et.torus_fields(st)), et.torus_rhs(et.torus_fields(moved))):
         assert np.array_equal(x, y)
 

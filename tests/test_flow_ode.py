@@ -245,3 +245,23 @@ def test_run_flow_terminal_states(seed, dt, max_steps):
     assert len(tr.step_dt) == len(tr.t)
     gr = np.array(tr.GR)
     assert np.all(np.diff(gr) >= -1e-8 * (1 + np.abs(gr[:-1])))
+
+
+def test_run_flow_commutes_with_su2_double_rotation(su2_double):
+    # P = diag(R, R), R a rotation of the 2-3 plane of su(2), is an eta-orthogonal automorphism of the
+    # double, so the flow commutes with G -> P G P^-1 and keeps a P-invariant G = graph(diag(1, 2, 2)) so
+    c, s = np.cos(0.7), np.sin(0.7)
+    r = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    p = np.kron(np.eye(2), r)
+    assert np.max(np.abs(p.T @ su2_double.eta @ p - su2_double.eta)) <= 1e-15
+    assert np.max(np.abs(np.einsum("abg,ai,bj,gk->ijk", su2_double.c, p, p, p) - su2_double.c)) <= 1e-15
+    g_inv = met.metric_from_graph(su2_double, np.diag([1.0, 2.0, 2.0])).G
+    tr = fl.run_flow(su2_double, fl.FlowState(0.0, g_inv, 0.0), fl.FlowParams(dt=1e-2, T=1.0))
+    assert tr.aborted is None and np.max(np.abs(tr.final_G - g_inv)) >= 0.5  # the metric really moves
+    assert np.max(np.abs(p @ tr.final_G @ p.T - tr.final_G)) <= 1e-12
+    g0 = met.random_strictly_positive_metric(su2_double, 3).G
+    params = fl.FlowParams(dt=1e-2, T=0.3)  # this metric's flow becomes extinct before t = 1
+    moved = fl.run_flow(su2_double, fl.FlowState(0.0, p @ g0 @ p.T, 0.0), params).final_G
+    ref = fl.run_flow(su2_double, fl.FlowState(0.0, g0, 0.0), params).final_G
+    assert np.max(np.abs(ref - g0)) >= 0.1
+    assert np.max(np.abs(moved - p @ ref @ p.T)) <= 1e-12 * np.max(np.abs(ref))

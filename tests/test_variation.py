@@ -170,9 +170,3 @@ def test_eh_gradient_check(su2_double, graph_metric_123):
 def test_eh_gradient_identity_metric(su2_double):
     # at G = Id the Ricci term vanishes; the check reduces to the sigma term
     assert var.eh_gradient_check(su2_double, np.eye(6), 1.0, seed=1) <= 1e-6
-
-
-def test_lambda_functional_is_scalar(su2_double, graph_metric_123):
-    assert var.lambda_functional(su2_double, graph_metric_123.G) == pytest.approx(
-        cur.scalar(su2_double, graph_metric_123.G, None), abs=1e-14
-    )
