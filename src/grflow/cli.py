@@ -12,6 +12,7 @@ checks), 3 numerical failure (aborted runs).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -167,12 +168,19 @@ def load_config(path) -> dict:
     return cfg
 
 
-def validate_config(cfg: dict) -> None:
-    import jsonschema
+@functools.cache
+def _config_validator():
+    """The validator of ``CONFIG_SCHEMA``, built once per process; the test suite checks the schema itself."""
+    from jsonschema import Draft202012Validator
 
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    return Draft202012Validator(CONFIG_SCHEMA)
+
+
+def validate_config(cfg: dict) -> None:
+    from jsonschema.exceptions import best_match
+
+    exc = best_match(_config_validator().iter_errors(cfg))  # the error jsonschema.validate raises
+    if exc is not None:
         loc = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigParseError(f"config field '{loc}': {exc.message}") from exc
     flat = not np.all(np.isfinite(_collect_numbers(cfg)))

@@ -31,10 +31,15 @@ that the right sides, the scalar field and lambda all read.
 Contractions run in one fixed order: ``_PAIR``-planned einsum or batched matmul for
 the batched 3 x 3 products, a plain einsum for the cheap vector ones. g^-1 and det g
 are closed-form cofactors (``inverse_and_det``), so g^-1 is symmetric bitwise.
+
+The positivity margin (``TorusFieldState.spd_margin``, every stage) is the grid minimum
+of ``eigvalsh`` bit for bit, but ``eigvalsh`` runs only on the few nodes that a
+closed-form lowest-eigenvalue screen (``lowest_eig_estimate``) cannot rule out.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +47,9 @@ import numpy as np
 from .errors import DegenerateMetric, EigensolverStalled, StepUnderflow, ValidationError
 
 SPD_FLOOR = 1e-8
+# spd_margin's slack, relative to max|g|, above the least closed-form eigenvalue estimate: twice the
+# estimate's worst error must fit inside it (2.5e-8 max|g| measured, at a double lowest eigenvalue)
+SCREEN = 1e-6
 # numpy's planned pairwise route for a two-operand einsum: several times faster than the default
 # loop on the batched small-tensor products here (a path search per call costs as much again)
 _PAIR = ["einsum_path", (0, 1)]
@@ -133,6 +141,9 @@ class TorusFieldState:
         self.k = float(self.k)
         if self.g.shape != shape + (d, d) or self.B.shape != shape + (d, d) or self.phi.shape != shape:
             raise ValidationError("field arrays do not match the grid")
+        for name in ("g", "B", "phi"):  # a NaN passes every comparison below
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValidationError(f"{name} must be finite at every node")
         if not np.isfinite(self.k):
             raise ValidationError(f"flux strength k must be finite, got {self.k!r}")
         if d == 2 and self.k != 0.0:
@@ -143,7 +154,16 @@ class TorusFieldState:
             raise ValidationError("B must be antisymmetric at every node")
 
     def spd_margin(self) -> float:
-        return float(np.min(np.linalg.eigvalsh(self.g)))
+        """Smallest eigenvalue of g over the grid: ``np.min(np.linalg.eigvalsh(g))``, bit for bit.
+
+        ``lowest_eig_estimate`` screens the nodes and ``eigvalsh`` runs only where the estimate lies
+        within SCREEN max|g| of its grid minimum. The estimate is within 2.5e-8 max|g| of
+        ``eigvalsh``, well inside SCREEN / 2, so the node holding the minimum always passes, and
+        LAPACK solves each matrix on its own, so its value is the one the full batch gives.
+        """
+        g = self.g.reshape(-1, self.geom.d, self.geom.d)
+        mu = lowest_eig_estimate(g, float(np.max(np.abs(g))) or 1.0)
+        return float(np.min(np.linalg.eigvalsh(g[mu <= np.min(mu) + SCREEN])))
 
     def copy(self) -> "TorusFieldState":
         return TorusFieldState(self.geom, self.g.copy(), self.B.copy(), self.phi.copy(), self.k, self.t)
@@ -185,6 +205,7 @@ def perturbed_state(geom: TorusGeometry, seed: int, amplitude: float = 0.05, k: 
             st.B[..., i, j] += w
             st.B[..., j, i] -= w
     st.phi += amplitude * mode()
+    st = TorusFieldState(geom, st.g, st.B, st.phi, k)  # the edits above are validated like any state
     if st.spd_margin() <= SPD_FLOOR:
         raise DegenerateMetric("perturbation amplitude too large: g not positive definite")
     return st
@@ -256,6 +277,29 @@ def inverse_and_det(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         det = a * c00 + b * c01 + c * c02
         adj = (c00, c01, c02, c01, c11, c12, c02, c12, c22)
     return np.stack(adj, axis=-1).reshape(g.shape) / det[..., None, None], det
+
+
+def lowest_eig_estimate(g: np.ndarray, scale: float) -> np.ndarray:
+    """Closed-form lowest eigenvalue of each symmetric 2 x 2 or 3 x 3 matrix g / scale, to ~3e-8 max|g / scale|.
+
+    Reads the lower triangle, as ``eigvalsh`` does. 2 x 2: (a + c)/2 - hypot((a - c)/2, b). 3 x 3: the
+    trigonometric form (O. K. Smith, CACM 4(4), 1961), q + 2p cos(arccos(r)/3 + 2 pi/3) with q = tr g / 3,
+    p^2 = |g - q|^2 / 6 and r = det((g - q)/p) / 2; it loses half the digits where the two lowest
+    eigenvalues meet (r near 1), so it is a screen for ``spd_margin``, not a value. With scale = max|g|
+    no square overflows.
+    """
+    if g.shape[-1] == 2:
+        a, b, c = g[..., 0, 0] / scale, g[..., 1, 0] / scale, g[..., 1, 1] / scale
+        return 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
+    b, c, f = g[..., 1, 0] / scale, g[..., 2, 0] / scale, g[..., 2, 1] / scale
+    a, e, i = g[..., 0, 0] / scale, g[..., 1, 1] / scale, g[..., 2, 2] / scale
+    q = (a + e + i) / 3.0
+    a, e, i = a - q, e - q, i - q
+    p = np.sqrt((a * a + e * e + i * i + 2.0 * (b * b + c * c + f * f)) / 6.0)
+    s = np.where(p > 0.0, p, 1.0)  # p = 0: g = q Id, and g - q = 0 gives r = 0
+    a, e, i, b, c, f = a / s, e / s, i / s, b / s, c / s, f / s
+    r = np.clip(0.5 * (a * (e * i - f * f) - b * (b * i - f * c) + c * (b * f - e * c)), -1.0, 1.0)
+    return q + 2.0 * p * np.cos(np.arccos(r) / 3.0 + 2.0 * np.pi / 3.0)
 
 
 def degenerate_nodes(state: TorusFieldState) -> float:
@@ -365,7 +409,8 @@ def lambda_torus(fields: TorusFields, u0: np.ndarray | None = None, return_vecto
 
     LOBPCG (Knyazev 2001) on (W L) u = lambda W u, W = dV, preconditioned by ``_flat_inverse``, from
     ``u0`` (constant if None) unless u0 already meets the bound: lambda, the weighted Rayleigh quotient
-    of u, is returned only if ||L u - lambda u||_W <= LAMBDA_RESIDUAL_TOL (1 + |lambda|); else raises.
+    of u, is returned only if ||L u - lambda u||_W <= LAMBDA_RESIDUAL_TOL (1 + |lambda|). A warm start
+    that misses the bound is retried once from the constant; a solve that misses it from there raises.
     """
     apply_l, wts = _dirichlet_operator(fields)
 
@@ -375,17 +420,28 @@ def lambda_torus(fields: TorusFields, u0: np.ndarray | None = None, return_vecto
         q = float(np.sum(wts * u * lu))
         return q, u, float(np.sqrt(np.sum(wts * (lu - q * u) ** 2)))
 
-    q, u, res = rayleigh(np.ones(wts.shape) if u0 is None else np.asarray(u0, dtype=float))
-    if res > LAMBDA_RESIDUAL_TOL * (1.0 + abs(q)):
+    def solve(start):
+        q, u, res = rayleigh(start)
+        if res <= LAMBDA_RESIDUAL_TOL * (1.0 + abs(q)):
+            return q, u, res
         from scipy.sparse.linalg import lobpcg
         # lobpcg's residual is W r, ||W r||_2 >= sqrt(min W) ||r||_W and lambda <= q: a tighter tol than ours
         tol = 0.5 * LAMBDA_RESIDUAL_TOL * np.sqrt(np.min(wts)) * (1.0 + max(0.0, -q))
-        _, x = lobpcg(lambda v: (wts * apply_l(v.reshape(wts.shape))).reshape(v.shape), u.reshape(-1, 1),
-                      B=lambda v: wts.reshape(-1, 1) * v, M=_flat_inverse(fields.geom), tol=tol,
-                      maxiter=LAMBDA_MAX_ITER, largest=False)
-        q, u, res = rayleigh(x[:, 0].reshape(wts.shape))
-        if res > LAMBDA_RESIDUAL_TOL * (1.0 + abs(q)):
-            raise EigensolverStalled(f"lambda solver stalled at weighted residual {res:.3e}, lambda {q!r}")
+        with warnings.catch_warnings():  # its notes on a missed tol: the residual below is the report
+            warnings.simplefilter("ignore", UserWarning)
+            _, x = lobpcg(lambda v: (wts * apply_l(v.reshape(wts.shape))).reshape(v.shape), u.reshape(-1, 1),
+                          B=lambda v: wts.reshape(-1, 1) * v, M=_flat_inverse(fields.geom), tol=tol,
+                          maxiter=LAMBDA_MAX_ITER, largest=False)
+        return rayleigh(x[:, 0].reshape(wts.shape))
+
+    constant = np.ones(wts.shape)
+    # a warm start near a cluster of low eigenvalues can stall where the constant start converges
+    for start in [constant] if u0 is None else [np.asarray(u0, dtype=float), constant]:
+        q, u, res = solve(start)
+        if res <= LAMBDA_RESIDUAL_TOL * (1.0 + abs(q)):
+            break
+    else:
+        raise EigensolverStalled(f"lambda solver stalled at weighted residual {res:.3e}, lambda {q!r}")
     if float(np.sum(wts * u)) < 0:
         u = -u
     return (q, u) if return_vector else q

@@ -19,6 +19,32 @@ def test_unknown_keys_rejected(tmp_path):
         cli.load_config(path)
 
 
+def test_config_schema_is_valid():
+    # validate_config skips the metaschema check that jsonschema.validate makes on every call
+    from jsonschema.validators import Draft202012Validator, validator_for
+
+    Draft202012Validator.check_schema(cli.CONFIG_SCHEMA)
+    assert validator_for(cli.CONFIG_SCHEMA) is Draft202012Validator
+
+
+@pytest.mark.parametrize("cfg", [
+    {"mode": "validate", "bogus": 1},
+    {"mode": "torus", "torus": {"N": 4}},
+    {"mode": "flow", "flow": {"dt": -1.0, "integrator": "euler"}},
+    {"mode": "sweep", "sweep": {"axes": [{"path": "flow.dt"}]}},
+    [],
+])
+def test_config_errors_are_those_of_jsonschema_validate(cfg):
+    import jsonschema
+
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(cfg, cli.CONFIG_SCHEMA)
+    with pytest.raises(ConfigParseError) as exc_info:
+        cli.validate_config(cfg)
+    loc = "/".join(str(p) for p in expected.value.absolute_path) or "<root>"
+    assert str(exc_info.value) == f"config field '{loc}': {expected.value.message}"
+
+
 def test_bad_json_reports_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{\n  'single': 1\n}")

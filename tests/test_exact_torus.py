@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -48,6 +50,41 @@ def test_h0_on_t2_rejected():
 def test_nonfinite_flux_rejected(geom8, k):
     with pytest.raises(ValidationError, match="finite"):
         et.flat_state(geom8, k=k)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["g", "B", "phi"])
+def test_nonfinite_fields_rejected(geom8, name, value):
+    st = et.flat_state(geom8)
+    arrays = {"g": st.g, "B": st.B, "phi": st.phi}
+    node = (1, 2, 3)
+    if name == "phi":
+        arrays["phi"][node] = value
+    else:  # kept (anti)symmetric: rejected for the value alone
+        arrays[name][node + (0, 1)] = value
+        arrays[name][node + (1, 0)] = value if name == "g" else -value
+    with pytest.raises(ValidationError, match=f"{name} must be finite"):
+        et.TorusFieldState(geom8, arrays["g"], arrays["B"], arrays["phi"], 0.0)
+
+
+@pytest.mark.parametrize("amplitude", [np.nan, np.inf])
+def test_perturbed_state_rejects_nonfinite_fields(geom8, amplitude):
+    with pytest.raises(ValidationError, match="must be finite"):
+        et.perturbed_state(geom8, 0, amplitude=amplitude)
+
+
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_nonfinite_stage_aborts_with_trace(geom8, slot):
+    # a right side that goes NaN is stopped at the stage state it builds, with a note and a row
+    def blows_up(fields):
+        rates = list(et.torus_rhs(fields))
+        rates[slot] = np.full_like(rates[slot], np.nan)
+        return tuple(rates)
+
+    with pytest.raises(DegenerateMetric, match="RK4 stage") as exc_info:
+        et.run_torus_flow(et.perturbed_state(geom8, 2, amplitude=0.05, k=0.5), et.TorusParams(T=0.1), rhs=blows_up)
+    tr = exc_info.value.trace
+    assert "must be finite" in tr.aborted and len(tr.t) == 1 and tr.final_state.t == 0.0
 
 
 def test_deriv_fourth_order(geom16):
@@ -169,6 +206,75 @@ def test_inverse_and_det_match_linalg(d, rng):
     assert np.all(inv_err <= 1e-14 * cond)
     assert np.all(np.abs(det - ref_det) <= 1e-14 * cond * np.abs(ref_det))
     assert np.array_equal(ginv, np.swapaxes(ginv, -1, -2))  # symmetric bitwise
+
+
+def _spectral_field(rng, n, d, lo, hi):
+    """n symmetric d x d matrices Q diag(lam) Q^T, lam uniform in [lo, hi], Q random orthogonal."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, d, d)))
+    lam = np.sort(rng.uniform(lo, hi, (n, d)), axis=-1)
+    return q, lam
+
+
+def _assemble(q, lam):
+    a = (q * lam[:, None, :]) @ np.swapaxes(q, -1, -2)
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def _adversarial_matrices(rng, n, d):
+    """Symmetric matrices where the closed form is weakest: equal or nearly equal eigenvalues, a
+    near-isotropic spread, diagonal ones and multiples of Id, scales 1e-6 to 1e6 and both signs."""
+    q, lam = _spectral_field(rng, n, d, -1.0, 2.0)
+    kind = rng.integers(0, 8, n)
+    lam[kind == 1, 1] = lam[kind == 1, 0]  # double lowest
+    lam[kind == 2] = lam[kind == 2, :1]  # triple (d = 3), or g = c Id rounded through Q
+    lam[kind == 3, 1] = lam[kind == 3, 0] * (1.0 + 1e-9)  # nearly double
+    lam[kind == 4] = 1.0 + rng.uniform(-1e-7, 1e-7, (np.count_nonzero(kind == 4), d))
+    lam[kind == 5, -1] = lam[kind == 5, -2]  # double highest
+    a = _assemble(q, lam)
+    a[kind == 6] *= np.eye(d)  # diagonal
+    a[kind == 7] = lam[kind == 7, :1, None] * np.eye(d)  # c Id exactly
+    return a * 10.0 ** rng.uniform(-6.0, 6.0, (n, 1, 1))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_lowest_eig_estimate_error(d):
+    # the screen of spd_margin keeps the node of the grid minimum while the estimate errs by less
+    # than SCREEN max|g| / 2; ask for five times less than that
+    a = _adversarial_matrices(np.random.default_rng(17 + d), 20000, d)
+    scale = np.max(np.abs(a), axis=(-1, -2))
+    err = np.abs(et.lowest_eig_estimate(a, scale) - np.linalg.eigvalsh(a)[:, 0] / scale)
+    assert np.all(err <= 0.1 * et.SCREEN)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=hst.integers(0, 2**32 - 1), d=hst.sampled_from([2, 3]),
+       kind=hst.sampled_from(["random", "planted", "ties", "constant", "double", "triple", "adversarial"]),
+       log_scale=hst.floats(-6.0, 6.0))
+def test_spd_margin_matches_eigvalsh(seed, d, kind, log_scale):
+    # the screened margin is the grid-wide eigvalsh minimum bit for bit, whatever the field
+    rng = np.random.default_rng(seed)
+    geom = et.TorusGeometry(d, 8)
+    n = geom.N**d
+    q, lam = _spectral_field(rng, n, d, 1.0, 2.0)
+    if kind == "random":
+        lam = rng.uniform(-1.0, 2.0, (n, d))
+    nodes = rng.choice(n, size=rng.integers(1, 6), replace=False)
+    low = 1.0 - 10.0 ** rng.uniform(-12.0, -1.0)  # a minimum a hair to a tenth below the rest
+    if kind == "planted":
+        lam[nodes[0], 0] = low
+    elif kind == "ties":  # equal spectra, differently rotated: eigvalsh values apart by round-off
+        lam[nodes] = lam[nodes[0]]
+        lam[nodes, 0] = low
+    elif kind == "constant":
+        q[:], lam[:] = q[0], lam[0]
+    elif kind == "double":
+        lam[nodes, :2] = low
+    elif kind == "triple":
+        lam[nodes] = low
+    g = _adversarial_matrices(rng, n, d) if kind == "adversarial" else _assemble(q, lam) * 10.0**log_scale
+    st = et.TorusFieldState(geom, g.reshape(geom.shape + (d, d)), np.zeros(geom.shape + (d, d)),
+                            np.zeros(geom.shape), 0.0)
+    assert st.spd_margin() == float(np.min(np.linalg.eigvalsh(g)))
 
 
 def test_rhs_anisotropic_flux_closed_form(geom8):
@@ -504,9 +610,26 @@ def test_lambda_residual_bound_and_warm_start(monkeypatch, geom8):
     assert lam_warm == pytest.approx(lam, abs=1e-12) and np.max(np.abs(u_warm - u)) <= 1e-12
 
 
-@pytest.mark.filterwarnings("error")  # lobpcg warns when it runs out of iterations short of its tol
-def test_lambda_scales_with_metric(geom8):
-    # with H = 0, lambda(c g) = lambda(g) / c on the grid too; lobpcg's tol must follow |lambda|
+def _lobpcg_warnings(monkeypatch):
+    """Per lobpcg call, the warnings it raises inside lambda_torus, which keeps them from the caller."""
+    seen = []
+    original = scipy.sparse.linalg.lobpcg
+
+    def recorded(*args, **kwargs):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = original(*args, **kwargs)
+        seen.append([str(w.message) for w in caught])
+        return result
+
+    monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", recorded)
+    return seen
+
+
+def test_lambda_scales_with_metric(monkeypatch, geom8):
+    # with H = 0, lambda(c g) = lambda(g) / c on the grid too; lobpcg's tol must follow |lambda|, or it
+    # runs out of iterations short of its tol and says so
+    lobpcg_warnings = _lobpcg_warnings(monkeypatch)
     st = et.perturbed_state(geom8, 1, amplitude=0.05)
     st.B[:] = 0.0
     lam = et.lambda_torus(et.torus_fields(st))
@@ -514,14 +637,37 @@ def test_lambda_scales_with_metric(geom8):
         shrunk = st.copy()
         shrunk.g *= c
         assert et.lambda_torus(et.torus_fields(shrunk)) * c == pytest.approx(lam, rel=1e-8)
+    assert lobpcg_warnings and not any(lobpcg_warnings)
 
 
-@pytest.mark.filterwarnings("ignore:Exited")  # lobpcg's own note that it ran out of iterations
+@pytest.mark.filterwarnings("error")  # lobpcg's notes on a missed tol stay inside lambda_torus
 def test_lambda_stall_reports_residual(monkeypatch, geom8):
     monkeypatch.setattr(et, "LAMBDA_MAX_ITER", 1)
     fields = et.torus_fields(et.perturbed_state(geom8, 9, amplitude=0.05, k=0.5))
     with pytest.raises(EigensolverStalled, match="weighted residual"):
         et.lambda_torus(fields)
+
+
+@pytest.mark.filterwarnings("error")
+def test_lambda_stall_on_both_starts_raises(monkeypatch, geom8):
+    # a warm start that misses the bound is retried once from the constant, and no more
+    monkeypatch.setattr(et, "LAMBDA_MAX_ITER", 1)
+    fields = et.torus_fields(et.perturbed_state(geom8, 9, amplitude=0.05, k=0.5))
+    solves = _count_calls(monkeypatch, scipy.sparse.linalg, "lobpcg")
+    u0 = np.random.default_rng(3).uniform(0.5, 1.5, geom8.shape)
+    with pytest.raises(EigensolverStalled, match="weighted residual"):
+        et.lambda_torus(fields, u0=u0)
+    assert len(solves) == 2
+
+
+@pytest.mark.filterwarnings("error")
+def test_lambda_warm_start_stall_retried_from_constant():
+    # the lowest eigenvalues cluster here (gap 1.2e-4): from the previous record's eigenvector LOBPCG
+    # stalls at the first stepped state, from the constant it converges
+    tr = et.run_torus_flow(et.perturbed_state(et.TorusGeometry(3, 8), 15, amplitude=0.05, k=0.5),
+                           et.TorusParams(T=0.25))
+    assert tr.aborted is None and tr.t[-1] == pytest.approx(0.25)
+    assert np.all(np.diff(tr.lam) >= 0.0)
 
 
 def test_lambda_stall_keeps_partial_trace(monkeypatch, geom8):
