@@ -73,18 +73,6 @@ class QuadraticLieAlgebra:
     def n(self) -> int:
         return self.eta.shape[0]
 
-    # -- index gymnastics ---------------------------------------------------
-
-    def raise_slot(self, t: np.ndarray, slot: int) -> np.ndarray:
-        return np.tensordot(self.eta_inv, t, axes=([1], [slot])).transpose(
-            _restore_axes(t.ndim, slot)
-        )
-
-    def lower_slot(self, t: np.ndarray, slot: int) -> np.ndarray:
-        return np.tensordot(self.eta, t, axes=([1], [slot])).transpose(
-            _restore_axes(t.ndim, slot)
-        )
-
     @property
     def c_mixed(self) -> np.ndarray:
         """c with the last index raised: ``c_mixed[a,b,g] = c_{ab}{}^g``."""
@@ -111,19 +99,12 @@ class QuadraticLieAlgebra:
         return float(np.einsum("abg,abg->", self.c, self.c_up))
 
 
-def _restore_axes(ndim: int, slot: int):
-    # tensordot puts the contracted slot first; permute it back into place.
-    axes = list(range(1, ndim))
-    axes.insert(slot, 0)
-    return axes
-
-
 @dataclass
 class Tensor:
     """Dense tensor with an up/down variance record per slot.
 
-    Only raising/lowering needs the record; contraction-heavy code works on
-    raw arrays and tracks variance by convention.
+    The record documents index placement; contraction code works on the raw
+    ``data`` array and tracks variance by convention.
     """
 
     data: np.ndarray
@@ -142,20 +123,6 @@ class Tensor:
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.data, dtype=dtype)
-
-    def raise_slot(self, a: QuadraticLieAlgebra, slot: int) -> "Tensor":
-        if self.variance[slot] == "u":
-            return self
-        v = list(self.variance)
-        v[slot] = "u"
-        return Tensor(a.raise_slot(self.data, slot), tuple(v))
-
-    def lower_slot(self, a: QuadraticLieAlgebra, slot: int) -> "Tensor":
-        if self.variance[slot] == "d":
-            return self
-        v = list(self.variance)
-        v[slot] = "d"
-        return Tensor(a.lower_slot(self.data, slot), tuple(v))
 
 
 @dataclass

@@ -39,7 +39,12 @@ flow trace columns:
   S                    Einstein-Hilbert value GR * sigma^2
   lambda               unit-mass infimum of S (equals GR over a point)
   involution_residual  max-abs of G^2 - Id after retraction
-  soliton_residual     Frobenius norm of the Ricci endomorphism in an adapted frame
+  soliton_residual     Frobenius norm of the Ricci endomorphism in an adapted frame,
+                       0 exactly at solitons. For strictly positive G this is
+                       sqrt(normRc2). Otherwise eta is indefinite on V+ or V- and the
+                       norm depends on the frame: it is taken in the frame of
+                       metric.adapted_frame (an SVD basis of each eigenspace made
+                       eta-orthonormal by eigh)
 
 torus trace columns:
   t           time
@@ -123,7 +128,7 @@ CONFIG_SCHEMA = {
                 "amplitude": {"type": "number"},
                 "kmax": {"type": "integer", "minimum": 1},
                 "compute_lambda": {"type": "boolean"},
-                "lambda_every": {"type": "integer", "minimum": 1},
+                "lambda_every": {"const": 1},
                 "dump_fields": {"type": "boolean"},
             },
         },
@@ -360,7 +365,6 @@ def _torus_state_params(cfg, seed):
         T=float(t.get("T", 1.0)),
         cfl=float(t.get("cfl", 0.2)),
         compute_lambda=bool(t.get("compute_lambda", True)),
-        lambda_every=int(t.get("lambda_every", 1)),
     )
     return state, params
 

@@ -59,7 +59,10 @@ def riemann(a: QuadraticLieAlgebra, D: Connection) -> Tensor:
 
 def full_ricci(a: QuadraticLieAlgebra, D: Connection) -> np.ndarray:
     """Full Ricci endomorphism fGRc^g_b = GRm^{ag}{}_{ab} (eta-symmetric)."""
-    grm = riemann(a, D).data
+    return _contract_riemann(a, riemann(a, D).data)
+
+
+def _contract_riemann(a: QuadraticLieAlgebra, grm: np.ndarray) -> np.ndarray:
     down = np.einsum("mr,mnrs->ns", a.eta_inv, grm)
     return a.eta_inv @ down
 
@@ -271,7 +274,7 @@ def curvature_report(a: QuadraticLieAlgebra, G, d=None) -> CurvatureReport:
     g = _as_matrix(G)
     D = levi_civita(a, g, d)
     grm = riemann(a, D)
-    fgrc = full_ricci(a, D)
+    fgrc = _contract_riemann(a, grm.data)
     grc = _ricci_from_full(g, fgrc)
     grc_br = ricci_bracket_route(a, g, d)
     gr = float(np.trace(g @ fgrc))

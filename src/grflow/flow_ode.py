@@ -144,10 +144,11 @@ def flow_step(a: QuadraticLieAlgebra, state: FlowState, params: FlowParams, dt: 
 
 
 def soliton_residual(a: QuadraticLieAlgebra, G) -> float:
-    """Frobenius norm of GRc(G, 0) in an adapted frame.
+    """Frobenius norm of GRc(G, 0) in the frame of ``adapted_frame``.
 
     Zero exactly at solitons: over a point the lambda-minimizing half-density
-    is the normalized constant, so the condition is GRc(G, 0) = 0.
+    is the normalized constant, so the condition is GRc(G, 0) = 0.  Where eta
+    is indefinite on an eigenspace of G the norm depends on the frame.
     """
     g = _as_matrix(G)
     grc_dd = a.eta @ ricci_closed_form(a, g)

@@ -179,64 +179,32 @@ class AdaptedFrame:
     signs: np.ndarray
     n_plus: int
     n_minus: int
-    algebra: QuadraticLieAlgebra
-
-
-def _pseudo_orthonormalize(a: QuadraticLieAlgebra, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gram-Schmidt for an indefinite pairing with self-pairing pivoting.
-
-    Falls back to hyperbolic combinations u+w when every remaining
-    self-pairing is small against the cross pairings (nearly null basis).
-    """
-    cols = [basis[:, i].copy() for i in range(basis.shape[1])]
-    out, signs = [], []
-    scale = max(float(np.max(np.abs(basis))) ** 2, np.finfo(float).tiny)
-    while cols:
-        m = np.stack(cols, axis=1)
-        gram = m.T @ a.eta @ m
-        diag = np.abs(np.diag(gram))
-        best = int(np.argmax(diag))
-        off = np.abs(gram - np.diag(np.diag(gram)))
-        max_off = float(np.max(off)) if off.size else 0.0
-        if diag[best] < 0.5 * max_off:
-            i, j = np.unravel_index(np.argmax(off), off.shape)
-            v = cols[i] + np.sign(gram[i, j]) * cols[j]
-            drop = max(i, j)
-        else:
-            v = cols[best]
-            drop = best
-        p = a.pair(v, v)
-        if abs(p) <= 1e-12 * scale:
-            raise DegenerateSubspace("eta degenerate on eigenspace (pivot self-pairing ~ 0)")
-        s = 1.0 if p > 0 else -1.0
-        v = v / np.sqrt(abs(p))
-        del cols[drop]
-        cols = [w - s * a.pair(w, v) * v for w in cols]
-        out.append(v)
-        signs.append(s)
-    order = np.argsort([-s for s in signs], kind="stable")  # +1 columns first
-    q = np.stack([out[i] for i in order], axis=1) if out else np.zeros((a.n, 0))
-    return q, np.array([signs[i] for i in order])
 
 
 def adapted_frame(a: QuadraticLieAlgebra, G) -> AdaptedFrame:
-    """Build a frame in which eta is diag(+-1) and G = diag(I_{n+}, -I_{n-})."""
+    """Build a frame in which eta is diag(+-1) and G = diag(I_{n+}, -I_{n-}).
+
+    Per eigenspace of rank k: U = the first k left singular vectors of the
+    projector (an orthonormal basis of its range; the projector is not
+    symmetric, so not ``eigh``), then U^T eta U = W diag(w) W^T and the
+    columns are U W |w|^(-1/2) with signs sign(w).  Raises
+    DegenerateSubspace when eta is (numerically) degenerate on an eigenspace.
+    """
     g = _as_matrix(G)
     n_plus, n_minus = eigen_ranks(g)
-    p_plus, p_minus = projectors(g)
     frames, signs = [], []
-    for p, k in ((p_plus, n_plus), (p_minus, n_minus)):
+    for p, k in zip(projectors(g), (n_plus, n_minus)):
         if k == 0:
             continue
-        # The k largest columns of the projector span the eigenspace.
-        norms = np.linalg.norm(p, axis=0)
-        idx = np.argsort(-norms, kind="stable")[:k]
-        q, s = _pseudo_orthonormalize(a, p[:, np.sort(idx)])
-        frames.append(q)
-        signs.append(s)
-    q = np.concatenate(frames, axis=1) if frames else np.zeros((a.n, 0))
-    signs = np.concatenate(signs) if signs else np.zeros(0)
-    return AdaptedFrame(q, np.linalg.inv(q), signs, n_plus, n_minus, a)
+        u = np.linalg.svd(p)[0][:, :k]
+        w, v = np.linalg.eigh(u.T @ a.eta @ u)
+        if np.min(np.abs(w)) <= 1e-12 * np.max(np.abs(w)):
+            raise DegenerateSubspace("eta degenerate on an eigenspace of G")
+        order = np.argsort(-np.sign(w), kind="stable")  # +1 columns first
+        frames.append((u @ v / np.sqrt(np.abs(w)))[:, order])
+        signs.append(np.sign(w)[order])
+    q = np.concatenate(frames, axis=1)
+    return AdaptedFrame(q, np.linalg.inv(q), np.concatenate(signs), n_plus, n_minus)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .connection import (
 )
 from .curvature import full_ricci, ricci, scalar
 from .errors import NonPositiveHalfDensity
-from .metric import _as_matrix, lie_derivative_metric
+from .metric import _as_matrix, adapted_frame, lie_derivative_metric
 
 FD_STEPS = (1e-2, 1e-3, 1e-4)
 
@@ -55,24 +55,19 @@ def connection_variation_blockwise(a: QuadraticLieAlgebra, G, D: Connection, chi
     blocks are +-1/2 D chi, the cross blocks antisymmetrized first
     derivatives.  Independent cross-check of the projection route.
     """
-    from .algebra import change_basis
-    from .metric import adapted_frame
-
     g = _as_matrix(G)
     chi = np.asarray(chi, dtype=float)
     eps_v = np.zeros(a.n) if eps is None else np.asarray(eps, dtype=float)
     fr = adapted_frame(a, g)
-    q, qi = fr.Q, fr.Q_inv
-    a2 = change_basis(a, q)
+    q, qi, s = fr.Q, fr.Q_inv, fr.signs
     gamma2 = np.einsum("da,eb,zg,dez->abg", q, q, q, D.gamma)
-    m2 = np.einsum("bd,adg->abg", a2.eta_inv, gamma2)
+    m2 = s[None, :, None] * gamma2  # eta = eta^{-1} = diag(s) in the frame
     chi_dd = q.T @ (a.eta @ chi) @ q
     eps2 = q.T @ eps_v
-    s = np.diag(a2.eta).copy()
     n_plus, n_minus = fr.n_plus, fr.n_minus
     P, M = slice(0, n_plus), slice(n_plus, a.n)
     dchi = cov_d(m2, chi_dd, ("d", "d"))  # slots (deriv, b, c), all down
-    eta2 = a2.eta
+    eta2 = np.diag(s)
 
     A = np.zeros((a.n, a.n, a.n))
     if n_plus > 1:

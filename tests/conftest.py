@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from grflow import algebra as alg
 from grflow import metric as met
+
+# The same commit draws the same examples on every machine and every run.
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture(scope="session")

@@ -110,20 +110,6 @@ def test_norm_c_invariant_under_eta_orthogonal(su2_double, rng):
     assert out.norm_c_sq() == pytest.approx(su2_double.norm_c_sq(), abs=1e-10)
 
 
-def test_tensor_raise_lower_roundtrip(su2_double, rng):
-    t = alg.Tensor(rng.standard_normal((6, 6, 6)), ("d", "u", "d"))
-    for slot in range(3):
-        if t.variance[slot] == "d":
-            there = t.raise_slot(su2_double, slot)
-            back = there.lower_slot(su2_double, slot)
-        else:
-            there = t.lower_slot(su2_double, slot)
-            back = there.raise_slot(su2_double, slot)
-        assert there.variance != t.variance
-        assert back.variance == t.variance
-        assert np.max(np.abs(back.data - t.data)) <= 1e-12 * np.max(np.abs(t.data))
-
-
 def test_tensor_variance_record():
     with pytest.raises(ValueError):
         alg.Tensor(np.zeros((2, 2)), ("u",))

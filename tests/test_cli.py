@@ -357,6 +357,20 @@ def test_flow_integrator_rk4_only(tmp_path, capsys):
     assert (tmp_path / "flow_trace.csv").exists()
 
 
+def test_torus_lambda_every_only_one(tmp_path, capsys):
+    # lambda is solved on every row; the key stays valid for existing configs, with 1 its only value
+    cfg = {"mode": "torus", "torus": {"d": 3, "N": 8, "k": 1.0, "T": 0.01, "init": "flat", "lambda_every": 2}}
+    bad = write_cfg(tmp_path, cfg, "every2.json")
+    assert cli.main(["torus", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert "config field 'torus/lambda_every'" in capsys.readouterr().err
+    assert not (tmp_path / "torus_trace.csv").exists()
+    cfg["torus"]["lambda_every"] = 1
+    good = write_cfg(tmp_path, cfg, "every1.json")
+    assert cli.main(["torus", "--config", str(good), "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "torus_trace.csv").read_text().splitlines()[2:]
+    assert len(rows) == 2 and all(np.isfinite(float(r.split(",")[3])) for r in rows)
+
+
 @pytest.mark.parametrize("axis", [
     {"path": "flow.dt", "values": [1e-2, -1.0]},
     {"path": "flow.integrator", "values": ["rk4", "rkf45"]},

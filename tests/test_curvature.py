@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grflow import algebra as alg
+from grflow import checks
 from grflow import connection as con
 from grflow import curvature as cur
 from grflow import metric as met
@@ -177,3 +180,26 @@ def test_curvature_report(su2_double, graph_metric_123):
     d = rep.as_dict()
     assert d["scalar"] == rep.scalar
     assert len(d["riemann"]) == 6
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), preset=st.sampled_from(checks.PRESETS))
+def test_curvature_basis_change_invariance(seed, preset):
+    # P = Q1 diag(0.5..2) Q2 as in grf check; G2 = P^-1 G P is the same metric in the new basis
+    a = preset[1]()
+    rng = np.random.default_rng(seed)
+    q1, _ = np.linalg.qr(rng.standard_normal((a.n, a.n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((a.n, a.n)))
+    p = q1 @ np.diag(rng.uniform(0.5, 2.0, a.n)) @ q2
+    p_inv = np.linalg.inv(p)
+    g = met.random_strictly_positive_metric(a, int(rng.integers(2**31))).G
+    a2, g2 = alg.change_basis(a, p), p_inv @ g @ p
+    grc = cur.ricci_closed_form(a, g)
+    grc2 = cur.ricci_closed_form(a2, g2)
+    assert np.max(np.abs(grc2 - p_inv @ grc @ p)) <= 1e-10 * (1 + np.max(np.abs(grc)))
+    gr = cur.scalar_closed_form(a, g)
+    assert cur.scalar_closed_form(a2, g2) == pytest.approx(gr, abs=1e-10 * (1 + abs(gr)))
+    nrm = met.mixed_norm_sq(a, a.eta @ grc)
+    assert met.mixed_norm_sq(a2, a2.eta @ grc2) == pytest.approx(nrm, abs=1e-10 * (1 + abs(nrm)))
+    rep = cur.curvature_report(a2, g2, None)
+    assert rep.route_residual_ricci <= 1e-10 and rep.route_residual_scalar <= 1e-10

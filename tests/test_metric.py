@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from grflow import algebra as alg
+from grflow import checks
 from grflow import metric as met
 from grflow.errors import DegenerateSubspace, ForbiddenRank
 
@@ -88,6 +90,49 @@ def test_adapted_frame_graph_metric(su2_double, graph_metric_123):
     assert np.max(np.abs(eta_t - np.diag([1, 1, 1, -1, -1, -1]))) <= 1e-10
     g_t = fr.Q_inv @ graph_metric_123.G @ fr.Q
     assert np.max(np.abs(g_t - np.diag([1, 1, 1, -1, -1, -1]))) <= 1e-10
+
+
+def _mixed_signature_metric(a, seed):
+    """V+ of signature (p-1, 1), rotated by a random eta-orthogonal map; eta must be indefinite."""
+    w, u = np.linalg.eigh(a.eta)
+    order = np.argsort(-w, kind="stable")
+    frame = u[:, order] / np.sqrt(np.abs(w[order]))
+    p = int(np.sum(w > 0))
+    rot = expm(0.5 * met.random_eta_antisymmetric(a, seed))
+    return met.metric_from_subspace(a, rot @ frame[:, list(range(p - 1)) + [p]]).G
+
+
+def _frame_kinds(name):
+    yield "strictly_positive"
+    if name != "so3":  # eta is definite on so(3): no subspace of mixed signature
+        yield "mixed_signature"
+    if "double" in name:
+        yield from ("identity", "minus_identity")
+
+
+@pytest.mark.parametrize("make, kind", [
+    pytest.param(make, kind, id=f"{name}-{kind}") for name, make in checks.PRESETS for kind in _frame_kinds(name)
+])
+def test_adapted_frame_block_structure(make, kind):
+    a = make()
+    g = {
+        "strictly_positive": lambda: met.random_strictly_positive_metric(a, 11).G,
+        "mixed_signature": lambda: _mixed_signature_metric(a, 12),
+        "identity": lambda: np.eye(a.n),
+        "minus_identity": lambda: -np.eye(a.n),
+    }[kind]()
+    fr = met.adapted_frame(a, g)
+    q, s = fr.Q, fr.signs
+    assert np.max(np.abs(q.T @ a.eta @ q - np.diag(s))) <= 1e-14 * max(1.0, np.max(np.abs(q)) ** 2)
+    blocks = np.diag(np.r_[np.ones(fr.n_plus), -np.ones(fr.n_minus)])
+    assert np.max(np.abs(fr.Q_inv @ g @ q - blocks)) <= 1e-12 * max(1.0, np.max(np.abs(q)) * np.max(np.abs(fr.Q_inv)))
+    assert set(s) <= {1.0, -1.0}
+    for block in (s[: fr.n_plus], s[fr.n_plus :]):
+        assert np.all(np.diff(block) <= 0)  # +1 first
+    if kind == "strictly_positive":
+        assert np.array_equal(s, np.diag(blocks))
+    if kind == "mixed_signature":
+        assert {1.0, -1.0} <= set(s[: fr.n_plus]) and {1.0, -1.0} <= set(s[fr.n_plus :])
 
 
 def test_adapted_frame_empty_minus_block():

@@ -39,6 +39,20 @@ def test_connection_variation_postconditions(su2_double, graph_metric_123, rng):
     assert np.max(np.abs(A - A2)) <= 1e-12 * (1 + np.max(np.abs(A)))
 
 
+def test_connection_variation_blockwise_check_instance():
+    # grf check --seed 15, path 19: the routes differed by 7e-12 when the adapted frame
+    # came from a one-pass Gram-Schmidt that left Q^T eta Q off diag(signs) by 2.9e-12
+    a = alg.complex_double_su2(1.0)
+    sub = 436286120
+    g = met.random_strictly_positive_metric(a, sub).G
+    chi = var.path_tangent(g, met.random_eta_antisymmetric(a, sub ^ 0x77))
+    eps = np.random.default_rng(sub ^ 0x99).standard_normal(a.n)
+    D = con.levi_civita(a, g, None)
+    A = var.connection_variation(a, g, D, chi, eps)
+    A2 = var.connection_variation_blockwise(a, g, D, chi, eps)
+    assert np.max(np.abs(A - A2)) <= 1e-12
+
+
 def test_connection_variation_euler_integration(su2_double, graph_metric_123, rng):
     # Euler steps of the connection ODE along a unit-speed metric path stay
     # Levi-Civita: torsion residual stays small after 100 steps of size 1e-4.
