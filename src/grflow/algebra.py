@@ -91,9 +91,6 @@ class QuadraticLieAlgebra:
         """Matrix of ad_u = [u, .] acting on vectors."""
         return np.einsum("a,abg->gb", u, self.c_mixed)
 
-    def pair(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(u @ self.eta @ v)
-
     def norm_c_sq(self) -> float:
         """The invariant ||c||^2_eta = c_{abg} c^{abg} (can be negative or zero)."""
         return float(np.einsum("abg,abg->", self.c, self.c_up))
@@ -116,13 +113,6 @@ class Tensor:
             raise ValueError("variance record does not match tensor order")
         if any(v not in ("u", "d") for v in self.variance):
             raise ValueError("variance entries must be 'u' or 'd'")
-
-    @property
-    def order(self) -> int:
-        return self.data.ndim
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.data, dtype=dtype)
 
 
 @dataclass

@@ -6,7 +6,8 @@ identical config + seed reproduce byte-identical artifacts apart from that
 versioned header line.
 
 Exit codes: 0 success, 2 validation failure (bad config or inputs, failed
-checks), 3 numerical failure (aborted runs).
+checks), 3 numerical failure (aborted runs).  A flow or torus run hands back
+its trace whatever stops it after its first record; an ``aborted`` note makes exit 3.
 """
 
 from __future__ import annotations
@@ -199,7 +200,10 @@ def _collect_numbers(obj, acc=None):
     if isinstance(obj, bool):
         return acc
     if isinstance(obj, (int, float)):
-        acc.append(float(obj))
+        try:
+            acc.append(float(obj))
+        except OverflowError:
+            raise ConfigParseError("config contains an integer too large for a float") from None
     elif isinstance(obj, dict):
         for v in obj.values():
             _collect_numbers(v, acc)
@@ -333,17 +337,11 @@ def mode_flow(cfg, seed, out_dir):
 
 def _run_to_csv(name, run, columns, cfg, seed, out_dir):
     """Run, write ``<name>_trace.csv`` and return (trace, exit code): 0, or 3 with ``<name>_abort.json``
-    when the run did not reach T.
+    when the trace's ``aborted`` says the run did not reach T.
 
-    A runner that raises attaches its partial trace with the abort note set; an error without one
-    propagates.
+    A runner returns a trace with at least one row; an error on the initial state propagates.
     """
-    try:
-        trace = run()
-    except GrfError as exc:
-        trace = getattr(exc, "trace", None)
-        if trace is None:
-            raise
+    trace = run()
     write_csv(out_dir / f"{name}_trace.csv", _header_line(cfg, seed), columns, trace.rows())
     if trace.aborted:
         write_json(out_dir / f"{name}_abort.json", cfg, seed, {"aborted": trace.aborted, "last_t": trace.t[-1]})
@@ -373,7 +371,7 @@ def mode_torus(cfg, seed, out_dir):
     state, params = _torus_state_params(cfg, seed)
     trace, code = _run_to_csv("torus", lambda: et.run_torus_flow(state, params), et.TorusTrace.COLUMNS, cfg,
                               seed, out_dir)
-    if cfg.get("torus", {}).get("dump_fields") and trace.final_state is not None:
+    if cfg.get("torus", {}).get("dump_fields"):
         et.write_field_dump(trace.final_state, out_dir / "final_fields.grfd")
     return code
 

@@ -168,14 +168,9 @@ def dirac_square(a: QuadraticLieAlgebra) -> float:
     return -scalar_closed_form(a, np.eye(a.n), None) / 8.0
 
 
-def ricci_divergence_shift_check(a: QuadraticLieAlgebra, G, e=None, seed: int = 0) -> float:
-    """Residual of GRc(G, <e,.>) - GRc(G, 0) + 1/2 L_{Ge} G (max-abs).
-
-    ``e`` is a vector; drawn deterministically from ``seed`` when omitted.
-    """
+def ricci_divergence_shift_check(a: QuadraticLieAlgebra, G, e) -> float:
+    """Residual of GRc(G, <e,.>) - GRc(G, 0) + 1/2 L_{Ge} G (max-abs) for a vector ``e``."""
     g = _as_matrix(G)
-    if e is None:
-        e = np.random.default_rng(seed).standard_normal(a.n)
     e = np.asarray(e, dtype=float)
     d = divergence_from_vector(a, e)
     shifted = ricci(a, g, d)

@@ -2,7 +2,9 @@
 
 Errors split into two families used by the CLI exit-code mapping:
 validation errors (bad inputs, exit 2) and numerical errors
-(runs that start fine and fail midway, exit 3).
+(runs that start fine and fail midway, exit 3).  ``run_flow`` and
+``run_torus_flow`` catch a numerical error raised after their initial record
+and return the trace with its message as the abort note.
 """
 
 
@@ -54,12 +56,15 @@ class StepUnderflow(NumericalError):
     pass
 
 
-class DegenerateMetric(NumericalError):
-    """Metric lost positive definiteness on the grid."""
+class StepBudgetExhausted(NumericalError):
+    """A run used up its ``max_steps`` budget of accepted steps before reaching T."""
 
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
+    def __init__(self, max_steps: int, t: float, T: float):
+        super().__init__(f"step budget max_steps = {max_steps} used up at t = {t!r} < T = {T!r}")
+
+
+class DegenerateMetric(NumericalError):
+    """Metric lost positive definiteness (on the torus grid) or strict positivity (on the flow ODE)."""
 
 
 class EigensolverStalled(NumericalError):

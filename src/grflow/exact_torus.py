@@ -44,7 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateMetric, EigensolverStalled, StepUnderflow, ValidationError
+from .errors import (DegenerateMetric, EigensolverStalled, NumericalError, StepBudgetExhausted, StepUnderflow,
+                     ValidationError)
 
 SPD_FLOOR = 1e-8
 # spd_margin's slack, relative to max|g|, above the least closed-form eigenvalue estimate: twice the
@@ -501,31 +502,39 @@ class TorusTrace:
 
 
 def _rk4_torus(state: TorusFieldState, dt: float, rhs, k1) -> TorusFieldState:
-    """One RK4 step; every stage state goes through the constructor, which validates its own arrays."""
+    """One RK4 step; every stage state goes through the constructor, which validates its own arrays.
+    A stage it rejects means the step itself broke symmetry or finiteness: DegenerateMetric."""
     def shifted(fac, rate):
         return torus_fields(TorusFieldState(state.geom, state.g + fac * rate[0], state.B + fac * rate[1],
                                             state.phi + fac * rate[2], state.k, state.t + fac))
 
-    k2 = rhs(shifted(dt / 2, k1))
-    k3 = rhs(shifted(dt / 2, k2))
-    k4 = rhs(shifted(dt, k3))
-    return TorusFieldState(state.geom,
-                           state.g + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-                           state.B + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-                           state.phi + dt / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
-                           state.k, state.t + dt)
+    try:
+        k2 = rhs(shifted(dt / 2, k1))
+        k3 = rhs(shifted(dt / 2, k2))
+        k4 = rhs(shifted(dt, k3))
+        return TorusFieldState(state.geom,
+                               state.g + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
+                               state.B + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
+                               state.phi + dt / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
+                               state.k, state.t + dt)
+    except ValidationError as exc:
+        raise DegenerateMetric(f"RK4 stage at t = {state.t!r}: {exc}") from exc
 
 
 def run_torus_flow(state: TorusFieldState, params: TorusParams, rhs=torus_rhs) -> TorusTrace:
-    """RK4 run with diffusion-limited steps; aborts cleanly on degeneracy or a stalled lambda.
+    """RK4 run with diffusion-limited steps, returning its trace whatever stops it after the initial record.
 
     The step is dt = cfl h^2 / max_node ||g^{-1}|| recomputed per step, cut to
     land exactly on T.  Symmetry of g and antisymmetry of B are asserted for
     every RK4 stage state by its constructor (at the scale of g and of B), and
     antisymmetry of B once more after each step at the scale of g, which a
     custom ``rhs`` with a large B can still break (``torus_rhs`` keeps B
-    antisymmetric bitwise); a violation aborts with DegenerateMetric.  A run stopped by
-    ``max_steps`` before T returns with ``aborted`` set.
+    antisymmetric bitwise).  ``aborted`` is None when the run reached T and
+    otherwise says why not: lost positivity, a rejected RK4 stage or B drift
+    (DegenerateMetric), a stalled lambda solve, step underflow or the
+    ``max_steps`` budget.  ``final_state`` is the last state reached.  A failure
+    on the initial state (no positive metric, a stalled first lambda) has no
+    partial trace and raises.
     """
     trace = TorusTrace()
     st = state.copy()
@@ -548,35 +557,27 @@ def run_torus_flow(state: TorusFieldState, params: TorusParams, rhs=torus_rhs) -
         trace.B_norm.append(float(np.max(np.abs(s.B))))
         trace.phi_norm.append(float(np.max(np.abs(s.phi))))
 
+    fields = torus_fields(st)
+    record(fields)
     try:
-        fields = torus_fields(st)
-        record(fields)
-        steps = 0
-        while st.t < params.T - 1e-12 and steps < params.max_steps:
+        while st.t < params.T - 1e-12:
+            if len(trace.t) > params.max_steps:  # a row per accepted step and one for the initial state
+                raise StepBudgetExhausted(params.max_steps, st.t, params.T)
             # max diffusion coefficient: 1/lambda_max(g^{-1}) = lambda_min(g)
             dt = min(params.cfl * st.geom.h**2 * fields.margin, params.T - st.t)
             if dt < 1e-14:
                 raise StepUnderflow(f"torus step underflow at t = {st.t}")
             k1 = rhs(fields)
             del fields  # the later stages build their own records; keeping this one raises peak memory
-            try:
-                st = _rk4_torus(st, dt, rhs, k1)
-            except ValidationError as exc:  # the constructor rejected a stage: the step itself broke symmetry
-                raise DegenerateMetric(f"RK4 stage at t = {st.t!r}: {exc}") from exc
+            st = _rk4_torus(st, dt, rhs, k1)
             del k1  # likewise, before the next record and its k1
             banti = float(np.max(np.abs(st.B + np.swapaxes(st.B, -1, -2))))
             if banti > 1e-12 * max(1.0, float(np.max(np.abs(st.g)))):
                 raise DegenerateMetric(f"symmetry drift: B {banti:.2e}")
             fields = torus_fields(st)
             record(fields)
-            steps += 1
-    except (DegenerateMetric, StepUnderflow, EigensolverStalled) as exc:
+    except NumericalError as exc:
         trace.aborted = str(exc)
-        trace.final_state = st
-        exc.trace = trace
-        raise
-    if st.t < params.T - 1e-12:
-        trace.aborted = f"step budget max_steps = {params.max_steps} used up at t = {st.t!r} < T = {params.T!r}"
     trace.final_state = st
     return trace
 

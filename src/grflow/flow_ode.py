@@ -17,7 +17,8 @@ import numpy as np
 
 from .algebra import QuadraticLieAlgebra
 from .curvature import ricci_closed_form, scalar_closed_form
-from .errors import DegenerateSubspace, RetractionDiverged, StepUnderflow
+from .errors import (DegenerateMetric, DegenerateSubspace, NumericalError, RetractionDiverged, StepBudgetExhausted,
+                     StepUnderflow)
 from .metric import (
     GeneralizedPseudometric,
     _as_matrix,
@@ -129,7 +130,7 @@ def flow_step(a: QuadraticLieAlgebra, state: FlowState, params: FlowParams, dt: 
     k1 = flow_rhs(a, state) if k1 is None else k1
     while True:
         if dt < 1e-14:
-            raise StepUnderflow(f"time step underflow at t = {state.t}")
+            raise StepUnderflow(f"step underflow at t = {state.t}")
         with np.errstate(over="ignore", invalid="ignore"):
             dg, ds = _rk4_increment(a, state, dt, k1)
         if not (np.all(np.isfinite(dg)) and np.isfinite(ds)):
@@ -160,11 +161,13 @@ def soliton_residual(a: QuadraticLieAlgebra, G) -> float:
 def run_flow(a: QuadraticLieAlgebra, init: FlowState, params: FlowParams) -> FlowTrace:
     """Integrate to params.T recording diagnostics at every accepted step.
 
-    Strict positivity of the initial metric is monitored: if it fails at a
-    later step the run stops and the trace carries the abort reason (the
-    theory guarantees preservation only through smooth existence).  A run
-    stopped by ``max_steps`` before T also returns with ``aborted`` set.
-    An initial G that is no generalized pseudometric raises a validation error.
+    The trace is returned whatever stops the run after its initial record:
+    ``aborted`` is None when it reached T and otherwise says why not (step
+    underflow, the ``max_steps`` budget, or lost strict positivity, which is
+    monitored when the initial metric has it: the theory guarantees its
+    preservation only through smooth existence).  ``final_G`` is the last
+    state reached.  An initial G that is no generalized pseudometric raises a
+    validation error.
     """
     watch_positivity = GeneralizedPseudometric.from_matrix(a, init.G).strictly_positive
 
@@ -201,38 +204,30 @@ def run_flow(a: QuadraticLieAlgebra, init: FlowState, params: FlowParams) -> Flo
 
     k1 = flow_rhs(a, state)
     record(state, k1, 0.0)
-    steps = 0
-    while state.t < params.T - 1e-12 and steps < params.max_steps:
-        dt = min(params.dt, params.T - state.t)
-        try:
-            new_state = flow_step(a, state, params, dt, k1)
-        except StepUnderflow as exc:
-            trace.aborted = f"step underflow at t = {state.t}"
-            trace.final_G = state.G
-            exc.trace = trace
-            raise
-        if watch_positivity:
-            pairing = a.eta @ new_state.G
-            if np.min(np.linalg.eigvalsh((pairing + pairing.T) / 2)) <= 0:
-                trace.aborted = f"strict positivity lost at t = {new_state.t}"
-                break
-        k1 = flow_rhs(a, new_state)
-        record(new_state, k1, new_state.t - state.t)
-        state = new_state
-        steps += 1
-    if trace.aborted is None and state.t < params.T - 1e-12:
-        trace.aborted = (f"step budget max_steps = {params.max_steps} used up "
-                         f"at t = {state.t!r} < T = {params.T!r}")
+    try:
+        while state.t < params.T - 1e-12:
+            if len(trace.t) > params.max_steps:  # a row per accepted step and one for the initial state
+                raise StepBudgetExhausted(params.max_steps, state.t, params.T)
+            new_state = flow_step(a, state, params, min(params.dt, params.T - state.t), k1)
+            if watch_positivity:
+                pairing = a.eta @ new_state.G
+                if np.min(np.linalg.eigvalsh((pairing + pairing.T) / 2)) <= 0:
+                    raise DegenerateMetric(f"strict positivity lost at t = {new_state.t}")
+            k1 = flow_rhs(a, new_state)
+            record(new_state, k1, new_state.t - state.t)
+            state = new_state
+    except NumericalError as exc:
+        trace.aborted = str(exc)
     trace.final_G = state.G
     return trace
 
 
-def euler_reference(a: QuadraticLieAlgebra, G0: np.ndarray, T: float, dt: float, retract_tol: float = 1e-10) -> np.ndarray:
+def euler_reference(a: QuadraticLieAlgebra, G0: np.ndarray, T: float, dt: float) -> np.ndarray:
     """Explicit-Euler integration of the metric equation (oracle for RK4)."""
     g = np.asarray(G0, dtype=float).copy()
     t = 0.0
     while t < T - 1e-12:
         step = min(dt, T - t)
-        g = involution_retract(g - 2.0 * step * ricci_closed_form(a, g), retract_tol)
+        g = involution_retract(g - 2.0 * step * ricci_closed_form(a, g))
         t += step
     return g

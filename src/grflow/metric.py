@@ -260,7 +260,7 @@ def random_eta_antisymmetric(a: QuadraticLieAlgebra, seed: int) -> np.ndarray:
     return a.eta_inv @ (w - w.T)
 
 
-def random_strictly_positive_metric(a: QuadraticLieAlgebra, seed: int, spread: float = 0.8) -> GeneralizedPseudometric:
+def random_strictly_positive_metric(a: QuadraticLieAlgebra, seed: int) -> GeneralizedPseudometric:
     """Random strictly positive G, deterministic in the seed.
 
     Works in an eta-orthonormal frame: V+ is the graph of a contraction K
@@ -279,7 +279,7 @@ def random_strictly_positive_metric(a: QuadraticLieAlgebra, seed: int, spread: f
     k = rng.standard_normal((q, p))
     sv = np.linalg.svd(k, compute_uv=False)
     if sv[0] > 0:
-        k *= spread * rng.uniform(0.3, 1.0) / sv[0]
+        k *= 0.8 * rng.uniform(0.3, 1.0) / sv[0]
     v_plus = frame[:, :p] + frame[:, p:] @ k
     return metric_from_subspace(a, v_plus)
 

@@ -28,3 +28,15 @@ def graph_metric_123(su2_double):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def stopped_short():
+    """Asserts that a returned run trace says why it stopped short of T (``note`` in ``aborted``) and holds
+    whole rows: at least one, and every column as long as ``t``."""
+    def check(trace, note):
+        assert trace.aborted is not None and note in trace.aborted
+        columns = [value for value in vars(trace).values() if isinstance(value, list)]
+        assert len(trace.t) >= 1 and {len(column) for column in columns} == {len(trace.t)}
+
+    return check

@@ -16,7 +16,6 @@ from grflow import curvature as cur
 from grflow import exact_torus as et
 from grflow import flow_ode as fl
 from grflow import metric as met
-from grflow.errors import StepUnderflow
 
 SEED = 2024
 
@@ -108,7 +107,7 @@ def test_criterion_4_identity_suite():
 
 
 def test_criterion_5_variation_fd_convergence():
-    res = checks.run_variation_checks(seed=SEED + 3, paths=20)
+    res = checks.run_variation_checks(seed=SEED + 3)
     by_name = {r.name: r for r in res}
     rs = by_name["fd_ratio_scalar_variation"]
     rr = by_name["fd_ratio_ricci_variation"]
@@ -121,12 +120,10 @@ def test_criterion_6_ode_monotonicity():
     t0 = time.time()
     a = alg.cotangent_double(alg.su2_structure())
     gm = met.metric_from_graph(a, np.diag([1.0, 2.0, 3.0]))
-    try:
-        tr = fl.run_flow(a, fl.FlowState(0.0, gm.G, 0.0), fl.FlowParams(dt=1e-3, T=10.0))
-    except StepUnderflow as exc:
-        # the exact solution is a shrinking SU(2) Ricci-type flow with finite
-        # extinction time ~1.89; the run covers the maximal computed interval
-        tr = exc.trace
+    # the exact solution is a shrinking SU(2) Ricci-type flow with finite extinction
+    # time ~1.89; the run stops by step underflow and its trace covers the maximal
+    # computed interval
+    tr = fl.run_flow(a, fl.FlowState(0.0, gm.G, 0.0), fl.FlowParams(dt=1e-3, T=10.0))
     elapsed = time.time() - t0
     gr = np.array(tr.GR)
     rc2 = np.array(tr.normRc2)
@@ -157,10 +154,11 @@ def test_criterion_7_stationary_flows():
     gm = met.random_strictly_positive_metric(ab, SEED)
     tr2 = fl.run_flow(ab, fl.FlowState(0.0, gm.G, 0.0), fl.FlowParams(dt=1e-3, T=10.0))
     drift_ab = float(np.max(np.abs(tr2.final_G - gm.G)))
-    ok = drift_id <= 1e-10 and drift_ab <= 1e-10 and slope_err <= 1e-8
+    reached = tr.aborted is None and tr2.aborted is None
+    ok = reached and drift_id <= 1e-10 and drift_ab <= 1e-10 and slope_err <= 1e-8
     _verdict(7, "stationary flows and log-sigma slope", ok,
              f"G=Id drift {drift_id:.2e}, abelian drift {drift_ab:.2e} (tol 1e-10), "
-             f"slope error {slope_err:.2e} (tol 1e-8)")
+             f"slope error {slope_err:.2e} (tol 1e-8), both runs reach T: {reached}")
 
 
 @pytest.fixture(scope="module")
@@ -179,10 +177,10 @@ def test_criterion_8_torus_benchmark(torus_benchmark_run):
     g_err = float(np.max(np.abs(tr.final_state.g / f_exact - eye)))
     ts = np.array(tr.t)
     minr_err = float(np.max(np.abs(np.array(tr.minR) + 1.0 / (2 * (1 + 3 * ts)))))
-    ok = g_err <= 1e-4 and minr_err <= 1e-4 and elapsed < 300
+    ok = tr.aborted is None and g_err <= 1e-4 and minr_err <= 1e-4 and elapsed < 300
     _verdict(8, "torus homogeneous benchmark at 16^3", ok,
              f"relative g error {g_err:.2e}, min scalar error {minr_err:.2e} (tol 1e-4), "
-             f"runtime {elapsed:.1f}s (< 300s)")
+             f"runtime {elapsed:.1f}s (< 300s), aborted: {tr.aborted}")
 
 
 def test_criterion_9_torus_lambda_monotonicity(torus_benchmark_run):
@@ -200,14 +198,17 @@ def test_criterion_9_torus_lambda_monotonicity(torus_benchmark_run):
     lam_flat = et.lambda_torus(et.torus_fields(et.flat_state(geom, 0.0)))
     lam_flux = lam_b[0]
     ok = (
-        drift_b <= 1e-6
+        bench.aborted is None
+        and pert.aborted is None
+        and drift_b <= 1e-6
         and drift_p <= 1e-6
         and abs(lam_flat) <= 1e-6
         and abs(lam_flux + 0.5) <= 1e-6
     )
     _verdict(9, "torus lambda monotonicity and spot values", ok,
              f"benchmark drift {drift_b:.2e}, perturbed drift {drift_p:.2e} (tol 1e-6/unit time), "
-             f"lambda(flat) {lam_flat:.2e}, lambda(k=1) {lam_flux!r} (expect -0.5)")
+             f"lambda(flat) {lam_flat:.2e}, lambda(k=1) {lam_flux!r} (expect -0.5), "
+             f"aborted: {bench.aborted} / {pert.aborted}")
 
 
 def test_criterion_10_discrete_structure():
@@ -226,8 +227,8 @@ def test_criterion_10_discrete_structure():
 
     ratios = checks.spatial_convergence_ratios(SEED + 7)
     conv_ok = all(8.0 <= ratios[k] <= 32.0 for k in ("g", "B", "phi"))
-    ok = ddb_res <= 1e-13 and sym_res <= 1e-12 and anti_res <= 1e-12 and conv_ok
+    ok = run.aborted is None and ddb_res <= 1e-13 and sym_res <= 1e-12 and anti_res <= 1e-12 and conv_ok
     _verdict(10, "discrete structure (d dB = 0, symmetry preservation, 4th-order convergence)", ok,
              f"d(dB) {ddb_res:.2e}, g-symmetry {sym_res:.2e}, B-antisymmetry {anti_res:.2e}, "
              f"convergence factors g {ratios['g']:.1f} / B {ratios['B']:.1f} / phi {ratios['phi']:.1f} "
-             f"(expect about 16, band [8, 32])")
+             f"(expect about 16, band [8, 32]), aborted: {run.aborted}")

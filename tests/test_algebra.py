@@ -121,7 +121,7 @@ def test_bracket_matches_structure_tensor(su2_double, rng):
     u = rng.standard_normal(6)
     v = rng.standard_normal(6)
     w = rng.standard_normal(6)
-    lhs = su2_double.pair(su2_double.bracket(u, v), w)
+    lhs = float(su2_double.bracket(u, v) @ su2_double.eta @ w)
     rhs = float(np.einsum("a,b,g,abg->", u, v, w, su2_double.c))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from grflow import cli
-from grflow.errors import ConfigParseError, EigensolverStalled
+from grflow.errors import ConfigParseError, EigensolverStalled, StepUnderflow
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -57,6 +57,13 @@ def test_nonfinite_rejected(tmp_path):
     path.write_text('{"mode": "flow", "flow": {"dt": NaN}}')
     with pytest.raises(ConfigParseError):
         cli.load_config(path)
+
+
+@pytest.mark.parametrize("cfg", [{"mode": "flow", "seed": 10**400}, {"mode": "torus", "torus": {"N": 10**400}}])
+def test_integer_too_large_for_float_exit_2(tmp_path, capsys, cfg):
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main([cfg["mode"], "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "too large for a float" in capsys.readouterr().err
 
 
 def test_mode_mismatch(tmp_path):
@@ -181,6 +188,18 @@ def test_torus_lambda_stall_exit_3(tmp_path, monkeypatch):
     assert len(lines) == 3 and float(lines[2].split(",")[3]) == pytest.approx(-0.5, abs=1e-12)
 
 
+def test_torus_first_lambda_stall_exit_3(tmp_path, monkeypatch, capsys):
+    # a stall on the initial state leaves no row to write: a numerical failure, not a traceback
+    def stalls(*args, **kwargs):
+        raise EigensolverStalled("lambda solver stalled at weighted residual 1.000e-03")
+
+    monkeypatch.setattr(cli.et, "lambda_torus", stalls)
+    path = write_cfg(tmp_path, {"mode": "torus", "torus": {"d": 3, "N": 8, "k": 1.0, "T": 0.3, "init": "flat"}})
+    assert cli.main(["torus", "--config", str(path), "--out", str(tmp_path)]) == 3
+    assert "numerical failure: lambda solver stalled" in capsys.readouterr().err
+    assert not (tmp_path / "torus_abort.json").exists()
+
+
 def test_torus_mode(tmp_path):
     cfg = {
         "mode": "torus",
@@ -213,6 +232,20 @@ def test_check_mode_small(tmp_path):
     rep = json.loads((tmp_path / "check_report.json").read_text())
     assert rep["failures"] == 0
     assert all(c["passed"] for c in rep["checks"])
+
+
+def test_check_mode_planted_abort_fails(tmp_path, monkeypatch):
+    # flow runs that stop short fail the checks read from them, at worst = inf, and the command exits 3
+    def planted(a, state, *args):
+        raise StepUnderflow(f"step underflow at t = {state.t}")
+
+    monkeypatch.setattr(cli.fl, "flow_step", planted)
+    path = write_cfg(tmp_path, {"mode": "check", "check": {"scope": "algebraic", "instances": 4}})
+    assert cli.run_config(path, seed=5, out=tmp_path) == 3
+    rep = json.loads((tmp_path / "check_report.json").read_text())
+    failed = {c["name"]: c["worst"] for c in rep["checks"] if not c["passed"]}
+    assert failed == dict.fromkeys(("flow_identity_stationary", "flow_log_sigma_slope", "flow_abelian_stationary"),
+                                   float("inf"))
 
 
 def test_check_determinism(tmp_path):

@@ -74,16 +74,15 @@ def test_perturbed_state_rejects_nonfinite_fields(geom8, amplitude):
 
 
 @pytest.mark.parametrize("slot", [0, 1, 2])
-def test_nonfinite_stage_aborts_with_trace(geom8, slot):
+def test_nonfinite_stage_aborts_with_trace(geom8, slot, stopped_short):
     # a right side that goes NaN is stopped at the stage state it builds, with a note and a row
     def blows_up(fields):
         rates = list(et.torus_rhs(fields))
         rates[slot] = np.full_like(rates[slot], np.nan)
         return tuple(rates)
 
-    with pytest.raises(DegenerateMetric, match="RK4 stage") as exc_info:
-        et.run_torus_flow(et.perturbed_state(geom8, 2, amplitude=0.05, k=0.5), et.TorusParams(T=0.1), rhs=blows_up)
-    tr = exc_info.value.trace
+    tr = et.run_torus_flow(et.perturbed_state(geom8, 2, amplitude=0.05, k=0.5), et.TorusParams(T=0.1), rhs=blows_up)
+    stopped_short(tr, "RK4 stage")
     assert "must be finite" in tr.aborted and len(tr.t) == 1 and tr.final_state.t == 0.0
 
 
@@ -333,7 +332,7 @@ def test_div_h_matches_divergence_form():
     assert 8.0 <= checks.div_h_convergence_ratio(11) <= 32.0
 
 
-def test_rk4_stage_state_is_validated(geom8):
+def test_rk4_stage_state_is_validated(geom8, stopped_short):
     # a right side that breaks the symmetry of g is stopped at the first stage state it builds
     calls = []
 
@@ -342,13 +341,13 @@ def test_rk4_stage_state_is_validated(geom8):
         dg, db, dphi = et.torus_rhs(fields)
         return dg + np.array([[0.0, 1e-3, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), db, dphi
 
-    with pytest.raises(DegenerateMetric, match="RK4 stage") as exc_info:
-        et.run_torus_flow(et.perturbed_state(geom8, 2, amplitude=0.05), et.TorusParams(T=0.1), rhs=skewed)
+    tr = et.run_torus_flow(et.perturbed_state(geom8, 2, amplitude=0.05), et.TorusParams(T=0.1), rhs=skewed)
+    stopped_short(tr, "RK4 stage")
     assert len(calls) == 1
-    assert len(exc_info.value.trace.t) == 1 and "symmetric" in exc_info.value.trace.aborted
+    assert len(tr.t) == 1 and "symmetric" in tr.aborted
 
 
-def test_run_step_check_catches_b_drift(geom8):
+def test_run_step_check_catches_b_drift(geom8, stopped_short):
     # the per-step test of B runs at the scale of g: with max|B| ~ 100 a drift of ~1e-11 passes the
     # constructor's bound (1e-12 max|B|) and is stopped there
     calls = []
@@ -360,9 +359,9 @@ def test_run_step_check_catches_b_drift(geom8):
 
     st = et.perturbed_state(geom8, 2, amplitude=0.05)
     st.B += 100.0 * (np.outer([1, 0, 0], [0, 1, 0]) - np.outer([0, 1, 0], [1, 0, 0]))  # constant: h unchanged
-    with pytest.raises(DegenerateMetric, match="symmetry drift: B") as exc_info:
-        et.run_torus_flow(st, et.TorusParams(T=0.5, compute_lambda=False), rhs=skewed)
-    assert len(calls) == 4 and len(exc_info.value.trace.t) == 1
+    tr = et.run_torus_flow(st, et.TorusParams(T=0.5, compute_lambda=False), rhs=skewed)
+    stopped_short(tr, "symmetry drift: B")
+    assert len(calls) == 4 and len(tr.t) == 1
 
 
 @settings(max_examples=20, deadline=None)
@@ -373,17 +372,14 @@ def test_run_torus_flow_terminal_states(seed, d, amplitude, k, T, max_steps):
     # bitwise and g symmetric, and lambda never falls on modes the grid resolves (kmax = 1: 8 nodes a period)
     geom = et.TorusGeometry(d, 8)
     st = et.perturbed_state(geom, seed, amplitude=amplitude, k=k if d == 3 else 0.0, kmax=1)
-    try:
-        tr = et.run_torus_flow(st, et.TorusParams(T=T, max_steps=max_steps))
-    except EigensolverStalled as exc:
-        tr = exc.trace
-        assert "stalled" in tr.aborted and tr.final_state.t > tr.t[-1]
+    tr = et.run_torus_flow(st, et.TorusParams(T=T, max_steps=max_steps))
+    if tr.aborted is None:
+        assert tr.final_state.t == tr.t[-1] and tr.t[-1] == pytest.approx(T, abs=1e-12)
+    elif "stalled" in tr.aborted:
+        assert tr.final_state.t > tr.t[-1]
     else:
         assert tr.final_state.t == tr.t[-1]
-        if tr.aborted is None:
-            assert tr.t[-1] == pytest.approx(T, abs=1e-12)
-        else:
-            assert f"max_steps = {max_steps}" in tr.aborted and tr.t[-1] < T and len(tr.t) == max_steps + 1
+        assert f"max_steps = {max_steps}" in tr.aborted and tr.t[-1] < T and len(tr.t) == max_steps + 1
     assert len({len(column) for column in (tr.t, tr.minR, tr.meanR, tr.lam, tr.spd_margin, tr.g_norm, tr.B_norm,
                                            tr.phi_norm)}) == 1
     fs = tr.final_state
@@ -411,6 +407,18 @@ def test_torus_check_suite_passes():
     assert {"torus_anisotropic_flux_closed_form", "torus_single_mode_B_exact", "torus_div_h_divergence_form",
             "torus_translation_commutes", "torus_permutation_commutes", "torus_reflection_commutes"} <= names
     assert len(results) == 17
+
+
+def test_torus_check_suite_fails_on_planted_abort(monkeypatch):
+    # every check read from a run fails when the run stops short, not only those partial data would fail
+    def planted(state, *args):
+        raise DegenerateMetric(f"planted at t = {state.t!r}")
+
+    monkeypatch.setattr(et, "_rk4_torus", planted)
+    failed = {r.name for r in checks.run_torus_checks(N=8) if not r.passed}
+    assert failed == {"torus_homogeneous_benchmark_g", "torus_homogeneous_benchmark_minR",
+                      "torus_lambda_monotone_benchmark", "torus_lambda_monotone_perturbed",
+                      "torus_min_scalar_monotone_perturbed", "torus_spatial_convergence_g"}
 
 
 def test_rhs_degenerate_metric(geom8):
@@ -520,17 +528,17 @@ def test_field_dump_roundtrip(tmp_path, geom8):
     assert np.array_equal(data["phi"], st.phi)
 
 
-def test_degenerate_abort_carries_trace(geom8):
-    st = et.flat_state(geom8, 0.0)
-    st.g *= 0.01
-    st.phi[:] = 0.0
-    # shrink towards degeneracy: strong negative curvature direction is absent,
-    # so force degeneracy via an aggressive manual field instead
-    st2 = et.perturbed_state(geom8, 1, amplitude=0.05)
-    st2.g *= 1e-7 / np.max(np.abs(st2.g))
-    with pytest.raises(DegenerateMetric) as exc_info:
-        et.run_torus_flow(st2, et.TorusParams(T=0.1, cfl=0.2))
-    assert exc_info.value.trace is not None
+def test_degenerate_abort_carries_trace(geom8, stopped_short):
+    # g near degeneracy (min eigenvalue 7.6e-8) loses positivity within the first step: the trace is
+    # returned; g below SPD_FLOOR from the start leaves no partial trace and raises
+    st = et.perturbed_state(geom8, 1, amplitude=0.05)
+    st.g *= 1e-7 / np.max(np.abs(st.g))
+    tr = et.run_torus_flow(st, et.TorusParams(T=0.1, cfl=0.2))
+    stopped_short(tr, "metric lost positivity")
+    assert len(tr.t) == 1 and tr.final_state.t == 0.0
+    st.g *= 0.05
+    with pytest.raises(DegenerateMetric, match="lost positivity"):
+        et.run_torus_flow(st, et.TorusParams(T=0.1, cfl=0.2))
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -565,10 +573,11 @@ def test_eh_density_builds_one_record(monkeypatch, geom8):
     assert len(records) == 1 and len(gammas) == 1
 
 
-def test_max_steps_marks_abort(geom8):
+def test_max_steps_marks_abort(geom8, stopped_short):
     tr = et.run_torus_flow(et.flat_state(geom8), et.TorusParams(T=1.0, cfl=0.2, max_steps=2))
+    stopped_short(tr, "max_steps = 2")
     assert len(tr.t) == 3 and tr.t[-1] < 1.0
-    assert "max_steps = 2" in tr.aborted and repr(tr.t[-1]) in tr.aborted
+    assert repr(tr.t[-1]) in tr.aborted
 
 
 def test_flat_inverse_inverts_flat_operator(rng):
@@ -670,7 +679,7 @@ def test_lambda_warm_start_stall_retried_from_constant():
     assert np.all(np.diff(tr.lam) >= 0.0)
 
 
-def test_lambda_stall_keeps_partial_trace(monkeypatch, geom8):
+def test_lambda_stall_keeps_partial_trace(monkeypatch, geom8, stopped_short):
     solve = et.lambda_torus
     calls = []
 
@@ -681,11 +690,9 @@ def test_lambda_stall_keeps_partial_trace(monkeypatch, geom8):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(et, "lambda_torus", stalls_second)
-    with pytest.raises(EigensolverStalled) as exc_info:
-        et.run_torus_flow(et.flat_state(geom8, k=1.0), et.TorusParams(T=0.3, cfl=0.2))
-    tr = exc_info.value.trace
-    assert "stalled" in tr.aborted
-    assert len(tr.t) == len(tr.lam) == len(tr.minR) == len(tr.phi_norm) == 1  # no half-written row
+    tr = et.run_torus_flow(et.flat_state(geom8, k=1.0), et.TorusParams(T=0.3, cfl=0.2))
+    stopped_short(tr, "stalled")
+    assert len(tr.t) == 1  # no half-written row
     assert tr.final_state.t > tr.t[-1]
 
 

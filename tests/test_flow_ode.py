@@ -7,7 +7,7 @@ from grflow import algebra as alg
 from grflow import flow_ode as fl
 from grflow import metric as met
 from grflow.curvature import ricci, scalar
-from grflow.errors import DegenerateSubspace, ForbiddenRank, RetractionDiverged, StepUnderflow
+from grflow.errors import DegenerateSubspace, ForbiddenRank, RetractionDiverged
 
 
 def test_flow_rhs_abelian_zero():
@@ -124,15 +124,11 @@ def test_run_flow_rejects_invalid_initial_metric_as_bad_input():
         fl.run_flow(alg.so3(1.0), fl.FlowState(0.0, g, 0.0), fl.FlowParams(dt=1e-3, T=0.1))
 
 
-def test_run_flow_underflow_carries_trace(su2_double, graph_metric_123):
+def test_run_flow_underflow_carries_trace(su2_double, graph_metric_123, stopped_short):
     # the su(2) Ricci-type flow becomes extinct near t = 1.9; requesting a
-    # longer horizon must abort by step underflow with the trace attached
-    with pytest.raises(StepUnderflow) as exc_info:
-        fl.run_flow(
-            su2_double, fl.FlowState(0.0, graph_metric_123.G, 0.0), fl.FlowParams(dt=5e-3, T=10.0)
-        )
-    tr = exc_info.value.trace
-    assert tr.aborted is not None and "underflow" in tr.aborted
+    # longer horizon stops by step underflow and returns the trace with the note
+    tr = fl.run_flow(su2_double, fl.FlowState(0.0, graph_metric_123.G, 0.0), fl.FlowParams(dt=5e-3, T=10.0))
+    stopped_short(tr, f"step underflow at t = {tr.t[-1]}")
     assert tr.t[-1] > 1.5
     gr = np.array(tr.GR)
     assert np.all(np.diff(gr) >= -1e-8 * (1 + np.abs(gr[:-1])))
@@ -174,10 +170,28 @@ def test_run_flow_pseudometric_permitted(su2_double):
     assert np.all(np.isfinite(tr.GR))
 
 
-def test_run_flow_max_steps_marks_abort():
+def test_run_flow_max_steps_marks_abort(stopped_short):
     tr = fl.run_flow(alg.so3(1.0), fl.FlowState(0.0, np.eye(3), 0.0), fl.FlowParams(dt=1e-3, T=1.0, max_steps=5))
+    stopped_short(tr, "max_steps = 5")
     assert len(tr.t) == 6 and tr.t[-1] < 1.0
-    assert "max_steps = 5" in tr.aborted and repr(tr.t[-1]) in tr.aborted
+    assert repr(tr.t[-1]) in tr.aborted
+
+
+def test_run_flow_positivity_loss_returns_trace(monkeypatch, su2_double, graph_metric_123, stopped_short):
+    # a step that lands on -G (an involution, but eta G is negative definite) stops the run before that
+    # state is recorded; final_G is the last state reached
+    step = fl.flow_step
+    steps = []
+
+    def flips_third(*args, **kwargs):
+        new = step(*args, **kwargs)
+        steps.append(new)
+        return fl.FlowState(new.t, -new.G, new.log_sigma) if len(steps) == 3 else new
+
+    monkeypatch.setattr(fl, "flow_step", flips_third)
+    tr = fl.run_flow(su2_double, fl.FlowState(0.0, graph_metric_123.G, 0.0), fl.FlowParams(dt=1e-2, T=1.0))
+    stopped_short(tr, f"strict positivity lost at t = {steps[2].t}")
+    assert len(tr.t) == 3 and np.array_equal(tr.final_G, steps[1].G)
 
 
 def _record_calls(monkeypatch, name):
@@ -234,10 +248,7 @@ def test_run_flow_terminal_states(seed, dt, max_steps):
     # a run reaches T, or says it did not; either way GR never falls
     T = 0.5
     gm = met.random_strictly_positive_metric(_SU2_DOUBLE, seed)
-    try:
-        tr = fl.run_flow(_SU2_DOUBLE, fl.FlowState(0.0, gm.G, 0.0), fl.FlowParams(dt=dt, T=T, max_steps=max_steps))
-    except StepUnderflow as exc:
-        tr = exc.trace
+    tr = fl.run_flow(_SU2_DOUBLE, fl.FlowState(0.0, gm.G, 0.0), fl.FlowParams(dt=dt, T=T, max_steps=max_steps))
     if tr.aborted is None:
         assert tr.t[-1] >= T - 1e-12
     else:
