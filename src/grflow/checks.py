@@ -368,6 +368,10 @@ def run_torus_checks(seed: int = 0, N: int = 16) -> list[CheckResult]:
     perm = max(symmetry_residual(sym, perm=(1, 0, 2)), symmetry_residual(sym, perm=(1, 2, 0)))
     results.append(_result("torus_permutation_commutes", perm, 1e-12, "swap (0 1) and cycle (0 1 2)"))
     results.append(_result("torus_reflection_commutes", symmetry_residual(sym, signs=(-1, 1, 1)), 1e-12))
+    diffeo = diffeomorphism_convergence_ratios(seed + 12)
+    for key in ("g", "phi", "ricci"):
+        results.append(_band_result(f"torus_diffeomorphism_{key}", diffeo[key], 8.0, 32.0, "expect about 16"))
+    results.append(_result("torus_b_gauge_invariant", b_gauge_residual(geom, seed + 13), 1e-12))
     return results
 
 
@@ -459,6 +463,64 @@ def div_h_convergence_ratio(seed: int) -> float:
         div = et.div(geom, w[..., None, None, None] * h_up) / w[..., None, None]
         err.append(float(np.max(np.abs(db - np.einsum("...ia,...jb,...ab->...ij", st.g, st.g, div)))))
     return err[0] / err[1] if err[1] > 0 else float("inf")
+
+
+def diffeomorphism_convergence_ratios(seed: int) -> dict:
+    """Error factors, N = 16 -> 32, of dt g, dt phi and Rc at a flat state pulled back by a smooth diffeomorphism.
+
+    psi(x) = x + a (sin x1, sin x2, sin x0), a = 0.25, is a periodic diffeomorphism of T^3 with Jacobian
+    J (det J = 1 + a^3 cos x0 cos x1 cos x2 > 0). With g0 constant and not diagonal, phi0 = 0.3 sin(m.x),
+    m = (1, 2, 1), B = 0 and k = 0, the state g = J^T g0 J, phi = phi0 o psi is the pullback of
+    (g0, phi0) by a Courant isometry, so Rc = 0 and
+
+        dt g = J^T (-4 dd phi0 o psi) J,   dt phi = (g0^ij d_i d_j phi0 - 2 |d phi0|^2_g0) o psi,
+
+    closed forms with no interpolation. Unlike the lattice maps, psi makes Gamma, its derivatives and
+    its products nonzero, and every term of the right side enters. Each error falls by about 16 when h
+    halves; a wrong sign on a Gamma term leaves an O(1) error and a factor near 1. A factor is inf when
+    the finer error is 0.
+    """
+    a, amp, m = 0.25, 0.3, np.array([1.0, 2.0, 1.0])
+    g0 = constant_anisotropic_metric(seed)
+    gi0 = np.linalg.inv(g0)
+    err = {"g": [], "phi": [], "ricci": []}
+    for n in (16, 32):
+        geom = et.TorusGeometry(3, n, 2 * np.pi)
+        x = geom.grids()
+        theta = sum(mi * y for mi, y in zip(m, (x[0] + a * np.sin(x[1]), x[1] + a * np.sin(x[2]),
+                                                  x[2] + a * np.sin(x[0]))))
+        jac = np.broadcast_to(np.eye(3), geom.shape + (3, 3)).copy()  # J[a, b] = d_b psi_a
+        jac[..., 0, 1], jac[..., 1, 2], jac[..., 2, 0] = a * np.cos(x[1]), a * np.cos(x[2]), a * np.cos(x[0])
+        jac_t = np.swapaxes(jac, -1, -2)
+        g = jac_t @ g0 @ jac
+        g = 0.5 * (g + np.swapaxes(g, -1, -2))
+        fields = et.torus_fields(et.TorusFieldState(geom, g, np.zeros_like(g), amp * np.sin(theta), 0.0))
+        dg, _, dphi = et.torus_rhs(fields)
+        hess0 = -amp * np.sin(theta)[..., None, None] * np.outer(m, m)  # (dd phi0) o psi
+        grad0 = amp * np.cos(theta)[..., None] * m  # (d phi0) o psi
+        exact_dphi = (np.einsum("ij,...ij->...", gi0, hess0)
+                      - 2.0 * np.einsum("...i,ij,...j->...", grad0, gi0, grad0))
+        err["g"].append(float(np.max(np.abs(dg + 4.0 * (jac_t @ hess0 @ jac)))))
+        err["phi"].append(float(np.max(np.abs(dphi - exact_dphi))))
+        err["ricci"].append(float(np.max(np.abs(fields.rc))))
+    return {key: e[0] / e[1] if e[1] > 0 else float("inf") for key, e in err.items()}
+
+
+def b_gauge_residual(geom: et.TorusGeometry, seed: int) -> float:
+    """How far ``torus_rhs`` moves under the B-field transform B -> B + d beta, beta a smooth periodic 1-form.
+
+    d beta is closed, and the discrete d o d vanishes to round-off, so h = k + div(*B) is unchanged, and
+    with it dt g, dt B and dt phi, which read B only through h. Returns the largest change of each field
+    relative to its largest value, on a perturbed state with flux.
+    """
+    rng = np.random.default_rng(seed)
+    st = et.perturbed_state(geom, seed, amplitude=0.05, k=0.5, kmax=1)
+    xs = geom.grids()
+    beta = np.stack([sum(rng.uniform(-0.3, 0.3) * np.sin(xs[b] + rng.uniform(0.0, 2.0 * np.pi)) for b in range(3))
+                     for _ in range(3)], axis=-1)
+    moved = et.TorusFieldState(geom, st.g, st.B + et.exterior_derivative(geom, beta, 1), st.phi, st.k, st.t)
+    return max(_relative_error(x, y) for x, y in zip(et.torus_rhs(et.torus_fields(moved)),
+                                                      et.torus_rhs(et.torus_fields(st))))
 
 
 def _pullback(f: np.ndarray, grid: int, perm, signs, shift) -> np.ndarray:

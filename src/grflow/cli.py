@@ -3,7 +3,10 @@
 One JSON config schema serves every mode; unknown keys are rejected.  Output
 files embed the package version and a SHA-256 of the canonical config, so
 identical config + seed reproduce byte-identical artifacts apart from that
-versioned header line.
+versioned header line.  JSON artifacts are strict JSON: a non-finite float
+(a check's worst of inf, say) is written as the string "Infinity",
+"-Infinity" or "NaN", which ``float()`` reads back; CSV traces keep
+``repr(float)``, so inf, -inf and nan there.
 
 Exit codes: 0 success, 2 validation failure (bad config or inputs, failed
 checks), 3 numerical failure (aborted runs).  A flow or torus run hands back
@@ -16,6 +19,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -276,11 +280,22 @@ def write_csv(path: Path, header: str, columns, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _strict_json(x):
+    """x with every non-finite float, however deeply nested, as the string "Infinity", "-Infinity" or "NaN"."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return "NaN" if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
+    if isinstance(x, dict):
+        return {k: _strict_json(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_strict_json(v) for v in x]
+    return x
+
+
 def write_json(path: Path, cfg: dict, seed: int, body: dict) -> None:
     doc = {"version": __version__, "config_sha256": config_hash(cfg), "seed": seed}
     doc.update(body)
     with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(_strict_json(doc), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

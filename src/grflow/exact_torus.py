@@ -17,8 +17,10 @@ algebraic identity of a top form in 3D (eps the coordinate symbol, v_l = Gamma^m
     X^k = g^{kl} (d_l h - h (v_l + 2 d_l phi)).
 
 Discretization: 4th-order central differences on a uniform periodic grid.
-``deriv`` is the only stencil: ``grad`` stacks its partials with the derivative
-index first among the component axes, and ``div`` contracts that index again.
+``deriv`` is the only stencil: one wrapped copy of the field, two nodes longer
+at each end, read through four slice views (no ``np.roll`` copies). ``grad``
+stacks its partials with the derivative index first among the component axes,
+and ``div`` contracts that index again.
 The Laplace-Beltrami operator is kept in divergence form, which makes it
 exactly self-adjoint for the discrete dV-weighted inner product (central
 difference matrices are antisymmetric circulants): lambda_torus's eigenproblem
@@ -26,7 +28,12 @@ difference matrices are antisymmetric circulants): lambda_torus's eigenproblem
 
 Geometry is built once per state: state -> ``torus_fields`` -> a read-only
 ``TorusFields`` record (positivity margin, g^-1, sqrt(det g), Gamma, Rc, h, |H|^2)
-that the right sides, the scalar field and lambda all read.
+that the right sides, the scalar field and lambda all read. Within it each
+independent component is differentiated once: g and Gamma^k_ij are symmetric in
+ij, so ``christoffel`` takes the partials of the d(d+1)/2 upper-triangle pairs
+of g and ``ricci_tensor`` takes d_k Gamma^k_ij on those pairs only (``_SYM``'s
+index tables), 18 scalar stencils each instead of 27 at d = 3; both expand to
+full (i, j) slots once, at the end.
 
 Contractions run in one fixed order: ``_PAIR``-planned einsum or batched matmul for
 the batched 3 x 3 products, a plain einsum for the cheap vector ones. g^-1 and det g
@@ -34,7 +41,9 @@ are closed-form cofactors (``inverse_and_det``), so g^-1 is symmetric bitwise.
 
 The positivity margin (``TorusFieldState.spd_margin``, every stage) is the grid minimum
 of ``eigvalsh`` bit for bit, but ``eigvalsh`` runs only on the few nodes that a
-closed-form lowest-eigenvalue screen (``lowest_eig_estimate``) cannot rule out.
+closed-form lowest-eigenvalue screen (``lowest_eig_estimate``) cannot rule out,
+and on one matrix when those candidates are all bitwise equal, as every node of a
+spatially constant metric (each flat start) is.
 """
 
 from __future__ import annotations
@@ -90,13 +99,19 @@ class TorusGeometry:
 
 
 def deriv(geom: TorusGeometry, f: np.ndarray, axis: int) -> np.ndarray:
-    """4th-order central first derivative along a grid axis (periodic)."""
-    return (
-        -np.roll(f, -2, axis=axis)
-        + 8.0 * np.roll(f, -1, axis=axis)
-        - 8.0 * np.roll(f, 1, axis=axis)
-        + np.roll(f, 2, axis=axis)
-    ) / (12.0 * geom.h)
+    """4th-order central first derivative along a grid axis (periodic).
+
+    One wrapped copy of f, two nodes longer at each end, and four slice views of it: bitwise the
+    sum -f[j+2] + 8 f[j+1] - 8 f[j-1] + f[j-2] that four ``np.roll`` copies give.
+    """
+    n = f.shape[axis]
+    wrapped = np.take(f, np.arange(-2, n + 2) % n, axis=axis)  # node j + 2 holds f[j mod n]
+    ahead = (slice(None),) * (axis % f.ndim)
+
+    def at(s):  # f[j + s] for the nodes j = 0 .. n - 1
+        return wrapped[ahead + (slice(2 + s, 2 + s + n),)]
+
+    return (-at(2) + 8.0 * at(1) - 8.0 * at(-1) + at(-2)) / (12.0 * geom.h)
 
 
 def grad(geom: TorusGeometry, f: np.ndarray) -> np.ndarray:
@@ -160,11 +175,15 @@ class TorusFieldState:
         ``lowest_eig_estimate`` screens the nodes and ``eigvalsh`` runs only where the estimate lies
         within SCREEN max|g| of its grid minimum. The estimate is within 2.5e-8 max|g| of
         ``eigvalsh``, well inside SCREEN / 2, so the node holding the minimum always passes, and
-        LAPACK solves each matrix on its own, so its value is the one the full batch gives.
+        LAPACK solves each matrix on its own, so its value is the one the full batch gives. The
+        same holds for one of several bitwise-equal candidates, which stands for all of them.
         """
         g = self.g.reshape(-1, self.geom.d, self.geom.d)
         mu = lowest_eig_estimate(g, float(np.max(np.abs(g))) or 1.0)
-        return float(np.min(np.linalg.eigvalsh(g[mu <= np.min(mu) + SCREEN])))
+        candidates = g[mu <= np.min(mu) + SCREEN]
+        if np.all(candidates == candidates[0]):  # a constant metric: every node a candidate, one eigvalsh
+            candidates = candidates[:1]
+        return float(np.min(np.linalg.eigvalsh(candidates)))
 
     def copy(self) -> "TorusFieldState":
         return TorusFieldState(self.geom, self.g.copy(), self.B.copy(), self.phi.copy(), self.k, self.t)
@@ -228,14 +247,35 @@ def flux_H(state: TorusFieldState) -> np.ndarray:
     return state.k + div(state.geom, 0.5 * (B[..., _EPS_I, _EPS_J] - B[..., _EPS_J, _EPS_I]))
 
 
+def _symmetric_pairs(d: int):
+    """Index tables of the d(d+1)/2 upper-triangle pairs p = (i, j), i <= j, in ``np.triu_indices`` order.
+
+    Returns (iu, ju, pair, first, second): pair[i, j] = pair[j, i] is the index of (i, j). With P pairs,
+    the flattened (l, p) block of d_l g_p holds d_i g_jl at first[l, q] = i P + pair[j, l] and d_j g_il
+    at second[l, q] = j P + pair[i, l], for the pair q = (i, j).
+    """
+    iu, ju = np.triu_indices(d)
+    pair = np.empty((d, d), dtype=np.intp)
+    pair[iu, ju] = pair[ju, iu] = np.arange(len(iu))
+    ls = np.arange(d)[:, None]
+    return iu, ju, pair, iu * len(iu) + pair[ju, ls], ju * len(iu) + pair[iu, ls]
+
+
+_SYM = {d: _symmetric_pairs(d) for d in (2, 3)}
+
+
 def christoffel(state: TorusFieldState, ginv: np.ndarray) -> np.ndarray:
-    """Gamma^k_{ij} per node, shape grid + (d, d, d) with k first."""
-    d = state.geom.d
-    dg = grad(state.geom, state.g)  # (l, i, j) = d_l g_ij
-    term_i = np.moveaxis(dg, -1, -3)  # [l, i, j] <- d_i g_{jl}
-    term_j = np.swapaxes(term_i, -1, -2)  # [l, i, j] <- d_j g_{il}
-    rhs = term_i + term_j - dg
-    return 0.5 * (ginv @ rhs.reshape(rhs.shape[:-2] + (d * d,))).reshape(rhs.shape)
+    """Gamma^k_{ij} per node, shape grid + (d, d, d) with k first.
+
+    Gamma^k_ij = g^{kl} Gamma_{l,ij} is symmetric in ij, so it is formed on the upper-triangle pairs:
+    the partials of the d(d+1)/2 components g_p, 2 Gamma_{l,ij} = d_i g_jl + d_j g_il - d_l g_ij read
+    from them through ``_SYM``'s tables, one matmul with g^-1 and one expansion to (k, i, j).
+    """
+    iu, ju, pair, first, second = _SYM[state.geom.d]
+    dg = grad(state.geom, state.g[..., iu, ju])  # (l, p) = d_l g_p
+    flat = dg.reshape(dg.shape[:-2] + (-1,))
+    rhs = np.take(flat, first, axis=-1) + np.take(flat, second, axis=-1) - dg  # (l, q) = 2 Gamma_{l,q}
+    return np.take(0.5 * (ginv @ rhs), pair, axis=-1)
 
 
 def ricci_tensor(state: TorusFieldState, gamma: np.ndarray) -> np.ndarray:
@@ -243,15 +283,17 @@ def ricci_tensor(state: TorusFieldState, gamma: np.ndarray) -> np.ndarray:
 
     Rc_ij = d_k Gamma^k_ij - d_(i Gamma^k_{k j)} + Gamma^k_{kl} Gamma^l_{ij}
     - Gamma^k_{il} Gamma^l_{kj}; the discrete symmetrization keeps the update
-    exactly symmetric (the two writings agree analytically).
+    exactly symmetric (the two writings agree analytically). d_k Gamma^k_ij is
+    taken on the upper-triangle pairs (ij) only, Gamma being symmetric in ij.
     """
     geom = state.geom
+    iu, ju, pair = _SYM[geom.d][:3]
     v = np.einsum("...kkj->...j", gamma)
     dv = grad(geom, v)  # (i, j) = d_i v_j
     dv_sym = 0.5 * (dv + np.swapaxes(dv, -1, -2))
     quad1 = np.einsum("...l,...lij->...ij", v, gamma)
     quad2 = np.einsum("...kil,...lkj->...ij", gamma, gamma, optimize=_PAIR)
-    return div(geom, gamma) - dv_sym + quad1 - quad2
+    return np.take(div(geom, gamma[..., iu, ju]), pair, axis=-1) - dv_sym + quad1 - quad2
 
 
 def laplace_beltrami(geom: TorusGeometry, w: np.ndarray, ginv: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -480,6 +522,8 @@ class TorusParams:
     def __post_init__(self):
         if self.T <= 0 or self.cfl <= 0:
             raise ValidationError("T and cfl must be positive")
+        if self.max_steps < 1:
+            raise ValidationError(f"max_steps must be at least 1, got {self.max_steps!r}")
 
 
 @dataclass

@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import QuadraticLieAlgebra
 from .curvature import ricci_closed_form, scalar_closed_form
 from .errors import (DegenerateMetric, DegenerateSubspace, NumericalError, RetractionDiverged, StepBudgetExhausted,
-                     StepUnderflow)
+                     StepUnderflow, ValidationError)
 from .metric import (
     GeneralizedPseudometric,
     _as_matrix,
@@ -48,6 +48,8 @@ class FlowParams:
     def __post_init__(self):
         if self.dt <= 0 or self.T <= 0:
             raise ValueError("dt and T must be positive")
+        if self.max_steps < 1:
+            raise ValidationError(f"max_steps must be at least 1, got {self.max_steps!r}")
 
 
 @dataclass
@@ -221,13 +223,3 @@ def run_flow(a: QuadraticLieAlgebra, init: FlowState, params: FlowParams) -> Flo
     trace.final_G = state.G
     return trace
 
-
-def euler_reference(a: QuadraticLieAlgebra, G0: np.ndarray, T: float, dt: float) -> np.ndarray:
-    """Explicit-Euler integration of the metric equation (oracle for RK4)."""
-    g = np.asarray(G0, dtype=float).copy()
-    t = 0.0
-    while t < T - 1e-12:
-        step = min(dt, T - t)
-        g = involution_retract(g - 2.0 * step * ricci_closed_form(a, g))
-        t += step
-    return g

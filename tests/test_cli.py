@@ -234,6 +234,17 @@ def test_check_mode_small(tmp_path):
     assert all(c["passed"] for c in rep["checks"])
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_strict_json_encodes_non_finite_floats(tmp_path):
+    body = {"a": float("inf"), "b": [np.float64("-inf"), float("nan"), 1.5], "c": {"d": (float("nan"),)}}
+    cli.write_json(tmp_path / "x.json", {"mode": "check"}, 0, body)
+    doc = json.loads((tmp_path / "x.json").read_text(), parse_constant=_reject_constant)
+    assert (doc["a"], doc["b"], doc["c"]) == ("Infinity", ["-Infinity", "NaN", 1.5], {"d": ["NaN"]})
+
+
 def test_check_mode_planted_abort_fails(tmp_path, monkeypatch):
     # flow runs that stop short fail the checks read from them, at worst = inf, and the command exits 3
     def planted(a, state, *args):
@@ -242,10 +253,11 @@ def test_check_mode_planted_abort_fails(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.fl, "flow_step", planted)
     path = write_cfg(tmp_path, {"mode": "check", "check": {"scope": "algebraic", "instances": 4}})
     assert cli.run_config(path, seed=5, out=tmp_path) == 3
-    rep = json.loads((tmp_path / "check_report.json").read_text())
+    rep = json.loads((tmp_path / "check_report.json").read_text(), parse_constant=_reject_constant)
     failed = {c["name"]: c["worst"] for c in rep["checks"] if not c["passed"]}
     assert failed == dict.fromkeys(("flow_identity_stationary", "flow_log_sigma_slope", "flow_abelian_stationary"),
-                                   float("inf"))
+                                   "Infinity")
+    assert all(float(worst) == float("inf") for worst in failed.values())
 
 
 def test_check_determinism(tmp_path):

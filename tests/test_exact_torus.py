@@ -96,6 +96,66 @@ def test_deriv_fourth_order(geom16):
     assert 12 <= err16 / err32 <= 20
 
 
+def _roll_deriv(geom, f, axis):
+    """The four-``np.roll`` stencil ``deriv`` had before its one wrapped copy (bitwise reference)."""
+    return (
+        -np.roll(f, -2, axis=axis)
+        + 8.0 * np.roll(f, -1, axis=axis)
+        - 8.0 * np.roll(f, 1, axis=axis)
+        + np.roll(f, 2, axis=axis)
+    ) / (12.0 * geom.h)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_deriv_matches_roll_stencil_bitwise(d, rng):
+    # contiguous, Fortran-ordered, strided and reversed inputs, scalar and tensor, along every array axis
+    geom = et.TorusGeometry(d, 8)
+    g = rng.standard_normal(geom.shape + (d, d))
+    inputs = [g, g[..., 0, 0].copy(), g[..., 0, 1], g[..., 1, :], np.asfortranarray(g), np.swapaxes(g, 0, d - 1),
+              g[::-1], np.moveaxis(g, -1, 0)]
+    for f in inputs:
+        for axis in range(f.ndim):
+            assert np.array_equal(et.deriv(geom, f, axis), _roll_deriv(geom, f, axis))
+
+
+def _christoffel_full(state, ginv):
+    """``christoffel`` on all d^3 components of d g and Gamma, as before the symmetric-pair layout (oracle)."""
+    d = state.geom.d
+    dg = et.grad(state.geom, state.g)  # (l, i, j) = d_l g_ij
+    term_i = np.moveaxis(dg, -1, -3)  # [l, i, j] <- d_i g_{jl}
+    term_j = np.swapaxes(term_i, -1, -2)  # [l, i, j] <- d_j g_{il}
+    rhs = term_i + term_j - dg
+    return 0.5 * (ginv @ rhs.reshape(rhs.shape[:-2] + (d * d,))).reshape(rhs.shape)
+
+
+def _ricci_tensor_full(state, gamma):
+    """``ricci_tensor`` with d_k Gamma^k_ij on all d^3 components of Gamma (oracle)."""
+    geom = state.geom
+    v = np.einsum("...kkj->...j", gamma)
+    dv = et.grad(geom, v)  # (i, j) = d_i v_j
+    dv_sym = 0.5 * (dv + np.swapaxes(dv, -1, -2))
+    quad1 = np.einsum("...l,...lij->...ij", v, gamma)
+    quad2 = np.einsum("...kil,...lkj->...ij", gamma, gamma, optimize=et._PAIR)
+    return et.div(geom, gamma) - dv_sym + quad1 - quad2
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [8, 12])
+def test_symmetric_pair_geometry_matches_full_tensor(d, n, rng):
+    # random SPD fields, rough at the grid scale: Gamma and Rc against the full-tensor formulas
+    geom = et.TorusGeometry(d, n)
+    a = rng.standard_normal(geom.shape + (d, d))
+    g = a @ np.swapaxes(a, -1, -2) + np.eye(d)
+    st = et.TorusFieldState(geom, 0.5 * (g + np.swapaxes(g, -1, -2)), np.zeros(geom.shape + (d, d)),
+                            np.zeros(geom.shape), 0.0)
+    ginv, _ = et.inverse_and_det(st.g)
+    gamma, ref_gamma = et.christoffel(st, ginv), _christoffel_full(st, ginv)
+    rc, ref_rc = et.ricci_tensor(st, gamma), _ricci_tensor_full(st, ref_gamma)
+    assert gamma.shape == ref_gamma.shape and rc.shape == ref_rc.shape
+    assert np.max(np.abs(gamma - ref_gamma)) <= 1e-14 * np.max(np.abs(ref_gamma))
+    assert np.max(np.abs(rc - ref_rc)) <= 1e-14 * np.max(np.abs(ref_rc))
+
+
 def test_flux_constant_B(geom8):
     st = et.flat_state(geom8, k=2.0)
     st.B[:] = 0.7 * (np.outer([1, 0, 0], [0, 1, 0]) - np.outer([0, 1, 0], [1, 0, 0]))
@@ -286,6 +346,19 @@ def test_rhs_single_mode_B_exact(geom8):
     assert checks.single_mode_b_residual(geom8, 9) <= 1e-12
 
 
+def test_spd_margin_constant_metric_runs_one_eigvalsh(monkeypatch, geom8):
+    # every node of a constant metric ties in the screen; one matrix stands for all of them
+    g0 = checks.constant_anisotropic_metric(3)
+    g = np.broadcast_to(g0, geom8.shape + (3, 3)).copy()
+    st = et.TorusFieldState(geom8, g, np.zeros_like(g), np.zeros(geom8.shape), 0.0)
+    expected = float(np.min(np.linalg.eigvalsh(g)))
+    shapes = []
+    original = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or original(a))
+    assert st.spd_margin() == expected
+    assert shapes == [(1, 3, 3)]
+
+
 @pytest.fixture(scope="module")
 def sym_state(geom8):
     return et.perturbed_state(geom8, 10, amplitude=0.05, k=0.5)
@@ -330,6 +403,19 @@ def test_pullback_is_the_lattice_isometry(geom8):
 def test_div_h_matches_divergence_form():
     # the Gamma terms of div^k H_kij against the Christoffel-free form: 4th order, factor about 16
     assert 8.0 <= checks.div_h_convergence_ratio(11) <= 32.0
+
+
+def test_diffeomorphism_pullback_converges():
+    # a Courant isometry beyond the lattice: the pullback of a flat state by a smooth diffeomorphism
+    ratios = checks.diffeomorphism_convergence_ratios(12)
+    assert set(ratios) == {"g", "phi", "ricci"}
+    assert all(8.0 <= r <= 32.0 for r in ratios.values()), ratios
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_b_gauge_leaves_rhs_unchanged(n):
+    # B -> B + d beta: the other half of the Courant isometries
+    assert checks.b_gauge_residual(et.TorusGeometry(3, n), 13) <= 1e-12
 
 
 def test_rk4_stage_state_is_validated(geom8, stopped_short):
@@ -405,8 +491,10 @@ def test_torus_check_suite_passes():
     assert failed == []
     names = {r.name for r in results}
     assert {"torus_anisotropic_flux_closed_form", "torus_single_mode_B_exact", "torus_div_h_divergence_form",
-            "torus_translation_commutes", "torus_permutation_commutes", "torus_reflection_commutes"} <= names
-    assert len(results) == 17
+            "torus_translation_commutes", "torus_permutation_commutes", "torus_reflection_commutes",
+            "torus_diffeomorphism_g", "torus_diffeomorphism_phi", "torus_diffeomorphism_ricci",
+            "torus_b_gauge_invariant"} <= names
+    assert len(results) == 21
 
 
 def test_torus_check_suite_fails_on_planted_abort(monkeypatch):
@@ -571,6 +659,12 @@ def test_eh_density_builds_one_record(monkeypatch, geom8):
     gammas = _count_calls(monkeypatch, et, "christoffel")
     assert et.eh_density_identity_residual(st) <= 1e-12
     assert len(records) == 1 and len(gammas) == 1
+
+
+@pytest.mark.parametrize("max_steps", [0, -3])
+def test_torus_params_reject_empty_step_budget(max_steps):
+    with pytest.raises(ValidationError, match="max_steps"):
+        et.TorusParams(T=1.0, max_steps=max_steps)
 
 
 def test_max_steps_marks_abort(geom8, stopped_short):

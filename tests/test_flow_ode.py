@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from grflow import algebra as alg
 from grflow import flow_ode as fl
 from grflow import metric as met
-from grflow.curvature import ricci, scalar
-from grflow.errors import DegenerateSubspace, ForbiddenRank, RetractionDiverged
+from grflow.curvature import ricci, ricci_closed_form, scalar
+from grflow.errors import DegenerateSubspace, ForbiddenRank, RetractionDiverged, ValidationError
 
 
 def test_flow_rhs_abelian_zero():
@@ -134,13 +134,24 @@ def test_run_flow_underflow_carries_trace(su2_double, graph_metric_123, stopped_
     assert np.all(np.diff(gr) >= -1e-8 * (1 + np.abs(gr[:-1])))
 
 
+def _euler_reference(a, G0, T, dt):
+    """Explicit-Euler integration of the metric equation (oracle for RK4)."""
+    g = np.asarray(G0, dtype=float).copy()
+    t = 0.0
+    while t < T - 1e-12:
+        step = min(dt, T - t)
+        g = fl.involution_retract(g - 2.0 * step * ricci_closed_form(a, g))
+        t += step
+    return g
+
+
 def test_euler_oracle(su2_double, graph_metric_123):
     # RK4 at dt and explicit Euler at dt/100 agree on G(T)
     st = fl.FlowState(0.0, graph_metric_123.G, 0.0)
     dt = 1e-3
     T = 0.5
     g_rk4 = fl.run_flow(su2_double, st, fl.FlowParams(dt=dt, T=T)).final_G
-    g_euler = fl.euler_reference(su2_double, graph_metric_123.G, T, dt / 100)
+    g_euler = _euler_reference(su2_double, graph_metric_123.G, T, dt / 100)
     assert np.max(np.abs(g_rk4 - g_euler)) <= 1e-5
 
 
@@ -168,6 +179,12 @@ def test_run_flow_pseudometric_permitted(su2_double):
     assert len(tr.t) == 51
     assert max(tr.involution_residual) <= 1e-10
     assert np.all(np.isfinite(tr.GR))
+
+
+@pytest.mark.parametrize("max_steps", [0, -3])
+def test_flow_params_reject_empty_step_budget(max_steps):
+    with pytest.raises(ValidationError, match="max_steps"):
+        fl.FlowParams(dt=1e-3, T=1.0, max_steps=max_steps)
 
 
 def test_run_flow_max_steps_marks_abort(stopped_short):
