@@ -327,7 +327,7 @@ def run_torus_checks(seed: int = 0, N: int = 16) -> list[CheckResult]:
     results.append(_result("torus_eh_density_identity", et.eh_density_identity_residual(st), 1e-12))
 
     st_h0 = et.perturbed_state(geom, seed + 2, amplitude=0.04, k=0.0)
-    st_h0.B[:] = 0.0  # the regression hypothesis is H = 0: k = 0 and B = 0
+    st_h0.b[:] = 0.0  # the regression hypothesis is H = 0: k = 0 and B = 0
     fields_h0 = et.torus_fields(st_h0)
     dg1, db1, dphi1 = et.torus_rhs(fields_h0)
     dg2, db2, dphi2 = et.ricci_dilaton_rhs(fields_h0)
@@ -398,7 +398,7 @@ def anisotropic_flux_residual(geom: et.TorusGeometry, seed: int) -> float:
     """
     k = 1.5
     g0 = constant_anisotropic_metric(seed, geom.d)
-    st = et.TorusFieldState(geom, np.broadcast_to(g0, geom.shape + g0.shape).copy(), np.zeros(geom.shape + g0.shape),
+    st = et.TorusFieldState(geom, np.broadcast_to(g0, geom.shape + g0.shape).copy(), np.zeros(geom.shape + (3,)),
                             np.zeros(geom.shape), k)
     dg, db, dphi = et.torus_rhs(et.torus_fields(st))
     c = k * k / np.linalg.det(g0)
@@ -415,7 +415,7 @@ def single_mode_b_residual(geom: et.TorusGeometry, seed: int) -> float:
     + s_j b_ki, Gamma = 0, and the grid values are, to round-off (contracting all 27 components of H,
     not its density),
 
-        dt B_ij = g^{kl} d_l H_kij = -sin(m.x) g^{kl} s_l T_kij,
+        dt B_ij = g^{kl} d_l H_kij = -sin(m.x) g^{kl} s_l T_kij,   dt b_k = dt B_IJ (``_FORM2``),
         dt g_ij = 1/2 H_ikl H_jmn g^km g^ln,   dt phi = 1/12 H_ikl H_jmn g^ij g^km g^ln.
 
     Returns the largest error of the three, each relative to its largest exact value.
@@ -428,27 +428,28 @@ def single_mode_b_residual(geom: et.TorusGeometry, seed: int) -> float:
     theta = sum(mi * x for mi, x in zip(m, geom.grids()))
     sig = (8.0 * np.sin(m * geom.h) - np.sin(2.0 * m * geom.h)) / (6.0 * geom.h)
     k = 0.5
-    st = et.TorusFieldState(geom, np.broadcast_to(g0, geom.shape + (d, d)).copy(), b * np.sin(theta)[..., None, None],
-                            np.zeros(geom.shape), k)
+    st = et.TorusFieldState(geom, np.broadcast_to(g0, geom.shape + (d, d)).copy(),
+                            b[et._FORM2[d]] * np.sin(theta)[..., None], np.zeros(geom.shape), k)
     dg, db, dphi = et.torus_rhs(et.torus_fields(st))
 
     gi = np.linalg.inv(g0)
     t = (np.einsum("k,ij->kij", sig, b) + np.einsum("i,jk->kij", sig, b) + np.einsum("j,ki->kij", sig, b))
     h = k * alg.epsilon3() + np.cos(theta)[..., None, None, None] * t
-    exact = (-np.sin(theta)[..., None, None] * np.einsum("kl,l,kij->ij", gi, sig, t),
+    exact = (-np.sin(theta)[..., None] * np.einsum("kl,l,kij->ij", gi, sig, t)[et._FORM2[d]],
              0.5 * np.einsum("...ikl,...jmn,km,ln->...ij", h, h, gi, gi),
              np.einsum("...ikl,...jmn,ij,km,ln->...", h, h, gi, gi, gi) / 12.0)
     return max(_relative_error(x, y) for x, y in zip((db, dg, dphi), exact))
 
 
 def div_h_convergence_ratio(seed: int) -> float:
-    """Error factor, N = 16 -> 32, between dt B at phi = 0 and the divergence form of div^k H_kij.
+    """Error factor, N = 16 -> 32, between dt b at phi = 0 and the divergence form of div^k H_kij.
 
     For a totally antisymmetric H, div^k H_kij = g_ia g_jb w^-1 d_k (w H^{kab}) with w = sqrt(det g):
     no Christoffel symbols, so this route is independent of how ``torus_rhs`` folds them into the trace
-    Gamma^m_{lm}. H = k eps + dB is built here with all its components, through ``exterior_derivative``.
-    Both are 4th-order discretizations of the same field on a perturbed g, so their difference falls
-    by about 16 when h halves; a wrong Gamma term leaves an O(1) difference and a factor near 1.
+    Gamma^m_{lm}. H = k eps + dB is built with all its components, through ``exterior_derivative``, and the
+    form's components (I, J) of ``_FORM2`` are compared with dt b. Both are 4th-order discretizations of
+    one field on a perturbed g, so their difference falls by about 16 when h halves; a wrong Gamma term
+    leaves an O(1) difference and a factor near 1.
     """
     err = []
     for n in (16, 32):
@@ -461,7 +462,8 @@ def div_h_convergence_ratio(seed: int) -> float:
         H = st.k * alg.epsilon3() + et.exterior_derivative(geom, st.B, 2)
         h_up = np.einsum("...kab,...kc,...ad,...be->...cde", H, gi, gi, gi)
         div = et.div(geom, w[..., None, None, None] * h_up) / w[..., None, None]
-        err.append(float(np.max(np.abs(db - np.einsum("...ia,...jb,...ab->...ij", st.g, st.g, div)))))
+        form = np.einsum("...ia,...jb,...ab->...ij", st.g, st.g, div)[(..., *et._FORM2[3])]
+        err.append(float(np.max(np.abs(db - form))))
     return err[0] / err[1] if err[1] > 0 else float("inf")
 
 
@@ -494,7 +496,7 @@ def diffeomorphism_convergence_ratios(seed: int) -> dict:
         jac_t = np.swapaxes(jac, -1, -2)
         g = jac_t @ g0 @ jac
         g = 0.5 * (g + np.swapaxes(g, -1, -2))
-        fields = et.torus_fields(et.TorusFieldState(geom, g, np.zeros_like(g), amp * np.sin(theta), 0.0))
+        fields = et.torus_fields(et.TorusFieldState(geom, g, np.zeros(geom.shape + (3,)), amp * np.sin(theta), 0.0))
         dg, _, dphi = et.torus_rhs(fields)
         hess0 = -amp * np.sin(theta)[..., None, None] * np.outer(m, m)  # (dd phi0) o psi
         grad0 = amp * np.cos(theta)[..., None] * m  # (d phi0) o psi
@@ -510,15 +512,16 @@ def b_gauge_residual(geom: et.TorusGeometry, seed: int) -> float:
     """How far ``torus_rhs`` moves under the B-field transform B -> B + d beta, beta a smooth periodic 1-form.
 
     d beta is closed, and the discrete d o d vanishes to round-off, so h = k + div(*B) is unchanged, and
-    with it dt g, dt B and dt phi, which read B only through h. Returns the largest change of each field
-    relative to its largest value, on a perturbed state with flux.
+    with it dt g, dt b and dt phi, which read B only through h; b takes *d beta, the components (I, J)
+    of d beta. Returns the largest change of each field relative to its largest value, on a perturbed state.
     """
     rng = np.random.default_rng(seed)
     st = et.perturbed_state(geom, seed, amplitude=0.05, k=0.5, kmax=1)
     xs = geom.grids()
     beta = np.stack([sum(rng.uniform(-0.3, 0.3) * np.sin(xs[b] + rng.uniform(0.0, 2.0 * np.pi)) for b in range(3))
                      for _ in range(3)], axis=-1)
-    moved = et.TorusFieldState(geom, st.g, st.B + et.exterior_derivative(geom, beta, 1), st.phi, st.k, st.t)
+    moved = et.TorusFieldState(geom, st.g, st.b + et.exterior_derivative(geom, beta, 1)[(..., *et._FORM2[3])],
+                               st.phi, st.k, st.t)
     return max(_relative_error(x, y) for x, y in zip(et.torus_rhs(et.torus_fields(moved)),
                                                       et.torus_rhs(et.torus_fields(st))))
 
@@ -546,22 +549,27 @@ def symmetry_residual(state: et.TorusFieldState, perm=None, signs=None, shift=No
 
     P is an axis permutation, reflection and translation acting on the grid axes and on every tensor
     slot (a discrete isometry of the flat torus); the flux k eps is a 3-form, so k takes the determinant
-    of the signed permutation. Each field's error is relative to its largest value.
+    of the signed permutation, as do b = *B and dt b, pseudovectors on T^3 and pseudoscalars on T^2. Each
+    field's error is relative to its largest value.
     """
     d = state.geom.d
     perm = tuple(range(d)) if perm is None else tuple(perm)
     signs = (1,) * d if signs is None else tuple(signs)
     shift = (0,) * d if shift is None else tuple(shift)
 
+    det = round(np.linalg.det(np.asarray(signs, dtype=float)[:, None] * np.eye(d)[list(perm)]))
+
     def pull(f, grid):
         return _pullback(f, grid, perm, signs, shift)
 
-    det = round(np.linalg.det(np.asarray(signs, dtype=float)[:, None] * np.eye(d)[list(perm)]))
-    moved = et.TorusFieldState(state.geom, pull(state.g, d), pull(state.B, d), pull(state.phi, d), det * state.k,
+    def pull_star(b):  # det(P) times the pullback of a vector (T^3) or a scalar (T^2)
+        return det * (pull(b, d) if d == 3 else pull(b[..., 0], d)[..., None])
+
+    moved = et.TorusFieldState(state.geom, pull(state.g, d), pull_star(state.b), pull(state.phi, d), det * state.k,
                                state.t)
     lhs = et.torus_rhs(et.torus_fields(moved))
-    rhs = [pull(x, d) for x in et.torus_rhs(et.torus_fields(state))]
-    return max(_relative_error(x, y) for x, y in zip(lhs, rhs))
+    dg, db, dphi = et.torus_rhs(et.torus_fields(state))
+    return max(_relative_error(x, y) for x, y in zip(lhs, (pull(dg, d), pull_star(db), pull(dphi, d))))
 
 
 def spatial_convergence_ratios(seed: int) -> dict:

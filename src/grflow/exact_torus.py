@@ -1,4 +1,4 @@
-"""Generalized Ricci flow on flat tori: fields (g, B, phi) with flux H = k eps + dB.
+"""Generalized Ricci flow on flat tori: fields (g, b, phi), b = *B, with flux H = k eps + dB.
 
 Explicit exact-case equations:
 
@@ -9,11 +9,11 @@ Explicit exact-case equations:
 and the scalar-curvature field R - 1/12 |H|^2_g - 4 e^phi Lap_g e^-phi.
 
 The flux is a closed 3-form, so on T^3 it is a top form H = h eps with one component, the density
-h = H_012 = k + div(*B), (*B)_k = 1/2 eps_kij B_ij; on T^2 it vanishes. Every flux term is then an
-algebraic identity of a top form in 3D (eps the coordinate symbol, v_l = Gamma^m_{lm}):
+h = H_012 = k + div(b), b_k = (*B)_k = 1/2 eps_kij B_ij; on T^2 it vanishes and dt b = 0. Every flux
+term is then an algebraic identity of a top form in 3D (eps the coordinate symbol, v_l = Gamma^m_{lm}):
 
     H_ikl H_j^kl = (2 h^2 / det g) g_ij,    |H|^2 = 6 h^2 / det g,
-    grad_l H_kij = (d_l h - h v_l) eps_kij, so dt B_ij = eps_kij X^k,
+    grad_l H_kij = (d_l h - h v_l) eps_kij, so dt B_ij = eps_kij X^k and dt b = X,
     X^k = g^{kl} (d_l h - h (v_l + 2 d_l phi)).
 
 Discretization: 4th-order central differences on a uniform periodic grid.
@@ -63,8 +63,8 @@ SCREEN = 1e-6
 # numpy's planned pairwise route for a two-operand einsum: several times faster than the default
 # loop on the batched small-tensor products here (a path search per call costs as much again)
 _PAIR = ["einsum_path", (0, 1)]
-# (i, j) with eps_kij = 1 for k = 0, 1, 2: a 2-form's slots (i, j) and (j, i) hold +-(*B)_k
-_EPS_I, _EPS_J = [1, 2, 0], [2, 0, 1]
+# the slots (I[k], J[k]) of B that hold b_k: eps_kIJ = 1 on T^3, and B_01 on T^2
+_FORM2 = {2: ([0], [1]), 3: ([1, 2, 0], [2, 0, 1])}
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ def exterior_derivative(geom: TorusGeometry, omega: np.ndarray, degree: int) -> 
 class TorusFieldState:
     geom: TorusGeometry
     g: np.ndarray
-    B: np.ndarray
+    b: np.ndarray  # *B, B's d(d - 1)/2 independent components B_IJ, (I, J) from _FORM2; B itself is derived
     phi: np.ndarray
     k: float  # constant flux k eps of H = k eps + dB
     t: float = 0.0
@@ -151,13 +151,11 @@ class TorusFieldState:
         d, shape = self.geom.d, self.geom.shape
         # C order: a planned einsum sums in an order that follows its operands' memory layout, and
         # the right side should not depend on how the caller laid the arrays out
-        self.g = np.ascontiguousarray(self.g, dtype=float)
-        self.B = np.ascontiguousarray(self.B, dtype=float)
-        self.phi = np.ascontiguousarray(self.phi, dtype=float)
+        self.g, self.b, self.phi = (np.ascontiguousarray(f, dtype=float) for f in (self.g, self.b, self.phi))
         self.k = float(self.k)
-        if self.g.shape != shape + (d, d) or self.B.shape != shape + (d, d) or self.phi.shape != shape:
+        if self.g.shape != shape + (d, d) or self.b.shape != shape + (len(_FORM2[d][0]),) or self.phi.shape != shape:
             raise ValidationError("field arrays do not match the grid")
-        for name in ("g", "B", "phi"):  # a NaN passes every comparison below
+        for name in ("g", "b", "phi"):  # a NaN passes every comparison below
             if not np.isfinite(getattr(self, name)).all():
                 raise ValidationError(f"{name} must be finite at every node")
         if not np.isfinite(self.k):
@@ -166,8 +164,15 @@ class TorusFieldState:
             raise ValidationError(f"three-forms vanish on T^2: flux strength k must be 0 for d = 2, got {self.k!r}")
         if np.max(np.abs(self.g - np.swapaxes(self.g, -1, -2))) > 1e-12 * max(1.0, float(np.max(np.abs(self.g)))):
             raise ValidationError("g must be symmetric at every node")
-        if np.max(np.abs(self.B + np.swapaxes(self.B, -1, -2))) > 1e-12 * max(1.0, float(np.max(np.abs(self.B))), 1e-30):
-            raise ValidationError("B must be antisymmetric at every node")
+
+    @property
+    def B(self) -> np.ndarray:
+        """The full 2-form B_IJ = b, B_JI = 0 - b (+0.0 where b is 0), read-only: a write raises, not vanishes."""
+        i, j = _FORM2[self.geom.d]
+        full = np.zeros(self.g.shape)
+        full[..., i, j], full[..., j, i] = self.b, 0.0 - self.b
+        full.flags.writeable = False
+        return full
 
     def spd_margin(self) -> float:
         """Smallest eigenvalue of g over the grid: ``np.min(np.linalg.eigvalsh(g))``, bit for bit.
@@ -186,13 +191,13 @@ class TorusFieldState:
         return float(np.min(np.linalg.eigvalsh(candidates)))
 
     def copy(self) -> "TorusFieldState":
-        return TorusFieldState(self.geom, self.g.copy(), self.B.copy(), self.phi.copy(), self.k, self.t)
+        return TorusFieldState(self.geom, self.g.copy(), self.b.copy(), self.phi.copy(), self.k, self.t)
 
 
 def flat_state(geom: TorusGeometry, k: float = 0.0) -> TorusFieldState:
     """g = Id, B = 0, phi = 0, constant flux of strength k (volume form)."""
     eye = np.broadcast_to(np.eye(geom.d), geom.shape + (geom.d, geom.d)).copy()
-    return TorusFieldState(geom, eye, np.zeros(geom.shape + (geom.d, geom.d)), np.zeros(geom.shape), k)
+    return TorusFieldState(geom, eye, np.zeros(geom.shape + (len(_FORM2[geom.d][0]),)), np.zeros(geom.shape), k)
 
 
 def perturbed_state(geom: TorusGeometry, seed: int, amplitude: float = 0.05, k: float = 0.0,
@@ -224,13 +229,11 @@ def perturbed_state(geom: TorusGeometry, seed: int, amplitude: float = 0.05, k: 
             st.g[..., i, j] += w
             if i != j:
                 st.g[..., j, i] += w
-    for i in range(d):
-        for j in range(i + 1, d):
-            w = amplitude * mode()
-            st.B[..., i, j] += w
-            st.B[..., j, i] -= w
+    # the pairs (i, j) = (0, 1), (0, 2), (1, 2) of B_ij in turn: b_2 = B_01, b_1 = B_20 = -B_02, b_0 = B_12
+    for c, sign in ([(2, 1.0), (1, -1.0), (0, 1.0)] if d == 3 else [(0, 1.0)]):
+        st.b[..., c] += sign * (amplitude * mode())
     st.phi += amplitude * mode()
-    st = TorusFieldState(geom, st.g, st.B, st.phi, k)  # the edits above are validated like any state
+    st = TorusFieldState(geom, st.g, st.b, st.phi, k)  # the edits above are validated like any state
     if st.spd_margin() <= SPD_FLOOR:
         raise DegenerateMetric("perturbation amplitude too large: g not positive definite")
     return st
@@ -240,11 +243,10 @@ def perturbed_state(geom: TorusGeometry, seed: int, amplitude: float = 0.05, k: 
 
 
 def flux_H(state: TorusFieldState) -> np.ndarray:
-    """The flux density h = H_012 = k + div(*B), (*B)_k = 1/2 eps_kij B_ij, of H = h eps; zero on T^2."""
+    """The flux density h = H_012 = k + div(b), b = *B, of H = h eps; zero on T^2."""
     if state.geom.d == 2:
         return np.zeros(state.geom.shape)
-    B = state.B
-    return state.k + div(state.geom, 0.5 * (B[..., _EPS_I, _EPS_J] - B[..., _EPS_J, _EPS_I]))
+    return state.k + div(state.geom, state.b)
 
 
 def _symmetric_pairs(d: int):
@@ -385,18 +387,17 @@ def torus_fields(state: TorusFieldState) -> TorusFields:
 
 
 def torus_rhs(fields: TorusFields) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dt g, dt B, dt phi) of the exact-case flow with H = h eps, in the closed forms of the module docstring."""
+    """(dt g, dt b, dt phi) of the exact-case flow with H = h eps, in the closed forms of the module docstring."""
     geom, g, phi, ginv, gamma, h = fields.geom, fields.state.g, fields.state.phi, fields.ginv, fields.gamma, fields.h
     dphi = grad(geom, phi)
     hess = hessian(geom, gamma, dphi)
     dg = -2.0 * fields.rc + fields.h_norm_sq[..., None, None] / 6.0 * g - 4.0 * hess
 
-    db = np.zeros_like(g)
-    if geom.d == 3:  # dt B_ij = eps_kij X^k, X^k = g^{kl} (d_l h - h (Gamma^m_{lm} + 2 d_l phi))
-        x = np.einsum("...kl,...l->...k", ginv,
-                      grad(geom, h) - h[..., None] * (np.einsum("...mlm->...l", gamma) + 2.0 * dphi))
-        db[..., _EPS_I, _EPS_J] = x
-        db[..., _EPS_J, _EPS_I] = -x
+    if geom.d == 3:  # dt b^k = X^k = g^{kl} (d_l h - h (Gamma^m_{lm} + 2 d_l phi))
+        db = np.einsum("...kl,...l->...k", ginv,
+                       grad(geom, h) - h[..., None] * (np.einsum("...mlm->...l", gamma) + 2.0 * dphi))
+    else:
+        db = np.zeros_like(fields.state.b)
 
     grad_phi_up = np.einsum("...kl,...l->...k", ginv, dphi)
     lap_phi = laplace_beltrami(geom, fields.w, ginv, phi)
@@ -412,7 +413,7 @@ def ricci_dilaton_rhs(fields: TorusFields) -> tuple[np.ndarray, np.ndarray, np.n
     lap_phi = laplace_beltrami(geom, fields.w, ginv, phi)
     grad_phi_up = np.einsum("...kl,...l->...k", ginv, dphi)
     dphi_rhs = lap_phi - 2.0 * np.einsum("...i,...i->...", grad_phi_up, dphi)
-    return dg, np.zeros_like(fields.state.B), dphi_rhs
+    return dg, np.zeros_like(fields.state.b), dphi_rhs
 
 
 def _potential(fields: TorusFields) -> np.ndarray:
@@ -548,19 +549,15 @@ class TorusTrace:
 def _rk4_torus(state: TorusFieldState, dt: float, rhs, k1) -> TorusFieldState:
     """One RK4 step; every stage state goes through the constructor, which validates its own arrays.
     A stage it rejects means the step itself broke symmetry or finiteness: DegenerateMetric."""
-    def shifted(fac, rate):
-        return torus_fields(TorusFieldState(state.geom, state.g + fac * rate[0], state.B + fac * rate[1],
-                                            state.phi + fac * rate[2], state.k, state.t + fac))
+    def shifted(fac, rate, t):  # (g, b, phi) + fac * rate at time t; rate is read one field at a time
+        return TorusFieldState(state.geom, *(f + fac * r for f, r in zip((state.g, state.b, state.phi), rate)),
+                               state.k, t)
 
     try:
-        k2 = rhs(shifted(dt / 2, k1))
-        k3 = rhs(shifted(dt / 2, k2))
-        k4 = rhs(shifted(dt, k3))
-        return TorusFieldState(state.geom,
-                               state.g + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-                               state.B + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-                               state.phi + dt / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
-                               state.k, state.t + dt)
+        k2 = rhs(torus_fields(shifted(dt / 2, k1, state.t + dt / 2)))
+        k3 = rhs(torus_fields(shifted(dt / 2, k2, state.t + dt / 2)))
+        k4 = rhs(torus_fields(shifted(dt, k3, state.t + dt)))
+        return shifted(dt / 6, (x1 + 2 * x2 + 2 * x3 + x4 for x1, x2, x3, x4 in zip(k1, k2, k3, k4)), state.t + dt)
     except ValidationError as exc:
         raise DegenerateMetric(f"RK4 stage at t = {state.t!r}: {exc}") from exc
 
@@ -568,17 +565,13 @@ def _rk4_torus(state: TorusFieldState, dt: float, rhs, k1) -> TorusFieldState:
 def run_torus_flow(state: TorusFieldState, params: TorusParams, rhs=torus_rhs) -> TorusTrace:
     """RK4 run with diffusion-limited steps, returning its trace whatever stops it after the initial record.
 
-    The step is dt = cfl h^2 / max_node ||g^{-1}|| recomputed per step, cut to
-    land exactly on T.  Symmetry of g and antisymmetry of B are asserted for
-    every RK4 stage state by its constructor (at the scale of g and of B), and
-    antisymmetry of B once more after each step at the scale of g, which a
-    custom ``rhs`` with a large B can still break (``torus_rhs`` keeps B
-    antisymmetric bitwise).  ``aborted`` is None when the run reached T and
-    otherwise says why not: lost positivity, a rejected RK4 stage or B drift
-    (DegenerateMetric), a stalled lambda solve, step underflow or the
-    ``max_steps`` budget.  ``final_state`` is the last state reached.  A failure
-    on the initial state (no positive metric, a stalled first lambda) has no
-    partial trace and raises.
+    The step is dt = cfl h^2 / max_node ||g^{-1}|| recomputed per step, cut to land exactly on T.
+    Every RK4 stage state goes through the constructor, which asserts that g is symmetric and every
+    field finite; B, derived from b, is antisymmetric by construction.  ``aborted`` is None when the
+    run reached T and otherwise says why not: lost positivity or a rejected RK4 stage
+    (DegenerateMetric), a stalled lambda solve, step underflow or the ``max_steps`` budget.
+    ``final_state`` is the last state reached.  A failure on the initial state (no positive metric,
+    a stalled first lambda) has no partial trace and raises.
     """
     trace = TorusTrace()
     st = state.copy()
@@ -598,7 +591,7 @@ def run_torus_flow(state: TorusFieldState, params: TorusParams, rhs=torus_rhs) -
         trace.lam.append(lam)
         trace.spd_margin.append(f.margin)
         trace.g_norm.append(float(np.max(np.abs(s.g))))
-        trace.B_norm.append(float(np.max(np.abs(s.B))))
+        trace.B_norm.append(float(np.max(np.abs(s.b))))  # max|B|: B holds b, 0 - b and zeros
         trace.phi_norm.append(float(np.max(np.abs(s.phi))))
 
     fields = torus_fields(st)
@@ -615,9 +608,6 @@ def run_torus_flow(state: TorusFieldState, params: TorusParams, rhs=torus_rhs) -
             del fields  # the later stages build their own records; keeping this one raises peak memory
             st = _rk4_torus(st, dt, rhs, k1)
             del k1  # likewise, before the next record and its k1
-            banti = float(np.max(np.abs(st.B + np.swapaxes(st.B, -1, -2))))
-            if banti > 1e-12 * max(1.0, float(np.max(np.abs(st.g)))):
-                raise DegenerateMetric(f"symmetry drift: B {banti:.2e}")
             fields = torus_fields(st)
             record(fields)
     except NumericalError as exc:
@@ -634,13 +624,12 @@ DUMP_VERSION = 1
 
 def write_field_dump(state: TorusFieldState, path) -> None:
     """Flat binary dump: header (magic 'GRFD', uint32 version, d, N, field
-    count) then row-major float64 payloads g, B, phi."""
+    count) then row-major float64 payloads g, B, phi; B is the full 2-form derived from b."""
     with open(path, "wb") as fh:
         fh.write(DUMP_MAGIC)
         np.array([DUMP_VERSION, state.geom.d, state.geom.N, 3], dtype="<u4").tofile(fh)
-        state.g.astype("<f8").tofile(fh)
-        state.B.astype("<f8").tofile(fh)
-        state.phi.astype("<f8").tofile(fh)
+        for f in (state.g, state.B, state.phi):
+            f.astype("<f8").tofile(fh)
 
 
 def read_field_dump(path) -> dict:

@@ -47,7 +47,7 @@ class FlowParams:
 
     def __post_init__(self):
         if self.dt <= 0 or self.T <= 0:
-            raise ValueError("dt and T must be positive")
+            raise ValidationError("dt and T must be positive")
         if self.max_steps < 1:
             raise ValidationError(f"max_steps must be at least 1, got {self.max_steps!r}")
 

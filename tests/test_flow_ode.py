@@ -162,8 +162,10 @@ def test_soliton_residual_values(su2_double, graph_metric_123):
 
 
 def test_flow_params_validation():
-    with pytest.raises(ValueError):
-        fl.FlowParams(dt=-1.0)
+    # the package's validation family, as TorusParams and the max_steps check use
+    for bad in ({"dt": -1.0}, {"dt": 0.0}, {"T": 0.0}, {"T": -2.0}):
+        with pytest.raises(ValidationError, match="dt and T must be positive"):
+            fl.FlowParams(**bad)
 
 
 def test_run_flow_pseudometric_permitted(su2_double):
