@@ -80,7 +80,6 @@ from .flow_ode import (
     flow_step,
     involution_retract,
     run_flow,
-    soliton_residual,
 )
 from .metric import (
     AdaptedFrame,

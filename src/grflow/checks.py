@@ -324,6 +324,12 @@ def run_torus_checks(seed: int = 0, N: int = 16) -> list[CheckResult]:
     ddb = et.exterior_derivative(geom, et.exterior_derivative(geom, st.B, 2), 3)
     scale = 1.0 + float(np.max(np.abs(h_flux)))
     results.append(_result("torus_ddB_zero", float(np.max(np.abs(ddb))) / scale, 1e-12))
+    # h = k + div(b) read from b, against H_012 of d of the full B derived from b, the route the oracles read
+    st_k = et.perturbed_state(geom, seed + 14, amplitude=0.05, k=0.7)
+    h_k = et.flux_H(st_k)
+    h_012 = st_k.k + et.exterior_derivative(geom, st_k.B, 2)[..., 0, 1, 2]
+    results.append(_result("torus_flux_density_dB",
+                           float(np.max(np.abs(h_k - h_012))) / (1.0 + float(np.max(np.abs(h_k)))), 1e-12))
     results.append(_result("torus_eh_density_identity", et.eh_density_identity_residual(st), 1e-12))
 
     st_h0 = et.perturbed_state(geom, seed + 2, amplitude=0.04, k=0.0)
@@ -398,11 +404,12 @@ def anisotropic_flux_residual(geom: et.TorusGeometry, seed: int) -> float:
     """
     k = 1.5
     g0 = constant_anisotropic_metric(seed, geom.d)
-    st = et.TorusFieldState(geom, np.broadcast_to(g0, geom.shape + g0.shape).copy(), np.zeros(geom.shape + (3,)),
-                            np.zeros(geom.shape), k)
+    pairs = g0[et._SYM[geom.d][:2]]
+    st = et.TorusFieldState(geom, np.broadcast_to(pairs, geom.shape + pairs.shape).copy(),
+                            np.zeros(geom.shape + (3,)), np.zeros(geom.shape), k)
     dg, db, dphi = et.torus_rhs(et.torus_fields(st))
     c = k * k / np.linalg.det(g0)
-    return max(float(np.max(np.abs(dg - c * g0))), float(np.max(np.abs(db))),
+    return max(float(np.max(np.abs(dg - c * pairs))), float(np.max(np.abs(db))),
                float(np.max(np.abs(dphi - 0.5 * c)))) / c
 
 
@@ -416,7 +423,7 @@ def single_mode_b_residual(geom: et.TorusGeometry, seed: int) -> float:
     not its density),
 
         dt B_ij = g^{kl} d_l H_kij = -sin(m.x) g^{kl} s_l T_kij,   dt b_k = dt B_IJ (``_FORM2``),
-        dt g_ij = 1/2 H_ikl H_jmn g^km g^ln,   dt phi = 1/12 H_ikl H_jmn g^ij g^km g^ln.
+        dt g_ij = 1/2 H_ikl H_jmn g^km g^ln (at the pairs i <= j),   dt phi = 1/12 H_ikl H_jmn g^ij g^km g^ln.
 
     Returns the largest error of the three, each relative to its largest exact value.
     """
@@ -428,7 +435,8 @@ def single_mode_b_residual(geom: et.TorusGeometry, seed: int) -> float:
     theta = sum(mi * x for mi, x in zip(m, geom.grids()))
     sig = (8.0 * np.sin(m * geom.h) - np.sin(2.0 * m * geom.h)) / (6.0 * geom.h)
     k = 0.5
-    st = et.TorusFieldState(geom, np.broadcast_to(g0, geom.shape + (d, d)).copy(),
+    iu, ju = et._SYM[d][:2]
+    st = et.TorusFieldState(geom, np.broadcast_to(g0[iu, ju], geom.shape + iu.shape).copy(),
                             b[et._FORM2[d]] * np.sin(theta)[..., None], np.zeros(geom.shape), k)
     dg, db, dphi = et.torus_rhs(et.torus_fields(st))
 
@@ -436,7 +444,7 @@ def single_mode_b_residual(geom: et.TorusGeometry, seed: int) -> float:
     t = (np.einsum("k,ij->kij", sig, b) + np.einsum("i,jk->kij", sig, b) + np.einsum("j,ki->kij", sig, b))
     h = k * alg.epsilon3() + np.cos(theta)[..., None, None, None] * t
     exact = (-np.sin(theta)[..., None] * np.einsum("kl,l,kij->ij", gi, sig, t)[et._FORM2[d]],
-             0.5 * np.einsum("...ikl,...jmn,km,ln->...ij", h, h, gi, gi),
+             0.5 * np.einsum("...ikl,...jmn,km,ln->...ij", h, h, gi, gi)[..., iu, ju],
              np.einsum("...ikl,...jmn,ij,km,ln->...", h, h, gi, gi, gi) / 12.0)
     return max(_relative_error(x, y) for x, y in zip((db, dg, dphi), exact))
 
@@ -486,6 +494,7 @@ def diffeomorphism_convergence_ratios(seed: int) -> dict:
     g0 = constant_anisotropic_metric(seed)
     gi0 = np.linalg.inv(g0)
     err = {"g": [], "phi": [], "ricci": []}
+    iu, ju = et._SYM[3][:2]
     for n in (16, 32):
         geom = et.TorusGeometry(3, n, 2 * np.pi)
         x = geom.grids()
@@ -494,15 +503,14 @@ def diffeomorphism_convergence_ratios(seed: int) -> dict:
         jac = np.broadcast_to(np.eye(3), geom.shape + (3, 3)).copy()  # J[a, b] = d_b psi_a
         jac[..., 0, 1], jac[..., 1, 2], jac[..., 2, 0] = a * np.cos(x[1]), a * np.cos(x[2]), a * np.cos(x[0])
         jac_t = np.swapaxes(jac, -1, -2)
-        g = jac_t @ g0 @ jac
-        g = 0.5 * (g + np.swapaxes(g, -1, -2))
+        g = (jac_t @ g0 @ jac)[..., iu, ju]
         fields = et.torus_fields(et.TorusFieldState(geom, g, np.zeros(geom.shape + (3,)), amp * np.sin(theta), 0.0))
         dg, _, dphi = et.torus_rhs(fields)
         hess0 = -amp * np.sin(theta)[..., None, None] * np.outer(m, m)  # (dd phi0) o psi
         grad0 = amp * np.cos(theta)[..., None] * m  # (d phi0) o psi
         exact_dphi = (np.einsum("ij,...ij->...", gi0, hess0)
                       - 2.0 * np.einsum("...i,ij,...j->...", grad0, gi0, grad0))
-        err["g"].append(float(np.max(np.abs(dg + 4.0 * (jac_t @ hess0 @ jac)))))
+        err["g"].append(float(np.max(np.abs(dg + 4.0 * (jac_t @ hess0 @ jac)[..., iu, ju]))))
         err["phi"].append(float(np.max(np.abs(dphi - exact_dphi))))
         err["ricci"].append(float(np.max(np.abs(fields.rc))))
     return {key: e[0] / e[1] if e[1] > 0 else float("inf") for key, e in err.items()}
@@ -520,7 +528,7 @@ def b_gauge_residual(geom: et.TorusGeometry, seed: int) -> float:
     xs = geom.grids()
     beta = np.stack([sum(rng.uniform(-0.3, 0.3) * np.sin(xs[b] + rng.uniform(0.0, 2.0 * np.pi)) for b in range(3))
                      for _ in range(3)], axis=-1)
-    moved = et.TorusFieldState(geom, st.g, st.b + et.exterior_derivative(geom, beta, 1)[(..., *et._FORM2[3])],
+    moved = et.TorusFieldState(geom, st.gs, st.b + et.exterior_derivative(geom, beta, 1)[(..., *et._FORM2[3])],
                                st.phi, st.k, st.t)
     return max(_relative_error(x, y) for x, y in zip(et.torus_rhs(et.torus_fields(moved)),
                                                       et.torus_rhs(et.torus_fields(st))))
@@ -549,8 +557,9 @@ def symmetry_residual(state: et.TorusFieldState, perm=None, signs=None, shift=No
 
     P is an axis permutation, reflection and translation acting on the grid axes and on every tensor
     slot (a discrete isometry of the flat torus); the flux k eps is a 3-form, so k takes the determinant
-    of the signed permutation, as do b = *B and dt b, pseudovectors on T^3 and pseudoscalars on T^2. Each
-    field's error is relative to its largest value.
+    of the signed permutation, as do b = *B and dt b, pseudovectors on T^3 and pseudoscalars on T^2. g and
+    dt g, held on their pairs, are pulled back through their full forms. Each field's error is relative to
+    its largest value.
     """
     d = state.geom.d
     perm = tuple(range(d)) if perm is None else tuple(perm)
@@ -565,11 +574,16 @@ def symmetry_residual(state: et.TorusFieldState, perm=None, signs=None, shift=No
     def pull_star(b):  # det(P) times the pullback of a vector (T^3) or a scalar (T^2)
         return det * (pull(b, d) if d == 3 else pull(b[..., 0], d)[..., None])
 
-    moved = et.TorusFieldState(state.geom, pull(state.g, d), pull_star(state.b), pull(state.phi, d), det * state.k,
-                               state.t)
+    iu, ju, pair = et._SYM[d][:3]
+
+    def pull_pairs(s):  # a symmetric 2-tensor held on its pairs
+        return pull(np.take(s, pair, axis=-1), d)[..., iu, ju]
+
+    moved = et.TorusFieldState(state.geom, pull_pairs(state.gs), pull_star(state.b), pull(state.phi, d),
+                               det * state.k, state.t)
     lhs = et.torus_rhs(et.torus_fields(moved))
     dg, db, dphi = et.torus_rhs(et.torus_fields(state))
-    return max(_relative_error(x, y) for x, y in zip(lhs, (pull(dg, d), pull_star(db), pull(dphi, d))))
+    return max(_relative_error(x, y) for x, y in zip(lhs, (pull_pairs(dg), pull_star(db), pull(dphi, d))))
 
 
 def spatial_convergence_ratios(seed: int) -> dict:

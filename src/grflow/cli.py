@@ -44,12 +44,10 @@ flow trace columns:
   S                    Einstein-Hilbert value GR * sigma^2
   lambda               unit-mass infimum of S (equals GR over a point)
   involution_residual  max-abs of G^2 - Id after retraction
-  soliton_residual     Frobenius norm of the Ricci endomorphism in an adapted frame,
-                       0 exactly at solitons. For strictly positive G this is
-                       sqrt(normRc2). Otherwise eta is indefinite on V+ or V- and the
-                       norm depends on the frame: it is taken in the frame of
-                       metric.adapted_frame (an SVD basis of each eigenspace made
-                       eta-orthonormal by eigh)
+  soliton_residual     sqrt(normRc2) for strictly positive G: the Frobenius norm of the
+                       Ricci endomorphism in an adapted frame, 0 exactly at solitons.
+                       nan otherwise: there eta is indefinite on V+ or V- and every
+                       such norm depends on the frame
 
 torus trace columns:
   t           time

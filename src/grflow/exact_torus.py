@@ -26,14 +26,13 @@ exactly self-adjoint for the discrete dV-weighted inner product (central
 difference matrices are antisymmetric circulants): lambda_torus's eigenproblem
 (W L) u = lambda W u is symmetric, and the Einstein-Hilbert quadrature exact.
 
-Geometry is built once per state: state -> ``torus_fields`` -> a read-only
-``TorusFields`` record (positivity margin, g^-1, sqrt(det g), Gamma, Rc, h, |H|^2)
-that the right sides, the scalar field and lambda all read. Within it each
-independent component is differentiated once: g and Gamma^k_ij are symmetric in
-ij, so ``christoffel`` takes the partials of the d(d+1)/2 upper-triangle pairs
-of g and ``ricci_tensor`` takes d_k Gamma^k_ij on those pairs only (``_SYM``'s
-index tables), 18 scalar stencils each instead of 27 at d = 3; both expand to
-full (i, j) slots once, at the end.
+The state holds (g pairs, b, phi): g_p = g_ij on the d(d+1)/2 pairs i <= j in ``np.triu_indices``
+order (``_SYM``'s index tables) and b = *B; the full g and B are derived, read-only. Gamma^k_ij
+(symmetric in ij), Rc, the Hessian, dt g and the RK4 update stay on the pairs, so each independent
+component is differentiated once. Geometry is built once per state: ``torus_fields`` computes each
+field of the read-only ``TorusFields`` record (positivity margin, g^-1, sqrt(det g), Gamma, its trace
+v_j = Gamma^k_kj, Rc, h, |H|^2, d phi, g^-1 d phi, R - |H|^2/12) that the right sides, the scalar field
+and lambda read, and expands Gamma to (k, i, j) once, for v and the quadratic term of Rc.
 
 Contractions run in one fixed order: ``_PAIR``-planned einsum or batched matmul for
 the batched 3 x 3 products, a plain einsum for the cheap vector ones. g^-1 and det g
@@ -48,6 +47,7 @@ spatially constant metric (each flat start) is.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -65,6 +65,23 @@ SCREEN = 1e-6
 _PAIR = ["einsum_path", (0, 1)]
 # the slots (I[k], J[k]) of B that hold b_k: eps_kIJ = 1 on T^3, and B_01 on T^2
 _FORM2 = {2: ([0], [1]), 3: ([1, 2, 0], [2, 0, 1])}
+
+
+def _symmetric_pairs(d: int):
+    """Index tables of the d(d+1)/2 upper-triangle pairs p = (i, j), i <= j, in ``np.triu_indices`` order.
+
+    Returns (iu, ju, pair, first, second): pair[i, j] = pair[j, i] is the index of (i, j). With P pairs,
+    the flattened (l, p) block of d_l g_p holds d_i g_jl at first[l, q] = i P + pair[j, l] and d_j g_il
+    at second[l, q] = j P + pair[i, l], for the pair q = (i, j).
+    """
+    iu, ju = np.triu_indices(d)
+    pair = np.empty((d, d), dtype=np.intp)
+    pair[iu, ju] = pair[ju, iu] = np.arange(len(iu))
+    ls = np.arange(d)[:, None]
+    return iu, ju, pair, iu * len(iu) + pair[ju, ls], ju * len(iu) + pair[iu, ls]
+
+
+_SYM = {d: _symmetric_pairs(d) for d in (2, 3)}
 
 
 @dataclass(frozen=True)
@@ -140,9 +157,12 @@ def exterior_derivative(geom: TorusGeometry, omega: np.ndarray, degree: int) -> 
 
 @dataclass
 class TorusFieldState:
+    """(g, b, phi) by their independent components: ``gs``, g's d(d+1)/2 pairs g_ij, i <= j, in ``_SYM`` order,
+    and b = *B, B's components B_IJ with (I, J) from ``_FORM2``. The full g and B are derived, read-only."""
+
     geom: TorusGeometry
-    g: np.ndarray
-    b: np.ndarray  # *B, B's d(d - 1)/2 independent components B_IJ, (I, J) from _FORM2; B itself is derived
+    gs: np.ndarray
+    b: np.ndarray
     phi: np.ndarray
     k: float  # constant flux k eps of H = k eps + dB
     t: float = 0.0
@@ -151,25 +171,31 @@ class TorusFieldState:
         d, shape = self.geom.d, self.geom.shape
         # C order: a planned einsum sums in an order that follows its operands' memory layout, and
         # the right side should not depend on how the caller laid the arrays out
-        self.g, self.b, self.phi = (np.ascontiguousarray(f, dtype=float) for f in (self.g, self.b, self.phi))
+        self.gs, self.b, self.phi = (np.ascontiguousarray(f, dtype=float) for f in (self.gs, self.b, self.phi))
         self.k = float(self.k)
-        if self.g.shape != shape + (d, d) or self.b.shape != shape + (len(_FORM2[d][0]),) or self.phi.shape != shape:
+        if (self.gs.shape != shape + (len(_SYM[d][0]),) or self.b.shape != shape + (len(_FORM2[d][0]),)
+                or self.phi.shape != shape):
             raise ValidationError("field arrays do not match the grid")
-        for name in ("g", "b", "phi"):  # a NaN passes every comparison below
-            if not np.isfinite(getattr(self, name)).all():
+        for name, f in (("g", self.gs), ("b", self.b), ("phi", self.phi)):  # a NaN passes every comparison below
+            if not np.isfinite(f).all():
                 raise ValidationError(f"{name} must be finite at every node")
         if not np.isfinite(self.k):
             raise ValidationError(f"flux strength k must be finite, got {self.k!r}")
         if d == 2 and self.k != 0.0:
             raise ValidationError(f"three-forms vanish on T^2: flux strength k must be 0 for d = 2, got {self.k!r}")
-        if np.max(np.abs(self.g - np.swapaxes(self.g, -1, -2))) > 1e-12 * max(1.0, float(np.max(np.abs(self.g)))):
-            raise ValidationError("g must be symmetric at every node")
+
+    @property
+    def g(self) -> np.ndarray:
+        """The full metric, g_ij = g_ji = the pair (i, j) of gs, read-only: a write raises, not vanishes."""
+        full = np.take(self.gs, _SYM[self.geom.d][2], axis=-1)
+        full.flags.writeable = False
+        return full
 
     @property
     def B(self) -> np.ndarray:
         """The full 2-form B_IJ = b, B_JI = 0 - b (+0.0 where b is 0), read-only: a write raises, not vanishes."""
         i, j = _FORM2[self.geom.d]
-        full = np.zeros(self.g.shape)
+        full = np.zeros(self.geom.shape + (self.geom.d,) * 2)
         full[..., i, j], full[..., j, i] = self.b, 0.0 - self.b
         full.flags.writeable = False
         return full
@@ -183,20 +209,21 @@ class TorusFieldState:
         LAPACK solves each matrix on its own, so its value is the one the full batch gives. The
         same holds for one of several bitwise-equal candidates, which stands for all of them.
         """
-        g = self.g.reshape(-1, self.geom.d, self.geom.d)
-        mu = lowest_eig_estimate(g, float(np.max(np.abs(g))) or 1.0)
-        candidates = g[mu <= np.min(mu) + SCREEN]
+        gs = self.gs.reshape(-1, self.gs.shape[-1])
+        mu = lowest_eig_estimate(gs, float(np.max(np.abs(gs))) or 1.0)
+        candidates = gs[mu <= np.min(mu) + SCREEN]
         if np.all(candidates == candidates[0]):  # a constant metric: every node a candidate, one eigvalsh
             candidates = candidates[:1]
-        return float(np.min(np.linalg.eigvalsh(candidates)))
+        return float(np.min(np.linalg.eigvalsh(np.take(candidates, _SYM[self.geom.d][2], axis=-1))))
 
     def copy(self) -> "TorusFieldState":
-        return TorusFieldState(self.geom, self.g.copy(), self.b.copy(), self.phi.copy(), self.k, self.t)
+        return TorusFieldState(self.geom, self.gs.copy(), self.b.copy(), self.phi.copy(), self.k, self.t)
 
 
 def flat_state(geom: TorusGeometry, k: float = 0.0) -> TorusFieldState:
     """g = Id, B = 0, phi = 0, constant flux of strength k (volume form)."""
-    eye = np.broadcast_to(np.eye(geom.d), geom.shape + (geom.d, geom.d)).copy()
+    iu, ju = _SYM[geom.d][:2]
+    eye = np.broadcast_to(np.eye(geom.d)[iu, ju], geom.shape + (len(iu),)).copy()
     return TorusFieldState(geom, eye, np.zeros(geom.shape + (len(_FORM2[geom.d][0]),)), np.zeros(geom.shape), k)
 
 
@@ -222,18 +249,13 @@ def perturbed_state(geom: TorusGeometry, seed: int, amplitude: float = 0.05, k: 
             wave += rng.uniform(0.3, 1.0) * np.sin(arg + phase)
         return wave
 
-    d = geom.d
-    for i in range(d):
-        for j in range(i, d):
-            w = amplitude * mode()
-            st.g[..., i, j] += w
-            if i != j:
-                st.g[..., j, i] += w
+    for p in range(st.gs.shape[-1]):  # the pairs (i, j), i <= j, of g in turn
+        st.gs[..., p] += amplitude * mode()
     # the pairs (i, j) = (0, 1), (0, 2), (1, 2) of B_ij in turn: b_2 = B_01, b_1 = B_20 = -B_02, b_0 = B_12
-    for c, sign in ([(2, 1.0), (1, -1.0), (0, 1.0)] if d == 3 else [(0, 1.0)]):
+    for c, sign in ([(2, 1.0), (1, -1.0), (0, 1.0)] if geom.d == 3 else [(0, 1.0)]):
         st.b[..., c] += sign * (amplitude * mode())
     st.phi += amplitude * mode()
-    st = TorusFieldState(geom, st.g, st.b, st.phi, k)  # the edits above are validated like any state
+    st = TorusFieldState(geom, st.gs, st.b, st.phi, k)  # the edits above are validated like any state
     if st.spd_margin() <= SPD_FLOOR:
         raise DegenerateMetric("perturbation amplitude too large: g not positive definite")
     return st
@@ -249,53 +271,33 @@ def flux_H(state: TorusFieldState) -> np.ndarray:
     return state.k + div(state.geom, state.b)
 
 
-def _symmetric_pairs(d: int):
-    """Index tables of the d(d+1)/2 upper-triangle pairs p = (i, j), i <= j, in ``np.triu_indices`` order.
-
-    Returns (iu, ju, pair, first, second): pair[i, j] = pair[j, i] is the index of (i, j). With P pairs,
-    the flattened (l, p) block of d_l g_p holds d_i g_jl at first[l, q] = i P + pair[j, l] and d_j g_il
-    at second[l, q] = j P + pair[i, l], for the pair q = (i, j).
-    """
-    iu, ju = np.triu_indices(d)
-    pair = np.empty((d, d), dtype=np.intp)
-    pair[iu, ju] = pair[ju, iu] = np.arange(len(iu))
-    ls = np.arange(d)[:, None]
-    return iu, ju, pair, iu * len(iu) + pair[ju, ls], ju * len(iu) + pair[iu, ls]
-
-
-_SYM = {d: _symmetric_pairs(d) for d in (2, 3)}
-
-
 def christoffel(state: TorusFieldState, ginv: np.ndarray) -> np.ndarray:
-    """Gamma^k_{ij} per node, shape grid + (d, d, d) with k first.
+    """Gamma^k_p on the pairs p = (i, j), i <= j, of ``_SYM``: shape grid + (d, d(d+1)/2), k first.
 
-    Gamma^k_ij = g^{kl} Gamma_{l,ij} is symmetric in ij, so it is formed on the upper-triangle pairs:
-    the partials of the d(d+1)/2 components g_p, 2 Gamma_{l,ij} = d_i g_jl + d_j g_il - d_l g_ij read
-    from them through ``_SYM``'s tables, one matmul with g^-1 and one expansion to (k, i, j).
+    Gamma^k_ij = g^{kl} Gamma_{l,ij} is symmetric in ij, so it is formed on the pairs only: the partials
+    of the stored g_p, 2 Gamma_{l,ij} = d_i g_jl + d_j g_il - d_l g_ij read from them through ``_SYM``'s
+    tables, and one matmul with g^-1.
     """
-    iu, ju, pair, first, second = _SYM[state.geom.d]
-    dg = grad(state.geom, state.g[..., iu, ju])  # (l, p) = d_l g_p
+    first, second = _SYM[state.geom.d][3:]
+    dg = grad(state.geom, state.gs)  # (l, p) = d_l g_p
     flat = dg.reshape(dg.shape[:-2] + (-1,))
     rhs = np.take(flat, first, axis=-1) + np.take(flat, second, axis=-1) - dg  # (l, q) = 2 Gamma_{l,q}
-    return np.take(0.5 * (ginv @ rhs), pair, axis=-1)
+    return 0.5 * (ginv @ rhs)
 
 
-def ricci_tensor(state: TorusFieldState, gamma: np.ndarray) -> np.ndarray:
-    """Classical Ricci tensor with the mixed-derivative term symmetrized.
+def ricci_tensor(geom: TorusGeometry, gamma: np.ndarray, expanded: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Classical Ricci tensor on the pairs p = (i, j), i <= j, with the mixed-derivative term symmetrized.
 
-    Rc_ij = d_k Gamma^k_ij - d_(i Gamma^k_{k j)} + Gamma^k_{kl} Gamma^l_{ij}
-    - Gamma^k_{il} Gamma^l_{kj}; the discrete symmetrization keeps the update
-    exactly symmetric (the two writings agree analytically). d_k Gamma^k_ij is
-    taken on the upper-triangle pairs (ij) only, Gamma being symmetric in ij.
+    Rc_ij = d_k Gamma^k_ij - d_(i v_j) + v_l Gamma^l_ij - Gamma^k_il Gamma^l_kj with v_j = Gamma^k_kj and
+    d_(i v_j) = 1/2 (d_i v_j + d_j v_i), equal analytically. ``gamma`` is Gamma on the pairs, ``expanded``
+    its full (k, i, j) copy and v its trace, all from ``torus_fields``; the last term runs over the full
+    copy and is read at the pairs.
     """
-    geom = state.geom
-    iu, ju, pair = _SYM[geom.d][:3]
-    v = np.einsum("...kkj->...j", gamma)
+    iu, ju = _SYM[geom.d][:2]
     dv = grad(geom, v)  # (i, j) = d_i v_j
-    dv_sym = 0.5 * (dv + np.swapaxes(dv, -1, -2))
-    quad1 = np.einsum("...l,...lij->...ij", v, gamma)
-    quad2 = np.einsum("...kil,...lkj->...ij", gamma, gamma, optimize=_PAIR)
-    return np.take(div(geom, gamma[..., iu, ju]), pair, axis=-1) - dv_sym + quad1 - quad2
+    quad1 = np.einsum("...l,...lp->...p", v, gamma)
+    quad2 = np.einsum("...kil,...lkj->...ij", expanded, expanded, optimize=_PAIR)[..., iu, ju]
+    return div(geom, gamma) - 0.5 * (dv[..., iu, ju] + dv[..., ju, iu]) + quad1 - quad2
 
 
 def laplace_beltrami(geom: TorusGeometry, w: np.ndarray, ginv: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -304,45 +306,45 @@ def laplace_beltrami(geom: TorusGeometry, w: np.ndarray, ginv: np.ndarray, f: np
 
 
 def hessian(geom: TorusGeometry, gamma: np.ndarray, df: np.ndarray) -> np.ndarray:
-    """Covariant Hessian grad_i grad_j f from the gradient df = grad f, symmetrized to round-off."""
+    """Covariant Hessian on the pairs i <= j from Gamma on the pairs and df = grad f: 1/2 (d_i d_j f + d_j d_i f)
+    - Gamma^k_ij d_k f, the two discrete mixed partials (equal but for round-off) averaged."""
+    iu, ju = _SYM[geom.d][:2]
     ddf = grad(geom, df)  # (i, j) = d_i d_j f
-    ddf = 0.5 * (ddf + np.swapaxes(ddf, -1, -2))
-    return ddf - np.einsum("...kij,...k->...ij", gamma, df)
+    return 0.5 * (ddf[..., iu, ju] + ddf[..., ju, iu]) - np.einsum("...kp,...k->...p", gamma, df)
 
 
-def inverse_and_det(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse and determinant of a field of symmetric 2 x 2 or 3 x 3 matrices, in closed form.
+def inverse_and_det(gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse and determinant of a field of symmetric 2 x 2 or 3 x 3 matrices given by their pairs (``_SYM``).
 
-    Only the upper triangle is read: g^-1 = adj g / det g from its cofactors, so g^-1 is symmetric
-    bitwise, and det g is the cofactor expansion along the first row.
+    g^-1 = adj g / det g from the cofactors, returned as full matrices (a matmul operand), symmetric
+    bitwise; det g is the cofactor expansion along the first row.
     """
-    if g.shape[-1] == 2:
-        a, b, c = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
+    if gs.shape[-1] == 3:
+        a, b, c = np.moveaxis(gs, -1, 0)
         det = a * c - b * b
-        adj = (c, -b, -b, a)
+        d, adj = 2, (c, -b, -b, a)
     else:
-        a, b, c, e, f, i = g[..., 0, 0], g[..., 0, 1], g[..., 0, 2], g[..., 1, 1], g[..., 1, 2], g[..., 2, 2]
+        a, b, c, e, f, i = np.moveaxis(gs, -1, 0)
         c00, c01, c02 = e * i - f * f, c * f - b * i, b * f - c * e
         c11, c12, c22 = a * i - c * c, b * c - a * f, a * e - b * b
         det = a * c00 + b * c01 + c * c02
-        adj = (c00, c01, c02, c01, c11, c12, c02, c12, c22)
-    return np.stack(adj, axis=-1).reshape(g.shape) / det[..., None, None], det
+        d, adj = 3, (c00, c01, c02, c01, c11, c12, c02, c12, c22)
+    return np.stack(adj, axis=-1).reshape(gs.shape[:-1] + (d, d)) / det[..., None, None], det
 
 
-def lowest_eig_estimate(g: np.ndarray, scale: float) -> np.ndarray:
-    """Closed-form lowest eigenvalue of each symmetric 2 x 2 or 3 x 3 matrix g / scale, to ~3e-8 max|g / scale|.
+def lowest_eig_estimate(gs: np.ndarray, scale: float) -> np.ndarray:
+    """Closed-form lowest eigenvalue of each symmetric 2 x 2 or 3 x 3 matrix g / scale, given by its pairs
+    gs (``_SYM``), to ~3e-8 max|g / scale|.
 
-    Reads the lower triangle, as ``eigvalsh`` does. 2 x 2: (a + c)/2 - hypot((a - c)/2, b). 3 x 3: the
-    trigonometric form (O. K. Smith, CACM 4(4), 1961), q + 2p cos(arccos(r)/3 + 2 pi/3) with q = tr g / 3,
-    p^2 = |g - q|^2 / 6 and r = det((g - q)/p) / 2; it loses half the digits where the two lowest
-    eigenvalues meet (r near 1), so it is a screen for ``spd_margin``, not a value. With scale = max|g|
-    no square overflows.
+    2 x 2: (a + c)/2 - hypot((a - c)/2, b). 3 x 3: the trigonometric form (O. K. Smith, CACM 4(4), 1961),
+    q + 2p cos(arccos(r)/3 + 2 pi/3) with q = tr g / 3, p^2 = |g - q|^2 / 6 and r = det((g - q)/p) / 2; it
+    loses half the digits where the two lowest eigenvalues meet (r near 1), so it is a screen for
+    ``spd_margin``, not a value. With scale = max|g| no square overflows.
     """
-    if g.shape[-1] == 2:
-        a, b, c = g[..., 0, 0] / scale, g[..., 1, 0] / scale, g[..., 1, 1] / scale
+    if gs.shape[-1] == 3:
+        a, b, c = np.moveaxis(gs, -1, 0) / scale
         return 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
-    b, c, f = g[..., 1, 0] / scale, g[..., 2, 0] / scale, g[..., 2, 1] / scale
-    a, e, i = g[..., 0, 0] / scale, g[..., 1, 1] / scale, g[..., 2, 2] / scale
+    a, b, c, e, f, i = np.moveaxis(gs, -1, 0) / scale
     q = (a + e + i) / 3.0
     a, e, i = a - q, e - q, i - q
     p = np.sqrt((a * a + e * e + i * i + 2.0 * (b * b + c * c + f * f)) / 6.0)
@@ -361,16 +363,20 @@ def degenerate_nodes(state: TorusFieldState) -> float:
 
 @dataclass(frozen=True)
 class TorusFields:
-    """Read-only geometry of one state; build it with ``torus_fields``."""
+    """Read-only geometry of one state; build it with ``torus_fields``. Symmetric tensors are on ``_SYM``'s pairs."""
 
     state: TorusFieldState
     margin: float  # smallest eigenvalue of g over the grid
-    ginv: np.ndarray
+    ginv: np.ndarray  # full (d, d)
     w: np.ndarray  # sqrt(det g)
-    gamma: np.ndarray
+    gamma: np.ndarray  # Gamma^k_p
+    v: np.ndarray  # Gamma^k_kj
     rc: np.ndarray
     h: np.ndarray  # flux density H_012
     h_norm_sq: np.ndarray  # |H|^2_g = 6 h^2 / det g
+    dphi: np.ndarray  # d_l phi
+    dphi_up: np.ndarray  # g^{kl} d_l phi
+    potential: np.ndarray  # R - |H|^2 / 12
 
     @property
     def geom(self) -> TorusGeometry:
@@ -378,53 +384,49 @@ class TorusFields:
 
 
 def torus_fields(state: TorusFieldState) -> TorusFields:
-    """The one place g^-1, Gamma, Rc, h and |H|^2 are computed; raises on lost positivity."""
+    """The one place each field of ``TorusFields`` is computed; raises on lost positivity."""
+    geom, pair = state.geom, _SYM[state.geom.d][2]
     margin = degenerate_nodes(state)
-    ginv, det = inverse_and_det(state.g)
+    ginv, det = inverse_and_det(state.gs)
     gamma = christoffel(state, ginv)
+    expanded = np.take(gamma, pair, axis=-1)  # (k, i, j): Gamma's one full copy
+    v = np.einsum("...kkj->...j", expanded)
+    rc = ricci_tensor(geom, gamma, expanded, v)
     h = flux_H(state)
-    return TorusFields(state, margin, ginv, np.sqrt(det), gamma, ricci_tensor(state, gamma), h, 6.0 * h * h / det)
+    h_norm_sq = 6.0 * h * h / det
+    dphi = grad(geom, state.phi)
+    dphi_up = np.einsum("...kl,...l->...k", ginv, dphi)
+    potential = np.einsum("...ij,...ij->...", ginv, np.take(rc, pair, axis=-1)) - h_norm_sq / 12.0
+    return TorusFields(state, margin, ginv, np.sqrt(det), gamma, v, rc, h, h_norm_sq, dphi, dphi_up, potential)
 
 
 def torus_rhs(fields: TorusFields) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dt g, dt b, dt phi) of the exact-case flow with H = h eps, in the closed forms of the module docstring."""
-    geom, g, phi, ginv, gamma, h = fields.geom, fields.state.g, fields.state.phi, fields.ginv, fields.gamma, fields.h
-    dphi = grad(geom, phi)
-    hess = hessian(geom, gamma, dphi)
-    dg = -2.0 * fields.rc + fields.h_norm_sq[..., None, None] / 6.0 * g - 4.0 * hess
-
-    if geom.d == 3:  # dt b^k = X^k = g^{kl} (d_l h - h (Gamma^m_{lm} + 2 d_l phi))
-        db = np.einsum("...kl,...l->...k", ginv,
-                       grad(geom, h) - h[..., None] * (np.einsum("...mlm->...l", gamma) + 2.0 * dphi))
+    """(dt g on the pairs, dt b, dt phi) of the exact-case flow with H = h eps, in the closed forms above."""
+    geom, ginv, h, dphi, dphi_up = fields.geom, fields.ginv, fields.h, fields.dphi, fields.dphi_up
+    hess = hessian(geom, fields.gamma, dphi)
+    dg = -2.0 * fields.rc + fields.h_norm_sq[..., None] / 6.0 * fields.state.gs - 4.0 * hess
+    if geom.d == 3:  # dt b^k = X^k = g^{kl} (d_l h - h (v_l + 2 d_l phi))
+        db = np.einsum("...kl,...l->...k", ginv, grad(geom, h) - h[..., None] * (fields.v + 2.0 * dphi))
     else:
         db = np.zeros_like(fields.state.b)
-
-    grad_phi_up = np.einsum("...kl,...l->...k", ginv, dphi)
-    lap_phi = laplace_beltrami(geom, fields.w, ginv, phi)
-    dphi_rhs = lap_phi - 2.0 * np.einsum("...i,...i->...", grad_phi_up, dphi) + fields.h_norm_sq / 12.0
+    lap_phi = div(geom, fields.w[..., None] * dphi_up) / fields.w
+    dphi_rhs = lap_phi - 2.0 * np.einsum("...i,...i->...", dphi_up, dphi) + fields.h_norm_sq / 12.0
     return dg, db, dphi_rhs
 
 
 def ricci_dilaton_rhs(fields: TorusFields) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dedicated H-free path: Ricci flow coupled to the dilaton only."""
-    geom, phi, ginv = fields.geom, fields.state.phi, fields.ginv
-    dphi = grad(geom, phi)
+    geom, dphi, dphi_up = fields.geom, fields.dphi, fields.dphi_up
     dg = -2.0 * fields.rc - 4.0 * hessian(geom, fields.gamma, dphi)
-    lap_phi = laplace_beltrami(geom, fields.w, ginv, phi)
-    grad_phi_up = np.einsum("...kl,...l->...k", ginv, dphi)
-    dphi_rhs = lap_phi - 2.0 * np.einsum("...i,...i->...", grad_phi_up, dphi)
+    lap_phi = div(geom, fields.w[..., None] * dphi_up) / fields.w
+    dphi_rhs = lap_phi - 2.0 * np.einsum("...i,...i->...", dphi_up, dphi)
     return dg, np.zeros_like(fields.state.b), dphi_rhs
-
-
-def _potential(fields: TorusFields) -> np.ndarray:
-    """R - |H|^2/12 per node."""
-    return np.einsum("...ij,...ij->...", fields.ginv, fields.rc) - fields.h_norm_sq / 12.0
 
 
 def generalized_scalar_field(fields: TorusFields) -> np.ndarray:
     """Nodewise R - 1/12 |H|^2_g - 4 e^phi Lap_g e^-phi."""
     phi = fields.state.phi
-    return _potential(fields) - 4.0 * np.exp(phi) * laplace_beltrami(fields.geom, fields.w, fields.ginv, np.exp(-phi))
+    return fields.potential - 4.0 * np.exp(phi) * laplace_beltrami(fields.geom, fields.w, fields.ginv, np.exp(-phi))
 
 
 # -- lambda functional ---------------------------------------------------------
@@ -432,8 +434,7 @@ def generalized_scalar_field(fields: TorusFields) -> np.ndarray:
 
 def _dirichlet_operator(fields: TorusFields):
     """Returns (apply_L, weights) for L u = -4 Lap_g u + (R - |H|^2/12) u."""
-    geom, w, ginv = fields.geom, fields.w, fields.ginv
-    pot = _potential(fields)
+    geom, w, ginv, pot = fields.geom, fields.w, fields.ginv, fields.potential
     weights = w * geom.h**geom.d  # dV per node
 
     def apply_l(u):
@@ -548,9 +549,9 @@ class TorusTrace:
 
 def _rk4_torus(state: TorusFieldState, dt: float, rhs, k1) -> TorusFieldState:
     """One RK4 step; every stage state goes through the constructor, which validates its own arrays.
-    A stage it rejects means the step itself broke symmetry or finiteness: DegenerateMetric."""
-    def shifted(fac, rate, t):  # (g, b, phi) + fac * rate at time t; rate is read one field at a time
-        return TorusFieldState(state.geom, *(f + fac * r for f, r in zip((state.g, state.b, state.phi), rate)),
+    A stage it rejects means the step itself broke their shape or finiteness: DegenerateMetric."""
+    def shifted(fac, rate, t):  # (gs, b, phi) + fac * rate at time t; rate is read one field at a time
+        return TorusFieldState(state.geom, *(f + fac * r for f, r in zip((state.gs, state.b, state.phi), rate)),
                                state.k, t)
 
     try:
@@ -566,8 +567,9 @@ def run_torus_flow(state: TorusFieldState, params: TorusParams, rhs=torus_rhs) -
     """RK4 run with diffusion-limited steps, returning its trace whatever stops it after the initial record.
 
     The step is dt = cfl h^2 / max_node ||g^{-1}|| recomputed per step, cut to land exactly on T.
-    Every RK4 stage state goes through the constructor, which asserts that g is symmetric and every
-    field finite; B, derived from b, is antisymmetric by construction.  ``aborted`` is None when the
+    Every RK4 stage state goes through the constructor, which asserts that every field has its shape
+    and is finite; g and B, derived from their independent components, are symmetric and
+    antisymmetric by construction.  ``aborted`` is None when the
     run reached T and otherwise says why not: lost positivity or a rejected RK4 stage
     (DegenerateMetric), a stalled lambda solve, step underflow or the ``max_steps`` budget.
     ``final_state`` is the last state reached.  A failure on the initial state (no positive metric,
@@ -590,7 +592,7 @@ def run_torus_flow(state: TorusFieldState, params: TorusParams, rhs=torus_rhs) -
         trace.meanR.append(float(np.mean(gr)))
         trace.lam.append(lam)
         trace.spd_margin.append(f.margin)
-        trace.g_norm.append(float(np.max(np.abs(s.g))))
+        trace.g_norm.append(float(np.max(np.abs(s.gs))))  # max|g|: g holds each pair in one or two slots
         trace.B_norm.append(float(np.max(np.abs(s.b))))  # max|B|: B holds b, 0 - b and zeros
         trace.phi_norm.append(float(np.max(np.abs(s.phi))))
 
@@ -624,7 +626,7 @@ DUMP_VERSION = 1
 
 def write_field_dump(state: TorusFieldState, path) -> None:
     """Flat binary dump: header (magic 'GRFD', uint32 version, d, N, field
-    count) then row-major float64 payloads g, B, phi; B is the full 2-form derived from b."""
+    count) then row-major float64 payloads g, B, phi; g and B are the full tensors derived from gs and b."""
     with open(path, "wb") as fh:
         fh.write(DUMP_MAGIC)
         np.array([DUMP_VERSION, state.geom.d, state.geom.N, 3], dtype="<u4").tofile(fh)
@@ -633,15 +635,21 @@ def write_field_dump(state: TorusFieldState, path) -> None:
 
 
 def read_field_dump(path) -> dict:
+    """The fields of a ``write_field_dump`` file. A bad magic or header (version 1, d in {2, 3}, N a valid
+    grid size, 3 fields) or a payload other than 8 N^d (2 d^2 + 1) bytes raises ``ValidationError``."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        magic, header = fh.read(4), fh.read(16)
         if magic != DUMP_MAGIC:
             raise ValidationError(f"bad magic {magic!r}")
-        version, d, n, nfields = np.fromfile(fh, dtype="<u4", count=4)
+        if len(header) != 16:
+            raise ValidationError("dump header cut short")
+        version, d, n, nfields = (int(x) for x in np.frombuffer(header, dtype="<u4"))
         if version != DUMP_VERSION or nfields != 3:
             raise ValidationError("unsupported dump layout")
-        shape = (int(n),) * int(d)
-        g = np.fromfile(fh, dtype="<f8", count=int(np.prod(shape)) * d * d).reshape(shape + (d, d))
-        b = np.fromfile(fh, dtype="<f8", count=int(np.prod(shape)) * d * d).reshape(shape + (d, d))
-        phi = np.fromfile(fh, dtype="<f8", count=int(np.prod(shape))).reshape(shape)
-    return {"d": int(d), "N": int(n), "g": g, "B": b, "phi": phi}
+        shape = TorusGeometry(d, n).shape  # rejects d outside {2, 3} and a bad N
+        nodes = n**d
+        expected, size = 8 * nodes * (2 * d * d + 1), os.fstat(fh.fileno()).st_size - 20
+        if size != expected:
+            raise ValidationError(f"dump payload holds {size} bytes, d = {d} and N = {n} need {expected}")
+        g, b, phi = np.split(np.fromfile(fh, dtype="<f8"), [nodes * d * d, 2 * nodes * d * d])
+    return {"d": d, "N": n, "g": g.reshape(shape + (d, d)), "B": b.reshape(shape + (d, d)), "phi": phi.reshape(shape)}

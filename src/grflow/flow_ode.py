@@ -17,15 +17,9 @@ import numpy as np
 
 from .algebra import QuadraticLieAlgebra
 from .curvature import ricci_closed_form, scalar_closed_form
-from .errors import (DegenerateMetric, DegenerateSubspace, NumericalError, RetractionDiverged, StepBudgetExhausted,
-                     StepUnderflow, ValidationError)
-from .metric import (
-    GeneralizedPseudometric,
-    _as_matrix,
-    adapted_frame,
-    involution_residual,
-    mixed_norm_sq,
-)
+from .errors import (DegenerateMetric, NumericalError, RetractionDiverged, StepBudgetExhausted, StepUnderflow,
+                     ValidationError)
+from .metric import GeneralizedPseudometric, involution_residual, mixed_norm_sq
 
 
 @dataclass
@@ -146,20 +140,6 @@ def flow_step(a: QuadraticLieAlgebra, state: FlowState, params: FlowParams, dt: 
         return FlowState(state.t + dt, g_new, state.log_sigma + ds)
 
 
-def soliton_residual(a: QuadraticLieAlgebra, G) -> float:
-    """Frobenius norm of GRc(G, 0) in the frame of ``adapted_frame``.
-
-    Zero exactly at solitons: over a point the lambda-minimizing half-density
-    is the normalized constant, so the condition is GRc(G, 0) = 0.  Where eta
-    is indefinite on an eigenspace of G the norm depends on the frame.
-    """
-    g = _as_matrix(G)
-    grc_dd = a.eta @ ricci_closed_form(a, g)
-    fr = adapted_frame(a, g)
-    grc_ad = fr.Q.T @ grc_dd @ fr.Q
-    return float(np.linalg.norm(grc_ad))
-
-
 def run_flow(a: QuadraticLieAlgebra, init: FlowState, params: FlowParams) -> FlowTrace:
     """Integrate to params.T recording diagnostics at every accepted step.
 
@@ -176,16 +156,6 @@ def run_flow(a: QuadraticLieAlgebra, init: FlowState, params: FlowParams) -> Flo
     trace = FlowTrace()
     state = FlowState(init.t, init.G.copy(), init.log_sigma)
 
-    def soliton_value(g, rc2):
-        if watch_positivity:
-            # in an adapted frame of a strictly positive metric the Frobenius
-            # norm of GRc equals sqrt(|GRc|^2_G)
-            return float(np.sqrt(max(rc2, 0.0)))
-        try:
-            return soliton_residual(a, g)
-        except DegenerateSubspace:
-            return float("nan")
-
     def record(st: FlowState, rhs: tuple[np.ndarray, float], step_dt: float):
         # GR and GRc read back from the RHS (-2 GRc, -GR/2): power-of-two rescalings, so exact
         gr = -2.0 * rhs[1]
@@ -200,7 +170,9 @@ def run_flow(a: QuadraticLieAlgebra, init: FlowState, params: FlowParams) -> Flo
         trace.S.append(gr * sigma_sq)
         trace.lam.append(gr)  # over a point the unit-mass infimum is GR itself
         trace.involution_residual.append(involution_residual(st.G))
-        trace.soliton_residual.append(soliton_value(st.G, rc2))
+        # the Frobenius norm of GRc in an adapted frame of a strictly positive metric; where eta is
+        # indefinite on an eigenspace every such norm depends on the frame, so none is reported
+        trace.soliton_residual.append(float(np.sqrt(max(rc2, 0.0))) if watch_positivity else float("nan"))
         trace.monotonicity_defect.append(defect)
         trace.step_dt.append(step_dt)
 

@@ -37,7 +37,7 @@ def test_h0_on_t2_rejected():
     with pytest.raises(ValidationError, match="T\\^2"):
         et.TorusFieldState(
             geom,
-            np.broadcast_to(np.eye(2), geom.shape + (2, 2)).copy(),
+            np.broadcast_to([1.0, 0.0, 1.0], geom.shape + (3,)).copy(),
             np.zeros(geom.shape + (1,)),
             np.zeros(geom.shape),
             1.0,
@@ -56,12 +56,8 @@ def test_nonfinite_flux_rejected(geom8, k):
 @pytest.mark.parametrize("name", ["g", "b", "phi"])
 def test_nonfinite_fields_rejected(geom8, name, value):
     st = et.flat_state(geom8)
-    arrays = {"g": st.g, "b": st.b, "phi": st.phi}
-    node = (1, 2, 3)
-    if name == "g":  # kept symmetric: rejected for the value alone
-        arrays["g"][node + (0, 1)] = arrays["g"][node + (1, 0)] = value
-    else:
-        arrays[name][node] = value
+    arrays = {"g": st.gs, "b": st.b, "phi": st.phi}
+    arrays[name][(1, 2, 3)] = value
     with pytest.raises(ValidationError, match=f"{name} must be finite"):
         et.TorusFieldState(geom8, arrays["g"], arrays["b"], arrays["phi"], 0.0)
 
@@ -81,7 +77,27 @@ def test_state_holds_b_and_derives_B(d):
         st.B[(0,) * d + (0, 1)] = 1.0
     for wrong in (np.zeros(geom.shape + (d, d)), np.zeros(geom.shape + (d * (d - 1) // 2 + 1,))):
         with pytest.raises(ValidationError, match="do not match the grid"):
-            et.TorusFieldState(geom, st.g, wrong, st.phi, 0.0)
+            et.TorusFieldState(geom, st.gs, wrong, st.phi, 0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_state_holds_g_pairs_and_derives_g(d):
+    # gs holds the d(d + 1)/2 pairs i <= j; g is symmetric bitwise, holds each pair in both slots, is
+    # read-only and max|g| = max|gs|
+    geom = et.TorusGeometry(d, 8)
+    st = et.perturbed_state(geom, 3, amplitude=0.1)
+    iu, ju = np.triu_indices(d)
+    assert st.gs.shape == geom.shape + (d * (d + 1) // 2,)
+    g = st.g
+    assert g.shape == geom.shape + (d, d)
+    assert np.array_equal(g, np.swapaxes(g, -1, -2))
+    assert np.array_equal(g[..., iu, ju], st.gs) and np.array_equal(g[..., ju, iu], st.gs)
+    assert np.max(np.abs(g)) == np.max(np.abs(st.gs))
+    with pytest.raises(ValueError, match="read-only"):
+        st.g[(0,) * d + (0, 1)] = 1.0
+    for wrong in (np.zeros(geom.shape + (d, d)), np.zeros(geom.shape + (d * (d + 1) // 2 + 1,))):
+        with pytest.raises(ValidationError, match="do not match the grid"):
+            et.TorusFieldState(geom, wrong, st.b, st.phi, 0.0)
 
 
 @pytest.mark.parametrize("amplitude", [np.nan, np.inf])
@@ -136,7 +152,7 @@ def test_deriv_matches_roll_stencil_bitwise(d, rng):
 
 
 def _christoffel_full(state, ginv):
-    """``christoffel`` on all d^3 components of d g and Gamma, as before the symmetric-pair layout (oracle)."""
+    """``christoffel`` on all d^3 components of d g and Gamma, from the full g (oracle)."""
     d = state.geom.d
     dg = et.grad(state.geom, state.g)  # (l, i, j) = d_l g_ij
     term_i = np.moveaxis(dg, -1, -3)  # [l, i, j] <- d_i g_{jl}
@@ -146,7 +162,7 @@ def _christoffel_full(state, ginv):
 
 
 def _ricci_tensor_full(state, gamma):
-    """``ricci_tensor`` with d_k Gamma^k_ij on all d^3 components of Gamma (oracle)."""
+    """``ricci_tensor`` on all d^2 components, with d_k Gamma^k_ij on all d^3 components of Gamma (oracle)."""
     geom = state.geom
     v = np.einsum("...kkj->...j", gamma)
     dv = et.grad(geom, v)  # (i, j) = d_i v_j
@@ -156,21 +172,31 @@ def _ricci_tensor_full(state, gamma):
     return et.div(geom, gamma) - dv_sym + quad1 - quad2
 
 
+def _hessian_full(geom, gamma, df):
+    """``hessian`` on all d^2 components, from the full Gamma (oracle)."""
+    ddf = et.grad(geom, df)
+    return 0.5 * (ddf + np.swapaxes(ddf, -1, -2)) - np.einsum("...kij,...k->...ij", gamma, df)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("n", [8, 12])
 def test_symmetric_pair_geometry_matches_full_tensor(d, n, rng):
-    # random SPD fields, rough at the grid scale: Gamma and Rc against the full-tensor formulas
+    # random SPD fields, rough at the grid scale: Gamma, Rc and the Hessian on pairs against the full-tensor
+    # formulas at i <= j, each within 1e-14 of its largest value
     geom = et.TorusGeometry(d, n)
     a = rng.standard_normal(geom.shape + (d, d))
-    g = a @ np.swapaxes(a, -1, -2) + np.eye(d)
-    st = et.TorusFieldState(geom, 0.5 * (g + np.swapaxes(g, -1, -2)), np.zeros(geom.shape + (d * (d - 1) // 2,)),
-                            np.zeros(geom.shape), 0.0)
-    ginv, _ = et.inverse_and_det(st.g)
-    gamma, ref_gamma = et.christoffel(st, ginv), _christoffel_full(st, ginv)
-    rc, ref_rc = et.ricci_tensor(st, gamma), _ricci_tensor_full(st, ref_gamma)
-    assert gamma.shape == ref_gamma.shape and rc.shape == ref_rc.shape
-    assert np.max(np.abs(gamma - ref_gamma)) <= 1e-14 * np.max(np.abs(ref_gamma))
-    assert np.max(np.abs(rc - ref_rc)) <= 1e-14 * np.max(np.abs(ref_rc))
+    iu, ju = np.triu_indices(d)
+    st = et.TorusFieldState(geom, (a @ np.swapaxes(a, -1, -2) + np.eye(d))[..., iu, ju],
+                            np.zeros(geom.shape + (d * (d - 1) // 2,)), 0.1 * rng.standard_normal(geom.shape), 0.0)
+    fields = et.torus_fields(st)
+    ref_gamma = _christoffel_full(st, fields.ginv)
+    pairs = {"gamma": (fields.gamma, ref_gamma[..., iu, ju]),
+             "rc": (fields.rc, _ricci_tensor_full(st, ref_gamma)[..., iu, ju]),
+             "hessian": (et.hessian(geom, fields.gamma, fields.dphi),
+                         _hessian_full(geom, ref_gamma, et.grad(geom, st.phi))[..., iu, ju])}
+    for name, (x, ref) in pairs.items():
+        assert x.shape == ref.shape, name
+        assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref)), name
 
 
 def test_flux_constant_B(geom8):
@@ -247,17 +273,17 @@ def test_rhs_flat_zero(geom8):
 def test_rhs_flux_values(geom8):
     st = et.flat_state(geom8, k=1.5)
     dg, db, dphi = et.torus_rhs(et.torus_fields(st))
-    assert np.max(np.abs(dg - 1.5**2 * np.eye(3))) <= 1e-13
+    assert np.max(np.abs(dg - 1.5**2 * np.eye(3)[np.triu_indices(3)])) <= 1e-13
     assert np.max(np.abs(db)) <= 1e-13
     assert np.max(np.abs(dphi - 1.5**2 / 2)) <= 1e-13
 
 
 def test_rhs_isotropic_scaling(geom8):
     st = et.flat_state(geom8, k=1.0)
-    st.g *= 1.7
+    st.gs *= 1.7
     dg, _, dphi = et.torus_rhs(et.torus_fields(st))
-    diag = dg[..., 0, 0]
-    assert np.max(np.abs(dg - diag[..., None, None] * np.eye(3))) <= 1e-13
+    diag = dg[..., 0]
+    assert np.max(np.abs(dg - diag[..., None] * np.eye(3)[np.triu_indices(3)])) <= 1e-13
     assert np.max(np.abs(diag - 1.0 / 1.7**2)) <= 1e-13
 
 
@@ -266,8 +292,7 @@ def test_inverse_and_det_match_linalg(d, rng):
     # random SPD fields with condition numbers up to ~1e4: agreement to round-off times cond(g)
     q, _ = np.linalg.qr(rng.standard_normal((500, d, d)))
     g = (q * 10.0 ** rng.uniform(-2.0, 2.0, (500, 1, d))) @ np.swapaxes(q, -1, -2)
-    g = 0.5 * (g + np.swapaxes(g, -1, -2))
-    ginv, det = et.inverse_and_det(g)
+    ginv, det = et.inverse_and_det(g[(..., *np.triu_indices(d))])
     cond = np.linalg.cond(g)
     ref_inv, ref_det = np.linalg.inv(g), np.linalg.det(g)
     inv_err = np.max(np.abs(ginv - ref_inv), axis=(-1, -2)) / np.max(np.abs(ref_inv), axis=(-1, -2))
@@ -310,7 +335,7 @@ def test_lowest_eig_estimate_error(d):
     # than SCREEN max|g| / 2; ask for five times less than that
     a = _adversarial_matrices(np.random.default_rng(17 + d), 20000, d)
     scale = np.max(np.abs(a), axis=(-1, -2))
-    err = np.abs(et.lowest_eig_estimate(a, scale) - np.linalg.eigvalsh(a)[:, 0] / scale)
+    err = np.abs(et.lowest_eig_estimate(a[(..., *np.triu_indices(d))], scale) - np.linalg.eigvalsh(a)[:, 0] / scale)
     assert np.all(err <= 0.1 * et.SCREEN)
 
 
@@ -340,8 +365,8 @@ def test_spd_margin_matches_eigvalsh(seed, d, kind, log_scale):
     elif kind == "triple":
         lam[nodes] = low
     g = _adversarial_matrices(rng, n, d) if kind == "adversarial" else _assemble(q, lam) * 10.0**log_scale
-    st = et.TorusFieldState(geom, g.reshape(geom.shape + (d, d)), np.zeros(geom.shape + (d * (d - 1) // 2,)),
-                            np.zeros(geom.shape), 0.0)
+    st = et.TorusFieldState(geom, g[(..., *np.triu_indices(d))].reshape(geom.shape + (-1,)),
+                            np.zeros(geom.shape + (d * (d - 1) // 2,)), np.zeros(geom.shape), 0.0)
     assert st.spd_margin() == float(np.min(np.linalg.eigvalsh(g)))
 
 
@@ -358,8 +383,9 @@ def test_rhs_single_mode_B_exact(geom8):
 def test_spd_margin_constant_metric_runs_one_eigvalsh(monkeypatch, geom8):
     # every node of a constant metric ties in the screen; one matrix stands for all of them
     g0 = checks.constant_anisotropic_metric(3)
-    g = np.broadcast_to(g0, geom8.shape + (3, 3)).copy()
-    st = et.TorusFieldState(geom8, g, np.zeros(geom8.shape + (3,)), np.zeros(geom8.shape), 0.0)
+    g = np.broadcast_to(g0, geom8.shape + (3, 3))
+    st = et.TorusFieldState(geom8, g[(..., *np.triu_indices(3))], np.zeros(geom8.shape + (3,)), np.zeros(geom8.shape),
+                            0.0)
     expected = float(np.min(np.linalg.eigvalsh(g)))
     shapes = []
     original = np.linalg.eigvalsh
@@ -427,21 +453,6 @@ def test_b_gauge_leaves_rhs_unchanged(n):
     assert checks.b_gauge_residual(et.TorusGeometry(3, n), 13) <= 1e-12
 
 
-def test_rk4_stage_state_is_validated(geom8, stopped_short):
-    # a right side that breaks the symmetry of g is stopped at the first stage state it builds
-    calls = []
-
-    def skewed(fields):
-        calls.append(1)
-        dg, db, dphi = et.torus_rhs(fields)
-        return dg + np.array([[0.0, 1e-3, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), db, dphi
-
-    tr = et.run_torus_flow(et.perturbed_state(geom8, 2, amplitude=0.05), et.TorusParams(T=0.1), rhs=skewed)
-    stopped_short(tr, "RK4 stage")
-    assert len(calls) == 1
-    assert len(tr.t) == 1 and "symmetric" in tr.aborted
-
-
 @settings(max_examples=20, deadline=None)
 @given(seed=hst.integers(0, 2**16), d=hst.sampled_from([2, 3]), amplitude=hst.floats(0.01, 0.08),
        k=hst.floats(0.0, 1.5), T=hst.floats(0.01, 0.3), max_steps=hst.integers(1, 4))
@@ -470,9 +481,9 @@ def test_run_torus_flow_terminal_states(seed, d, amplitude, k, T, max_steps):
 
 def test_state_arrays_are_c_ordered(geom8):
     st = et.perturbed_state(geom8, 2, amplitude=0.05, k=0.5)
-    moved = et.TorusFieldState(geom8, np.asfortranarray(st.g), np.asfortranarray(st.b), np.asfortranarray(st.phi),
+    moved = et.TorusFieldState(geom8, np.asfortranarray(st.gs), np.asfortranarray(st.b), np.asfortranarray(st.phi),
                                st.k)
-    assert all(a.flags.c_contiguous for a in (moved.g, moved.b, moved.phi))
+    assert all(a.flags.c_contiguous for a in (moved.gs, moved.b, moved.phi))
     for x, y in zip(et.torus_rhs(et.torus_fields(st)), et.torus_rhs(et.torus_fields(moved))):
         assert np.array_equal(x, y)
 
@@ -485,8 +496,8 @@ def test_torus_check_suite_passes():
     assert {"torus_anisotropic_flux_closed_form", "torus_single_mode_B_exact", "torus_div_h_divergence_form",
             "torus_translation_commutes", "torus_permutation_commutes", "torus_reflection_commutes",
             "torus_diffeomorphism_g", "torus_diffeomorphism_phi", "torus_diffeomorphism_ricci",
-            "torus_b_gauge_invariant"} <= names
-    assert len(results) == 21
+            "torus_b_gauge_invariant", "torus_flux_density_dB"} <= names
+    assert len(results) == 22
 
 
 def test_torus_check_suite_fails_on_planted_abort(monkeypatch):
@@ -503,7 +514,7 @@ def test_torus_check_suite_fails_on_planted_abort(monkeypatch):
 
 def test_rhs_degenerate_metric(geom8):
     st = et.flat_state(geom8, 0.0)
-    st.g *= 1e-9
+    st.gs *= 1e-9
     with pytest.raises(DegenerateMetric):
         et.torus_fields(st)
 
@@ -600,7 +611,8 @@ def test_t2_flow_decays():
 
 
 def test_field_dump_roundtrip(tmp_path):
-    # the dump holds the full B derived from b; a state rebuilt from it (b = B_IJ) writes the same bytes
+    # the dump holds the full g and B derived from gs and b; a state rebuilt from it (gs = g_ij at i <= j,
+    # b = B_IJ) writes the same bytes
     for d in (2, 3):
         geom = et.TorusGeometry(d, 8)
         st = et.perturbed_state(geom, 2, amplitude=0.05, k=1.0 if d == 3 else 0.0)
@@ -611,20 +623,53 @@ def test_field_dump_roundtrip(tmp_path):
         assert np.array_equal(data["g"], st.g)
         assert np.array_equal(data["B"], st.B)
         assert np.array_equal(data["phi"], st.phi)
-        rebuilt = et.TorusFieldState(geom, data["g"], data["B"][(..., *et._FORM2[d])], data["phi"], st.k)
+        rebuilt = et.TorusFieldState(geom, data["g"][(..., *np.triu_indices(d))], data["B"][(..., *et._FORM2[d])],
+                                     data["phi"], st.k)
         et.write_field_dump(rebuilt, tmp_path / "again.grfd")
         assert (tmp_path / "again.grfd").read_bytes() == path.read_bytes()
+
+
+def _dump_bytes(tmp_path) -> bytes:
+    path = tmp_path / "fields.grfd"
+    et.write_field_dump(et.perturbed_state(et.TorusGeometry(3, 8), 2, amplitude=0.05, k=1.0), path)
+    return path.read_bytes()
+
+
+def test_field_dump_truncated_rejected(tmp_path):
+    # a dump cut anywhere, in its header or its payload, is a validation error, not a numpy one
+    data = _dump_bytes(tmp_path)
+    for cut in (3, 10, 20, 28, len(data) // 2, len(data) - 1):
+        (tmp_path / "cut.grfd").write_bytes(data[:cut])
+        with pytest.raises(ValidationError):
+            et.read_field_dump(tmp_path / "cut.grfd")
+
+
+@pytest.mark.parametrize("slot, value", [(0, 2), (1, 4), (1, 1), (2, 7), (2, 4), (3, 2)])
+def test_field_dump_bad_header_rejected(tmp_path, slot, value):
+    # header (version, d, N, field count): d in {2, 3}, N even and >= 8, 3 fields, version 1
+    data = bytearray(_dump_bytes(tmp_path))
+    data[4 + 4 * slot:8 + 4 * slot] = np.array(value, dtype="<u4").tobytes()
+    (tmp_path / "bad.grfd").write_bytes(bytes(data))
+    with pytest.raises(ValidationError):
+        et.read_field_dump(tmp_path / "bad.grfd")
+
+
+@pytest.mark.parametrize("extra", [1, 8, 64])
+def test_field_dump_trailing_bytes_rejected(tmp_path, extra):
+    (tmp_path / "long.grfd").write_bytes(_dump_bytes(tmp_path) + b"\0" * extra)
+    with pytest.raises(ValidationError, match="bytes"):
+        et.read_field_dump(tmp_path / "long.grfd")
 
 
 def test_degenerate_abort_carries_trace(geom8, stopped_short):
     # g near degeneracy (min eigenvalue 7.6e-8) loses positivity within the first step: the trace is
     # returned; g below SPD_FLOOR from the start leaves no partial trace and raises
     st = et.perturbed_state(geom8, 1, amplitude=0.05)
-    st.g *= 1e-7 / np.max(np.abs(st.g))
+    st.gs *= 1e-7 / np.max(np.abs(st.gs))
     tr = et.run_torus_flow(st, et.TorusParams(T=0.1, cfl=0.2))
     stopped_short(tr, "metric lost positivity")
     assert len(tr.t) == 1 and tr.final_state.t == 0.0
-    st.g *= 0.05
+    st.gs *= 0.05
     with pytest.raises(DegenerateMetric, match="lost positivity"):
         et.run_torus_flow(st, et.TorusParams(T=0.1, cfl=0.2))
 
@@ -738,7 +783,7 @@ def test_lambda_scales_with_metric(monkeypatch, geom8):
     lam = et.lambda_torus(et.torus_fields(st))
     for c in (1e-3, 1e-7):
         shrunk = st.copy()
-        shrunk.g *= c
+        shrunk.gs *= c
         assert et.lambda_torus(et.torus_fields(shrunk)) * c == pytest.approx(lam, rel=1e-8)
     assert lobpcg_warnings and not any(lobpcg_warnings)
 

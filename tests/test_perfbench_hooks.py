@@ -2,9 +2,15 @@
 
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
+from grflow import algebra as alg
 from grflow import exact_torus as et
+from grflow import flow_ode as fl
+from grflow import metric as met
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -13,10 +19,15 @@ def _rhs_default():
     return inspect.signature(et.run_torus_flow).parameters["rhs"].default
 
 
-def test_tracer_installs_every_hook_and_uninstalls():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_installs_every_hook_and_uninstalls():
+    tracing = _tracing()
     run, rhs = et.run_torus_flow, et.torus_rhs
     tracer = tracing.Tracer()
     try:
@@ -28,3 +39,23 @@ def test_tracer_installs_every_hook_and_uninstalls():
     finally:
         tracer.uninstall()
     assert et.run_torus_flow is run and et.torus_rhs is rhs and _rhs_default() is rhs
+
+
+def test_every_traced_torus_and_flow_name_is_called():
+    # a wrapper that nothing calls leaves its per-layer metric at 0: one 8^3 torus step with lambda and
+    # three flow steps must reach every traced name of exact_torus and flow_ode
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        tr = et.run_torus_flow(et.perturbed_state(et.TorusGeometry(3, 8), 1, amplitude=0.05, k=0.5),
+                               et.TorusParams(T=1e-3))
+        su2_double = alg.cotangent_double(alg.su2_structure())
+        g = met.metric_from_graph(su2_double, np.diag([1.0, 2.0, 3.0])).G
+        flow = fl.run_flow(su2_double, fl.FlowState(0.0, g, 0.0), fl.FlowParams(dt=1e-2, T=3e-2))
+    finally:
+        tracer.uninstall()
+    assert tr.aborted is None and len(tr.t) == 2 and flow.aborted is None and len(flow.t) == 4
+    calls = Counter(tracer.names[i] for i in tracer.name_id)
+    for layer in ("exact_torus", "flow_ode"):
+        assert [name for name in tracing.LAYERS[layer] if not calls[f"{layer}.{name}"]] == [], layer
