@@ -84,7 +84,6 @@ from .flow_ode import (
 from .metric import (
     AdaptedFrame,
     GeneralizedPseudometric,
-    MetricTangent,
     adapted_frame,
     lie_derivative_metric,
     metric_from_graph,

@@ -365,19 +365,21 @@ def _run_to_csv(name, run, columns, cfg, seed, out_dir):
 
 
 def _torus_state_params(cfg, seed):
+    """The initial state and run parameters; a key the config leaves out takes the library default.
+
+    d = 3, N = 16 and a flat start have no library default and are set here.
+    """
     t = cfg.get("torus", {})
-    geom = et.TorusGeometry(int(t.get("d", 3)), int(t.get("N", 16)), float(t.get("L", 2 * np.pi)))
-    k = float(t.get("k", 0.0))
+
+    def given(*keys):
+        return {key: t[key] for key in keys if key in t}
+
+    geom = et.TorusGeometry(t.get("d", 3), t.get("N", 16), **given("L"))
     if t.get("init", "flat") == "perturbed":
-        state = et.perturbed_state(geom, seed, float(t.get("amplitude", 0.05)), k, int(t.get("kmax", 2)))
+        state = et.perturbed_state(geom, seed, **given("amplitude", "k", "kmax"))
     else:
-        state = et.flat_state(geom, k)
-    params = et.TorusParams(
-        T=float(t.get("T", 1.0)),
-        cfl=float(t.get("cfl", 0.2)),
-        compute_lambda=bool(t.get("compute_lambda", True)),
-    )
-    return state, params
+        state = et.flat_state(geom, **given("k"))
+    return state, et.TorusParams(**given("T", "cfl", "compute_lambda"))
 
 
 def mode_torus(cfg, seed, out_dir):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import QuadraticLieAlgebra
 from .errors import ForbiddenRank
-from .metric import _as_matrix, eigen_ranks, projectors
+from .metric import eigen_ranks, projectors
 
 PAIRING_TOL = 1e-12
 
@@ -141,28 +141,23 @@ def kappa_map(a: QuadraticLieAlgebra, A: np.ndarray) -> np.ndarray:
     return np.einsum("bd,dbg->g", a.eta_inv, A)
 
 
-def tau_prime(a: QuadraticLieAlgebra, G, t: np.ndarray) -> np.ndarray:
-    """Right inverse of tau landing in E (x) (Lam^2 V+ + Lam^2 V-).
+def tau_prime(a: QuadraticLieAlgebra, g: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Right inverse of tau landing in E (x) (Lam^2 V+ + Lam^2 V-), all indices down.
 
-    Compact form: (tau' t)^{abc} = -1/3 (t^{abc} + G^a_d t^{de[b} G^{c]}_e
-    + t^{ade} G^b_d G^c_e); blockwise the coefficients are -1/3 on the pure
-    blocks and -1 on the mixed-first-slot blocks.
+    (tau' t)_abc = -1/3 (t_abc + 1/2 (x_abc - x_acb) + G^d_b G^e_c t_ade) with
+    x_abc = G^d_a t_deb G^e_c; since eta G = G^T eta, G moves each index
+    without raising it.  Blockwise the coefficients are -1/3 on the pure
+    blocks and -1 on the mixed-first-slot blocks.  ``a`` is not read.
     """
-    g = _as_matrix(G)
-    t_up = np.einsum("ad,be,gz,dez->abg", a.eta_inv, a.eta_inv, a.eta_inv, t)
-    x = np.einsum("ad,deb,ge->abg", g, t_up, g)
-    term2 = 0.5 * (x - x.transpose(0, 2, 1))
-    term3 = np.einsum("ade,bd,ge->abg", t_up, g, g)
-    out_up = -(t_up + term2 + term3) / 3.0
-    return np.einsum("ad,be,gz,dez->abg", a.eta, a.eta, a.eta, out_up)
+    x = np.einsum("da,deb->abe", g, t) @ g
+    return -(t + 0.5 * (x - x.transpose(0, 2, 1)) + g.T @ t @ g) / 3.0
 
 
-def kappa_prime(a: QuadraticLieAlgebra, G, u: np.ndarray) -> np.ndarray:
+def kappa_prime(a: QuadraticLieAlgebra, g: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Right inverse of kappa: blockwise (kappa' u)_{abc} = 2/(n+-1) eta_{a[b} u_{c]}.
 
     ``u`` is a vector (index up).  Requires both eigenbundle ranks != 1.
     """
-    g = _as_matrix(G)
     n_plus, n_minus = eigen_ranks(g)
     if n_plus == 1 or n_minus == 1:
         raise ForbiddenRank(f"kappa' undefined for ranks ({n_plus},{n_minus})")
@@ -182,23 +177,21 @@ def divergence_of(a: QuadraticLieAlgebra, D: Connection) -> Divergence:
     return Divergence(np.einsum("ab,abg->g", a.eta_inv, D.gamma))
 
 
-def levi_civita(a: QuadraticLieAlgebra, G, d=None) -> Connection:
+def levi_civita(a: QuadraticLieAlgebra, g: np.ndarray, d=None) -> Connection:
     """Levi-Civita connection with prescribed divergence.
 
     Repair construction from gamma = 0 (compatible over a point): subtract
     tau'(torsion), then add kappa'(d - current divergence); the result is a
     fixed point of the repair.
     """
-    g = _as_matrix(G)
     n_plus, n_minus = eigen_ranks(g)
     if n_plus == 1 or n_minus == 1:
         raise ForbiddenRank(f"no LC connection with prescribed divergence at ranks ({n_plus},{n_minus})")
     return lc_repair(a, g, d, Connection(np.zeros((a.n,) * 3)))
 
 
-def lc_repair(a: QuadraticLieAlgebra, G, d, D: Connection) -> Connection:
+def lc_repair(a: QuadraticLieAlgebra, g: np.ndarray, d, D: Connection) -> Connection:
     """Re-run the torsion/divergence repair on an existing connection."""
-    g = _as_matrix(G)
     div = as_divergence(d, a.n)
     gamma = D.gamma - tau_prime(a, g, torsion(a, D))
     missing = div.d - divergence_of(a, Connection(gamma)).d
@@ -206,9 +199,8 @@ def lc_repair(a: QuadraticLieAlgebra, G, d, D: Connection) -> Connection:
     return Connection(gamma).bind(a)
 
 
-def block_project(a: QuadraticLieAlgebra, G, A: np.ndarray) -> np.ndarray:
+def block_project(a: QuadraticLieAlgebra, g: np.ndarray, A: np.ndarray) -> np.ndarray:
     """Project the last two (down) slots onto V+xV+ + V-xV-."""
-    g = _as_matrix(G)
     p_plus, p_minus = projectors(g)
     out = np.zeros_like(A)
     for p in (p_plus, p_minus):
@@ -216,18 +208,22 @@ def block_project(a: QuadraticLieAlgebra, G, A: np.ndarray) -> np.ndarray:
     return out
 
 
-def lc_kernel_shift(a: QuadraticLieAlgebra, G, seed: int) -> np.ndarray:
+def kernel_project(a: QuadraticLieAlgebra, g: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """(1 - tau' tau - kappa' kappa) A: the part of A that changes neither torsion nor divergence."""
+    return A - tau_prime(a, g, tau_map(A)) - kappa_prime(a, g, a.eta_inv @ kappa_map(a, A))
+
+
+def lc_kernel_shift(a: QuadraticLieAlgebra, g: np.ndarray, seed: int) -> np.ndarray:
     """Random element of ker tau  ^  ker kappa  ^  E (x) (Lam^2 V+ + Lam^2 V-).
 
     These are exactly the differences between Levi-Civita connections with
     the same divergence.  Returns zeros when the kernel is trivial, recognized by a
     projected shift at round-off relative to the start ``a0``.
     """
-    g = _as_matrix(G)
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((a.n, a.n, a.n))
     a0 = block_project(a, g, 0.5 * (raw - raw.transpose(0, 2, 1)))
-    shift = a0 - tau_prime(a, g, tau_map(a0)) - kappa_prime(a, g, a.eta_inv @ kappa_map(a, a0))
+    shift = kernel_project(a, g, a0)
     peak = float(np.max(np.abs(shift)))
     if peak <= 1e-10 * float(np.max(np.abs(a0))):
         return np.zeros_like(shift)

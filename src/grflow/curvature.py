@@ -28,7 +28,7 @@ from .connection import (
     torsion,
 )
 from .errors import ForbiddenRank
-from .metric import _as_matrix, eigen_ranks, lie_derivative_metric, mixed_norm_sq, projectors
+from .metric import eigen_ranks, lie_derivative_metric, mixed_norm_sq, projectors
 
 ROUTE_TOL = 1e-10
 
@@ -67,17 +67,16 @@ def _contract_riemann(a: QuadraticLieAlgebra, grm: np.ndarray) -> np.ndarray:
     return a.eta_inv @ down
 
 
-def _ricci_from_full(G: np.ndarray, fgrc: np.ndarray) -> np.ndarray:
-    return fgrc - G @ fgrc @ G
+def _ricci_from_full(g: np.ndarray, fgrc: np.ndarray) -> np.ndarray:
+    return fgrc - g @ fgrc @ g
 
 
-def ricci_bracket_route(a: QuadraticLieAlgebra, G, d=None) -> np.ndarray:
+def ricci_bracket_route(a: QuadraticLieAlgebra, g: np.ndarray, d=None) -> np.ndarray:
     """Ricci via the bracket-trace formula (independent of any connection).
 
     <v_-, GRc u_+> = <d, G [v_-, u_+]> - 2 Tr_{V+} [[., v_-]_-, u_+]_+,
     valid over a point for any linear divergence.  Returns an endomorphism.
     """
-    g = _as_matrix(G)
     dvec = as_divergence(d, a.n).d
     p_plus, p_minus = projectors(g)
     adm = a.c_mixed.transpose(0, 2, 1)  # adm[u] @ y = [e_u, y]
@@ -89,13 +88,12 @@ def ricci_bracket_route(a: QuadraticLieAlgebra, G, d=None) -> np.ndarray:
     return a.eta_inv @ down
 
 
-def ricci(a: QuadraticLieAlgebra, G, d=None, D: Connection | None = None) -> np.ndarray:
+def ricci(a: QuadraticLieAlgebra, g: np.ndarray, d=None, D: Connection | None = None) -> np.ndarray:
     """Ricci endomorphism GRc = fGRc - G fGRc G for D in LC(G, div).
 
     Cross-checks the contraction route against the bracket-trace formula and
     raises if they disagree beyond 1e-10 (1 + |GRc|).
     """
-    g = _as_matrix(G)
     if D is None:
         D = levi_civita(a, g, d)
     fgrc = full_ricci(a, D)
@@ -107,14 +105,13 @@ def ricci(a: QuadraticLieAlgebra, G, d=None, D: Connection | None = None) -> np.
     return grc
 
 
-def ricci_closed_form(a: QuadraticLieAlgebra, G) -> np.ndarray:
+def ricci_closed_form(a: QuadraticLieAlgebra, g: np.ndarray) -> np.ndarray:
     """Point-base closed form of the Ricci endomorphism (divergence zero).
 
     GRc^a_b = 1/4 (c^{agd} c_{bgd} - G^a_g G^d_b c^{gez} c_{dez}
     - G^g_d G^e_z c^{adz} c_{bge} + G^a_g G^d_b G^h_e G^t_z c^{gez} c_{dhtz...}),
     all contractions through eta.
     """
-    g = _as_matrix(G)
     c_up = a.c_up
     s = a._gram_cc  # c^{agd} c_{bgd}
     c1 = np.einsum("gd,bge->bde", g, a.c)
@@ -126,14 +123,13 @@ def ricci_closed_form(a: QuadraticLieAlgebra, G) -> np.ndarray:
     return 0.25 * (s - g @ s @ g - term3 + g @ inner @ g)
 
 
-def scalar_closed_form(a: QuadraticLieAlgebra, G, d=None) -> float:
+def scalar_closed_form(a: QuadraticLieAlgebra, g: np.ndarray, d=None) -> float:
     """Scalar curvature from the admissible-frame formula.
 
     GR = -<G e, e> + 1/4 G^a_d c_{abg} c^{dbg}
     - 1/12 G^a_d G^b_e G^g_z c_{abg} c^{dez}  (anchor terms vanish over a point),
     with e the vector of the divergence.
     """
-    g = _as_matrix(G)
     dvec = as_divergence(d, a.n).d
     e = a.eta_inv @ dvec
     val = -float(dvec @ g @ e)
@@ -144,12 +140,11 @@ def scalar_closed_form(a: QuadraticLieAlgebra, G, d=None) -> float:
     return val
 
 
-def scalar(a: QuadraticLieAlgebra, G, d=None, D: Connection | None = None) -> float:
+def scalar(a: QuadraticLieAlgebra, g: np.ndarray, d=None, D: Connection | None = None) -> float:
     """Scalar curvature GR = Tr(G fGRc) via the Riemann trace route.
 
     Asserts agreement with the closed form to 1e-10 (1 + |GR|).
     """
-    g = _as_matrix(G)
     n_plus, n_minus = eigen_ranks(g)
     if n_plus == 1 or n_minus == 1:
         raise ForbiddenRank(f"scalar curvature needs ranks != 1, got ({n_plus},{n_minus})")
@@ -168,14 +163,13 @@ def dirac_square(a: QuadraticLieAlgebra) -> float:
     return -scalar_closed_form(a, np.eye(a.n), None) / 8.0
 
 
-def ricci_divergence_shift_check(a: QuadraticLieAlgebra, G, e) -> float:
+def ricci_divergence_shift_check(a: QuadraticLieAlgebra, g: np.ndarray, e) -> float:
     """Residual of GRc(G, <e,.>) - GRc(G, 0) + 1/2 L_{Ge} G (max-abs) for a vector ``e``."""
-    g = _as_matrix(G)
     e = np.asarray(e, dtype=float)
     d = divergence_from_vector(a, e)
     shifted = ricci(a, g, d)
     base = ricci(a, g, None)
-    lie = lie_derivative_metric(a, g, g @ e).chi
+    lie = lie_derivative_metric(a, g, g @ e)
     return float(np.max(np.abs(shifted - base + 0.5 * lie)))
 
 
@@ -184,9 +178,8 @@ def divergence_from_vector(a: QuadraticLieAlgebra, e: np.ndarray) -> Divergence:
     return Divergence(a.eta @ np.asarray(e, dtype=float))
 
 
-def scalar_divergence_shift(a: QuadraticLieAlgebra, G, e) -> tuple[float, float]:
+def scalar_divergence_shift(a: QuadraticLieAlgebra, g: np.ndarray, e) -> tuple[float, float]:
     """(GR(G, <e,.>) - GR(G, 0), -|e|^2_G) which must agree over a point."""
-    g = _as_matrix(G)
     e = np.asarray(e, dtype=float)
     d = divergence_from_vector(a, e)
     lhs = scalar_closed_form(a, g, d) - scalar_closed_form(a, g, None)
@@ -194,10 +187,9 @@ def scalar_divergence_shift(a: QuadraticLieAlgebra, G, e) -> tuple[float, float]
     return lhs, rhs
 
 
-def bianchi_residual(a: QuadraticLieAlgebra, G) -> float:
+def bianchi_residual(a: QuadraticLieAlgebra, g: np.ndarray) -> float:
     """max_g |G^a_b D_a GRc^b_g| for D in LC(G, 0); the right side 1/2 D_g GR
     vanishes over a point.  Normalized by (1 + |GRc|)."""
-    g = _as_matrix(G)
     D = levi_civita(a, g, None)
     grc = ricci(a, g, None, D=D)
     m = mixed_christoffel(a, D)
@@ -206,9 +198,8 @@ def bianchi_residual(a: QuadraticLieAlgebra, G) -> float:
     return float(np.max(np.abs(res))) / (1.0 + float(np.max(np.abs(grc))))
 
 
-def bianchi_divergence_residual(a: QuadraticLieAlgebra, G) -> float:
+def bianchi_divergence_residual(a: QuadraticLieAlgebra, g: np.ndarray) -> float:
     """Point-base simplification D_a GRc^{ab} = 0 for any LC connection."""
-    g = _as_matrix(G)
     D = levi_civita(a, g, None)
     grc = ricci(a, g, None, D=D)
     grc_uu = grc @ a.eta_inv  # GRc^{ab}
@@ -256,17 +247,17 @@ def riemann_symmetry_residual(a: QuadraticLieAlgebra, grm: np.ndarray) -> float:
     return float(max(r1, r2, r3)) / scale
 
 
-def mixed_trace_residual(a: QuadraticLieAlgebra, G, grm: np.ndarray) -> float:
-    """GRm^{a ahat}{}_{a ahat} = 0: mixed eigenspace trace of the Riemann tensor."""
-    g = _as_matrix(G)
+def mixed_trace_residual(a: QuadraticLieAlgebra, g: np.ndarray, grm: np.ndarray) -> float:
+    """GRm^{a ahat}{}_{a ahat} = 0: mixed eigenspace trace of the Riemann tensor.
+
+    Contracted with indices down: P+ eta^-1 and P- eta^-1 are the two raised projectors.
+    """
     p_plus, p_minus = projectors(g)
-    up = np.einsum("ma,nb,mngd->abgd", a.eta_inv, a.eta_inv, grm)
-    val = np.einsum("abgd,ga,db->", up, p_plus, p_minus)
+    val = np.einsum("mngd,gm,dn->", grm, p_plus @ a.eta_inv, p_minus @ a.eta_inv)
     return float(abs(val)) / (1.0 + float(np.max(np.abs(grm))))
 
 
-def curvature_report(a: QuadraticLieAlgebra, G, d=None) -> CurvatureReport:
-    g = _as_matrix(G)
+def curvature_report(a: QuadraticLieAlgebra, g: np.ndarray, d=None) -> CurvatureReport:
     D = levi_civita(a, g, d)
     grm = riemann(a, D)
     fgrc = _contract_riemann(a, grm.data)

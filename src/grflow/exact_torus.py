@@ -414,13 +414,47 @@ def torus_rhs(fields: TorusFields) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return dg, db, dphi_rhs
 
 
-def ricci_dilaton_rhs(fields: TorusFields) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dedicated H-free path: Ricci flow coupled to the dilaton only."""
-    geom, dphi, dphi_up = fields.geom, fields.dphi, fields.dphi_up
-    dg = -2.0 * fields.rc - 4.0 * hessian(geom, fields.gamma, dphi)
-    lap_phi = div(geom, fields.w[..., None] * dphi_up) / fields.w
-    dphi_rhs = lap_phi - 2.0 * np.einsum("...i,...i->...", dphi_up, dphi)
-    return dg, np.zeros_like(fields.state.b), dphi_rhs
+def christoffel_full(geom: TorusGeometry, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """Gamma^k_ij on all d^3 components from the full g and g^-1 (an oracle for ``christoffel``)."""
+    d = geom.d
+    dg = grad(geom, g)  # (l, i, j) = d_l g_ij
+    term_i = np.moveaxis(dg, -1, -3)  # [l, i, j] <- d_i g_{jl}
+    term_j = np.swapaxes(term_i, -1, -2)  # [l, i, j] <- d_j g_{il}
+    rhs = term_i + term_j - dg
+    return 0.5 * (ginv @ rhs.reshape(rhs.shape[:-2] + (d * d,))).reshape(rhs.shape)
+
+
+def ricci_tensor_full(geom: TorusGeometry, gamma: np.ndarray) -> np.ndarray:
+    """``ricci_tensor`` on all d^2 components, with d_k Gamma^k_ij on all d^3 components of Gamma (oracle)."""
+    v = np.einsum("...kkj->...j", gamma)
+    dv = grad(geom, v)  # (i, j) = d_i v_j
+    quad1 = np.einsum("...l,...lij->...ij", v, gamma)
+    quad2 = np.einsum("...kil,...lkj->...ij", gamma, gamma, optimize=_PAIR)
+    return div(geom, gamma) - 0.5 * (dv + np.swapaxes(dv, -1, -2)) + quad1 - quad2
+
+
+def hessian_full(geom: TorusGeometry, gamma: np.ndarray, df: np.ndarray) -> np.ndarray:
+    """``hessian`` on all d^2 components, from the full Gamma (oracle)."""
+    ddf = grad(geom, df)
+    return 0.5 * (ddf + np.swapaxes(ddf, -1, -2)) - np.einsum("...kij,...k->...ij", gamma, df)
+
+
+def ricci_dilaton_rhs(state: TorusFieldState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """H-free oracle for ``torus_rhs``: Ricci flow coupled to the dilaton only, as (dt g on the pairs, dt b = 0,
+    dt phi).
+
+    It shares only the stencils with ``torus_fields``: Gamma, Rc and the Hessian come from the full g by the
+    full-tensor formulas above, and g^-1 and det g from ``np.linalg``.
+    """
+    geom, g = state.geom, state.g
+    iu, ju = _SYM[geom.d][:2]
+    ginv = np.linalg.inv(g)
+    gamma = christoffel_full(geom, g, ginv)
+    dphi = grad(geom, state.phi)
+    dg = -2.0 * ricci_tensor_full(geom, gamma) - 4.0 * hessian_full(geom, gamma, dphi)
+    lap_phi = laplace_beltrami(geom, np.sqrt(np.linalg.det(g)), ginv, state.phi)
+    dphi_rhs = lap_phi - 2.0 * np.einsum("...ij,...i,...j->...", ginv, dphi, dphi)
+    return dg[..., iu, ju], np.zeros_like(state.b), dphi_rhs
 
 
 def generalized_scalar_field(fields: TorusFields) -> np.ndarray:

@@ -18,35 +18,26 @@ from .errors import DegenerateSubspace, ForbiddenRank
 METRIC_TOL = 1e-10
 
 
-def _as_matrix(G) -> np.ndarray:
-    if isinstance(G, GeneralizedPseudometric):
-        return G.G
-    return np.asarray(G, dtype=float)
-
-
-def eigen_ranks(G) -> tuple[int, int]:
+def eigen_ranks(g: np.ndarray) -> tuple[int, int]:
     """(n+, n-) from the trace of the involution; robust to round-off."""
-    g = _as_matrix(G)
     n = g.shape[0]
     tr = float(np.trace(g))
     n_plus = int(round((n + tr) / 2))
     return n_plus, n - n_plus
 
 
-def projectors(G) -> tuple[np.ndarray, np.ndarray]:
-    g = _as_matrix(G)
+def projectors(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eye = np.eye(g.shape[0])
     return (eye + g) / 2, (eye - g) / 2
 
 
-def involution_residual(G) -> float:
-    g = _as_matrix(G)
+def involution_residual(g: np.ndarray) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         return float(np.max(np.abs(g @ g - np.eye(g.shape[0]))))
 
 
-def eta_symmetry_residual(a: QuadraticLieAlgebra, G) -> float:
-    m = a.eta @ _as_matrix(G)
+def eta_symmetry_residual(a: QuadraticLieAlgebra, g: np.ndarray) -> float:
+    m = a.eta @ g
     return float(np.max(np.abs(m - m.T)))
 
 
@@ -98,12 +89,11 @@ class MetricValidation:
         }
 
 
-def validate_metric(a: QuadraticLieAlgebra, G) -> MetricValidation:
+def validate_metric(a: QuadraticLieAlgebra, g: np.ndarray) -> MetricValidation:
     """Report-style check of the pseudometric axioms; never raises.
 
     A G that is not n x n fails with both residuals reported as inf.
     """
-    g = _as_matrix(G)
     if g.shape != (a.n, a.n):
         return MetricValidation(False, False, 0, 0, float("inf"), float("inf"))
     inv_res = involution_residual(g)
@@ -181,7 +171,7 @@ class AdaptedFrame:
     n_minus: int
 
 
-def adapted_frame(a: QuadraticLieAlgebra, G) -> AdaptedFrame:
+def adapted_frame(a: QuadraticLieAlgebra, g: np.ndarray) -> AdaptedFrame:
     """Build a frame in which eta is diag(+-1) and G = diag(I_{n+}, -I_{n-}).
 
     Per eigenspace of rank k: U = the first k left singular vectors of the
@@ -190,7 +180,6 @@ def adapted_frame(a: QuadraticLieAlgebra, G) -> AdaptedFrame:
     columns are U W |w|^(-1/2) with signs sign(w).  Raises
     DegenerateSubspace when eta is (numerically) degenerate on an eigenspace.
     """
-    g = _as_matrix(G)
     n_plus, n_minus = eigen_ranks(g)
     frames, signs = [], []
     for p, k in zip(projectors(g), (n_plus, n_minus)):
@@ -207,50 +196,23 @@ def adapted_frame(a: QuadraticLieAlgebra, G) -> AdaptedFrame:
     return AdaptedFrame(q, np.linalg.inv(q), np.concatenate(signs), n_plus, n_minus)
 
 
-@dataclass(frozen=True)
-class MetricTangent:
-    """eta-symmetric endomorphism anticommuting with G."""
-
-    chi: np.ndarray
-
-    @classmethod
-    def from_matrix(cls, a: QuadraticLieAlgebra, G, chi: np.ndarray, tol: float = METRIC_TOL) -> "MetricTangent":
-        g = _as_matrix(G)
-        chi = np.asarray(chi, dtype=float)
-        scale = max(1.0, float(np.max(np.abs(chi))))
-        sym = a.eta @ chi
-        if np.max(np.abs(sym - sym.T)) > tol * scale:
-            raise DegenerateSubspace("tangent not eta-symmetric")
-        if np.max(np.abs(chi @ g + g @ chi)) > tol * scale:
-            raise DegenerateSubspace("tangent does not anticommute with G")
-        return cls(chi)
-
-
-def eta_adjoint(a: QuadraticLieAlgebra, m: np.ndarray) -> np.ndarray:
-    """Adjoint with respect to eta: eta^{-1} m^T eta."""
-    return a.eta_inv @ m.T @ a.eta
-
-
-def lie_derivative_metric(a: QuadraticLieAlgebra, G, u: np.ndarray) -> MetricTangent:
-    """Generalized Lie derivative L_u G = [ad_u, G].
+def lie_derivative_metric(a: QuadraticLieAlgebra, g: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Generalized Lie derivative L_u G = [ad_u, G], an eta-symmetric chi anticommuting with G.
 
     Blockwise this is (L_u G) a+ = 2 [u, a+]_- and (L_u G) a- = -2 [u, a-]_+,
     assembled in the ambient frame.
     """
-    g = _as_matrix(G)
     ad = a.ad(np.asarray(u, dtype=float))
-    return MetricTangent(ad @ g - g @ ad)
+    return ad @ g - g @ ad
 
 
-def random_tangent(a: QuadraticLieAlgebra, G, seed: int) -> MetricTangent:
-    """Deterministic random tangent: a V+ x V- block made eta-symmetric."""
-    g = _as_matrix(G)
+def random_tangent(a: QuadraticLieAlgebra, g: np.ndarray, seed: int) -> np.ndarray:
+    """Deterministic random tangent chi: a V+ x V- block plus its eta-adjoint eta^-1 block^T eta."""
     rng = np.random.default_rng(seed)
     p_plus, p_minus = projectors(g)
     x = rng.standard_normal((a.n, a.n))
     block = p_plus @ x @ p_minus
-    chi = block + eta_adjoint(a, block)
-    return MetricTangent(chi)
+    return block + a.eta_inv @ block.T @ a.eta
 
 
 def random_eta_antisymmetric(a: QuadraticLieAlgebra, seed: int) -> np.ndarray:

@@ -16,38 +16,34 @@ from .connection import (
     Connection,
     commutator_dd,
     cov_d,
-    kappa_map,
     kappa_prime,
+    kernel_project,
     levi_civita,
     mixed_christoffel,
     second_cov_d,
-    tau_map,
-    tau_prime,
 )
-from .curvature import full_ricci, ricci, scalar
+from .curvature import _ricci_from_full, full_ricci, ricci, scalar
 from .errors import NonPositiveHalfDensity
-from .metric import _as_matrix, adapted_frame, lie_derivative_metric
+from .metric import adapted_frame, lie_derivative_metric, random_eta_antisymmetric
 
 FD_STEPS = (1e-2, 1e-3, 1e-4)
 
 
-def connection_variation(a: QuadraticLieAlgebra, G, D: Connection, chi, eps=None) -> np.ndarray:
+def connection_variation(a: QuadraticLieAlgebra, g: np.ndarray, D: Connection, chi, eps=None) -> np.ndarray:
     """Connection ODE right side keeping D_s in LC(G_s, div_s).
 
     A = 1/4 (1 - tau' tau - kappa' kappa)(D[G, chi]) + kappa'(eps-vector);
     satisfies D_u chi + [A_u, G] = 0, tau(A) = 0, kappa(A) = eps.
     """
-    g = _as_matrix(G)
     chi = np.asarray(chi, dtype=float)
     eps = np.zeros(a.n) if eps is None else np.asarray(eps, dtype=float)
     m = mixed_christoffel(a, D)
     dchi = cov_d(m, chi, ("u", "d"))  # (alpha, delta up, gamma down)
     x = 2.0 * np.einsum("bd,adg->abg", a.eta @ g, dchi)  # (D[G,chi])_{abg}
-    core = x - tau_prime(a, g, tau_map(x)) - kappa_prime(a, g, a.eta_inv @ kappa_map(a, x))
-    return 0.25 * core + kappa_prime(a, g, a.eta_inv @ eps)
+    return 0.25 * kernel_project(a, g, x) + kappa_prime(a, g, a.eta_inv @ eps)
 
 
-def connection_variation_blockwise(a: QuadraticLieAlgebra, G, D: Connection, chi, eps=None) -> np.ndarray:
+def connection_variation_blockwise(a: QuadraticLieAlgebra, g: np.ndarray, D: Connection, chi, eps=None) -> np.ndarray:
     """Blockwise component formulas for the connection variation.
 
     Works in an adapted frame: (n+-1) A_{abc} = eta_{a[b} D^{ahat} chi_{c]ahat}
@@ -55,7 +51,6 @@ def connection_variation_blockwise(a: QuadraticLieAlgebra, G, D: Connection, chi
     blocks are +-1/2 D chi, the cross blocks antisymmetrized first
     derivatives.  Independent cross-check of the projection route.
     """
-    g = _as_matrix(G)
     chi = np.asarray(chi, dtype=float)
     eps_v = np.zeros(a.n) if eps is None else np.asarray(eps, dtype=float)
     fr = adapted_frame(a, g)
@@ -89,19 +84,18 @@ def connection_variation_blockwise(a: QuadraticLieAlgebra, G, D: Connection, chi
     return np.einsum("abc,aA,bB,cC->ABC", A, qi, qi, qi)
 
 
-def ricci_variation(a: QuadraticLieAlgebra, G, d, chi, eps=None) -> np.ndarray:
+def ricci_variation(a: QuadraticLieAlgebra, g: np.ndarray, d, chi, eps=None) -> np.ndarray:
     """First variation of the Ricci endomorphism at (G, div) along (chi, eps).
 
     delta GRc = -1/2 Lap chi - 1/2 L_{Tr D chi + G eps} G + A(chi)
     + chi G GRc + G [chi, fGRc], all derivatives through D in LC(G, div).
     """
-    g = _as_matrix(G)
     chi = np.asarray(chi, dtype=float)
     eps = np.zeros(a.n) if eps is None else np.asarray(eps, dtype=float)
     D = levi_civita(a, g, d)
     m = mixed_christoffel(a, D)
     fgrc = full_ricci(a, D)
-    grc = fgrc - g @ fgrc @ g
+    grc = _ricci_from_full(g, fgrc)
 
     guu = g @ a.eta_inv  # G^{ab}
     chi_dd = a.eta @ chi
@@ -111,7 +105,7 @@ def ricci_variation(a: QuadraticLieAlgebra, G, d, chi, eps=None) -> np.ndarray:
     chi_uu = chi @ a.eta_inv  # chi^{ab}
     trd = np.einsum("aab->b", cov_d(m, chi_uu, ("u", "u")))
     w = trd + g @ (a.eta_inv @ eps)
-    term2 = -0.5 * lie_derivative_metric(a, g, w).chi
+    term2 = -0.5 * lie_derivative_metric(a, g, w)
 
     chi_du = a.eta @ chi @ a.eta_inv  # chi_a{}^d
     comm = commutator_dd(m, chi_du, ("d", "u"))  # slots (d1, d2, a-down, d-up)
@@ -125,10 +119,9 @@ def ricci_variation(a: QuadraticLieAlgebra, G, d, chi, eps=None) -> np.ndarray:
     return term1 + term2 + term3 + term4 + term5
 
 
-def scalar_variation(a: QuadraticLieAlgebra, G, d, chi, eps=None) -> float:
+def scalar_variation(a: QuadraticLieAlgebra, g: np.ndarray, d, chi, eps=None) -> float:
     """delta GR = G^a_g G^b_d D_a D_b chi^{gd} - 2 G^{ab} D_a eps_b
     + 1/2 chi^{ab} GRc_{ab}."""
-    g = _as_matrix(G)
     chi = np.asarray(chi, dtype=float)
     eps = np.zeros(a.n) if eps is None else np.asarray(eps, dtype=float)
     D = levi_civita(a, g, d)
@@ -144,11 +137,11 @@ def scalar_variation(a: QuadraticLieAlgebra, G, d, chi, eps=None) -> float:
     return val
 
 
-def eh_functional(a: QuadraticLieAlgebra, G, sigma: float) -> float:
+def eh_functional(a: QuadraticLieAlgebra, g: np.ndarray, sigma: float) -> float:
     """Einstein-Hilbert functional over a point: S(G, sigma) = GR(G, 0) sigma^2."""
     if sigma <= 0:
         raise NonPositiveHalfDensity(f"sigma must be positive, got {sigma}")
-    return scalar(a, _as_matrix(G), None) * sigma * sigma
+    return scalar(a, g, None) * sigma * sigma
 
 
 def metric_path(G: np.ndarray, K: np.ndarray, s: float) -> np.ndarray:
@@ -162,7 +155,7 @@ def path_tangent(G: np.ndarray, K: np.ndarray) -> np.ndarray:
     return K @ G - G @ K
 
 
-def eh_gradient_check(a: QuadraticLieAlgebra, G, sigma: float, seed: int) -> float:
+def eh_gradient_check(a: QuadraticLieAlgebra, g: np.ndarray, sigma: float, seed: int) -> float:
     """Finite-difference check of the Euler-Lagrange variation of S.
 
     Compares the centered derivative of S along (G_s, sigma + s nu) at
@@ -171,10 +164,7 @@ def eh_gradient_check(a: QuadraticLieAlgebra, G, sigma: float, seed: int) -> flo
     """
     if sigma <= 0:
         raise NonPositiveHalfDensity(f"sigma must be positive, got {sigma}")
-    g = _as_matrix(G)
     rng = np.random.default_rng(seed)
-    from .metric import random_eta_antisymmetric
-
     K = random_eta_antisymmetric(a, int(rng.integers(2**31)))
     K /= np.linalg.norm(K, 2)  # unit probe direction keeps the cubic remainder small
     nu = float(rng.standard_normal())

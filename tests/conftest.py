@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from grflow import algebra as alg
+from grflow import checks
 from grflow import metric as met
 
 # The same commit draws the same examples on every machine and every run.
@@ -23,6 +24,23 @@ def complex_double():
 @pytest.fixture(scope="session")
 def graph_metric_123(su2_double):
     return met.metric_from_graph(su2_double, np.diag([1.0, 2.0, 3.0]))
+
+
+@pytest.fixture(scope="session")
+def preset_metrics():
+    """(label, algebra, G) for each check preset: a random strictly positive G, and a G that is not strictly
+    positive (eta G indefinite from a random V+ of half rank; -Id on so(3), where ranks 1 and 2 are
+    forbidden). On the doubles neither G is symmetric."""
+    out = []
+    for name, make in checks.PRESETS:
+        a = make()
+        mixed = -np.eye(3) if a.n == 3 else met.metric_from_subspace(
+            a, np.random.default_rng(3).standard_normal((a.n, a.n // 2))).G
+        assert not met.validate_metric(a, mixed).strictly_positive
+        pairing = np.linalg.eigvalsh(a.eta @ mixed + (a.eta @ mixed).T)
+        assert a.n == 3 or pairing[0] < 0 < pairing[-1]
+        out += [(f"{name}/positive", a, met.random_strictly_positive_metric(a, 11).G), (f"{name}/mixed", a, mixed)]
+    return out
 
 
 @pytest.fixture()

@@ -88,6 +88,26 @@ def test_tau_prime_right_inverse(su2_double, graph_metric_123, rng):
     assert np.max(np.abs(con.kappa_map(su2_double, tp))) <= 1e-12
 
 
+def _tau_prime_raised(a, g, t):
+    """tau' in its raised form: t raised by eta^-1 in all three slots, the compact formula with upper
+    indices, the result lowered by eta (oracle for the all-down form)."""
+    t_up = np.einsum("ad,be,gz,dez->abg", a.eta_inv, a.eta_inv, a.eta_inv, t)
+    x = np.einsum("ad,deb,ge->abg", g, t_up, g)
+    term3 = np.einsum("ade,bd,ge->abg", t_up, g, g)
+    out_up = -(t_up + 0.5 * (x - x.transpose(0, 2, 1)) + term3) / 3.0
+    return np.einsum("ad,be,gz,dez->abg", a.eta, a.eta, a.eta, out_up)
+
+
+def test_tau_prime_matches_raised_form(preset_metrics):
+    # general t, with no symmetry in any pair of slots, on strictly positive and mixed G
+    rng = np.random.default_rng(5)
+    for label, a, g in preset_metrics:
+        for _ in range(3):
+            t = rng.standard_normal((a.n,) * 3)
+            ref = _tau_prime_raised(a, g, t)
+            assert np.max(np.abs(con.tau_prime(a, g, t) - ref)) <= 1e-14 * np.max(np.abs(ref)), label
+
+
 def test_tau_prime_mixed_block_vanishes(su2_double, graph_metric_123, rng):
     t = con.antisymmetrize3(rng.standard_normal((6, 6, 6)))
     tp = con.tau_prime(su2_double, graph_metric_123.G, t)

@@ -30,6 +30,28 @@ def test_riemann_symmetries_double(su2_double, graph_metric_123):
     assert cur.mixed_trace_residual(su2_double, graph_metric_123.G, grm) <= 1e-12
 
 
+def _mixed_trace_raised(a, g, grm):
+    """``mixed_trace_residual`` with the first two slots of grm raised by eta^-1 (oracle for the all-down form)."""
+    p_plus, p_minus = met.projectors(g)
+    up = np.einsum("ma,nb,mngd->abgd", a.eta_inv, a.eta_inv, grm)
+    return float(abs(np.einsum("abgd,ga,db->", up, p_plus, p_minus))) / (1.0 + float(np.max(np.abs(grm))))
+
+
+def test_mixed_trace_matches_raised_form(preset_metrics):
+    # a general 4-tensor, not a Riemann tensor: its mixed trace is O(1), not round-off, and its slots have
+    # no pair symmetry that would hide an exchange of P+ and P-. The trace sums n^4 terms that cancel, so
+    # the gap is measured against the same sum over their absolute values
+    rng = np.random.default_rng(6)
+    for label, a, g in preset_metrics:
+        p_plus, p_minus = met.projectors(g)
+        for _ in range(3):
+            grm = rng.standard_normal((a.n,) * 4)
+            ref = _mixed_trace_raised(a, g, grm)
+            scale = np.einsum("mngd,gm,dn->", np.abs(grm), np.abs(p_plus @ a.eta_inv), np.abs(p_minus @ a.eta_inv))
+            assert ref > 0 or a.n == 3, label  # on so(3) G = +-Id, one projector is 0
+            assert abs(cur.mixed_trace_residual(a, g, grm) - ref) <= 1e-14 * scale / (1.0 + np.max(np.abs(grm))), label
+
+
 def test_riemann_warns_on_torsion(su2_double, rng):
     gamma = rng.standard_normal((6, 6, 6))
     gamma = 0.5 * (gamma - gamma.transpose(0, 2, 1))

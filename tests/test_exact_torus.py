@@ -151,33 +151,6 @@ def test_deriv_matches_roll_stencil_bitwise(d, rng):
             assert np.array_equal(et.deriv(geom, f, axis), _roll_deriv(geom, f, axis))
 
 
-def _christoffel_full(state, ginv):
-    """``christoffel`` on all d^3 components of d g and Gamma, from the full g (oracle)."""
-    d = state.geom.d
-    dg = et.grad(state.geom, state.g)  # (l, i, j) = d_l g_ij
-    term_i = np.moveaxis(dg, -1, -3)  # [l, i, j] <- d_i g_{jl}
-    term_j = np.swapaxes(term_i, -1, -2)  # [l, i, j] <- d_j g_{il}
-    rhs = term_i + term_j - dg
-    return 0.5 * (ginv @ rhs.reshape(rhs.shape[:-2] + (d * d,))).reshape(rhs.shape)
-
-
-def _ricci_tensor_full(state, gamma):
-    """``ricci_tensor`` on all d^2 components, with d_k Gamma^k_ij on all d^3 components of Gamma (oracle)."""
-    geom = state.geom
-    v = np.einsum("...kkj->...j", gamma)
-    dv = et.grad(geom, v)  # (i, j) = d_i v_j
-    dv_sym = 0.5 * (dv + np.swapaxes(dv, -1, -2))
-    quad1 = np.einsum("...l,...lij->...ij", v, gamma)
-    quad2 = np.einsum("...kil,...lkj->...ij", gamma, gamma, optimize=et._PAIR)
-    return et.div(geom, gamma) - dv_sym + quad1 - quad2
-
-
-def _hessian_full(geom, gamma, df):
-    """``hessian`` on all d^2 components, from the full Gamma (oracle)."""
-    ddf = et.grad(geom, df)
-    return 0.5 * (ddf + np.swapaxes(ddf, -1, -2)) - np.einsum("...kij,...k->...ij", gamma, df)
-
-
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("n", [8, 12])
 def test_symmetric_pair_geometry_matches_full_tensor(d, n, rng):
@@ -189,11 +162,11 @@ def test_symmetric_pair_geometry_matches_full_tensor(d, n, rng):
     st = et.TorusFieldState(geom, (a @ np.swapaxes(a, -1, -2) + np.eye(d))[..., iu, ju],
                             np.zeros(geom.shape + (d * (d - 1) // 2,)), 0.1 * rng.standard_normal(geom.shape), 0.0)
     fields = et.torus_fields(st)
-    ref_gamma = _christoffel_full(st, fields.ginv)
+    ref_gamma = et.christoffel_full(geom, st.g, fields.ginv)
     pairs = {"gamma": (fields.gamma, ref_gamma[..., iu, ju]),
-             "rc": (fields.rc, _ricci_tensor_full(st, ref_gamma)[..., iu, ju]),
+             "rc": (fields.rc, et.ricci_tensor_full(geom, ref_gamma)[..., iu, ju]),
              "hessian": (et.hessian(geom, fields.gamma, fields.dphi),
-                         _hessian_full(geom, ref_gamma, et.grad(geom, st.phi))[..., iu, ju])}
+                         et.hessian_full(geom, ref_gamma, et.grad(geom, st.phi))[..., iu, ju])}
     for name, (x, ref) in pairs.items():
         assert x.shape == ref.shape, name
         assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref)), name
@@ -543,9 +516,8 @@ def test_generalized_scalar_dilaton_mode(geom16):
 def test_ricci_dilaton_regression(geom16):
     st = et.perturbed_state(geom16, 3, amplitude=0.05)
     st.b[:] = 0.0
-    fields = et.torus_fields(st)
-    full = et.torus_rhs(fields)
-    lean = et.ricci_dilaton_rhs(fields)
+    full = et.torus_rhs(et.torus_fields(st))
+    lean = et.ricci_dilaton_rhs(st)
     for x, y in zip(full, lean):
         assert np.max(np.abs(x - y)) <= 1e-12
 

@@ -13,26 +13,26 @@ from grflow.errors import DegenerateSubspace, ForbiddenRank, RetractionDiverged,
 def test_flow_rhs_abelian_zero():
     a = alg.abelian(4, 2)
     gm = met.random_strictly_positive_metric(a, 0)
-    dg, ds = fl.flow_rhs(a, fl.FlowState(0.0, gm.G, 0.0))
+    dg, ds = fl.flow_rhs(a, gm.G)
     assert np.max(np.abs(dg)) == 0.0 and ds == 0.0
 
 
 def test_flow_rhs_identity_metric():
     a = alg.so3(1.0)
-    dg, ds = fl.flow_rhs(a, fl.FlowState(0.0, np.eye(3), 0.0))
+    dg, ds = fl.flow_rhs(a, np.eye(3))
     assert np.max(np.abs(dg)) <= 1e-14
     assert ds == pytest.approx(-a.norm_c_sq() / 12.0, abs=1e-14)
 
 
 def test_flow_rhs_tangency(su2_double, graph_metric_123):
     g = graph_metric_123.G
-    dg, _ = fl.flow_rhs(su2_double, fl.FlowState(0.0, g, 0.0))
+    dg, _ = fl.flow_rhs(su2_double, g)
     assert np.max(np.abs(dg @ g + g @ dg)) <= 1e-10
 
 
 def test_flow_rhs_debug_cross_check(su2_double, graph_metric_123):
     g = graph_metric_123.G
-    dg, ds = fl.flow_rhs(su2_double, fl.FlowState(0.0, g, 0.0))
+    dg, ds = fl.flow_rhs(su2_double, g)
     assert np.max(np.abs(dg + 2 * ricci(su2_double, g, None))) <= 1e-12
     assert ds == pytest.approx(-0.5 * scalar(su2_double, g, None), abs=1e-12)
 
@@ -258,7 +258,7 @@ def test_halved_step_reuses_k1(monkeypatch, su2_double, graph_metric_123):
     rhs_calls = _record_calls(monkeypatch, "flow_rhs")
     out = fl.flow_step(su2_double, st0, fl.FlowParams(dt=1e-2, T=1.0))
     assert len(attempts) == 2 and out.t == pytest.approx(5e-3)
-    at_start = [args for args in rhs_calls if np.array_equal(args[1].G, st0.G)]
+    at_start = [args for args in rhs_calls if np.array_equal(args[1], st0.G)]
     assert len(at_start) == 1
     assert len(rhs_calls) == 1 + 2 * 3
 

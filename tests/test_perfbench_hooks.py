@@ -2,6 +2,7 @@
 
 import importlib.util
 import inspect
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -12,18 +13,22 @@ from grflow import exact_torus as et
 from grflow import flow_ode as fl
 from grflow import metric as met
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _rhs_default():
     return inspect.signature(et.run_torus_flow).parameters["rhs"].default
 
 
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    return _load("tracing")
 
 
 def test_tracer_installs_every_hook_and_uninstalls():
@@ -59,3 +64,18 @@ def test_every_traced_torus_and_flow_name_is_called():
     calls = Counter(tracer.names[i] for i in tracer.name_id)
     for layer in ("exact_torus", "flow_ode"):
         assert [name for name in tracing.LAYERS[layer] if not calls[f"{layer}.{name}"]] == [], layer
+
+
+def test_oracle_workload_passes_its_gate(tmp_path):
+    # oracles.py calls the algebraic public API directly (.data, .d, Divergence(...), tau_prime(a, g, t),
+    # cov_d(M, t, variance)); one small pass of it must run and meet every bound its gate reads
+    oracles = _load("oracles")
+    oracles.INSTANCES, oracles.PATHS = 8, 2
+    assert oracles.run_oracles(0, tmp_path) == 0
+    doc = json.loads((tmp_path / "oracles.json").read_text())
+    assert set(doc["worst"]) == set(oracles.TOLS)
+    assert [name for name, tol in oracles.TOLS.items() if not doc["worst"][name] <= tol] == []
+    lo, hi = oracles.FD_BAND
+    ratios = doc[oracles.FD_RATIO]
+    assert ratios and all(lo <= r <= hi for r in ratios), ratios
+    assert doc["flow_checks"] and [c["name"] for c in doc["flow_checks"] if not c["passed"]] == []
