@@ -53,6 +53,7 @@ from .errors import (
     NonPositiveHalfDensity,
     NumericalError,
     RetractionDiverged,
+    RouteDisagreement,
     SingularBasis,
     StepUnderflow,
     ValidationError,

@@ -7,7 +7,9 @@ ops return endomorphisms (one index up, one down); lower with eta when a
 bilinear form is needed.
 
 Ricci and scalar computed by independent routes (tensor contraction, bracket
-trace, closed form) must agree; the dual-route ops assert this internally.
+trace of ad products, closed form) must agree; ``ricci`` and ``scalar`` raise
+RouteDisagreement otherwise.  The closed forms are matrix products of the Gram
+contraction S and its G-moved copy T: GRc = K - G K G with K = (S - T)/4.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .connection import (
     mixed_christoffel,
     torsion,
 )
-from .errors import ForbiddenRank
+from .errors import ForbiddenRank, RouteDisagreement
 from .metric import eigen_ranks, lie_derivative_metric, mixed_norm_sq, projectors
 
 ROUTE_TOL = 1e-10
@@ -81,18 +83,16 @@ def ricci_bracket_route(a: QuadraticLieAlgebra, g: np.ndarray, d=None) -> np.nda
     p_plus, p_minus = projectors(g)
     adm = a.c_mixed.transpose(0, 2, 1)  # adm[u] @ y = [e_u, y]
     b1 = np.einsum("s,st,mtn->mn", dvec, g, adm)
-    b2 = -2.0 * np.einsum("ij,njk,kl,mli->mn", p_plus, adm, p_minus, adm)
-    b = b1 + b2
-    s = p_minus.T @ b @ p_plus
-    down = s + s.T
-    return a.eta_inv @ down
+    b2 = -2.0 * np.einsum("mlj,njl->mn", adm @ p_plus, adm @ p_minus)  # -2 Tr(ad_m P+ ad_n P-)
+    s = p_minus.T @ (b1 + b2) @ p_plus
+    return a.eta_inv @ (s + s.T)
 
 
 def ricci(a: QuadraticLieAlgebra, g: np.ndarray, d=None, D: Connection | None = None) -> np.ndarray:
     """Ricci endomorphism GRc = fGRc - G fGRc G for D in LC(G, div).
 
     Cross-checks the contraction route against the bracket-trace formula and
-    raises if they disagree beyond 1e-10 (1 + |GRc|).
+    raises RouteDisagreement if they disagree beyond 1e-10 (1 + |GRc|).
     """
     if D is None:
         D = levi_civita(a, g, d)
@@ -101,49 +101,43 @@ def ricci(a: QuadraticLieAlgebra, g: np.ndarray, d=None, D: Connection | None = 
     grc_br = ricci_bracket_route(a, g, d)
     gap = float(np.max(np.abs(grc - grc_br)))
     if gap > ROUTE_TOL * (1.0 + float(np.max(np.abs(grc)))):
-        raise AssertionError(f"Ricci routes disagree: max gap {gap:.3e}")
+        raise RouteDisagreement(f"Ricci routes disagree: max gap {gap:.3e}")
     return grc
+
+
+def _moved_gram(a: QuadraticLieAlgebra, g: np.ndarray) -> np.ndarray:
+    """T_ab = c^{adz} G^g_d G^e_z c_{bge}: the Gram contraction S_ab = c^{agd} c_{bgd} (``a._gram_cc``, T at
+    G = Id) with c's last two slots moved by G, slice b of the moved c being G^T c_b G."""
+    return a.c_up.reshape(a.n, -1) @ (g.T @ a.c @ g).reshape(a.n, -1).T
 
 
 def ricci_closed_form(a: QuadraticLieAlgebra, g: np.ndarray) -> np.ndarray:
     """Point-base closed form of the Ricci endomorphism (divergence zero).
 
     GRc^a_b = 1/4 (c^{agd} c_{bgd} - G^a_g G^d_b c^{gez} c_{dez}
-    - G^g_d G^e_z c^{adz} c_{bge} + G^a_g G^d_b G^h_e G^t_z c^{gez} c_{dhtz...}),
-    all contractions through eta.
+    - G^g_d G^e_z c^{adz} c_{bge} + G^a_g G^d_b G^h_e G^t_z c^{gez} c_{dht}),
+    all contractions through eta.  The 2nd and 4th terms are G (1st) G and
+    G (3rd) G, so GRc = K - G K G with K = (S - T)/4, S and T as in ``_moved_gram``.
     """
-    c_up = a.c_up
-    s = a._gram_cc  # c^{agd} c_{bgd}
-    c1 = np.einsum("gd,bge->bde", g, a.c)
-    c2 = np.einsum("ez,bde->bdz", g, c1)
-    term3 = np.einsum("adz,bdz->ab", c_up, c2)
-    i1 = np.einsum("gez,he->ghz", c_up, g)
-    i2 = np.einsum("tz,ghz->ght", g, i1)
-    inner = np.einsum("ght,dht->gd", i2, a.c)
-    return 0.25 * (s - g @ s @ g - term3 + g @ inner @ g)
+    k = 0.25 * (a._gram_cc - _moved_gram(a, g))
+    return k - g @ k @ g
 
 
 def scalar_closed_form(a: QuadraticLieAlgebra, g: np.ndarray, d=None) -> float:
     """Scalar curvature from the admissible-frame formula.
 
     GR = -<G e, e> + 1/4 G^a_d c_{abg} c^{dbg}
-    - 1/12 G^a_d G^b_e G^g_z c_{abg} c^{dez}  (anchor terms vanish over a point),
-    with e the vector of the divergence.
+    - 1/12 G^a_d G^b_e G^g_z c_{abg} c^{dez}  (anchor terms vanish over a point), with e the vector of
+    the divergence.  The cubic term is Tr(G T), so GR = Tr(G (S/4 - T/12)) - <G e, e> (``_moved_gram``).
     """
     dvec = as_divergence(d, a.n).d
-    e = a.eta_inv @ dvec
-    val = -float(dvec @ g @ e)
-    val += 0.25 * float(np.sum(g * a._gram_cc.T))
-    c1 = np.einsum("ad,abg->dbg", g, a.c)
-    c2 = np.einsum("be,dbg->deg", g, c1)
-    val -= float(np.einsum("gz,deg,dez->", g, c2, a.c_up)) / 12.0
-    return val
+    return float(np.vdot(g.T, a._gram_cc / 4 - _moved_gram(a, g) / 12)) - float(dvec @ g @ (a.eta_inv @ dvec))
 
 
 def scalar(a: QuadraticLieAlgebra, g: np.ndarray, d=None, D: Connection | None = None) -> float:
     """Scalar curvature GR = Tr(G fGRc) via the Riemann trace route.
 
-    Asserts agreement with the closed form to 1e-10 (1 + |GR|).
+    Raises RouteDisagreement unless it agrees with the closed form to 1e-10 (1 + |GR|).
     """
     n_plus, n_minus = eigen_ranks(g)
     if n_plus == 1 or n_minus == 1:
@@ -154,7 +148,7 @@ def scalar(a: QuadraticLieAlgebra, g: np.ndarray, d=None, D: Connection | None =
     val = float(np.trace(g @ fgrc))
     ref = scalar_closed_form(a, g, d)
     if abs(val - ref) > ROUTE_TOL * (1.0 + abs(val)):
-        raise AssertionError(f"scalar routes disagree: trace {val!r} vs closed form {ref!r}")
+        raise RouteDisagreement(f"scalar routes disagree: trace {val!r} vs closed form {ref!r}")
     return val
 
 

@@ -63,6 +63,10 @@ class StepBudgetExhausted(NumericalError):
         super().__init__(f"step budget max_steps = {max_steps} used up at t = {t!r} < T = {T!r}")
 
 
+class RouteDisagreement(NumericalError):
+    """Independent routes to the same curvature quantity disagree beyond their bound."""
+
+
 class DegenerateMetric(NumericalError):
     """Metric lost positive definiteness (on the torus grid) or strict positivity (on the flow ODE)."""
 

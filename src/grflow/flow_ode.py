@@ -19,7 +19,7 @@ from .algebra import QuadraticLieAlgebra
 from .curvature import ricci_closed_form, scalar_closed_form
 from .errors import (DegenerateMetric, NumericalError, RetractionDiverged, StepBudgetExhausted, StepUnderflow,
                      ValidationError)
-from .metric import GeneralizedPseudometric, involution_residual, mixed_norm_sq
+from .metric import GeneralizedPseudometric, involution_residual, is_strictly_positive, mixed_norm_sq
 
 
 @dataclass
@@ -182,10 +182,8 @@ def run_flow(a: QuadraticLieAlgebra, init: FlowState, params: FlowParams) -> Flo
             if len(trace.t) > params.max_steps:  # a row per accepted step and one for the initial state
                 raise StepBudgetExhausted(params.max_steps, state.t, params.T)
             new_state = flow_step(a, state, params, min(params.dt, params.T - state.t), k1)
-            if watch_positivity:
-                pairing = a.eta @ new_state.G
-                if np.min(np.linalg.eigvalsh((pairing + pairing.T) / 2)) <= 0:
-                    raise DegenerateMetric(f"strict positivity lost at t = {new_state.t}")
+            if watch_positivity and not is_strictly_positive(a, new_state.G):
+                raise DegenerateMetric(f"strict positivity lost at t = {new_state.t}")
             k1 = flow_rhs(a, new_state.G)
             record(new_state, k1, new_state.t - state.t)
             state = new_state

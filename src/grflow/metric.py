@@ -101,11 +101,13 @@ def validate_metric(a: QuadraticLieAlgebra, g: np.ndarray) -> MetricValidation:
     scale = max(1.0, float(np.max(np.abs(g))))
     ok = inv_res <= METRIC_TOL * scale and sym_res <= METRIC_TOL * scale
     n_plus, n_minus = eigen_ranks(g) if ok else (0, 0)
-    strictly_positive = False
-    if ok:
-        pairing = a.eta @ g
-        strictly_positive = bool(np.min(np.linalg.eigvalsh((pairing + pairing.T) / 2)) > 0)
-    return MetricValidation(ok, strictly_positive, n_plus, n_minus, inv_res, sym_res)
+    return MetricValidation(ok, ok and is_strictly_positive(a, g), n_plus, n_minus, inv_res, sym_res)
+
+
+def is_strictly_positive(a: QuadraticLieAlgebra, g: np.ndarray) -> bool:
+    """Whether <G ., .> is positive definite: the least eigenvalue of the symmetric part of eta G is > 0."""
+    pairing = a.eta @ g
+    return bool(np.min(np.linalg.eigvalsh((pairing + pairing.T) / 2)) > 0)
 
 
 def metric_from_subspace(a: QuadraticLieAlgebra, v_plus: np.ndarray) -> GeneralizedPseudometric:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from grflow import cli
+from grflow import curvature as cur
 from grflow.errors import ConfigParseError, EigensolverStalled, StepUnderflow
 
 
@@ -258,6 +259,16 @@ def test_check_mode_planted_abort_fails(tmp_path, monkeypatch):
     assert failed == dict.fromkeys(("flow_identity_stationary", "flow_log_sigma_slope", "flow_abelian_stationary"),
                                    "Infinity")
     assert all(float(worst) == float("inf") for worst in failed.values())
+
+
+def test_check_route_disagreement_exits_3(tmp_path, monkeypatch, capsys):
+    # a route disagreement inside the checks is a numerical failure of the run, not a crash
+    bracket = cur.ricci_bracket_route
+    monkeypatch.setattr(cur, "ricci_bracket_route", lambda *args: bracket(*args) + 1e-6)
+    path = write_cfg(tmp_path, {"mode": "check", "check": {"scope": "algebraic", "instances": 1}})
+    assert cli.main(["check", "--config", str(path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: Ricci routes disagree" in err and "Traceback" not in err
 
 
 def test_check_determinism(tmp_path):

@@ -8,6 +8,7 @@ from grflow import checks
 from grflow import connection as con
 from grflow import curvature as cur
 from grflow import metric as met
+from grflow.errors import RouteDisagreement
 
 
 def test_riemann_abelian_zero():
@@ -113,6 +114,52 @@ def test_ricci_closed_form_random_metric(su2_double):
         grc = cur.ricci(su2_double, gm.G, None)
         cf = cur.ricci_closed_form(su2_double, gm.G)
         assert np.max(np.abs(grc - cf)) <= 1e-10 * (1 + np.max(np.abs(grc)))
+
+
+def _ricci_four_terms(a, g):
+    """The four-term closed form contracted term by term (oracle for GRc = K - G K G)."""
+    c_up = a.c_up
+    s = np.einsum("agd,bgd->ab", c_up, a.c)
+    c1 = np.einsum("gd,bge->bde", g, a.c)
+    c2 = np.einsum("ez,bde->bdz", g, c1)
+    term3 = np.einsum("adz,bdz->ab", c_up, c2)
+    i1 = np.einsum("gez,he->ghz", c_up, g)
+    i2 = np.einsum("tz,ghz->ght", g, i1)
+    inner = np.einsum("ght,dht->gd", i2, a.c)
+    return 0.25 * (s - g @ s @ g - term3 + g @ inner @ g)
+
+
+def _scalar_three_terms(a, g, d):
+    """The admissible-frame scalar formula contracted term by term (oracle for Tr(G (S/4 - T/12)) - <G e, e>)."""
+    e = a.eta_inv @ d
+    val = -float(d @ g @ e)
+    val += 0.25 * float(np.einsum("ad,abg,dbg->", g, a.c, a.c_up))
+    c1 = np.einsum("ad,abg->dbg", g, a.c)
+    c2 = np.einsum("be,dbg->deg", g, c1)
+    val -= float(np.einsum("gz,deg,dez->", g, c2, a.c_up)) / 12.0
+    return val
+
+
+def test_closed_forms_match_term_by_term(preset_metrics):
+    # both a strictly positive G and one with eta G indefinite per preset; the scalar with a nonzero divergence
+    rng = np.random.default_rng(8)
+    for label, a, g in preset_metrics:
+        ref = _ricci_four_terms(a, g)
+        assert np.max(np.abs(cur.ricci_closed_form(a, g) - ref)) <= 1e-13 * (1 + np.max(np.abs(ref))), label
+        d = rng.standard_normal(a.n)
+        gr = _scalar_three_terms(a, g, d)
+        assert cur.scalar_closed_form(a, g, con.Divergence(d)) == pytest.approx(gr, abs=1e-13 * (1 + abs(gr))), label
+
+
+def test_route_disagreement_raises(monkeypatch, su2_double, graph_metric_123):
+    g = graph_metric_123.G
+    bracket, closed = cur.ricci_bracket_route, cur.scalar_closed_form
+    monkeypatch.setattr(cur, "ricci_bracket_route", lambda *args: bracket(*args) + 1e-6)
+    with pytest.raises(RouteDisagreement, match="Ricci routes disagree"):
+        cur.ricci(su2_double, g, None)
+    monkeypatch.setattr(cur, "scalar_closed_form", lambda *args: closed(*args) + 1e-6)
+    with pytest.raises(RouteDisagreement, match="scalar routes disagree"):
+        cur.scalar(su2_double, g, None)
 
 
 def test_scalar_so3_unit():

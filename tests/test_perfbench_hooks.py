@@ -64,6 +64,9 @@ def test_every_traced_torus_and_flow_name_is_called():
     calls = Counter(tracer.names[i] for i in tracer.name_id)
     for layer in ("exact_torus", "flow_ode"):
         assert [name for name in tracing.LAYERS[layer] if not calls[f"{layer}.{name}"]] == [], layer
+    # flow_ode.rhs_per_step counts ricci_closed_form: each right side calls both closed forms once
+    rhs = calls["flow_ode.flow_rhs"]
+    assert rhs and calls["curvature.ricci_closed_form"] == calls["curvature.scalar_closed_form"] == rhs
 
 
 def test_oracle_workload_passes_its_gate(tmp_path):
