@@ -16,7 +16,6 @@ from .algebra import (
     validate_algebra,
 )
 from .connection import (
-    Connection,
     Divergence,
     divergence_of,
     kappa_map,

@@ -39,9 +39,9 @@ class QuadraticLieAlgebra:
     eta: np.ndarray
     c: np.ndarray
     eta_inv: np.ndarray = field(init=False, repr=False, compare=False)
-    _c_mixed: np.ndarray = field(init=False, repr=False, compare=False)
-    _c_up: np.ndarray = field(init=False, repr=False, compare=False)
-    _gram_cc: np.ndarray = field(init=False, repr=False, compare=False)
+    c_mixed: np.ndarray = field(init=False, repr=False, compare=False)  # c_{ab}^g, the last index raised
+    c_up: np.ndarray = field(init=False, repr=False, compare=False)  # c with all indices raised
+    gram_cc: np.ndarray = field(init=False, repr=False, compare=False)  # c^{agd} c_{bgd}
 
     def __post_init__(self):
         eta = np.asarray(self.eta, dtype=float)
@@ -63,25 +63,15 @@ class QuadraticLieAlgebra:
         object.__setattr__(self, "c", c)
         eta_inv = np.linalg.inv(eta)
         object.__setattr__(self, "eta_inv", eta_inv)
-        object.__setattr__(self, "_c_mixed", np.einsum("abd,dg->abg", c, eta_inv))
+        object.__setattr__(self, "c_mixed", np.einsum("abd,dg->abg", c, eta_inv))
         c_up = np.einsum("ad,be,gz,dez->abg", eta_inv, eta_inv, eta_inv, c)
-        object.__setattr__(self, "_c_up", c_up)
-        # Gram contraction c^{a g d} c_{b g d}, reused by the curvature closed forms.
-        object.__setattr__(self, "_gram_cc", np.einsum("agd,bgd->ab", c_up, c))
+        object.__setattr__(self, "c_up", c_up)
+        # the Gram contraction, reused by the curvature closed forms
+        object.__setattr__(self, "gram_cc", np.einsum("agd,bgd->ab", c_up, c))
 
     @property
     def n(self) -> int:
         return self.eta.shape[0]
-
-    @property
-    def c_mixed(self) -> np.ndarray:
-        """c with the last index raised: ``c_mixed[a,b,g] = c_{ab}{}^g``."""
-        return self._c_mixed
-
-    @property
-    def c_up(self) -> np.ndarray:
-        """c with all indices raised."""
-        return self._c_up
 
     def bracket(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Lie bracket [u, v] on coordinate vectors (index up)."""
@@ -98,21 +88,9 @@ class QuadraticLieAlgebra:
 
 @dataclass
 class Tensor:
-    """Dense tensor with an up/down variance record per slot.
-
-    The record documents index placement; contraction code works on the raw
-    ``data`` array and tracks variance by convention.
-    """
+    """Dense tensor; index placement is by convention (``riemann`` is all down)."""
 
     data: np.ndarray
-    variance: tuple[str, ...]
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.ndim != len(self.variance):
-            raise ValueError("variance record does not match tensor order")
-        if any(v not in ("u", "d") for v in self.variance):
-            raise ValueError("variance entries must be 'u' or 'd'")
 
 
 @dataclass

@@ -1,12 +1,16 @@
 """Randomized identity suite shared by the CLI ``check`` mode and the tests.
 
 Each check aggregates a worst-case residual over seeded instances; instances
-cycle through the algebra presets with random strictly positive metrics.
+cycle through the algebra presets with random strictly positive metrics.  A
+check whose evaluation raises a NumericalError reads worst = inf with a note
+naming the error, and the suite goes on to the next check.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 from scipy.linalg import expm
@@ -18,7 +22,7 @@ from . import exact_torus as et
 from . import flow_ode as fl
 from . import metric as met
 from . import variation as var
-from .connection import Connection
+from .errors import NumericalError
 
 
 @dataclass
@@ -33,17 +37,47 @@ class CheckResult:
         return {"name": self.name, "worst": self.worst, "tol": self.tol, "passed": self.passed, "note": self.note}
 
 
-def _result(name, worst, tol, note=""):
-    return CheckResult(name, float(worst), tol, bool(worst <= tol), note)
+def _failed(name, tol, exc: NumericalError) -> CheckResult:
+    """The result of a check whose evaluation raised: worst inf fails every tolerance and band."""
+    return CheckResult(name, float("inf"), tol, False, f"raised {type(exc).__name__}: {exc}")
+
+
+def _checked(name, value, tol, passes, note) -> CheckResult:
+    try:
+        v = float(value())
+    except NumericalError as exc:
+        return _failed(name, tol, exc)
+    return CheckResult(name, v, tol, bool(passes(v)), note)
+
+
+def _result(name, value, tol, note=""):
+    """Pass when the residual ``value()`` is at most ``tol``."""
+    return _checked(name, value, tol, lambda v: v <= tol, note)
 
 
 def _band_result(name, value, lo, hi, note=""):
-    return CheckResult(name, float(value), hi, bool(lo <= value <= hi), note or f"band [{lo},{hi}]")
+    """Pass when ``value()`` lies in [lo, hi]."""
+    return _checked(name, value, hi, lambda v: lo <= v <= hi, note or f"band [{lo},{hi}]")
 
 
-def _from_run(trace, value) -> float:
-    """``value()`` read from a run's trace, or inf (failing every tolerance and band) if the run stopped short."""
-    return float("inf") if trace.aborted else value()
+@contextmanager
+def _catching(raised: dict, *names: str):
+    """Run a block of the aggregated checks ``names``, keeping a NumericalError it raises under each name."""
+    try:
+        yield
+    except NumericalError as exc:
+        for name in names:
+            raised.setdefault(name, exc)
+
+
+def _aggregated_results(tols: dict, worst: dict, raised: dict) -> list[CheckResult]:
+    """One result per aggregated check of ``tols``, failing with worst inf where its block raised."""
+    return [_failed(n, tol, raised[n]) if n in raised else _result(n, lambda: worst[n], tol) for n, tol in tols.items()]
+
+
+def _from_run(trace, value):
+    """``value`` read from a run's trace, lazily: inf (failing every tolerance and band) if the run stopped short."""
+    return lambda: float("inf") if trace.aborted else value()
 
 
 PRESETS = (
@@ -66,38 +100,13 @@ def instance_stream(seed: int, count: int):
 
 
 def run_algebraic_checks(seed: int = 0, instances: int = 100) -> list[CheckResult]:
-    results: list[CheckResult] = []
     rng = np.random.default_rng(seed + 1)
-
-    worst_preset = 0.0
-    for _, make in PRESETS:
-        rep = alg.validate_algebra(make())
-        worst_preset = max(worst_preset, rep.antisymmetry_residual, rep.jacobi_residual)
-    results.append(_result("preset_validation", worst_preset, 1e-10))
-
-    w_basis = w_cnorm = 0.0
-    for _, make in PRESETS:
-        a = make()
-        # condition-controlled random basis: orthogonal x diag(0.5..2) x orthogonal
-        q1, _ = np.linalg.qr(rng.standard_normal((a.n, a.n)))
-        q2, _ = np.linalg.qr(rng.standard_normal((a.n, a.n)))
-        p = q1 @ np.diag(rng.uniform(0.5, 2.0, a.n)) @ q2
-        a2 = alg.change_basis(a, p)
-        back = alg.change_basis(a2, np.linalg.inv(p))
-        scale = 1.0 + float(np.max(np.abs(a.c)))
-        w_basis = max(
-            w_basis,
-            float(np.max(np.abs(back.eta - a.eta))) / (1.0 + float(np.max(np.abs(a.eta)))),
-            float(np.max(np.abs(back.c - a.c))) / scale,
-        )
-        k = met.random_eta_antisymmetric(a, int(rng.integers(2**31)))
-        orth = expm(0.3 * k)
-        a3 = alg.change_basis(a, orth)
-        w_cnorm = max(w_cnorm, abs(a3.norm_c_sq() - a.norm_c_sq()) / (1 + abs(a.norm_c_sq())))
-    results.append(_result("change_basis_roundtrip", w_basis, 1e-12))
-    results.append(_result("c_norm_invariance", w_cnorm, 1e-10))
+    results = [_result("preset_validation", lambda: max(
+        max(rep.antisymmetry_residual, rep.jacobi_residual)
+        for rep in (alg.validate_algebra(make()) for _, make in PRESETS)), 1e-10)]
 
     tols = {
+        "change_basis_roundtrip": 1e-12, "c_norm_invariance": 1e-10,
         "metric_invariants": 1e-10, "projector_algebra": 1e-12, "lie_derivative_tangency": 1e-10,
         "tangent_norm_identity": 1e-12, "tau_tau_prime": 1e-12, "kappa_kappa_prime": 1e-12,
         "kappa_tau_prime": 1e-12, "tau_kappa_prime": 1e-12, "lc_postconditions": 1e-10,
@@ -108,127 +117,170 @@ def run_algebraic_checks(seed: int = 0, instances: int = 100) -> list[CheckResul
         "monotonicity_identity": 1e-10,
     }
     worst = dict.fromkeys(tols, 0.0)
+    raised: dict[str, NumericalError] = {}
+    guard = partial(_catching, raised)
+
+    for _, make in PRESETS:
+        a = make()
+        with guard("change_basis_roundtrip"):
+            # condition-controlled random basis: orthogonal x diag(0.5..2) x orthogonal
+            q1, _ = np.linalg.qr(rng.standard_normal((a.n, a.n)))
+            q2, _ = np.linalg.qr(rng.standard_normal((a.n, a.n)))
+            p = q1 @ np.diag(rng.uniform(0.5, 2.0, a.n)) @ q2
+            a2 = alg.change_basis(a, p)
+            back = alg.change_basis(a2, np.linalg.inv(p))
+            scale = 1.0 + float(np.max(np.abs(a.c)))
+            worst["change_basis_roundtrip"] = max(
+                worst["change_basis_roundtrip"],
+                float(np.max(np.abs(back.eta - a.eta))) / (1.0 + float(np.max(np.abs(a.eta)))),
+                float(np.max(np.abs(back.c - a.c))) / scale,
+            )
+        with guard("c_norm_invariance"):
+            k = met.random_eta_antisymmetric(a, int(rng.integers(2**31)))
+            a3 = alg.change_basis(a, expm(0.3 * k))
+            worst["c_norm_invariance"] = max(
+                worst["c_norm_invariance"], abs(a3.norm_c_sq() - a.norm_c_sq()) / (1 + abs(a.norm_c_sq()))
+            )
 
     for a, gm, sub in instance_stream(seed, instances):
         g = gm.G
         lrng = np.random.default_rng(sub ^ 0x5EED)
-        scale = max(1.0, float(np.max(np.abs(g))))
-        worst["metric_invariants"] = max(
-            worst["metric_invariants"],
-            met.involution_residual(g) / scale,
-            met.eta_symmetry_residual(a, g) / scale,
-        )
-        p_plus, p_minus = met.projectors(g)
-        worst["projector_algebra"] = max(
-            worst["projector_algebra"],
-            float(np.max(np.abs(p_plus @ p_plus - p_plus))),
-            float(np.max(np.abs(p_plus @ p_minus))),
-            float(np.max(np.abs(p_plus + p_minus - np.eye(a.n)))),
-        )
+        with guard("metric_invariants"):
+            scale = max(1.0, float(np.max(np.abs(g))))
+            worst["metric_invariants"] = max(
+                worst["metric_invariants"],
+                met.involution_residual(g) / scale,
+                met.eta_symmetry_residual(a, g) / scale,
+            )
+        with guard("projector_algebra"):
+            p_plus, p_minus = met.projectors(g)
+            worst["projector_algebra"] = max(
+                worst["projector_algebra"],
+                float(np.max(np.abs(p_plus @ p_plus - p_plus))),
+                float(np.max(np.abs(p_plus @ p_minus))),
+                float(np.max(np.abs(p_plus + p_minus - np.eye(a.n)))),
+            )
         u = lrng.standard_normal(a.n)
-        lie = met.lie_derivative_metric(a, g, u)
-        lie_scale = max(1.0, float(np.max(np.abs(lie))))
-        worst["lie_derivative_tangency"] = max(
-            worst["lie_derivative_tangency"],
-            float(np.max(np.abs(g @ lie + lie @ g))) / lie_scale,
-            float(np.max(np.abs(a.eta @ lie - (a.eta @ lie).T))) / lie_scale,
-        )
-        chi = met.random_tangent(a, g, sub ^ 0xA5)
-        if np.max(np.abs(chi)) > 0:
-            fr = met.adapted_frame(a, g)
-            chi_ad = fr.Q.T @ (a.eta @ chi) @ fr.Q
-            mixed = chi_ad[: fr.n_plus, fr.n_plus :]
-            lhs = met.mixed_norm_sq(a, a.eta @ chi)
-            rhs = 2.0 * float(np.sum(mixed**2))
-            worst["tangent_norm_identity"] = max(worst["tangent_norm_identity"], abs(lhs - rhs) / (1 + abs(lhs)))
+        with guard("lie_derivative_tangency"):
+            lie = met.lie_derivative_metric(a, g, u)
+            lie_scale = max(1.0, float(np.max(np.abs(lie))))
+            worst["lie_derivative_tangency"] = max(
+                worst["lie_derivative_tangency"],
+                float(np.max(np.abs(g @ lie + lie @ g))) / lie_scale,
+                float(np.max(np.abs(a.eta @ lie - (a.eta @ lie).T))) / lie_scale,
+            )
+        with guard("tangent_norm_identity"):
+            chi = met.random_tangent(a, g, sub ^ 0xA5)
+            if np.max(np.abs(chi)) > 0:
+                fr = met.adapted_frame(a, g)
+                chi_ad = fr.Q.T @ (a.eta @ chi) @ fr.Q
+                mixed = chi_ad[: fr.n_plus, fr.n_plus :]
+                lhs = met.mixed_norm_sq(a, a.eta @ chi)
+                rhs = 2.0 * float(np.sum(mixed**2))
+                worst["tangent_norm_identity"] = max(worst["tangent_norm_identity"], abs(lhs - rhs) / (1 + abs(lhs)))
 
         t_rand = con.antisymmetrize3(lrng.standard_normal((a.n,) * 3))
-        tp = con.tau_prime(a, g, t_rand)
-        worst["tau_tau_prime"] = max(worst["tau_tau_prime"], float(np.max(np.abs(con.tau_map(tp) - t_rand))) / (1 + float(np.max(np.abs(t_rand)))))
-        worst["kappa_tau_prime"] = max(worst["kappa_tau_prime"], float(np.max(np.abs(con.kappa_map(a, tp)))))
+        with guard("tau_tau_prime", "kappa_tau_prime"):
+            tp = con.tau_prime(a, g, t_rand)
+            worst["tau_tau_prime"] = max(
+                worst["tau_tau_prime"],
+                float(np.max(np.abs(con.tau_map(tp) - t_rand))) / (1 + float(np.max(np.abs(t_rand)))),
+            )
+            worst["kappa_tau_prime"] = max(worst["kappa_tau_prime"], float(np.max(np.abs(con.kappa_map(a, tp)))))
         uvec = lrng.standard_normal(a.n)
-        kp = con.kappa_prime(a, g, uvec)
-        worst["kappa_kappa_prime"] = max(
-            worst["kappa_kappa_prime"], float(np.max(np.abs(a.eta_inv @ con.kappa_map(a, kp) - uvec)))
-        )
-        worst["tau_kappa_prime"] = max(worst["tau_kappa_prime"], float(np.max(np.abs(con.tau_map(kp)))))
+        with guard("kappa_kappa_prime", "tau_kappa_prime"):
+            kp = con.kappa_prime(a, g, uvec)
+            worst["kappa_kappa_prime"] = max(
+                worst["kappa_kappa_prime"], float(np.max(np.abs(a.eta_inv @ con.kappa_map(a, kp) - uvec)))
+            )
+            worst["tau_kappa_prime"] = max(worst["tau_kappa_prime"], float(np.max(np.abs(con.tau_map(kp)))))
 
         dvec = cur.divergence_from_vector(a, lrng.standard_normal(a.n))
-        D = con.levi_civita(a, g, dvec)
-        mchr = con.mixed_christoffel(a, D)
-        dg_cov = con.cov_d(mchr, g, ("u", "d"))
-        worst["lc_postconditions"] = max(
-            worst["lc_postconditions"],
-            float(np.max(np.abs(con.torsion(a, D)))),
-            float(np.max(np.abs(con.divergence_of(a, D).d - dvec.d))),
-            float(np.max(np.abs(dg_cov))),
-        )
-        repaired = con.lc_repair(a, g, dvec, D)
-        worst["lc_fixed_point"] = max(worst["lc_fixed_point"], float(np.max(np.abs(repaired.gamma - D.gamma))))
+        with guard("lc_postconditions", "lc_fixed_point"):
+            D = con.levi_civita(a, g, dvec)
+            mchr = con.mixed_christoffel(a, D)
+            dg_cov = con.cov_d(mchr, g, ("u", "d"))
+            worst["lc_postconditions"] = max(
+                worst["lc_postconditions"],
+                float(np.max(np.abs(con.torsion(a, D)))),
+                float(np.max(np.abs(con.divergence_of(a, D).d - dvec.d))),
+                float(np.max(np.abs(dg_cov))),
+            )
+            with guard("lc_fixed_point"):
+                repaired = con.lc_repair(a, g, dvec, D)
+                worst["lc_fixed_point"] = max(worst["lc_fixed_point"], float(np.max(np.abs(repaired - D))))
 
-        shift = con.lc_kernel_shift(a, g, sub ^ 0x11)
-        blocked = con.block_project(a, g, shift)
-        worst["lc_kernel_constraints"] = max(
-            worst["lc_kernel_constraints"],
-            float(np.max(np.abs(shift + shift.transpose(0, 2, 1)))),
-            float(np.max(np.abs(con.tau_map(shift)))),
-            float(np.max(np.abs(con.kappa_map(a, shift)))),
-            float(np.max(np.abs(blocked - shift))),
-        )
-
-        D0 = con.levi_civita(a, g, None)
-        rep = cur.curvature_report(a, g, None)
-        worst["riemann_symmetries"] = max(worst["riemann_symmetries"], rep.symmetry_residual)
-        worst["riemann_mixed_trace"] = max(worst["riemann_mixed_trace"], rep.mixed_trace_residual)
-        worst["ricci_triple_route"] = max(worst["ricci_triple_route"], rep.route_residual_ricci)
-        grc = rep.ricci
-        grc_cf = cur.ricci_closed_form(a, g)
-        worst["ricci_triple_route"] = max(
-            worst["ricci_triple_route"], float(np.max(np.abs(grc - grc_cf))) / (1 + float(np.max(np.abs(grc))))
-        )
-        worst["scalar_dual_route"] = max(worst["scalar_dual_route"], rep.route_residual_scalar)
-
-        gr0 = rep.scalar
-        for j in range(20):
-            shift_j = con.lc_kernel_shift(a, g, (sub + 31 * j) & 0x7FFFFFFF)
-            D_j = Connection(D0.gamma + shift_j).bind(a)
-            fgrc_j = cur.full_ricci(a, D_j)
-            grc_j = fgrc_j - g @ fgrc_j @ g
-            gr_j = float(np.trace(g @ fgrc_j))
-            worst["curvature_kernel_invariance"] = max(
-                worst["curvature_kernel_invariance"],
-                float(np.max(np.abs(grc_j - grc))) / (1 + float(np.max(np.abs(grc)))),
-                abs(gr_j - gr0) / (1 + abs(gr0)),
+        with guard("lc_kernel_constraints"):
+            shift = con.lc_kernel_shift(a, g, sub ^ 0x11)
+            blocked = con.block_project(a, g, shift)
+            worst["lc_kernel_constraints"] = max(
+                worst["lc_kernel_constraints"],
+                float(np.max(np.abs(shift + shift.transpose(0, 2, 1)))),
+                float(np.max(np.abs(con.tau_map(shift)))),
+                float(np.max(np.abs(con.kappa_map(a, shift)))),
+                float(np.max(np.abs(blocked - shift))),
             )
 
-        evec = lrng.standard_normal(a.n)
-        worst["ricci_divergence_shift"] = max(
-            worst["ricci_divergence_shift"], cur.ricci_divergence_shift_check(a, g, evec)
-        )
-        lhs, rhs = cur.scalar_divergence_shift(a, g, evec)
-        worst["scalar_divergence_shift"] = max(worst["scalar_divergence_shift"], abs(lhs - rhs) / (1 + abs(lhs)))
+        # every check that reads the curvature report fails with it
+        with guard("riemann_symmetries", "riemann_mixed_trace", "scalar_dual_route", "ricci_triple_route",
+                   "curvature_kernel_invariance", "monotonicity_identity"):
+            rep = cur.curvature_report(a, g, None)
+            grc = rep.ricci
+            worst["riemann_symmetries"] = max(worst["riemann_symmetries"], rep.symmetry_residual)
+            worst["riemann_mixed_trace"] = max(worst["riemann_mixed_trace"], rep.mixed_trace_residual)
+            worst["scalar_dual_route"] = max(worst["scalar_dual_route"], rep.route_residual_scalar)
+            with guard("ricci_triple_route"):
+                grc_cf = cur.ricci_closed_form(a, g)
+                worst["ricci_triple_route"] = max(
+                    worst["ricci_triple_route"], rep.route_residual_ricci,
+                    float(np.max(np.abs(grc - grc_cf))) / (1 + float(np.max(np.abs(grc)))),
+                )
+            with guard("curvature_kernel_invariance"):
+                D0 = con.levi_civita(a, g, None)
+                gr0 = rep.scalar
+                for j in range(20):
+                    shift_j = con.lc_kernel_shift(a, g, (sub + 31 * j) & 0x7FFFFFFF)
+                    fgrc_j = cur.full_ricci(a, D0 + shift_j)
+                    grc_j = fgrc_j - g @ fgrc_j @ g
+                    gr_j = float(np.trace(g @ fgrc_j))
+                    worst["curvature_kernel_invariance"] = max(
+                        worst["curvature_kernel_invariance"],
+                        float(np.max(np.abs(grc_j - grc))) / (1 + float(np.max(np.abs(grc)))),
+                        abs(gr_j - gr0) / (1 + abs(gr0)),
+                    )
+            with guard("monotonicity_identity"):
+                mono_lhs = var.scalar_variation(a, g, None, -2.0 * grc, None)
+                mono_rhs = met.mixed_norm_sq(a, a.eta @ grc)
+                worst["monotonicity_identity"] = max(
+                    worst["monotonicity_identity"], abs(mono_lhs - mono_rhs) / (1 + abs(mono_rhs))
+                )
 
-        worst["bianchi_identity"] = max(
-            worst["bianchi_identity"], cur.bianchi_residual(a, g), cur.bianchi_divergence_residual(a, g)
-        )
+        evec = lrng.standard_normal(a.n)
+        with guard("ricci_divergence_shift"):
+            worst["ricci_divergence_shift"] = max(
+                worst["ricci_divergence_shift"], cur.ricci_divergence_shift_check(a, g, evec)
+            )
+        with guard("scalar_divergence_shift"):
+            lhs, rhs = cur.scalar_divergence_shift(a, g, evec)
+            worst["scalar_divergence_shift"] = max(worst["scalar_divergence_shift"], abs(lhs - rhs) / (1 + abs(lhs)))
+
+        with guard("bianchi_identity"):
+            worst["bianchi_identity"] = max(
+                worst["bianchi_identity"], cur.bianchi_residual(a, g), cur.bianchi_divergence_residual(a, g)
+            )
 
         if np.any(a.c):
             phi = expm(0.2 * a.ad(lrng.standard_normal(a.n)))
-            g_t = phi @ g @ np.linalg.inv(phi)
-            lhs_eq = cur.ricci_closed_form(a, g_t)
-            rhs_eq = phi @ cur.ricci_closed_form(a, g) @ np.linalg.inv(phi)
-            worst["curvature_equivariance"] = max(
-                worst["curvature_equivariance"],
-                float(np.max(np.abs(lhs_eq - rhs_eq))) / (1 + float(np.max(np.abs(rhs_eq)))),
-            )
+            with guard("curvature_equivariance"):
+                g_t = phi @ g @ np.linalg.inv(phi)
+                lhs_eq = cur.ricci_closed_form(a, g_t)
+                rhs_eq = phi @ cur.ricci_closed_form(a, g) @ np.linalg.inv(phi)
+                worst["curvature_equivariance"] = max(
+                    worst["curvature_equivariance"],
+                    float(np.max(np.abs(lhs_eq - rhs_eq))) / (1 + float(np.max(np.abs(rhs_eq)))),
+                )
 
-        mono_lhs = var.scalar_variation(a, g, None, -2.0 * grc, None)
-        mono_rhs = met.mixed_norm_sq(a, a.eta @ grc)
-        worst["monotonicity_identity"] = max(worst["monotonicity_identity"], abs(mono_lhs - mono_rhs) / (1 + abs(mono_rhs)))
-
-    for n, tol in tols.items():
-        results.append(_result(n, worst[n], tol))
-
+    results.extend(_aggregated_results(tols, worst, raised))
     results.extend(run_variation_checks(seed))
     results.extend(run_flow_checks(seed))
     return results
@@ -241,9 +293,13 @@ def run_variation_checks(seed: int = 0) -> list[CheckResult]:
     so(3) (its only strictly positive metric) give identically trivial
     conjugation paths.
     """
-    results = []
     rng = np.random.default_rng(seed + 2)
-    ratios_scalar, ratios_ricci, conn_worst, blockwise_worst, eh_worst = [], [], 0.0, 0.0, 0.0
+    ratios = {"fd_ratio_scalar_variation": [], "fd_ratio_ricci_variation": []}
+    tols = {"connection_variation_postconditions": 1e-10, "connection_variation_blockwise": 1e-12,
+            "eh_gradient_fd": 1e-6}
+    worst = dict.fromkeys(tols, 0.0)
+    raised: dict[str, NumericalError] = {}
+    guard = partial(_catching, raised)
     doubles = (
         lambda: alg.cotangent_double(alg.su2_structure()),
         lambda: alg.complex_double_su2(1.0),
@@ -256,128 +312,120 @@ def run_variation_checks(seed: int = 0) -> list[CheckResult]:
         k = met.random_eta_antisymmetric(a, sub ^ 0x77)
         chi = var.path_tangent(g, k)
         eps = np.random.default_rng(sub ^ 0x99).standard_normal(a.n)
-        exact_s = var.scalar_variation(a, g, None, chi, eps)
-        errs = var.fd_error_ladder(
-            exact_s, lambda s: cur.scalar(a, var.metric_path(g, k, s), con.Divergence(s * eps)), steps=(1e-2, 1e-3)
-        )
-        if errs[1] > 1e-12:
-            ratios_scalar.append(errs[0] / errs[1])
-        exact_r = var.ricci_variation(a, g, None, chi, eps)
-        errs_r = var.fd_error_ladder(
-            exact_r, lambda s: cur.ricci(a, var.metric_path(g, k, s), con.Divergence(s * eps)), steps=(1e-2, 1e-3)
-        )
-        if errs_r[1] > 1e-12:
-            ratios_ricci.append(errs_r[0] / errs_r[1])
+        for name, exact, curve in (("fd_ratio_scalar_variation", var.scalar_variation, cur.scalar),
+                                   ("fd_ratio_ricci_variation", var.ricci_variation, cur.ricci)):
+            with guard(name):
+                errs = var.fd_error_ladder(
+                    exact(a, g, None, chi, eps),
+                    lambda s: curve(a, var.metric_path(g, k, s), con.Divergence(s * eps)), steps=(1e-2, 1e-3)
+                )
+                if errs[1] > 1e-12:
+                    ratios[name].append(errs[0] / errs[1])
 
-        D = con.levi_civita(a, g, None)
-        A = var.connection_variation(a, g, D, chi, eps)
-        m = con.mixed_christoffel(a, D)
-        dchi = con.cov_d(m, chi, ("u", "d"))
-        a_mixed = np.einsum("bd,adg->abg", a.eta_inv, A)
-        comm = np.einsum("ubg,gd->ubd", a_mixed, g) - np.einsum("bg,ugd->ubd", g, a_mixed)
-        conn_worst = max(
-            conn_worst,
-            float(np.max(np.abs(dchi + comm))),
-            float(np.max(np.abs(con.tau_map(A)))),
-            float(np.max(np.abs(con.kappa_map(a, A) - eps))),
-        )
-        A2 = var.connection_variation_blockwise(a, g, D, chi, eps)
-        blockwise_worst = max(blockwise_worst, float(np.max(np.abs(A - A2))))
-        eh_worst = max(eh_worst, var.eh_gradient_check(a, g, float(rng.uniform(0.5, 2.0)), sub ^ 0x13))
+        with guard("connection_variation_postconditions", "connection_variation_blockwise"):
+            D = con.levi_civita(a, g, None)
+            A = var.connection_variation(a, g, D, chi, eps)
+            with guard("connection_variation_postconditions"):
+                m = con.mixed_christoffel(a, D)
+                dchi = con.cov_d(m, chi, ("u", "d"))
+                a_mixed = np.einsum("bd,adg->abg", a.eta_inv, A)
+                comm = np.einsum("ubg,gd->ubd", a_mixed, g) - np.einsum("bg,ugd->ubd", g, a_mixed)
+                worst["connection_variation_postconditions"] = max(
+                    worst["connection_variation_postconditions"],
+                    float(np.max(np.abs(dchi + comm))),
+                    float(np.max(np.abs(con.tau_map(A)))),
+                    float(np.max(np.abs(con.kappa_map(a, A) - eps))),
+                )
+            with guard("connection_variation_blockwise"):
+                A2 = var.connection_variation_blockwise(a, g, D, chi, eps)
+                worst["connection_variation_blockwise"] = max(
+                    worst["connection_variation_blockwise"], float(np.max(np.abs(A - A2)))
+                )
+        sigma = float(rng.uniform(0.5, 2.0))
+        with guard("eh_gradient_fd"):
+            worst["eh_gradient_fd"] = max(worst["eh_gradient_fd"], var.eh_gradient_check(a, g, sigma, sub ^ 0x13))
 
-    results.append(_band_result("fd_ratio_scalar_variation", min(ratios_scalar), 25, 400, f"n={len(ratios_scalar)}, max={max(ratios_scalar):.1f}"))
-    results.append(_band_result("fd_ratio_ricci_variation", min(ratios_ricci), 25, 400, f"n={len(ratios_ricci)}, max={max(ratios_ricci):.1f}"))
-    results.append(_result("connection_variation_postconditions", conn_worst, 1e-10))
-    results.append(_result("connection_variation_blockwise", blockwise_worst, 1e-12))
-    results.append(_result("eh_gradient_fd", eh_worst, 1e-6))
-    return results
+    results = [_failed(name, 400, raised[name]) if name in raised else _band_result(
+        name, lambda: min(r), 25, 400, f"n={len(r)}, max={max(r):.1f}") for name, r in ratios.items()]
+    return results + _aggregated_results(tols, worst, raised)
 
 
 def run_flow_checks(seed: int = 0) -> list[CheckResult]:
-    results = []
     a3 = alg.so3(1.0)
     tr = fl.run_flow(a3, fl.FlowState(0.0, np.eye(3), 0.0), fl.FlowParams(dt=1e-2, T=1.0))
-    drift = _from_run(tr, lambda: float(np.max(np.abs(tr.final_G - np.eye(3)))))
     slope = _from_run(tr, lambda: (tr.log_sigma[-1] - tr.log_sigma[0]) / (tr.t[-1] - tr.t[0]))
-    results.append(_result("flow_identity_stationary", drift, 1e-10))
-    results.append(_result("flow_log_sigma_slope", abs(slope + a3.norm_c_sq() / 12.0), 1e-8))
-
     ab = alg.abelian(4, 2)
     gm = met.random_strictly_positive_metric(ab, seed + 5)
     tr2 = fl.run_flow(ab, fl.FlowState(0.0, gm.G, 0.0), fl.FlowParams(dt=1e-2, T=1.0))
-    drift_ab = _from_run(tr2, lambda: float(np.max(np.abs(tr2.final_G - gm.G))))
-    results.append(_result("flow_abelian_stationary", drift_ab, 1e-10))
-
     gm3 = met.random_strictly_positive_metric(alg.cotangent_double(alg.su2_structure()), seed + 7)
     g_pert = gm3.G + 1e-4 * np.eye(6)  # symmetric commuting perturbation of the involution
-    out = fl.involution_retract(g_pert, 1e-12)
-    results.append(_result("retraction_convergence", met.involution_residual(out), 1e-12))
-    return results
+    return [
+        _result("flow_identity_stationary", _from_run(tr, lambda: float(np.max(np.abs(tr.final_G - np.eye(3))))),
+                1e-10),
+        _result("flow_log_sigma_slope", lambda: abs(slope() + a3.norm_c_sq() / 12.0), 1e-8),
+        _result("flow_abelian_stationary", _from_run(tr2, lambda: float(np.max(np.abs(tr2.final_G - gm.G)))), 1e-10),
+        _result("retraction_convergence", lambda: met.involution_residual(fl.involution_retract(g_pert, 1e-12)), 1e-12),
+    ]
 
 
 def run_torus_checks(seed: int = 0, N: int = 16) -> list[CheckResult]:
-    results = []
     geom = et.TorusGeometry(3, N, 2 * np.pi)
-
     st = et.perturbed_state(geom, seed + 1, amplitude=0.05)
-    h_flux = et.flux_H(st)
-    ddb = et.exterior_derivative(geom, et.exterior_derivative(geom, st.B, 2), 3)
-    scale = 1.0 + float(np.max(np.abs(h_flux)))
-    results.append(_result("torus_ddB_zero", float(np.max(np.abs(ddb))) / scale, 1e-12))
-    # h = k + div(b) read from b, against H_012 of d of the full B derived from b, the route the oracles read
-    st_k = et.perturbed_state(geom, seed + 14, amplitude=0.05, k=0.7)
-    h_k = et.flux_H(st_k)
-    h_012 = st_k.k + et.exterior_derivative(geom, st_k.B, 2)[..., 0, 1, 2]
-    results.append(_result("torus_flux_density_dB",
-                           float(np.max(np.abs(h_k - h_012))) / (1.0 + float(np.max(np.abs(h_k)))), 1e-12))
-    results.append(_result("torus_eh_density_identity", et.eh_density_identity_residual(st), 1e-12))
-
-    st_h0 = et.perturbed_state(geom, seed + 2, amplitude=0.04, k=0.0)
-    st_h0.b[:] = 0.0  # the regression hypothesis is H = 0: k = 0 and B = 0
-    dg1, db1, dphi1 = et.torus_rhs(et.torus_fields(st_h0))
-    dg2, db2, dphi2 = et.ricci_dilaton_rhs(st_h0)  # full-tensor formulas, g^-1 and det g from np.linalg
-    reg = max(float(np.max(np.abs(dg1 - dg2))), float(np.max(np.abs(db1 - db2))), float(np.max(np.abs(dphi1 - dphi2))))
-    results.append(_result("torus_ricci_dilaton_regression", reg, 1e-12))
-
     bench = et.run_torus_flow(et.flat_state(geom, k=1.0), et.TorusParams(T=1.0, cfl=0.2))
     f_exact = (1 + 3 * 1.0) ** (1.0 / 3.0)
-    gerr = _from_run(bench, lambda: float(np.max(np.abs(bench.final_state.g / f_exact - np.eye(3)))))
-    results.append(_result("torus_homogeneous_benchmark_g", gerr, 1e-4))
-    ts = np.array(bench.t)
-    minr_err = _from_run(bench, lambda: float(np.max(np.abs(np.array(bench.minR) + 1.0 / (2 * (1 + 3 * ts))))))
-    results.append(_result("torus_homogeneous_benchmark_minR", minr_err, 1e-4))
-    lam = np.array(bench.lam)
-    lam_drift = _from_run(bench, lambda: float(np.max(np.maximum(0.0, -(np.diff(lam) / np.diff(ts))))))
-    results.append(_result("torus_lambda_monotone_benchmark", lam_drift, 1e-6))
-    results.append(_result("torus_lambda_flux_value", abs(lam[0] + 0.5), 1e-6))
-    results.append(_result("torus_lambda_flat_value", abs(et.lambda_torus(et.torus_fields(et.flat_state(geom)))), 1e-6))
-
     pert = et.run_torus_flow(et.perturbed_state(geom, seed + 4, amplitude=0.05), et.TorusParams(T=0.5, cfl=0.2))
-    lam_p = np.array(pert.lam)
-    ts_p = np.array(pert.t)
-    drift_p = _from_run(pert, lambda: float(np.max(np.maximum(0.0, -(np.diff(lam_p) / np.diff(ts_p))))))
-    results.append(_result("torus_lambda_monotone_perturbed", drift_p, 1e-6))
-    minr_p = np.array(pert.minR)
-    drift_m = _from_run(pert, lambda: float(np.max(np.maximum(0.0, -(np.diff(minr_p) / np.diff(ts_p))))))
-    results.append(_result("torus_min_scalar_monotone_perturbed", drift_m, 1e-6))
-
-    ratios = spatial_convergence_ratios(seed + 6)
-    results.append(_band_result("torus_spatial_convergence_g", ratios["g"], 8.0, 32.0, "expect about 16"))
-
-    results.append(_result("torus_anisotropic_flux_closed_form", anisotropic_flux_residual(geom, seed + 8), 1e-12))
-    results.append(_result("torus_single_mode_B_exact", single_mode_b_residual(geom, seed + 9), 1e-12))
-    results.append(_band_result("torus_div_h_divergence_form", div_h_convergence_ratio(seed + 11), 8.0, 32.0,
-                                "expect about 16"))
     sym = et.perturbed_state(geom, seed + 10, amplitude=0.05, k=0.5)
-    results.append(_result("torus_translation_commutes", symmetry_residual(sym, shift=(3, 1, 2)), 0.0, "bitwise"))
-    perm = max(symmetry_residual(sym, perm=(1, 0, 2)), symmetry_residual(sym, perm=(1, 2, 0)))
-    results.append(_result("torus_permutation_commutes", perm, 1e-12, "swap (0 1) and cycle (0 1 2)"))
-    results.append(_result("torus_reflection_commutes", symmetry_residual(sym, signs=(-1, 1, 1)), 1e-12))
-    diffeo = diffeomorphism_convergence_ratios(seed + 12)
-    for key in ("g", "phi", "ricci"):
-        results.append(_band_result(f"torus_diffeomorphism_{key}", diffeo[key], 8.0, 32.0, "expect about 16"))
-    results.append(_result("torus_b_gauge_invariant", b_gauge_residual(geom, seed + 13), 1e-12))
-    return results
+    diffeo = cache(lambda: diffeomorphism_convergence_ratios(seed + 12))  # an error is not cached: each key re-raises
+
+    def ddb():
+        d_db = et.exterior_derivative(geom, et.exterior_derivative(geom, st.B, 2), 3)
+        return float(np.max(np.abs(d_db))) / (1.0 + float(np.max(np.abs(et.flux_H(st)))))
+
+    def flux_density():
+        # h = k + div(b) read from b, against H_012 of d of the full B derived from b, the route the oracles read
+        st_k = et.perturbed_state(geom, seed + 14, amplitude=0.05, k=0.7)
+        h_k = et.flux_H(st_k)
+        h_012 = st_k.k + et.exterior_derivative(geom, st_k.B, 2)[..., 0, 1, 2]
+        return float(np.max(np.abs(h_k - h_012))) / (1.0 + float(np.max(np.abs(h_k))))
+
+    def regression():
+        st_h0 = et.perturbed_state(geom, seed + 2, amplitude=0.04, k=0.0)
+        st_h0.b[:] = 0.0  # the regression hypothesis is H = 0: k = 0 and B = 0
+        full = et.ricci_dilaton_rhs(st_h0)  # full-tensor formulas, g^-1 and det g from np.linalg
+        return max(float(np.max(np.abs(x - y))) for x, y in zip(et.torus_rhs(et.torus_fields(st_h0)), full))
+
+    def fall(trace, series):  # the fastest decrease of a recorded series, 0 if it never falls
+        return _from_run(trace, lambda: float(np.max(np.maximum(0.0, -(np.diff(series) / np.diff(trace.t))))))
+
+    return [
+        _result("torus_ddB_zero", ddb, 1e-12),
+        _result("torus_flux_density_dB", flux_density, 1e-12),
+        _result("torus_eh_density_identity", lambda: et.eh_density_identity_residual(st), 1e-12),
+        _result("torus_ricci_dilaton_regression", regression, 1e-12),
+        _result("torus_homogeneous_benchmark_g",
+                _from_run(bench, lambda: float(np.max(np.abs(bench.final_state.g / f_exact - np.eye(3))))), 1e-4),
+        _result("torus_homogeneous_benchmark_minR", _from_run(bench, lambda: float(np.max(np.abs(
+            np.array(bench.minR) + 1.0 / (2 * (1 + 3 * np.array(bench.t))))))), 1e-4),
+        _result("torus_lambda_monotone_benchmark", fall(bench, bench.lam), 1e-6),
+        _result("torus_lambda_flux_value", lambda: abs(bench.lam[0] + 0.5), 1e-6),
+        _result("torus_lambda_flat_value", lambda: abs(et.lambda_torus(et.torus_fields(et.flat_state(geom)))), 1e-6),
+        _result("torus_lambda_monotone_perturbed", fall(pert, pert.lam), 1e-6),
+        _result("torus_min_scalar_monotone_perturbed", fall(pert, pert.minR), 1e-6),
+        _band_result("torus_spatial_convergence_g", lambda: spatial_convergence_ratios(seed + 6)["g"], 8.0, 32.0,
+                     "expect about 16"),
+        _result("torus_anisotropic_flux_closed_form", lambda: anisotropic_flux_residual(geom, seed + 8), 1e-12),
+        _result("torus_single_mode_B_exact", lambda: single_mode_b_residual(geom, seed + 9), 1e-12),
+        _band_result("torus_div_h_divergence_form", lambda: div_h_convergence_ratio(seed + 11), 8.0, 32.0,
+                     "expect about 16"),
+        _result("torus_translation_commutes", lambda: symmetry_residual(sym, shift=(3, 1, 2)), 0.0, "bitwise"),
+        _result("torus_permutation_commutes", lambda: max(symmetry_residual(sym, perm=(1, 0, 2)),
+                                                          symmetry_residual(sym, perm=(1, 2, 0))),
+                1e-12, "swap (0 1) and cycle (0 1 2)"),
+        _result("torus_reflection_commutes", lambda: symmetry_residual(sym, signs=(-1, 1, 1)), 1e-12),
+        *(_band_result(f"torus_diffeomorphism_{key}", lambda: diffeo()[key], 8.0, 32.0, "expect about 16")
+          for key in ("g", "phi", "ricci")),
+        _result("torus_b_gauge_invariant", lambda: b_gauge_residual(geom, seed + 13), 1e-12),
+    ]
 
 
 def _relative_error(x: np.ndarray, y: np.ndarray) -> float:

@@ -1,7 +1,8 @@
 """Courant algebroid connections over a point.
 
-Storage convention: ``gamma[a, b, g] = <e_b, D_{e_a} e_g>`` with all indices
-down, so pairing compatibility is antisymmetry in the last two slots.  Over a
+A connection is its Christoffel array ``gamma[a, b, g] = <e_b, D_{e_a} e_g>``
+(n x n x n, all indices down), so pairing compatibility is antisymmetry in the
+last two slots; a divergence is a ``Divergence`` or None, the zero one.  Over a
 point all sections are constant, so covariant derivatives act purely through
 the Christoffel array; second derivatives carry the usual
 ``D_a D_b t = D_{e_a} D_{e_b} t - D_{D_{e_a} e_b} t`` correction, which is what
@@ -13,34 +14,13 @@ through the eigenprojectors of G, avoiding frame changes in hot paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import QuadraticLieAlgebra
 from .errors import ForbiddenRank
 from .metric import eigen_ranks, projectors
-
-PAIRING_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Connection:
-    """Christoffel array of a pairing-compatible connection."""
-
-    gamma: np.ndarray
-    mixed: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", np.asarray(self.gamma, dtype=float))
-
-    def bind(self, a: QuadraticLieAlgebra) -> "Connection":
-        """Cache the mixed Christoffels M[a]^b_g = eta^{bd} gamma[a,d,g]."""
-        object.__setattr__(self, "mixed", np.einsum("bd,adg->abg", a.eta_inv, self.gamma))
-        return self
-
-    def pairing_residual(self) -> float:
-        return float(np.max(np.abs(self.gamma + self.gamma.transpose(0, 2, 1))))
 
 
 @dataclass(frozen=True)
@@ -52,25 +32,15 @@ class Divergence:
     def __post_init__(self):
         object.__setattr__(self, "d", np.asarray(self.d, dtype=float))
 
-    @classmethod
-    def zero(cls, n: int) -> "Divergence":
-        return cls(np.zeros(n))
+
+def divergence_vector(d: Divergence | None, n: int) -> np.ndarray:
+    """The covector ``d.d``; None is the zero divergence."""
+    return np.zeros(n) if d is None else d.d
 
 
-def as_divergence(d, n: int) -> Divergence:
-    if d is None:
-        return Divergence.zero(n)
-    if isinstance(d, Divergence):
-        return d
-    return Divergence(np.asarray(d, dtype=float))
-
-
-def mixed_christoffel(a: QuadraticLieAlgebra, D: Connection) -> np.ndarray:
-    m = getattr(D, "mixed", None)
-    if m is None:
-        D.bind(a)
-        m = D.mixed
-    return m
+def mixed_christoffel(a: QuadraticLieAlgebra, gamma: np.ndarray) -> np.ndarray:
+    """Mixed Christoffels M[a]^b_g = eta^{bd} gamma[a,d,g]."""
+    return np.einsum("bd,adg->abg", a.eta_inv, gamma)
 
 
 # -- covariant calculus -------------------------------------------------------
@@ -110,13 +80,12 @@ def commutator_dd(M: np.ndarray, t: np.ndarray, variance: tuple[str, ...]) -> np
 # -- torsion and repair maps ---------------------------------------------------
 
 
-def torsion(a: QuadraticLieAlgebra, D: Connection) -> np.ndarray:
+def torsion(a: QuadraticLieAlgebra, gamma: np.ndarray) -> np.ndarray:
     """Totally antisymmetric torsion, all indices down.
 
     T_{abg} = gamma[a,g,b] - gamma[b,g,a] - c_{abg} + gamma[g,b,a].
     """
-    g = D.gamma
-    return g.transpose(0, 2, 1) - g.transpose(2, 0, 1) - a.c + g.transpose(2, 1, 0)
+    return gamma.transpose(0, 2, 1) - gamma.transpose(2, 0, 1) - a.c + gamma.transpose(2, 1, 0)
 
 
 def antisymmetrize3(t: np.ndarray) -> np.ndarray:
@@ -172,13 +141,13 @@ def kappa_prime(a: QuadraticLieAlgebra, g: np.ndarray, u: np.ndarray) -> np.ndar
     return out
 
 
-def divergence_of(a: QuadraticLieAlgebra, D: Connection) -> Divergence:
+def divergence_of(a: QuadraticLieAlgebra, gamma: np.ndarray) -> Divergence:
     """div_D(u) = D_a u^a, i.e. d_g = eta^{ab} gamma[a,b,g]."""
-    return Divergence(np.einsum("ab,abg->g", a.eta_inv, D.gamma))
+    return Divergence(np.einsum("ab,abg->g", a.eta_inv, gamma))
 
 
-def levi_civita(a: QuadraticLieAlgebra, g: np.ndarray, d=None) -> Connection:
-    """Levi-Civita connection with prescribed divergence.
+def levi_civita(a: QuadraticLieAlgebra, g: np.ndarray, d: Divergence | None = None) -> np.ndarray:
+    """Christoffel array gamma of a Levi-Civita connection with prescribed divergence.
 
     Repair construction from gamma = 0 (compatible over a point): subtract
     tau'(torsion), then add kappa'(d - current divergence); the result is a
@@ -187,16 +156,14 @@ def levi_civita(a: QuadraticLieAlgebra, g: np.ndarray, d=None) -> Connection:
     n_plus, n_minus = eigen_ranks(g)
     if n_plus == 1 or n_minus == 1:
         raise ForbiddenRank(f"no LC connection with prescribed divergence at ranks ({n_plus},{n_minus})")
-    return lc_repair(a, g, d, Connection(np.zeros((a.n,) * 3)))
+    return lc_repair(a, g, d, np.zeros((a.n,) * 3))
 
 
-def lc_repair(a: QuadraticLieAlgebra, g: np.ndarray, d, D: Connection) -> Connection:
+def lc_repair(a: QuadraticLieAlgebra, g: np.ndarray, d: Divergence | None, gamma: np.ndarray) -> np.ndarray:
     """Re-run the torsion/divergence repair on an existing connection."""
-    div = as_divergence(d, a.n)
-    gamma = D.gamma - tau_prime(a, g, torsion(a, D))
-    missing = div.d - divergence_of(a, Connection(gamma)).d
-    gamma = gamma + kappa_prime(a, g, a.eta_inv @ missing)
-    return Connection(gamma).bind(a)
+    gamma = gamma - tau_prime(a, g, torsion(a, gamma))
+    missing = divergence_vector(d, a.n) - divergence_of(a, gamma).d
+    return gamma + kappa_prime(a, g, a.eta_inv @ missing)
 
 
 def block_project(a: QuadraticLieAlgebra, g: np.ndarray, A: np.ndarray) -> np.ndarray:

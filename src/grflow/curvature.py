@@ -20,32 +20,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import QuadraticLieAlgebra, Tensor
-from .connection import (
-    Connection,
-    Divergence,
-    as_divergence,
-    cov_d,
-    levi_civita,
-    mixed_christoffel,
-    torsion,
-)
+from .connection import Divergence, cov_d, divergence_vector, levi_civita, mixed_christoffel, torsion
 from .errors import ForbiddenRank, RouteDisagreement
 from .metric import eigen_ranks, lie_derivative_metric, mixed_norm_sq, projectors
 
 ROUTE_TOL = 1e-10
 
 
-def riemann(a: QuadraticLieAlgebra, D: Connection) -> Tensor:
+def riemann(a: QuadraticLieAlgebra, gamma: np.ndarray) -> Tensor:
     """Generalized Riemann tensor of a torsion-free connection (all down).
 
     GRm(w,z,x,y) = 1/2 w^d y^b (x^a [D_a,D_b] z_d + z^a [D_a,D_d] x_b
     - (D_a x_b)(D^a z_d)), evaluated on frame vectors.
     """
-    tor = torsion(a, D)
-    scale = max(1.0, float(np.max(np.abs(D.gamma))), float(np.max(np.abs(a.c))))
+    tor = torsion(a, gamma)
+    scale = max(1.0, float(np.max(np.abs(gamma))), float(np.max(np.abs(a.c))))
     if np.max(np.abs(tor)) > 1e-8 * scale:
         warnings.warn("riemann called with a connection of non-negligible torsion", stacklevel=2)
-    m = mixed_christoffel(a, D)
+    m = mixed_christoffel(a, gamma)
     # Commutator kernel on constant vectors: ([D_a, D_b] e_n)^g.
     comm = np.einsum("age,ben->abgn", m, m)
     comm = comm - comm.transpose(1, 0, 2, 3)
@@ -55,13 +47,13 @@ def riemann(a: QuadraticLieAlgebra, D: Connection) -> Tensor:
 
     term1 = k_down.transpose(2, 3, 0, 1)  # (m,n,r,s) <- k_down[r,s,m,n]
     term2 = k_down.transpose(1, 0, 3, 2)  # (m,n,r,s) <- k_down[n,m,s,r]
-    term3 = -np.einsum("ab,asr,bmn->mnrs", a.eta_inv, D.gamma, D.gamma)
-    return Tensor(0.5 * (term1 + term2 + term3), ("d", "d", "d", "d"))
+    term3 = -np.einsum("ab,asr,bmn->mnrs", a.eta_inv, gamma, gamma)
+    return Tensor(0.5 * (term1 + term2 + term3))
 
 
-def full_ricci(a: QuadraticLieAlgebra, D: Connection) -> np.ndarray:
+def full_ricci(a: QuadraticLieAlgebra, gamma: np.ndarray) -> np.ndarray:
     """Full Ricci endomorphism fGRc^g_b = GRm^{ag}{}_{ab} (eta-symmetric)."""
-    return _contract_riemann(a, riemann(a, D).data)
+    return _contract_riemann(a, riemann(a, gamma).data)
 
 
 def _contract_riemann(a: QuadraticLieAlgebra, grm: np.ndarray) -> np.ndarray:
@@ -73,13 +65,13 @@ def _ricci_from_full(g: np.ndarray, fgrc: np.ndarray) -> np.ndarray:
     return fgrc - g @ fgrc @ g
 
 
-def ricci_bracket_route(a: QuadraticLieAlgebra, g: np.ndarray, d=None) -> np.ndarray:
+def ricci_bracket_route(a: QuadraticLieAlgebra, g: np.ndarray, d: Divergence | None = None) -> np.ndarray:
     """Ricci via the bracket-trace formula (independent of any connection).
 
     <v_-, GRc u_+> = <d, G [v_-, u_+]> - 2 Tr_{V+} [[., v_-]_-, u_+]_+,
     valid over a point for any linear divergence.  Returns an endomorphism.
     """
-    dvec = as_divergence(d, a.n).d
+    dvec = divergence_vector(d, a.n)
     p_plus, p_minus = projectors(g)
     adm = a.c_mixed.transpose(0, 2, 1)  # adm[u] @ y = [e_u, y]
     b1 = np.einsum("s,st,mtn->mn", dvec, g, adm)
@@ -88,8 +80,9 @@ def ricci_bracket_route(a: QuadraticLieAlgebra, g: np.ndarray, d=None) -> np.nda
     return a.eta_inv @ (s + s.T)
 
 
-def ricci(a: QuadraticLieAlgebra, g: np.ndarray, d=None, D: Connection | None = None) -> np.ndarray:
-    """Ricci endomorphism GRc = fGRc - G fGRc G for D in LC(G, div).
+def ricci(a: QuadraticLieAlgebra, g: np.ndarray, d: Divergence | None = None,
+          D: np.ndarray | None = None) -> np.ndarray:
+    """Ricci endomorphism GRc = fGRc - G fGRc G for D (Christoffels gamma) in LC(G, div).
 
     Cross-checks the contraction route against the bracket-trace formula and
     raises RouteDisagreement if they disagree beyond 1e-10 (1 + |GRc|).
@@ -106,7 +99,7 @@ def ricci(a: QuadraticLieAlgebra, g: np.ndarray, d=None, D: Connection | None = 
 
 
 def _moved_gram(a: QuadraticLieAlgebra, g: np.ndarray) -> np.ndarray:
-    """T_ab = c^{adz} G^g_d G^e_z c_{bge}: the Gram contraction S_ab = c^{agd} c_{bgd} (``a._gram_cc``, T at
+    """T_ab = c^{adz} G^g_d G^e_z c_{bge}: the Gram contraction S_ab = c^{agd} c_{bgd} (``a.gram_cc``, T at
     G = Id) with c's last two slots moved by G, slice b of the moved c being G^T c_b G."""
     return a.c_up.reshape(a.n, -1) @ (g.T @ a.c @ g).reshape(a.n, -1).T
 
@@ -119,22 +112,23 @@ def ricci_closed_form(a: QuadraticLieAlgebra, g: np.ndarray) -> np.ndarray:
     all contractions through eta.  The 2nd and 4th terms are G (1st) G and
     G (3rd) G, so GRc = K - G K G with K = (S - T)/4, S and T as in ``_moved_gram``.
     """
-    k = 0.25 * (a._gram_cc - _moved_gram(a, g))
+    k = 0.25 * (a.gram_cc - _moved_gram(a, g))
     return k - g @ k @ g
 
 
-def scalar_closed_form(a: QuadraticLieAlgebra, g: np.ndarray, d=None) -> float:
+def scalar_closed_form(a: QuadraticLieAlgebra, g: np.ndarray, d: Divergence | None = None) -> float:
     """Scalar curvature from the admissible-frame formula.
 
     GR = -<G e, e> + 1/4 G^a_d c_{abg} c^{dbg}
     - 1/12 G^a_d G^b_e G^g_z c_{abg} c^{dez}  (anchor terms vanish over a point), with e the vector of
     the divergence.  The cubic term is Tr(G T), so GR = Tr(G (S/4 - T/12)) - <G e, e> (``_moved_gram``).
     """
-    dvec = as_divergence(d, a.n).d
-    return float(np.vdot(g.T, a._gram_cc / 4 - _moved_gram(a, g) / 12)) - float(dvec @ g @ (a.eta_inv @ dvec))
+    dvec = divergence_vector(d, a.n)
+    return float(np.vdot(g.T, a.gram_cc / 4 - _moved_gram(a, g) / 12)) - float(dvec @ g @ (a.eta_inv @ dvec))
 
 
-def scalar(a: QuadraticLieAlgebra, g: np.ndarray, d=None, D: Connection | None = None) -> float:
+def scalar(a: QuadraticLieAlgebra, g: np.ndarray, d: Divergence | None = None,
+           D: np.ndarray | None = None) -> float:
     """Scalar curvature GR = Tr(G fGRc) via the Riemann trace route.
 
     Raises RouteDisagreement unless it agrees with the closed form to 1e-10 (1 + |GR|).
@@ -251,7 +245,7 @@ def mixed_trace_residual(a: QuadraticLieAlgebra, g: np.ndarray, grm: np.ndarray)
     return float(abs(val)) / (1.0 + float(np.max(np.abs(grm))))
 
 
-def curvature_report(a: QuadraticLieAlgebra, g: np.ndarray, d=None) -> CurvatureReport:
+def curvature_report(a: QuadraticLieAlgebra, g: np.ndarray, d: Divergence | None = None) -> CurvatureReport:
     D = levi_civita(a, g, d)
     grm = riemann(a, D)
     fgrc = _contract_riemann(a, grm.data)

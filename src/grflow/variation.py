@@ -13,7 +13,7 @@ from scipy.linalg import expm
 
 from .algebra import QuadraticLieAlgebra
 from .connection import (
-    Connection,
+    Divergence,
     commutator_dd,
     cov_d,
     kappa_prime,
@@ -29,7 +29,7 @@ from .metric import adapted_frame, lie_derivative_metric, random_eta_antisymmetr
 FD_STEPS = (1e-2, 1e-3, 1e-4)
 
 
-def connection_variation(a: QuadraticLieAlgebra, g: np.ndarray, D: Connection, chi, eps=None) -> np.ndarray:
+def connection_variation(a: QuadraticLieAlgebra, g: np.ndarray, gamma: np.ndarray, chi, eps=None) -> np.ndarray:
     """Connection ODE right side keeping D_s in LC(G_s, div_s).
 
     A = 1/4 (1 - tau' tau - kappa' kappa)(D[G, chi]) + kappa'(eps-vector);
@@ -37,13 +37,14 @@ def connection_variation(a: QuadraticLieAlgebra, g: np.ndarray, D: Connection, c
     """
     chi = np.asarray(chi, dtype=float)
     eps = np.zeros(a.n) if eps is None else np.asarray(eps, dtype=float)
-    m = mixed_christoffel(a, D)
+    m = mixed_christoffel(a, gamma)
     dchi = cov_d(m, chi, ("u", "d"))  # (alpha, delta up, gamma down)
     x = 2.0 * np.einsum("bd,adg->abg", a.eta @ g, dchi)  # (D[G,chi])_{abg}
     return 0.25 * kernel_project(a, g, x) + kappa_prime(a, g, a.eta_inv @ eps)
 
 
-def connection_variation_blockwise(a: QuadraticLieAlgebra, g: np.ndarray, D: Connection, chi, eps=None) -> np.ndarray:
+def connection_variation_blockwise(a: QuadraticLieAlgebra, g: np.ndarray, gamma: np.ndarray, chi,
+                                   eps=None) -> np.ndarray:
     """Blockwise component formulas for the connection variation.
 
     Works in an adapted frame: (n+-1) A_{abc} = eta_{a[b} D^{ahat} chi_{c]ahat}
@@ -55,7 +56,7 @@ def connection_variation_blockwise(a: QuadraticLieAlgebra, g: np.ndarray, D: Con
     eps_v = np.zeros(a.n) if eps is None else np.asarray(eps, dtype=float)
     fr = adapted_frame(a, g)
     q, qi, s = fr.Q, fr.Q_inv, fr.signs
-    gamma2 = np.einsum("da,eb,zg,dez->abg", q, q, q, D.gamma)
+    gamma2 = np.einsum("da,eb,zg,dez->abg", q, q, q, gamma)
     m2 = s[None, :, None] * gamma2  # eta = eta^{-1} = diag(s) in the frame
     chi_dd = q.T @ (a.eta @ chi) @ q
     eps2 = q.T @ eps_v
@@ -84,7 +85,7 @@ def connection_variation_blockwise(a: QuadraticLieAlgebra, g: np.ndarray, D: Con
     return np.einsum("abc,aA,bB,cC->ABC", A, qi, qi, qi)
 
 
-def ricci_variation(a: QuadraticLieAlgebra, g: np.ndarray, d, chi, eps=None) -> np.ndarray:
+def ricci_variation(a: QuadraticLieAlgebra, g: np.ndarray, d: Divergence | None, chi, eps=None) -> np.ndarray:
     """First variation of the Ricci endomorphism at (G, div) along (chi, eps).
 
     delta GRc = -1/2 Lap chi - 1/2 L_{Tr D chi + G eps} G + A(chi)
@@ -119,7 +120,7 @@ def ricci_variation(a: QuadraticLieAlgebra, g: np.ndarray, d, chi, eps=None) -> 
     return term1 + term2 + term3 + term4 + term5
 
 
-def scalar_variation(a: QuadraticLieAlgebra, g: np.ndarray, d, chi, eps=None) -> float:
+def scalar_variation(a: QuadraticLieAlgebra, g: np.ndarray, d: Divergence | None, chi, eps=None) -> float:
     """delta GR = G^a_g G^b_d D_a D_b chi^{gd} - 2 G^{ab} D_a eps_b
     + 1/2 chi^{ab} GRc_{ab}."""
     chi = np.asarray(chi, dtype=float)

@@ -65,8 +65,7 @@ def test_criterion_3_representative_independence():
         gr = float(np.trace(g @ fg))
         for j in range(20):
             shift = con.lc_kernel_shift(a, g, (sub + 7 * j) & 0x7FFFFFFF)
-            Dj = con.Connection(D0.gamma + shift).bind(a)
-            fgj = cur.full_ricci(a, Dj)
+            fgj = cur.full_ricci(a, D0 + shift)
             grcj = fgj - g @ fgj @ g
             worst = max(
                 worst,

@@ -110,13 +110,6 @@ def test_norm_c_invariant_under_eta_orthogonal(su2_double, rng):
     assert out.norm_c_sq() == pytest.approx(su2_double.norm_c_sq(), abs=1e-10)
 
 
-def test_tensor_variance_record():
-    with pytest.raises(ValueError):
-        alg.Tensor(np.zeros((2, 2)), ("u",))
-    with pytest.raises(ValueError):
-        alg.Tensor(np.zeros(2), ("x",))
-
-
 def test_bracket_matches_structure_tensor(su2_double, rng):
     u = rng.standard_normal(6)
     v = rng.standard_normal(6)

@@ -262,13 +262,21 @@ def test_check_mode_planted_abort_fails(tmp_path, monkeypatch):
 
 
 def test_check_route_disagreement_exits_3(tmp_path, monkeypatch, capsys):
-    # a route disagreement inside the checks is a numerical failure of the run, not a crash
+    # a route disagreement fails the checks that raise it, at worst = inf, with a FAIL row; the other checks
+    # still run, check_report.json is written and the command exits 3
     bracket = cur.ricci_bracket_route
     monkeypatch.setattr(cur, "ricci_bracket_route", lambda *args: bracket(*args) + 1e-6)
     path = write_cfg(tmp_path, {"mode": "check", "check": {"scope": "algebraic", "instances": 1}})
     assert cli.main(["check", "--config", str(path), "--out", str(tmp_path)]) == 3
-    err = capsys.readouterr().err
-    assert "numerical failure: Ricci routes disagree" in err and "Traceback" not in err
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    rep = json.loads((tmp_path / "check_report.json").read_text(), parse_constant=_reject_constant)
+    assert len(rep["checks"]) == 33
+    raised = [c for c in rep["checks"] if c["note"].startswith("raised RouteDisagreement: Ricci routes disagree")]
+    assert {"bianchi_identity", "fd_ratio_ricci_variation"} <= {c["name"] for c in raised}
+    assert all(c["worst"] == "Infinity" and not c["passed"] for c in raised)
+    assert "FAIL bianchi_identity" in out
+    assert {"preset_validation", "tau_tau_prime", "lc_postconditions"} <= {c["name"] for c in rep["checks"] if c["passed"]}
 
 
 def test_check_determinism(tmp_path):

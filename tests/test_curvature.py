@@ -57,7 +57,7 @@ def test_riemann_warns_on_torsion(su2_double, rng):
     gamma = rng.standard_normal((6, 6, 6))
     gamma = 0.5 * (gamma - gamma.transpose(0, 2, 1))
     with pytest.warns(UserWarning):
-        cur.riemann(su2_double, con.Connection(gamma))
+        cur.riemann(su2_double, gamma)
 
 
 def test_full_ricci_so3_identity():

@@ -69,6 +69,23 @@ def test_every_traced_torus_and_flow_name_is_called():
     assert rhs and calls["curvature.ricci_closed_form"] == calls["curvature.scalar_closed_form"] == rhs
 
 
+def test_every_traced_algebraic_name_is_called(tmp_path):
+    # the oracle pass is what fills the per-layer metrics of metric, connection, curvature and variation:
+    # a signature change that leaves one of their traced names uncalled would read 0 there
+    tracing = _tracing()
+    oracles = _load("oracles")
+    oracles.INSTANCES, oracles.PATHS = 8, 2
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert oracles.run_oracles(0, tmp_path) == 0
+    finally:
+        tracer.uninstall()
+    calls = Counter(tracer.names[i] for i in tracer.name_id)
+    for layer in ("metric", "connection", "curvature", "variation"):
+        assert [name for name in tracing.LAYERS[layer] if not calls[f"{layer}.{name}"]] == [], layer
+
+
 def test_oracle_workload_passes_its_gate(tmp_path):
     # oracles.py calls the algebraic public API directly (.data, .d, Divergence(...), tau_prime(a, g, t),
     # cov_d(M, t, variance)); one small pass of it must run and meet every bound its gate reads
