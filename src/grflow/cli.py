@@ -325,7 +325,10 @@ def mode_curvature(cfg, seed, out_dir):
     gm = build_metric(cfg, a)
     d = None
     if "divergence" in cfg:
-        d = Divergence(np.asarray(cfg["divergence"], dtype=float))
+        dvec = _float_array(cfg["divergence"], "divergence")
+        if dvec.shape != (a.n,):
+            raise ConfigParseError(f"config field 'divergence' has {dvec.size} entries, the algebra n = {a.n}")
+        d = Divergence(dvec)
     rep = curvature_report(a, gm.G, d)
     write_json(out_dir / "curvature.json", cfg, seed, {"report": rep.as_dict()})
     print(f"curvature: GR = {rep.scalar!r}, |GRc|^2_G = {rep.norm_ricci_sq!r}, "

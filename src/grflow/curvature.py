@@ -98,33 +98,38 @@ def ricci(a: QuadraticLieAlgebra, g: np.ndarray, d: Divergence | None = None,
     return grc
 
 
-def _moved_gram(a: QuadraticLieAlgebra, g: np.ndarray) -> np.ndarray:
+def moved_gram(a: QuadraticLieAlgebra, g: np.ndarray) -> np.ndarray:
     """T_ab = c^{adz} G^g_d G^e_z c_{bge}: the Gram contraction S_ab = c^{agd} c_{bgd} (``a.gram_cc``, T at
     G = Id) with c's last two slots moved by G, slice b of the moved c being G^T c_b G."""
     return a.c_up.reshape(a.n, -1) @ (g.T @ a.c @ g).reshape(a.n, -1).T
 
 
-def ricci_closed_form(a: QuadraticLieAlgebra, g: np.ndarray) -> np.ndarray:
+def ricci_closed_form(a: QuadraticLieAlgebra, g: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
     """Point-base closed form of the Ricci endomorphism (divergence zero).
 
     GRc^a_b = 1/4 (c^{agd} c_{bgd} - G^a_g G^d_b c^{gez} c_{dez}
     - G^g_d G^e_z c^{adz} c_{bge} + G^a_g G^d_b G^h_e G^t_z c^{gez} c_{dht}),
     all contractions through eta.  The 2nd and 4th terms are G (1st) G and
-    G (3rd) G, so GRc = K - G K G with K = (S - T)/4, S and T as in ``_moved_gram``.
+    G (3rd) G, so GRc = K - G K G with K = (S - T)/4, S and T as in ``moved_gram``;
+    ``t`` is ``moved_gram(a, g)`` when the caller already has it.
     """
-    k = 0.25 * (a.gram_cc - _moved_gram(a, g))
+    k = 0.25 * (a.gram_cc - (moved_gram(a, g) if t is None else t))
     return k - g @ k @ g
 
 
-def scalar_closed_form(a: QuadraticLieAlgebra, g: np.ndarray, d: Divergence | None = None) -> float:
+def scalar_closed_form(a: QuadraticLieAlgebra, g: np.ndarray, d: Divergence | None = None,
+                       t: np.ndarray | None = None) -> float:
     """Scalar curvature from the admissible-frame formula.
 
     GR = -<G e, e> + 1/4 G^a_d c_{abg} c^{dbg}
     - 1/12 G^a_d G^b_e G^g_z c_{abg} c^{dez}  (anchor terms vanish over a point), with e the vector of
-    the divergence.  The cubic term is Tr(G T), so GR = Tr(G (S/4 - T/12)) - <G e, e> (``_moved_gram``).
+    the divergence.  The cubic term is Tr(G T), so GR = Tr(G (S/4 - T/12)) - <G e, e> (``moved_gram``);
+    ``t`` is ``moved_gram(a, g)`` when the caller already has it, and d = None skips the zero <G e, e>.
     """
-    dvec = divergence_vector(d, a.n)
-    return float(np.vdot(g.T, a.gram_cc / 4 - _moved_gram(a, g) / 12)) - float(dvec @ g @ (a.eta_inv @ dvec))
+    gr = float(np.vdot(g.T, a.gram_cc / 4 - (moved_gram(a, g) if t is None else t) / 12))
+    if d is None:
+        return gr
+    return gr - float(d.d @ g @ (a.eta_inv @ d.d))
 
 
 def scalar(a: QuadraticLieAlgebra, g: np.ndarray, d: Divergence | None = None,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import QuadraticLieAlgebra
-from .curvature import ricci_closed_form, scalar_closed_form
+from .curvature import moved_gram, ricci_closed_form, scalar_closed_form
 from .errors import (DegenerateMetric, NumericalError, RetractionDiverged, StepBudgetExhausted, StepUnderflow,
                      ValidationError)
 from .metric import GeneralizedPseudometric, involution_residual, is_strictly_positive, mixed_norm_sq
@@ -44,6 +44,8 @@ class FlowParams:
             raise ValidationError("dt and T must be positive")
         if self.max_steps < 1:
             raise ValidationError(f"max_steps must be at least 1, got {self.max_steps!r}")
+        if not self.retract_tol > 0:
+            raise ValidationError(f"retract_tol must be positive, got {self.retract_tol!r}")
 
 
 @dataclass
@@ -73,10 +75,12 @@ class FlowTrace:
 def flow_rhs(a: QuadraticLieAlgebra, g: np.ndarray) -> tuple[np.ndarray, float]:
     """(dG, dlog_sigma) = (-2 GRc(G, 0), -GR(G, 0)/2) at ``g`` from the point-base closed forms.
 
+    Both closed forms are handed the one moved Gram contraction T formed here.
     The dual routes ``curvature.ricci`` and ``curvature.scalar`` are the
     independent oracles the tests compare these against.
     """
-    return -2.0 * ricci_closed_form(a, g), -0.5 * scalar_closed_form(a, g, None)
+    t = moved_gram(a, g)
+    return -2.0 * ricci_closed_form(a, g, t), -0.5 * scalar_closed_form(a, g, None, t)
 
 
 def involution_retract(G: np.ndarray, retract_tol: float = 1e-10, max_iter: int = 20) -> np.ndarray:

@@ -95,6 +95,21 @@ def test_curvature_mode(tmp_path):
     assert rep["report"]["scalar"] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
+def test_curvature_divergence_of_wrong_length_exit_2(tmp_path, capsys):
+    cfg = {
+        "mode": "curvature",
+        "algebra": {"preset": "cotangent_double", "params": {"h": "su2"}},
+        "metric": {"graph": {"g": [[1, 0, 0], [0, 2, 0], [0, 0, 3]]}},
+        "divergence": [1.0, 2.0],
+    }
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main(["curvature", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "config field 'divergence' has 2 entries, the algebra n = 6" in err
+    assert not (tmp_path / "curvature.json").exists()
+
+
 def test_flow_mode_and_exit_codes(tmp_path):
     cfg = {
         "mode": "flow",

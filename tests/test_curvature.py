@@ -151,6 +151,18 @@ def test_closed_forms_match_term_by_term(preset_metrics):
         assert cur.scalar_closed_form(a, g, con.Divergence(d)) == pytest.approx(gr, abs=1e-13 * (1 + abs(gr))), label
 
 
+def test_closed_forms_take_the_moved_gram_bitwise(su2_double, complex_double):
+    # a given T is the one they would form; d = None is the zero divergence, whose term is skipped
+    for a in (su2_double, complex_double):
+        for seed in range(5):
+            g = met.random_strictly_positive_metric(a, seed).G
+            t = cur.moved_gram(a, g)
+            assert np.array_equal(cur.ricci_closed_form(a, g, t=t), cur.ricci_closed_form(a, g))
+            gr = cur.scalar_closed_form(a, g, None)
+            assert cur.scalar_closed_form(a, g, None, t) == gr
+            assert cur.scalar_closed_form(a, g, con.Divergence(np.zeros(a.n))) == gr
+
+
 def test_route_disagreement_raises(monkeypatch, su2_double, graph_metric_123):
     g = graph_metric_123.G
     bracket, closed = cur.ricci_bracket_route, cur.scalar_closed_form

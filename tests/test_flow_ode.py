@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grflow import algebra as alg
+from grflow import curvature as cur
 from grflow import flow_ode as fl
 from grflow import metric as met
-from grflow.curvature import ricci, ricci_closed_form, scalar
+from grflow.curvature import ricci, ricci_closed_form, scalar, scalar_closed_form
 from grflow.errors import DegenerateSubspace, ForbiddenRank, RetractionDiverged, ValidationError
 
 
@@ -35,6 +36,36 @@ def test_flow_rhs_debug_cross_check(su2_double, graph_metric_123):
     dg, ds = fl.flow_rhs(su2_double, g)
     assert np.max(np.abs(dg + 2 * ricci(su2_double, g, None))) <= 1e-12
     assert ds == pytest.approx(-0.5 * scalar(su2_double, g, None), abs=1e-12)
+
+
+def test_flow_rhs_forms_moved_gram_once(monkeypatch, su2_double, graph_metric_123):
+    # T is formed once per right side and handed to both closed forms
+    calls = []
+    original = cur.moved_gram
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(cur, "moved_gram", counted)
+    monkeypatch.setattr(fl, "moved_gram", counted)
+    fl.flow_rhs(su2_double, graph_metric_123.G)
+    assert len(calls) == 1
+
+
+def test_flow_rhs_is_the_closed_forms_bitwise(su2_double, complex_double):
+    for a in (su2_double, complex_double):
+        for seed in range(5):
+            g = met.random_strictly_positive_metric(a, seed).G
+            dg, ds = fl.flow_rhs(a, g)
+            assert np.array_equal(dg, -2 * ricci_closed_form(a, g))
+            assert ds == -0.5 * scalar_closed_form(a, g, None)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0])
+def test_flow_params_reject_nonpositive_retract_tol(tol):
+    with pytest.raises(ValidationError, match="retract_tol"):
+        fl.FlowParams(dt=1e-2, T=0.1, retract_tol=tol)
 
 
 def test_retraction_fixed_point(su2_double, graph_metric_123):
