@@ -1,16 +1,17 @@
 """Randomized identity suite shared by the CLI ``check`` mode and the tests.
 
-Each check aggregates a worst-case residual over seeded instances; instances
-cycle through the algebra presets with random strictly positive metrics.  A
-check whose evaluation raises a NumericalError reads worst = inf with a note
-naming the error, and the suite goes on to the next check.
+An aggregated check is a name, a tolerance (or band) and a residual of one
+instance, declared once in a table; the suite keeps its worst value over seeded
+instances, which cycle through the algebra presets with random strictly
+positive metrics.  A check whose residual, or an input it reads, raises a
+NumericalError reads worst = inf with a note naming the error, and the other
+checks still run.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -60,24 +61,18 @@ def _band_result(name, value, lo, hi, note=""):
     return _checked(name, value, hi, lambda v: lo <= v <= hi, note or f"band [{lo},{hi}]")
 
 
-@contextmanager
-def _catching(raised: dict, *names: str):
-    """Run a block of the aggregated checks ``names``, keeping a NumericalError it raises under each name."""
-    try:
-        yield
-    except NumericalError as exc:
-        for name in names:
-            raised.setdefault(name, exc)
-
-
-def _aggregated_results(tols: dict, worst: dict, raised: dict) -> list[CheckResult]:
-    """One result per aggregated check of ``tols``, failing with worst inf where its block raised."""
-    return [_failed(n, tol, raised[n]) if n in raised else _result(n, lambda: worst[n], tol) for n, tol in tols.items()]
-
-
 def _from_run(trace, value):
     """``value`` read from a run's trace, lazily: inf (failing every tolerance and band) if the run stopped short."""
     return lambda: float("inf") if trace.aborted else value()
+
+
+def _peak(x) -> float:
+    return float(np.max(np.abs(x)))
+
+
+def _rel(x, ref) -> float:
+    """max |x - ref| relative to 1 + max |ref|."""
+    return _peak(np.subtract(x, ref)) / (1 + _peak(ref))
 
 
 PRESETS = (
@@ -99,191 +94,223 @@ def instance_stream(seed: int, count: int):
         yield a, gm, sub
 
 
+def _aggregate(table: dict, records) -> list[CheckResult]:
+    """One result per check of ``table`` over ``records``; a check whose residual raised on any record fails
+    with the first NumericalError, and no other check does."""
+    values = {name: [] for name in table}
+    raised: dict[str, NumericalError] = {}
+    for x in records:
+        for name, (_, residual) in table.items():
+            try:
+                value = residual(x)
+            except NumericalError as exc:
+                raised.setdefault(name, exc)
+            else:
+                if value is not None:
+                    values[name].append(value)
+    results = []
+    for name, (tol, _) in table.items():
+        v = values[name]
+        lo, hi = tol if isinstance(tol, tuple) else (None, tol)
+        if name in raised:
+            results.append(_failed(name, hi, raised[name]))
+        elif lo is None:
+            results.append(_result(name, lambda: max([0.0, *v]), hi))  # 0 when no record has a value
+        else:
+            results.append(_band_result(name, lambda: min(v), lo, hi, f"n={len(v)}, max={max(v):.1f}"))
+    return results
+
+
+class _Preset:
+    """A preset algebra, a condition-controlled random basis change (orthogonal x diag(0.5..2) x orthogonal)
+    and the seed of an eta-rotation."""
+
+    def __init__(self, a: alg.QuadraticLieAlgebra, rng: np.random.Generator):
+        q1, _ = np.linalg.qr(rng.standard_normal((a.n, a.n)))
+        q2, _ = np.linalg.qr(rng.standard_normal((a.n, a.n)))
+        self.a, self.p = a, q1 @ np.diag(rng.uniform(0.5, 2.0, a.n)) @ q2
+        self.k_seed = int(rng.integers(2**31))
+
+
+class _Instance:
+    """One seeded instance: its random draws, and the inputs its checks share, each formed once on first use.
+
+    An input that raises is not cached, so every check that reads it fails with that error, and no other.
+    """
+
+    def __init__(self, a: alg.QuadraticLieAlgebra, g: np.ndarray, sub: int):
+        self.a, self.g, self.sub = a, g, sub
+        lrng = np.random.default_rng(sub ^ 0x5EED)
+        self.u = lrng.standard_normal(a.n)
+        self.t = con.antisymmetrize3(lrng.standard_normal((a.n,) * 3))
+        self.uvec = lrng.standard_normal(a.n)
+        self.dvec = cur.divergence_from_vector(a, lrng.standard_normal(a.n))
+        self.evec = lrng.standard_normal(a.n)
+        self.phi = expm(0.2 * a.ad(lrng.standard_normal(a.n))) if np.any(a.c) else None
+
+    @cached_property
+    def tau_prime(self) -> np.ndarray:
+        return con.tau_prime(self.a, self.g, self.t)
+
+    @cached_property
+    def kappa_prime(self) -> np.ndarray:
+        return con.kappa_prime(self.a, self.g, self.uvec)
+
+    @cached_property
+    def lc(self) -> np.ndarray:
+        return con.levi_civita(self.a, self.g, self.dvec)
+
+    @cached_property
+    def report(self) -> cur.CurvatureReport:
+        return cur.curvature_report(self.a, self.g, None)
+
+
+class _Path:
+    """One seeded variation path G(s) = exp(sK) G exp(-sK) with divergence s eps, and the Levi-Civita
+    connection at s = 0 with its variation, which two checks share, each formed once on first use."""
+
+    def __init__(self, a: alg.QuadraticLieAlgebra, sub: int, sigma: float):
+        self.a, self.sub, self.sigma = a, sub, sigma
+        self.g = met.random_strictly_positive_metric(a, sub).G
+        self.k = met.random_eta_antisymmetric(a, sub ^ 0x77)
+        self.chi = var.path_tangent(self.g, self.k)
+        self.eps = np.random.default_rng(sub ^ 0x99).standard_normal(a.n)
+
+    @cached_property
+    def lc(self) -> np.ndarray:
+        return con.levi_civita(self.a, self.g, None)
+
+    @cached_property
+    def variation(self) -> np.ndarray:
+        return var.connection_variation(self.a, self.g, self.lc, self.chi, self.eps)
+
+
+def _algebra_gap(b: alg.QuadraticLieAlgebra, a: alg.QuadraticLieAlgebra) -> float:
+    return max(_rel(b.eta, a.eta), _rel(b.c, a.c))
+
+
+def _projector_defect(n: int, p_plus: np.ndarray, p_minus: np.ndarray) -> float:
+    return max(_peak(p_plus @ p_plus - p_plus), _peak(p_plus @ p_minus), _peak(p_plus + p_minus - np.eye(n)))
+
+
+def _tangency_defect(a: alg.QuadraticLieAlgebra, g: np.ndarray, lie: np.ndarray) -> float:
+    """How far ``lie`` is from anticommuting with G and being eta-symmetric, relative to max(1, max |lie|)."""
+    scale = max(1.0, _peak(lie))
+    return max(_peak(g @ lie + lie @ g) / scale, _peak(a.eta @ lie - (a.eta @ lie).T) / scale)
+
+
+def _tangent_norm_gap(a: alg.QuadraticLieAlgebra, g: np.ndarray, chi: np.ndarray) -> float | None:
+    """|chi|^2 against twice the squared mixed block of chi in an adapted frame; None for chi = 0."""
+    if not _peak(chi) > 0:
+        return None
+    fr = met.adapted_frame(a, g)
+    chi_ad = fr.Q.T @ (a.eta @ chi) @ fr.Q
+    return _rel(2.0 * float(np.sum(chi_ad[: fr.n_plus, fr.n_plus :] ** 2)), met.mixed_norm_sq(a, a.eta @ chi))
+
+
+def _kernel_defect(a: alg.QuadraticLieAlgebra, g: np.ndarray, shift: np.ndarray) -> float:
+    """How far ``shift`` is from an antisymmetric, tau- and kappa-free, block-diagonal Christoffel shift."""
+    return max(_peak(shift + shift.transpose(0, 2, 1)), _peak(con.tau_map(shift)), _peak(con.kappa_map(a, shift)),
+               _peak(con.block_project(a, g, shift) - shift))
+
+
+def _kernel_shift_gap(x: _Instance) -> float:
+    """GRc and GR of 20 kernel-shifted Levi-Civita connections (divergence 0) against the curvature report."""
+    grc, gr0 = x.report.ricci, x.report.scalar
+    D0 = con.levi_civita(x.a, x.g, None)
+    worst = 0.0
+    for j in range(20):
+        fgrc = cur.full_ricci(x.a, D0 + con.lc_kernel_shift(x.a, x.g, (x.sub + 31 * j) & 0x7FFFFFFF))
+        worst = max(worst, _rel(fgrc - x.g @ fgrc @ x.g, grc), _rel(float(np.trace(x.g @ fgrc)), gr0))
+    return worst
+
+
+def _conjugation_gap(x: _Instance) -> float | None:
+    """GRc(phi G phi^-1) against phi GRc(G) phi^-1; None on an abelian algebra, which draws no phi."""
+    if x.phi is None:
+        return None
+    phi_inv = np.linalg.inv(x.phi)
+    return _rel(cur.ricci_closed_form(x.a, x.phi @ x.g @ phi_inv), x.phi @ cur.ricci_closed_form(x.a, x.g) @ phi_inv)
+
+
+def _fd_ratio(x: _Path, exact, curve) -> float | None:
+    """Factor by which the finite-difference error of ``exact`` falls, step 1e-2 -> 1e-3; None at round-off."""
+    errs = var.fd_error_ladder(
+        exact(x.a, x.g, None, x.chi, x.eps),
+        lambda s: curve(x.a, var.metric_path(x.g, x.k, s), con.Divergence(s * x.eps)), steps=(1e-2, 1e-3)
+    )
+    return errs[0] / errs[1] if errs[1] > 1e-12 else None
+
+
+def _variation_defect(x: _Path) -> float:
+    """How far the connection variation A is from D-compatibility with chi, tau(A) = 0 and kappa(A) = eps."""
+    A = x.variation
+    dchi = con.cov_d(con.mixed_christoffel(x.a, x.lc), x.chi, ("u", "d"))
+    a_mixed = np.einsum("bd,adg->abg", x.a.eta_inv, A)
+    comm = np.einsum("ubg,gd->ubd", a_mixed, x.g) - np.einsum("bg,ugd->ubd", x.g, a_mixed)
+    return max(_peak(dchi + comm), _peak(con.tau_map(A)), _peak(con.kappa_map(x.a, A) - x.eps))
+
+
+# The aggregated checks, name -> (tolerance, residual(record)), in report order. A tolerance bounds the
+# largest value over the records, a band (lo, hi) holds the smallest; a residual that returns None has
+# no value on that record.
+PRESET_CHECKS = {
+    "change_basis_roundtrip": (1e-12, lambda x: _algebra_gap(
+        alg.change_basis(alg.change_basis(x.a, x.p), np.linalg.inv(x.p)), x.a)),
+    "c_norm_invariance": (1e-10, lambda x: _rel(
+        alg.change_basis(x.a, expm(0.3 * met.random_eta_antisymmetric(x.a, x.k_seed))).norm_c_sq(), x.a.norm_c_sq())),
+}
+INSTANCE_CHECKS = {
+    "metric_invariants": (1e-10, lambda x: max(met.involution_residual(x.g), met.eta_symmetry_residual(x.a, x.g))
+                          / max(1.0, _peak(x.g))),
+    "projector_algebra": (1e-12, lambda x: _projector_defect(x.a.n, *met.projectors(x.g))),
+    "lie_derivative_tangency": (1e-10, lambda x: _tangency_defect(x.a, x.g, met.lie_derivative_metric(x.a, x.g, x.u))),
+    "tangent_norm_identity": (1e-12, lambda x: _tangent_norm_gap(x.a, x.g, met.random_tangent(x.a, x.g, x.sub ^ 0xA5))),
+    "tau_tau_prime": (1e-12, lambda x: _rel(con.tau_map(x.tau_prime), x.t)),
+    "kappa_kappa_prime": (1e-12, lambda x: _peak(x.a.eta_inv @ con.kappa_map(x.a, x.kappa_prime) - x.uvec)),
+    "kappa_tau_prime": (1e-12, lambda x: _peak(con.kappa_map(x.a, x.tau_prime))),
+    "tau_kappa_prime": (1e-12, lambda x: _peak(con.tau_map(x.kappa_prime))),
+    "lc_postconditions": (1e-10, lambda x: max(
+        _peak(con.torsion(x.a, x.lc)), _peak(con.divergence_of(x.a, x.lc).d - x.dvec.d),
+        _peak(con.cov_d(con.mixed_christoffel(x.a, x.lc), x.g, ("u", "d"))))),
+    "lc_fixed_point": (1e-12, lambda x: _peak(con.lc_repair(x.a, x.g, x.dvec, x.lc) - x.lc)),
+    "lc_kernel_constraints": (1e-12, lambda x: _kernel_defect(x.a, x.g, con.lc_kernel_shift(x.a, x.g, x.sub ^ 0x11))),
+    "riemann_symmetries": (1e-10, lambda x: x.report.symmetry_residual),
+    "riemann_mixed_trace": (1e-10, lambda x: x.report.mixed_trace_residual),
+    "ricci_triple_route": (1e-10, lambda x: max(x.report.route_residual_ricci,
+                                                _rel(cur.ricci_closed_form(x.a, x.g), x.report.ricci))),
+    "scalar_dual_route": (1e-10, lambda x: x.report.route_residual_scalar),
+    "curvature_kernel_invariance": (1e-10, _kernel_shift_gap),
+    "ricci_divergence_shift": (1e-10, lambda x: cur.ricci_divergence_shift_check(x.a, x.g, x.evec)),
+    # relative to the first of the pair
+    "scalar_divergence_shift": (1e-10, lambda x: _rel(*cur.scalar_divergence_shift(x.a, x.g, x.evec)[::-1])),
+    "bianchi_identity": (1e-10, lambda x: max(cur.bianchi_residual(x.a, x.g),
+                                              cur.bianchi_divergence_residual(x.a, x.g))),
+    "curvature_equivariance": (1e-10, _conjugation_gap),
+    "monotonicity_identity": (1e-10, lambda x: _rel(var.scalar_variation(x.a, x.g, None, -2.0 * x.report.ricci, None),
+                                                    met.mixed_norm_sq(x.a, x.a.eta @ x.report.ricci))),
+}
+PATH_CHECKS = {
+    "fd_ratio_scalar_variation": ((25, 400), lambda x: _fd_ratio(x, var.scalar_variation, cur.scalar)),
+    "fd_ratio_ricci_variation": ((25, 400), lambda x: _fd_ratio(x, var.ricci_variation, cur.ricci)),
+    "connection_variation_postconditions": (1e-10, _variation_defect),
+    "connection_variation_blockwise": (1e-12, lambda x: _peak(
+        x.variation - var.connection_variation_blockwise(x.a, x.g, x.lc, x.chi, x.eps))),
+    "eh_gradient_fd": (1e-6, lambda x: var.eh_gradient_check(x.a, x.g, x.sigma, x.sub ^ 0x13)),
+}
+
+
 def run_algebraic_checks(seed: int = 0, instances: int = 100) -> list[CheckResult]:
     rng = np.random.default_rng(seed + 1)
-    results = [_result("preset_validation", lambda: max(
-        max(rep.antisymmetry_residual, rep.jacobi_residual)
-        for rep in (alg.validate_algebra(make()) for _, make in PRESETS)), 1e-10)]
-
-    tols = {
-        "change_basis_roundtrip": 1e-12, "c_norm_invariance": 1e-10,
-        "metric_invariants": 1e-10, "projector_algebra": 1e-12, "lie_derivative_tangency": 1e-10,
-        "tangent_norm_identity": 1e-12, "tau_tau_prime": 1e-12, "kappa_kappa_prime": 1e-12,
-        "kappa_tau_prime": 1e-12, "tau_kappa_prime": 1e-12, "lc_postconditions": 1e-10,
-        "lc_fixed_point": 1e-12, "lc_kernel_constraints": 1e-12, "riemann_symmetries": 1e-10,
-        "riemann_mixed_trace": 1e-10, "ricci_triple_route": 1e-10, "scalar_dual_route": 1e-10,
-        "curvature_kernel_invariance": 1e-10, "ricci_divergence_shift": 1e-10,
-        "scalar_divergence_shift": 1e-10, "bianchi_identity": 1e-10, "curvature_equivariance": 1e-10,
-        "monotonicity_identity": 1e-10,
-    }
-    worst = dict.fromkeys(tols, 0.0)
-    raised: dict[str, NumericalError] = {}
-    guard = partial(_catching, raised)
-
-    for _, make in PRESETS:
-        a = make()
-        with guard("change_basis_roundtrip"):
-            # condition-controlled random basis: orthogonal x diag(0.5..2) x orthogonal
-            q1, _ = np.linalg.qr(rng.standard_normal((a.n, a.n)))
-            q2, _ = np.linalg.qr(rng.standard_normal((a.n, a.n)))
-            p = q1 @ np.diag(rng.uniform(0.5, 2.0, a.n)) @ q2
-            a2 = alg.change_basis(a, p)
-            back = alg.change_basis(a2, np.linalg.inv(p))
-            scale = 1.0 + float(np.max(np.abs(a.c)))
-            worst["change_basis_roundtrip"] = max(
-                worst["change_basis_roundtrip"],
-                float(np.max(np.abs(back.eta - a.eta))) / (1.0 + float(np.max(np.abs(a.eta)))),
-                float(np.max(np.abs(back.c - a.c))) / scale,
-            )
-        with guard("c_norm_invariance"):
-            k = met.random_eta_antisymmetric(a, int(rng.integers(2**31)))
-            a3 = alg.change_basis(a, expm(0.3 * k))
-            worst["c_norm_invariance"] = max(
-                worst["c_norm_invariance"], abs(a3.norm_c_sq() - a.norm_c_sq()) / (1 + abs(a.norm_c_sq()))
-            )
-
-    for a, gm, sub in instance_stream(seed, instances):
-        g = gm.G
-        lrng = np.random.default_rng(sub ^ 0x5EED)
-        with guard("metric_invariants"):
-            scale = max(1.0, float(np.max(np.abs(g))))
-            worst["metric_invariants"] = max(
-                worst["metric_invariants"],
-                met.involution_residual(g) / scale,
-                met.eta_symmetry_residual(a, g) / scale,
-            )
-        with guard("projector_algebra"):
-            p_plus, p_minus = met.projectors(g)
-            worst["projector_algebra"] = max(
-                worst["projector_algebra"],
-                float(np.max(np.abs(p_plus @ p_plus - p_plus))),
-                float(np.max(np.abs(p_plus @ p_minus))),
-                float(np.max(np.abs(p_plus + p_minus - np.eye(a.n)))),
-            )
-        u = lrng.standard_normal(a.n)
-        with guard("lie_derivative_tangency"):
-            lie = met.lie_derivative_metric(a, g, u)
-            lie_scale = max(1.0, float(np.max(np.abs(lie))))
-            worst["lie_derivative_tangency"] = max(
-                worst["lie_derivative_tangency"],
-                float(np.max(np.abs(g @ lie + lie @ g))) / lie_scale,
-                float(np.max(np.abs(a.eta @ lie - (a.eta @ lie).T))) / lie_scale,
-            )
-        with guard("tangent_norm_identity"):
-            chi = met.random_tangent(a, g, sub ^ 0xA5)
-            if np.max(np.abs(chi)) > 0:
-                fr = met.adapted_frame(a, g)
-                chi_ad = fr.Q.T @ (a.eta @ chi) @ fr.Q
-                mixed = chi_ad[: fr.n_plus, fr.n_plus :]
-                lhs = met.mixed_norm_sq(a, a.eta @ chi)
-                rhs = 2.0 * float(np.sum(mixed**2))
-                worst["tangent_norm_identity"] = max(worst["tangent_norm_identity"], abs(lhs - rhs) / (1 + abs(lhs)))
-
-        t_rand = con.antisymmetrize3(lrng.standard_normal((a.n,) * 3))
-        with guard("tau_tau_prime", "kappa_tau_prime"):
-            tp = con.tau_prime(a, g, t_rand)
-            worst["tau_tau_prime"] = max(
-                worst["tau_tau_prime"],
-                float(np.max(np.abs(con.tau_map(tp) - t_rand))) / (1 + float(np.max(np.abs(t_rand)))),
-            )
-            worst["kappa_tau_prime"] = max(worst["kappa_tau_prime"], float(np.max(np.abs(con.kappa_map(a, tp)))))
-        uvec = lrng.standard_normal(a.n)
-        with guard("kappa_kappa_prime", "tau_kappa_prime"):
-            kp = con.kappa_prime(a, g, uvec)
-            worst["kappa_kappa_prime"] = max(
-                worst["kappa_kappa_prime"], float(np.max(np.abs(a.eta_inv @ con.kappa_map(a, kp) - uvec)))
-            )
-            worst["tau_kappa_prime"] = max(worst["tau_kappa_prime"], float(np.max(np.abs(con.tau_map(kp)))))
-
-        dvec = cur.divergence_from_vector(a, lrng.standard_normal(a.n))
-        with guard("lc_postconditions", "lc_fixed_point"):
-            D = con.levi_civita(a, g, dvec)
-            mchr = con.mixed_christoffel(a, D)
-            dg_cov = con.cov_d(mchr, g, ("u", "d"))
-            worst["lc_postconditions"] = max(
-                worst["lc_postconditions"],
-                float(np.max(np.abs(con.torsion(a, D)))),
-                float(np.max(np.abs(con.divergence_of(a, D).d - dvec.d))),
-                float(np.max(np.abs(dg_cov))),
-            )
-            with guard("lc_fixed_point"):
-                repaired = con.lc_repair(a, g, dvec, D)
-                worst["lc_fixed_point"] = max(worst["lc_fixed_point"], float(np.max(np.abs(repaired - D))))
-
-        with guard("lc_kernel_constraints"):
-            shift = con.lc_kernel_shift(a, g, sub ^ 0x11)
-            blocked = con.block_project(a, g, shift)
-            worst["lc_kernel_constraints"] = max(
-                worst["lc_kernel_constraints"],
-                float(np.max(np.abs(shift + shift.transpose(0, 2, 1)))),
-                float(np.max(np.abs(con.tau_map(shift)))),
-                float(np.max(np.abs(con.kappa_map(a, shift)))),
-                float(np.max(np.abs(blocked - shift))),
-            )
-
-        # every check that reads the curvature report fails with it
-        with guard("riemann_symmetries", "riemann_mixed_trace", "scalar_dual_route", "ricci_triple_route",
-                   "curvature_kernel_invariance", "monotonicity_identity"):
-            rep = cur.curvature_report(a, g, None)
-            grc = rep.ricci
-            worst["riemann_symmetries"] = max(worst["riemann_symmetries"], rep.symmetry_residual)
-            worst["riemann_mixed_trace"] = max(worst["riemann_mixed_trace"], rep.mixed_trace_residual)
-            worst["scalar_dual_route"] = max(worst["scalar_dual_route"], rep.route_residual_scalar)
-            with guard("ricci_triple_route"):
-                grc_cf = cur.ricci_closed_form(a, g)
-                worst["ricci_triple_route"] = max(
-                    worst["ricci_triple_route"], rep.route_residual_ricci,
-                    float(np.max(np.abs(grc - grc_cf))) / (1 + float(np.max(np.abs(grc)))),
-                )
-            with guard("curvature_kernel_invariance"):
-                D0 = con.levi_civita(a, g, None)
-                gr0 = rep.scalar
-                for j in range(20):
-                    shift_j = con.lc_kernel_shift(a, g, (sub + 31 * j) & 0x7FFFFFFF)
-                    fgrc_j = cur.full_ricci(a, D0 + shift_j)
-                    grc_j = fgrc_j - g @ fgrc_j @ g
-                    gr_j = float(np.trace(g @ fgrc_j))
-                    worst["curvature_kernel_invariance"] = max(
-                        worst["curvature_kernel_invariance"],
-                        float(np.max(np.abs(grc_j - grc))) / (1 + float(np.max(np.abs(grc)))),
-                        abs(gr_j - gr0) / (1 + abs(gr0)),
-                    )
-            with guard("monotonicity_identity"):
-                mono_lhs = var.scalar_variation(a, g, None, -2.0 * grc, None)
-                mono_rhs = met.mixed_norm_sq(a, a.eta @ grc)
-                worst["monotonicity_identity"] = max(
-                    worst["monotonicity_identity"], abs(mono_lhs - mono_rhs) / (1 + abs(mono_rhs))
-                )
-
-        evec = lrng.standard_normal(a.n)
-        with guard("ricci_divergence_shift"):
-            worst["ricci_divergence_shift"] = max(
-                worst["ricci_divergence_shift"], cur.ricci_divergence_shift_check(a, g, evec)
-            )
-        with guard("scalar_divergence_shift"):
-            lhs, rhs = cur.scalar_divergence_shift(a, g, evec)
-            worst["scalar_divergence_shift"] = max(worst["scalar_divergence_shift"], abs(lhs - rhs) / (1 + abs(lhs)))
-
-        with guard("bianchi_identity"):
-            worst["bianchi_identity"] = max(
-                worst["bianchi_identity"], cur.bianchi_residual(a, g), cur.bianchi_divergence_residual(a, g)
-            )
-
-        if np.any(a.c):
-            phi = expm(0.2 * a.ad(lrng.standard_normal(a.n)))
-            with guard("curvature_equivariance"):
-                g_t = phi @ g @ np.linalg.inv(phi)
-                lhs_eq = cur.ricci_closed_form(a, g_t)
-                rhs_eq = phi @ cur.ricci_closed_form(a, g) @ np.linalg.inv(phi)
-                worst["curvature_equivariance"] = max(
-                    worst["curvature_equivariance"],
-                    float(np.max(np.abs(lhs_eq - rhs_eq))) / (1 + float(np.max(np.abs(rhs_eq)))),
-                )
-
-    results.extend(_aggregated_results(tols, worst, raised))
-    results.extend(run_variation_checks(seed))
-    results.extend(run_flow_checks(seed))
-    return results
+    return [
+        _result("preset_validation", lambda: max(
+            max(rep.antisymmetry_residual, rep.jacobi_residual)
+            for rep in (alg.validate_algebra(make()) for _, make in PRESETS)), 1e-10),
+        *_aggregate(PRESET_CHECKS, (_Preset(make(), rng) for _, make in PRESETS)),
+        *_aggregate(INSTANCE_CHECKS, (_Instance(a, gm.G, sub) for a, gm, sub in instance_stream(seed, instances))),
+        *run_variation_checks(seed),
+        *run_flow_checks(seed),
+    ]
 
 
 def run_variation_checks(seed: int = 0) -> list[CheckResult]:
@@ -294,60 +321,12 @@ def run_variation_checks(seed: int = 0) -> list[CheckResult]:
     conjugation paths.
     """
     rng = np.random.default_rng(seed + 2)
-    ratios = {"fd_ratio_scalar_variation": [], "fd_ratio_ricci_variation": []}
-    tols = {"connection_variation_postconditions": 1e-10, "connection_variation_blockwise": 1e-12,
-            "eh_gradient_fd": 1e-6}
-    worst = dict.fromkeys(tols, 0.0)
-    raised: dict[str, NumericalError] = {}
-    guard = partial(_catching, raised)
     doubles = (
         lambda: alg.cotangent_double(alg.su2_structure()),
         lambda: alg.complex_double_su2(1.0),
     )
-    for i in range(20):
-        a = doubles[i % 2]()
-        sub = int(rng.integers(2**31))
-        gm = met.random_strictly_positive_metric(a, sub)
-        g = gm.G
-        k = met.random_eta_antisymmetric(a, sub ^ 0x77)
-        chi = var.path_tangent(g, k)
-        eps = np.random.default_rng(sub ^ 0x99).standard_normal(a.n)
-        for name, exact, curve in (("fd_ratio_scalar_variation", var.scalar_variation, cur.scalar),
-                                   ("fd_ratio_ricci_variation", var.ricci_variation, cur.ricci)):
-            with guard(name):
-                errs = var.fd_error_ladder(
-                    exact(a, g, None, chi, eps),
-                    lambda s: curve(a, var.metric_path(g, k, s), con.Divergence(s * eps)), steps=(1e-2, 1e-3)
-                )
-                if errs[1] > 1e-12:
-                    ratios[name].append(errs[0] / errs[1])
-
-        with guard("connection_variation_postconditions", "connection_variation_blockwise"):
-            D = con.levi_civita(a, g, None)
-            A = var.connection_variation(a, g, D, chi, eps)
-            with guard("connection_variation_postconditions"):
-                m = con.mixed_christoffel(a, D)
-                dchi = con.cov_d(m, chi, ("u", "d"))
-                a_mixed = np.einsum("bd,adg->abg", a.eta_inv, A)
-                comm = np.einsum("ubg,gd->ubd", a_mixed, g) - np.einsum("bg,ugd->ubd", g, a_mixed)
-                worst["connection_variation_postconditions"] = max(
-                    worst["connection_variation_postconditions"],
-                    float(np.max(np.abs(dchi + comm))),
-                    float(np.max(np.abs(con.tau_map(A)))),
-                    float(np.max(np.abs(con.kappa_map(a, A) - eps))),
-                )
-            with guard("connection_variation_blockwise"):
-                A2 = var.connection_variation_blockwise(a, g, D, chi, eps)
-                worst["connection_variation_blockwise"] = max(
-                    worst["connection_variation_blockwise"], float(np.max(np.abs(A - A2)))
-                )
-        sigma = float(rng.uniform(0.5, 2.0))
-        with guard("eh_gradient_fd"):
-            worst["eh_gradient_fd"] = max(worst["eh_gradient_fd"], var.eh_gradient_check(a, g, sigma, sub ^ 0x13))
-
-    results = [_failed(name, 400, raised[name]) if name in raised else _band_result(
-        name, lambda: min(r), 25, 400, f"n={len(r)}, max={max(r):.1f}") for name, r in ratios.items()]
-    return results + _aggregated_results(tols, worst, raised)
+    return _aggregate(PATH_CHECKS, (_Path(doubles[i % 2](), int(rng.integers(2**31)), float(rng.uniform(0.5, 2.0)))
+                                    for i in range(20)))
 
 
 def run_flow_checks(seed: int = 0) -> list[CheckResult]:

@@ -106,13 +106,9 @@ class TorusGeometry:
     def shape(self) -> tuple[int, ...]:
         return (self.N,) * self.d
 
-    def axes(self) -> np.ndarray:
-        """Coordinates along one axis (cell centers at j*h)."""
-        return np.arange(self.N) * self.h
-
     def grids(self) -> list[np.ndarray]:
-        x = self.axes()
-        return list(np.meshgrid(*([x] * self.d), indexing="ij"))
+        """Node coordinates j*h along each axis, one array per axis over the whole grid."""
+        return list(np.meshgrid(*([np.arange(self.N) * self.h] * self.d), indexing="ij"))
 
 
 def deriv(geom: TorusGeometry, f: np.ndarray, axis: int) -> np.ndarray:
@@ -556,9 +552,9 @@ class TorusParams:
     compute_lambda: bool = True
 
     def __post_init__(self):
-        if self.T <= 0 or self.cfl <= 0:
+        if not (self.T > 0 and self.cfl > 0):
             raise ValidationError("T and cfl must be positive")
-        if self.max_steps < 1:
+        if not self.max_steps >= 1:
             raise ValidationError(f"max_steps must be at least 1, got {self.max_steps!r}")
 
 

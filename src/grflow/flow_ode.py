@@ -40,9 +40,9 @@ class FlowParams:
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        if self.dt <= 0 or self.T <= 0:
+        if not (self.dt > 0 and self.T > 0):
             raise ValidationError("dt and T must be positive")
-        if self.max_steps < 1:
+        if not self.max_steps >= 1:
             raise ValidationError(f"max_steps must be at least 1, got {self.max_steps!r}")
         if not self.retract_tol > 0:
             raise ValidationError(f"retract_tol must be positive, got {self.retract_tol!r}")

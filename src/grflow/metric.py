@@ -64,10 +64,6 @@ class GeneralizedPseudometric:
             raise ForbiddenRank(f"eigenbundle ranks ({rep.n_plus},{rep.n_minus}) include 1")
         return cls(g, rep.n_plus, rep.n_minus, rep.strictly_positive)
 
-    @property
-    def n(self) -> int:
-        return self.G.shape[0]
-
 
 @dataclass
 class MetricValidation:

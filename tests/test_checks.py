@@ -1,8 +1,22 @@
 """A check that raises a NumericalError fails alone, at worst = inf; the rest of the suite still runs."""
 
+import pytest
+
 from grflow import checks
 from grflow import curvature as cur
 from grflow.errors import DegenerateMetric, RouteDisagreement
+
+ALGEBRAIC_NAMES = [
+    "preset_validation", "change_basis_roundtrip", "c_norm_invariance", "metric_invariants", "projector_algebra",
+    "lie_derivative_tangency", "tangent_norm_identity", "tau_tau_prime", "kappa_kappa_prime", "kappa_tau_prime",
+    "tau_kappa_prime", "lc_postconditions", "lc_fixed_point", "lc_kernel_constraints", "riemann_symmetries",
+    "riemann_mixed_trace", "ricci_triple_route", "scalar_dual_route", "curvature_kernel_invariance",
+    "ricci_divergence_shift", "scalar_divergence_shift", "bianchi_identity", "curvature_equivariance",
+    "monotonicity_identity", "fd_ratio_scalar_variation", "fd_ratio_ricci_variation",
+    "connection_variation_postconditions", "connection_variation_blockwise", "eh_gradient_fd",
+    "flow_identity_stationary", "flow_log_sigma_slope", "flow_abelian_stationary", "retraction_convergence",
+]
+TABLES = (checks.PRESET_CHECKS, checks.INSTANCE_CHECKS, checks.PATH_CHECKS)
 
 
 def _planted(exc):
@@ -12,15 +26,33 @@ def _planted(exc):
     return raising
 
 
+def _failures(seed=0, instances=4):
+    return {r.name: (r.worst, r.note) for r in checks.run_algebraic_checks(seed, instances) if not r.passed}
+
+
 def test_algebraic_check_that_raises_fails_alone(monkeypatch):
-    names = [r.name for r in checks.run_algebraic_checks(seed=0, instances=4)]
+    assert [r.name for r in checks.run_algebraic_checks(seed=0, instances=4)] == ALGEBRAIC_NAMES
     # the suite's own calls to cur.ricci raise; variation's formulas hold their own reference and still run
     monkeypatch.setattr(cur, "ricci", _planted(RouteDisagreement("planted")))
     results = checks.run_algebraic_checks(seed=0, instances=4)
-    assert [r.name for r in results] == names
+    assert [r.name for r in results] == ALGEBRAIC_NAMES
     failed = {r.name: (r.worst, r.note) for r in results if not r.passed}
     assert failed == dict.fromkeys(("ricci_divergence_shift", "bianchi_identity", "fd_ratio_ricci_variation"),
                                    (float("inf"), "raised RouteDisagreement: planted"))
+
+
+@pytest.mark.parametrize("table, name", [pytest.param(t, n, id=n) for t in TABLES for n in t])
+def test_aggregated_check_whose_residual_raises_fails_alone(monkeypatch, table, name):
+    # one instance reaches every residual once: a planted one raises on its first record
+    monkeypatch.setitem(table, name, (table[name][0], _planted(RouteDisagreement("planted"))))
+    assert _failures(instances=1) == {name: (float("inf"), "raised RouteDisagreement: planted")}
+
+
+def test_shared_input_that_raises_fails_exactly_its_readers(monkeypatch):
+    monkeypatch.setattr(cur, "curvature_report", _planted(DegenerateMetric("planted")))
+    readers = ("riemann_symmetries", "riemann_mixed_trace", "ricci_triple_route", "scalar_dual_route",
+               "curvature_kernel_invariance", "monotonicity_identity")
+    assert _failures() == dict.fromkeys(readers, (float("inf"), "raised DegenerateMetric: planted"))
 
 
 def test_torus_check_that_raises_fails_alone(monkeypatch):

@@ -678,10 +678,16 @@ def test_eh_density_builds_one_record(monkeypatch, geom8):
     assert len(records) == 1 and len(gammas) == 1
 
 
-@pytest.mark.parametrize("max_steps", [0, -3])
+@pytest.mark.parametrize("max_steps", [0, -3, float("nan")])
 def test_torus_params_reject_empty_step_budget(max_steps):
     with pytest.raises(ValidationError, match="max_steps"):
         et.TorusParams(T=1.0, max_steps=max_steps)
+
+
+@pytest.mark.parametrize("bad", [{"T": 0.0}, {"T": float("nan")}, {"cfl": -0.1}, {"cfl": float("nan")}])
+def test_torus_params_reject_nonpositive_or_nan_time_and_cfl(bad):
+    with pytest.raises(ValidationError, match="T and cfl must be positive"):
+        et.TorusParams(**bad)
 
 
 def test_max_steps_marks_abort(geom8, stopped_short):

@@ -198,7 +198,7 @@ def test_soliton_residual_values(su2_double, graph_metric_123):
 
 def test_flow_params_validation():
     # the package's validation family, as TorusParams and the max_steps check use
-    for bad in ({"dt": -1.0}, {"dt": 0.0}, {"T": 0.0}, {"T": -2.0}):
+    for bad in ({"dt": -1.0}, {"dt": 0.0}, {"T": 0.0}, {"T": -2.0}, {"dt": float("nan")}, {"T": float("nan")}):
         with pytest.raises(ValidationError, match="dt and T must be positive"):
             fl.FlowParams(**bad)
 
@@ -219,7 +219,7 @@ def test_run_flow_pseudometric_permitted(su2_double):
     assert np.all(np.isnan(tr.soliton_residual))  # frame-dependent here: not reported
 
 
-@pytest.mark.parametrize("max_steps", [0, -3])
+@pytest.mark.parametrize("max_steps", [0, -3, float("nan")])
 def test_flow_params_reject_empty_step_budget(max_steps):
     with pytest.raises(ValidationError, match="max_steps"):
         fl.FlowParams(dt=1e-3, T=1.0, max_steps=max_steps)

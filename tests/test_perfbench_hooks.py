@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from grflow import algebra as alg
+from grflow import checks
 from grflow import exact_torus as et
 from grflow import flow_ode as fl
 from grflow import metric as met
@@ -99,3 +100,11 @@ def test_oracle_workload_passes_its_gate(tmp_path):
     ratios = doc[oracles.FD_RATIO]
     assert ratios and all(lo <= r <= hi for r in ratios), ratios
     assert doc["flow_checks"] and [c["name"] for c in doc["flow_checks"] if not c["passed"]] == []
+
+
+def test_oracle_tolerances_are_those_of_the_check_tables():
+    # perfbench gates the oracle residuals with its own copy of the check suite's tolerances and FD band
+    oracles = _load("oracles")
+    tables = {**checks.PRESET_CHECKS, **checks.INSTANCE_CHECKS, **checks.PATH_CHECKS}
+    assert {name: tables[name][0] for name in oracles.TOLS} == oracles.TOLS
+    assert checks.PATH_CHECKS[oracles.FD_RATIO][0] == oracles.FD_BAND
