@@ -95,8 +95,8 @@ class TorusGeometry:
             raise ValidationError(f"torus dimension must be 2 or 3, got {self.d}")
         if self.N < 8 or self.N % 2:
             raise ValidationError(f"grid size must be even and >= 8, got {self.N}")
-        if self.L <= 0:
-            raise ValidationError("period must be positive")
+        if not 0 < self.L < np.inf:
+            raise ValidationError(f"period must be positive and finite, got {self.L!r}")
 
     @property
     def h(self) -> float:

@@ -9,7 +9,6 @@ error and nothing else.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import QuadraticLieAlgebra
 from .connection import (
@@ -140,13 +139,15 @@ def scalar_variation(a: QuadraticLieAlgebra, g: np.ndarray, d: Divergence | None
 
 def eh_functional(a: QuadraticLieAlgebra, g: np.ndarray, sigma: float) -> float:
     """Einstein-Hilbert functional over a point: S(G, sigma) = GR(G, 0) sigma^2."""
-    if sigma <= 0:
+    if not sigma > 0:
         raise NonPositiveHalfDensity(f"sigma must be positive, got {sigma}")
     return scalar(a, g, None) * sigma * sigma
 
 
 def metric_path(G: np.ndarray, K: np.ndarray, s: float) -> np.ndarray:
     """Involution-preserving path exp(sK) G exp(-sK)."""
+    from scipy.linalg import expm
+
     e = expm(s * K)
     return e @ G @ np.linalg.inv(e)
 
@@ -163,7 +164,7 @@ def eh_gradient_check(a: QuadraticLieAlgebra, g: np.ndarray, sigma: float, seed:
     s = 1e-4 with 1/2 <chi, GRc> sigma^2 + 2 GR sigma nu, i.e.
     -4(chi, GRc) - (nu, GR sigma) in the mixed-signature pairing.
     """
-    if sigma <= 0:
+    if not sigma > 0:
         raise NonPositiveHalfDensity(f"sigma must be positive, got {sigma}")
     rng = np.random.default_rng(seed)
     K = random_eta_antisymmetric(a, int(rng.integers(2**31)))

@@ -1,5 +1,7 @@
 """A check that raises a NumericalError fails alone, at worst = inf; the rest of the suite still runs."""
 
+import math
+
 import pytest
 
 from grflow import checks
@@ -63,3 +65,22 @@ def test_torus_check_that_raises_fails_alone(monkeypatch):
     failed = {r.name: (r.worst, r.note) for r in results if not r.passed}
     assert failed == {f"torus_diffeomorphism_{key}": (float("inf"), "raised DegenerateMetric: planted")
                       for key in ("g", "phi", "ricci")}
+
+
+def test_nan_residual_fails_its_check(monkeypatch):
+    monkeypatch.setitem(checks.INSTANCE_CHECKS, "bianchi_identity", (1e-10, lambda x: float("nan")))
+    failed = _failures(instances=1)
+    assert list(failed) == ["bianchi_identity"]
+    assert math.isnan(failed["bianchi_identity"][0])
+
+
+def test_nan_in_band_fails():
+    # not on the first record, where the smallest value would keep it anyway
+    [result] = checks._aggregate({"band": ((25, 400), lambda x: x)}, [100.0, float("nan")])
+    assert not result.passed and math.isnan(result.worst)
+
+
+def test_band_check_without_values_fails(monkeypatch):
+    monkeypatch.setitem(checks.PATH_CHECKS, "fd_ratio_ricci_variation", ((25, 400), lambda x: None))
+    failed = {r.name: (r.worst, r.note) for r in checks.run_variation_checks(0) if not r.passed}
+    assert failed == {"fd_ratio_ricci_variation": (float("inf"), "band [25,400]: no record has a value")}

@@ -30,6 +30,9 @@ def test_geometry_validation():
         et.TorusGeometry(3, 7)
     with pytest.raises(ValidationError):
         et.TorusGeometry(3, 6)
+    for period in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="period"):
+            et.TorusGeometry(3, 8, period)
 
 
 def test_h0_on_t2_rejected():

@@ -169,8 +169,11 @@ def test_eh_functional(su2_double):
     assert var.eh_functional(a, np.eye(3), 1.0) == pytest.approx(1.0, abs=1e-12)
     assert var.eh_functional(a, np.eye(3), 2.0) == pytest.approx(4.0, abs=1e-12)
     assert var.eh_functional(alg.abelian(4, 2), np.eye(4), 1.5) == 0.0
-    with pytest.raises(NonPositiveHalfDensity):
-        var.eh_functional(a, np.eye(3), 0.0)
+    for sigma in (0.0, float("nan")):
+        with pytest.raises(NonPositiveHalfDensity):
+            var.eh_functional(a, np.eye(3), sigma)
+        with pytest.raises(NonPositiveHalfDensity):
+            var.eh_gradient_check(su2_double, np.eye(6), sigma, seed=1)
 
 
 def test_eh_gradient_check(su2_double, graph_metric_123):
