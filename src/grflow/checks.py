@@ -1,17 +1,17 @@
 """Randomized identity suite shared by the CLI ``check`` mode and the tests.
 
-An aggregated check is a name, a tolerance (or band) and a residual of one
-instance, declared once in a table; the suite keeps its worst value over seeded
-instances, which cycle through the algebra presets with random strictly
-positive metrics.  A check whose residual, or an input it reads, raises a
-NumericalError reads worst = inf with a note naming the error, and the other
-checks still run.  A residual that reads NaN fails its check.
+Every check is a name, a tolerance (or band) and a residual of one record,
+declared once in a table; the suite keeps its worst value over the records:
+seeded instances that cycle through the algebra presets, variation paths, or
+the one record of seeded flow and torus runs.  A check whose residual, or an
+input it reads, raises a NumericalError reads worst = inf with a note naming
+the error, and the other checks still run.  A NaN residual fails its check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -42,27 +42,14 @@ def _failed(name, tol, exc: NumericalError) -> CheckResult:
     return CheckResult(name, float("inf"), tol, False, f"raised {type(exc).__name__}: {exc}")
 
 
-def _checked(name, value, tol, passes, note) -> CheckResult:
-    try:
-        v = float(value())
-    except NumericalError as exc:
-        return _failed(name, tol, exc)
-    return CheckResult(name, v, tol, bool(passes(v)), note)
+def _from_run(trace, value) -> float:
+    """``value(trace)``, or inf (failing every tolerance and band) if the run stopped short."""
+    return float("inf") if trace.aborted else value(trace)
 
 
-def _result(name, value, tol, note=""):
-    """Pass when the residual ``value()`` is at most ``tol``."""
-    return _checked(name, value, tol, lambda v: v <= tol, note)
-
-
-def _band_result(name, value, lo, hi, note=""):
-    """Pass when ``value()`` lies in [lo, hi]."""
-    return _checked(name, value, hi, lambda v: lo <= v <= hi, note or f"band [{lo},{hi}]")
-
-
-def _from_run(trace, value):
-    """``value`` read from a run's trace, lazily: inf (failing every tolerance and band) if the run stopped short."""
-    return lambda: float("inf") if trace.aborted else value()
+def _fall(trace, series) -> float:
+    """The fastest decrease of a series recorded along ``trace``, 0 if it never falls."""
+    return _from_run(trace, lambda tr: float(np.max(np.maximum(0.0, -(np.diff(series) / np.diff(tr.t))))))
 
 
 def _peak(x) -> float:
@@ -115,11 +102,13 @@ def _aggregate(table: dict, records) -> list[CheckResult]:
         if name in raised:
             results.append(_failed(name, hi, raised[name]))
         elif lo is None:
-            results.append(_result(name, lambda: np.max([0.0, *v]), hi))  # 0 when no record has a value
+            worst = float(np.max([0.0, *v]))  # 0 when no record has a value
+            results.append(CheckResult(name, worst, hi, bool(worst <= hi)))
         elif not v:
             results.append(CheckResult(name, float("inf"), hi, False, f"band [{lo},{hi}]: no record has a value"))
         else:
-            results.append(_band_result(name, lambda: np.min(v), lo, hi, f"n={len(v)}, max={np.max(v):.1f}"))
+            worst = float(np.min(v))
+            results.append(CheckResult(name, worst, hi, bool(lo <= worst <= hi), f"n={len(v)}, max={np.max(v):.1f}"))
     return results
 
 
@@ -187,6 +176,40 @@ class _Path:
     @cached_property
     def variation(self) -> np.ndarray:
         return var.connection_variation(self.a, self.g, self.lc, self.chi, self.eps)
+
+
+class _Runs:
+    """The seeded runs and torus states that several flow and torus checks read, each formed once on first use.
+    An input that raises is not cached, so every check that reads it fails with that error, and no other."""
+
+    def __init__(self, seed: int, N: int = 16):
+        self.seed, self.geom = seed, et.TorusGeometry(3, N, 2 * np.pi)
+
+    @cached_property
+    def so3_flow(self) -> fl.FlowTrace:
+        return fl.run_flow(alg.so3(1.0), fl.FlowState(0.0, np.eye(3), 0.0), fl.FlowParams(dt=1e-2, T=1.0))
+
+    @cached_property
+    def state(self) -> et.TorusFieldState:
+        return et.perturbed_state(self.geom, self.seed + 1, amplitude=0.05)
+
+    @cached_property
+    def bench(self) -> et.TorusTrace:
+        """The flux benchmark: flat g and H = eps, so g = (1 + 3t)^(1/3) Id and minR = -1 / (2 (1 + 3t))."""
+        return et.run_torus_flow(et.flat_state(self.geom, k=1.0), et.TorusParams(T=1.0, cfl=0.2))
+
+    @cached_property
+    def pert(self) -> et.TorusTrace:
+        return et.run_torus_flow(et.perturbed_state(self.geom, self.seed + 4, amplitude=0.05),
+                                 et.TorusParams(T=0.5, cfl=0.2))
+
+    @cached_property
+    def sym(self) -> et.TorusFieldState:
+        return et.perturbed_state(self.geom, self.seed + 10, amplitude=0.05, k=0.5)
+
+    @cached_property
+    def diffeo(self) -> dict:
+        return diffeomorphism_convergence_ratios(self.seed + 12)
 
 
 def _algebra_gap(b: alg.QuadraticLieAlgebra, a: alg.QuadraticLieAlgebra) -> float:
@@ -263,10 +286,34 @@ def _variation_defect(x: _Path) -> float:
     return max(_peak(dchi + comm), _peak(con.tau_map(A)), _peak(con.kappa_map(x.a, A) - x.eps))
 
 
+def _abelian_drift(x: _Runs) -> float:
+    """How far the flow moves a random metric on an abelian algebra, where every metric is stationary."""
+    ab = alg.abelian(4, 2)
+    g = met.random_strictly_positive_metric(ab, x.seed + 5).G
+    return _from_run(fl.run_flow(ab, fl.FlowState(0.0, g, 0.0), fl.FlowParams(dt=1e-2, T=1.0)),
+                     lambda tr: _peak(tr.final_G - g))
+
+
+def _flux_density_gap(x: _Runs) -> float:
+    """h = k + div(b) read from b, against H_012 of d of the full B derived from b, the route the oracles read."""
+    st_k = et.perturbed_state(x.geom, x.seed + 14, amplitude=0.05, k=0.7)
+    return _rel(st_k.k + et.exterior_derivative(x.geom, st_k.B, 2)[..., 0, 1, 2], et.flux_H(st_k))
+
+
+def _regression_gap(x: _Runs) -> float:
+    """``torus_rhs`` against the full-tensor formulas of ``ricci_dilaton_rhs`` (g^-1 and det g from np.linalg)."""
+    st_h0 = et.perturbed_state(x.geom, x.seed + 2, amplitude=0.04, k=0.0)
+    st_h0.b[:] = 0.0  # the regression hypothesis is H = 0: k = 0 and B = 0
+    full = et.ricci_dilaton_rhs(st_h0)
+    return max(_peak(u - v) for u, v in zip(et.torus_rhs(et.torus_fields(st_h0)), full))
+
+
 # The aggregated checks, name -> (tolerance, residual(record)), in report order. A tolerance bounds the
 # largest value over the records, a band (lo, hi) holds the smallest; a residual that returns None has
 # no value on that record.
 PRESET_CHECKS = {
+    "preset_validation": (1e-10, lambda x: max(
+        (rep := alg.validate_algebra(x.a)).antisymmetry_residual, rep.jacobi_residual)),
     "change_basis_roundtrip": (1e-12, lambda x: _algebra_gap(
         alg.change_basis(alg.change_basis(x.a, x.p), np.linalg.inv(x.p)), x.a)),
     "c_norm_invariance": (1e-10, _rotated_norm_gap),
@@ -309,14 +356,47 @@ PATH_CHECKS = {
         x.variation - var.connection_variation_blockwise(x.a, x.g, x.lc, x.chi, x.eps))),
     "eh_gradient_fd": (1e-6, lambda x: var.eh_gradient_check(x.a, x.g, x.sigma, x.sub ^ 0x13)),
 }
+FLOW_CHECKS = {
+    "flow_identity_stationary": (1e-10, lambda x: _from_run(x.so3_flow, lambda tr: _peak(tr.final_G - np.eye(3)))),
+    "flow_log_sigma_slope": (1e-8, lambda x: abs(_from_run(x.so3_flow, lambda tr: (
+        tr.log_sigma[-1] - tr.log_sigma[0]) / (tr.t[-1] - tr.t[0])) + alg.so3(1.0).norm_c_sq() / 12.0)),
+    "flow_abelian_stationary": (1e-10, _abelian_drift),
+    # a symmetric commuting perturbation of the involution
+    "retraction_convergence": (1e-12, lambda x: met.involution_residual(fl.involution_retract(
+        met.random_strictly_positive_metric(PRESETS[2][1](), x.seed + 7).G + 1e-4 * np.eye(6), 1e-12))),
+}
+# The translation is compared bitwise; the permutation check takes the swap (0 1) and the cycle (0 1 2).
+TORUS_CHECKS = {
+    "torus_ddB_zero": (1e-12, lambda x: _peak(et.exterior_derivative(x.geom, et.exterior_derivative(
+        x.geom, x.state.B, 2), 3)) / (1.0 + _peak(et.flux_H(x.state)))),
+    "torus_flux_density_dB": (1e-12, _flux_density_gap),
+    "torus_eh_density_identity": (1e-12, lambda x: et.eh_density_identity_residual(x.state)),
+    "torus_ricci_dilaton_regression": (1e-12, _regression_gap),
+    "torus_homogeneous_benchmark_g": (1e-4, lambda x: _from_run(x.bench, lambda tr: _peak(
+        tr.final_state.g / (1 + 3 * 1.0) ** (1.0 / 3.0) - np.eye(3)))),
+    "torus_homogeneous_benchmark_minR": (1e-4, lambda x: _from_run(x.bench, lambda tr: _peak(
+        np.array(tr.minR) + 1.0 / (2 * (1 + 3 * np.array(tr.t)))))),
+    "torus_lambda_monotone_benchmark": (1e-6, lambda x: _fall(x.bench, x.bench.lam)),
+    "torus_lambda_flux_value": (1e-6, lambda x: abs(x.bench.lam[0] + 0.5)),
+    "torus_lambda_flat_value": (1e-6, lambda x: abs(et.lambda_torus(et.torus_fields(et.flat_state(x.geom))))),
+    "torus_lambda_monotone_perturbed": (1e-6, lambda x: _fall(x.pert, x.pert.lam)),
+    "torus_min_scalar_monotone_perturbed": (1e-6, lambda x: _fall(x.pert, x.pert.minR)),
+    "torus_spatial_convergence_g": ((8.0, 32.0), lambda x: spatial_convergence_ratios(x.seed + 6)["g"]),
+    "torus_anisotropic_flux_closed_form": (1e-12, lambda x: anisotropic_flux_residual(x.geom, x.seed + 8)),
+    "torus_single_mode_B_exact": (1e-12, lambda x: single_mode_b_residual(x.geom, x.seed + 9)),
+    "torus_div_h_divergence_form": ((8.0, 32.0), lambda x: div_h_convergence_ratio(x.seed + 11)),
+    "torus_translation_commutes": (0.0, lambda x: symmetry_residual(x.sym, shift=(3, 1, 2))),
+    "torus_permutation_commutes": (1e-12, lambda x: max(symmetry_residual(x.sym, perm=(1, 0, 2)),
+                                                         symmetry_residual(x.sym, perm=(1, 2, 0)))),
+    "torus_reflection_commutes": (1e-12, lambda x: symmetry_residual(x.sym, signs=(-1, 1, 1))),
+    **{f"torus_diffeomorphism_{key}": ((8.0, 32.0), lambda x, key=key: x.diffeo[key]) for key in ("g", "phi", "ricci")},
+    "torus_b_gauge_invariant": (1e-12, lambda x: b_gauge_residual(x.geom, x.seed + 13)),
+}
 
 
 def run_algebraic_checks(seed: int = 0, instances: int = 100) -> list[CheckResult]:
     rng = np.random.default_rng(seed + 1)
     return [
-        _result("preset_validation", lambda: max(
-            max(rep.antisymmetry_residual, rep.jacobi_residual)
-            for rep in (alg.validate_algebra(make()) for _, make in PRESETS)), 1e-10),
         *_aggregate(PRESET_CHECKS, (_Preset(make(), rng) for _, make in PRESETS)),
         *_aggregate(INSTANCE_CHECKS, (_Instance(a, gm.G, sub) for a, gm, sub in instance_stream(seed, instances))),
         *run_variation_checks(seed),
@@ -332,90 +412,16 @@ def run_variation_checks(seed: int = 0) -> list[CheckResult]:
     conjugation paths.
     """
     rng = np.random.default_rng(seed + 2)
-    doubles = (
-        lambda: alg.cotangent_double(alg.su2_structure()),
-        lambda: alg.complex_double_su2(1.0),
-    )
-    return _aggregate(PATH_CHECKS, (_Path(doubles[i % 2](), int(rng.integers(2**31)), float(rng.uniform(0.5, 2.0)))
-                                    for i in range(20)))
+    return _aggregate(PATH_CHECKS, (_Path(PRESETS[2 + i % 2][1](), int(rng.integers(2**31)),
+                                          float(rng.uniform(0.5, 2.0))) for i in range(20)))
 
 
 def run_flow_checks(seed: int = 0) -> list[CheckResult]:
-    a3 = alg.so3(1.0)
-    tr = fl.run_flow(a3, fl.FlowState(0.0, np.eye(3), 0.0), fl.FlowParams(dt=1e-2, T=1.0))
-    slope = _from_run(tr, lambda: (tr.log_sigma[-1] - tr.log_sigma[0]) / (tr.t[-1] - tr.t[0]))
-    ab = alg.abelian(4, 2)
-    gm = met.random_strictly_positive_metric(ab, seed + 5)
-    tr2 = fl.run_flow(ab, fl.FlowState(0.0, gm.G, 0.0), fl.FlowParams(dt=1e-2, T=1.0))
-    gm3 = met.random_strictly_positive_metric(alg.cotangent_double(alg.su2_structure()), seed + 7)
-    g_pert = gm3.G + 1e-4 * np.eye(6)  # symmetric commuting perturbation of the involution
-    return [
-        _result("flow_identity_stationary", _from_run(tr, lambda: float(np.max(np.abs(tr.final_G - np.eye(3))))),
-                1e-10),
-        _result("flow_log_sigma_slope", lambda: abs(slope() + a3.norm_c_sq() / 12.0), 1e-8),
-        _result("flow_abelian_stationary", _from_run(tr2, lambda: float(np.max(np.abs(tr2.final_G - gm.G)))), 1e-10),
-        _result("retraction_convergence", lambda: met.involution_residual(fl.involution_retract(g_pert, 1e-12)), 1e-12),
-    ]
+    return _aggregate(FLOW_CHECKS, [_Runs(seed)])
 
 
 def run_torus_checks(seed: int = 0, N: int = 16) -> list[CheckResult]:
-    geom = et.TorusGeometry(3, N, 2 * np.pi)
-    st = et.perturbed_state(geom, seed + 1, amplitude=0.05)
-    bench = et.run_torus_flow(et.flat_state(geom, k=1.0), et.TorusParams(T=1.0, cfl=0.2))
-    f_exact = (1 + 3 * 1.0) ** (1.0 / 3.0)
-    pert = et.run_torus_flow(et.perturbed_state(geom, seed + 4, amplitude=0.05), et.TorusParams(T=0.5, cfl=0.2))
-    sym = et.perturbed_state(geom, seed + 10, amplitude=0.05, k=0.5)
-    diffeo = cache(lambda: diffeomorphism_convergence_ratios(seed + 12))  # an error is not cached: each key re-raises
-
-    def ddb():
-        d_db = et.exterior_derivative(geom, et.exterior_derivative(geom, st.B, 2), 3)
-        return float(np.max(np.abs(d_db))) / (1.0 + float(np.max(np.abs(et.flux_H(st)))))
-
-    def flux_density():
-        # h = k + div(b) read from b, against H_012 of d of the full B derived from b, the route the oracles read
-        st_k = et.perturbed_state(geom, seed + 14, amplitude=0.05, k=0.7)
-        h_k = et.flux_H(st_k)
-        h_012 = st_k.k + et.exterior_derivative(geom, st_k.B, 2)[..., 0, 1, 2]
-        return float(np.max(np.abs(h_k - h_012))) / (1.0 + float(np.max(np.abs(h_k))))
-
-    def regression():
-        st_h0 = et.perturbed_state(geom, seed + 2, amplitude=0.04, k=0.0)
-        st_h0.b[:] = 0.0  # the regression hypothesis is H = 0: k = 0 and B = 0
-        full = et.ricci_dilaton_rhs(st_h0)  # full-tensor formulas, g^-1 and det g from np.linalg
-        return max(float(np.max(np.abs(x - y))) for x, y in zip(et.torus_rhs(et.torus_fields(st_h0)), full))
-
-    def fall(trace, series):  # the fastest decrease of a recorded series, 0 if it never falls
-        return _from_run(trace, lambda: float(np.max(np.maximum(0.0, -(np.diff(series) / np.diff(trace.t))))))
-
-    return [
-        _result("torus_ddB_zero", ddb, 1e-12),
-        _result("torus_flux_density_dB", flux_density, 1e-12),
-        _result("torus_eh_density_identity", lambda: et.eh_density_identity_residual(st), 1e-12),
-        _result("torus_ricci_dilaton_regression", regression, 1e-12),
-        _result("torus_homogeneous_benchmark_g",
-                _from_run(bench, lambda: float(np.max(np.abs(bench.final_state.g / f_exact - np.eye(3))))), 1e-4),
-        _result("torus_homogeneous_benchmark_minR", _from_run(bench, lambda: float(np.max(np.abs(
-            np.array(bench.minR) + 1.0 / (2 * (1 + 3 * np.array(bench.t))))))), 1e-4),
-        _result("torus_lambda_monotone_benchmark", fall(bench, bench.lam), 1e-6),
-        _result("torus_lambda_flux_value", lambda: abs(bench.lam[0] + 0.5), 1e-6),
-        _result("torus_lambda_flat_value", lambda: abs(et.lambda_torus(et.torus_fields(et.flat_state(geom)))), 1e-6),
-        _result("torus_lambda_monotone_perturbed", fall(pert, pert.lam), 1e-6),
-        _result("torus_min_scalar_monotone_perturbed", fall(pert, pert.minR), 1e-6),
-        _band_result("torus_spatial_convergence_g", lambda: spatial_convergence_ratios(seed + 6)["g"], 8.0, 32.0,
-                     "expect about 16"),
-        _result("torus_anisotropic_flux_closed_form", lambda: anisotropic_flux_residual(geom, seed + 8), 1e-12),
-        _result("torus_single_mode_B_exact", lambda: single_mode_b_residual(geom, seed + 9), 1e-12),
-        _band_result("torus_div_h_divergence_form", lambda: div_h_convergence_ratio(seed + 11), 8.0, 32.0,
-                     "expect about 16"),
-        _result("torus_translation_commutes", lambda: symmetry_residual(sym, shift=(3, 1, 2)), 0.0, "bitwise"),
-        _result("torus_permutation_commutes", lambda: max(symmetry_residual(sym, perm=(1, 0, 2)),
-                                                          symmetry_residual(sym, perm=(1, 2, 0))),
-                1e-12, "swap (0 1) and cycle (0 1 2)"),
-        _result("torus_reflection_commutes", lambda: symmetry_residual(sym, signs=(-1, 1, 1)), 1e-12),
-        *(_band_result(f"torus_diffeomorphism_{key}", lambda: diffeo()[key], 8.0, 32.0, "expect about 16")
-          for key in ("g", "phi", "ricci")),
-        _result("torus_b_gauge_invariant", lambda: b_gauge_residual(geom, seed + 13), 1e-12),
-    ]
+    return _aggregate(TORUS_CHECKS, [_Runs(seed, N)])
 
 
 def _relative_error(x: np.ndarray, y: np.ndarray) -> float:

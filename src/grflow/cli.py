@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -429,10 +430,7 @@ def _set_by_path(obj, path: str, value):
 
 def mode_sweep(cfg, seed, out_dir):
     axes = cfg["sweep"]["axes"]
-    grids = [axis["values"] for axis in axes]
-    cells = [[]]
-    for values in grids:
-        cells = [prior + [v] for prior in cells for v in values]
+    cells = list(itertools.product(*(axis["values"] for axis in axes)))  # the first axis slowest
     manifest = []
     any_failed = False
     for idx, combo in enumerate(cells):

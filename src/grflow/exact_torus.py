@@ -530,14 +530,15 @@ def lambda_torus(fields: TorusFields, u0: np.ndarray | None = None, return_vecto
 def eh_density_identity_residual(state: TorusFieldState) -> float:
     """|int GR u^2 dV - (int (R - |H|^2/12) u^2 + 4 |grad u|^2_g dV)| with u = e^-phi.
 
-    Exact to round-off because the Laplacian is discretized in divergence
-    form; run on random states before trusting the lambda solver's energy.
+    Summation by parts, exact to round-off for the divergence-form Laplacian that GR reads; the right side
+    reads ``grad`` and g^-1 instead. Run on random states before trusting the lambda solver's energy.
     """
     fields = torus_fields(state)
     u = np.exp(-state.phi)
-    apply_l, wts = _dirichlet_operator(fields)
+    du = grad(state.geom, u)
+    _, wts = _dirichlet_operator(fields)
     lhs = float(np.sum(wts * generalized_scalar_field(fields) * u * u))
-    rhs = float(np.sum(wts * u * apply_l(u)))
+    rhs = float(np.sum(wts * (fields.potential * u * u + 4.0 * np.einsum("...i,...ij,...j->...", du, fields.ginv, du))))
     return abs(lhs - rhs) / (1.0 + abs(lhs))
 
 

@@ -67,6 +67,14 @@ def test_cotangent_double_rejects_non_lie():
         alg.cotangent_double(f)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_cotangent_double_accepts_round_off_at_every_scale(scale):
+    # one coefficient off by a relative 1e-12: the double is a Lie algebra to round-off at any scale of h
+    f = scale * alg.su2_structure()
+    f[0, 1, 2] *= 1 + 1e-12
+    assert alg.validate_algebra(alg.cotangent_double(f)).passed
+
+
 def test_complex_double_su2(complex_double):
     rep = alg.validate_algebra(complex_double)
     assert rep.passed and rep.eta_signature == (3, 3)

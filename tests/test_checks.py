@@ -1,12 +1,16 @@
 """A check that raises a NumericalError fails alone, at worst = inf; the rest of the suite still runs."""
 
+import functools
+import json
 import math
 
 import pytest
 
-from grflow import checks
+from grflow import checks, cli
 from grflow import curvature as cur
-from grflow.errors import DegenerateMetric, RouteDisagreement
+from grflow import exact_torus as et
+from grflow import flow_ode as fl
+from grflow.errors import DegenerateMetric, EigensolverStalled, RouteDisagreement
 
 ALGEBRAIC_NAMES = [
     "preset_validation", "change_basis_roundtrip", "c_norm_invariance", "metric_invariants", "projector_algebra",
@@ -18,7 +22,16 @@ ALGEBRAIC_NAMES = [
     "connection_variation_postconditions", "connection_variation_blockwise", "eh_gradient_fd",
     "flow_identity_stationary", "flow_log_sigma_slope", "flow_abelian_stationary", "retraction_convergence",
 ]
-TABLES = (checks.PRESET_CHECKS, checks.INSTANCE_CHECKS, checks.PATH_CHECKS)
+TORUS_NAMES = [
+    "torus_ddB_zero", "torus_flux_density_dB", "torus_eh_density_identity", "torus_ricci_dilaton_regression",
+    "torus_homogeneous_benchmark_g", "torus_homogeneous_benchmark_minR", "torus_lambda_monotone_benchmark",
+    "torus_lambda_flux_value", "torus_lambda_flat_value", "torus_lambda_monotone_perturbed",
+    "torus_min_scalar_monotone_perturbed", "torus_spatial_convergence_g", "torus_anisotropic_flux_closed_form",
+    "torus_single_mode_B_exact", "torus_div_h_divergence_form", "torus_translation_commutes",
+    "torus_permutation_commutes", "torus_reflection_commutes", "torus_diffeomorphism_g", "torus_diffeomorphism_phi",
+    "torus_diffeomorphism_ricci", "torus_b_gauge_invariant",
+]
+TABLES = (checks.PRESET_CHECKS, checks.INSTANCE_CHECKS, checks.PATH_CHECKS, checks.FLOW_CHECKS)
 
 
 def _planted(exc):
@@ -30,6 +43,16 @@ def _planted(exc):
 
 def _failures(seed=0, instances=4):
     return {r.name: (r.worst, r.note) for r in checks.run_algebraic_checks(seed, instances) if not r.passed}
+
+
+def _check_report(tmp_path, scope, instances=1):
+    """Run ``grf check``, which must exit 3, and return the names and the (worst, note) of the failed checks."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mode": "check", "check": {"scope": scope, "instances": instances}}))
+    assert cli.main(["check", "--config", str(path), "--out", str(tmp_path)]) == 3
+    rep = json.loads((tmp_path / "check_report.json").read_text())
+    return [c["name"] for c in rep["checks"]], {c["name"]: (c["worst"], c["note"]) for c in rep["checks"]
+                                                 if not c["passed"]}
 
 
 def test_algebraic_check_that_raises_fails_alone(monkeypatch):
@@ -57,14 +80,30 @@ def test_shared_input_that_raises_fails_exactly_its_readers(monkeypatch):
     assert _failures() == dict.fromkeys(readers, (float("inf"), "raised DegenerateMetric: planted"))
 
 
-def test_torus_check_that_raises_fails_alone(monkeypatch):
-    # the three diffeomorphism bands share one computation; each re-runs it and fails on its own
+def test_torus_check_that_raises_fails_alone(tmp_path, monkeypatch):
+    # a shared input that raises fails exactly its readers: a lambda stall the four flux benchmark checks, the
+    # two perturbed-run checks and the flat lambda value; the three diffeomorphism bands each re-run their
+    # shared computation and fail on their own. The report is still written, in report order.
+    monkeypatch.setattr(et, "lambda_torus", _planted(EigensolverStalled("planted")))
     monkeypatch.setattr(checks, "diffeomorphism_convergence_ratios", _planted(DegenerateMetric("planted")))
-    results = checks.run_torus_checks(N=8)
-    assert len(results) == 22
-    failed = {r.name: (r.worst, r.note) for r in results if not r.passed}
-    assert failed == {f"torus_diffeomorphism_{key}": (float("inf"), "raised DegenerateMetric: planted")
-                      for key in ("g", "phi", "ricci")}
+    monkeypatch.setattr(checks, "run_torus_checks", functools.partial(checks.run_torus_checks, N=8))
+    names, failed = _check_report(tmp_path, "torus")
+    assert names == TORUS_NAMES == list(checks.TORUS_CHECKS)
+    stalled = ("torus_homogeneous_benchmark_g", "torus_homogeneous_benchmark_minR", "torus_lambda_monotone_benchmark",
+               "torus_lambda_flux_value", "torus_lambda_flat_value", "torus_lambda_monotone_perturbed",
+               "torus_min_scalar_monotone_perturbed")
+    assert failed == {**dict.fromkeys(stalled, ("Infinity", "raised EigensolverStalled: planted")),
+                      **{f"torus_diffeomorphism_{key}": ("Infinity", "raised DegenerateMetric: planted")
+                         for key in ("g", "phi", "ricci")}}
+
+
+def test_flow_run_that_raises_fails_its_readers(tmp_path, monkeypatch):
+    # the so(3) run is read by two checks and the abelian run by one; the retraction check runs no flow
+    monkeypatch.setattr(fl, "flow_rhs", _planted(RouteDisagreement("planted")))
+    names, failed = _check_report(tmp_path, "algebraic")
+    assert names == ALGEBRAIC_NAMES
+    assert failed == dict.fromkeys(("flow_identity_stationary", "flow_log_sigma_slope", "flow_abelian_stationary"),
+                                   ("Infinity", "raised RouteDisagreement: planted"))
 
 
 def test_nan_residual_fails_its_check(monkeypatch):

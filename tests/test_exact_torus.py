@@ -572,6 +572,22 @@ def test_eh_density_identity(geom16):
     assert et.eh_density_identity_residual(st) <= 1e-12
 
 
+_WRONG_LAPLACIANS = {
+    "scaled": lambda lap: lambda geom, w, ginv, f: 1.1 * lap(geom, w, ginv, f),
+    "shifted": lambda lap: lambda geom, w, ginv, f: lap(geom, w, ginv, f) + 0.3 * f,
+    "non_divergence": lambda lap: lambda geom, w, ginv, f: np.einsum("...ij,...ij->...", ginv,
+                                                                     et.grad(geom, et.grad(geom, f))),
+}
+
+
+@pytest.mark.parametrize("mutant", list(_WRONG_LAPLACIANS))
+def test_eh_density_identity_sees_a_wrong_laplacian(monkeypatch, geom16, mutant):
+    # GR reads the Laplacian and the right side reads grad u and g^-1, so the two sides part when it is wrong
+    st = et.perturbed_state(geom16, 21, amplitude=0.08, k=0.7)
+    monkeypatch.setattr(et, "laplace_beltrami", _WRONG_LAPLACIANS[mutant](et.laplace_beltrami))
+    assert et.eh_density_identity_residual(st) > 1e-4
+
+
 def test_t2_flow_decays():
     geom = et.TorusGeometry(2, 16, 2 * np.pi)
     st = et.perturbed_state(geom, 4, amplitude=0.05)
