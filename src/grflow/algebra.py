@@ -48,9 +48,13 @@ class QuadraticLieAlgebra:
         c = np.asarray(self.c, dtype=float)
         if eta.ndim != 2 or eta.shape[0] != eta.shape[1]:
             raise NonInvertiblePairing(f"eta must be square, got shape {eta.shape}")
+        if not np.all(np.isfinite(eta)):
+            raise NonInvertiblePairing("eta must be finite")
         n = eta.shape[0]
         if c.shape != (n, n, n):
             raise InvalidLieAlgebra(f"c must have shape {(n, n, n)}, got {c.shape}")
+        if not np.all(np.isfinite(c)):
+            raise InvalidLieAlgebra("c must be finite")
         if _sym_residual(eta) > 1e-12 * max(1.0, float(np.max(np.abs(eta)))):
             raise NonInvertiblePairing("eta is not symmetric")
         w = np.linalg.eigvalsh(eta)
@@ -101,15 +105,6 @@ class ValidationReport:
     eta_condition: float
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "antisymmetry_residual": self.antisymmetry_residual,
-            "jacobi_residual": self.jacobi_residual,
-            "eta_signature": list(self.eta_signature),
-            "eta_condition": self.eta_condition,
-            "passed": self.passed,
-        }
-
 
 def validate_algebra(a: QuadraticLieAlgebra) -> ValidationReport:
     """Check total antisymmetry of c and the Jacobi identity.
@@ -129,7 +124,7 @@ def validate_algebra(a: QuadraticLieAlgebra) -> ValidationReport:
     cm = a.c_mixed
     j = np.einsum("abe,egd->abgd", cm, cm)
     jac = j + j.transpose(1, 2, 0, 3) + j.transpose(2, 0, 1, 3)
-    jscale = max(float(np.max(np.abs(cm))) ** 2, np.finfo(float).tiny)
+    jscale = max(float(np.max(np.abs(cm)) ** 2), np.finfo(float).tiny)  # numpy squares past the float range to inf
     jac_res = float(np.max(np.abs(jac))) / jscale if np.any(cm) else 0.0
 
     w = np.linalg.eigvalsh(a.eta)
@@ -181,9 +176,9 @@ def cotangent_double(h_struct: np.ndarray) -> QuadraticLieAlgebra:
     <x+xi, y+up> = xi(y) + up(x) is invariant, of signature (dim h, dim h).
     """
     f = np.asarray(h_struct, dtype=float)
-    m = f.shape[0]
-    if f.shape != (m, m, m):
+    if f.ndim != 3 or f.shape != (f.shape[0],) * 3:
         raise InvalidLieAlgebra("h structure constants must be m x m x m")
+    m = f.shape[0]
     n = 2 * m
     eta = np.zeros((n, n))
     eta[:m, m:] = np.eye(m)
@@ -197,7 +192,7 @@ def cotangent_double(h_struct: np.ndarray) -> QuadraticLieAlgebra:
     br[m:, :m, m:] = f.transpose(2, 0, 1)  # = -br[i, m+j] transposed in (i, j)
     double = QuadraticLieAlgebra(eta, np.einsum("abd,dg->abg", br, eta))
     if not (rep := validate_algebra(double)).passed:  # relative residuals: one test at every scale of h
-        raise InvalidLieAlgebra(f"h is no Lie algebra: {rep.as_dict()}")
+        raise InvalidLieAlgebra(f"h is no Lie algebra: {rep}")
     return double
 
 
@@ -235,7 +230,11 @@ def preset_algebra(name: str, **params) -> QuadraticLieAlgebra:
             if h != "su2":
                 raise InvalidLieAlgebra(f"unknown base Lie algebra preset '{h}'")
             h = su2_structure()
-        return cotangent_double(np.asarray(h, dtype=float))
+        try:
+            h = np.asarray(h, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidLieAlgebra(f"h structure constants are not a numeric array: {exc}") from None
+        return cotangent_double(h)
     if name == "complex_double_su2":
         return complex_double_su2(float(params.get("scale", 1.0)))
     raise InvalidLieAlgebra(f"unknown algebra preset '{name}'")
@@ -245,8 +244,8 @@ def change_basis(a: QuadraticLieAlgebra, p: np.ndarray) -> QuadraticLieAlgebra:
     """Transform to the basis e'_a = P[:, a] (columns of P in old coordinates)."""
     p = np.asarray(p, dtype=float)
     n = a.n
-    if p.shape != (n, n):
-        raise SingularBasis(f"basis matrix must be {n} x {n}")
+    if p.shape != (n, n) or not np.all(np.isfinite(p)):
+        raise SingularBasis(f"basis matrix must be a finite {n} x {n} matrix")
     sv = np.linalg.svd(p, compute_uv=False)
     if sv[-1] <= 1e-13 * sv[0]:
         raise SingularBasis("basis matrix numerically singular")

@@ -10,7 +10,7 @@ the error, and the other checks still run.  A NaN residual fails its check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -34,7 +34,7 @@ class CheckResult:
     note: str = ""
 
     def as_dict(self) -> dict:
-        return {"name": self.name, "worst": self.worst, "tol": self.tol, "passed": self.passed, "note": self.note}
+        return asdict(self)
 
 
 def _failed(name, tol, exc: NumericalError) -> CheckResult:

@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +93,7 @@ _METRIC_SCHEMA = {
             "required": ["g"],
         },
         "identity": {"type": "boolean"},
-        "random_positive_seed": {"type": "integer"},
+        "random_positive_seed": {"type": "integer", "minimum": 0},
     },
 }
 
@@ -101,7 +102,7 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "mode": {"enum": ["validate", "curvature", "flow", "torus", "check", "sweep"]},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "out": {"type": "string"},
         "algebra": _ALGEBRA_SCHEMA,
         "metric": _METRIC_SCHEMA,
@@ -164,15 +165,27 @@ CONFIG_SCHEMA = {
 }
 
 
+def _finite(parse):
+    """A ``json.loads`` number hook: ``parse(literal)`` if the literal reads as a finite float."""
+    return lambda literal: parse(literal) if math.isfinite(float(literal)) else _not_finite(literal)
+
+
+def _not_finite(literal: str):
+    raise ConfigParseError(f"config number {literal:.24} is not finite or too large for a float")
+
+
 def load_config(path) -> dict:
+    """The parsed and schema-checked config; every number in it is a finite float or an int that fits one."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read config file: {exc}") from exc
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, parse_float=_finite(float), parse_int=_finite(int), parse_constant=_not_finite)
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"config JSON invalid at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ConfigParseError("config JSON nested too deeply") from None
     validate_config(cfg)
     return cfg
 
@@ -186,34 +199,13 @@ def _config_validator():
 
 
 def validate_config(cfg: dict) -> None:
+    """Check ``cfg`` against ``CONFIG_SCHEMA``; its numbers are checked where it is parsed, by ``load_config``."""
     from jsonschema.exceptions import best_match
 
     exc = best_match(_config_validator().iter_errors(cfg))  # the error jsonschema.validate raises
     if exc is not None:
         loc = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigParseError(f"config field '{loc}': {exc.message}") from exc
-    flat = not np.all(np.isfinite(_collect_numbers(cfg)))
-    if flat:
-        raise ConfigParseError("config contains non-finite numbers")
-
-
-def _collect_numbers(obj, acc=None):
-    if acc is None:
-        acc = []
-    if isinstance(obj, bool):
-        return acc
-    if isinstance(obj, (int, float)):
-        try:
-            acc.append(float(obj))
-        except OverflowError:
-            raise ConfigParseError("config contains an integer too large for a float") from None
-    elif isinstance(obj, dict):
-        for v in obj.values():
-            _collect_numbers(v, acc)
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            _collect_numbers(v, acc)
-    return acc
 
 
 def config_hash(cfg: dict) -> str:
@@ -279,22 +271,12 @@ def write_csv(path: Path, header: str, columns, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _strict_json(x):
-    """x with every non-finite float, however deeply nested, as the string "Infinity", "-Infinity" or "NaN"."""
-    if isinstance(x, float) and not math.isfinite(x):
-        return "NaN" if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
-    if isinstance(x, dict):
-        return {k: _strict_json(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_strict_json(v) for v in x]
-    return x
-
-
 def write_json(path: Path, cfg: dict, seed: int, body: dict) -> None:
     doc = {"version": __version__, "config_sha256": config_hash(cfg), "seed": seed}
     doc.update(body)
+    strict = json.loads(json.dumps(doc), parse_constant=str)  # the NaN and +-Infinity tokens read as strings
     with open(path, "w", newline="\n") as fh:
-        json.dump(_strict_json(doc), fh, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(strict, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -304,14 +286,14 @@ def write_json(path: Path, cfg: dict, seed: int, body: dict) -> None:
 def mode_validate(cfg, seed, out_dir):
     a = build_algebra(cfg)
     rep = alg.validate_algebra(a)
-    body = {"algebra": rep.as_dict()}
+    body = {"algebra": asdict(rep)}
     if "metric" in cfg:
         section = cfg["metric"]
         # a raw matrix is reported on as given: building it would raise on the very input to report
         raw = "matrix" in section and not section.get("identity")
         g = _float_array(section["matrix"], "metric/matrix") if raw else build_metric(cfg, a).G
         gm_rep = met.validate_metric(a, g)
-        body["metric"] = gm_rep.as_dict()
+        body["metric"] = asdict(gm_rep)
         ok = rep.passed and gm_rep.pseudometric
     else:
         ok = rep.passed
@@ -337,18 +319,17 @@ def mode_curvature(cfg, seed, out_dir):
     return 0
 
 
-def _flow_params(cfg) -> fl.FlowParams:
-    f = dict(cfg.get("flow", {}))
-    f.pop("log_sigma0", None)
-    f.pop("integrator", None)  # RK4 is the only integrator
-    return fl.FlowParams(**f)
+def _given(section: dict, *keys) -> dict:
+    """The entries of a config section among ``keys``; a key the section leaves out takes the library default."""
+    return {key: section[key] for key in keys if key in section}
 
 
 def mode_flow(cfg, seed, out_dir):
     a = build_algebra(cfg)
     gm = build_metric(cfg, a)
-    params = _flow_params(cfg)
-    state = fl.FlowState(0.0, gm.G, float(cfg.get("flow", {}).get("log_sigma0", 0.0)))
+    f = cfg.get("flow", {})  # its "integrator" can only be RK4
+    params = fl.FlowParams(**_given(f, "dt", "T", "retract_tol", "max_steps"))
+    state = fl.FlowState(0.0, gm.G, float(f.get("log_sigma0", 0.0)))
     return _run_to_csv("flow", lambda: fl.run_flow(a, state, params), fl.FlowTrace.COLUMNS, cfg, seed, out_dir)[1]
 
 
@@ -374,16 +355,12 @@ def _torus_state_params(cfg, seed):
     d = 3, N = 16 and a flat start have no library default and are set here.
     """
     t = cfg.get("torus", {})
-
-    def given(*keys):
-        return {key: t[key] for key in keys if key in t}
-
-    geom = et.TorusGeometry(t.get("d", 3), t.get("N", 16), **given("L"))
+    geom = et.TorusGeometry(t.get("d", 3), t.get("N", 16), **_given(t, "L"))
     if t.get("init", "flat") == "perturbed":
-        state = et.perturbed_state(geom, seed, **given("amplitude", "k", "kmax"))
+        state = et.perturbed_state(geom, seed, **_given(t, "amplitude", "k", "kmax"))
     else:
-        state = et.flat_state(geom, **given("k"))
-    return state, et.TorusParams(**given("T", "cfl", "compute_lambda"))
+        state = et.flat_state(geom, **_given(t, "k"))
+    return state, et.TorusParams(**_given(t, "T", "cfl", "compute_lambda"))
 
 
 def mode_torus(cfg, seed, out_dir):
@@ -474,6 +451,8 @@ def run_config(path, mode=None, seed=None, out=None) -> int:
     if mode is None:
         raise ConfigParseError("no mode given (config 'mode' field or CLI subcommand)")
     eff_seed = seed if seed is not None else int(cfg.get("seed", 0))
+    if eff_seed < 0:  # the schema holds the config's seed to this too: numpy's generators take no negative seed
+        raise ConfigParseError(f"seed must be non-negative, got {eff_seed}")
     out_dir = Path(out if out is not None else cfg.get("out", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     return MODES[mode](cfg, eff_seed, out_dir)
@@ -498,7 +477,10 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except RecursionError:  # grf has no recursion of its own: a config nested deeper than Python recurses
+        print("error: config JSON nested too deeply", file=sys.stderr)
+        return 2
+    except (NumericalError, np.linalg.LinAlgError) as exc:  # LAPACK fails on inputs whose products overflow
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

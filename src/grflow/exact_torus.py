@@ -500,24 +500,20 @@ def lambda_torus(fields: TorusFields, u0: np.ndarray | None = None, return_vecto
         q = float(np.sum(wts * u * lu))
         return q, u, float(np.sqrt(np.sum(wts * (lu - q * u) ** 2)))
 
-    def solve(start):
-        q, u, res = rayleigh(start)
-        if res <= LAMBDA_RESIDUAL_TOL * (1.0 + abs(q)):
-            return q, u, res
-        from scipy.sparse.linalg import lobpcg
-        # lobpcg's residual is W r, ||W r||_2 >= sqrt(min W) ||r||_W and lambda <= q: a tighter tol than ours
-        tol = 0.5 * LAMBDA_RESIDUAL_TOL * np.sqrt(np.min(wts)) * (1.0 + max(0.0, -q))
-        with warnings.catch_warnings():  # its notes on a missed tol: the residual below is the report
-            warnings.simplefilter("ignore", UserWarning)
-            _, x = lobpcg(lambda v: (wts * apply_l(v.reshape(wts.shape))).reshape(v.shape), u.reshape(-1, 1),
-                          B=lambda v: wts.reshape(-1, 1) * v, M=_flat_inverse(fields.geom), tol=tol,
-                          maxiter=LAMBDA_MAX_ITER, largest=False)
-        return rayleigh(x[:, 0].reshape(wts.shape))
-
     constant = np.ones(wts.shape)
     # a warm start near a cluster of low eigenvalues can stall where the constant start converges
     for start in [constant] if u0 is None else [np.asarray(u0, dtype=float), constant]:
-        q, u, res = solve(start)
+        q, u, res = rayleigh(start)
+        if res > LAMBDA_RESIDUAL_TOL * (1.0 + abs(q)):
+            from scipy.sparse.linalg import lobpcg
+            # lobpcg's residual is W r, ||W r||_2 >= sqrt(min W) ||r||_W and lambda <= q: a tighter tol than ours
+            tol = 0.5 * LAMBDA_RESIDUAL_TOL * np.sqrt(np.min(wts)) * (1.0 + max(0.0, -q))
+            with warnings.catch_warnings():  # its notes on a missed tol: the residual below is the report
+                warnings.simplefilter("ignore", UserWarning)
+                _, x = lobpcg(lambda v: (wts * apply_l(v.reshape(wts.shape))).reshape(v.shape), u.reshape(-1, 1),
+                              B=lambda v: wts.reshape(-1, 1) * v, M=_flat_inverse(fields.geom), tol=tol,
+                              maxiter=LAMBDA_MAX_ITER, largest=False)
+            q, u, res = rayleigh(x[:, 0].reshape(wts.shape))
         if res <= LAMBDA_RESIDUAL_TOL * (1.0 + abs(q)):
             break
     else:
@@ -553,8 +549,8 @@ class TorusParams:
     compute_lambda: bool = True
 
     def __post_init__(self):
-        if not (self.T > 0 and self.cfl > 0):
-            raise ValidationError("T and cfl must be positive")
+        if not (0 < self.T < np.inf and 0 < self.cfl < np.inf):
+            raise ValidationError(f"T and cfl must be positive and finite, got {self.T!r} and {self.cfl!r}")
         if not self.max_steps >= 1:
             raise ValidationError(f"max_steps must be at least 1, got {self.max_steps!r}")
 

@@ -40,12 +40,12 @@ class FlowParams:
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        if not (self.dt > 0 and self.T > 0):
-            raise ValidationError("dt and T must be positive")
+        if not (0 < self.dt < np.inf and 0 < self.T < np.inf):
+            raise ValidationError(f"dt and T must be positive and finite, got {self.dt!r} and {self.T!r}")
         if not self.max_steps >= 1:
             raise ValidationError(f"max_steps must be at least 1, got {self.max_steps!r}")
-        if not self.retract_tol > 0:
-            raise ValidationError(f"retract_tol must be positive, got {self.retract_tol!r}")
+        if not 0 < self.retract_tol < np.inf:
+            raise ValidationError(f"retract_tol must be positive and finite, got {self.retract_tol!r}")
 
 
 @dataclass

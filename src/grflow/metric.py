@@ -74,16 +74,6 @@ class MetricValidation:
     involution_residual: float
     eta_symmetry_residual: float
 
-    def as_dict(self) -> dict:
-        return {
-            "pseudometric": self.pseudometric,
-            "strictly_positive": self.strictly_positive,
-            "n_plus": self.n_plus,
-            "n_minus": self.n_minus,
-            "involution_residual": self.involution_residual,
-            "eta_symmetry_residual": self.eta_symmetry_residual,
-        }
-
 
 def validate_metric(a: QuadraticLieAlgebra, g: np.ndarray) -> MetricValidation:
     """Report-style check of the pseudometric axioms; never raises.
@@ -112,6 +102,8 @@ def metric_from_subspace(a: QuadraticLieAlgebra, v_plus: np.ndarray) -> Generali
     ``v_plus`` holds basis vectors as columns (or a list of vectors).
     """
     v = np.asarray(v_plus, dtype=float)
+    if not (1 <= v.ndim <= 2 and np.all(np.isfinite(v))):
+        raise DegenerateSubspace(f"basis of V+ must be finite vectors, got an array of shape {v.shape}")
     if v.ndim == 1:
         v = v[:, None]
     if v.shape[0] != a.n:  # accept a list of row vectors too
@@ -142,12 +134,11 @@ def metric_from_graph(a: QuadraticLieAlgebra, g: np.ndarray, b: np.ndarray | Non
     the second half its dual, as produced by the double presets.
     """
     g = np.asarray(g, dtype=float)
-    m = g.shape[0]
-    if a.n != 2 * m:
-        raise DegenerateSubspace(f"graph construction needs n = 2*{m}, algebra has n = {a.n}")
-    if b is None:
-        b = np.zeros((m, m))
-    b = np.asarray(b, dtype=float)
+    b = np.zeros_like(g) if b is None else np.asarray(b, dtype=float)
+    m = a.n // 2
+    if a.n != 2 * m or g.shape != (m, m) or b.shape != (m, m):
+        raise DegenerateSubspace(f"graph construction needs g and B of shape ({m}, {m}) and n = 2*{m}, "
+                                 f"got {g.shape}, {b.shape} and n = {a.n}")
     v = np.vstack([np.eye(m), (g + b).T])
     return metric_from_subspace(a, v)
 
@@ -238,7 +229,7 @@ def random_strictly_positive_metric(a: QuadraticLieAlgebra, seed: int) -> Genera
         return GeneralizedPseudometric.from_matrix(a, np.eye(a.n))
     k = rng.standard_normal((q, p))
     sv = np.linalg.svd(k, compute_uv=False)
-    if sv[0] > 0:
+    if sv.size and sv[0] > 0:  # p = 0 leaves k empty: V+ = 0 and G = -Id
         k *= 0.8 * rng.uniform(0.3, 1.0) / sv[0]
     v_plus = frame[:, :p] + frame[:, p:] @ k
     return metric_from_subspace(a, v_plus)

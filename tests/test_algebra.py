@@ -108,6 +108,42 @@ def test_change_basis_rejects_singular(su2_double):
         alg.change_basis(su2_double, p)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_change_basis_rejects_non_finite(su2_double, bad):
+    p = np.eye(6)
+    p[2, 3] = bad
+    with pytest.raises(SingularBasis, match="finite"):
+        alg.change_basis(su2_double, p)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_eta_rejected(bad):
+    # an infinite eigenvalue once gave eta_inv = diag(1, 1, 0), an algebra validate_algebra passed
+    with pytest.raises(NonInvertiblePairing, match="finite"):
+        alg.QuadraticLieAlgebra(np.diag([1.0, 1.0, bad]), np.zeros((3, 3, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_c_rejected(bad):
+    c = alg.epsilon3()
+    c[0, 1, 2] = bad
+    with pytest.raises(InvalidLieAlgebra, match="finite"):
+        alg.QuadraticLieAlgebra(np.eye(3), c)
+
+
+@pytest.mark.parametrize("h", [[["a"]], [[1, 2], [3]], {"x": 1}, True, None, [[1.0, 0.0], [0.0, 1.0]]])
+def test_malformed_h_is_an_invalid_lie_algebra(h):
+    with pytest.raises(InvalidLieAlgebra, match="h structure constants"):
+        alg.preset_algebra("cotangent_double", h=h)
+
+
+def test_validate_algebra_past_the_float_range_reports():
+    # so(3) at scale 2^512: the Jacobi terms and the squared scale overflow, where a Python float power raised
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = alg.validate_algebra(alg.so3(2.0 ** 512))
+    assert rep.antisymmetry_residual == 0.0 and np.isnan(rep.jacobi_residual) and not rep.passed
+
+
 def test_norm_c_invariant_under_eta_orthogonal(su2_double, rng):
     from scipy.linalg import expm
 

@@ -1,7 +1,12 @@
+import inspect
 import json
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from grflow import cli
 from grflow import curvature as cur
@@ -65,6 +70,102 @@ def test_integer_too_large_for_float_exit_2(tmp_path, capsys, cfg):
     path = write_cfg(tmp_path, cfg)
     assert cli.main([cfg["mode"], "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "too large for a float" in capsys.readouterr().err
+
+
+def exit_code_and_error_line(capsys, tmp_path, path, mode, *argv):
+    """``grf <mode>``'s exit code and its one line of stderr, asserted to be the only one and no traceback."""
+    code = cli.main([mode, "--config", str(path), "--out", str(tmp_path / "out"), *argv])
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return code, err
+
+
+@pytest.mark.parametrize("text", [
+    '{"mode": "validate", "seed": ' + "9" * 5000 + "}",  # past Python's int-digit limit
+    '{"mode": "validate", "algebra": {"eta": ' + "[" * 100_000 + "]" * 100_000 + "}}",
+    b'{"mode": "validate", "out": "\xff"}',
+    '{"mode": "validate", "algebra": {"preset": "so3", "params": {"scale": 1e400}}}',
+    '{"mode": "validate", "algebra": {"preset": "so3", "params": {"scale": NaN}}}',
+    '{"mode": "validate", "algebra": {"preset": "so3", "params": {"scale": -Infinity}}}',
+], ids=["5000 digits", "100000 deep", "not UTF-8", "1e400", "NaN", "-Infinity"])
+def test_config_the_parser_rejects_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert exit_code_and_error_line(capsys, tmp_path, path, "validate")[0] == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("h", [[["a"]], [[1, 2], [3]], {"x": 1}, True])
+@pytest.mark.parametrize("mode", ["validate", "curvature"])
+def test_malformed_h_exit_2(tmp_path, capsys, mode, h):
+    cfg = {"mode": mode, "algebra": {"preset": "cotangent_double", "params": {"h": h}}, "metric": {"identity": True}}
+    code, err = exit_code_and_error_line(capsys, tmp_path, write_cfg(tmp_path, cfg), mode)
+    assert code == 2 and err.startswith("error: h structure constants")
+
+
+@pytest.mark.parametrize("cfg, argv", [
+    ({"mode": "check", "seed": -3, "check": {"scope": "algebraic", "instances": 1}}, []),
+    ({"mode": "torus", "torus": {"N": 8, "init": "perturbed", "T": 0.01}}, ["--seed", "-1"]),
+    ({"mode": "validate", "algebra": {"preset": "so3"}, "metric": {"random_positive_seed": -1}}, []),
+    ({"mode": "curvature", "algebra": {"preset": "so3"}, "metric": {"random_positive_seed": -1}}, []),
+])
+def test_negative_seed_exit_2(tmp_path, capsys, cfg, argv):
+    # numpy's default_rng takes no negative seed
+    code, err = exit_code_and_error_line(capsys, tmp_path, write_cfg(tmp_path, cfg), cfg["mode"], *argv)
+    assert code == 2 and err.startswith("error: ") and ("minimum of 0" in err or "non-negative" in err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_basis_is_a_numerical_failure(tmp_path, capsys):
+    # finite numbers whose products overflow: LAPACK's failure on them is a numerical failure, not a traceback
+    cfg = {"mode": "validate", "algebra": {"preset": "so3"}, "metric": {"v_plus": [[1e154] * 3] * 3}}
+    with np.errstate(over="ignore"):
+        assert cli.main(["validate", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+
+
+def test_config_nested_near_the_recursion_limit_exits_cleanly(tmp_path, capsys):
+    # around the depth where the parser gives up, some sweep configs parse and then recurse when index.json is hashed
+    limit = sys.getrecursionlimit() - len(inspect.stack(0))
+    codes = set()
+    for depth in range(limit - 30, limit - 6):
+        cfg = {"mode": "sweep", "algebra": {"preset": "so3"}, "metric": {"identity": True},
+               "sweep": {"axes": [{"path": "flow.T", "values": [[]]}]}}
+        (tmp_path / "deep.json").write_text(json.dumps(cfg).replace("[[]]", "[" * depth + "]" * depth))
+        codes.add(cli.main(["sweep", "--config", str(tmp_path / "deep.json"), "--out", str(tmp_path)]))
+        assert "Traceback" not in capsys.readouterr().err
+    assert codes == {2, 3}  # a config the parser rejects, and a sweep whose one cell fails
+
+
+_number = st.integers(-3, 3) | st.floats(allow_nan=False, allow_infinity=False)
+_json = st.recursive(st.none() | st.booleans() | _number | st.text(max_size=3),
+                     lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=2), kids, max_size=2),
+                     max_leaves=10)
+_value = _json | hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=3, max_side=6),
+                            elements=st.floats(allow_nan=False, allow_infinity=False)).map(np.ndarray.tolist)
+_algebra = st.fixed_dictionaries(
+    {"preset": st.sampled_from(["abelian", "so3", "cotangent_double", "complex_double_su2"])},
+    optional={"params": st.fixed_dictionaries({}, optional={
+        "n": st.integers(1, 6), "p": st.integers(0, 6), "scale": _number, "h": st.just("su2") | _value})},
+) | st.fixed_dictionaries({"eta": _value, "c": _value})
+_metric = st.one_of(
+    st.fixed_dictionaries({"identity": st.booleans()}),
+    st.fixed_dictionaries({"matrix": _value}),
+    st.fixed_dictionaries({"v_plus": _value}),
+    st.fixed_dictionaries({"graph": st.fixed_dictionaries({"g": _value}, optional={"B": _value})}),
+    st.fixed_dictionaries({"random_positive_seed": st.integers(-3, 2**40)}),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=st.fixed_dictionaries({"mode": st.sampled_from(["validate", "curvature"]), "algebra": _algebra},
+                                 optional={"metric": _metric, "divergence": st.lists(_number, max_size=7)}))
+def test_config_fuzz_never_raises(tmp_path_factory, cfg):
+    # exit 3 only where finite numbers overflow inside the linear algebra
+    out = tmp_path_factory.mktemp("fuzz")
+    path = write_cfg(out, cfg)
+    with np.errstate(all="ignore"):
+        assert cli.main([cfg["mode"], "--config", str(path), "--out", str(out)]) in (0, 2, 3)
 
 
 def test_mode_mismatch(tmp_path):

@@ -709,6 +709,12 @@ def test_torus_params_reject_nonpositive_or_nan_time_and_cfl(bad):
         et.TorusParams(**bad)
 
 
+@pytest.mark.parametrize("bad", [{"T": float("inf")}, {"cfl": float("inf")}])
+def test_torus_params_reject_infinite_time_and_cfl(bad):
+    with pytest.raises(ValidationError, match="T and cfl must be positive"):
+        et.TorusParams(**bad)
+
+
 def test_max_steps_marks_abort(geom8, stopped_short):
     tr = et.run_torus_flow(et.flat_state(geom8), et.TorusParams(T=1.0, cfl=0.2, max_steps=2))
     stopped_short(tr, "max_steps = 2")

@@ -68,6 +68,17 @@ def test_flow_params_reject_nonpositive_retract_tol(tol):
         fl.FlowParams(dt=1e-2, T=0.1, retract_tol=tol)
 
 
+@pytest.mark.parametrize("bad, match", [
+    ({"dt": float("inf")}, "dt and T must be positive"),
+    ({"T": float("inf")}, "dt and T must be positive"),
+    ({"retract_tol": float("inf")}, "retract_tol"),
+])
+def test_flow_params_reject_infinite_values(bad, match):
+    # T = inf would end a run only at its step budget or at a failure
+    with pytest.raises(ValidationError, match=match):
+        fl.FlowParams(**bad)
+
+
 def test_retraction_fixed_point(su2_double, graph_metric_123):
     out = fl.involution_retract(graph_metric_123.G, 1e-10)
     assert np.array_equal(out, graph_metric_123.G)

@@ -33,6 +33,35 @@ def test_degenerate_subspace_rejected():
         met.metric_from_subspace(a, v)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_basis_is_a_degenerate_subspace(su2_double, bad):
+    with pytest.raises(DegenerateSubspace, match="finite"):
+        met.metric_from_graph(su2_double, np.diag([1.0, 2.0, bad]))
+
+
+@pytest.mark.parametrize("g, b", [
+    (np.zeros((3, 1)), np.zeros((2, 1))),  # shapes that do not broadcast
+    (np.zeros((3, 1, 1)), None),
+    (np.eye(3), np.zeros((3, 3, 1))),
+    (np.eye(2), None),
+])
+def test_graph_of_the_wrong_shape_is_a_degenerate_subspace(su2_double, g, b):
+    with pytest.raises(DegenerateSubspace, match="graph construction needs g and B of shape"):
+        met.metric_from_graph(su2_double, g, b)
+
+
+def test_subspace_basis_of_three_dimensions_rejected():
+    with pytest.raises(DegenerateSubspace, match="finite vectors"):
+        met.metric_from_subspace(alg.so3(), np.zeros((1, 3, 1)))
+
+
+def test_random_positive_metric_without_a_positive_block():
+    # eta negative definite: V+ = 0, and G = -Id is the only strictly positive metric
+    assert np.array_equal(met.random_strictly_positive_metric(alg.abelian(2, 0), 0).G, -np.eye(2))
+    with pytest.raises(ForbiddenRank):
+        met.random_strictly_positive_metric(alg.abelian(1, 0), 0)
+
+
 def test_validate_metric_identity():
     a = alg.abelian(4, 2)
     rep = met.validate_metric(a, np.eye(4))
