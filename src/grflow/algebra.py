@@ -219,25 +219,28 @@ def complex_double_su2(scale: float = 1.0) -> QuadraticLieAlgebra:
 
 
 def preset_algebra(name: str, **params) -> QuadraticLieAlgebra:
-    """Registry entry point used by the CLI and tests."""
+    """Registry entry point used by the CLI and tests; a param the preset does not read raises InvalidLieAlgebra."""
     if name == "abelian":
-        return abelian(int(params.get("n", 4)), int(params.get("p", 2)))
-    if name == "so3":
-        return so3(float(params.get("scale", 1.0)))
-    if name == "cotangent_double":
-        h = params.get("h", "su2")
+        make, args = abelian, (int(params.pop("n", 4)), int(params.pop("p", 2)))
+    elif name == "so3":
+        make, args = so3, (float(params.pop("scale", 1.0)),)
+    elif name == "complex_double_su2":
+        make, args = complex_double_su2, (float(params.pop("scale", 1.0)),)
+    elif name == "cotangent_double":
+        h = params.pop("h", "su2")
         if isinstance(h, str):
             if h != "su2":
                 raise InvalidLieAlgebra(f"unknown base Lie algebra preset '{h}'")
             h = su2_structure()
         try:
-            h = np.asarray(h, dtype=float)
+            make, args = cotangent_double, (np.asarray(h, dtype=float),)
         except (TypeError, ValueError) as exc:
             raise InvalidLieAlgebra(f"h structure constants are not a numeric array: {exc}") from None
-        return cotangent_double(h)
-    if name == "complex_double_su2":
-        return complex_double_su2(float(params.get("scale", 1.0)))
-    raise InvalidLieAlgebra(f"unknown algebra preset '{name}'")
+    else:
+        raise InvalidLieAlgebra(f"unknown algebra preset '{name}'")
+    if params:
+        raise InvalidLieAlgebra(f"algebra preset '{name}' takes no params {sorted(params)}")
+    return make(*args)
 
 
 def change_basis(a: QuadraticLieAlgebra, p: np.ndarray) -> QuadraticLieAlgebra:

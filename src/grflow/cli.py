@@ -78,6 +78,8 @@ _ALGEBRA_SCHEMA = {
         "eta": {"type": "array"},
         "c": {"type": "array"},
     },
+    "oneOf": [{"required": ["preset"]}, {"required": ["eta", "c"]}],
+    "dependentRequired": {"params": ["preset"], "eta": ["c"], "c": ["eta"]},
 }
 
 _METRIC_SCHEMA = {
@@ -92,9 +94,11 @@ _METRIC_SCHEMA = {
             "properties": {"g": {"type": "array"}, "B": {"type": "array"}},
             "required": ["g"],
         },
-        "identity": {"type": "boolean"},
+        "identity": {"const": True},
         "random_positive_seed": {"type": "integer", "minimum": 0},
     },
+    "minProperties": 1,
+    "maxProperties": 1,
 }
 
 CONFIG_SCHEMA = {
@@ -225,20 +229,16 @@ def build_algebra(cfg: dict) -> alg.QuadraticLieAlgebra:
     section = cfg.get("algebra")
     if section is None:
         raise ConfigParseError("config requires an 'algebra' section for this mode")
-    if "preset" in section:
+    if "preset" in section:  # the schema holds a section to a preset with params, or to eta and c
         return alg.preset_algebra(section["preset"], **section.get("params", {}))
-    if "eta" in section and "c" in section:
-        return alg.QuadraticLieAlgebra(
-            _float_array(section["eta"], "algebra/eta"), _float_array(section["c"], "algebra/c")
-        )
-    raise ConfigParseError("algebra section needs either a preset or explicit eta and c arrays")
+    return alg.QuadraticLieAlgebra(_float_array(section["eta"], "algebra/eta"), _float_array(section["c"], "algebra/c"))
 
 
 def build_metric(cfg: dict, a: alg.QuadraticLieAlgebra) -> met.GeneralizedPseudometric:
     section = cfg.get("metric")
     if section is None:
         raise ConfigParseError("config requires a 'metric' section for this mode")
-    if section.get("identity"):
+    if "identity" in section:  # the schema holds a section to exactly one of its keys
         return met.GeneralizedPseudometric.from_matrix(a, np.eye(a.n))
     if "matrix" in section:
         return met.GeneralizedPseudometric.from_matrix(a, _float_array(section["matrix"], "metric/matrix"))
@@ -248,9 +248,7 @@ def build_metric(cfg: dict, a: alg.QuadraticLieAlgebra) -> met.GeneralizedPseudo
         g = _float_array(section["graph"]["g"], "metric/graph/g")
         b = section["graph"].get("B")
         return met.metric_from_graph(a, g, None if b is None else _float_array(b, "metric/graph/B"))
-    if "random_positive_seed" in section:
-        return met.random_strictly_positive_metric(a, int(section["random_positive_seed"]))
-    raise ConfigParseError("metric section needs one of: matrix, v_plus, graph, identity, random_positive_seed")
+    return met.random_strictly_positive_metric(a, int(section["random_positive_seed"]))
 
 
 def _header_line(cfg: dict, seed: int) -> str:
@@ -288,10 +286,9 @@ def mode_validate(cfg, seed, out_dir):
     rep = alg.validate_algebra(a)
     body = {"algebra": asdict(rep)}
     if "metric" in cfg:
-        section = cfg["metric"]
         # a raw matrix is reported on as given: building it would raise on the very input to report
-        raw = "matrix" in section and not section.get("identity")
-        g = _float_array(section["matrix"], "metric/matrix") if raw else build_metric(cfg, a).G
+        matrix = cfg["metric"].get("matrix")
+        g = build_metric(cfg, a).G if matrix is None else _float_array(matrix, "metric/matrix")
         gm_rep = met.validate_metric(a, g)
         body["metric"] = asdict(gm_rep)
         ok = rep.passed and gm_rep.pseudometric
@@ -358,6 +355,8 @@ def _torus_state_params(cfg, seed):
     geom = et.TorusGeometry(t.get("d", 3), t.get("N", 16), **_given(t, "L"))
     if t.get("init", "flat") == "perturbed":
         state = et.perturbed_state(geom, seed, **_given(t, "amplitude", "k", "kmax"))
+    elif _given(t, "amplitude", "kmax"):
+        raise ConfigParseError("config fields 'torus/amplitude' and 'torus/kmax' are for init 'perturbed' only")
     else:
         state = et.flat_state(geom, **_given(t, "k"))
     return state, et.TorusParams(**_given(t, "T", "cfl", "compute_lambda"))
@@ -474,7 +473,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return run_config(args.config, mode=args.mode, seed=args.seed, out=args.out)
-    except ValidationError as exc:
+    except (ValidationError, MemoryError) as exc:  # a config sized past the machine's memory is bad input too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:  # grf has no recursion of its own: a config nested deeper than Python recurses

@@ -129,7 +129,7 @@ def kappa_prime(a: QuadraticLieAlgebra, g: np.ndarray, u: np.ndarray) -> np.ndar
     """
     n_plus, n_minus = eigen_ranks(g)
     if n_plus == 1 or n_minus == 1:
-        raise ForbiddenRank(f"kappa' undefined for ranks ({n_plus},{n_minus})")
+        raise ForbiddenRank(f"no kappa' and no LC connection with prescribed divergence at ranks ({n_plus},{n_minus})")
     u = np.asarray(u, dtype=float)
     out = np.zeros((a.n, a.n, a.n))
     for p, k in zip(projectors(g), (n_plus, n_minus)):
@@ -151,11 +151,8 @@ def levi_civita(a: QuadraticLieAlgebra, g: np.ndarray, d: Divergence | None = No
 
     Repair construction from gamma = 0 (compatible over a point): subtract
     tau'(torsion), then add kappa'(d - current divergence); the result is a
-    fixed point of the repair.
+    fixed point of the repair; ``kappa_prime`` raises ForbiddenRank at an eigenbundle rank 1.
     """
-    n_plus, n_minus = eigen_ranks(g)
-    if n_plus == 1 or n_minus == 1:
-        raise ForbiddenRank(f"no LC connection with prescribed divergence at ranks ({n_plus},{n_minus})")
     return lc_repair(a, g, d, np.zeros((a.n,) * 3))
 
 

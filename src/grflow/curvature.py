@@ -8,8 +8,9 @@ bilinear form is needed.
 
 Ricci and scalar computed by independent routes (tensor contraction, bracket
 trace of ad products, closed form) must agree; ``ricci`` and ``scalar`` raise
-RouteDisagreement otherwise.  The closed forms are matrix products of the Gram
-contraction S and its G-moved copy T: GRc = K - G K G with K = (S - T)/4.
+RouteDisagreement otherwise, a NaN on either route included.  The closed forms
+are matrix products of the Gram contraction S and its G-moved copy T:
+GRc = K - G K G with K = (S - T)/4.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 
 from .algebra import QuadraticLieAlgebra, Tensor
 from .connection import Divergence, cov_d, divergence_vector, levi_civita, mixed_christoffel, torsion
-from .errors import ForbiddenRank, RouteDisagreement
-from .metric import eigen_ranks, lie_derivative_metric, mixed_norm_sq, projectors
+from .errors import RouteDisagreement
+from .metric import lie_derivative_metric, mixed_norm_sq, projectors
 
 ROUTE_TOL = 1e-10
 
@@ -80,22 +81,29 @@ def ricci_bracket_route(a: QuadraticLieAlgebra, g: np.ndarray, d: Divergence | N
     return a.eta_inv @ (s + s.T)
 
 
+def _route_gap(x, ref) -> float:
+    """max|x - ref| / (1 + max|x|), the gap of a route's value ``x`` to its reference; NaN if either is NaN."""
+    return float(np.max(np.abs(x - ref))) / (1.0 + float(np.max(np.abs(x))))
+
+
+def _agreed(what: str, x, ref):
+    """``x`` if it agrees with ``ref`` to ``ROUTE_TOL``; a NaN gap disagrees."""
+    gap = _route_gap(x, ref)
+    if not gap <= ROUTE_TOL:
+        raise RouteDisagreement(f"{what} routes disagree: relative gap {gap:.3e}")
+    return x
+
+
 def ricci(a: QuadraticLieAlgebra, g: np.ndarray, d: Divergence | None = None,
           D: np.ndarray | None = None) -> np.ndarray:
     """Ricci endomorphism GRc = fGRc - G fGRc G for D (Christoffels gamma) in LC(G, div).
 
     Cross-checks the contraction route against the bracket-trace formula and
-    raises RouteDisagreement if they disagree beyond 1e-10 (1 + |GRc|).
+    raises RouteDisagreement unless they agree to 1e-10 (1 + |GRc|).
     """
     if D is None:
         D = levi_civita(a, g, d)
-    fgrc = full_ricci(a, D)
-    grc = _ricci_from_full(g, fgrc)
-    grc_br = ricci_bracket_route(a, g, d)
-    gap = float(np.max(np.abs(grc - grc_br)))
-    if gap > ROUTE_TOL * (1.0 + float(np.max(np.abs(grc)))):
-        raise RouteDisagreement(f"Ricci routes disagree: max gap {gap:.3e}")
-    return grc
+    return _agreed("Ricci", _ricci_from_full(g, full_ricci(a, D)), ricci_bracket_route(a, g, d))
 
 
 def moved_gram(a: QuadraticLieAlgebra, g: np.ndarray) -> np.ndarray:
@@ -132,23 +140,13 @@ def scalar_closed_form(a: QuadraticLieAlgebra, g: np.ndarray, d: Divergence | No
     return gr - float(d.d @ g @ (a.eta_inv @ d.d))
 
 
-def scalar(a: QuadraticLieAlgebra, g: np.ndarray, d: Divergence | None = None,
-           D: np.ndarray | None = None) -> float:
+def scalar(a: QuadraticLieAlgebra, g: np.ndarray, d: Divergence | None = None) -> float:
     """Scalar curvature GR = Tr(G fGRc) via the Riemann trace route.
 
     Raises RouteDisagreement unless it agrees with the closed form to 1e-10 (1 + |GR|).
     """
-    n_plus, n_minus = eigen_ranks(g)
-    if n_plus == 1 or n_minus == 1:
-        raise ForbiddenRank(f"scalar curvature needs ranks != 1, got ({n_plus},{n_minus})")
-    if D is None:
-        D = levi_civita(a, g, d)
-    fgrc = full_ricci(a, D)
-    val = float(np.trace(g @ fgrc))
-    ref = scalar_closed_form(a, g, d)
-    if abs(val - ref) > ROUTE_TOL * (1.0 + abs(val)):
-        raise RouteDisagreement(f"scalar routes disagree: trace {val!r} vs closed form {ref!r}")
-    return val
+    val = float(np.trace(g @ full_ricci(a, levi_civita(a, g, d))))
+    return _agreed("scalar", val, scalar_closed_form(a, g, d))
 
 
 def dirac_square(a: QuadraticLieAlgebra) -> float:
@@ -180,26 +178,26 @@ def scalar_divergence_shift(a: QuadraticLieAlgebra, g: np.ndarray, e) -> tuple[f
     return lhs, rhs
 
 
+def _bianchi_inputs(a: QuadraticLieAlgebra, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(mixed Christoffels of D in LC(G, 0), GRc, 1 + max|GRc|) for the two Bianchi residuals."""
+    D = levi_civita(a, g, None)
+    grc = ricci(a, g, None, D=D)
+    return mixed_christoffel(a, D), grc, 1.0 + float(np.max(np.abs(grc)))
+
+
 def bianchi_residual(a: QuadraticLieAlgebra, g: np.ndarray) -> float:
     """max_g |G^a_b D_a GRc^b_g| for D in LC(G, 0); the right side 1/2 D_g GR
     vanishes over a point.  Normalized by (1 + |GRc|)."""
-    D = levi_civita(a, g, None)
-    grc = ricci(a, g, None, D=D)
-    m = mixed_christoffel(a, D)
-    cov = cov_d(m, grc, ("u", "d"))
-    res = np.einsum("ab,abg->g", g, cov)
-    return float(np.max(np.abs(res))) / (1.0 + float(np.max(np.abs(grc))))
+    m, grc, scale = _bianchi_inputs(a, g)
+    res = np.einsum("ab,abg->g", g, cov_d(m, grc, ("u", "d")))
+    return float(np.max(np.abs(res))) / scale
 
 
 def bianchi_divergence_residual(a: QuadraticLieAlgebra, g: np.ndarray) -> float:
     """Point-base simplification D_a GRc^{ab} = 0 for any LC connection."""
-    D = levi_civita(a, g, None)
-    grc = ricci(a, g, None, D=D)
-    grc_uu = grc @ a.eta_inv  # GRc^{ab}
-    m = mixed_christoffel(a, D)
-    cov = cov_d(m, grc_uu, ("u", "u"))
-    res = np.einsum("aab->b", cov)
-    return float(np.max(np.abs(res))) / (1.0 + float(np.max(np.abs(grc))))
+    m, grc, scale = _bianchi_inputs(a, g)
+    res = np.einsum("aab->b", cov_d(m, grc @ a.eta_inv, ("u", "u")))  # D_a GRc^{ab}
+    return float(np.max(np.abs(res))) / scale
 
 
 @dataclass
@@ -251,22 +249,18 @@ def mixed_trace_residual(a: QuadraticLieAlgebra, g: np.ndarray, grm: np.ndarray)
 
 
 def curvature_report(a: QuadraticLieAlgebra, g: np.ndarray, d: Divergence | None = None) -> CurvatureReport:
-    D = levi_civita(a, g, d)
-    grm = riemann(a, D)
+    grm = riemann(a, levi_civita(a, g, d))
     fgrc = _contract_riemann(a, grm.data)
     grc = _ricci_from_full(g, fgrc)
-    grc_br = ricci_bracket_route(a, g, d)
     gr = float(np.trace(g @ fgrc))
-    gr_ref = scalar_closed_form(a, g, d)
-    grc_down = a.eta @ grc
     return CurvatureReport(
         riemann=grm,
         full_ricci=fgrc,
         ricci=grc,
         scalar=gr,
-        norm_ricci_sq=mixed_norm_sq(a, grc_down),
+        norm_ricci_sq=mixed_norm_sq(a, a.eta @ grc),
         symmetry_residual=riemann_symmetry_residual(a, grm.data),
         mixed_trace_residual=mixed_trace_residual(a, g, grm.data),
-        route_residual_ricci=float(np.max(np.abs(grc - grc_br))) / (1.0 + float(np.max(np.abs(grc)))),
-        route_residual_scalar=abs(gr - gr_ref) / (1.0 + abs(gr)),
+        route_residual_ricci=_route_gap(grc, ricci_bracket_route(a, g, d)),
+        route_residual_scalar=_route_gap(gr, scalar_closed_form(a, g, d)),
     )

@@ -171,15 +171,9 @@ def eh_gradient_check(a: QuadraticLieAlgebra, g: np.ndarray, sigma: float, seed:
     K /= np.linalg.norm(K, 2)  # unit probe direction keeps the cubic remainder small
     nu = float(rng.standard_normal())
     chi = path_tangent(g, K)
-    grc = ricci(a, g, None)
-    gr = scalar(a, g, None)
-    pred = 0.5 * float(np.trace(chi @ grc)) * sigma**2 + 2.0 * gr * sigma * nu
-    s = 1e-4
-    fd = (
-        eh_functional(a, metric_path(g, K, s), sigma + s * nu)
-        - eh_functional(a, metric_path(g, K, -s), sigma - s * nu)
-    ) / (2 * s)
-    return abs(fd - pred) / (1.0 + abs(pred))
+    pred = 0.5 * float(np.trace(chi @ ricci(a, g, None))) * sigma**2 + 2.0 * scalar(a, g, None) * sigma * nu
+    [err] = fd_error_ladder(pred, lambda s: eh_functional(a, metric_path(g, K, s), sigma + s * nu), steps=(1e-4,))
+    return err / (1.0 + abs(pred))
 
 
 def fd_error_ladder(exact, values_at, steps=FD_STEPS) -> list[float]:

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from grflow import cli
 from grflow import curvature as cur
+from grflow.connection import Divergence
 from grflow.errors import ConfigParseError, EigensolverStalled, StepUnderflow
 
 
@@ -116,6 +117,38 @@ def test_negative_seed_exit_2(tmp_path, capsys, cfg, argv):
     assert not (tmp_path / "out").exists()
 
 
+_GRAPH_123 = {"g": [[1, 0, 0], [0, 2, 0], [0, 0, 3]]}
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"mode": "validate", "algebra": {"preset": "so3", "params": {"n": 40, "h": "sl2"}}}, "takes no params ['h', 'n']"),
+    ({"mode": "validate", "algebra": {"preset": "abelian", "params": {"scale": 2.0, "h": "su2"}}}, "takes no params"),
+    ({"mode": "validate", "algebra": {"preset": "so3", "eta": [[1]], "c": [[[0]]]}}, "is valid under each of"),
+    ({"mode": "validate", "algebra": {"params": {"n": 4}}}, "'preset' is a dependency of 'params'"),
+    ({"mode": "validate", "algebra": {"eta": [[1]]}}, "'c' is a dependency of 'eta'"),
+    ({"mode": "curvature", "algebra": {"preset": "cotangent_double"},
+      "metric": {"identity": True, "graph": _GRAPH_123}}, "has too many properties"),
+    ({"mode": "curvature", "algebra": {"preset": "so3"}, "metric": {"identity": False}}, "True was expected"),
+    ({"mode": "curvature", "algebra": {"preset": "so3"}, "metric": {}}, "should be non-empty"),
+    ({"mode": "torus", "torus": {"N": 8, "T": 0.01, "init": "flat", "amplitude": 0.1, "kmax": 2}},
+     "are for init 'perturbed' only"),
+    ({"mode": "torus", "torus": {"N": 8, "T": 0.01, "kmax": 2}}, "are for init 'perturbed' only"),
+], ids=["so3 params", "abelian params", "preset and arrays", "params without preset", "eta without c",
+        "identity and graph", "identity false", "empty metric", "flat amplitude", "default init kmax"])
+def test_config_section_takes_one_form_exit_2(tmp_path, capsys, cfg, message):
+    # each of these ran before, with a key silently ignored: the params, the graph, the arrays, the perturbation
+    code, err = exit_code_and_error_line(capsys, tmp_path, write_cfg(tmp_path, cfg), cfg["mode"])
+    assert code == 2 and err.startswith("error: ") and message in err
+    assert not list((tmp_path / "out").glob("*"))
+
+
+def test_config_past_memory_exit_2(tmp_path, capsys):
+    # 42.6 PiB of grid fields: more than any address space, so the allocation fails before it touches memory
+    path = write_cfg(tmp_path, {"mode": "torus", "torus": {"N": 100_000}})
+    code, err = exit_code_and_error_line(capsys, tmp_path, path, "torus")
+    assert code == 2 and err.startswith("error: Unable to allocate 42.6 PiB")
+
+
 def test_overflowing_basis_is_a_numerical_failure(tmp_path, capsys):
     # finite numbers whose products overflow: LAPACK's failure on them is a numerical failure, not a traceback
     cfg = {"mode": "validate", "algebra": {"preset": "so3"}, "metric": {"v_plus": [[1e154] * 3] * 3}}
@@ -194,6 +227,20 @@ def test_curvature_mode(tmp_path):
     assert cli.run_config(path, out=tmp_path) == 0
     rep = json.loads((tmp_path / "curvature.json").read_text())
     assert rep["report"]["scalar"] == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+
+def test_curvature_mode_with_divergence(tmp_path, su2_double, graph_metric_123):
+    # GR(G, <e,.>) = GR(G, 0) - <G e, e> for the divergence d = eta e
+    e = np.array([0.1, -0.2, 0.3, 0.05, 0.4, -0.7])
+    d = su2_double.eta @ e
+    base = {"mode": "curvature", "algebra": {"preset": "cotangent_double"}, "metric": {"graph": _GRAPH_123}}
+    scalars = []
+    for name, cfg in (("zero", base), ("shifted", {**base, "divergence": d.tolist()})):
+        assert cli.run_config(write_cfg(tmp_path, cfg, f"{name}.json"), out=tmp_path / name) == 0
+        scalars.append(json.loads((tmp_path / name / "curvature.json").read_text())["report"]["scalar"])
+    g = graph_metric_123.G
+    assert scalars[1] == cur.scalar(su2_double, g, Divergence(d))
+    assert scalars[1] - scalars[0] == pytest.approx(-float(e @ su2_double.eta @ g @ e), abs=1e-12)
 
 
 def test_curvature_divergence_of_wrong_length_exit_2(tmp_path, capsys):

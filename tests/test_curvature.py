@@ -8,7 +8,7 @@ from grflow import checks
 from grflow import connection as con
 from grflow import curvature as cur
 from grflow import metric as met
-from grflow.errors import RouteDisagreement
+from grflow.errors import ForbiddenRank, RouteDisagreement
 
 
 def test_riemann_abelian_zero():
@@ -172,6 +172,29 @@ def test_route_disagreement_raises(monkeypatch, su2_double, graph_metric_123):
     monkeypatch.setattr(cur, "scalar_closed_form", lambda *args: closed(*args) + 1e-6)
     with pytest.raises(RouteDisagreement, match="scalar routes disagree"):
         cur.scalar(su2_double, g, None)
+
+
+def test_nan_route_disagrees(monkeypatch, su2_double, graph_metric_123):
+    # a NaN gap is no agreement: each route raises, and the report carries the NaN
+    g = graph_metric_123.G
+    monkeypatch.setattr(cur, "ricci_bracket_route", lambda a, g, d=None: np.full((a.n, a.n), np.nan))
+    monkeypatch.setattr(cur, "scalar_closed_form", lambda *args: float("nan"))
+    with pytest.raises(RouteDisagreement, match="Ricci routes disagree"):
+        cur.ricci(su2_double, g, None)
+    with pytest.raises(RouteDisagreement, match="scalar routes disagree"):
+        cur.scalar(su2_double, g, None)
+    rep = cur.curvature_report(su2_double, g)
+    assert np.isnan(rep.route_residual_ricci) and np.isnan(rep.route_residual_scalar)
+
+
+@pytest.mark.parametrize("route", [con.levi_civita, cur.scalar, cur.ricci, cur.curvature_report],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("a, g", [(alg.abelian(4, 3), np.diag([1.0, -1.0, -1.0, -1.0])),
+                                  (alg.so3(1.0), np.diag([1.0, -1.0, -1.0]))], ids=["abelian", "so3"])
+def test_rank_one_metric_is_forbidden(route, a, g):
+    # eigenbundle rank 1: kappa' divides by n+- - 1, so no Levi-Civita connection with prescribed divergence
+    with pytest.raises(ForbiddenRank):
+        route(a, g, None)
 
 
 def test_scalar_so3_unit():
