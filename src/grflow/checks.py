@@ -83,7 +83,7 @@ def instance_stream(seed: int, count: int):
 def _aggregate(table: dict, records) -> list[CheckResult]:
     """One result per check of ``table`` over ``records``; a check whose residual raised on any record fails
     with the first NumericalError, and no other check does. The reductions propagate NaN, so a NaN value
-    fails its check; a band check that no record gives a value fails too."""
+    fails its check; a check that no record gives a value fails too, at worst inf: it has shown nothing."""
     values = {name: [] for name in table}
     raised: dict[str, NumericalError] = {}
     for x in records:
@@ -101,11 +101,12 @@ def _aggregate(table: dict, records) -> list[CheckResult]:
         lo, hi = tol if isinstance(tol, tuple) else (None, tol)
         if name in raised:
             results.append(_failed(name, hi, raised[name]))
-        elif lo is None:
-            worst = float(np.max([0.0, *v]))  # 0 when no record has a value
-            results.append(CheckResult(name, worst, hi, bool(worst <= hi)))
         elif not v:
-            results.append(CheckResult(name, float("inf"), hi, False, f"band [{lo},{hi}]: no record has a value"))
+            band = "" if lo is None else f"band [{lo},{hi}]: "
+            results.append(CheckResult(name, float("inf"), hi, False, band + "no record has a value"))
+        elif lo is None:
+            worst = float(np.max(v))
+            results.append(CheckResult(name, worst, hi, bool(worst <= hi)))
         else:
             worst = float(np.min(v))
             results.append(CheckResult(name, worst, hi, bool(lo <= worst <= hi), f"n={len(v)}, max={np.max(v):.1f}"))
@@ -447,12 +448,9 @@ def anisotropic_flux_residual(geom: et.TorusGeometry, seed: int) -> float:
     """
     k = 1.5
     g0 = constant_anisotropic_metric(seed, geom.d)
-    pairs = g0[et._SYM[geom.d][:2]]
-    st = et.TorusFieldState(geom, np.broadcast_to(pairs, geom.shape + pairs.shape).copy(),
-                            np.zeros(geom.shape + (3,)), np.zeros(geom.shape), k)
-    dg, db, dphi = et.torus_rhs(et.torus_fields(st))
+    dg, db, dphi = et.torus_rhs(et.torus_fields(et.TorusFieldState.from_full(geom, g0, 0.0, 0.0, k)))
     c = k * k / np.linalg.det(g0)
-    return max(float(np.max(np.abs(dg - c * pairs))), float(np.max(np.abs(db))),
+    return max(float(np.max(np.abs(dg - c * et.sym_pairs(g0)))), float(np.max(np.abs(db))),
                float(np.max(np.abs(dphi - 0.5 * c)))) / c
 
 
@@ -465,7 +463,7 @@ def single_mode_b_residual(geom: et.TorusGeometry, seed: int) -> float:
     + s_j b_ki, Gamma = 0, and the grid values are, to round-off (contracting all 27 components of H,
     not its density),
 
-        dt B_ij = g^{kl} d_l H_kij = -sin(m.x) g^{kl} s_l T_kij,   dt b_k = dt B_IJ (``_FORM2``),
+        dt B_ij = g^{kl} d_l H_kij = -sin(m.x) g^{kl} s_l T_kij,   dt b = *dt B (``form_slots``),
         dt g_ij = 1/2 H_ikl H_jmn g^km g^ln (at the pairs i <= j),   dt phi = 1/12 H_ikl H_jmn g^ij g^km g^ln.
 
     Returns the largest error of the three, each relative to its largest exact value.
@@ -478,16 +476,14 @@ def single_mode_b_residual(geom: et.TorusGeometry, seed: int) -> float:
     theta = sum(mi * x for mi, x in zip(m, geom.grids()))
     sig = (8.0 * np.sin(m * geom.h) - np.sin(2.0 * m * geom.h)) / (6.0 * geom.h)
     k = 0.5
-    iu, ju = et._SYM[d][:2]
-    st = et.TorusFieldState(geom, np.broadcast_to(g0[iu, ju], geom.shape + iu.shape).copy(),
-                            b[et._FORM2[d]] * np.sin(theta)[..., None], np.zeros(geom.shape), k)
+    st = et.TorusFieldState.from_full(geom, g0, b * np.sin(theta)[..., None, None], 0.0, k)
     dg, db, dphi = et.torus_rhs(et.torus_fields(st))
 
     gi = np.linalg.inv(g0)
     t = (np.einsum("k,ij->kij", sig, b) + np.einsum("i,jk->kij", sig, b) + np.einsum("j,ki->kij", sig, b))
     h = k * alg.epsilon3() + np.cos(theta)[..., None, None, None] * t
-    exact = (-np.sin(theta)[..., None] * np.einsum("kl,l,kij->ij", gi, sig, t)[et._FORM2[d]],
-             0.5 * np.einsum("...ikl,...jmn,km,ln->...ij", h, h, gi, gi)[..., iu, ju],
+    exact = (-np.sin(theta)[..., None] * et.form_slots(np.einsum("kl,l,kij->ij", gi, sig, t)),
+             et.sym_pairs(0.5 * np.einsum("...ikl,...jmn,km,ln->...ij", h, h, gi, gi)),
              np.einsum("...ikl,...jmn,ij,km,ln->...", h, h, gi, gi, gi) / 12.0)
     return max(_relative_error(x, y) for x, y in zip((db, dg, dphi), exact))
 
@@ -498,7 +494,7 @@ def div_h_convergence_ratio(seed: int) -> float:
     For a totally antisymmetric H, div^k H_kij = g_ia g_jb w^-1 d_k (w H^{kab}) with w = sqrt(det g):
     no Christoffel symbols, so this route is independent of how ``torus_rhs`` folds them into the trace
     Gamma^m_{lm}. H = k eps + dB is built with all its components, through ``exterior_derivative``, and the
-    form's components (I, J) of ``_FORM2`` are compared with dt b. Both are 4th-order discretizations of
+    form's ``form_slots`` are compared with dt b. Both are 4th-order discretizations of
     one field on a perturbed g, so their difference falls by about 16 when h halves; a wrong Gamma term
     leaves an O(1) difference and a factor near 1.
     """
@@ -513,7 +509,7 @@ def div_h_convergence_ratio(seed: int) -> float:
         H = st.k * alg.epsilon3() + et.exterior_derivative(geom, st.B, 2)
         h_up = np.einsum("...kab,...kc,...ad,...be->...cde", H, gi, gi, gi)
         div = et.div(geom, w[..., None, None, None] * h_up) / w[..., None, None]
-        form = np.einsum("...ia,...jb,...ab->...ij", st.g, st.g, div)[(..., *et._FORM2[3])]
+        form = et.form_slots(np.einsum("...ia,...jb,...ab->...ij", st.g, st.g, div))
         err.append(float(np.max(np.abs(db - form))))
     return err[0] / err[1] if err[1] > 0 else float("inf")
 
@@ -537,7 +533,6 @@ def diffeomorphism_convergence_ratios(seed: int) -> dict:
     g0 = constant_anisotropic_metric(seed)
     gi0 = np.linalg.inv(g0)
     err = {"g": [], "phi": [], "ricci": []}
-    iu, ju = et._SYM[3][:2]
     for n in (16, 32):
         geom = et.TorusGeometry(3, n, 2 * np.pi)
         x = geom.grids()
@@ -546,14 +541,13 @@ def diffeomorphism_convergence_ratios(seed: int) -> dict:
         jac = np.broadcast_to(np.eye(3), geom.shape + (3, 3)).copy()  # J[a, b] = d_b psi_a
         jac[..., 0, 1], jac[..., 1, 2], jac[..., 2, 0] = a * np.cos(x[1]), a * np.cos(x[2]), a * np.cos(x[0])
         jac_t = np.swapaxes(jac, -1, -2)
-        g = (jac_t @ g0 @ jac)[..., iu, ju]
-        fields = et.torus_fields(et.TorusFieldState(geom, g, np.zeros(geom.shape + (3,)), amp * np.sin(theta), 0.0))
+        fields = et.torus_fields(et.TorusFieldState.from_full(geom, jac_t @ g0 @ jac, 0.0, amp * np.sin(theta), 0.0))
         dg, _, dphi = et.torus_rhs(fields)
         hess0 = -amp * np.sin(theta)[..., None, None] * np.outer(m, m)  # (dd phi0) o psi
         grad0 = amp * np.cos(theta)[..., None] * m  # (d phi0) o psi
         exact_dphi = (np.einsum("ij,...ij->...", gi0, hess0)
                       - 2.0 * np.einsum("...i,ij,...j->...", grad0, gi0, grad0))
-        err["g"].append(float(np.max(np.abs(dg + 4.0 * (jac_t @ hess0 @ jac)[..., iu, ju]))))
+        err["g"].append(float(np.max(np.abs(dg + 4.0 * et.sym_pairs(jac_t @ hess0 @ jac)))))
         err["phi"].append(float(np.max(np.abs(dphi - exact_dphi))))
         err["ricci"].append(float(np.max(np.abs(fields.rc))))
     return {key: e[0] / e[1] if e[1] > 0 else float("inf") for key, e in err.items()}
@@ -563,16 +557,15 @@ def b_gauge_residual(geom: et.TorusGeometry, seed: int) -> float:
     """How far ``torus_rhs`` moves under the B-field transform B -> B + d beta, beta a smooth periodic 1-form.
 
     d beta is closed, and the discrete d o d vanishes to round-off, so h = k + div(*B) is unchanged, and
-    with it dt g, dt b and dt phi, which read B only through h; b takes *d beta, the components (I, J)
-    of d beta. Returns the largest change of each field relative to its largest value, on a perturbed state.
+    with it dt g, dt b and dt phi, which read B only through h; b takes *d beta. Returns the largest change
+    of each field relative to its largest value, on a perturbed state.
     """
     rng = np.random.default_rng(seed)
     st = et.perturbed_state(geom, seed, amplitude=0.05, k=0.5, kmax=1)
     xs = geom.grids()
     beta = np.stack([sum(rng.uniform(-0.3, 0.3) * np.sin(xs[b] + rng.uniform(0.0, 2.0 * np.pi)) for b in range(3))
                      for _ in range(3)], axis=-1)
-    moved = et.TorusFieldState(geom, st.gs, st.b + et.exterior_derivative(geom, beta, 1)[(..., *et._FORM2[3])],
-                               st.phi, st.k, st.t)
+    moved = et.TorusFieldState.from_full(geom, st.g, st.B + et.exterior_derivative(geom, beta, 1), st.phi, st.k, st.t)
     return max(_relative_error(x, y) for x, y in zip(et.torus_rhs(et.torus_fields(moved)),
                                                       et.torus_rhs(et.torus_fields(st))))
 
@@ -617,10 +610,8 @@ def symmetry_residual(state: et.TorusFieldState, perm=None, signs=None, shift=No
     def pull_star(b):  # det(P) times the pullback of a vector (T^3) or a scalar (T^2)
         return det * (pull(b, d) if d == 3 else pull(b[..., 0], d)[..., None])
 
-    iu, ju, pair = et._SYM[d][:3]
-
     def pull_pairs(s):  # a symmetric 2-tensor held on its pairs
-        return pull(np.take(s, pair, axis=-1), d)[..., iu, ju]
+        return et.sym_pairs(pull(et.sym_full(s), d))
 
     moved = et.TorusFieldState(state.geom, pull_pairs(state.gs), pull_star(state.b), pull(state.phi, d),
                                det * state.k, state.t)

@@ -203,13 +203,17 @@ def _config_validator():
 
 
 def validate_config(cfg: dict) -> None:
-    """Check ``cfg`` against ``CONFIG_SCHEMA``; its numbers are checked where it is parsed, by ``load_config``."""
+    """Check ``cfg`` against ``CONFIG_SCHEMA``; its numbers are checked where it is parsed, by ``load_config``.
+
+    The error names the field and the rule it breaks, not the value, which can run to any length.
+    """
     from jsonschema.exceptions import best_match
 
     exc = best_match(_config_validator().iter_errors(cfg))  # the error jsonschema.validate raises
     if exc is not None:
         loc = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigParseError(f"config field '{loc}': {exc.message}") from exc
+        rule = exc.message.replace(repr(exc.instance), "value", 1)  # a message that quotes the value opens with it
+        raise ConfigParseError(f"config field '{loc}': {rule}") from exc
 
 
 def config_hash(cfg: dict) -> str:
@@ -255,18 +259,12 @@ def _header_line(cfg: dict, seed: int) -> str:
     return f"# grf {__version__} config_sha256={config_hash(cfg)} seed={seed}"
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
 def write_csv(path: Path, header: str, columns, rows) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def write_json(path: Path, cfg: dict, seed: int, body: dict) -> None:
@@ -349,12 +347,16 @@ def _run_to_csv(name, run, columns, cfg, seed, out_dir):
 def _torus_state_params(cfg, seed):
     """The initial state and run parameters; a key the config leaves out takes the library default.
 
-    d = 3, N = 16 and a flat start have no library default and are set here.
+    d = 3, N = 16 and a flat start have no library default and are set here. A perturbed start needs
+    N >= 8 kmax: with fewer nodes a period, the stencil misreads the highest modes and lambda can fall.
     """
     t = cfg.get("torus", {})
     geom = et.TorusGeometry(t.get("d", 3), t.get("N", 16), **_given(t, "L"))
     if t.get("init", "flat") == "perturbed":
         state = et.perturbed_state(geom, seed, **_given(t, "amplitude", "k", "kmax"))
+        if geom.N < 8 * (kmax := t.get("kmax", et.KMAX)):
+            raise ConfigParseError(f"config field 'torus/N' = {geom.N} is too coarse for init 'perturbed': "
+                                   f"modes up to kmax = {kmax} need N >= {8 * kmax}")
     elif _given(t, "amplitude", "kmax"):
         raise ConfigParseError("config fields 'torus/amplitude' and 'torus/kmax' are for init 'perturbed' only")
     else:

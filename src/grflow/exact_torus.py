@@ -27,7 +27,8 @@ difference matrices are antisymmetric circulants): lambda_torus's eigenproblem
 (W L) u = lambda W u is symmetric, and the Einstein-Hilbert quadrature exact.
 
 The state holds (g pairs, b, phi): g_p = g_ij on the d(d+1)/2 pairs i <= j in ``np.triu_indices``
-order (``_SYM``'s index tables) and b = *B; the full g and B are derived, read-only. Gamma^k_ij
+order and b = *B; the full g and B are derived, read-only. ``sym_pairs``, ``sym_full`` and ``form_slots``
+convert between the layouts, and ``TorusFieldState.from_full`` builds a state from a full g and B. Gamma^k_ij
 (symmetric in ij), Rc, the Hessian, dt g and the RK4 update stay on the pairs, so each independent
 component is differentiated once. Geometry is built once per state: ``torus_fields`` computes each
 field of the read-only ``TorusFields`` record (positivity margin, g^-1, sqrt(det g), Gamma, its trace
@@ -57,6 +58,7 @@ from .errors import (DegenerateMetric, EigensolverStalled, NumericalError, StepB
                      ValidationError)
 
 SPD_FLOOR = 1e-8
+KMAX = 2  # perturbed_state's default highest mode
 # spd_margin's slack, relative to max|g|, above the least closed-form eigenvalue estimate: twice the
 # estimate's worst error must fit inside it (2.5e-8 max|g| measured, at a double lowest eigenvalue)
 SCREEN = 1e-6
@@ -82,6 +84,22 @@ def _symmetric_pairs(d: int):
 
 
 _SYM = {d: _symmetric_pairs(d) for d in (2, 3)}
+
+
+def sym_pairs(m: np.ndarray) -> np.ndarray:
+    """The pairs i <= j of symmetric matrices on the last two axes, in ``gs`` order, read above the diagonal."""
+    iu, ju = _SYM[m.shape[-1]][:2]
+    return m[..., iu, ju]
+
+
+def sym_full(p: np.ndarray) -> np.ndarray:
+    """The symmetric matrices whose ``sym_pairs`` are the last axis of p: its inverse."""
+    return np.take(p, _SYM[{3: 2, 6: 3}[p.shape[-1]]][2], axis=-1)
+
+
+def form_slots(B: np.ndarray) -> np.ndarray:
+    """b = *B of 2-forms on the last two axes, in ``b`` order: the slots B_IJ of ``_FORM2``."""
+    return B[(..., *_FORM2[B.shape[-1]])]
 
 
 @dataclass(frozen=True)
@@ -153,8 +171,8 @@ def exterior_derivative(geom: TorusGeometry, omega: np.ndarray, degree: int) -> 
 
 @dataclass
 class TorusFieldState:
-    """(g, b, phi) by their independent components: ``gs``, g's d(d+1)/2 pairs g_ij, i <= j, in ``_SYM`` order,
-    and b = *B, B's components B_IJ with (I, J) from ``_FORM2``. The full g and B are derived, read-only."""
+    """(g, b, phi) by their independent components: ``gs``, g's d(d+1)/2 pairs g_ij, i <= j (``sym_pairs``),
+    and b = *B (``form_slots``). The full g and B are derived, read-only; ``from_full`` builds a state from them."""
 
     geom: TorusGeometry
     gs: np.ndarray
@@ -180,10 +198,17 @@ class TorusFieldState:
         if d == 2 and self.k != 0.0:
             raise ValidationError(f"three-forms vanish on T^2: flux strength k must be 0 for d = 2, got {self.k!r}")
 
+    @classmethod
+    def from_full(cls, geom: TorusGeometry, g, B, phi, k: float, t: float = 0.0) -> "TorusFieldState":
+        """The state of the full g and B; each of g, B and phi is a field or one value for every node."""
+        shape = geom.shape + (geom.d, geom.d)
+        return cls(geom, sym_pairs(np.broadcast_to(g, shape)), form_slots(np.broadcast_to(B, shape)),
+                   np.broadcast_to(phi, geom.shape).copy(), k, t)
+
     @property
     def g(self) -> np.ndarray:
         """The full metric, g_ij = g_ji = the pair (i, j) of gs, read-only: a write raises, not vanishes."""
-        full = np.take(self.gs, _SYM[self.geom.d][2], axis=-1)
+        full = sym_full(self.gs)
         full.flags.writeable = False
         return full
 
@@ -210,7 +235,7 @@ class TorusFieldState:
         candidates = gs[mu <= np.min(mu) + SCREEN]
         if np.all(candidates == candidates[0]):  # a constant metric: every node a candidate, one eigvalsh
             candidates = candidates[:1]
-        return float(np.min(np.linalg.eigvalsh(np.take(candidates, _SYM[self.geom.d][2], axis=-1))))
+        return float(np.min(np.linalg.eigvalsh(sym_full(candidates))))
 
     def copy(self) -> "TorusFieldState":
         return TorusFieldState(self.geom, self.gs.copy(), self.b.copy(), self.phi.copy(), self.k, self.t)
@@ -218,18 +243,16 @@ class TorusFieldState:
 
 def flat_state(geom: TorusGeometry, k: float = 0.0) -> TorusFieldState:
     """g = Id, B = 0, phi = 0, constant flux of strength k (volume form)."""
-    iu, ju = _SYM[geom.d][:2]
-    eye = np.broadcast_to(np.eye(geom.d)[iu, ju], geom.shape + (len(iu),)).copy()
-    return TorusFieldState(geom, eye, np.zeros(geom.shape + (len(_FORM2[geom.d][0]),)), np.zeros(geom.shape), k)
+    return TorusFieldState.from_full(geom, np.eye(geom.d), 0.0, 0.0, k)
 
 
 def perturbed_state(geom: TorusGeometry, seed: int, amplitude: float = 0.05, k: float = 0.0,
-                    kmax: int = 2) -> TorusFieldState:
+                    kmax: int = KMAX) -> TorusFieldState:
     """Flat state plus smooth trigonometric perturbations with modes up to kmax.
 
-    Keep N >= 8 kmax.  At kmax 2 and N = 8 the highest modes have 4 nodes a
-    period, where the stencil's symbol is 15 % off, and on T^2 lambda can then
-    fall along ``run_torus_flow``.
+    Keep N >= 8 kmax (``grf torus`` rejects a coarser grid).  At kmax 2 and N = 8
+    the highest modes have 4 nodes a period, where the stencil's symbol is 15 %
+    off, and on T^2 lambda can then fall along ``run_torus_flow``.
     """
     rng = np.random.default_rng(seed)
     st = flat_state(geom, k)
@@ -289,11 +312,10 @@ def ricci_tensor(geom: TorusGeometry, gamma: np.ndarray, expanded: np.ndarray, v
     its full (k, i, j) copy and v its trace, all from ``torus_fields``; the last term runs over the full
     copy and is read at the pairs.
     """
-    iu, ju = _SYM[geom.d][:2]
     dv = grad(geom, v)  # (i, j) = d_i v_j
     quad1 = np.einsum("...l,...lp->...p", v, gamma)
-    quad2 = np.einsum("...kil,...lkj->...ij", expanded, expanded, optimize=_PAIR)[..., iu, ju]
-    return div(geom, gamma) - 0.5 * (dv[..., iu, ju] + dv[..., ju, iu]) + quad1 - quad2
+    quad2 = sym_pairs(np.einsum("...kil,...lkj->...ij", expanded, expanded, optimize=_PAIR))
+    return div(geom, gamma) - 0.5 * (sym_pairs(dv) + sym_pairs(np.swapaxes(dv, -1, -2))) + quad1 - quad2
 
 
 def laplace_beltrami(geom: TorusGeometry, w: np.ndarray, ginv: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -304,9 +326,8 @@ def laplace_beltrami(geom: TorusGeometry, w: np.ndarray, ginv: np.ndarray, f: np
 def hessian(geom: TorusGeometry, gamma: np.ndarray, df: np.ndarray) -> np.ndarray:
     """Covariant Hessian on the pairs i <= j from Gamma on the pairs and df = grad f: 1/2 (d_i d_j f + d_j d_i f)
     - Gamma^k_ij d_k f, the two discrete mixed partials (equal but for round-off) averaged."""
-    iu, ju = _SYM[geom.d][:2]
     ddf = grad(geom, df)  # (i, j) = d_i d_j f
-    return 0.5 * (ddf[..., iu, ju] + ddf[..., ju, iu]) - np.einsum("...kp,...k->...p", gamma, df)
+    return 0.5 * (sym_pairs(ddf) + sym_pairs(np.swapaxes(ddf, -1, -2))) - np.einsum("...kp,...k->...p", gamma, df)
 
 
 def inverse_and_det(gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -381,18 +402,18 @@ class TorusFields:
 
 def torus_fields(state: TorusFieldState) -> TorusFields:
     """The one place each field of ``TorusFields`` is computed; raises on lost positivity."""
-    geom, pair = state.geom, _SYM[state.geom.d][2]
+    geom = state.geom
     margin = degenerate_nodes(state)
     ginv, det = inverse_and_det(state.gs)
     gamma = christoffel(state, ginv)
-    expanded = np.take(gamma, pair, axis=-1)  # (k, i, j): Gamma's one full copy
+    expanded = sym_full(gamma)  # (k, i, j): Gamma's one full copy
     v = np.einsum("...kkj->...j", expanded)
     rc = ricci_tensor(geom, gamma, expanded, v)
     h = flux_H(state)
     h_norm_sq = 6.0 * h * h / det
     dphi = grad(geom, state.phi)
     dphi_up = np.einsum("...kl,...l->...k", ginv, dphi)
-    potential = np.einsum("...ij,...ij->...", ginv, np.take(rc, pair, axis=-1)) - h_norm_sq / 12.0
+    potential = np.einsum("...ij,...ij->...", ginv, sym_full(rc)) - h_norm_sq / 12.0
     return TorusFields(state, margin, ginv, np.sqrt(det), gamma, v, rc, h, h_norm_sq, dphi, dphi_up, potential)
 
 
@@ -443,14 +464,13 @@ def ricci_dilaton_rhs(state: TorusFieldState) -> tuple[np.ndarray, np.ndarray, n
     full-tensor formulas above, and g^-1 and det g from ``np.linalg``.
     """
     geom, g = state.geom, state.g
-    iu, ju = _SYM[geom.d][:2]
     ginv = np.linalg.inv(g)
     gamma = christoffel_full(geom, g, ginv)
     dphi = grad(geom, state.phi)
     dg = -2.0 * ricci_tensor_full(geom, gamma) - 4.0 * hessian_full(geom, gamma, dphi)
     lap_phi = laplace_beltrami(geom, np.sqrt(np.linalg.det(g)), ginv, state.phi)
     dphi_rhs = lap_phi - 2.0 * np.einsum("...ij,...i,...j->...", ginv, dphi, dphi)
-    return dg[..., iu, ju], np.zeros_like(state.b), dphi_rhs
+    return sym_pairs(dg), np.zeros_like(state.b), dphi_rhs
 
 
 def generalized_scalar_field(fields: TorusFields) -> np.ndarray:

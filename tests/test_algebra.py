@@ -37,6 +37,21 @@ def test_singular_eta_rejected():
         alg.QuadraticLieAlgebra(np.diag([1.0, 1e-15]), np.zeros((2, 2, 2)))
 
 
+def test_non_symmetric_eta_rejected():
+    with pytest.raises(NonInvertiblePairing, match="eta is not symmetric"):
+        alg.QuadraticLieAlgebra(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros((2, 2, 2)))
+
+
+def test_abelian_signature_out_of_range_rejected():
+    with pytest.raises(NonInvertiblePairing, match=r"signature \(5,-1\) invalid"):
+        alg.abelian(4, 5)
+
+
+def test_unknown_base_algebra_rejected():
+    with pytest.raises(InvalidLieAlgebra, match="unknown base Lie algebra preset 'sl2'"):
+        alg.preset_algebra("cotangent_double", h="sl2")
+
+
 def test_jacobi_violation_detected():
     # c totally antisymmetric but not Jacobi: generic 6-dim antisymmetric tensor
     rng = np.random.default_rng(0)

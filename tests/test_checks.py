@@ -45,7 +45,7 @@ def _failures(seed=0, instances=4):
     return {r.name: (r.worst, r.note) for r in checks.run_algebraic_checks(seed, instances) if not r.passed}
 
 
-def _check_report(tmp_path, scope, instances=1):
+def _check_report(tmp_path, scope, instances=2):
     """Run ``grf check``, which must exit 3, and return the names and the (worst, note) of the failed checks."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"mode": "check", "check": {"scope": scope, "instances": instances}}))
@@ -74,11 +74,11 @@ def variation_results():
 
 @pytest.mark.parametrize("table, name", [pytest.param(t, n, id=n) for t in TABLES for n in t])
 def test_aggregated_check_whose_residual_raises_fails_alone(monkeypatch, variation_results, table, name):
-    # one instance reaches every residual once: a planted one raises on its first record
+    # two instances (abelian and so3) reach every residual: a planted one raises on its first record
     if table is not checks.PATH_CHECKS:
         monkeypatch.setattr(checks, "run_variation_checks", lambda seed: variation_results)
     monkeypatch.setitem(table, name, (table[name][0], _planted(RouteDisagreement("planted"))))
-    assert _failures(instances=1) == {name: (float("inf"), "raised RouteDisagreement: planted")}
+    assert _failures(instances=2) == {name: (float("inf"), "raised RouteDisagreement: planted")}
 
 
 def test_shared_input_that_raises_fails_exactly_its_readers(monkeypatch):
@@ -116,7 +116,7 @@ def test_flow_run_that_raises_fails_its_readers(tmp_path, monkeypatch):
 
 def test_nan_residual_fails_its_check(monkeypatch):
     monkeypatch.setitem(checks.INSTANCE_CHECKS, "bianchi_identity", (1e-10, lambda x: float("nan")))
-    failed = _failures(instances=1)
+    failed = _failures(instances=2)
     assert list(failed) == ["bianchi_identity"]
     assert math.isnan(failed["bianchi_identity"][0])
 
@@ -131,3 +131,11 @@ def test_band_check_without_values_fails(monkeypatch):
     monkeypatch.setitem(checks.PATH_CHECKS, "fd_ratio_ricci_variation", ((25, 400), lambda x: None))
     failed = {r.name: (r.worst, r.note) for r in checks.run_variation_checks(0) if not r.passed}
     assert failed == {"fd_ratio_ricci_variation": (float("inf"), "band [25,400]: no record has a value")}
+
+
+def test_check_that_no_record_evaluates_fails():
+    # one instance, the abelian one, draws no conjugation: curvature_equivariance evaluates nothing, and a
+    # check that has shown nothing fails, like a band check without values
+    assert _failures(instances=1) == {"curvature_equivariance": (float("inf"), "no record has a value")}
+    [result] = checks._aggregate({"tol": (1e-10, lambda x: None)}, [1.0, 2.0])
+    assert (result.worst, result.passed, result.note) == (float("inf"), False, "no record has a value")

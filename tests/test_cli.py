@@ -42,6 +42,7 @@ def test_config_schema_is_valid():
     [],
 ])
 def test_config_errors_are_those_of_jsonschema_validate(cfg):
+    # the same field and the same rule; the text leaves the value out
     import jsonschema
 
     with pytest.raises(jsonschema.ValidationError) as expected:
@@ -49,7 +50,22 @@ def test_config_errors_are_those_of_jsonschema_validate(cfg):
     with pytest.raises(ConfigParseError) as exc_info:
         cli.validate_config(cfg)
     loc = "/".join(str(p) for p in expected.value.absolute_path) or "<root>"
-    assert str(exc_info.value) == f"config field '{loc}': {expected.value.message}"
+    assert str(exc_info.value).startswith(f"config field '{loc}': ")
+    cause = exc_info.value.__cause__
+    assert (cause.absolute_path, cause.validator) == (expected.value.absolute_path, expected.value.validator)
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: {"algebra": {"preset": "so3", "eta": np.eye(n).tolist(), "c": np.zeros((n, n, n)).tolist()}},
+    lambda n: {"metric": {"identity": True, "matrix": np.eye(n).tolist()}},
+    lambda n: {"algebra": np.eye(n).tolist()},
+    lambda n: {"mode": [0.5] * n},
+], ids=["oneOf", "maxProperties", "type", "enum"])
+def test_config_error_names_the_rule_not_the_value(tmp_path, capsys, make):
+    # a 16 x 16 eta once printed an error line of 22,477 characters
+    lines = [exit_code_and_error_line(capsys, tmp_path, write_cfg(tmp_path, {"mode": "validate", **make(n)}),
+                                      "validate") for n in (2, 16)]
+    assert lines[0] == lines[1] and lines[0][0] == 2 and len(lines[0][1]) < 200
 
 
 def test_bad_json_reports_line(tmp_path):
@@ -380,6 +396,27 @@ def test_torus_mode(tmp_path):
     assert dump["N"] == 8
 
 
+def test_mode_without_algebra_exit_2(tmp_path, capsys):
+    code, err = exit_code_and_error_line(capsys, tmp_path, write_cfg(tmp_path, {"mode": "curvature"}), "curvature")
+    assert code == 2 and err == "error: config requires an 'algebra' section for this mode\n"
+
+
+def test_run_config_without_mode_rejected(tmp_path):
+    with pytest.raises(ConfigParseError, match="no mode given"):
+        cli.run_config(write_cfg(tmp_path, {"seed": 1}), out=tmp_path)
+
+
+@pytest.mark.parametrize("torus, need", [({"d": 2, "N": 8, "amplitude": 0.05, "T": 0.25}, 16),
+                                         ({"N": 16, "kmax": 3, "T": 0.01}, 24)])
+def test_torus_perturbed_start_on_too_coarse_a_grid_exit_2(tmp_path, capsys, torus, need):
+    # modes up to kmax have fewer than 8 nodes a period below N = 8 kmax; on T^2 at N = 8 and the default
+    # kmax 2, lambda fell at -0.0116 per unit time
+    cfg = {"mode": "torus", "torus": {"init": "perturbed", **torus}}
+    code, err = exit_code_and_error_line(capsys, tmp_path, write_cfg(tmp_path, cfg), "torus", "--seed", "0")
+    assert code == 2 and err.startswith("error: config field 'torus/N'") and f"need N >= {need}" in err
+    assert not (tmp_path / "out" / "torus_trace.csv").exists()
+
+
 @pytest.mark.parametrize("init", ["flat", "perturbed"])
 def test_torus_flux_on_t2_exit_2(tmp_path, capsys, init):
     # three-forms vanish on T^2: a flux strength there is an input error, not a flux-free run
@@ -429,7 +466,7 @@ def test_check_route_disagreement_exits_3(tmp_path, monkeypatch, capsys):
     # still run, check_report.json is written and the command exits 3
     bracket = cur.ricci_bracket_route
     monkeypatch.setattr(cur, "ricci_bracket_route", lambda *args: bracket(*args) + 1e-6)
-    path = write_cfg(tmp_path, {"mode": "check", "check": {"scope": "algebraic", "instances": 1}})
+    path = write_cfg(tmp_path, {"mode": "check", "check": {"scope": "algebraic", "instances": 2}})
     assert cli.main(["check", "--config", str(path), "--out", str(tmp_path)]) == 3
     out, err = capsys.readouterr()
     assert "Traceback" not in err

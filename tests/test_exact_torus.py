@@ -38,13 +38,7 @@ def test_geometry_validation():
 def test_h0_on_t2_rejected():
     geom = et.TorusGeometry(2, 8)
     with pytest.raises(ValidationError, match="T\\^2"):
-        et.TorusFieldState(
-            geom,
-            np.broadcast_to([1.0, 0.0, 1.0], geom.shape + (3,)).copy(),
-            np.zeros(geom.shape + (1,)),
-            np.zeros(geom.shape),
-            1.0,
-        )
+        et.TorusFieldState.from_full(geom, np.eye(2), 0.0, 0.0, 1.0)
     with pytest.raises(ValidationError):
         et.flat_state(geom, k=1.0)
 
@@ -74,7 +68,7 @@ def test_state_holds_b_and_derives_B(d):
     B = st.B
     assert B.shape == geom.shape + (d, d) and np.any(B)
     assert np.array_equal(B, -np.swapaxes(B, -1, -2))
-    assert np.array_equal(B[(..., *et._FORM2[d])], st.b)
+    assert np.array_equal(et.form_slots(B), st.b)
     assert np.max(np.abs(B)) == np.max(np.abs(st.b))
     with pytest.raises(ValueError, match="read-only"):
         st.B[(0,) * d + (0, 1)] = 1.0
@@ -95,6 +89,7 @@ def test_state_holds_g_pairs_and_derives_g(d):
     assert g.shape == geom.shape + (d, d)
     assert np.array_equal(g, np.swapaxes(g, -1, -2))
     assert np.array_equal(g[..., iu, ju], st.gs) and np.array_equal(g[..., ju, iu], st.gs)
+    assert np.array_equal(et.sym_pairs(g), st.gs) and np.array_equal(et.sym_full(st.gs), g)
     assert np.max(np.abs(g)) == np.max(np.abs(st.gs))
     with pytest.raises(ValueError, match="read-only"):
         st.g[(0,) * d + (0, 1)] = 1.0
@@ -107,6 +102,18 @@ def test_state_holds_g_pairs_and_derives_g(d):
 def test_perturbed_state_rejects_nonfinite_fields(geom8, amplitude):
     with pytest.raises(ValidationError, match="must be finite"):
         et.perturbed_state(geom8, 0, amplitude=amplitude)
+
+
+def test_perturbed_state_rejects_a_perturbation_past_positivity(geom8):
+    with pytest.raises(DegenerateMetric, match="perturbation amplitude too large"):
+        et.perturbed_state(geom8, 0, amplitude=3.0)
+
+
+def test_step_underflow_aborts_with_trace(geom8, stopped_short):
+    # dt = cfl h^2 lambda_min(g) = 1e-20 h^2 on the flat start: below 1e-14, the run stops at its first step
+    tr = et.run_torus_flow(et.flat_state(geom8), et.TorusParams(cfl=1e-20, max_steps=3))
+    stopped_short(tr, "torus step underflow at t = 0.0")
+    assert len(tr.t) == 1
 
 
 @pytest.mark.parametrize("slot", [0, 1, 2])
@@ -161,15 +168,14 @@ def test_symmetric_pair_geometry_matches_full_tensor(d, n, rng):
     # formulas at i <= j, each within 1e-14 of its largest value
     geom = et.TorusGeometry(d, n)
     a = rng.standard_normal(geom.shape + (d, d))
-    iu, ju = np.triu_indices(d)
-    st = et.TorusFieldState(geom, (a @ np.swapaxes(a, -1, -2) + np.eye(d))[..., iu, ju],
-                            np.zeros(geom.shape + (d * (d - 1) // 2,)), 0.1 * rng.standard_normal(geom.shape), 0.0)
+    st = et.TorusFieldState.from_full(geom, a @ np.swapaxes(a, -1, -2) + np.eye(d), 0.0,
+                                      0.1 * rng.standard_normal(geom.shape), 0.0)
     fields = et.torus_fields(st)
     ref_gamma = et.christoffel_full(geom, st.g, fields.ginv)
-    pairs = {"gamma": (fields.gamma, ref_gamma[..., iu, ju]),
-             "rc": (fields.rc, et.ricci_tensor_full(geom, ref_gamma)[..., iu, ju]),
+    pairs = {"gamma": (fields.gamma, et.sym_pairs(ref_gamma)),
+             "rc": (fields.rc, et.sym_pairs(et.ricci_tensor_full(geom, ref_gamma))),
              "hessian": (et.hessian(geom, fields.gamma, fields.dphi),
-                         et.hessian_full(geom, ref_gamma, et.grad(geom, st.phi))[..., iu, ju])}
+                         et.sym_pairs(et.hessian_full(geom, ref_gamma, et.grad(geom, st.phi))))}
     for name, (x, ref) in pairs.items():
         assert x.shape == ref.shape, name
         assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref)), name
@@ -249,7 +255,7 @@ def test_rhs_flat_zero(geom8):
 def test_rhs_flux_values(geom8):
     st = et.flat_state(geom8, k=1.5)
     dg, db, dphi = et.torus_rhs(et.torus_fields(st))
-    assert np.max(np.abs(dg - 1.5**2 * np.eye(3)[np.triu_indices(3)])) <= 1e-13
+    assert np.max(np.abs(dg - 1.5**2 * et.sym_pairs(np.eye(3)))) <= 1e-13
     assert np.max(np.abs(db)) <= 1e-13
     assert np.max(np.abs(dphi - 1.5**2 / 2)) <= 1e-13
 
@@ -259,7 +265,7 @@ def test_rhs_isotropic_scaling(geom8):
     st.gs *= 1.7
     dg, _, dphi = et.torus_rhs(et.torus_fields(st))
     diag = dg[..., 0]
-    assert np.max(np.abs(dg - diag[..., None] * np.eye(3)[np.triu_indices(3)])) <= 1e-13
+    assert np.max(np.abs(dg - diag[..., None] * et.sym_pairs(np.eye(3)))) <= 1e-13
     assert np.max(np.abs(diag - 1.0 / 1.7**2)) <= 1e-13
 
 
@@ -268,7 +274,7 @@ def test_inverse_and_det_match_linalg(d, rng):
     # random SPD fields with condition numbers up to ~1e4: agreement to round-off times cond(g)
     q, _ = np.linalg.qr(rng.standard_normal((500, d, d)))
     g = (q * 10.0 ** rng.uniform(-2.0, 2.0, (500, 1, d))) @ np.swapaxes(q, -1, -2)
-    ginv, det = et.inverse_and_det(g[(..., *np.triu_indices(d))])
+    ginv, det = et.inverse_and_det(et.sym_pairs(g))
     cond = np.linalg.cond(g)
     ref_inv, ref_det = np.linalg.inv(g), np.linalg.det(g)
     inv_err = np.max(np.abs(ginv - ref_inv), axis=(-1, -2)) / np.max(np.abs(ref_inv), axis=(-1, -2))
@@ -311,7 +317,7 @@ def test_lowest_eig_estimate_error(d):
     # than SCREEN max|g| / 2; ask for five times less than that
     a = _adversarial_matrices(np.random.default_rng(17 + d), 20000, d)
     scale = np.max(np.abs(a), axis=(-1, -2))
-    err = np.abs(et.lowest_eig_estimate(a[(..., *np.triu_indices(d))], scale) - np.linalg.eigvalsh(a)[:, 0] / scale)
+    err = np.abs(et.lowest_eig_estimate(et.sym_pairs(a), scale) - np.linalg.eigvalsh(a)[:, 0] / scale)
     assert np.all(err <= 0.1 * et.SCREEN)
 
 
@@ -341,8 +347,7 @@ def test_spd_margin_matches_eigvalsh(seed, d, kind, log_scale):
     elif kind == "triple":
         lam[nodes] = low
     g = _adversarial_matrices(rng, n, d) if kind == "adversarial" else _assemble(q, lam) * 10.0**log_scale
-    st = et.TorusFieldState(geom, g[(..., *np.triu_indices(d))].reshape(geom.shape + (-1,)),
-                            np.zeros(geom.shape + (d * (d - 1) // 2,)), np.zeros(geom.shape), 0.0)
+    st = et.TorusFieldState.from_full(geom, g.reshape(geom.shape + (d, d)), 0.0, 0.0, 0.0)
     assert st.spd_margin() == float(np.min(np.linalg.eigvalsh(g)))
 
 
@@ -360,8 +365,7 @@ def test_spd_margin_constant_metric_runs_one_eigvalsh(monkeypatch, geom8):
     # every node of a constant metric ties in the screen; one matrix stands for all of them
     g0 = checks.constant_anisotropic_metric(3)
     g = np.broadcast_to(g0, geom8.shape + (3, 3))
-    st = et.TorusFieldState(geom8, g[(..., *np.triu_indices(3))], np.zeros(geom8.shape + (3,)), np.zeros(geom8.shape),
-                            0.0)
+    st = et.TorusFieldState.from_full(geom8, g, 0.0, 0.0, 0.0)
     expected = float(np.min(np.linalg.eigvalsh(g)))
     shapes = []
     original = np.linalg.eigvalsh
@@ -602,8 +606,7 @@ def test_t2_flow_decays():
 
 
 def test_field_dump_roundtrip(tmp_path):
-    # the dump holds the full g and B derived from gs and b; a state rebuilt from it (gs = g_ij at i <= j,
-    # b = B_IJ) writes the same bytes
+    # the dump holds the full g and B derived from gs and b; a state rebuilt from it writes the same bytes
     for d in (2, 3):
         geom = et.TorusGeometry(d, 8)
         st = et.perturbed_state(geom, 2, amplitude=0.05, k=1.0 if d == 3 else 0.0)
@@ -614,8 +617,7 @@ def test_field_dump_roundtrip(tmp_path):
         assert np.array_equal(data["g"], st.g)
         assert np.array_equal(data["B"], st.B)
         assert np.array_equal(data["phi"], st.phi)
-        rebuilt = et.TorusFieldState(geom, data["g"][(..., *np.triu_indices(d))], data["B"][(..., *et._FORM2[d])],
-                                     data["phi"], st.k)
+        rebuilt = et.TorusFieldState.from_full(geom, data["g"], data["B"], data["phi"], st.k)
         et.write_field_dump(rebuilt, tmp_path / "again.grfd")
         assert (tmp_path / "again.grfd").read_bytes() == path.read_bytes()
 

@@ -98,6 +98,21 @@ def test_retraction_guard():
         fl.involution_retract(g, 1e-10)
 
 
+def test_retraction_stalls_at_round_off(graph_metric_123):
+    # from a residual of 1e-3 the iteration reaches round-off, where it cannot halve the residual again
+    with pytest.raises(RetractionDiverged, match="retraction stalled at residual"):
+        fl.involution_retract(graph_metric_123.G + 1e-3 * np.eye(6), 1e-300)
+
+
+def test_retraction_iteration_budget(graph_metric_123):
+    # from a residual of about 1e-2, two iterations reach about 4e-9: within 1e-6, not within 1e-300
+    g = graph_metric_123.G + 5e-3 * np.eye(6)
+    assert 1e-2 <= met.involution_residual(g) < 0.5
+    assert met.involution_residual(fl.involution_retract(g, 1e-6, max_iter=2)) <= 1e-6
+    with pytest.raises(RetractionDiverged, match="after 2 iterations"):
+        fl.involution_retract(g, 1e-300, max_iter=2)
+
+
 def test_flow_step_so3_identity():
     a = alg.so3(1.0)
     st = fl.FlowState(0.0, np.eye(3), 0.0)

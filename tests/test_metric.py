@@ -55,6 +55,12 @@ def test_subspace_basis_of_three_dimensions_rejected():
         met.metric_from_subspace(alg.so3(), np.zeros((1, 3, 1)))
 
 
+def test_subspace_basis_given_as_rows(su2_double):
+    # three vectors of R^6 as the rows of a 3 x 6 array: the metric of the same vectors as columns
+    v = np.random.default_rng(5).standard_normal((3, 6))
+    assert np.array_equal(met.metric_from_subspace(su2_double, v).G, met.metric_from_subspace(su2_double, v.T).G)
+
+
 def test_random_positive_metric_without_a_positive_block():
     # eta negative definite: V+ = 0, and G = -Id is the only strictly positive metric
     assert np.array_equal(met.random_strictly_positive_metric(alg.abelian(2, 0), 0).G, -np.eye(2))

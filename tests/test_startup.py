@@ -1,6 +1,9 @@
-"""Start-up cost: grflow imports scipy only where it calls expm or LOBPCG.
+"""Start-up cost and module boundaries: each module loads only what it imports, and scipy loads only
+where grflow calls expm or LOBPCG.
 
-``import grflow`` and the validate, curvature and flow modes load numpy alone. So does a flat torus
+``import grflow`` loads no submodule, and ``grflow.exact_torus`` none but ``grflow.errors``. Only
+``exact_torus`` reads the index tables of its state's layout; every other module converts through its
+functions. The validate, curvature and flow modes load numpy alone. So does a flat torus
 run with lambda on: its metric is constant, so the constant start is already an exact eigenfunction
 of lambda's operator (the potential is constant and the gradient term vanishes), the start meets
 lambda's residual bound and ``lambda_torus`` returns before it imports LOBPCG. ``grf check`` draws
@@ -8,13 +11,18 @@ expm rotations, so it loads scipy on first use.
 """
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
 import time
 from pathlib import Path
 
+import pytest
+
 import grflow
+
+SRC = Path(grflow.__file__).parents[1]
 
 SCRIPT = textwrap.dedent("""
     import json
@@ -57,10 +65,32 @@ SCRIPT = textwrap.dedent("""
 
 
 def test_cli_modes_start_without_scipy(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(Path(grflow.__file__).parents[1]))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], env=env, capture_output=True, text=True,
                           timeout=60)
     wall = time.perf_counter() - t0
     assert proc.returncode == 0, proc.stderr
     assert wall < 3.0
+
+
+@pytest.mark.parametrize("module, allowed", [
+    ("grflow", set()),
+    ("grflow.exact_torus", {"grflow.errors", "grflow.exact_torus"}),
+    ("grflow.flow_ode", {"grflow.algebra", "grflow.connection", "grflow.curvature", "grflow.errors", "grflow.metric",
+                         "grflow.flow_ode"}),
+])
+def test_import_loads_only_what_the_module_imports(module, allowed):
+    code = f"import sys, {module}; print(' '.join(m for m in sys.modules if m.startswith('grflow.')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) <= allowed
+
+
+def test_only_exact_torus_reads_its_layout_tables():
+    tables = re.compile(r"\b_(SYM|FORM2)\b")
+    files = [*SRC.joinpath("grflow").glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    assert SRC.joinpath("grflow", "exact_torus.py") in files
+    readers = sorted(f.name for f in files if tables.search(f.read_text(encoding="utf-8")))
+    assert readers == ["exact_torus.py"]
