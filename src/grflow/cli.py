@@ -69,7 +69,7 @@ _ALGEBRA_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "n": {"type": "integer", "minimum": 1},
+                "n": {"type": "integer", "minimum": 1, "maximum": 16},  # the desk scale the package targets
                 "p": {"type": "integer", "minimum": 0},
                 "scale": {"type": "number"},
                 "h": {},

@@ -18,13 +18,19 @@ term is then an algebraic identity of a top form in 3D (eps the coordinate symbo
 
 Discretization: 4th-order central differences on a uniform periodic grid.
 ``deriv`` is the only stencil: one wrapped copy of the field, two nodes longer
-at each end, read through four slice views (no ``np.roll`` copies). ``grad``
-stacks its partials with the derivative index first among the component axes,
-and ``div`` contracts that index again.
+at each end, read through four slice views (no ``np.roll`` copies), and one
+result array that every step of the sum updates in place, so it makes no other
+array. ``grad`` has each ``deriv`` write into its slot of one array, with the
+derivative index first among the component axes, and ``div`` contracts that
+index again, adding each term in place.
 The Laplace-Beltrami operator is kept in divergence form, which makes it
 exactly self-adjoint for the discrete dV-weighted inner product (central
 difference matrices are antisymmetric circulants): lambda_torus's eigenproblem
 (W L) u = lambda W u is symmetric, and the Einstein-Hilbert quadrature exact.
+LOBPCG solves its W-symmetric standard form in v = W^1/2 u, whose residual norm
+is the bound's ||L u - lambda u||_W. The stencil's symbol vanishes at the
+Nyquist frequency, so on a flat state L annihilates the 2^d sublattice modes,
+and lambda's minimizer can become one of them along a long run.
 
 The state holds (g pairs, b, phi): g_p = g_ij on the d(d+1)/2 pairs i <= j in ``np.triu_indices``
 order and b = *B; the full g and B are derived, read-only. ``sym_pairs``, ``sym_full`` and ``form_slots``
@@ -129,30 +135,51 @@ class TorusGeometry:
         return list(np.meshgrid(*([np.arange(self.N) * self.h] * self.d), indexing="ij"))
 
 
-def deriv(geom: TorusGeometry, f: np.ndarray, axis: int) -> np.ndarray:
-    """4th-order central first derivative along a grid axis (periodic).
+def deriv(geom: TorusGeometry, f: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """4th-order central first derivative along a grid axis (periodic), written to ``out`` if given.
 
-    One wrapped copy of f, two nodes longer at each end, and four slice views of it: bitwise the
-    sum -f[j+2] + 8 f[j+1] - 8 f[j-1] + f[j-2] that four ``np.roll`` copies give.
+    One wrapped copy of f, two nodes longer at each end, read through four slice views, and one result
+    array that each step updates in place: bitwise the sum -f[j+2] + 8 f[j+1] - 8 f[j-1] + f[j-2] that
+    four ``np.roll`` copies give. The term 8 f[j-1] is taken as 8 (s/8 - f[j-1]) of the partial sum s,
+    so it needs no product array; the power-of-two scalings are exact unless s is a nonzero value below
+    2^-1019, which takes field values below 1e-291 in magnitude.
     """
     n = f.shape[axis]
-    wrapped = np.take(f, np.arange(-2, n + 2) % n, axis=axis)  # node j + 2 holds f[j mod n]
     ahead = (slice(None),) * (axis % f.ndim)
+    wrapped = np.concatenate((f[ahead + (slice(n - 2, n),)], f, f[ahead + (slice(0, 2),)]), axis=axis)
 
-    def at(s):  # f[j + s] for the nodes j = 0 .. n - 1
+    def at(s):  # f[j + s] for the nodes j = 0 .. n - 1; node j + 2 of the wrapped copy holds f[j mod n]
         return wrapped[ahead + (slice(2 + s, 2 + s + n),)]
 
-    return (-at(2) + 8.0 * at(1) - 8.0 * at(-1) + at(-2)) / (12.0 * geom.h)
+    acc = np.multiply(at(1), 8.0)
+    acc -= at(2)
+    acc *= 0.125
+    acc -= at(-1)
+    acc *= 8.0
+    acc += at(-2)
+    return np.divide(acc, 12.0 * geom.h, out=acc if out is None else out)
 
 
 def grad(geom: TorusGeometry, f: np.ndarray) -> np.ndarray:
-    """Partials of a scalar or stacked field: shape grid + (d,) + components, (.., l, ...) = d_l f."""
-    return np.stack([deriv(geom, f, l) for l in range(geom.d)], axis=geom.d)
+    """Partials of a scalar or stacked field: shape grid + (d,) + components, (.., l, ...) = d_l f.
+
+    Each ``deriv`` writes its last step straight into its slot of the result."""
+    out = np.empty(f.shape[:geom.d] + (geom.d,) + f.shape[geom.d:])
+    for l in range(geom.d):
+        deriv(geom, f, l, out=out[(slice(None),) * geom.d + (l,)])
+    return out
 
 
 def div(geom: TorusGeometry, f: np.ndarray) -> np.ndarray:
-    """Divergence over the first component index: sum_k d_k f[.., k, ...], the contraction of ``grad``."""
-    return sum(deriv(geom, f[(slice(None),) * geom.d + (k,)], k) for k in range(geom.d))
+    """Divergence over the first component index: sum_k d_k f[.., k, ...], the contraction of ``grad``.
+
+    The terms are added in place to the k = 0 term, in k order: bitwise the sum of the terms, but for the
+    sign of a zero, which ``sum``'s start from 0 makes +0.0 where every term is -0.0."""
+    comp = (slice(None),) * geom.d
+    out = deriv(geom, f[comp + (0,)], 0)
+    for k in range(1, geom.d):
+        out += deriv(geom, f[comp + (k,)], k)
+    return out
 
 
 def exterior_derivative(geom: TorusGeometry, omega: np.ndarray, degree: int) -> np.ndarray:
@@ -507,10 +534,12 @@ def _flat_inverse(geom: TorusGeometry):
 def lambda_torus(fields: TorusFields, u0: np.ndarray | None = None, return_vector: bool = False):
     """Minimum of int(4 |grad u|^2_g + (R - |H|^2/12) u^2) dV over unit-mass u.
 
-    LOBPCG (Knyazev 2001) on (W L) u = lambda W u, W = dV, preconditioned by ``_flat_inverse``, from
-    ``u0`` (constant if None) unless u0 already meets the bound: lambda, the weighted Rayleigh quotient
-    of u, is returned only if ||L u - lambda u||_W <= LAMBDA_RESIDUAL_TOL (1 + |lambda|). A warm start
-    that misses the bound is retried once from the constant; a solve that misses it from there raises.
+    LOBPCG (Knyazev 2001) on the W-symmetric standard form of (W L) u = lambda W u, W = dV: the
+    operator W^1/2 L W^-1/2 on v = W^1/2 u, preconditioned by W^1/2 M W^1/2 with M = ``_flat_inverse``,
+    from ``u0`` (constant if None) unless u0 already meets the bound. Its residual norm is then
+    ||L u - lambda u||_W itself, and lambda, the weighted Rayleigh quotient of u, is returned only if
+    that is <= LAMBDA_RESIDUAL_TOL (1 + |lambda|). A warm start that misses the bound is retried once
+    from the constant; a solve that misses it from there raises.
     """
     apply_l, wts = _dirichlet_operator(fields)
 
@@ -526,14 +555,18 @@ def lambda_torus(fields: TorusFields, u0: np.ndarray | None = None, return_vecto
         q, u, res = rayleigh(start)
         if res > LAMBDA_RESIDUAL_TOL * (1.0 + abs(q)):
             from scipy.sparse.linalg import lobpcg
-            # lobpcg's residual is W r, ||W r||_2 >= sqrt(min W) ||r||_W and lambda <= q: a tighter tol than ours
-            tol = 0.5 * LAMBDA_RESIDUAL_TOL * np.sqrt(np.min(wts)) * (1.0 + max(0.0, -q))
+            root, flat_inverse = np.sqrt(wts).reshape(-1, 1), _flat_inverse(fields.geom)
+
+            def operator(v):  # W^1/2 L W^-1/2
+                return root * apply_l((v / root).reshape(wts.shape)).reshape(v.shape)
+
+            # lambda <= q, so the bound at q is within the bound at lambda: 0.9 of it leaves room for round-off
+            tol = 0.9 * LAMBDA_RESIDUAL_TOL * (1.0 + max(0.0, -q))
             with warnings.catch_warnings():  # its notes on a missed tol: the residual below is the report
                 warnings.simplefilter("ignore", UserWarning)
-                _, x = lobpcg(lambda v: (wts * apply_l(v.reshape(wts.shape))).reshape(v.shape), u.reshape(-1, 1),
-                              B=lambda v: wts.reshape(-1, 1) * v, M=_flat_inverse(fields.geom), tol=tol,
+                _, x = lobpcg(operator, root * u.reshape(-1, 1), M=lambda v: root * flat_inverse(root * v), tol=tol,
                               maxiter=LAMBDA_MAX_ITER, largest=False)
-            q, u, res = rayleigh(x[:, 0].reshape(wts.shape))
+            q, u, res = rayleigh((x / root).reshape(wts.shape))
         if res <= LAMBDA_RESIDUAL_TOL * (1.0 + abs(q)):
             break
     else:

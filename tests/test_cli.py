@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from grflow import algebra as alg
 from grflow import cli
 from grflow import curvature as cur
 from grflow.connection import Divergence
@@ -137,7 +138,7 @@ _GRAPH_123 = {"g": [[1, 0, 0], [0, 2, 0], [0, 0, 3]]}
 
 
 @pytest.mark.parametrize("cfg, message", [
-    ({"mode": "validate", "algebra": {"preset": "so3", "params": {"n": 40, "h": "sl2"}}}, "takes no params ['h', 'n']"),
+    ({"mode": "validate", "algebra": {"preset": "so3", "params": {"n": 4, "h": "sl2"}}}, "takes no params ['h', 'n']"),
     ({"mode": "validate", "algebra": {"preset": "abelian", "params": {"scale": 2.0, "h": "su2"}}}, "takes no params"),
     ({"mode": "validate", "algebra": {"preset": "so3", "eta": [[1]], "c": [[[0]]]}}, "is valid under each of"),
     ({"mode": "validate", "algebra": {"params": {"n": 4}}}, "'preset' is a dependency of 'params'"),
@@ -163,6 +164,22 @@ def test_config_past_memory_exit_2(tmp_path, capsys):
     path = write_cfg(tmp_path, {"mode": "torus", "torus": {"N": 100_000}})
     code, err = exit_code_and_error_line(capsys, tmp_path, path, "torus")
     assert code == 2 and err.startswith("error: Unable to allocate 42.6 PiB")
+
+
+def test_algebra_past_desk_scale_exit_2(tmp_path, capsys, monkeypatch):
+    # abelian n = 100000 would allocate a 74.5 GiB pairing matrix first: the schema stops it before any algebra
+    # is built and names the maximum, 16, which still validates
+    path = write_cfg(tmp_path, {"mode": "validate", "algebra": {"preset": "abelian", "params": {"n": 16, "p": 8}}})
+    assert cli.main(["validate", "--config", str(path), "--out", str(tmp_path / "desk")]) == 0
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an algebra was built")
+
+    monkeypatch.setattr(alg, "preset_algebra", unreachable)
+    path = write_cfg(tmp_path, {"mode": "validate", "algebra": {"preset": "abelian", "params": {"n": 100_000}}})
+    code, err = exit_code_and_error_line(capsys, tmp_path, path, "validate")
+    assert code == 2 and err.startswith("error: ") and "maximum of 16" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_overflowing_basis_is_a_numerical_failure(tmp_path, capsys):

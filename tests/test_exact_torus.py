@@ -736,13 +736,52 @@ def test_flat_inverse_inverts_flat_operator(rng):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_lambda_matches_dense_oracle(d):
-    # W L assembled column by column (64 and 512 nodes), then a dense generalized eigh
+def test_flat_operator_annihilates_nyquist_modes(d):
+    # deriv's symbol (8 sin t - sin 2t) / 6h vanishes at t = pi, so on a flat state lambda's operator is exactly 0
+    # on the 2^d Nyquist modes, which span the indicators of the 2 x 2 (x 2) sublattices
     geom = et.TorusGeometry(d, 8)
-    fields = et.torus_fields(et.perturbed_state(geom, 11, amplitude=0.05, k=0.5 if d == 3 else 0.0))
+    apply_l, _ = et._dirichlet_operator(et.torus_fields(et.flat_state(geom)))
+    nodes = np.indices(geom.shape)
+    for m in np.ndindex(*(2,) * d):
+        chi = (-1.0) ** np.tensordot(m, nodes, axes=1)
+        assert np.array_equal(apply_l(chi), np.zeros(geom.shape)), m
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "lambda's minimizer becomes a grid mode on one sublattice: deriv's symbol vanishes at the Nyquist "
+    "frequency, so once the smooth lambda rises above the near-kernel of those modes, lambda follows them "
+    "down (here from -2.44e-5 at t 0.56 to -3.58e-5 at T 1, at up to 4.1e-5 per unit time)"))
+def test_lambda_does_not_fall_on_t2_perturbed_run():
+    # grf torus {"d": 2, "N": 16, "init": "perturbed", "T": 1.0} --seed 7, a start that grf accepts (N = 8 kmax):
+    # criterion 9's bound of 1e-6 per unit time on lambda's fall
+    tr = et.run_torus_flow(et.perturbed_state(et.TorusGeometry(2, 16), 7), et.TorusParams(T=1.0))
+    assert tr.aborted is None
+    assert np.all(np.diff(tr.lam) >= -1e-6 * np.diff(tr.t))
+
+
+def _seed15_state(**params):
+    tr = et.run_torus_flow(et.perturbed_state(et.TorusGeometry(3, 8), 15, amplitude=0.05, k=0.5),
+                           et.TorusParams(T=0.25, compute_lambda=False, **params))
+    return tr.final_state
+
+
+_ORACLE_STATES = {
+    "2": lambda: et.perturbed_state(et.TorusGeometry(2, 8), 11, amplitude=0.05),
+    "3": lambda: et.perturbed_state(et.TorusGeometry(3, 8), 11, amplitude=0.05, k=0.5),
+    # the seed-15 run's lowest eigenvalues cluster between one-sublattice modes, with a gap of 1.2e-4 after the
+    # first step and 7.9e-6 at T 0.25: a solve that stops at a neighbour inside the cluster fails here
+    "seed 15 first step": lambda: _seed15_state(max_steps=1),
+    "seed 15 T 0.25": _seed15_state,
+}
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_STATES))
+def test_lambda_matches_dense_oracle(case):
+    # W L assembled column by column (64 and 512 nodes), then a dense generalized eigh
+    fields = et.torus_fields(_ORACLE_STATES[case]())
     apply_l, wts = et._dirichlet_operator(fields)
     eye = np.eye(wts.size)
-    wl = np.stack([(wts * apply_l(e.reshape(geom.shape))).ravel() for e in eye], axis=1)
+    wl = np.stack([(wts * apply_l(e.reshape(wts.shape))).ravel() for e in eye], axis=1)
     assert np.max(np.abs(wl - wl.T)) <= 1e-12 * np.max(np.abs(wl))  # L is W-self-adjoint
     ref = scipy.linalg.eigh(0.5 * (wl + wl.T), np.diag(wts.ravel()), eigvals_only=True, subset_by_index=[0, 0])[0]
     lam = et.lambda_torus(fields)

@@ -3,6 +3,7 @@
 import importlib.util
 import inspect
 import json
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 
 from grflow import algebra as alg
 from grflow import checks
+from grflow import cli
 from grflow import exact_torus as et
 from grflow import flow_ode as fl
 from grflow import metric as met
@@ -108,3 +110,20 @@ def test_oracle_tolerances_are_those_of_the_check_tables():
     tables = {**checks.PRESET_CHECKS, **checks.INSTANCE_CHECKS, **checks.PATH_CHECKS}
     assert {name: tables[name][0] for name in oracles.TOLS} == oracles.TOLS
     assert checks.PATH_CHECKS[oracles.FD_RATIO][0] == oracles.FD_BAND
+
+
+def test_torus_workloads_pass_their_gates(tmp_path, monkeypatch):
+    # the flux16 and pert24 configs, one input each, run through grf as a benchmark pass runs them, and meet the
+    # gates that decide whether a pass counts: a change to the torus layer that breaks them fails here first
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # for workloads.py's ``import oracles``, as perfbench/run.py has it
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks its own module up there
+    spec.loader.exec_module(workloads)
+    for name, config, gate in (("flux", workloads.FLUX_CONFIG, workloads.flux_gate),
+                               ("pert", workloads.PERT_CONFIG, workloads.pert_gate)):
+        path, out = tmp_path / f"{name}.json", tmp_path / name
+        path.write_text(json.dumps(config))
+        assert cli.main(["torus", "--config", str(path), "--seed", "3", "--out", str(out)]) == 0
+        outcome = gate(out)
+        assert outcome.ok, (name, outcome)
