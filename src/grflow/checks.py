@@ -450,7 +450,8 @@ def anisotropic_flux_residual(geom: et.TorusGeometry, seed: int) -> float:
     g0 = constant_anisotropic_metric(seed, geom.d)
     dg, db, dphi = et.torus_rhs(et.torus_fields(et.TorusFieldState.from_full(geom, g0, 0.0, 0.0, k)))
     c = k * k / np.linalg.det(g0)
-    return max(float(np.max(np.abs(dg - c * et.sym_pairs(g0)))), float(np.max(np.abs(db))),
+    return max(float(np.max(np.abs(dg - c * et.sym_pairs(np.broadcast_to(g0, geom.shape + g0.shape))))),
+               float(np.max(np.abs(db))),
                float(np.max(np.abs(dphi - 0.5 * c)))) / c
 
 
@@ -482,7 +483,7 @@ def single_mode_b_residual(geom: et.TorusGeometry, seed: int) -> float:
     gi = np.linalg.inv(g0)
     t = (np.einsum("k,ij->kij", sig, b) + np.einsum("i,jk->kij", sig, b) + np.einsum("j,ki->kij", sig, b))
     h = k * alg.epsilon3() + np.cos(theta)[..., None, None, None] * t
-    exact = (-np.sin(theta)[..., None] * et.form_slots(np.einsum("kl,l,kij->ij", gi, sig, t)),
+    exact = (et.form_slots(-np.sin(theta)[..., None, None] * np.einsum("kl,l,kij->ij", gi, sig, t)),
              et.sym_pairs(0.5 * np.einsum("...ikl,...jmn,km,ln->...ij", h, h, gi, gi)),
              np.einsum("...ikl,...jmn,ij,km,ln->...", h, h, gi, gi, gi) / 12.0)
     return max(_relative_error(x, y) for x, y in zip((db, dg, dphi), exact))
@@ -507,9 +508,9 @@ def div_h_convergence_ratio(seed: int) -> float:
         gi = np.linalg.inv(st.g)
         w = np.sqrt(np.linalg.det(st.g))
         H = st.k * alg.epsilon3() + et.exterior_derivative(geom, st.B, 2)
-        h_up = np.einsum("...kab,...kc,...ad,...be->...cde", H, gi, gi, gi)
-        div = et.div(geom, w[..., None, None, None] * h_up) / w[..., None, None]
-        form = et.form_slots(np.einsum("...ia,...jb,...ab->...ij", st.g, st.g, div))
+        h_up = np.einsum("...kab,...kc,...ad,...be->cde...", H, gi, gi, gi)  # the layout et.div reads
+        div = et.div(geom, w * h_up) / w
+        form = et.form_slots(np.einsum("...ia,...jb,ab...->...ij", st.g, st.g, div))
         err.append(float(np.max(np.abs(db - form))))
     return err[0] / err[1] if err[1] > 0 else float("inf")
 
@@ -607,8 +608,8 @@ def symmetry_residual(state: et.TorusFieldState, perm=None, signs=None, shift=No
     def pull(f, grid):
         return _pullback(f, grid, perm, signs, shift)
 
-    def pull_star(b):  # det(P) times the pullback of a vector (T^3) or a scalar (T^2)
-        return det * (pull(b, d) if d == 3 else pull(b[..., 0], d)[..., None])
+    def pull_star(b):  # det(P) times the pullback of a vector (T^3) or a scalar (T^2), its component axis first
+        return det * (np.moveaxis(pull(np.moveaxis(b, 0, -1), d), -1, 0) if d == 3 else pull(b[0], d)[None])
 
     def pull_pairs(s):  # a symmetric 2-tensor held on its pairs
         return et.sym_pairs(pull(et.sym_full(s), d))

@@ -128,7 +128,8 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "d": {"enum": [2, 3]},
-                "N": {"type": "integer", "minimum": 8},
+                # a run peaks at about 1.3 kB a node (perturbed, lambda on): 128^3 nodes is about 3 GB on T^3
+                "N": {"type": "integer", "minimum": 8, "maximum": 128},
                 "L": {"type": "number", "exclusiveMinimum": 0},
                 "k": {"type": "number"},
                 "T": {"type": "number", "exclusiveMinimum": 0},

@@ -20,9 +20,9 @@ Discretization: 4th-order central differences on a uniform periodic grid.
 ``deriv`` is the only stencil: one wrapped copy of the field, two nodes longer
 at each end, read through four slice views (no ``np.roll`` copies), and one
 result array that every step of the sum updates in place, so it makes no other
-array. ``grad`` has each ``deriv`` write into its slot of one array, with the
-derivative index first among the component axes, and ``div`` contracts that
-index again, adding each term in place.
+array. ``grad`` has each ``deriv`` write into its block of one array, with the
+derivative index as its first axis, and ``div`` contracts the first axis again,
+adding each term in place.
 The Laplace-Beltrami operator is kept in divergence form, which makes it
 exactly self-adjoint for the discrete dV-weighted inner product (central
 difference matrices are antisymmetric circulants): lambda_torus's eigenproblem
@@ -33,17 +33,24 @@ Nyquist frequency, so on a flat state L annihilates the 2^d sublattice modes,
 and lambda's minimizer can become one of them along a long run.
 
 The state holds (g pairs, b, phi): g_p = g_ij on the d(d+1)/2 pairs i <= j in ``np.triu_indices``
-order and b = *B; the full g and B are derived, read-only. ``sym_pairs``, ``sym_full`` and ``form_slots``
-convert between the layouts, and ``TorusFieldState.from_full`` builds a state from a full g and B. Gamma^k_ij
-(symmetric in ij), Rc, the Hessian, dt g and the RK4 update stay on the pairs, so each independent
-component is differentiated once. Geometry is built once per state: ``torus_fields`` computes each
-field of the read-only ``TorusFields`` record (positivity margin, g^-1, sqrt(det g), Gamma, its trace
-v_j = Gamma^k_kj, Rc, h, |H|^2, d phi, g^-1 d phi, R - |H|^2/12) that the right sides, the scalar field
-and lambda read, and expands Gamma to (k, i, j) once, for v and the quadratic term of Rc.
+order and b = *B; the full g and B are derived, read-only. Every array this module computes keeps its
+component axes first and its grid axes last: gs is (pairs,) + grid, b is (d(d-1)/2,) + grid, and
+``grad`` puts the derivative index in front, so each component is one contiguous grid block. Only the
+full g and B (and the full forms ``exterior_derivative`` reads) keep the grid first and the matrix on the
+last two axes, as ``np.linalg`` and the field dump read them. ``sym_pairs``, ``sym_full`` and
+``form_slots`` convert between the two layouts, and ``TorusFieldState.from_full`` builds a state from a
+full g and B. Gamma^k_ij (symmetric in ij), Rc, the Hessian, dt g and the RK4 update stay on the pairs,
+so each independent component is differentiated once. Geometry is built once per state: ``torus_fields``
+computes each field of the read-only ``TorusFields`` record (positivity margin, g^-1, sqrt(det g),
+w g^-1, Gamma, its trace v_j = Gamma^k_kj, Rc, h, |H|^2, d phi, g^-1 d phi, R - |H|^2/12) that the right
+sides, the scalar field and lambda read, and expands Gamma to (k, i, j) once, for v and the quadratic
+term of Rc. w g^-1 is the one coefficient of every Laplacian: the phi-Laplacian of ``torus_rhs``, the
+scalar field's and each application of lambda's operator.
 
-Contractions run in one fixed order: ``_PAIR``-planned einsum or batched matmul for
-the batched 3 x 3 products, a plain einsum for the cheap vector ones. g^-1 and det g
-are closed-form cofactors (``inverse_and_det``), so g^-1 is symmetric bitwise.
+Contractions are plain einsums over the component axes, so numpy's inner loop runs along the whole
+grid, and the gathers (``christoffel``'s table, Gamma's expansion, the pairs of a full tensor) copy
+whole grid blocks. g^-1 and det g are closed-form cofactors (``inverse_and_det``), so g^-1 is
+symmetric bitwise.
 
 The positivity margin (``TorusFieldState.spd_margin``, every stage) is the grid minimum
 of ``eigvalsh`` bit for bit, but ``eigvalsh`` runs only on the few nodes that a
@@ -68,9 +75,6 @@ KMAX = 2  # perturbed_state's default highest mode
 # spd_margin's slack, relative to max|g|, above the least closed-form eigenvalue estimate: twice the
 # estimate's worst error must fit inside it (2.5e-8 max|g| measured, at a double lowest eigenvalue)
 SCREEN = 1e-6
-# numpy's planned pairwise route for a two-operand einsum: several times faster than the default
-# loop on the batched small-tensor products here (a path search per call costs as much again)
-_PAIR = ["einsum_path", (0, 1)]
 # the slots (I[k], J[k]) of B that hold b_k: eps_kIJ = 1 on T^3, and B_01 on T^2
 _FORM2 = {2: ([0], [1]), 3: ([1, 2, 0], [2, 0, 1])}
 
@@ -93,19 +97,31 @@ _SYM = {d: _symmetric_pairs(d) for d in (2, 3)}
 
 
 def sym_pairs(m: np.ndarray) -> np.ndarray:
-    """The pairs i <= j of symmetric matrices on the last two axes, in ``gs`` order, read above the diagonal."""
+    """The pairs i <= j of symmetric matrices on the last two axes, read above the diagonal, as ``gs`` holds
+    them: the pair axis first, then the leading axes of m."""
     iu, ju = _SYM[m.shape[-1]][:2]
-    return m[..., iu, ju]
+    return np.moveaxis(m[..., iu, ju], -1, 0)
 
 
 def sym_full(p: np.ndarray) -> np.ndarray:
-    """The symmetric matrices whose ``sym_pairs`` are the last axis of p: its inverse."""
-    return np.take(p, _SYM[{3: 2, 6: 3}[p.shape[-1]]][2], axis=-1)
+    """The symmetric matrices, on the last two axes, whose ``sym_pairs`` are the first axis of p: its inverse.
+
+    The gather copies whole blocks (one per matrix slot); the result is a view of that copy."""
+    return np.moveaxis(p[_SYM[{3: 2, 6: 3}[p.shape[0]]][2]], (0, 1), (-2, -1))
+
+
+def _symmetrized_pairs(x: np.ndarray) -> np.ndarray:
+    """1/2 (x_ij + x_ji) at the pairs i <= j of a tensor with its two slots on the first axes: whole grid blocks."""
+    iu, ju = _SYM[x.shape[0]][:2]
+    sym = x[iu, ju]
+    sym += x[ju, iu]
+    sym *= 0.5
+    return sym
 
 
 def form_slots(B: np.ndarray) -> np.ndarray:
-    """b = *B of 2-forms on the last two axes, in ``b`` order: the slots B_IJ of ``_FORM2``."""
-    return B[(..., *_FORM2[B.shape[-1]])]
+    """b = *B of 2-forms on the last two axes, as ``b`` holds it: the slots B_IJ of ``_FORM2``, component axis first."""
+    return np.moveaxis(B[(..., *_FORM2[B.shape[-1]])], -1, 0)
 
 
 @dataclass(frozen=True)
@@ -161,37 +177,38 @@ def deriv(geom: TorusGeometry, f: np.ndarray, axis: int, out: np.ndarray | None 
 
 
 def grad(geom: TorusGeometry, f: np.ndarray) -> np.ndarray:
-    """Partials of a scalar or stacked field: shape grid + (d,) + components, (.., l, ...) = d_l f.
+    """Partials of a scalar or stacked field, grid axes last: shape (d,) + f.shape, out[l] = d_l f.
 
-    Each ``deriv`` writes its last step straight into its slot of the result."""
-    out = np.empty(f.shape[:geom.d] + (geom.d,) + f.shape[geom.d:])
+    Each ``deriv`` writes its last step straight into its block of the result."""
+    out = np.empty((geom.d,) + f.shape)
     for l in range(geom.d):
-        deriv(geom, f, l, out=out[(slice(None),) * geom.d + (l,)])
+        deriv(geom, f, l - geom.d, out=out[l])
     return out
 
 
 def div(geom: TorusGeometry, f: np.ndarray) -> np.ndarray:
-    """Divergence over the first component index: sum_k d_k f[.., k, ...], the contraction of ``grad``.
+    """Divergence over the first axis: sum_k d_k f[k], the contraction of ``grad``.
 
     The terms are added in place to the k = 0 term, in k order: bitwise the sum of the terms, but for the
     sign of a zero, which ``sum``'s start from 0 makes +0.0 where every term is -0.0."""
-    comp = (slice(None),) * geom.d
-    out = deriv(geom, f[comp + (0,)], 0)
+    out = deriv(geom, f[0], -geom.d)
     for k in range(1, geom.d):
-        out += deriv(geom, f[comp + (k,)], k)
+        out += deriv(geom, f[k], k - geom.d)
     return out
 
 
 def exterior_derivative(geom: TorusGeometry, omega: np.ndarray, degree: int) -> np.ndarray:
     """Discrete exterior derivative of a p-form given by full component arrays, any degree.
 
-    (d omega)_{a0..ap} = sum_k (-1)^k d_{ak} omega_{a0..^ak..ap}; omega being antisymmetric, each term
-    is d omega with its p + 1 form slots rotated k places, a rotation of sign (-1)^(kp).
+    A full form has the layout of the full B: grid axes first, then its p form slots. (d omega)_{a0..ap}
+    = sum_k (-1)^k d_{ak} omega_{a0..^ak..ap}; omega being antisymmetric, each term is d omega with its
+    p + 1 form slots rotated k places, a rotation of sign (-1)^(kp).
     """
     d = geom.d
     if degree < 0 or omega.ndim != d + degree:
         raise ValidationError(f"a {degree}-form on T^{d} needs {d + degree} array axes, got {omega.ndim}")
-    dw = grad(geom, omega)
+    grid, last = tuple(range(d)), tuple(range(-d, 0))
+    dw = np.moveaxis(grad(geom, np.moveaxis(omega, grid, last)), last, grid)  # grid, then d_l, then the slots
     axes = tuple(range(d, d + degree + 1))
     return sum((-1) ** (k * degree) * np.moveaxis(dw, axes, axes[k:] + axes[:k]) for k in range(degree + 1))
 
@@ -199,7 +216,8 @@ def exterior_derivative(geom: TorusGeometry, omega: np.ndarray, degree: int) -> 
 @dataclass
 class TorusFieldState:
     """(g, b, phi) by their independent components: ``gs``, g's d(d+1)/2 pairs g_ij, i <= j (``sym_pairs``),
-    and b = *B (``form_slots``). The full g and B are derived, read-only; ``from_full`` builds a state from them."""
+    and b = *B (``form_slots``), each with its component axis first. The full g and B are derived, read-only;
+    ``from_full`` builds a state from them."""
 
     geom: TorusGeometry
     gs: np.ndarray
@@ -214,7 +232,7 @@ class TorusFieldState:
         # the right side should not depend on how the caller laid the arrays out
         self.gs, self.b, self.phi = (np.ascontiguousarray(f, dtype=float) for f in (self.gs, self.b, self.phi))
         self.k = float(self.k)
-        if (self.gs.shape != shape + (len(_SYM[d][0]),) or self.b.shape != shape + (len(_FORM2[d][0]),)
+        if (self.gs.shape != (len(_SYM[d][0]),) + shape or self.b.shape != (len(_FORM2[d][0]),) + shape
                 or self.phi.shape != shape):
             raise ValidationError("field arrays do not match the grid")
         for name, f in (("g", self.gs), ("b", self.b), ("phi", self.phi)):  # a NaN passes every comparison below
@@ -234,7 +252,8 @@ class TorusFieldState:
 
     @property
     def g(self) -> np.ndarray:
-        """The full metric, g_ij = g_ji = the pair (i, j) of gs, read-only: a write raises, not vanishes."""
+        """The full metric, g_ij = g_ji = the pair (i, j) of gs, grid first and the matrix last, read-only: a write
+        raises, not vanishes."""
         full = sym_full(self.gs)
         full.flags.writeable = False
         return full
@@ -243,8 +262,9 @@ class TorusFieldState:
     def B(self) -> np.ndarray:
         """The full 2-form B_IJ = b, B_JI = 0 - b (+0.0 where b is 0), read-only: a write raises, not vanishes."""
         i, j = _FORM2[self.geom.d]
-        full = np.zeros(self.geom.shape + (self.geom.d,) * 2)
-        full[..., i, j], full[..., j, i] = self.b, 0.0 - self.b
+        full = np.zeros((self.geom.d,) * 2 + self.geom.shape)
+        full[i, j], full[j, i] = self.b, 0.0 - self.b
+        full = np.moveaxis(full, (0, 1), (-2, -1))
         full.flags.writeable = False
         return full
 
@@ -257,11 +277,11 @@ class TorusFieldState:
         LAPACK solves each matrix on its own, so its value is the one the full batch gives. The
         same holds for one of several bitwise-equal candidates, which stands for all of them.
         """
-        gs = self.gs.reshape(-1, self.gs.shape[-1])
+        gs = self.gs.reshape(self.gs.shape[0], -1)
         mu = lowest_eig_estimate(gs, float(np.max(np.abs(gs))) or 1.0)
-        candidates = gs[mu <= np.min(mu) + SCREEN]
-        if np.all(candidates == candidates[0]):  # a constant metric: every node a candidate, one eigvalsh
-            candidates = candidates[:1]
+        candidates = gs[:, mu <= np.min(mu) + SCREEN]
+        if np.all(candidates == candidates[:, :1]):  # a constant metric: every node a candidate, one eigvalsh
+            candidates = candidates[:, :1]
         return float(np.min(np.linalg.eigvalsh(sym_full(candidates))))
 
     def copy(self) -> "TorusFieldState":
@@ -295,11 +315,11 @@ def perturbed_state(geom: TorusGeometry, seed: int, amplitude: float = 0.05, k: 
             wave += rng.uniform(0.3, 1.0) * np.sin(arg + phase)
         return wave
 
-    for p in range(st.gs.shape[-1]):  # the pairs (i, j), i <= j, of g in turn
-        st.gs[..., p] += amplitude * mode()
+    for p in range(st.gs.shape[0]):  # the pairs (i, j), i <= j, of g in turn
+        st.gs[p] += amplitude * mode()
     # the pairs (i, j) = (0, 1), (0, 2), (1, 2) of B_ij in turn: b_2 = B_01, b_1 = B_20 = -B_02, b_0 = B_12
     for c, sign in ([(2, 1.0), (1, -1.0), (0, 1.0)] if geom.d == 3 else [(0, 1.0)]):
-        st.b[..., c] += sign * (amplitude * mode())
+        st.b[c] += sign * (amplitude * mode())
     st.phi += amplitude * mode()
     st = TorusFieldState(geom, st.gs, st.b, st.phi, k)  # the edits above are validated like any state
     if st.spd_margin() <= SPD_FLOOR:
@@ -318,17 +338,21 @@ def flux_H(state: TorusFieldState) -> np.ndarray:
 
 
 def christoffel(state: TorusFieldState, ginv: np.ndarray) -> np.ndarray:
-    """Gamma^k_p on the pairs p = (i, j), i <= j, of ``_SYM``: shape grid + (d, d(d+1)/2), k first.
+    """Gamma^k_p on the pairs p = (i, j), i <= j, of ``_SYM``: shape (d, d(d+1)/2) + grid, k first.
 
     Gamma^k_ij = g^{kl} Gamma_{l,ij} is symmetric in ij, so it is formed on the pairs only: the partials
     of the stored g_p, 2 Gamma_{l,ij} = d_i g_jl + d_j g_il - d_l g_ij read from them through ``_SYM``'s
-    tables, and one matmul with g^-1.
+    tables by whole grid blocks, and one einsum with g^-1.
     """
     first, second = _SYM[state.geom.d][3:]
     dg = grad(state.geom, state.gs)  # (l, p) = d_l g_p
-    flat = dg.reshape(dg.shape[:-2] + (-1,))
-    rhs = np.take(flat, first, axis=-1) + np.take(flat, second, axis=-1) - dg  # (l, q) = 2 Gamma_{l,q}
-    return 0.5 * (ginv @ rhs)
+    flat = dg.reshape((-1,) + dg.shape[2:])
+    rhs = flat[first]  # (l, q) = 2 Gamma_{l,q}, summed in place
+    rhs += flat[second]
+    rhs -= dg
+    gamma = np.einsum("kl...,lq...->kq...", ginv, rhs)
+    gamma *= 0.5
+    return gamma
 
 
 def ricci_tensor(geom: TorusGeometry, gamma: np.ndarray, expanded: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -339,56 +363,64 @@ def ricci_tensor(geom: TorusGeometry, gamma: np.ndarray, expanded: np.ndarray, v
     its full (k, i, j) copy and v its trace, all from ``torus_fields``; the last term runs over the full
     copy and is read at the pairs.
     """
-    dv = grad(geom, v)  # (i, j) = d_i v_j
-    quad1 = np.einsum("...l,...lp->...p", v, gamma)
-    quad2 = sym_pairs(np.einsum("...kil,...lkj->...ij", expanded, expanded, optimize=_PAIR))
-    return div(geom, gamma) - 0.5 * (sym_pairs(dv) + sym_pairs(np.swapaxes(dv, -1, -2))) + quad1 - quad2
+    iu, ju = _SYM[geom.d][:2]
+    rc = div(geom, gamma)
+    rc -= _symmetrized_pairs(grad(geom, v))  # grad v: (i, j) = d_i v_j
+    rc += np.einsum("l...,lp...->p...", v, gamma)
+    rc -= np.einsum("kil...,lkj...->ij...", expanded, expanded)[iu, ju]
+    return rc
 
 
-def laplace_beltrami(geom: TorusGeometry, w: np.ndarray, ginv: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Divergence-form Laplace-Beltrami: (1/w) d_i (w g^{ij} d_j f), w = sqrt(det g)."""
-    return div(geom, w[..., None] * np.einsum("...ij,...j->...i", ginv, grad(geom, f))) / w
+def laplace_beltrami(geom: TorusGeometry, w: np.ndarray, wginv: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Divergence-form Laplace-Beltrami: (1/w) d_i (w g^{ij} d_j f), w = sqrt(det g), from w and w g^-1."""
+    lap = div(geom, np.einsum("ij...,j...->i...", wginv, grad(geom, f)))
+    lap /= w
+    return lap
 
 
 def hessian(geom: TorusGeometry, gamma: np.ndarray, df: np.ndarray) -> np.ndarray:
     """Covariant Hessian on the pairs i <= j from Gamma on the pairs and df = grad f: 1/2 (d_i d_j f + d_j d_i f)
     - Gamma^k_ij d_k f, the two discrete mixed partials (equal but for round-off) averaged."""
-    ddf = grad(geom, df)  # (i, j) = d_i d_j f
-    return 0.5 * (sym_pairs(ddf) + sym_pairs(np.swapaxes(ddf, -1, -2))) - np.einsum("...kp,...k->...p", gamma, df)
+    hess = _symmetrized_pairs(grad(geom, df))  # grad df: (i, j) = d_i d_j f
+    hess -= np.einsum("kp...,k...->p...", gamma, df)
+    return hess
 
 
 def inverse_and_det(gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse and determinant of a field of symmetric 2 x 2 or 3 x 3 matrices given by their pairs (``_SYM``).
+    """Inverse and determinant of a field of symmetric 2 x 2 or 3 x 3 matrices given by their pairs (``_SYM``),
+    the pair axis first.
 
-    g^-1 = adj g / det g from the cofactors, returned as full matrices (a matmul operand), symmetric
+    g^-1 = adj g / det g from the cofactors, returned as full matrices on the first two axes, symmetric
     bitwise; det g is the cofactor expansion along the first row.
     """
-    if gs.shape[-1] == 3:
-        a, b, c = np.moveaxis(gs, -1, 0)
+    if gs.shape[0] == 3:
+        a, b, c = gs
         det = a * c - b * b
         d, adj = 2, (c, -b, -b, a)
     else:
-        a, b, c, e, f, i = np.moveaxis(gs, -1, 0)
+        a, b, c, e, f, i = gs
         c00, c01, c02 = e * i - f * f, c * f - b * i, b * f - c * e
         c11, c12, c22 = a * i - c * c, b * c - a * f, a * e - b * b
         det = a * c00 + b * c01 + c * c02
         d, adj = 3, (c00, c01, c02, c01, c11, c12, c02, c12, c22)
-    return np.stack(adj, axis=-1).reshape(gs.shape[:-1] + (d, d)) / det[..., None, None], det
+    inv = np.stack(adj).reshape((d, d) + gs.shape[1:])
+    inv /= det
+    return inv, det
 
 
 def lowest_eig_estimate(gs: np.ndarray, scale: float) -> np.ndarray:
     """Closed-form lowest eigenvalue of each symmetric 2 x 2 or 3 x 3 matrix g / scale, given by its pairs
-    gs (``_SYM``), to ~3e-8 max|g / scale|.
+    gs (``_SYM``, the pair axis first), to ~3e-8 max|g / scale|.
 
     2 x 2: (a + c)/2 - hypot((a - c)/2, b). 3 x 3: the trigonometric form (O. K. Smith, CACM 4(4), 1961),
     q + 2p cos(arccos(r)/3 + 2 pi/3) with q = tr g / 3, p^2 = |g - q|^2 / 6 and r = det((g - q)/p) / 2; it
     loses half the digits where the two lowest eigenvalues meet (r near 1), so it is a screen for
     ``spd_margin``, not a value. With scale = max|g| no square overflows.
     """
-    if gs.shape[-1] == 3:
-        a, b, c = np.moveaxis(gs, -1, 0) / scale
+    if gs.shape[0] == 3:
+        a, b, c = gs / scale
         return 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
-    a, b, c, e, f, i = np.moveaxis(gs, -1, 0) / scale
+    a, b, c, e, f, i = gs / scale
     q = (a + e + i) / 3.0
     a, e, i = a - q, e - q, i - q
     p = np.sqrt((a * a + e * e + i * i + 2.0 * (b * b + c * c + f * f)) / 6.0)
@@ -407,12 +439,14 @@ def degenerate_nodes(state: TorusFieldState) -> float:
 
 @dataclass(frozen=True)
 class TorusFields:
-    """Read-only geometry of one state; build it with ``torus_fields``. Symmetric tensors are on ``_SYM``'s pairs."""
+    """Read-only geometry of one state; build it with ``torus_fields``. Every member has its component axes
+    first and the grid last; symmetric tensors are on ``_SYM``'s pairs."""
 
     state: TorusFieldState
     margin: float  # smallest eigenvalue of g over the grid
     ginv: np.ndarray  # full (d, d)
     w: np.ndarray  # sqrt(det g)
+    wginv: np.ndarray  # w g^-1, full (d, d): the coefficient of every ``laplace_beltrami``
     gamma: np.ndarray  # Gamma^k_p
     v: np.ndarray  # Gamma^k_kj
     rc: np.ndarray
@@ -430,57 +464,58 @@ class TorusFields:
 def torus_fields(state: TorusFieldState) -> TorusFields:
     """The one place each field of ``TorusFields`` is computed; raises on lost positivity."""
     geom = state.geom
+    pair = _SYM[geom.d][2]
     margin = degenerate_nodes(state)
     ginv, det = inverse_and_det(state.gs)
+    w = np.sqrt(det)
     gamma = christoffel(state, ginv)
-    expanded = sym_full(gamma)  # (k, i, j): Gamma's one full copy
-    v = np.einsum("...kkj->...j", expanded)
+    expanded = gamma[:, pair]  # (k, i, j): Gamma's one full copy
+    v = np.einsum("kkj...->j...", expanded)
     rc = ricci_tensor(geom, gamma, expanded, v)
     h = flux_H(state)
     h_norm_sq = 6.0 * h * h / det
     dphi = grad(geom, state.phi)
-    dphi_up = np.einsum("...kl,...l->...k", ginv, dphi)
-    potential = np.einsum("...ij,...ij->...", ginv, sym_full(rc)) - h_norm_sq / 12.0
-    return TorusFields(state, margin, ginv, np.sqrt(det), gamma, v, rc, h, h_norm_sq, dphi, dphi_up, potential)
+    dphi_up = np.einsum("kl...,l...->k...", ginv, dphi)
+    potential = np.einsum("ij...,ij...->...", ginv, rc[pair]) - h_norm_sq / 12.0
+    return TorusFields(state, margin, ginv, w, w * ginv, gamma, v, rc, h, h_norm_sq, dphi, dphi_up, potential)
 
 
 def torus_rhs(fields: TorusFields) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dt g on the pairs, dt b, dt phi) of the exact-case flow with H = h eps, in the closed forms above."""
+    """(dt g on the pairs, dt b, dt phi) of the exact-case flow with H = h eps, in the closed forms above, each
+    laid out as the state's gs, b and phi."""
     geom, ginv, h, dphi, dphi_up = fields.geom, fields.ginv, fields.h, fields.dphi, fields.dphi_up
-    hess = hessian(geom, fields.gamma, dphi)
-    dg = -2.0 * fields.rc + fields.h_norm_sq[..., None] / 6.0 * fields.state.gs - 4.0 * hess
+    dg = -2.0 * fields.rc + fields.h_norm_sq / 6.0 * fields.state.gs - 4.0 * hessian(geom, fields.gamma, dphi)
     if geom.d == 3:  # dt b^k = X^k = g^{kl} (d_l h - h (v_l + 2 d_l phi))
-        db = np.einsum("...kl,...l->...k", ginv, grad(geom, h) - h[..., None] * (fields.v + 2.0 * dphi))
+        db = np.einsum("kl...,l...->k...", ginv, grad(geom, h) - h * (fields.v + 2.0 * dphi))
     else:
         db = np.zeros_like(fields.state.b)
-    lap_phi = div(geom, fields.w[..., None] * dphi_up) / fields.w
-    dphi_rhs = lap_phi - 2.0 * np.einsum("...i,...i->...", dphi_up, dphi) + fields.h_norm_sq / 12.0
+    lap_phi = div(geom, np.einsum("ij...,j...->i...", fields.wginv, dphi)) / fields.w  # laplace_beltrami of phi
+    dphi_rhs = lap_phi - 2.0 * np.einsum("i...,i...->...", dphi_up, dphi) + fields.h_norm_sq / 12.0
     return dg, db, dphi_rhs
 
 
 def christoffel_full(geom: TorusGeometry, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    """Gamma^k_ij on all d^3 components from the full g and g^-1 (an oracle for ``christoffel``)."""
-    d = geom.d
+    """Gamma^k_ij on all d^3 components, (k, i, j) + grid, from the full g and g^-1 with their matrix axes first
+    (an oracle for ``christoffel``)."""
     dg = grad(geom, g)  # (l, i, j) = d_l g_ij
-    term_i = np.moveaxis(dg, -1, -3)  # [l, i, j] <- d_i g_{jl}
-    term_j = np.swapaxes(term_i, -1, -2)  # [l, i, j] <- d_j g_{il}
-    rhs = term_i + term_j - dg
-    return 0.5 * (ginv @ rhs.reshape(rhs.shape[:-2] + (d * d,))).reshape(rhs.shape)
+    term_i = np.moveaxis(dg, 2, 0)  # [l, i, j] <- d_i g_{jl}
+    term_j = np.swapaxes(term_i, 1, 2)  # [l, i, j] <- d_j g_{il}
+    return 0.5 * np.einsum("kl...,lij...->kij...", ginv, term_i + term_j - dg)
 
 
 def ricci_tensor_full(geom: TorusGeometry, gamma: np.ndarray) -> np.ndarray:
     """``ricci_tensor`` on all d^2 components, with d_k Gamma^k_ij on all d^3 components of Gamma (oracle)."""
-    v = np.einsum("...kkj->...j", gamma)
+    v = np.einsum("kkj...->j...", gamma)
     dv = grad(geom, v)  # (i, j) = d_i v_j
-    quad1 = np.einsum("...l,...lij->...ij", v, gamma)
-    quad2 = np.einsum("...kil,...lkj->...ij", gamma, gamma, optimize=_PAIR)
-    return div(geom, gamma) - 0.5 * (dv + np.swapaxes(dv, -1, -2)) + quad1 - quad2
+    quad1 = np.einsum("l...,lij...->ij...", v, gamma)
+    quad2 = np.einsum("kil...,lkj...->ij...", gamma, gamma)
+    return div(geom, gamma) - 0.5 * (dv + np.swapaxes(dv, 0, 1)) + quad1 - quad2
 
 
 def hessian_full(geom: TorusGeometry, gamma: np.ndarray, df: np.ndarray) -> np.ndarray:
     """``hessian`` on all d^2 components, from the full Gamma (oracle)."""
     ddf = grad(geom, df)
-    return 0.5 * (ddf + np.swapaxes(ddf, -1, -2)) - np.einsum("...kij,...k->...ij", gamma, df)
+    return 0.5 * (ddf + np.swapaxes(ddf, 0, 1)) - np.einsum("kij...,k...->ij...", gamma, df)
 
 
 def ricci_dilaton_rhs(state: TorusFieldState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -491,31 +526,32 @@ def ricci_dilaton_rhs(state: TorusFieldState) -> tuple[np.ndarray, np.ndarray, n
     full-tensor formulas above, and g^-1 and det g from ``np.linalg``.
     """
     geom, g = state.geom, state.g
-    ginv = np.linalg.inv(g)
+    ginv, w = np.linalg.inv(g), np.sqrt(np.linalg.det(g))
+    g, ginv = (np.moveaxis(m, (-2, -1), (0, 1)) for m in (g, ginv))  # matrix axes first, as grad reads them
     gamma = christoffel_full(geom, g, ginv)
     dphi = grad(geom, state.phi)
     dg = -2.0 * ricci_tensor_full(geom, gamma) - 4.0 * hessian_full(geom, gamma, dphi)
-    lap_phi = laplace_beltrami(geom, np.sqrt(np.linalg.det(g)), ginv, state.phi)
-    dphi_rhs = lap_phi - 2.0 * np.einsum("...ij,...i,...j->...", ginv, dphi, dphi)
-    return sym_pairs(dg), np.zeros_like(state.b), dphi_rhs
+    lap_phi = laplace_beltrami(geom, w, w * ginv, state.phi)
+    dphi_rhs = lap_phi - 2.0 * np.einsum("ij...,i...,j...->...", ginv, dphi, dphi)
+    return sym_pairs(np.moveaxis(dg, (0, 1), (-2, -1))), np.zeros_like(state.b), dphi_rhs
 
 
 def generalized_scalar_field(fields: TorusFields) -> np.ndarray:
     """Nodewise R - 1/12 |H|^2_g - 4 e^phi Lap_g e^-phi."""
     phi = fields.state.phi
-    return fields.potential - 4.0 * np.exp(phi) * laplace_beltrami(fields.geom, fields.w, fields.ginv, np.exp(-phi))
+    return fields.potential - 4.0 * np.exp(phi) * laplace_beltrami(fields.geom, fields.w, fields.wginv, np.exp(-phi))
 
 
 # -- lambda functional ---------------------------------------------------------
 
 
 def _dirichlet_operator(fields: TorusFields):
-    """Returns (apply_L, weights) for L u = -4 Lap_g u + (R - |H|^2/12) u."""
-    geom, w, ginv, pot = fields.geom, fields.w, fields.ginv, fields.potential
+    """Returns (apply_L, weights) for L u = -4 Lap_g u + (R - |H|^2/12) u, one ``laplace_beltrami`` call each."""
+    geom, w, wginv, pot = fields.geom, fields.w, fields.wginv, fields.potential
     weights = w * geom.h**geom.d  # dV per node
 
     def apply_l(u):
-        return -4.0 * laplace_beltrami(geom, w, ginv, u) + pot * u
+        return -4.0 * laplace_beltrami(geom, w, wginv, u) + pot * u
 
     return apply_l, weights
 
@@ -587,7 +623,7 @@ def eh_density_identity_residual(state: TorusFieldState) -> float:
     du = grad(state.geom, u)
     _, wts = _dirichlet_operator(fields)
     lhs = float(np.sum(wts * generalized_scalar_field(fields) * u * u))
-    rhs = float(np.sum(wts * (fields.potential * u * u + 4.0 * np.einsum("...i,...ij,...j->...", du, fields.ginv, du))))
+    rhs = float(np.sum(wts * (fields.potential * u * u + 4.0 * np.einsum("i...,ij...,j...->...", du, fields.ginv, du))))
     return abs(lhs - rhs) / (1.0 + abs(lhs))
 
 

@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from grflow import algebra as alg
 from grflow import cli
 from grflow import curvature as cur
+from grflow import exact_torus as et
 from grflow.connection import Divergence
 from grflow.errors import ConfigParseError, EigensolverStalled, StepUnderflow
 
@@ -159,11 +160,33 @@ def test_config_section_takes_one_form_exit_2(tmp_path, capsys, cfg, message):
     assert not list((tmp_path / "out").glob("*"))
 
 
-def test_config_past_memory_exit_2(tmp_path, capsys):
-    # 42.6 PiB of grid fields: more than any address space, so the allocation fails before it touches memory
-    path = write_cfg(tmp_path, {"mode": "torus", "torus": {"N": 100_000}})
+def test_config_past_memory_exit_2(tmp_path, capsys, monkeypatch):
+    # a torus N past 128 (about 3 GB of fields on T^3) exits 2 at the schema, naming the maximum, before any
+    # field is built; 128 itself validates
+    cli.validate_config({"mode": "torus", "torus": {"N": 128}})
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a torus field was built")
+
+    monkeypatch.setattr(et, "TorusGeometry", unreachable)
+    for n in (130, 100_000):
+        path = write_cfg(tmp_path, {"mode": "torus", "torus": {"N": n}})
+        code, err = exit_code_and_error_line(capsys, tmp_path, path, "torus")
+        assert code == 2 and err.startswith("error: config field 'torus/N'") and "maximum of 128" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_allocation_failure_exit_2(tmp_path, capsys, monkeypatch):
+    # a config within the schema can still outgrow the machine's memory: numpy's MemoryError is one error line
+    message = "Unable to allocate 2.00 GiB for an array with shape (128, 128, 128, 128) and data type float64"
+
+    def fails(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(et, "flat_state", fails)
+    path = write_cfg(tmp_path, {"mode": "torus", "torus": {"N": 8, "T": 0.01}})
     code, err = exit_code_and_error_line(capsys, tmp_path, path, "torus")
-    assert code == 2 and err.startswith("error: Unable to allocate 42.6 PiB")
+    assert code == 2 and err == f"error: {message}\n"
 
 
 def test_algebra_past_desk_scale_exit_2(tmp_path, capsys, monkeypatch):
