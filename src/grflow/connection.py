@@ -40,7 +40,7 @@ def divergence_vector(d: Divergence | None, n: int) -> np.ndarray:
 
 def mixed_christoffel(a: QuadraticLieAlgebra, gamma: np.ndarray) -> np.ndarray:
     """Mixed Christoffels M[a]^b_g = eta^{bd} gamma[a,d,g]."""
-    return np.einsum("bd,adg->abg", a.eta_inv, gamma)
+    return a.eta_inv @ gamma
 
 
 # -- covariant calculus -------------------------------------------------------
@@ -52,16 +52,13 @@ def cov_d(M: np.ndarray, t: np.ndarray, variance: tuple[str, ...]) -> np.ndarray
     ``M[a]^b_g`` are mixed Christoffels; ``variance`` records 'u'/'d' per slot
     of ``t``.  Constant sections over a point: no partial-derivative term.
     """
-    n = M.shape[0]
+    n = len(M)
     out = np.zeros((n,) + t.shape)
-    letters = "bcdefghijk"
-    idx = letters[: t.ndim]
     for slot, var in enumerate(variance):
-        rest = idx[:slot] + "z" + idx[slot + 1 :]
-        if var == "u":
-            out += np.einsum(f"a{idx[slot]}z,{rest}->a{idx}", M, t)
-        else:
-            out -= np.einsum(f"az{idx[slot]},{rest}->a{idx}", M, t)
+        # an up slot gains M[a]^b_z t^..z.., a down slot loses M[a]^z_b t_..z..: one batched matmul over
+        # (a, the slots before this one), landing in out's own layout
+        m = M if var == "u" else -M.transpose(0, 2, 1)
+        out += (m[:, None] @ t.reshape(n**slot, n, -1)).reshape(out.shape)
     return out
 
 
@@ -118,7 +115,7 @@ def tau_prime(a: QuadraticLieAlgebra, g: np.ndarray, t: np.ndarray) -> np.ndarra
     without raising it.  Blockwise the coefficients are -1/3 on the pure
     blocks and -1 on the mixed-first-slot blocks.  ``a`` is not read.
     """
-    x = np.einsum("da,deb->abe", g, t) @ g
+    x = (g.T @ t.reshape(len(g), -1)).reshape(t.shape).transpose(0, 2, 1) @ g
     return -(t + 0.5 * (x - x.transpose(0, 2, 1)) + g.T @ t @ g) / 3.0
 
 
@@ -137,7 +134,7 @@ def kappa_prime(a: QuadraticLieAlgebra, g: np.ndarray, u: np.ndarray) -> np.ndar
             continue
         eta_p = a.eta @ p  # symmetric since p is eta-symmetric
         u_p = eta_p @ u
-        out += (np.einsum("ab,g->abg", eta_p, u_p) - np.einsum("ag,b->abg", eta_p, u_p)) / (k - 1)
+        out += (eta_p[:, :, None] * u_p - eta_p[:, None, :] * u_p[:, None]) / (k - 1)
     return out
 
 
@@ -168,7 +165,7 @@ def block_project(a: QuadraticLieAlgebra, g: np.ndarray, A: np.ndarray) -> np.nd
     p_plus, p_minus = projectors(g)
     out = np.zeros_like(A)
     for p in (p_plus, p_minus):
-        out += np.einsum("ade,db,eg->abg", A, p, p)
+        out += p.T @ A @ p
     return out
 
 

@@ -36,19 +36,22 @@ def riemann(a: QuadraticLieAlgebra, gamma: np.ndarray) -> Tensor:
     """
     tor = torsion(a, gamma)
     scale = max(1.0, float(np.max(np.abs(gamma))), float(np.max(np.abs(a.c))))
-    if np.max(np.abs(tor)) > 1e-8 * scale:
+    if not np.max(np.abs(tor)) <= 1e-8 * scale:  # a NaN torsion warns too
         warnings.warn("riemann called with a connection of non-negligible torsion", stacklevel=2)
+    n = a.n
     m = mixed_christoffel(a, gamma)
-    # Commutator kernel on constant vectors: ([D_a, D_b] e_n)^g.
-    comm = np.einsum("age,ben->abgn", m, m)
-    comm = comm - comm.transpose(1, 0, 2, 3)
+    low = a.eta @ m  # M(a) with its value index lowered: low[a, d, e] = eta_dg M(a)^g_e
+    # Commutator kernel on constant vectors, lowered: ([D_a, D_b] e_n)_d = (low(a) M(b) - low(b) M(a))_dn.
+    comm = (low.reshape(n * n, n) @ m.transpose(1, 0, 2).reshape(n, n * n)).reshape((n,) * 4)  # slots (a, d, b, n)
+    comm = comm.transpose(0, 2, 1, 3) - comm.transpose(2, 0, 1, 3)
     delta = m - m.transpose(2, 1, 0)  # M(a)^e_b - M(b)^e_a in slots (a, e, b)
-    corr = np.einsum("aeb,egn->abgn", delta, m)
-    k_down = np.einsum("dg,abgn->abdn", a.eta, comm - corr)  # ([D_a,D_b] e_n)_d
+    corr = delta.transpose(0, 2, 1).reshape(n * n, n) @ low.reshape(n, n * n)  # slots (a b, d n)
+    k_down = comm - corr.reshape((n,) * 4)  # ([D_a,D_b] e_n)_d in slots (a, b, d, n)
 
     term1 = k_down.transpose(2, 3, 0, 1)  # (m,n,r,s) <- k_down[r,s,m,n]
     term2 = k_down.transpose(1, 0, 3, 2)  # (m,n,r,s) <- k_down[n,m,s,r]
-    term3 = -np.einsum("ab,asr,bmn->mnrs", a.eta_inv, gamma, gamma)
+    flat = gamma.reshape(n, n * n)
+    term3 = -(flat.T @ (a.eta_inv.T @ flat)).reshape((n,) * 4).transpose(0, 1, 3, 2)  # -eta^ab gamma_asr gamma_bmn
     return Tensor(0.5 * (term1 + term2 + term3))
 
 
@@ -58,8 +61,7 @@ def full_ricci(a: QuadraticLieAlgebra, gamma: np.ndarray) -> np.ndarray:
 
 
 def _contract_riemann(a: QuadraticLieAlgebra, grm: np.ndarray) -> np.ndarray:
-    down = np.einsum("mr,mnrs->ns", a.eta_inv, grm)
-    return a.eta_inv @ down
+    return a.eta_inv @ np.tensordot(a.eta_inv, grm, axes=([0, 1], [0, 2]))  # eta^mr GRm_mnrs, raised
 
 
 def _ricci_from_full(g: np.ndarray, fgrc: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import QuadraticLieAlgebra
+from .algebra import QuadraticLieAlgebra, _transform_slots
 from .connection import (
     Divergence,
     commutator_dd,
@@ -38,7 +38,7 @@ def connection_variation(a: QuadraticLieAlgebra, g: np.ndarray, gamma: np.ndarra
     eps = np.zeros(a.n) if eps is None else np.asarray(eps, dtype=float)
     m = mixed_christoffel(a, gamma)
     dchi = cov_d(m, chi, ("u", "d"))  # (alpha, delta up, gamma down)
-    x = 2.0 * np.einsum("bd,adg->abg", a.eta @ g, dchi)  # (D[G,chi])_{abg}
+    x = 2.0 * (a.eta @ g) @ dchi  # (D[G,chi])_{abg}
     return 0.25 * kernel_project(a, g, x) + kappa_prime(a, g, a.eta_inv @ eps)
 
 
@@ -55,7 +55,7 @@ def connection_variation_blockwise(a: QuadraticLieAlgebra, g: np.ndarray, gamma:
     eps_v = np.zeros(a.n) if eps is None else np.asarray(eps, dtype=float)
     fr = adapted_frame(a, g)
     q, qi, s = fr.Q, fr.Q_inv, fr.signs
-    gamma2 = np.einsum("da,eb,zg,dez->abg", q, q, q, gamma)
+    gamma2 = _transform_slots(q, gamma)
     m2 = s[None, :, None] * gamma2  # eta = eta^{-1} = diag(s) in the frame
     chi_dd = q.T @ (a.eta @ chi) @ q
     eps2 = q.T @ eps_v
@@ -81,7 +81,7 @@ def connection_variation_blockwise(a: QuadraticLieAlgebra, g: np.ndarray, gamma:
     A[M, P, P] = -0.5 * (t - t.transpose(1, 0, 2)).transpose(2, 0, 1)
     u = dchi[M, M, P]  # slots (bhat, chat, a)
     A[P, M, M] = 0.5 * (u - u.transpose(1, 0, 2)).transpose(2, 0, 1)
-    return np.einsum("abc,aA,bB,cC->ABC", A, qi, qi, qi)
+    return _transform_slots(qi, A)
 
 
 def ricci_variation(a: QuadraticLieAlgebra, g: np.ndarray, d: Divergence | None, chi, eps=None) -> np.ndarray:

@@ -43,6 +43,20 @@ def preset_metrics():
     return out
 
 
+@pytest.fixture(scope="session")
+def cap_metric():
+    """(label, algebra, G) at the schema cap n = 16: the cotangent double of su(2) + su(2) + R^2 in a random
+    basis (orthogonal x diag(0.5..2) x orthogonal, as the check presets draw it), and a random strictly
+    positive G."""
+    f = np.zeros((8, 8, 8))
+    f[:3, :3, :3] = f[3:6, 3:6, 3:6] = alg.su2_structure()
+    rng = np.random.default_rng(16)
+    q1, _ = np.linalg.qr(rng.standard_normal((16, 16)))
+    q2, _ = np.linalg.qr(rng.standard_normal((16, 16)))
+    a = alg.change_basis(alg.cotangent_double(f), q1 @ np.diag(rng.uniform(0.5, 2.0, 16)) @ q2)
+    return "cap_n16/positive", a, met.random_strictly_positive_metric(a, 16).G
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)

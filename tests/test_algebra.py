@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from grflow import algebra as alg
+from grflow import connection as con
+from grflow import metric as met
 from grflow.errors import InvalidLieAlgebra, NonInvertiblePairing, SingularBasis
 
 
@@ -185,3 +187,51 @@ def test_preset_registry():
     assert alg.preset_algebra("complex_double_su2").n == 6
     with pytest.raises(InvalidLieAlgebra):
         alg.preset_algebra("nope")
+
+
+def _close(x, ref, tol=1e-13):
+    return np.max(np.abs(x - ref)) <= tol * np.max(np.abs(ref))
+
+
+def _algebras(preset_metrics, cap_metric):
+    """Each algebra of ``preset_metrics`` once, and the n = 16 one."""
+    return {label.split("/")[0]: a for label, a, _ in preset_metrics + [cap_metric]}
+
+
+def _slots_einsum(p, t):
+    """The slot transform as one einsum over every n^6 index tuple (oracle for ``_transform_slots``)."""
+    return np.einsum("da,eb,zg,dez->abg", p, p, p, t)
+
+
+def test_slot_transform_matches_einsum(preset_metrics, cap_metric):
+    # c_up (eta^-1 in every slot), change_basis (a random basis), and the adapted frames Q and Q^-1 with
+    # which connection_variation_blockwise moves a 3-tensor, here a general one
+    rng = np.random.default_rng(7)
+    for label, a in _algebras(preset_metrics, cap_metric).items():
+        assert _close(a.c_up, _slots_einsum(a.eta_inv.T, a.c)), label
+        p = rng.standard_normal((a.n, a.n))
+        assert _close(alg.change_basis(a, p).c, _slots_einsum(p, a.c)), label
+    for label, a, g in preset_metrics + [cap_metric]:
+        fr = met.adapted_frame(a, g)
+        t = rng.standard_normal((a.n,) * 3)
+        for q in (fr.Q, fr.Q_inv):
+            assert _close(alg._transform_slots(q, t), _slots_einsum(q, t)), label
+
+
+def _jacobi_residual_einsum(a):
+    """``validate_algebra``'s Jacobi residual with the Jacobi tensor as an einsum over all n^5 index tuples."""
+    cm = a.c_mixed
+    j = np.einsum("abe,egd->abgd", cm, cm)
+    jac = j + j.transpose(1, 2, 0, 3) + j.transpose(2, 0, 1, 3)
+    return float(np.max(np.abs(jac))) / float(np.max(np.abs(cm))) ** 2
+
+
+def test_jacobi_tensor_matches_einsum(preset_metrics, cap_metric):
+    # a valid algebra reads round-off on both routes, so the structure tensor is a random alternating one,
+    # which breaks Jacobi at O(1) from n = 5 on (below, every alternating c is a Lie bracket)
+    rng = np.random.default_rng(8)
+    for label, a in _algebras(preset_metrics, cap_metric).items():
+        b = alg.QuadraticLieAlgebra(a.eta, con.antisymmetrize3(rng.standard_normal((a.n,) * 3)))
+        ref = _jacobi_residual_einsum(b)
+        assert ref > 1e-3 or a.n < 5, label
+        assert abs(alg.validate_algebra(b).jacobi_residual - ref) <= 1e-13 * max(ref, 1.0), label

@@ -107,6 +107,55 @@ def test_tau_prime_matches_raised_form(preset_metrics):
             assert np.max(np.abs(con.tau_prime(a, g, t) - ref)) <= 1e-14 * np.max(np.abs(ref)), label
 
 
+def _close(x, ref, tol=1e-13):
+    return np.max(np.abs(x - ref)) <= tol * np.max(np.abs(ref))
+
+
+def _cov_d_einsum(M, t, variance):
+    """``cov_d`` as one einsum per slot over every index tuple (oracle for its batched-matmul form)."""
+    out = np.zeros((M.shape[0],) + t.shape)
+    idx = "bcdefghijk"[: t.ndim]
+    for slot, var in enumerate(variance):
+        rest = idx[:slot] + "z" + idx[slot + 1:]
+        if var == "u":
+            out += np.einsum(f"a{idx[slot]}z,{rest}->a{idx}", M, t)
+        else:
+            out -= np.einsum(f"az{idx[slot]},{rest}->a{idx}", M, t)
+    return out
+
+
+def test_mixed_christoffel_and_cov_d_match_einsum(preset_metrics, cap_metric):
+    # general Christoffels and tensors, with no symmetry in any pair of slots
+    rng = np.random.default_rng(9)
+    for label, a, _ in preset_metrics + [cap_metric]:
+        gamma = rng.standard_normal((a.n,) * 3)
+        m = con.mixed_christoffel(a, gamma)
+        assert _close(m, np.einsum("bd,adg->abg", a.eta_inv, gamma)), label
+        for variance in (("d",), ("u", "d"), ("d", "u", "u"), ("u", "d", "d")):
+            t = rng.standard_normal((a.n,) * len(variance))
+            assert _close(con.cov_d(m, t, variance), _cov_d_einsum(m, t, variance)), (label, variance)
+
+
+def _kappa_prime_einsum(a, g, u):
+    """``kappa_prime`` with its outer products as einsums (oracle for the broadcast form)."""
+    out = np.zeros((a.n,) * 3)
+    for p, k in zip(met.projectors(g), met.eigen_ranks(g)):
+        if k:
+            eta_p = a.eta @ p
+            out += (np.einsum("ab,g->abg", eta_p, eta_p @ u) - np.einsum("ag,b->abg", eta_p, eta_p @ u)) / (k - 1)
+    return out
+
+
+def test_kappa_prime_and_block_project_match_einsum(preset_metrics, cap_metric):
+    rng = np.random.default_rng(10)
+    for label, a, g in preset_metrics + [cap_metric]:
+        u = rng.standard_normal(a.n)
+        assert _close(con.kappa_prime(a, g, u), _kappa_prime_einsum(a, g, u)), label
+        A = rng.standard_normal((a.n,) * 3)
+        ref = sum(np.einsum("ade,db,eg->abg", A, p, p) for p in met.projectors(g))
+        assert _close(con.block_project(a, g, A), ref), label
+
+
 def test_tau_prime_mixed_block_vanishes(su2_double, graph_metric_123, rng):
     t = con.antisymmetrize3(rng.standard_normal((6, 6, 6)))
     tp = con.tau_prime(su2_double, graph_metric_123.G, t)

@@ -60,6 +60,48 @@ def test_riemann_warns_on_torsion(su2_double, rng):
         cur.riemann(su2_double, gamma)
 
 
+def test_riemann_warns_on_nan_connection(su2_double, graph_metric_123):
+    # max|T| > bound is false for NaN; the guard is not max|T| <= bound
+    gamma = con.levi_civita(su2_double, graph_metric_123.G, None)
+    gamma[0, 1, 2] = np.nan
+    with pytest.warns(UserWarning, match="torsion"):
+        cur.riemann(su2_double, gamma)
+
+
+def _riemann_einsum(a, gamma):
+    """``riemann`` with its commutator, correction, lowering and term 3 as einsums (oracle for its matmuls)."""
+    m = np.einsum("bd,adg->abg", a.eta_inv, gamma)
+    comm = np.einsum("age,ben->abgn", m, m)
+    comm = comm - comm.transpose(1, 0, 2, 3)
+    corr = np.einsum("aeb,egn->abgn", m - m.transpose(2, 1, 0), m)
+    k_down = np.einsum("dg,abgn->abdn", a.eta, comm - corr)
+    term3 = -np.einsum("ab,asr,bmn->mnrs", a.eta_inv, gamma, gamma)
+    return 0.5 * (k_down.transpose(2, 3, 0, 1) + k_down.transpose(1, 0, 3, 2) + term3)
+
+
+@pytest.mark.filterwarnings("ignore:riemann called with a connection of non-negligible torsion")
+def test_riemann_matches_einsum(preset_metrics, cap_metric):
+    # a Levi-Civita connection, and a general gamma, whose slots have no symmetry that would hide a wrong
+    # transpose; the full Ricci contraction of each against its einsum
+    rng = np.random.default_rng(12)
+    for label, a, g in preset_metrics + [cap_metric]:
+        for gamma in (con.levi_civita(a, g, None), rng.standard_normal((a.n,) * 3)):
+            ref = _riemann_einsum(a, gamma)
+            assert np.max(np.abs(cur.riemann(a, gamma).data - ref)) <= 1e-13 * np.max(np.abs(ref)), label
+            fgrc = a.eta_inv @ np.einsum("mr,mnrs->ns", a.eta_inv, ref)
+            assert np.max(np.abs(cur.full_ricci(a, gamma) - fgrc)) <= 1e-13 * np.max(np.abs(fgrc)), label
+
+
+def test_curvature_checks_hold_at_the_cap(cap_metric):
+    # the check suite's own residuals and tolerances on one n = 16 instance
+    _, a, g = cap_metric
+    names = ("ricci_triple_route", "scalar_dual_route", "riemann_symmetries", "riemann_mixed_trace",
+             "bianchi_identity")
+    results = checks._aggregate({name: checks.INSTANCE_CHECKS[name] for name in names},
+                                [checks._Instance(a, g, 16)])
+    assert [r.name for r in results if r.passed] == list(names), [r.as_dict() for r in results]
+
+
 def test_full_ricci_so3_identity():
     a = alg.so3(1.0)
     D = con.levi_civita(a, np.eye(3), None)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from grflow import algebra as alg
+from grflow import checks
 from grflow import connection as con
 from grflow import curvature as cur
 from grflow import metric as met
@@ -139,6 +140,15 @@ def test_scalar_variation_fd_convergence(complex_double, seed):
     )
     ratio = errs[0] / errs[1]
     assert 25 <= ratio <= 400
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "on one of the 20 paths of seed 8009 the second-order error term of the scalar variation's central "
+    "difference nearly vanishes, so the error falls only 21.6x over a tenfold smaller step, below the band "
+    "[25, 400], although both errors are below 4e-6"))
+def test_fd_ratio_scalar_variation_holds_at_seed_8009():
+    [result] = [r for r in checks.run_variation_checks(8009) if r.name == "fd_ratio_scalar_variation"]
+    assert result.passed, result.as_dict()
 
 
 def test_scalar_variation_pure_divergence_slope(su2_double, graph_metric_123, rng):
