@@ -407,6 +407,10 @@ def _set_by_path(obj, path: str, value):
         raise ConfigParseError(f"sweep path '{path}' cannot be set: {exc}") from None
 
 
+# a cell runs mode_flow on the sweep's own seed and directory, so only these sections of its config are read
+_SWEEP_CELL_SECTIONS = ("algebra", "metric", "flow")
+
+
 def mode_sweep(cfg, seed, out_dir):
     axes = cfg["sweep"]["axes"]
     cells = list(itertools.product(*(axis["values"] for axis in axes)))  # the first axis slowest
@@ -419,6 +423,9 @@ def mode_sweep(cfg, seed, out_dir):
         entry = {"cell": idx, "params": {axis["path"]: v for axis, v in zip(axes, combo)}}
         try:
             for axis, value in zip(axes, combo):
+                if axis["path"].split(".")[0] not in _SWEEP_CELL_SECTIONS:
+                    raise ConfigParseError(f"sweep path '{axis['path']}' is not read by a cell: a cell is a flow "
+                                           f"run of the sections {', '.join(_SWEEP_CELL_SECTIONS)}")
                 _set_by_path(cell_cfg, axis["path"], value)
             validate_config(cell_cfg)
             code = mode_flow(cell_cfg, seed, cell_dir)

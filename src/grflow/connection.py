@@ -62,18 +62,6 @@ def cov_d(M: np.ndarray, t: np.ndarray, variance: tuple[str, ...]) -> np.ndarray
     return out
 
 
-def second_cov_d(M: np.ndarray, t: np.ndarray, variance: tuple[str, ...]) -> np.ndarray:
-    """D_a D_b t with the connection correction on the first derivative slot."""
-    first = cov_d(M, t, variance)
-    return cov_d(M, first, ("d",) + tuple(variance))
-
-
-def commutator_dd(M: np.ndarray, t: np.ndarray, variance: tuple[str, ...]) -> np.ndarray:
-    """[D_a, D_b] t as a tensor with two leading down slots."""
-    dd = second_cov_d(M, t, variance)
-    return dd - dd.swapaxes(0, 1)
-
-
 # -- torsion and repair maps ---------------------------------------------------
 
 

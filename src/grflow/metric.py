@@ -131,7 +131,9 @@ def metric_from_graph(a: QuadraticLieAlgebra, g: np.ndarray, b: np.ndarray | Non
     """Graph metric on a double: V+ spanned by x_i + (g+B)(x_i, .).
 
     Assumes the first half of the basis spans the isotropic subalgebra h and
-    the second half its dual, as produced by the double presets.
+    the second half its dual, as produced by the double presets.  Only g + B
+    enters, so g must be symmetric and B antisymmetric, or one would pass for
+    a part of the other.
     """
     g = np.asarray(g, dtype=float)
     b = np.zeros_like(g) if b is None else np.asarray(b, dtype=float)
@@ -139,6 +141,11 @@ def metric_from_graph(a: QuadraticLieAlgebra, g: np.ndarray, b: np.ndarray | Non
     if a.n != 2 * m or g.shape != (m, m) or b.shape != (m, m):
         raise DegenerateSubspace(f"graph construction needs g and B of shape ({m}, {m}) and n = 2*{m}, "
                                  f"got {g.shape}, {b.shape} and n = {a.n}")
+    with np.errstate(invalid="ignore"):  # inf - inf: a non-finite g or B fails metric_from_subspace's check
+        sym_res, antisym_res = np.max(np.abs(g - g.T)), np.max(np.abs(b + b.T))
+    if max(sym_res, antisym_res) > METRIC_TOL * max(1.0, np.max(np.abs(g))):
+        raise DegenerateSubspace(f"graph construction needs g symmetric and B antisymmetric, got "
+                                 f"max|g - g^T| = {sym_res:.3g} and max|B + B^T| = {antisym_res:.3g}")
     v = np.vstack([np.eye(m), (g + b).T])
     return metric_from_subspace(a, v)
 

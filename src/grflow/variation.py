@@ -11,16 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import QuadraticLieAlgebra, _transform_slots
-from .connection import (
-    Divergence,
-    commutator_dd,
-    cov_d,
-    kappa_prime,
-    kernel_project,
-    levi_civita,
-    mixed_christoffel,
-    second_cov_d,
-)
+from .connection import Divergence, cov_d, kappa_prime, kernel_project, levi_civita, mixed_christoffel
 from .curvature import _ricci_from_full, full_ricci, ricci, scalar
 from .errors import NonPositiveHalfDensity
 from .metric import adapted_frame, lie_derivative_metric, random_eta_antisymmetric
@@ -89,6 +80,8 @@ def ricci_variation(a: QuadraticLieAlgebra, g: np.ndarray, d: Divergence | None,
 
     delta GRc = -1/2 Lap chi - 1/2 L_{Tr D chi + G eps} G + A(chi)
     + chi G GRc + G [chi, fGRc], all derivatives through D in LC(G, div).
+    D chi and D D chi are formed once, with every index down: D is
+    eta-compatible, so raising an index by eta commutes with it.
     """
     chi = np.asarray(chi, dtype=float)
     eps = np.zeros(a.n) if eps is None else np.asarray(eps, dtype=float)
@@ -96,19 +89,17 @@ def ricci_variation(a: QuadraticLieAlgebra, g: np.ndarray, d: Divergence | None,
     m = mixed_christoffel(a, D)
     fgrc = full_ricci(a, D)
     grc = _ricci_from_full(g, fgrc)
+    dchi = cov_d(m, a.eta @ chi, ("d", "d"))  # D_a chi_{bg}
+    dd = cov_d(m, dchi, ("d", "d", "d"))  # D_a D_b chi_{gd}
 
-    guu = g @ a.eta_inv  # G^{ab}
-    chi_dd = a.eta @ chi
-    lap = np.einsum("ab,abgd->gd", guu, second_cov_d(m, chi_dd, ("d", "d")))
+    lap = np.tensordot(g @ a.eta_inv, dd, 2)  # G^{ab} D_a D_b chi_{gd}
     term1 = -0.5 * (a.eta_inv @ lap)
 
-    chi_uu = chi @ a.eta_inv  # chi^{ab}
-    trd = np.einsum("aab->b", cov_d(m, chi_uu, ("u", "u")))
+    trd = np.einsum("aab->b", a.eta_inv @ dchi @ a.eta_inv)  # D_a chi^{ab}
     w = trd + g @ (a.eta_inv @ eps)
     term2 = -0.5 * lie_derivative_metric(a, g, w)
 
-    chi_du = a.eta @ chi @ a.eta_inv  # chi_a{}^d
-    comm = commutator_dd(m, chi_du, ("d", "u"))  # slots (d1, d2, a-down, d-up)
+    comm = (dd - dd.swapaxes(0, 1)) @ a.eta_inv  # [D_d1, D_d2] chi_a^d, slots (d1, d2, a-down, d-up)
     t1 = np.einsum("gb,dgad->ab", g, comm)
     t2 = np.einsum("gb,dagd->ab", g, comm)
     acal = 0.5 * (t1 - t2)
@@ -121,16 +112,18 @@ def ricci_variation(a: QuadraticLieAlgebra, g: np.ndarray, d: Divergence | None,
 
 def scalar_variation(a: QuadraticLieAlgebra, g: np.ndarray, d: Divergence | None, chi, eps=None) -> float:
     """delta GR = G^a_g G^b_d D_a D_b chi^{gd} - 2 G^{ab} D_a eps_b
-    + 1/2 chi^{ab} GRc_{ab}."""
+    + 1/2 chi^{ab} GRc_{ab}.
+
+    D G = 0 and D eta = 0, so the first two terms are the divergence D_a v^a of
+    v^a = D_b psi^{ab} - 2 G^{ab} eps_b with psi^{ab} = G^a_g G^b_d chi^{gd}.
+    """
     chi = np.asarray(chi, dtype=float)
     eps = np.zeros(a.n) if eps is None else np.asarray(eps, dtype=float)
     D = levi_civita(a, g, d)
     m = mixed_christoffel(a, D)
-    chi_uu = chi @ a.eta_inv  # chi^{gd}
-    dd = second_cov_d(m, chi_uu, ("u", "u"))
-    val = float(np.einsum("ag,bd,abgd->", g, g, dd))
-    deps = cov_d(m, eps, ("d",))
-    val -= 2.0 * float(np.einsum("ab,ab->", g @ a.eta_inv, deps))
+    psi = g @ chi @ a.eta_inv @ g.T  # G^a_g G^b_d chi^{gd}
+    v = np.einsum("bab->a", cov_d(m, psi, ("u", "u"))) - 2.0 * (g @ (a.eta_inv @ eps))
+    val = float(np.trace(cov_d(m, v, ("u",))))
     grc = ricci(a, g, d, D=D)
     # chi^{ab} GRc_{ab} is the plain trace of the product of endomorphisms.
     val += 0.5 * float(np.trace(chi @ grc))

@@ -160,6 +160,19 @@ def test_config_section_takes_one_form_exit_2(tmp_path, capsys, cfg, message):
     assert not list((tmp_path / "out").glob("*"))
 
 
+@pytest.mark.parametrize("graph, message", [
+    ({"g": [[1, 0.5, 0], [0, 2, 0], [0, 0, 3]]}, "max|g - g^T| = 0.5"),
+    ({**_GRAPH_123, "B": [[0, 1, 0], [1, 0, 0], [0, 0, 0]]}, "max|B + B^T| = 2"),
+], ids=["g not symmetric", "B symmetric"])
+def test_graph_metric_of_the_wrong_symmetry_exit_2(tmp_path, capsys, graph, message):
+    # only g + B enters the graph: a symmetric B used to pass for a part of g, and g's antisymmetric part for B
+    cfg = {"mode": "curvature", "algebra": {"preset": "cotangent_double"}, "metric": {"graph": graph}}
+    code, err = exit_code_and_error_line(capsys, tmp_path, write_cfg(tmp_path, cfg), "curvature")
+    assert code == 2 and err.startswith("error: graph construction needs g symmetric and B antisymmetric")
+    assert message in err
+    assert not list((tmp_path / "out").glob("*"))
+
+
 def test_config_past_memory_exit_2(tmp_path, capsys, monkeypatch):
     # a torus N past 128 (about 3 GB of fields on T^3) exits 2 at the schema, naming the maximum, before any
     # field is built; 128 itself validates
@@ -694,6 +707,25 @@ def test_sweep_invalid_cell_isolated(tmp_path, axis):
     assert f"config field '{axis['path'].replace('.', '/')}'" in cells[1]["error"]
     assert (tmp_path / "cell_000" / "flow_trace.csv").exists()
     assert not (tmp_path / "cell_001" / "flow_trace.csv").exists()
+
+
+@pytest.mark.parametrize("path, value", [
+    ("mode", "torus"), ("seed", 5), ("out", "elsewhere"), ("check.scope", "torus"), ("torus.T", 1.0),
+])
+def test_sweep_axis_that_no_cell_reads_fails_cell(tmp_path, path, value):
+    # a cell is a flow run on the sweep's seed and directory: these axes ran and reported "ok" without effect
+    cfg = {
+        "mode": "sweep",
+        "algebra": {"preset": "so3"},
+        "metric": {"identity": True},
+        "flow": {"dt": 0.01, "T": 0.02},
+        "sweep": {"axes": [{"path": "flow.T", "values": [0.02]}, {"path": path, "values": [value]}]},
+    }
+    assert cli.main(["sweep", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(tmp_path)]) == 3
+    cells = json.loads((tmp_path / "index.json").read_text())["cells"]
+    assert [c["status"] for c in cells] == ["failed"]
+    assert cells[0]["error"].startswith(f"sweep path '{path}' is not read by a cell")
+    assert not (tmp_path / "cell_000" / "flow_trace.csv").exists()
 
 
 @pytest.mark.parametrize("bad_path", ["flow.dt.x", "metric.graph.g.5.0", "metric.graph.g.x.0"])

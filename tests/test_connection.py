@@ -270,12 +270,12 @@ def test_curvature_invariance_under_kernel_shift(su2_double, graph_metric_123):
 
 
 def test_cov_d_second_derivative_consistency(su2_double, graph_metric_123, rng):
-    # second_cov_d must match the explicit two-term expansion
+    # cov_d of a first derivative, its own slot down, must match the explicit two-term expansion
     D = con.levi_civita(su2_double, graph_metric_123.G, None)
     m = con.mixed_christoffel(su2_double, D)
     u = rng.standard_normal(6)
     first = con.cov_d(m, u, ("u",))
-    second = con.second_cov_d(m, u, ("u",))
+    second = con.cov_d(m, first, ("d", "u"))
     # D_a D_b u^c = M(a)^c_e (Du)_b^e - M(a)^e_b (Du)_e^c
     expect = np.einsum("ace,be->abc", m, first) - np.einsum("aeb,ec->abc", m, first)
     assert np.max(np.abs(second - expect)) <= 1e-13

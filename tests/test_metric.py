@@ -50,6 +50,19 @@ def test_graph_of_the_wrong_shape_is_a_degenerate_subspace(su2_double, g, b):
         met.metric_from_graph(su2_double, g, b)
 
 
+def test_graph_needs_symmetric_g_and_antisymmetric_b(su2_double):
+    # only g + B enters: a symmetric B gave bitwise the G of g + B, and g's antisymmetric part acted as B
+    g = np.diag([1.0, 2.0, 3.0])
+    s = np.array([[0.0, 0.3, 0.0], [0.3, 0.0, 0.0], [0.0, 0.0, 0.1]])
+    w = np.array([[0.0, 0.3, 0.0], [-0.3, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    for g_bad, b_bad in ((g, s), (g + w, None), (g + w, w)):
+        with pytest.raises(DegenerateSubspace, match="g symmetric and B antisymmetric"):
+            met.metric_from_graph(su2_double, g_bad, b_bad)
+    # round-off asymmetry within METRIC_TOL of max|g| passes, at a large scale too
+    gs = 1e6 * (g + s)
+    assert met.metric_from_graph(su2_double, gs + 1e-5 * w, w + 1e-5 * s).strictly_positive
+
+
 def test_subspace_basis_of_three_dimensions_rejected():
     with pytest.raises(DegenerateSubspace, match="finite vectors"):
         met.metric_from_subspace(alg.so3(), np.zeros((1, 3, 1)))

@@ -195,3 +195,85 @@ def test_eh_gradient_check(su2_double, graph_metric_123):
 def test_eh_gradient_identity_metric(su2_double):
     # at G = Id the Ricci term vanishes; the check reduces to the sigma term
     assert var.eh_gradient_check(su2_double, np.eye(6), 1.0, seed=1) <= 1e-6
+
+
+# -- the three-placement forms, kept as oracles for the indices-down rewrite --------------------------------
+
+
+def _second_cov_d(m, t, variance):
+    """D_a D_b t: the first derivative's own slot gets the connection correction."""
+    return con.cov_d(m, con.cov_d(m, t, variance), ("d",) + tuple(variance))
+
+
+def _ricci_variation_three_placements(a, g, d, chi, eps):
+    """``ricci_variation`` differentiating chi_dd, chi^uu and chi_d^u separately (oracle)."""
+    D = con.levi_civita(a, g, d)
+    m = con.mixed_christoffel(a, D)
+    fgrc = cur.full_ricci(a, D)
+    grc = cur._ricci_from_full(g, fgrc)
+    lap = np.einsum("ab,abgd->gd", g @ a.eta_inv, _second_cov_d(m, a.eta @ chi, ("d", "d")))
+    trd = np.einsum("aab->b", con.cov_d(m, chi @ a.eta_inv, ("u", "u")))
+    dd = _second_cov_d(m, a.eta @ chi @ a.eta_inv, ("d", "u"))
+    comm = dd - dd.swapaxes(0, 1)
+    acal = 0.5 * (np.einsum("gb,dgad->ab", g, comm) - np.einsum("gb,dagd->ab", g, comm))
+    return (-0.5 * (a.eta_inv @ lap) - 0.5 * met.lie_derivative_metric(a, g, trd + g @ (a.eta_inv @ eps))
+            + a.eta_inv @ (acal + acal.T) + chi @ g @ grc + g @ (chi @ fgrc - fgrc @ chi))
+
+
+def _scalar_variation_second_cov_d(a, g, d, chi, eps):
+    """``scalar_variation`` through the rank-4 D D chi^uu contracted with G twice (oracle)."""
+    D = con.levi_civita(a, g, d)
+    m = con.mixed_christoffel(a, D)
+    val = np.einsum("ag,bd,abgd->", g, g, _second_cov_d(m, chi @ a.eta_inv, ("u", "u")))
+    val -= 2.0 * np.einsum("ab,ab->", g @ a.eta_inv, con.cov_d(m, eps, ("d",)))
+    return float(val) + 0.5 * float(np.trace(chi @ cur.ricci(a, g, d, D=D)))
+
+
+def _variation_inputs(preset_metrics, cap_metric):
+    """(label, algebra, G, div, chi, eps) over every preset metric and the n = 16 one, at the zero and a random
+    divergence, with chi a path tangent [K, G] and a general matrix (the formulas are linear in chi)."""
+    rng = np.random.default_rng(27)
+    for label, a, g in preset_metrics + [cap_metric]:
+        for d in (None, con.Divergence(rng.standard_normal(a.n))):
+            tangent = var.path_tangent(g, met.random_eta_antisymmetric(a, int(rng.integers(2**31))))
+            for chi in (tangent, rng.standard_normal((a.n, a.n))):
+                yield label, a, g, d, chi, rng.standard_normal(a.n)
+
+
+def test_variation_formulas_match_three_placement_forms(preset_metrics, cap_metric):
+    for label, a, g, d, chi, eps in _variation_inputs(preset_metrics, cap_metric):
+        ref = _ricci_variation_three_placements(a, g, d, chi, eps)
+        out = var.ricci_variation(a, g, d, chi, eps)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * (1 + np.max(np.abs(ref))), label
+        ref = _scalar_variation_second_cov_d(a, g, d, chi, eps)
+        assert abs(var.scalar_variation(a, g, d, chi, eps) - ref) <= 1e-13 * (1 + abs(ref)), label
+
+
+def test_levi_civita_commutes_with_eta_and_annihilates_G(preset_metrics, cap_metric):
+    # the two identities the variation formulas rest on: raising a slot by eta commutes with D, and D G = 0
+    rng = np.random.default_rng(28)
+    for label, a, g, d, _, _ in _variation_inputs(preset_metrics, cap_metric):
+        m = con.mixed_christoffel(a, con.levi_civita(a, g, d))
+        for variance in (("d",), ("d", "d"), ("u", "d", "d")):
+            t = rng.standard_normal((a.n,) * len(variance))
+            raised = con.cov_d(m, t @ a.eta_inv, variance[:-1] + ("u",))
+            ref = con.cov_d(m, t, variance) @ a.eta_inv
+            assert np.max(np.abs(raised - ref)) <= 1e-13 * (1 + np.max(np.abs(ref))), (label, variance)
+        assert np.max(np.abs(con.cov_d(m, g, ("u", "d")))) <= 1e-13 * (1 + np.max(np.abs(m))), label
+
+
+@pytest.mark.parametrize("preset", ["cotangent_double_su2", "complex_double_su2"])
+@pytest.mark.parametrize("seed", range(4))
+def test_variation_fd_convergence_at_nonzero_divergence(preset, seed):
+    a = dict(checks.PRESETS)[preset]()
+    rng = np.random.default_rng(seed)
+    g = met.random_strictly_positive_metric(a, int(rng.integers(2**31))).G
+    k = met.random_eta_antisymmetric(a, int(rng.integers(2**31)))
+    d0, eps = rng.standard_normal(a.n), rng.standard_normal(a.n)
+    chi = var.path_tangent(g, k)
+    d = con.Divergence(d0)
+    for exact, value in ((var.ricci_variation(a, g, d, chi, eps), cur.ricci),
+                         (var.scalar_variation(a, g, d, chi, eps), cur.scalar)):
+        errs = var.fd_error_ladder(
+            exact, lambda s: value(a, var.metric_path(g, k, s), con.Divergence(d0 + s * eps)), steps=(1e-2, 1e-3))
+        assert 25 <= errs[0] / errs[1] <= 400, (value.__name__, errs)
