@@ -1,6 +1,7 @@
 """Command line driver: config ingestion, run orchestration, result emission.
 
-One JSON config schema serves every mode; unknown keys are rejected.  Output
+One JSON config schema serves every mode; unknown keys, and sections the mode
+does not read, are rejected.  Output
 files embed the package version and a SHA-256 of the canonical config, so
 identical config + seed reproduce byte-identical artifacts apart from that
 versioned header line.  JSON artifacts are strict JSON: a non-finite float
@@ -407,10 +408,6 @@ def _set_by_path(obj, path: str, value):
         raise ConfigParseError(f"sweep path '{path}' cannot be set: {exc}") from None
 
 
-# a cell runs mode_flow on the sweep's own seed and directory, so only these sections of its config are read
-_SWEEP_CELL_SECTIONS = ("algebra", "metric", "flow")
-
-
 def mode_sweep(cfg, seed, out_dir):
     axes = cfg["sweep"]["axes"]
     cells = list(itertools.product(*(axis["values"] for axis in axes)))  # the first axis slowest
@@ -422,10 +419,10 @@ def mode_sweep(cfg, seed, out_dir):
         cell_dir.mkdir(parents=True, exist_ok=True)
         entry = {"cell": idx, "params": {axis["path"]: v for axis, v in zip(axes, combo)}}
         try:
-            for axis, value in zip(axes, combo):
-                if axis["path"].split(".")[0] not in _SWEEP_CELL_SECTIONS:
+            for axis, value in zip(axes, combo):  # a cell is a flow run on the sweep's own seed and directory
+                if axis["path"].split(".")[0] not in MODES["flow"][1]:
                     raise ConfigParseError(f"sweep path '{axis['path']}' is not read by a cell: a cell is a flow "
-                                           f"run of the sections {', '.join(_SWEEP_CELL_SECTIONS)}")
+                                           f"run of the sections {', '.join(MODES['flow'][1])}")
                 _set_by_path(cell_cfg, axis["path"], value)
             validate_config(cell_cfg)
             code = mode_flow(cell_cfg, seed, cell_dir)
@@ -441,13 +438,13 @@ def mode_sweep(cfg, seed, out_dir):
     return 3 if any_failed else 0
 
 
-MODES = {
-    "validate": mode_validate,
-    "curvature": mode_curvature,
-    "flow": mode_flow,
-    "torus": mode_torus,
-    "check": mode_check,
-    "sweep": mode_sweep,
+MODES = {  # each mode's handler and the config sections it reads, besides mode, seed and out
+    "validate": (mode_validate, ("algebra", "metric")),
+    "curvature": (mode_curvature, ("algebra", "metric", "divergence")),
+    "flow": (mode_flow, ("algebra", "metric", "flow")),
+    "torus": (mode_torus, ("torus",)),
+    "check": (mode_check, ("check",)),
+    "sweep": (mode_sweep, ("sweep", "algebra", "metric", "flow")),
 }
 
 
@@ -459,12 +456,17 @@ def run_config(path, mode=None, seed=None, out=None) -> int:
     mode = mode or cfg_mode
     if mode is None:
         raise ConfigParseError("no mode given (config 'mode' field or CLI subcommand)")
+    handler, sections = MODES[mode]
+    unread = [key for key in cfg if key not in ("mode", "seed", "out", *sections)]
+    if unread:
+        raise ConfigParseError(f"config section(s) {', '.join(unread)} not read by mode '{mode}', "
+                               f"which reads {', '.join(sections)}")
     eff_seed = seed if seed is not None else int(cfg.get("seed", 0))
     if eff_seed < 0:  # the schema holds the config's seed to this too: numpy's generators take no negative seed
         raise ConfigParseError(f"seed must be non-negative, got {eff_seed}")
     out_dir = Path(out if out is not None else cfg.get("out", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
-    return MODES[mode](cfg, eff_seed, out_dir)
+    return handler(cfg, eff_seed, out_dir)
 
 
 def main(argv=None) -> int:

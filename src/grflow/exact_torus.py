@@ -44,8 +44,8 @@ so each independent component is differentiated once. Geometry is built once per
 computes each field of the read-only ``TorusFields`` record (positivity margin, g^-1, sqrt(det g),
 w g^-1, Gamma, its trace v_j = Gamma^k_kj, Rc, h, |H|^2, d phi, g^-1 d phi, R - |H|^2/12) that the right
 sides, the scalar field and lambda read, and expands Gamma to (k, i, j) once, for v and the quadratic
-term of Rc. w g^-1 is the one coefficient of every Laplacian: the phi-Laplacian of ``torus_rhs``, the
-scalar field's and each application of lambda's operator.
+term of Rc. w g^-1 is the one coefficient of every Laplacian: the phi-Laplacian of ``torus_rhs`` and
+lambda's operator L (``dirichlet_operator``), which the scalar field reads as e^phi L e^-phi.
 
 Contractions are plain einsums over the component axes, so numpy's inner loop runs along the whole
 grid, and the gathers (``christoffel``'s table, Gamma's expansion, the pairs of a full tensor) copy
@@ -323,7 +323,7 @@ def perturbed_state(geom: TorusGeometry, seed: int, amplitude: float = 0.05, k: 
     st.phi += amplitude * mode()
     st = TorusFieldState(geom, st.gs, st.b, st.phi, k)  # the edits above are validated like any state
     if st.spd_margin() <= SPD_FLOOR:
-        raise DegenerateMetric("perturbation amplitude too large: g not positive definite")
+        raise ValidationError("perturbation amplitude too large: g not positive definite")
     return st
 
 
@@ -536,24 +536,18 @@ def ricci_dilaton_rhs(state: TorusFieldState) -> tuple[np.ndarray, np.ndarray, n
     return sym_pairs(np.moveaxis(dg, (0, 1), (-2, -1))), np.zeros_like(state.b), dphi_rhs
 
 
+def dirichlet_operator(fields: TorusFields, u: np.ndarray) -> np.ndarray:
+    """lambda's operator L u = -4 Lap_g u + (R - |H|^2/12) u, one ``laplace_beltrami`` call."""
+    return -4.0 * laplace_beltrami(fields.geom, fields.w, fields.wginv, u) + fields.potential * u
+
+
 def generalized_scalar_field(fields: TorusFields) -> np.ndarray:
-    """Nodewise R - 1/12 |H|^2_g - 4 e^phi Lap_g e^-phi."""
+    """Nodewise R - 1/12 |H|^2_g - 4 e^phi Lap_g e^-phi = e^phi L e^-phi, L = ``dirichlet_operator``."""
     phi = fields.state.phi
-    return fields.potential - 4.0 * np.exp(phi) * laplace_beltrami(fields.geom, fields.w, fields.wginv, np.exp(-phi))
+    return np.exp(phi) * dirichlet_operator(fields, np.exp(-phi))
 
 
 # -- lambda functional ---------------------------------------------------------
-
-
-def _dirichlet_operator(fields: TorusFields):
-    """Returns (apply_L, weights) for L u = -4 Lap_g u + (R - |H|^2/12) u, one ``laplace_beltrami`` call each."""
-    geom, w, wginv, pot = fields.geom, fields.w, fields.wginv, fields.potential
-    weights = w * geom.h**geom.d  # dV per node
-
-    def apply_l(u):
-        return -4.0 * laplace_beltrami(geom, w, wginv, u) + pot * u
-
-    return apply_l, weights
 
 
 LAMBDA_RESIDUAL_TOL = 1e-8  # bound on ||L u - lambda u||_dV / (1 + |lambda|)
@@ -570,44 +564,44 @@ def _flat_inverse(geom: TorusGeometry):
 def lambda_torus(fields: TorusFields, u0: np.ndarray | None = None, return_vector: bool = False):
     """Minimum of int(4 |grad u|^2_g + (R - |H|^2/12) u^2) dV over unit-mass u.
 
-    LOBPCG (Knyazev 2001) on the W-symmetric standard form of (W L) u = lambda W u, W = dV: the
-    operator W^1/2 L W^-1/2 on v = W^1/2 u, preconditioned by W^1/2 M W^1/2 with M = ``_flat_inverse``,
-    from ``u0`` (constant if None) unless u0 already meets the bound. Its residual norm is then
-    ||L u - lambda u||_W itself, and lambda, the weighted Rayleigh quotient of u, is returned only if
-    that is <= LAMBDA_RESIDUAL_TOL (1 + |lambda|). A warm start that misses the bound is retried once
-    from the constant; a solve that misses it from there raises.
+    The W-symmetric standard form of (W L) u = lambda W u, W = dV, throughout: the operator
+    A = W^1/2 L W^-1/2 on v = W^1/2 u, so ||A v - q v|| = ||L u - q u||_W. A unit start v, from ``u0``
+    (constant if None), is rated by q = v^T A v and that residual; one that misses the bound
+    LAMBDA_RESIDUAL_TOL (1 + |q|) goes to LOBPCG (Knyazev 2001), preconditioned by W^1/2 M W^1/2 with
+    M = ``_flat_inverse``, whose closing Rayleigh-Ritz step on the vector it returns gives lambda and the
+    residual. A warm start that misses the bound is retried once from the constant; a solve that misses
+    it from there raises.
     """
-    apply_l, wts = _dirichlet_operator(fields)
+    geom = fields.geom
+    root = np.sqrt(fields.w * geom.h**geom.d).reshape(-1, 1)  # W^1/2, W = dV per node
 
-    def rayleigh(u):
-        u = u / np.sqrt(np.sum(wts * u * u))
-        lu = apply_l(u)
-        q = float(np.sum(wts * u * lu))
-        return q, u, float(np.sqrt(np.sum(wts * (lu - q * u) ** 2)))
+    def operator(v):  # A = W^1/2 L W^-1/2 on columns
+        return root * dirichlet_operator(fields, (v / root).reshape(geom.shape)).reshape(v.shape)
 
-    constant = np.ones(wts.shape)
+    constant = np.ones(geom.shape)
     # a warm start near a cluster of low eigenvalues can stall where the constant start converges
     for start in [constant] if u0 is None else [np.asarray(u0, dtype=float), constant]:
-        q, u, res = rayleigh(start)
+        v = root * start.reshape(-1, 1)
+        v /= np.linalg.norm(v)
+        av = operator(v)
+        q = float(np.vdot(v, av))
+        res = float(np.linalg.norm(av - q * v))
         if res > LAMBDA_RESIDUAL_TOL * (1.0 + abs(q)):
             from scipy.sparse.linalg import lobpcg
-            root, flat_inverse = np.sqrt(wts).reshape(-1, 1), _flat_inverse(fields.geom)
-
-            def operator(v):  # W^1/2 L W^-1/2
-                return root * apply_l((v / root).reshape(wts.shape)).reshape(v.shape)
-
+            flat_inverse = _flat_inverse(geom)
             # lambda <= q, so the bound at q is within the bound at lambda: 0.9 of it leaves room for round-off
             tol = 0.9 * LAMBDA_RESIDUAL_TOL * (1.0 + max(0.0, -q))
-            with warnings.catch_warnings():  # its notes on a missed tol: the residual below is the report
+            with warnings.catch_warnings():  # its notes on a missed tol: the residual it returns is the report
                 warnings.simplefilter("ignore", UserWarning)
-                _, x = lobpcg(operator, root * u.reshape(-1, 1), M=lambda v: root * flat_inverse(root * v), tol=tol,
-                              maxiter=LAMBDA_MAX_ITER, largest=False)
-            q, u, res = rayleigh((x / root).reshape(wts.shape))
+                lam, v, residuals = lobpcg(operator, v, M=lambda x: root * flat_inverse(root * x), tol=tol,
+                                           maxiter=LAMBDA_MAX_ITER, largest=False, retResidualNormsHistory=True)
+            q, res = float(lam[0]), float(residuals[-1])
         if res <= LAMBDA_RESIDUAL_TOL * (1.0 + abs(q)):
             break
     else:
         raise EigensolverStalled(f"lambda solver stalled at weighted residual {res:.3e}, lambda {q!r}")
-    if float(np.sum(wts * u)) < 0:
+    u = (v / root).reshape(geom.shape)
+    if float(np.sum(root * v)) < 0:  # sum(W u)
         u = -u
     return (q, u) if return_vector else q
 
@@ -621,7 +615,7 @@ def eh_density_identity_residual(state: TorusFieldState) -> float:
     fields = torus_fields(state)
     u = np.exp(-state.phi)
     du = grad(state.geom, u)
-    _, wts = _dirichlet_operator(fields)
+    wts = fields.w * state.geom.h**state.geom.d  # dV per node
     lhs = float(np.sum(wts * generalized_scalar_field(fields) * u * u))
     rhs = float(np.sum(wts * (fields.potential * u * u + 4.0 * np.einsum("i...,ij...,j...->...", du, fields.ginv, du))))
     return abs(lhs - rhs) / (1.0 + abs(lhs))

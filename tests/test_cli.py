@@ -160,6 +160,35 @@ def test_config_section_takes_one_form_exit_2(tmp_path, capsys, cfg, message):
     assert not list((tmp_path / "out").glob("*"))
 
 
+_SO3_IDENTITY = {"algebra": {"preset": "so3"}, "metric": {"identity": True}}
+
+
+@pytest.mark.parametrize("cfg, unread", [
+    ({"mode": "validate", "algebra": {"preset": "so3"}, "flow": {"T": 1.0}}, "flow"),
+    ({"mode": "curvature", **_SO3_IDENTITY, "torus": {"N": 8}}, "torus"),
+    ({"mode": "flow", **_SO3_IDENTITY, "divergence": [1, 2, 3], "torus": {"N": 16}, "check": {"scope": "torus"},
+      "flow": {"dt": 0.01, "T": 0.02}}, "divergence, torus, check"),
+    ({"mode": "torus", "torus": {"d": 2, "N": 8, "T": 0.01}, "algebra": {"preset": "so3"}, "sweep": {"axes": []}},
+     "algebra, sweep"),
+    ({"mode": "check", "check": {"scope": "algebraic", "instances": 1}, "metric": {"identity": True}}, "metric"),
+    ({"mode": "sweep", **_SO3_IDENTITY, "flow": {"dt": 0.01, "T": 0.02}, "sweep": {"axes": []},
+      "divergence": [1, 2, 3]}, "divergence"),
+], ids=["validate", "curvature", "flow", "torus", "check", "sweep"])
+def test_config_section_the_mode_does_not_read_exit_2(tmp_path, capsys, cfg, unread):
+    # each of these ran to exit 0 before, with the unread sections silently ignored
+    code, err = exit_code_and_error_line(capsys, tmp_path, write_cfg(tmp_path, cfg), cfg["mode"])
+    assert code == 2 and err.startswith(f"error: config section(s) {unread} not read by mode '{cfg['mode']}'")
+    assert not (tmp_path / "out").exists()
+
+
+def test_torus_amplitude_past_positivity_exit_2(tmp_path, capsys):
+    # a perturbation that leaves g indefinite is bad input, found before the run: not a numerical failure
+    cfg = {"mode": "torus", "torus": {"d": 3, "N": 16, "init": "perturbed", "amplitude": 5.0, "T": 0.1}}
+    code, err = exit_code_and_error_line(capsys, tmp_path, write_cfg(tmp_path, cfg), "torus")
+    assert code == 2 and err == "error: perturbation amplitude too large: g not positive definite\n"
+    assert not list((tmp_path / "out").glob("*"))
+
+
 @pytest.mark.parametrize("graph, message", [
     ({"g": [[1, 0.5, 0], [0, 2, 0], [0, 0, 3]]}, "max|g - g^T| = 0.5"),
     ({**_GRAPH_123, "B": [[0, 1, 0], [1, 0, 0], [0, 0, 0]]}, "max|B + B^T| = 2"),
@@ -260,10 +289,12 @@ _metric = st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(cfg=st.fixed_dictionaries({"mode": st.sampled_from(["validate", "curvature"]), "algebra": _algebra},
-                                 optional={"metric": _metric, "divergence": st.lists(_number, max_size=7)}))
+@given(cfg=st.fixed_dictionaries({"mode": st.just("validate"), "algebra": _algebra}, optional={"metric": _metric})
+       | st.fixed_dictionaries({"mode": st.just("curvature"), "algebra": _algebra},
+                               optional={"metric": _metric, "divergence": st.lists(_number, max_size=7)}))
 def test_config_fuzz_never_raises(tmp_path_factory, cfg):
-    # exit 3 only where finite numbers overflow inside the linear algebra
+    # exit 3 only where finite numbers overflow inside the linear algebra; only curvature reads a divergence,
+    # so only its configs carry one, and no example stops at the section check
     out = tmp_path_factory.mktemp("fuzz")
     path = write_cfg(out, cfg)
     with np.errstate(all="ignore"):

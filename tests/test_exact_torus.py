@@ -110,7 +110,7 @@ def test_perturbed_state_rejects_nonfinite_fields(geom8, amplitude):
 
 
 def test_perturbed_state_rejects_a_perturbation_past_positivity(geom8):
-    with pytest.raises(DegenerateMetric, match="perturbation amplitude too large"):
+    with pytest.raises(ValidationError, match="perturbation amplitude too large"):
         et.perturbed_state(geom8, 0, amplitude=3.0)
 
 
@@ -527,6 +527,19 @@ def test_generalized_scalar_dilaton_mode(geom16):
     assert abs(np.mean(gr) + 2.0 * eps**2) <= 0.1 * eps**2
 
 
+@pytest.mark.parametrize("state", [
+    lambda: et.perturbed_state(et.TorusGeometry(2, 16), 7),
+    lambda: et.perturbed_state(et.TorusGeometry(3, 16), 7, k=0.7),
+], ids=["T2", "T3"])
+def test_generalized_scalar_field_is_conjugated_operator(state):
+    # GR = e^phi L e^-phi against its expanded form R - |H|^2/12 - 4 e^phi Lap e^-phi
+    fields = et.torus_fields(state())
+    phi = fields.state.phi
+    gr = et.generalized_scalar_field(fields)
+    ref = fields.potential - 4.0 * np.exp(phi) * et.laplace_beltrami(fields.geom, fields.w, fields.wginv, np.exp(-phi))
+    assert np.max(np.abs(gr - ref)) <= 1e-13 * (1.0 + np.max(np.abs(gr)))
+
+
 def test_ricci_dilaton_regression(geom16):
     st = et.perturbed_state(geom16, 3, amplitude=0.05)
     st.b[:] = 0.0
@@ -780,6 +793,7 @@ def test_laplacian_coefficient_matches_linalg(d, rng):
 def test_lambda_operator_call_is_one_laplacian(monkeypatch, geom8):
     # every operator call LOBPCG makes inside lambda_torus is exactly one laplace_beltrami call, so counting
     # those calls counts lambda's operator applications
+    fields = et.torus_fields(et.perturbed_state(geom8, 9, amplitude=0.05, k=0.5))
     laplacians = _count_calls(monkeypatch, et, "laplace_beltrami")
     per_call, inside = [], []
     original = scipy.sparse.linalg.lobpcg
@@ -797,18 +811,24 @@ def test_lambda_operator_call_is_one_laplacian(monkeypatch, geom8):
         return result
 
     monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", counted)
-    et.lambda_torus(et.torus_fields(et.perturbed_state(geom8, 9, amplitude=0.05, k=0.5)))
+    _, u = et.lambda_torus(fields, return_vector=True)
     assert len(inside) == 1 and len(per_call) > 1
     assert set(per_call) == {1} and inside[0] == len(per_call)
+    # outside LOBPCG a solve applies L once, to rate its start: lambda and the residual are LOBPCG's own
+    assert len(laplacians) == inside[0] + 1
+    # a warm start that already meets the bound costs one application and no solve
+    del laplacians[:]
+    et.lambda_torus(fields, u0=u)
+    assert len(laplacians) == 1 and len(inside) == 1
 
 
 def test_flat_inverse_inverts_flat_operator(rng):
     # the preconditioner's symbol is exactly that of -4 Lap + 1 built from deriv's stencil
     for d in (2, 3):
         geom = et.TorusGeometry(d, 8)
-        apply_l, _ = et._dirichlet_operator(et.torus_fields(et.flat_state(geom)))
+        fields = et.torus_fields(et.flat_state(geom))
         x = rng.standard_normal(geom.shape)
-        y = et._flat_inverse(geom)((apply_l(x) + x).reshape(-1, 1))
+        y = et._flat_inverse(geom)((et.dirichlet_operator(fields, x) + x).reshape(-1, 1))
         assert y.shape == (x.size, 1)
         assert np.max(np.abs(y[:, 0] - x.ravel())) <= 1e-12
 
@@ -818,11 +838,11 @@ def test_flat_operator_annihilates_nyquist_modes(d):
     # deriv's symbol (8 sin t - sin 2t) / 6h vanishes at t = pi, so on a flat state lambda's operator is exactly 0
     # on the 2^d Nyquist modes, which span the indicators of the 2 x 2 (x 2) sublattices
     geom = et.TorusGeometry(d, 8)
-    apply_l, _ = et._dirichlet_operator(et.torus_fields(et.flat_state(geom)))
+    fields = et.torus_fields(et.flat_state(geom))
     nodes = np.indices(geom.shape)
     for m in np.ndindex(*(2,) * d):
         chi = (-1.0) ** np.tensordot(m, nodes, axes=1)
-        assert np.array_equal(apply_l(chi), np.zeros(geom.shape)), m
+        assert np.array_equal(et.dirichlet_operator(fields, chi), np.zeros(geom.shape)), m
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -857,9 +877,9 @@ _ORACLE_STATES = {
 def test_lambda_matches_dense_oracle(case):
     # W L assembled column by column (64 and 512 nodes), then a dense generalized eigh
     fields = et.torus_fields(_ORACLE_STATES[case]())
-    apply_l, wts = et._dirichlet_operator(fields)
+    wts = fields.w * fields.geom.h**fields.geom.d
     eye = np.eye(wts.size)
-    wl = np.stack([(wts * apply_l(e.reshape(wts.shape))).ravel() for e in eye], axis=1)
+    wl = np.stack([(wts * et.dirichlet_operator(fields, e.reshape(wts.shape))).ravel() for e in eye], axis=1)
     assert np.max(np.abs(wl - wl.T)) <= 1e-12 * np.max(np.abs(wl))  # L is W-self-adjoint
     ref = scipy.linalg.eigh(0.5 * (wl + wl.T), np.diag(wts.ravel()), eigvals_only=True, subset_by_index=[0, 0])[0]
     lam = et.lambda_torus(fields)
@@ -869,10 +889,13 @@ def test_lambda_matches_dense_oracle(case):
 def test_lambda_residual_bound_and_warm_start(monkeypatch, geom8):
     fields = et.torus_fields(et.perturbed_state(geom8, 9, amplitude=0.05, k=0.5))
     lam, u = et.lambda_torus(fields, return_vector=True)
-    apply_l, wts = et._dirichlet_operator(fields)
-    r = apply_l(u) - lam * u
+    wts = fields.w * geom8.h**3
+    lu = et.dirichlet_operator(fields, u)
+    r = lu - lam * u
     assert np.sqrt(np.sum(wts * r * r)) <= et.LAMBDA_RESIDUAL_TOL * (1 + abs(lam))
     assert abs(np.sum(wts * u * u) - 1.0) <= 1e-12 and np.sum(wts * u) > 0
+    # lambda is the Rayleigh quotient of the u returned with it: LOBPCG ends with a Rayleigh-Ritz step on it
+    assert abs(lam - np.sum(wts * u * lu)) <= 1e-12 * abs(lam)
     # a start that already meets the bound is returned without a solve
     solves = _count_calls(monkeypatch, scipy.sparse.linalg, "lobpcg")
     lam_warm, u_warm = et.lambda_torus(fields, u0=-3.0 * u, return_vector=True)
