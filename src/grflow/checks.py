@@ -99,17 +99,18 @@ def _aggregate(table: dict, records) -> list[CheckResult]:
     for name, (tol, _) in table.items():
         v = values[name]
         lo, hi = tol if isinstance(tol, tuple) else (None, tol)
+        band = "" if lo is None else f"band [{lo},{hi}]: "  # the result's tol holds only hi
         if name in raised:
             results.append(_failed(name, hi, raised[name]))
         elif not v:
-            band = "" if lo is None else f"band [{lo},{hi}]: "
             results.append(CheckResult(name, float("inf"), hi, False, band + "no record has a value"))
         elif lo is None:
             worst = float(np.max(v))
             results.append(CheckResult(name, worst, hi, bool(worst <= hi)))
         else:
             worst = float(np.min(v))
-            results.append(CheckResult(name, worst, hi, bool(lo <= worst <= hi), f"n={len(v)}, max={np.max(v):.1f}"))
+            results.append(CheckResult(name, worst, hi, bool(lo <= worst <= hi),
+                                       f"{band}n={len(v)}, max={np.max(v):.1f}"))
     return results
 
 

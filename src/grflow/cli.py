@@ -137,7 +137,7 @@ CONFIG_SCHEMA = {
                 "cfl": {"type": "number", "exclusiveMinimum": 0},
                 "init": {"enum": ["flat", "perturbed"]},
                 "amplitude": {"type": "number"},
-                "kmax": {"type": "integer", "minimum": 1},
+                "kmax": {"type": "integer", "minimum": 1, "maximum": 16},  # N >= 8 kmax, N <= 128
                 "compute_lambda": {"type": "boolean"},
                 "lambda_every": {"const": 1},
                 "dump_fields": {"type": "boolean"},

@@ -41,11 +41,11 @@ last two axes, as ``np.linalg`` and the field dump read them. ``sym_pairs``, ``s
 ``form_slots`` convert between the two layouts, and ``TorusFieldState.from_full`` builds a state from a
 full g and B. Gamma^k_ij (symmetric in ij), Rc, the Hessian, dt g and the RK4 update stay on the pairs,
 so each independent component is differentiated once. Geometry is built once per state: ``torus_fields``
-computes each field of the read-only ``TorusFields`` record (positivity margin, g^-1, sqrt(det g),
-w g^-1, Gamma, its trace v_j = Gamma^k_kj, Rc, h, |H|^2, d phi, g^-1 d phi, R - |H|^2/12) that the right
-sides, the scalar field and lambda read, and expands Gamma to (k, i, j) once, for v and the quadratic
-term of Rc. w g^-1 is the one coefficient of every Laplacian: the phi-Laplacian of ``torus_rhs`` and
-lambda's operator L (``dirichlet_operator``), which the scalar field reads as e^phi L e^-phi.
+computes each field of the read-only ``TorusFields`` record (margin, g^-1, w = sqrt(det g), w g^-1, the
+measure dv = w h^d, Gamma, v_j = Gamma^k_kj, Rc, h, |H|^2, d phi, g^-1 d phi, R - |H|^2/12) and expands
+Gamma to (k, i, j) once, for v and Rc. One Laplacian, ``laplace_beltrami`` of the gradient its caller
+holds, serves the phi-equation and lambda's operator L (``dirichlet_operator``; GR = e^phi L e^-phi), and
+one measure, dv, serves lambda's weight W and the Einstein-Hilbert quadrature.
 
 Contractions are plain einsums over the component axes, so numpy's inner loop runs along the whole
 grid, and the gathers (``christoffel``'s table, Gamma's expansion, the pairs of a full tensor) copy
@@ -135,8 +135,9 @@ class TorusGeometry:
             raise ValidationError(f"torus dimension must be 2 or 3, got {self.d}")
         if self.N < 8 or self.N % 2:
             raise ValidationError(f"grid size must be even and >= 8, got {self.N}")
-        if not 0 < self.L < np.inf:
-            raise ValidationError(f"period must be positive and finite, got {self.L!r}")
+        with np.errstate(over="ignore", under="ignore"):  # dv reads h^d; for d <= 3, h^2 is then a float too
+            if not (self.L > 0 and 0 < np.float64(self.h) ** self.d < np.inf):
+                raise ValidationError(f"period must be positive, (L / N)^{self.d} finite and nonzero, got {self.L!r}")
 
     @property
     def h(self) -> float:
@@ -371,11 +372,10 @@ def ricci_tensor(geom: TorusGeometry, gamma: np.ndarray, expanded: np.ndarray, v
     return rc
 
 
-def laplace_beltrami(geom: TorusGeometry, w: np.ndarray, wginv: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Divergence-form Laplace-Beltrami: (1/w) d_i (w g^{ij} d_j f), w = sqrt(det g), from w and w g^-1."""
-    lap = div(geom, np.einsum("ij...,j...->i...", wginv, grad(geom, f)))
-    lap /= w
-    return lap
+def laplace_beltrami(geom: TorusGeometry, w: np.ndarray, wginv: np.ndarray, df: np.ndarray) -> np.ndarray:
+    """Divergence-form Laplace-Beltrami (1/w) d_i (w g^{ij} d_j f), w = sqrt(det g), from w, w g^-1 and df = grad f."""
+    lap = div(geom, np.einsum("ij...,j...->i...", wginv, df))
+    return np.divide(lap, w, out=lap)
 
 
 def hessian(geom: TorusGeometry, gamma: np.ndarray, df: np.ndarray) -> np.ndarray:
@@ -447,6 +447,7 @@ class TorusFields:
     ginv: np.ndarray  # full (d, d)
     w: np.ndarray  # sqrt(det g)
     wginv: np.ndarray  # w g^-1, full (d, d): the coefficient of every ``laplace_beltrami``
+    dv: np.ndarray  # w h^d, the measure dV of each node
     gamma: np.ndarray  # Gamma^k_p
     v: np.ndarray  # Gamma^k_kj
     rc: np.ndarray
@@ -477,7 +478,8 @@ def torus_fields(state: TorusFieldState) -> TorusFields:
     dphi = grad(geom, state.phi)
     dphi_up = np.einsum("kl...,l...->k...", ginv, dphi)
     potential = np.einsum("ij...,ij...->...", ginv, rc[pair]) - h_norm_sq / 12.0
-    return TorusFields(state, margin, ginv, w, w * ginv, gamma, v, rc, h, h_norm_sq, dphi, dphi_up, potential)
+    return TorusFields(state, margin, ginv, w, w * ginv, w * geom.h**geom.d, gamma, v, rc, h, h_norm_sq, dphi,
+                       dphi_up, potential)
 
 
 def torus_rhs(fields: TorusFields) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -489,9 +491,8 @@ def torus_rhs(fields: TorusFields) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         db = np.einsum("kl...,l...->k...", ginv, grad(geom, h) - h * (fields.v + 2.0 * dphi))
     else:
         db = np.zeros_like(fields.state.b)
-    lap_phi = div(geom, np.einsum("ij...,j...->i...", fields.wginv, dphi)) / fields.w  # laplace_beltrami of phi
-    dphi_rhs = lap_phi - 2.0 * np.einsum("i...,i...->...", dphi_up, dphi) + fields.h_norm_sq / 12.0
-    return dg, db, dphi_rhs
+    lap_phi = laplace_beltrami(geom, fields.w, fields.wginv, dphi)
+    return dg, db, lap_phi - 2.0 * np.einsum("i...,i...->...", dphi_up, dphi) + fields.h_norm_sq / 12.0
 
 
 def christoffel_full(geom: TorusGeometry, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
@@ -523,7 +524,7 @@ def ricci_dilaton_rhs(state: TorusFieldState) -> tuple[np.ndarray, np.ndarray, n
     dt phi).
 
     It shares only the stencils with ``torus_fields``: Gamma, Rc and the Hessian come from the full g by the
-    full-tensor formulas above, and g^-1 and det g from ``np.linalg``.
+    full-tensor formulas above, g^-1 and det g from ``np.linalg``, and it writes its own Laplacian of phi.
     """
     geom, g = state.geom, state.g
     ginv, w = np.linalg.inv(g), np.sqrt(np.linalg.det(g))
@@ -531,20 +532,19 @@ def ricci_dilaton_rhs(state: TorusFieldState) -> tuple[np.ndarray, np.ndarray, n
     gamma = christoffel_full(geom, g, ginv)
     dphi = grad(geom, state.phi)
     dg = -2.0 * ricci_tensor_full(geom, gamma) - 4.0 * hessian_full(geom, gamma, dphi)
-    lap_phi = laplace_beltrami(geom, w, w * ginv, state.phi)
+    lap_phi = div(geom, np.einsum("ij...,j...->i...", w * ginv, dphi)) / w
     dphi_rhs = lap_phi - 2.0 * np.einsum("ij...,i...,j...->...", ginv, dphi, dphi)
     return sym_pairs(np.moveaxis(dg, (0, 1), (-2, -1))), np.zeros_like(state.b), dphi_rhs
 
 
 def dirichlet_operator(fields: TorusFields, u: np.ndarray) -> np.ndarray:
     """lambda's operator L u = -4 Lap_g u + (R - |H|^2/12) u, one ``laplace_beltrami`` call."""
-    return -4.0 * laplace_beltrami(fields.geom, fields.w, fields.wginv, u) + fields.potential * u
+    return -4.0 * laplace_beltrami(fields.geom, fields.w, fields.wginv, grad(fields.geom, u)) + fields.potential * u
 
 
 def generalized_scalar_field(fields: TorusFields) -> np.ndarray:
     """Nodewise R - 1/12 |H|^2_g - 4 e^phi Lap_g e^-phi = e^phi L e^-phi, L = ``dirichlet_operator``."""
-    phi = fields.state.phi
-    return np.exp(phi) * dirichlet_operator(fields, np.exp(-phi))
+    return np.exp(fields.state.phi) * dirichlet_operator(fields, np.exp(-fields.state.phi))
 
 
 # -- lambda functional ---------------------------------------------------------
@@ -573,7 +573,7 @@ def lambda_torus(fields: TorusFields, u0: np.ndarray | None = None, return_vecto
     it from there raises.
     """
     geom = fields.geom
-    root = np.sqrt(fields.w * geom.h**geom.d).reshape(-1, 1)  # W^1/2, W = dV per node
+    root = np.sqrt(fields.dv).reshape(-1, 1)  # W^1/2
 
     def operator(v):  # A = W^1/2 L W^-1/2 on columns
         return root * dirichlet_operator(fields, (v / root).reshape(geom.shape)).reshape(v.shape)
@@ -613,11 +613,10 @@ def eh_density_identity_residual(state: TorusFieldState) -> float:
     reads ``grad`` and g^-1 instead. Run on random states before trusting the lambda solver's energy.
     """
     fields = torus_fields(state)
-    u = np.exp(-state.phi)
+    dv, u = fields.dv, np.exp(-state.phi)
     du = grad(state.geom, u)
-    wts = fields.w * state.geom.h**state.geom.d  # dV per node
-    lhs = float(np.sum(wts * generalized_scalar_field(fields) * u * u))
-    rhs = float(np.sum(wts * (fields.potential * u * u + 4.0 * np.einsum("i...,ij...,j...->...", du, fields.ginv, du))))
+    lhs = float(np.sum(dv * generalized_scalar_field(fields) * u * u))
+    rhs = float(np.sum(dv * (fields.potential * u * u + 4.0 * np.einsum("i...,ij...,j...->...", du, fields.ginv, du))))
     return abs(lhs - rhs) / (1.0 + abs(lhs))
 
 

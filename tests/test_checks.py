@@ -127,6 +127,13 @@ def test_nan_in_band_fails():
     assert not result.passed and math.isnan(result.worst)
 
 
+def test_band_result_names_its_edges():
+    # a result's tol holds only the upper edge: a value below the lower one is read against the note's band
+    [result] = checks._aggregate({"band": ((25, 400), lambda x: x)}, [21.63, 488.5])
+    assert (result.worst, result.tol, result.passed) == (21.63, 400, False)
+    assert result.note == "band [25,400]: n=2, max=488.5"
+
+
 def test_band_check_without_values_fails(monkeypatch):
     monkeypatch.setitem(checks.PATH_CHECKS, "fd_ratio_ricci_variation", ((25, 400), lambda x: None))
     failed = {r.name: (r.worst, r.note) for r in checks.run_variation_checks(0) if not r.passed}

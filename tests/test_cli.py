@@ -1,6 +1,8 @@
+import functools
 import inspect
 import json
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -301,6 +303,26 @@ def test_config_fuzz_never_raises(tmp_path_factory, cfg):
         assert cli.main([cfg["mode"], "--config", str(path), "--out", str(out)]) in (0, 2, 3)
 
 
+_torus_number = _number | st.floats(1e-300, 1e300)
+_torus = st.fixed_dictionaries({}, optional={
+    "d": st.sampled_from([2, 3]), "N": st.sampled_from([8, 16]), "L": _torus_number, "k": _torus_number,
+    "T": _torus_number, "cfl": _torus_number, "init": st.sampled_from(["flat", "perturbed"]),
+    "amplitude": _torus_number, "kmax": st.integers(1, 2) | st.integers(), "compute_lambda": st.booleans(),
+    "lambda_every": st.just(1), "dump_fields": st.booleans()})
+_TWO_STEPS = functools.partial(et.TorusParams, max_steps=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=st.fixed_dictionaries({"mode": st.just("torus"), "torus": _torus}, optional={"seed": st.integers(-3, 99)}))
+def test_torus_config_fuzz_never_raises(tmp_path_factory, cfg):
+    # the torus section has no step budget: two steps per run keep a long T or a small cfl cheap, and stop it
+    # with exit 3 like any run cut short
+    out = tmp_path_factory.mktemp("fuzz")
+    path = write_cfg(out, cfg)
+    with np.errstate(all="ignore"), mock.patch.object(et, "TorusParams", _TWO_STEPS):
+        assert cli.main(["torus", "--config", str(path), "--out", str(out)]) in (0, 2, 3)
+
+
 def test_mode_mismatch(tmp_path):
     path = write_cfg(tmp_path, {"mode": "flow"})
     with pytest.raises(ConfigParseError):
@@ -498,6 +520,21 @@ def test_torus_perturbed_start_on_too_coarse_a_grid_exit_2(tmp_path, capsys, tor
     cfg = {"mode": "torus", "torus": {"init": "perturbed", **torus}}
     code, err = exit_code_and_error_line(capsys, tmp_path, write_cfg(tmp_path, cfg), "torus", "--seed", "0")
     assert code == 2 and err.startswith("error: config field 'torus/N'") and f"need N >= {need}" in err
+    assert not (tmp_path / "out" / "torus_trace.csv").exists()
+
+
+@pytest.mark.parametrize("torus, message", [
+    ({"d": 2, "N": 8, "L": 1e160, "T": 0.01, "compute_lambda": False}, "(L / N)^2 finite and nonzero"),
+    ({"d": 3, "N": 8, "L": 1e120, "T": 0.01}, "(L / N)^3 finite and nonzero"),
+    ({"d": 3, "N": 8, "L": 1e-300, "T": 0.01}, "(L / N)^3 finite and nonzero"),
+    ({"d": 2, "N": 16, "init": "perturbed", "kmax": 10**30, "T": 0.01}, "'torus/kmax'"),
+], ids=["L 1e160 on T^2", "L 1e120 on T^3", "L 1e-300", "kmax 1e30"])
+def test_torus_period_or_kmax_past_the_floats_exit_2(tmp_path, capsys, torus, message):
+    # h^2 and h^3 overflowed Python's float power (exit 1), L = 1e-300 ran to a numerical failure, and a kmax
+    # past int64 failed in numpy's integer draw (exit 1): each is bad input, found before any field is built
+    path = write_cfg(tmp_path, {"mode": "torus", "torus": torus})
+    code, err = exit_code_and_error_line(capsys, tmp_path, path, "torus")
+    assert code == 2 and err.startswith("error: ") and message in err
     assert not (tmp_path / "out" / "torus_trace.csv").exists()
 
 

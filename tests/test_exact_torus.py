@@ -31,7 +31,8 @@ def test_geometry_validation():
         et.TorusGeometry(3, 7)
     with pytest.raises(ValidationError):
         et.TorusGeometry(3, 6)
-    for period in (0.0, -1.0, float("nan"), float("inf")):
+    # 1e300 and 1e-300 are finite, but h^3 overflows and underflows: every measure reads h^d
+    for period in (0.0, -1.0, float("nan"), float("inf"), 1e300, 1e-300):
         with pytest.raises(ValidationError, match="period"):
             et.TorusGeometry(3, 8, period)
 
@@ -536,7 +537,8 @@ def test_generalized_scalar_field_is_conjugated_operator(state):
     fields = et.torus_fields(state())
     phi = fields.state.phi
     gr = et.generalized_scalar_field(fields)
-    ref = fields.potential - 4.0 * np.exp(phi) * et.laplace_beltrami(fields.geom, fields.w, fields.wginv, np.exp(-phi))
+    lap = et.laplace_beltrami(fields.geom, fields.w, fields.wginv, et.grad(fields.geom, np.exp(-phi)))
+    ref = fields.potential - 4.0 * np.exp(phi) * lap
     assert np.max(np.abs(gr - ref)) <= 1e-13 * (1.0 + np.max(np.abs(gr)))
 
 
@@ -600,10 +602,9 @@ def test_lambda_dilaton_localization(geom16):
     assert np.all(u > 0)
     gr = et.generalized_scalar_field(fields)
     # direct Rayleigh value of u = e^-phi normalized must upper-bound lambda
-    wts = fields.w * geom16.h**3
     u0 = np.exp(-st.phi)
-    u0 /= np.sqrt(np.sum(wts * u0 * u0))
-    upper = float(np.sum(wts * gr * u0 * u0))
+    u0 /= np.sqrt(np.sum(fields.dv * u0 * u0))
+    upper = float(np.sum(fields.dv * gr * u0 * u0))
     assert lam <= upper + 1e-12
 
 
@@ -613,10 +614,10 @@ def test_eh_density_identity(geom16):
 
 
 _WRONG_LAPLACIANS = {
-    "scaled": lambda lap: lambda geom, w, wginv, f: 1.1 * lap(geom, w, wginv, f),
-    "shifted": lambda lap: lambda geom, w, wginv, f: lap(geom, w, wginv, f) + 0.3 * f,
-    "non_divergence": lambda lap: lambda geom, w, wginv, f: np.einsum("ij...,ij...->...", wginv / w,
-                                                                      et.grad(geom, et.grad(geom, f))),
+    "scaled": lambda lap: lambda geom, w, wginv, df: 1.1 * lap(geom, w, wginv, df),
+    "shifted": lambda lap: lambda geom, w, wginv, df: lap(geom, w, wginv, df) + 0.3 * df[0],
+    "non_divergence": lambda lap: lambda geom, w, wginv, df: np.einsum("ij...,ij...->...", wginv / w,
+                                                                       et.grad(geom, df)),
 }
 
 
@@ -626,6 +627,16 @@ def test_eh_density_identity_sees_a_wrong_laplacian(monkeypatch, geom16, mutant)
     st = et.perturbed_state(geom16, 21, amplitude=0.08, k=0.7)
     monkeypatch.setattr(et, "laplace_beltrami", _WRONG_LAPLACIANS[mutant](et.laplace_beltrami))
     assert et.eh_density_identity_residual(st) > 1e-4
+
+
+@pytest.mark.parametrize("mutant", list(_WRONG_LAPLACIANS))
+def test_torus_checks_see_a_wrong_laplacian(monkeypatch, mutant):
+    # torus_rhs reads the Laplacian for dt phi: its regression against the oracle, which states its own, and the
+    # diffeomorphism band on dt phi fail beside the EH identity
+    monkeypatch.setattr(et, "laplace_beltrami", _WRONG_LAPLACIANS[mutant](et.laplace_beltrami))
+    names = ("torus_eh_density_identity", "torus_ricci_dilaton_regression", "torus_diffeomorphism_phi")
+    results = checks._aggregate({name: checks.TORUS_CHECKS[name] for name in names}, [checks._Runs(0)])
+    assert [r.name for r in results if not r.passed] == list(names)
 
 
 def test_t2_flow_decays():
@@ -749,6 +760,29 @@ def test_eh_density_builds_one_record(monkeypatch, geom8):
     assert len(records) == 1 and len(gammas) == 1
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_one_laplacian_per_rhs_and_scalar_field(monkeypatch, d):
+    # the phi-Laplacian of torus_rhs and the Laplacian of GR = e^phi L e^-phi are one laplace_beltrami call each;
+    # the H-free oracle states its own Laplacian and calls none
+    fields = et.torus_fields(et.perturbed_state(et.TorusGeometry(d, 8), 5, amplitude=0.05, k=0.5 if d == 3 else 0.0))
+    laplacians = _count_calls(monkeypatch, et, "laplace_beltrami")
+    for read in (et.torus_rhs, et.generalized_scalar_field):
+        del laplacians[:]
+        read(fields)
+        assert len(laplacians) == 1, read.__name__
+    del laplacians[:]
+    et.ricci_dilaton_rhs(fields.state)
+    assert not laplacians
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_measure_sums_to_the_volume(d):
+    # dV = sqrt(det g) h^d: on g = c Id the nodes sum to c^(d/2) L^d
+    geom = et.TorusGeometry(d, 8, 3.0)
+    fields = et.torus_fields(et.TorusFieldState.from_full(geom, 4.0 * np.eye(d), 0.0, 0.0, 0.0))
+    assert np.sum(fields.dv) == pytest.approx(2.0**d * 3.0**d, rel=1e-14)
+
+
 @pytest.mark.parametrize("max_steps", [0, -3, float("nan")])
 def test_torus_params_reject_empty_step_budget(max_steps):
     with pytest.raises(ValidationError, match="max_steps"):
@@ -786,7 +820,7 @@ def test_laplacian_coefficient_matches_linalg(d, rng):
     assert np.max(np.abs(fields.wginv - w * ginv)) <= 1e-13 * np.max(np.abs(w * ginv))
     for f in (np.exp(-st.phi), rng.standard_normal(geom.shape)):
         ref = et.div(geom, w * np.einsum("ij...,j...->i...", ginv, et.grad(geom, f))) / w
-        lap = et.laplace_beltrami(geom, fields.w, fields.wginv, f)
+        lap = et.laplace_beltrami(geom, fields.w, fields.wginv, et.grad(geom, f))
         assert np.max(np.abs(lap - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -877,7 +911,7 @@ _ORACLE_STATES = {
 def test_lambda_matches_dense_oracle(case):
     # W L assembled column by column (64 and 512 nodes), then a dense generalized eigh
     fields = et.torus_fields(_ORACLE_STATES[case]())
-    wts = fields.w * fields.geom.h**fields.geom.d
+    wts = fields.dv
     eye = np.eye(wts.size)
     wl = np.stack([(wts * et.dirichlet_operator(fields, e.reshape(wts.shape))).ravel() for e in eye], axis=1)
     assert np.max(np.abs(wl - wl.T)) <= 1e-12 * np.max(np.abs(wl))  # L is W-self-adjoint
@@ -889,7 +923,7 @@ def test_lambda_matches_dense_oracle(case):
 def test_lambda_residual_bound_and_warm_start(monkeypatch, geom8):
     fields = et.torus_fields(et.perturbed_state(geom8, 9, amplitude=0.05, k=0.5))
     lam, u = et.lambda_torus(fields, return_vector=True)
-    wts = fields.w * geom8.h**3
+    wts = fields.dv
     lu = et.dirichlet_operator(fields, u)
     r = lu - lam * u
     assert np.sqrt(np.sum(wts * r * r)) <= et.LAMBDA_RESIDUAL_TOL * (1 + abs(lam))
