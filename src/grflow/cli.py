@@ -327,23 +327,19 @@ def mode_flow(cfg, seed, out_dir):
     f = cfg.get("flow", {})  # its "integrator" can only be RK4
     params = fl.FlowParams(**_given(f, "dt", "T", "retract_tol", "max_steps"))
     state = fl.FlowState(0.0, gm.G, float(f.get("log_sigma0", 0.0)))
-    return _run_to_csv("flow", lambda: fl.run_flow(a, state, params), fl.FlowTrace.COLUMNS, cfg, seed, out_dir)[1]
+    return _run_to_csv("flow", fl.run_flow(a, state, params), cfg, seed, out_dir)
 
 
-def _run_to_csv(name, run, columns, cfg, seed, out_dir):
-    """Run, write ``<name>_trace.csv`` and return (trace, exit code): 0, or 3 with ``<name>_abort.json``
-    when the trace's ``aborted`` says the run did not reach T.
-
-    A runner returns a trace with at least one row; an error on the initial state propagates.
-    """
-    trace = run()
-    write_csv(out_dir / f"{name}_trace.csv", _header_line(cfg, seed), columns, trace.rows())
+def _run_to_csv(name, trace, cfg, seed, out_dir):
+    """Write ``trace`` (at least one row) to ``<name>_trace.csv`` and return the exit code: 0, or 3 with
+    ``<name>_abort.json`` when its ``aborted`` says the run did not reach T."""
+    write_csv(out_dir / f"{name}_trace.csv", _header_line(cfg, seed), trace.COLUMNS, trace.rows())
     if trace.aborted:
         write_json(out_dir / f"{name}_abort.json", cfg, seed, {"aborted": trace.aborted, "last_t": trace.t[-1]})
         print(f"{name}: aborted ({trace.aborted}) after {len(trace.t)} records")
-        return trace, 3
+        return 3
     print(f"{name}: {len(trace.t)} records to t = {trace.t[-1]!r}")
-    return trace, 0
+    return 0
 
 
 def _torus_state_params(cfg, seed):
@@ -368,8 +364,8 @@ def _torus_state_params(cfg, seed):
 
 def mode_torus(cfg, seed, out_dir):
     state, params = _torus_state_params(cfg, seed)
-    trace, code = _run_to_csv("torus", lambda: et.run_torus_flow(state, params), et.TorusTrace.COLUMNS, cfg,
-                              seed, out_dir)
+    trace = et.run_torus_flow(state, params)
+    code = _run_to_csv("torus", trace, cfg, seed, out_dir)
     if cfg.get("torus", {}).get("dump_fields"):
         et.write_field_dump(trace.final_state, out_dir / "final_fields.grfd")
     return code

@@ -1,10 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Errors split into two families used by the CLI exit-code mapping:
-validation errors (bad inputs, exit 2) and numerical errors
-(runs that start fine and fail midway, exit 3).  ``run_flow`` and
-``run_torus_flow`` catch a numerical error raised after their initial record
-and return the trace with its message as the abort note.
+Errors split into two families used by the CLI exit-code mapping: validation errors (bad inputs, exit 2)
+and numerical errors (runs that start fine and fail midway, exit 3).  ``runs.integrate``, the loop of
+both flows, turns a numerical error raised after a run's initial record into the run's abort note.
 """
 
 

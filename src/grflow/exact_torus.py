@@ -67,8 +67,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DegenerateMetric, EigensolverStalled, NumericalError, StepBudgetExhausted, StepUnderflow,
-                     ValidationError)
+from .errors import DegenerateMetric, EigensolverStalled, ValidationError
+from .runs import integrate
 
 SPD_FLOOR = 1e-8
 KMAX = 2  # perturbed_state's default highest mode
@@ -229,8 +229,8 @@ class TorusFieldState:
 
     def __post_init__(self):
         d, shape = self.geom.d, self.geom.shape
-        # C order: a planned einsum sums in an order that follows its operands' memory layout, and
-        # the right side should not depend on how the caller laid the arrays out
+        # C order, whatever the caller's layout: each component is one contiguous grid block, which the
+        # stencil's slices and the whole-grid einsums run along
         self.gs, self.b, self.phi = (np.ascontiguousarray(f, dtype=float) for f in (self.gs, self.b, self.phi))
         self.k = float(self.k)
         if (self.gs.shape != (len(_SYM[d][0]),) + shape or self.b.shape != (len(_FORM2[d][0]),) + shape
@@ -675,55 +675,36 @@ def _rk4_torus(state: TorusFieldState, dt: float, rhs, k1) -> TorusFieldState:
 def run_torus_flow(state: TorusFieldState, params: TorusParams, rhs=torus_rhs) -> TorusTrace:
     """RK4 run with diffusion-limited steps, returning its trace whatever stops it after the initial record.
 
-    The step is dt = cfl h^2 / max_node ||g^{-1}|| recomputed per step, cut to land exactly on T.
-    Every RK4 stage state goes through the constructor, which asserts that every field has its shape
-    and is finite; g and B, derived from their independent components, are symmetric and
-    antisymmetric by construction.  ``aborted`` is None when the
-    run reached T and otherwise says why not: lost positivity or a rejected RK4 stage
-    (DegenerateMetric), a stalled lambda solve, step underflow or the ``max_steps`` budget.
-    ``final_state`` is the last state reached.  A failure on the initial state (no positive metric,
-    a stalled first lambda) has no partial trace and raises.
+    ``runs.integrate`` runs the loop. The step dt = cfl h^2 lambda_min(g), cfl h^2 / lambda_max(g^-1) at the
+    slowest node, is recomputed per step and cut to land exactly on T. Each RK4 stage state goes through the
+    constructor, which asserts that every field has its shape and is finite (g and B are symmetric and
+    antisymmetric by construction). ``aborted`` is None when the run reached T and otherwise says why not:
+    lost positivity or a rejected RK4 stage (DegenerateMetric), a stalled lambda solve, step underflow or the
+    ``max_steps`` budget. ``final_state`` is the last state reached; a failure on the initial state (no
+    positive metric, a stalled first lambda) raises.
     """
     trace = TorusTrace()
-    st = state.copy()
     lam_vec = None
 
-    def record(f: TorusFields):
+    def observe(st: TorusFieldState) -> TorusFields:
         nonlocal lam_vec
-        s = f.state
-        gr = generalized_scalar_field(f)
+        f = torus_fields(st)
+        gr, lam = generalized_scalar_field(f), float("nan")
         if params.compute_lambda:
             lam, lam_vec = lambda_torus(f, u0=lam_vec, return_vector=True)  # may raise: no partial row
-        else:
-            lam = float("nan")
-        trace.t.append(s.t)
+        trace.t.append(st.t)
         trace.minR.append(float(np.min(gr)))
         trace.meanR.append(float(np.mean(gr)))
         trace.lam.append(lam)
         trace.spd_margin.append(f.margin)
-        trace.g_norm.append(float(np.max(np.abs(s.gs))))  # max|g|: g holds each pair in one or two slots
-        trace.B_norm.append(float(np.max(np.abs(s.b))))  # max|B|: B holds b, 0 - b and zeros
-        trace.phi_norm.append(float(np.max(np.abs(s.phi))))
+        trace.g_norm.append(float(np.max(np.abs(st.gs))))  # max|g|: g holds each pair in one or two slots
+        trace.B_norm.append(float(np.max(np.abs(st.b))))  # max|B|: B holds b, 0 - b and zeros
+        trace.phi_norm.append(float(np.max(np.abs(st.phi))))
+        return f
 
-    fields = torus_fields(st)
-    record(fields)
-    try:
-        while st.t < params.T - 1e-12:
-            if len(trace.t) > params.max_steps:  # a row per accepted step and one for the initial state
-                raise StepBudgetExhausted(params.max_steps, st.t, params.T)
-            # max diffusion coefficient: 1/lambda_max(g^{-1}) = lambda_min(g)
-            dt = min(params.cfl * st.geom.h**2 * fields.margin, params.T - st.t)
-            if dt < 1e-14:
-                raise StepUnderflow(f"torus step underflow at t = {st.t}")
-            k1 = rhs(fields)
-            del fields  # the later stages build their own records; keeping this one raises peak memory
-            st = _rk4_torus(st, dt, rhs, k1)
-            del k1  # likewise, before the next record and its k1
-            fields = torus_fields(st)
-            record(fields)
-    except NumericalError as exc:
-        trace.aborted = str(exc)
-    trace.final_state = st
+    trace.final_state, trace.aborted = integrate(
+        state.copy(), params.T, params.max_steps, observe, rhs, lambda f: params.cfl * f.geom.h**2 * f.margin,
+        lambda st, dt, k1: _rk4_torus(st, dt, rhs, k1))
     return trace
 
 

@@ -17,9 +17,9 @@ import numpy as np
 
 from .algebra import QuadraticLieAlgebra
 from .curvature import moved_gram, ricci_closed_form, scalar_closed_form
-from .errors import (DegenerateMetric, NumericalError, RetractionDiverged, StepBudgetExhausted, StepUnderflow,
-                     ValidationError)
+from .errors import DegenerateMetric, RetractionDiverged, StepUnderflow, ValidationError
 from .metric import GeneralizedPseudometric, involution_residual, is_strictly_positive, mixed_norm_sq
+from .runs import integrate
 
 
 @dataclass
@@ -144,25 +144,23 @@ def flow_step(a: QuadraticLieAlgebra, state: FlowState, params: FlowParams, dt: 
 
 
 def run_flow(a: QuadraticLieAlgebra, init: FlowState, params: FlowParams) -> FlowTrace:
-    """Integrate to params.T recording diagnostics at every accepted step.
+    """Integrate to params.T with ``runs.integrate``, recording diagnostics at every accepted step.
 
-    The trace is returned whatever stops the run after its initial record:
-    ``aborted`` is None when it reached T and otherwise says why not (step
-    underflow, the ``max_steps`` budget, or lost strict positivity, which is
-    monitored when the initial metric has it: the theory guarantees its
-    preservation only through smooth existence).  ``final_G`` is the last
-    state reached.  An initial G that is no generalized pseudometric raises a
-    validation error.
+    The trace is returned whatever stops the run after its initial record: ``aborted`` is None when it reached T and
+    otherwise says why not (step underflow, the ``max_steps`` budget, or lost strict positivity, which is monitored
+    when the initial metric has it: the theory guarantees its preservation only through smooth existence). An
+    initial G that is no generalized pseudometric raises ValidationError. ``final_G`` is the last state reached.
     """
     watch_positivity = GeneralizedPseudometric.from_matrix(a, init.G).strictly_positive
 
     trace = FlowTrace()
-    state = FlowState(init.t, init.G.copy(), init.log_sigma)
 
-    def record(st: FlowState, rhs: tuple[np.ndarray, float], step_dt: float):
+    def observe(st: FlowState) -> tuple[np.ndarray, float]:
+        rhs = flow_rhs(a, st.G)
         # GR and GRc read back from the RHS (-2 GRc, -GR/2): power-of-two rescalings, so exact
         gr = -2.0 * rhs[1]
         rc2 = mixed_norm_sq(a, a.eta @ (-0.5 * rhs[0]))
+        step_dt = st.t - trace.t[-1] if trace.t else 0.0
         # dGR/dt = |GRc|^2_G against the trapezoidal mean over the step
         defect = abs((gr - trace.GR[-1]) / step_dt - 0.5 * (trace.normRc2[-1] + rc2)) if trace.t else 0.0
         sigma_sq = float(np.exp(2 * st.log_sigma))
@@ -178,21 +176,15 @@ def run_flow(a: QuadraticLieAlgebra, init: FlowState, params: FlowParams) -> Flo
         trace.soliton_residual.append(float(np.sqrt(max(rc2, 0.0))) if watch_positivity else float("nan"))
         trace.monotonicity_defect.append(defect)
         trace.step_dt.append(step_dt)
+        return rhs
 
-    k1 = flow_rhs(a, state.G)
-    record(state, k1, 0.0)
-    try:
-        while state.t < params.T - 1e-12:
-            if len(trace.t) > params.max_steps:  # a row per accepted step and one for the initial state
-                raise StepBudgetExhausted(params.max_steps, state.t, params.T)
-            new_state = flow_step(a, state, params, min(params.dt, params.T - state.t), k1)
-            if watch_positivity and not is_strictly_positive(a, new_state.G):
-                raise DegenerateMetric(f"strict positivity lost at t = {new_state.t}")
-            k1 = flow_rhs(a, new_state.G)
-            record(new_state, k1, new_state.t - state.t)
-            state = new_state
-    except NumericalError as exc:
-        trace.aborted = str(exc)
+    def advance(st: FlowState, dt: float, k1: tuple[np.ndarray, float]) -> FlowState:
+        new = flow_step(a, st, params, dt, k1)
+        if watch_positivity and not is_strictly_positive(a, new.G):
+            raise DegenerateMetric(f"strict positivity lost at t = {new.t}")
+        return new
+
+    state, trace.aborted = integrate(FlowState(init.t, init.G.copy(), init.log_sigma), params.T, params.max_steps,
+                                     observe, lambda rhs: rhs, lambda rhs: params.dt, advance)
     trace.final_G = state.G
     return trace
-

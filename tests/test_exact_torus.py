@@ -118,7 +118,7 @@ def test_perturbed_state_rejects_a_perturbation_past_positivity(geom8):
 def test_step_underflow_aborts_with_trace(geom8, stopped_short):
     # dt = cfl h^2 lambda_min(g) = 1e-20 h^2 on the flat start: below 1e-14, the run stops at its first step
     tr = et.run_torus_flow(et.flat_state(geom8), et.TorusParams(cfl=1e-20, max_steps=3))
-    stopped_short(tr, "torus step underflow at t = 0.0")
+    stopped_short(tr, "step underflow at t = 0.0")
     assert len(tr.t) == 1
 
 

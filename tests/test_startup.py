@@ -1,9 +1,9 @@
 """Start-up cost and module boundaries: each module loads only what it imports, and scipy loads only
 where grflow calls expm or LOBPCG.
 
-``import grflow`` loads no submodule, and ``grflow.exact_torus`` none but ``grflow.errors``. Only
-``exact_torus`` reads the index tables of its state's layout; every other module converts through its
-functions. The validate, curvature and flow modes load numpy alone. So does a flat torus
+``import grflow`` loads no submodule, ``grflow.runs`` none but ``grflow.errors``, and ``grflow.exact_torus``
+none but those two. Only ``exact_torus`` reads the index tables of its state's layout; every other module
+converts through its functions. The validate, curvature and flow modes load numpy alone. So does a flat torus
 run with lambda on: its metric is constant, so the constant start is already an exact eigenfunction
 of lambda's operator (the potential is constant and the gradient term vanishes), the start meets
 lambda's residual bound and ``lambda_torus`` returns before it imports LOBPCG. ``grf check`` draws
@@ -76,9 +76,10 @@ def test_cli_modes_start_without_scipy(tmp_path):
 
 @pytest.mark.parametrize("module, allowed", [
     ("grflow", set()),
-    ("grflow.exact_torus", {"grflow.errors", "grflow.exact_torus"}),
+    ("grflow.exact_torus", {"grflow.errors", "grflow.runs", "grflow.exact_torus"}),
     ("grflow.flow_ode", {"grflow.algebra", "grflow.connection", "grflow.curvature", "grflow.errors", "grflow.metric",
-                         "grflow.flow_ode"}),
+                         "grflow.runs", "grflow.flow_ode"}),
+    ("grflow.runs", {"grflow.errors", "grflow.runs"}),
 ])
 def test_import_loads_only_what_the_module_imports(module, allowed):
     code = f"import sys, {module}; print(' '.join(m for m in sys.modules if m.startswith('grflow.')))"
