@@ -19,10 +19,11 @@ term is then an algebraic identity of a top form in 3D (eps the coordinate symbo
 Discretization: 4th-order central differences on a uniform periodic grid.
 ``deriv`` is the only stencil: one wrapped copy of the field, two nodes longer
 at each end, read through four slice views (no ``np.roll`` copies), and one
-result array that every step of the sum updates in place, so it makes no other
-array. ``grad`` has each ``deriv`` write into its block of one array, with the
-derivative index as its first axis, and ``div`` contracts the first axis again,
-adding each term in place.
+result array that the sum's five passes update in place, in difference form
+(8 (f[j+1] - f[j-1]) - f[j+2]) + f[j-2], then / 12h, so it makes no other
+array and is exactly 0 on a constant field of any magnitude. ``grad`` has each
+``deriv`` write into its block of one array, with the derivative index as its
+first axis, and ``div`` contracts the first axis again, adding each term in place.
 The Laplace-Beltrami operator is kept in divergence form, which makes it
 exactly self-adjoint for the discrete dV-weighted inner product (central
 difference matrices are antisymmetric circulants): lambda_torus's eigenproblem
@@ -41,26 +42,37 @@ last two axes, as ``np.linalg`` and the field dump read them. ``sym_pairs``, ``s
 ``form_slots`` convert between the two layouts, and ``TorusFieldState.from_full`` builds a state from a
 full g and B. Gamma^k_ij (symmetric in ij), Rc, the Hessian, dt g and the RK4 update stay on the pairs,
 so each independent component is differentiated once. Geometry is built once per state: ``torus_fields``
-computes each field of the read-only ``TorusFields`` record (margin, g^-1, w = sqrt(det g), w g^-1, the
-measure dv = w h^d, Gamma, v_j = Gamma^k_kj, Rc, h, |H|^2, d phi, g^-1 d phi, R - |H|^2/12) and expands
-Gamma to (k, i, j) once, for v and Rc. One Laplacian, ``laplace_beltrami`` of the gradient its caller
+computes each field of the read-only ``TorusFields`` record (g^-1, w = sqrt(det g), w g^-1, Gamma,
+v_j = Gamma^k_kj, Rc, h, |H|^2, d phi, g^-1 d phi) and expands Gamma to (k, i, j) once, for v and Rc;
+``christoffel`` writes Gamma into the buffer of the partials of g, which it no longer reads. The members
+only records read (the trace row, the step size, GR and lambda) are formed on first read: the margin, the
+measure dv = w h^d and the potential R - |H|^2/12, so an RK4 stage, which reads the record only through
+``torus_rhs``, pays for none of them. One Laplacian, ``laplace_beltrami`` of the gradient its caller
 holds, serves the phi-equation and lambda's operator L (``dirichlet_operator``; GR = e^phi L e^-phi), and
 one measure, dv, serves lambda's weight W and the Einstein-Hilbert quadrature.
 
 Contractions are plain einsums over the component axes, so numpy's inner loop runs along the whole
 grid, and the gathers (``christoffel``'s table, Gamma's expansion, the pairs of a full tensor) copy
-whole grid blocks. g^-1 and det g are closed-form cofactors (``inverse_and_det``), so g^-1 is
-symmetric bitwise.
+whole grid blocks. g^-1 and det g are closed-form cofactors of g / s, s a power of two near max|g|
+(``scaled_cofactors``), so g^-1 is symmetric bitwise and, where no product over- or underflows,
+bitwise the cofactor formula on g itself.
 
-The positivity margin (``TorusFieldState.spd_margin``, every stage) is the grid minimum
-of ``eigvalsh`` bit for bit, but ``eigvalsh`` runs only on the few nodes that a
-closed-form lowest-eigenvalue screen (``lowest_eig_estimate``) cannot rule out,
-and on one matrix when those candidates are all bitwise equal, as every node of a
-spatially constant metric (each flat start) is.
+Positivity. Every state ``torus_fields`` builds, each RK4 stage included, is certified by
+``positivity_check`` from the cofactors g^-1 needs anyway: tr g, m2 = c00 + c11 + c22 and
+det g positive make g positive definite with lambda_min >= det / m2 (det / tr on T^2), and
+where that bound, less a derived round-off allowance on g / s, clears SPD_FLOOR at every
+node, no eigenvalue is computed. Elsewhere the exact margin decides, so a stage raises
+exactly where the margin is below SPD_FLOOR. The margin (``TorusFieldState.spd_margin``,
+through ``degenerate_nodes``, once per record) is the grid minimum of ``eigvalsh`` bit for
+bit, but ``eigvalsh`` runs only on the few nodes that a closed-form lowest-eigenvalue screen
+(``lowest_eig_estimate``) cannot rule out, and on one matrix when those candidates are all
+bitwise equal, as every node of a spatially constant metric (each flat start) is.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -68,13 +80,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateMetric, EigensolverStalled, ValidationError
-from .runs import integrate
+from .runs import check_max_steps, integrate
 
 SPD_FLOOR = 1e-8
 KMAX = 2  # perturbed_state's default highest mode
 # spd_margin's slack, relative to max|g|, above the least closed-form eigenvalue estimate: twice the
 # estimate's worst error must fit inside it (2.5e-8 max|g| measured, at a double lowest eigenvalue)
 SCREEN = 1e-6
+# positivity_check's allowance on g / s (entries below 2 in magnitude, u = 2^-53): tr, m2 and det of g / s
+# carry round-off below 12 u, 96 u and 240 u, all below 2^-44; the 16-fold rest covers the rounding of the
+# comparison and eigvalsh's backward error, a small multiple of u |g| <= 6 u s
+ALLOWANCE = 2.0**-40
 # the slots (I[k], J[k]) of B that hold b_k: eps_kIJ = 1 on T^3, and B_01 on T^2
 _FORM2 = {2: ([0], [1]), 3: ([1, 2, 0], [2, 0, 1])}
 
@@ -155,11 +171,10 @@ class TorusGeometry:
 def deriv(geom: TorusGeometry, f: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
     """4th-order central first derivative along a grid axis (periodic), written to ``out`` if given.
 
-    One wrapped copy of f, two nodes longer at each end, read through four slice views, and one result
-    array that each step updates in place: bitwise the sum -f[j+2] + 8 f[j+1] - 8 f[j-1] + f[j-2] that
-    four ``np.roll`` copies give. The term 8 f[j-1] is taken as 8 (s/8 - f[j-1]) of the partial sum s,
-    so it needs no product array; the power-of-two scalings are exact unless s is a nonzero value below
-    2^-1019, which takes field values below 1e-291 in magnitude.
+    The sum in difference form, (8 (f[j+1] - f[j-1]) - f[j+2]) + f[j-2], then divided by 12 h: five
+    passes over one result array, which each step updates in place, reading one wrapped copy of f (two
+    nodes longer at each end) through four slice views. On a constant field every step is exact, so its
+    derivative is exactly 0 at any magnitude.
     """
     n = f.shape[axis]
     ahead = (slice(None),) * (axis % f.ndim)
@@ -168,13 +183,12 @@ def deriv(geom: TorusGeometry, f: np.ndarray, axis: int, out: np.ndarray | None 
     def at(s):  # f[j + s] for the nodes j = 0 .. n - 1; node j + 2 of the wrapped copy holds f[j mod n]
         return wrapped[ahead + (slice(2 + s, 2 + s + n),)]
 
-    acc = np.multiply(at(1), 8.0)
-    acc -= at(2)
-    acc *= 0.125
-    acc -= at(-1)
+    acc = np.subtract(at(1), at(-1), out=out)
     acc *= 8.0
+    acc -= at(2)
     acc += at(-2)
-    return np.divide(acc, 12.0 * geom.h, out=acc if out is None else out)
+    acc /= 12.0 * geom.h
+    return acc
 
 
 def grad(geom: TorusGeometry, f: np.ndarray) -> np.ndarray:
@@ -343,7 +357,8 @@ def christoffel(state: TorusFieldState, ginv: np.ndarray) -> np.ndarray:
 
     Gamma^k_ij = g^{kl} Gamma_{l,ij} is symmetric in ij, so it is formed on the pairs only: the partials
     of the stored g_p, 2 Gamma_{l,ij} = d_i g_jl + d_j g_il - d_l g_ij read from them through ``_SYM``'s
-    tables by whole grid blocks, and one einsum with g^-1.
+    tables by whole grid blocks, and one einsum with g^-1, written into the partials' buffer, which the
+    sum no longer reads.
     """
     first, second = _SYM[state.geom.d][3:]
     dg = grad(state.geom, state.gs)  # (l, p) = d_l g_p
@@ -351,7 +366,7 @@ def christoffel(state: TorusFieldState, ginv: np.ndarray) -> np.ndarray:
     rhs = flat[first]  # (l, q) = 2 Gamma_{l,q}, summed in place
     rhs += flat[second]
     rhs -= dg
-    gamma = np.einsum("kl...,lq...->kq...", ginv, rhs)
+    gamma = np.einsum("kl...,lq...->kq...", ginv, rhs, out=dg)
     gamma *= 0.5
     return gamma
 
@@ -386,26 +401,42 @@ def hessian(geom: TorusGeometry, gamma: np.ndarray, df: np.ndarray) -> np.ndarra
     return hess
 
 
-def inverse_and_det(gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse and determinant of a field of symmetric 2 x 2 or 3 x 3 matrices given by their pairs (``_SYM``),
-    the pair axis first.
+def scaled_cofactors(gs: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """(s, adj, det): s the power of two with s <= max|g| < 2 s (1 for g = 0), and the adjugate (full, the
+    matrix axes first) and determinant of g / s, of a field of symmetric 2 x 2 or 3 x 3 matrices given by their
+    pairs (``_SYM``), the pair axis first.
 
-    g^-1 = adj g / det g from the cofactors, returned as full matrices on the first two axes, symmetric
-    bitwise; det g is the cofactor expansion along the first row.
+    adj is the cofactor matrix, det the cofactor expansion along the first row. Scaling by a power of two is
+    exact, so they are g's own cofactors times s^(1-d) and s^-d wherever those neither over- nor underflow;
+    on g / s, every entry below 2 in magnitude, they stay finite at any scale of g.
     """
+    top = max(float(np.max(gs)), -float(np.min(gs)))
+    scale = 2.0 ** (math.frexp(top)[1] - 1) if top > 0.0 else 1.0
     if gs.shape[0] == 3:
-        a, b, c = gs
+        a, b, c = gs / scale
         det = a * c - b * b
         d, adj = 2, (c, -b, -b, a)
     else:
-        a, b, c, e, f, i = gs
+        a, b, c, e, f, i = gs / scale
         c00, c01, c02 = e * i - f * f, c * f - b * i, b * f - c * e
         c11, c12, c22 = a * i - c * c, b * c - a * f, a * e - b * b
         det = a * c00 + b * c01 + c * c02
         d, adj = 3, (c00, c01, c02, c01, c11, c12, c02, c12, c22)
-    inv = np.stack(adj).reshape((d, d) + gs.shape[1:])
-    inv /= det
-    return inv, det
+    return scale, np.stack(adj).reshape((d, d) + gs.shape[1:]), det
+
+
+def _inverse(scale: float, adj: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g^-1 and det g from ``scaled_cofactors``, in place: adj(g / s) / (det(g / s) s) is bitwise adj g / det g."""
+    adj /= det * scale
+    det *= np.float64(scale) ** adj.shape[0]
+    return adj, det
+
+
+def inverse_and_det(gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse and determinant of a field of symmetric 2 x 2 or 3 x 3 matrices given by their pairs (``_SYM``),
+    the pair axis first: g^-1 = adj g / det g from the cofactors (``scaled_cofactors``), returned as full
+    matrices on the first two axes, symmetric bitwise."""
+    return _inverse(*scaled_cofactors(gs))
 
 
 def lowest_eig_estimate(gs: np.ndarray, scale: float) -> np.ndarray:
@@ -437,17 +468,35 @@ def degenerate_nodes(state: TorusFieldState) -> float:
     return margin
 
 
+def positivity_check(state: TorusFieldState, scale: float, adj: np.ndarray, det: np.ndarray) -> float | None:
+    """A stage's positivity check: raises DegenerateMetric exactly where ``degenerate_nodes`` does, that is
+    iff ``spd_margin()`` < SPD_FLOOR, and returns that margin where it has to compute it, else None.
+
+    It reads the ``scaled_cofactors`` (s, adj, det) of g. tr g, m2 = c00 + c11 + c22 and det g all positive
+    make g positive definite (the coefficients of its characteristic polynomial then alternate in sign), with
+    lambda_min >= det / m2 = 1 / tr g^-1 (on T^2, m2 is tr g). Where that bound, with ALLOWANCE taken off
+    tr, m2 and det of g / s, clears SPD_FLOOR + ALLOWANCE s at every node, ``spd_margin`` is at least
+    SPD_FLOOR; elsewhere ``degenerate_nodes`` decides.
+    """
+    pair = _SYM[adj.shape[0]][2]
+    tr = sum(state.gs[pair[i, i]] for i in range(adj.shape[0]))
+    m2 = np.einsum("ii...->...", adj)
+    bound = SPD_FLOOR / scale + ALLOWANCE
+    if np.all((tr > ALLOWANCE * scale) & (m2 > ALLOWANCE) & (det - ALLOWANCE >= bound * (m2 + ALLOWANCE))):
+        return None
+    return degenerate_nodes(state)
+
+
 @dataclass(frozen=True)
 class TorusFields:
     """Read-only geometry of one state; build it with ``torus_fields``. Every member has its component axes
-    first and the grid last; symmetric tensors are on ``_SYM``'s pairs."""
+    first and the grid last; symmetric tensors are on ``_SYM``'s pairs. ``margin``, ``potential`` and ``dv``,
+    which only records read (the trace row, the step size, GR and lambda), are formed on first read."""
 
     state: TorusFieldState
-    margin: float  # smallest eigenvalue of g over the grid
     ginv: np.ndarray  # full (d, d)
     w: np.ndarray  # sqrt(det g)
     wginv: np.ndarray  # w g^-1, full (d, d): the coefficient of every ``laplace_beltrami``
-    dv: np.ndarray  # w h^d, the measure dV of each node
     gamma: np.ndarray  # Gamma^k_p
     v: np.ndarray  # Gamma^k_kj
     rc: np.ndarray
@@ -455,44 +504,70 @@ class TorusFields:
     h_norm_sq: np.ndarray  # |H|^2_g = 6 h^2 / det g
     dphi: np.ndarray  # d_l phi
     dphi_up: np.ndarray  # g^{kl} d_l phi
-    potential: np.ndarray  # R - |H|^2 / 12
 
     @property
     def geom(self) -> TorusGeometry:
         return self.state.geom
 
+    @functools.cached_property
+    def margin(self) -> float:
+        """Smallest eigenvalue of g over the grid (``degenerate_nodes``)."""
+        return degenerate_nodes(self.state)
+
+    @functools.cached_property
+    def potential(self) -> np.ndarray:
+        """R - |H|^2 / 12."""
+        return np.einsum("ij...,ij...->...", self.ginv, self.rc[_SYM[self.geom.d][2]]) - self.h_norm_sq / 12.0
+
+    @functools.cached_property
+    def dv(self) -> np.ndarray:
+        """w h^d, the measure dV of each node."""
+        return self.w * self.geom.h**self.geom.d
+
 
 def torus_fields(state: TorusFieldState) -> TorusFields:
-    """The one place each field of ``TorusFields`` is computed; raises on lost positivity."""
+    """The one place each field of ``TorusFields`` is computed; raises on lost positivity (``positivity_check``)."""
     geom = state.geom
-    pair = _SYM[geom.d][2]
-    margin = degenerate_nodes(state)
-    ginv, det = inverse_and_det(state.gs)
+    cofactors = scaled_cofactors(state.gs)
+    margin = positivity_check(state, *cofactors)
+    ginv, det = _inverse(*cofactors)
     w = np.sqrt(det)
     gamma = christoffel(state, ginv)
-    expanded = gamma[:, pair]  # (k, i, j): Gamma's one full copy
+    expanded = gamma[:, _SYM[geom.d][2]]  # (k, i, j): Gamma's one full copy
     v = np.einsum("kkj...->j...", expanded)
     rc = ricci_tensor(geom, gamma, expanded, v)
     h = flux_H(state)
     h_norm_sq = 6.0 * h * h / det
     dphi = grad(geom, state.phi)
     dphi_up = np.einsum("kl...,l...->k...", ginv, dphi)
-    potential = np.einsum("ij...,ij...->...", ginv, rc[pair]) - h_norm_sq / 12.0
-    return TorusFields(state, margin, ginv, w, w * ginv, w * geom.h**geom.d, gamma, v, rc, h, h_norm_sq, dphi,
-                       dphi_up, potential)
+    fields = TorusFields(state, ginv, w, w * ginv, gamma, v, rc, h, h_norm_sq, dphi, dphi_up)
+    if margin is not None:  # the check computed the margin: the record keeps it
+        vars(fields)["margin"] = margin
+    return fields
 
 
 def torus_rhs(fields: TorusFields) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(dt g on the pairs, dt b, dt phi) of the exact-case flow with H = h eps, in the closed forms above, each
-    laid out as the state's gs, b and phi."""
+    laid out as the state's gs, b and phi, and each summed in place in the order of its closed form."""
     geom, ginv, h, dphi, dphi_up = fields.geom, fields.ginv, fields.h, fields.dphi, fields.dphi_up
-    dg = -2.0 * fields.rc + fields.h_norm_sq / 6.0 * fields.state.gs - 4.0 * hessian(geom, fields.gamma, dphi)
+    dg = np.multiply(fields.rc, -2.0)
+    dg += fields.h_norm_sq / 6.0 * fields.state.gs
+    hess = hessian(geom, fields.gamma, dphi)
+    hess *= 4.0
+    dg -= hess
     if geom.d == 3:  # dt b^k = X^k = g^{kl} (d_l h - h (v_l + 2 d_l phi))
-        db = np.einsum("kl...,l...->k...", ginv, grad(geom, h) - h * (fields.v + 2.0 * dphi))
+        x = np.multiply(dphi, 2.0)
+        x += fields.v
+        x *= h
+        dh = grad(geom, h)
+        dh -= x
+        db = np.einsum("kl...,l...->k...", ginv, dh)
     else:
         db = np.zeros_like(fields.state.b)
-    lap_phi = laplace_beltrami(geom, fields.w, fields.wginv, dphi)
-    return dg, db, lap_phi - 2.0 * np.einsum("i...,i...->...", dphi_up, dphi) + fields.h_norm_sq / 12.0
+    dphi_dt = laplace_beltrami(geom, fields.w, fields.wginv, dphi)
+    dphi_dt -= 2.0 * np.einsum("i...,i...->...", dphi_up, dphi)
+    dphi_dt += fields.h_norm_sq / 12.0
+    return dg, db, dphi_dt
 
 
 def christoffel_full(geom: TorusGeometry, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
@@ -633,8 +708,7 @@ class TorusParams:
     def __post_init__(self):
         if not (0 < self.T < np.inf and 0 < self.cfl < np.inf):
             raise ValidationError(f"T and cfl must be positive and finite, got {self.T!r} and {self.cfl!r}")
-        if not self.max_steps >= 1:
-            raise ValidationError(f"max_steps must be at least 1, got {self.max_steps!r}")
+        check_max_steps(self.max_steps)
 
 
 @dataclass

@@ -17,9 +17,9 @@ import numpy as np
 
 from .algebra import QuadraticLieAlgebra
 from .curvature import moved_gram, ricci_closed_form, scalar_closed_form
-from .errors import DegenerateMetric, RetractionDiverged, StepUnderflow, ValidationError
+from .errors import DegenerateMetric, RetractionDiverged, ValidationError
 from .metric import GeneralizedPseudometric, involution_residual, is_strictly_positive, mixed_norm_sq
-from .runs import integrate
+from .runs import check_max_steps, check_step, integrate
 
 
 @dataclass
@@ -42,8 +42,7 @@ class FlowParams:
     def __post_init__(self):
         if not (0 < self.dt < np.inf and 0 < self.T < np.inf):
             raise ValidationError(f"dt and T must be positive and finite, got {self.dt!r} and {self.T!r}")
-        if not self.max_steps >= 1:
-            raise ValidationError(f"max_steps must be at least 1, got {self.max_steps!r}")
+        check_max_steps(self.max_steps)
         if not 0 < self.retract_tol < np.inf:
             raise ValidationError(f"retract_tol must be positive and finite, got {self.retract_tol!r}")
 
@@ -122,14 +121,14 @@ def flow_step(a: QuadraticLieAlgebra, state: FlowState, params: FlowParams, dt: 
     """One accepted step: RK4 increment, then involution retraction.
 
     ``k1`` is ``flow_rhs(a, state.G)`` when the caller already has it.  The step
-    is halved whenever the increment is not finite or the retraction fails;
-    a halved retry starts from the same state, so it reuses ``k1``.
+    is halved whenever the increment is not finite or the retraction fails,
+    down to ``runs.check_step``'s floor; a halved retry starts from the same
+    state, so it reuses ``k1``.
     """
     dt = params.dt if dt is None else dt
     k1 = flow_rhs(a, state.G) if k1 is None else k1
     while True:
-        if dt < 1e-14:
-            raise StepUnderflow(f"step underflow at t = {state.t}")
+        check_step(dt, state.t)
         with np.errstate(over="ignore", invalid="ignore"):
             dg, ds = _rk4_increment(a, state, dt, k1)
         if not (np.all(np.isfinite(dg)) and np.isfinite(ds)):

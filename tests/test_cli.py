@@ -2,6 +2,7 @@ import functools
 import inspect
 import json
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -536,6 +537,20 @@ def test_torus_period_or_kmax_past_the_floats_exit_2(tmp_path, capsys, torus, me
     code, err = exit_code_and_error_line(capsys, tmp_path, path, "torus")
     assert code == 2 and err.startswith("error: ") and message in err
     assert not (tmp_path / "out" / "torus_trace.csv").exists()
+
+
+@pytest.mark.parametrize("period", [1e-60, 1e-100])
+def test_torus_tiny_period_stops_at_step_underflow(tmp_path, capsys, period):
+    # a flat state at any period: lambda is exactly 0 (the stencil is exactly 0 on lambda's constant start of
+    # about 1e150 at L 1e-100), and the step cfl h^2 is below the floor
+    path = write_cfg(tmp_path, {"mode": "torus", "torus": {"d": 3, "N": 8, "L": period, "T": 0.01}})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["torus", "--config", str(path), "--out", str(tmp_path)]) == 3
+    assert not caught and "Warning" not in capsys.readouterr().err
+    abort = json.loads((tmp_path / "torus_abort.json").read_text())
+    assert abort["aborted"] == "step underflow at t = 0.0"
+    assert (tmp_path / "torus_trace.csv").read_text().splitlines()[-1].split(",")[3] == "0.0"  # lambda
 
 
 @pytest.mark.parametrize("init", ["flat", "perturbed"])

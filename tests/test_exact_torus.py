@@ -146,11 +146,11 @@ def test_deriv_fourth_order(geom16):
 
 
 def _roll_deriv(geom, f, axis):
-    """The four-``np.roll`` stencil ``deriv`` had before its one wrapped copy (bitwise reference)."""
+    """The four-``np.roll`` stencil, summed as ``deriv`` sums it: (8 (f[j+1] - f[j-1]) - f[j+2]) + f[j-2]
+    (bitwise reference)."""
     return (
-        -np.roll(f, -2, axis=axis)
-        + 8.0 * np.roll(f, -1, axis=axis)
-        - 8.0 * np.roll(f, 1, axis=axis)
+        8.0 * (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis))
+        - np.roll(f, -2, axis=axis)
         + np.roll(f, 2, axis=axis)
     ) / (12.0 * geom.h)
 
@@ -165,6 +165,19 @@ def test_deriv_matches_roll_stencil_bitwise(d, rng):
     for f in inputs:
         for axis in range(f.ndim):
             assert np.array_equal(et.deriv(geom, f, axis), _roll_deriv(geom, f, axis))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("value", [0.1, -3.0, 1e150, 1e-300])
+def test_deriv_of_a_constant_is_exactly_zero(d, value):
+    # every step of the difference form is exact on a constant, in each of the bitwise test's layouts
+    geom = et.TorusGeometry(d, 8)
+    g = np.full(geom.shape + (d, d), value)
+    inputs = [g, g[..., 0, 0].copy(), g[..., 0, 1], g[..., 1, :], np.asfortranarray(g), np.swapaxes(g, 0, d - 1),
+              g[::-1], np.moveaxis(g, -1, 0)]
+    for f in inputs:
+        for axis in range(f.ndim):
+            assert not np.any(et.deriv(geom, f, axis))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -367,6 +380,60 @@ def test_rhs_anisotropic_flux_closed_form(geom8):
 def test_rhs_single_mode_B_exact(geom8):
     # one Fourier mode of B: the stencil's symbol gives dt B, dt g and dt phi exactly
     assert checks.single_mode_b_residual(geom8, 9) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("log_scale", [-150, -20, -6, 0, 6, 20, 150])
+def test_stage_positivity_check_raises_iff_the_margin_is_below_the_floor(d, log_scale):
+    # random SPD fields with eigenvalues in [1, 2] times the scale, and nodes planted with a lowest eigenvalue
+    # a hair either side of SPD_FLOOR, alone or with a second one 1e-9 above it, or with the spectrum
+    # (-1, -1, 0.1) or (-1, -1, 3) times the scale, where det, m2 > 0 > tr or det, tr > 0 > m2: the cofactor
+    # bound decides where it clears SPD_FLOOR, the exact margin elsewhere, and no scale makes either warn
+    rng = np.random.default_rng(2000 + 10 * log_scale + d)
+    geom = et.TorusGeometry(d, 8)
+    n = geom.N**d
+    for kind in ("none", "below", "above", "pair below", "pair above", "tr < 0", "m2 < 0"):
+        q, lam = _spectral_field(rng, n, d, 1.0, 2.0)
+        lam *= 10.0**log_scale
+        nodes = rng.choice(n, size=3, replace=False)
+        if kind.endswith("< 0"):
+            lam[nodes] = np.array([-1.0, -1.0, 0.1 if kind == "tr < 0" else 3.0])[:d] * 10.0**log_scale
+        elif kind != "none":
+            lam[nodes, 0] = et.SPD_FLOOR * (1.0 - 1e-6 if kind.endswith("below") else 1.0 + 1e-6)
+            if kind.startswith("pair"):
+                lam[nodes, 1] = lam[nodes, 0] * (1.0 + 1e-9)
+        st = et.TorusFieldState.from_full(geom, _assemble(q, lam).reshape(geom.shape + (d, d)), 0.0, 0.0, 0.0)
+        margin = st.spd_margin()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                checked = et.positivity_check(st, *et.scaled_cofactors(st.gs))
+            except DegenerateMetric:
+                checked = "raised"
+        assert not caught, (kind, [str(w.message) for w in caught])
+        assert (checked == "raised") == (margin < et.SPD_FLOOR), kind
+        assert checked in ("raised", None, margin), kind
+        if kind == "none" and log_scale >= -6:  # the bound clears: no eigvalsh at all
+            assert checked is None
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_stage_positivity_check_within_round_off_of_the_floor(d):
+    # one node's lowest eigenvalue within 4e-4 SPD_FLOOR of the floor, the rest of the spectrum at 1e4 to 2e4,
+    # where eigvalsh errs by about that much: with no round-off allowance the bound clears 10-20 % of these
+    # fields while spd_margin reads below the floor
+    rng = np.random.default_rng(40 + d)
+    geom = et.TorusGeometry(d, 8)
+    n = geom.N**d
+    for _ in range(60):
+        q, lam = _spectral_field(rng, n, d, 1e4, 2e4)
+        lam[rng.integers(n), 0] = et.SPD_FLOOR * (1.0 + rng.uniform(-4e-4, 4e-4))
+        st = et.TorusFieldState.from_full(geom, _assemble(q, lam).reshape(geom.shape + (d, d)), 0.0, 0.0, 0.0)
+        try:
+            checked = et.positivity_check(st, *et.scaled_cofactors(st.gs))
+        except DegenerateMetric:
+            checked = "raised"
+        assert (checked == "raised") == (st.spd_margin() < et.SPD_FLOOR)
 
 
 def test_spd_margin_constant_metric_runs_one_eigvalsh(monkeypatch, geom8):
@@ -742,14 +809,15 @@ def _count_calls(monkeypatch, owner, name):
 
 def test_geometry_built_once_per_state(monkeypatch, geom8):
     # one record per accepted state (trace row, lambda, step size, k1) plus one
-    # per later RK4 stage: 4 per step and 1 for the initial state
+    # per later RK4 stage: 4 per step and 1 for the initial state; the exact
+    # margin only for records, where the stages' cofactor bound clears SPD_FLOOR
     gammas = _count_calls(monkeypatch, et, "christoffel")
     margins = _count_calls(monkeypatch, et.TorusFieldState, "spd_margin")
     tr = et.run_torus_flow(et.flat_state(geom8, k=1.0), et.TorusParams(T=0.3, cfl=0.2))
     n = len(tr.t) - 1
     assert n >= 2 and tr.aborted is None
     assert len(gammas) == 4 * n + 1
-    assert len(margins) == 4 * n + 1
+    assert len(margins) == n + 1
 
 
 def test_eh_density_builds_one_record(monkeypatch, geom8):

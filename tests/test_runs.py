@@ -2,7 +2,8 @@
 
 Each observation records a row and returns a ``Box`` holding the state's rate; ``rate`` copies it into a new
 ``Box``, and ``advance`` takes the Euler step. The runners' own contracts (notes, rows, final states) are
-pinned in ``test_flow_ode`` and ``test_exact_torus``; these tests pin the loop they share.
+pinned in ``test_flow_ode`` and ``test_exact_torus``; these tests pin the loop they share and its two rules,
+the step budget and the step floor that ``flow_step``'s halving also reads.
 """
 
 import weakref
@@ -10,7 +11,9 @@ from dataclasses import dataclass
 
 import pytest
 
-from grflow.errors import DegenerateMetric, NumericalError, StepBudgetExhausted
+from grflow import exact_torus, flow_ode, runs
+from grflow.errors import (DegenerateMetric, NumericalError, RetractionDiverged, StepBudgetExhausted, StepUnderflow,
+                           ValidationError)
 from grflow.runs import integrate
 
 
@@ -85,6 +88,49 @@ def test_step_below_the_floor_is_underflow():
     final, note = toy.run(T=1.0)
     assert note == "step underflow at t = 0.0"
     assert len(toy.rows) == 1 and final.t == 0.0
+
+
+def test_halving_run_reaches_the_step_floor():
+    # an advance that rejects every step and halves it, as flow_step does, stops at the loop's own floor and
+    # note: 0.25 / 2^44 is the last step at or above 1e-14
+    toy = Toy(cap=0.25)
+    tried = []
+
+    def halving(st, dt, k1):
+        while True:
+            runs.check_step(dt, st.t)
+            tried.append(dt)
+            dt /= 2
+
+    toy.advance = halving
+    final, note = toy.run(T=1.0)
+    assert note == "step underflow at t = 0.0" and final.t == 0.0 and len(toy.rows) == 1
+    assert len(tried) == 45 and tried[-1] >= runs.STEP_FLOOR > tried[-1] / 2
+
+
+def test_flow_step_halves_down_to_the_runs_floor(monkeypatch, su2_double, graph_metric_123):
+    # flow_step's halving reads the floor of runs: with every retraction failing, a floor of 0.1 stops a
+    # step of 1 after four tries (1, 0.5, 0.25, 0.125), with the loop's note
+    monkeypatch.setattr(runs, "STEP_FLOOR", 0.1)
+    tries = []
+
+    def fails(g, tol):
+        tries.append(1)
+        raise RetractionDiverged("planted")
+
+    monkeypatch.setattr(flow_ode, "involution_retract", fails)
+    state = flow_ode.FlowState(0.0, graph_metric_123.G)
+    with pytest.raises(StepUnderflow, match=r"^step underflow at t = 0\.0$"):
+        flow_ode.flow_step(su2_double, state, flow_ode.FlowParams(dt=1.0), dt=1.0)
+    assert len(tries) == 4
+
+
+@pytest.mark.parametrize("max_steps", [0, -3, float("nan")])
+def test_both_parameter_sets_keep_the_one_budget_rule(max_steps):
+    for params in (flow_ode.FlowParams, exact_torus.TorusParams):
+        with pytest.raises(ValidationError) as exc_info:
+            params(max_steps=max_steps)
+        assert str(exc_info.value) == f"max_steps must be at least 1, got {max_steps!r}"
 
 
 def test_error_in_advance_returns_the_last_state_and_its_note():
