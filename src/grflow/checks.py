@@ -365,7 +365,7 @@ FLOW_CHECKS = {
     "flow_abelian_stationary": (1e-10, _abelian_drift),
     # a symmetric commuting perturbation of the involution
     "retraction_convergence": (1e-12, lambda x: met.involution_residual(fl.involution_retract(
-        met.random_strictly_positive_metric(PRESETS[2][1](), x.seed + 7).G + 1e-4 * np.eye(6), 1e-12))),
+        met.random_strictly_positive_metric(PRESETS[2][1](), x.seed + 7).G + 1e-4 * np.eye(6), 1e-12)[0])),
 }
 # The translation is compared bitwise; the permutation check takes the swap (0 1) and the cycle (0 1 2).
 TORUS_CHECKS = {

@@ -80,7 +80,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateMetric, EigensolverStalled, ValidationError
-from .runs import check_max_steps, integrate
+from .runs import check_max_steps, check_positive_finite, integrate
 
 SPD_FLOOR = 1e-8
 KMAX = 2  # perturbed_state's default highest mode
@@ -630,9 +630,13 @@ LAMBDA_MAX_ITER = 500
 
 
 def _flat_inverse(geom: TorusGeometry):
-    """FFT inverse of -4 Lap + 1 on the flat torus; deriv's symbol is i (8 sin kh - sin 2kh) / 6h."""
+    """FFT inverse of -4 Lap + (2 pi / L)^2 on the flat torus; deriv's symbol is i (8 sin kh - sin 2kh) / 6h.
+
+    The shift is the lowest nonzero mode's |k|^2, so it scales with the operator, and it is 1 at L = 2 pi.
+    """
     kh = [2.0 * np.pi * np.fft.fftfreq(geom.N)] * (geom.d - 1) + [2.0 * np.pi * np.fft.rfftfreq(geom.N)]
-    inv = 1.0 / (4.0 * sum(np.ix_(*[((8.0 * np.sin(t) - np.sin(2.0 * t)) / (6.0 * geom.h)) ** 2 for t in kh])) + 1.0)
+    shift = (2.0 * np.pi / geom.L) ** 2
+    inv = 1.0 / (4.0 * sum(np.ix_(*[((8.0 * np.sin(t) - np.sin(2.0 * t)) / (6.0 * geom.h)) ** 2 for t in kh])) + shift)
     return lambda x: np.fft.irfftn(np.fft.rfftn(x.reshape(geom.shape)) * inv, geom.shape, range(geom.d)).reshape(x.shape)
 
 
@@ -646,12 +650,21 @@ def lambda_torus(fields: TorusFields, u0: np.ndarray | None = None, return_vecto
     M = ``_flat_inverse``, whose closing Rayleigh-Ritz step on the vector it returns gives lambda and the
     residual. A warm start that misses the bound is retried once from the constant; a solve that misses
     it from there raises.
+
+    The solver runs in units where the period is in [4, 8): with L = 2^e L', lengths scale by 2^-e, so A,
+    lambda and the residual scale by 4^e, and A and the preconditioner read W^1/2 times 2^-(de // 2), a
+    factor A cancels. Powers of two are exact and e = 0 for L in [4, 8), the default 2 pi included; at any
+    other period the solver's products stay as far from overflow as they are there.
     """
     geom = fields.geom
+    e = math.frexp(geom.L)[1] - 3
+    unit = math.ldexp(1.0, 2 * e)  # the bound's 1, in the solver's units
     root = np.sqrt(fields.dv).reshape(-1, 1)  # W^1/2
+    inner = np.ldexp(root, -(geom.d * e // 2))
+    outer = unit * inner
 
-    def operator(v):  # A = W^1/2 L W^-1/2 on columns
-        return root * dirichlet_operator(fields, (v / root).reshape(geom.shape)).reshape(v.shape)
+    def operator(v):  # 4^e A, A = W^1/2 L W^-1/2 on columns
+        return outer * dirichlet_operator(fields, (v / inner).reshape(geom.shape)).reshape(v.shape)
 
     constant = np.ones(geom.shape)
     # a warm start near a cluster of low eigenvalues can stall where the constant start converges
@@ -661,20 +674,22 @@ def lambda_torus(fields: TorusFields, u0: np.ndarray | None = None, return_vecto
         av = operator(v)
         q = float(np.vdot(v, av))
         res = float(np.linalg.norm(av - q * v))
-        if res > LAMBDA_RESIDUAL_TOL * (1.0 + abs(q)):
+        if res > LAMBDA_RESIDUAL_TOL * (unit + abs(q)):
             from scipy.sparse.linalg import lobpcg
-            flat_inverse = _flat_inverse(geom)
+            flat_inverse = _flat_inverse(TorusGeometry(geom.d, geom.N, math.ldexp(geom.L, -e)))
             # lambda <= q, so the bound at q is within the bound at lambda: 0.9 of it leaves room for round-off
-            tol = 0.9 * LAMBDA_RESIDUAL_TOL * (1.0 + max(0.0, -q))
+            tol = 0.9 * LAMBDA_RESIDUAL_TOL * (unit + max(0.0, -q))
             with warnings.catch_warnings():  # its notes on a missed tol: the residual it returns is the report
                 warnings.simplefilter("ignore", UserWarning)
-                lam, v, residuals = lobpcg(operator, v, M=lambda x: root * flat_inverse(root * x), tol=tol,
+                lam, v, residuals = lobpcg(operator, v, M=lambda x: inner * flat_inverse(inner * x), tol=tol,
                                            maxiter=LAMBDA_MAX_ITER, largest=False, retResidualNormsHistory=True)
             q, res = float(lam[0]), float(residuals[-1])
-        if res <= LAMBDA_RESIDUAL_TOL * (1.0 + abs(q)):
+        if res <= LAMBDA_RESIDUAL_TOL * (unit + abs(q)):
             break
     else:
+        q, res = math.ldexp(q, -2 * e), math.ldexp(res, -2 * e)
         raise EigensolverStalled(f"lambda solver stalled at weighted residual {res:.3e}, lambda {q!r}")
+    q = math.ldexp(q, -2 * e)
     u = (v / root).reshape(geom.shape)
     if float(np.sum(root * v)) < 0:  # sum(W u)
         u = -u
@@ -706,8 +721,7 @@ class TorusParams:
     compute_lambda: bool = True
 
     def __post_init__(self):
-        if not (0 < self.T < np.inf and 0 < self.cfl < np.inf):
-            raise ValidationError(f"T and cfl must be positive and finite, got {self.T!r} and {self.cfl!r}")
+        check_positive_finite(T=self.T, cfl=self.cfl)
         check_max_steps(self.max_steps)
 
 

@@ -4,9 +4,11 @@ dG/dt = -2 GRc(G, 0) and d(log sigma)/dt = -GR(G, 0)/2: over a point every
 half-density induces the zero divergence, so the sigma equation decouples
 and only feeds the diagnostics.  Time stepping is classical RK4 followed by a
 Newton-Schulz retraction onto the involution manifold, which is a polynomial
-in G and therefore preserves eta-symmetry exactly.  The right-hand side at
-each accepted state is evaluated once: the trace reads GR and |GRc|^2_G from
-it, and the next step reuses it as its first stage (first same as last).
+in G and therefore preserves eta-symmetry exactly.  Each accepted state forms
+each quantity once: the right-hand side there gives the trace GR and
+|GRc|^2_G and the next step its first stage (first same as last), and the
+residual max|G^2 - Id| that ended the retraction is the trace's
+``involution_residual``.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import numpy as np
 
 from .algebra import QuadraticLieAlgebra
 from .curvature import moved_gram, ricci_closed_form, scalar_closed_form
-from .errors import DegenerateMetric, RetractionDiverged, ValidationError
+from .errors import DegenerateMetric, RetractionDiverged
 from .metric import GeneralizedPseudometric, involution_residual, is_strictly_positive, mixed_norm_sq
-from .runs import check_max_steps, check_step, integrate
+from .runs import check_max_steps, check_positive_finite, check_step, integrate
 
 
 @dataclass
@@ -27,6 +29,7 @@ class FlowState:
     t: float
     G: np.ndarray
     log_sigma: float = 0.0
+    residual: float | None = None  # involution_residual(G) from the retraction that produced G, if one did
 
     def __post_init__(self):
         self.G = np.asarray(self.G, dtype=float)
@@ -40,11 +43,8 @@ class FlowParams:
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        if not (0 < self.dt < np.inf and 0 < self.T < np.inf):
-            raise ValidationError(f"dt and T must be positive and finite, got {self.dt!r} and {self.T!r}")
+        check_positive_finite(dt=self.dt, T=self.T, retract_tol=self.retract_tol)
         check_max_steps(self.max_steps)
-        if not 0 < self.retract_tol < np.inf:
-            raise ValidationError(f"retract_tol must be positive and finite, got {self.retract_tol!r}")
 
 
 @dataclass
@@ -82,12 +82,14 @@ def flow_rhs(a: QuadraticLieAlgebra, g: np.ndarray) -> tuple[np.ndarray, float]:
     return -2.0 * ricci_closed_form(a, g, t), -0.5 * scalar_closed_form(a, g, None, t)
 
 
-def involution_retract(G: np.ndarray, retract_tol: float = 1e-10, max_iter: int = 20) -> np.ndarray:
-    """Newton-Schulz iteration G <- (3G - G^3)/2 onto the involution manifold.
+def involution_retract(G: np.ndarray, retract_tol: float = 1e-10,
+                       max_iter: int = 20) -> tuple[np.ndarray, float]:
+    """Newton-Schulz iteration G <- (3G - G^3)/2 onto the involution manifold, as (G, involution_residual(G)).
 
     Quadratically convergent for ||G^2 - Id|| < 1; the guard at 0.5 keeps a
     safety margin.  Being a polynomial in G it preserves eta-symmetry exactly
-    and cannot change the eigenbundle ranks.
+    and cannot change the eigenbundle ranks.  The residual returned is the one
+    that decided convergence, so a caller need not form G^2 - Id again.
     """
     g = np.asarray(G, dtype=float)
     res = involution_residual(g)
@@ -95,14 +97,14 @@ def involution_retract(G: np.ndarray, retract_tol: float = 1e-10, max_iter: int 
         raise RetractionDiverged(f"involution residual {res:.3e} outside the contraction basin")
     for _ in range(max_iter):
         if res <= retract_tol:
-            return g
+            return g, res
         g = 0.5 * (3.0 * g - g @ g @ g)
         new_res = involution_residual(g)
         if not np.isfinite(new_res) or new_res > 0.5 * res:
             raise RetractionDiverged(f"retraction stalled at residual {new_res:.3e}")
         res = new_res
     if res <= retract_tol:
-        return g
+        return g, res
     raise RetractionDiverged(f"residual {res:.3e} after {max_iter} iterations")
 
 
@@ -135,11 +137,11 @@ def flow_step(a: QuadraticLieAlgebra, state: FlowState, params: FlowParams, dt: 
             dt /= 2
             continue
         try:
-            g_new = involution_retract(state.G + dg, params.retract_tol)
+            g_new, res = involution_retract(state.G + dg, params.retract_tol)
         except RetractionDiverged:
             dt /= 2
             continue
-        return FlowState(state.t + dt, g_new, state.log_sigma + ds)
+        return FlowState(state.t + dt, g_new, state.log_sigma + ds, res)
 
 
 def run_flow(a: QuadraticLieAlgebra, init: FlowState, params: FlowParams) -> FlowTrace:
@@ -169,7 +171,7 @@ def run_flow(a: QuadraticLieAlgebra, init: FlowState, params: FlowParams) -> Flo
         trace.log_sigma.append(st.log_sigma)
         trace.S.append(gr * sigma_sq)
         trace.lam.append(gr)  # over a point the unit-mass infimum is GR itself
-        trace.involution_residual.append(involution_residual(st.G))
+        trace.involution_residual.append(involution_residual(st.G) if st.residual is None else st.residual)
         # the Frobenius norm of GRc in an adapted frame of a strictly positive metric; where eta is
         # indefinite on an eigenspace every such norm depends on the frame, so none is reported
         trace.soliton_residual.append(float(np.sqrt(max(rc2, 0.0))) if watch_positivity else float("nan"))

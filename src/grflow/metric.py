@@ -32,8 +32,11 @@ def projectors(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def involution_residual(g: np.ndarray) -> float:
+    """max |G^2 - Id|, with Id taken off the diagonal of G^2 in place; inf or NaN where G^2 has them."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.max(np.abs(g @ g - np.eye(g.shape[0]))))
+        r = np.matmul(g, g, dtype=float)
+        r.ravel()[:: r.shape[0] + 1] -= 1.0
+        return float(np.abs(r, out=r).max())
 
 
 def eta_symmetry_residual(a: QuadraticLieAlgebra, g: np.ndarray) -> float:

@@ -1,5 +1,7 @@
 """The run loop of ``flow_ode.run_flow`` and ``exact_torus.run_torus_flow``, and the rules both runs keep."""
 
+import math
+
 from .errors import NumericalError, StepBudgetExhausted, StepUnderflow, ValidationError
 
 STEP_FLOOR = 1e-14  # no run takes a shorter step
@@ -9,6 +11,13 @@ def check_max_steps(max_steps) -> None:
     """The run budget's rule, for every run's parameters: at least one accepted step (NaN has none)."""
     if not max_steps >= 1:
         raise ValidationError(f"max_steps must be at least 1, got {max_steps!r}")
+
+
+def check_positive_finite(**values) -> None:
+    """The rule for every run's real parameters, given by name in order: the first not in (0, inf) raises (NaN is not)."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ValidationError(f"{name} must be positive and finite, got {value!r}")
 
 
 def check_step(dt: float, t: float) -> None:

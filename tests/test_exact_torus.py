@@ -859,13 +859,15 @@ def test_torus_params_reject_empty_step_budget(max_steps):
 
 @pytest.mark.parametrize("bad", [{"T": 0.0}, {"T": float("nan")}, {"cfl": -0.1}, {"cfl": float("nan")}])
 def test_torus_params_reject_nonpositive_or_nan_time_and_cfl(bad):
-    with pytest.raises(ValidationError, match="T and cfl must be positive"):
+    [(name, value)] = bad.items()
+    with pytest.raises(ValidationError, match=f"^{name} must be positive and finite, got {value!r}$"):
         et.TorusParams(**bad)
 
 
 @pytest.mark.parametrize("bad", [{"T": float("inf")}, {"cfl": float("inf")}])
 def test_torus_params_reject_infinite_time_and_cfl(bad):
-    with pytest.raises(ValidationError, match="T and cfl must be positive"):
+    [(name, value)] = bad.items()
+    with pytest.raises(ValidationError, match=f"^{name} must be positive and finite, got inf$"):
         et.TorusParams(**bad)
 
 
@@ -1033,6 +1035,18 @@ def test_lambda_scales_with_metric(monkeypatch, geom8):
         shrunk.gs *= c
         assert et.lambda_torus(et.torus_fields(shrunk)) * c == pytest.approx(lam, rel=1e-8)
     assert lobpcg_warnings and not any(lobpcg_warnings)
+
+
+@pytest.mark.filterwarnings("error")
+def test_lambda_scales_with_the_period():
+    # lambda L^2 depends only on the shape; the solver scales the period into [4, 8) by a power of two, so tiny
+    # periods neither stall on a mis-scaled preconditioner (1e-20, 1e-40) nor overflow its products (1e-100)
+    def scaled(period):
+        fields = et.torus_fields(et.perturbed_state(et.TorusGeometry(3, 8, period), 0, kmax=1))
+        return et.lambda_torus(fields) * period * period
+
+    ref = scaled(1.0)
+    assert [scaled(period) for period in (1e-20, 1e-40, 1e-100)] == pytest.approx([ref] * 3, rel=1e-10)
 
 
 @pytest.mark.filterwarnings("error")  # lobpcg's notes on a missed tol stay inside lambda_torus

@@ -64,30 +64,27 @@ def test_flow_rhs_is_the_closed_forms_bitwise(su2_double, complex_double):
 
 @pytest.mark.parametrize("tol", [0.0, -1.0])
 def test_flow_params_reject_nonpositive_retract_tol(tol):
-    with pytest.raises(ValidationError, match="retract_tol"):
+    with pytest.raises(ValidationError, match=f"^retract_tol must be positive and finite, got {tol!r}$"):
         fl.FlowParams(dt=1e-2, T=0.1, retract_tol=tol)
 
 
-@pytest.mark.parametrize("bad, match", [
-    ({"dt": float("inf")}, "dt and T must be positive"),
-    ({"T": float("inf")}, "dt and T must be positive"),
-    ({"retract_tol": float("inf")}, "retract_tol"),
-])
-def test_flow_params_reject_infinite_values(bad, match):
+@pytest.mark.parametrize("bad", [{"dt": float("inf")}, {"T": float("inf")}, {"retract_tol": float("inf")}])
+def test_flow_params_reject_infinite_values(bad):
     # T = inf would end a run only at its step budget or at a failure
-    with pytest.raises(ValidationError, match=match):
+    [(name, _)] = bad.items()
+    with pytest.raises(ValidationError, match=f"^{name} must be positive and finite, got inf$"):
         fl.FlowParams(**bad)
 
 
 def test_retraction_fixed_point(su2_double, graph_metric_123):
-    out = fl.involution_retract(graph_metric_123.G, 1e-10)
-    assert np.array_equal(out, graph_metric_123.G)
+    out, res = fl.involution_retract(graph_metric_123.G, 1e-10)
+    assert np.array_equal(out, graph_metric_123.G) and res == met.involution_residual(out)
 
 
 def test_retraction_quadratic_convergence(su2_double, graph_metric_123):
     g = graph_metric_123.G + 1e-4 * np.eye(6)  # symmetric perturbation commuting with G
-    out = fl.involution_retract(g, 1e-12, max_iter=3)
-    assert met.involution_residual(out) <= 1e-12
+    out, res = fl.involution_retract(g, 1e-12, max_iter=3)
+    assert res == met.involution_residual(out) <= 1e-12
     assert met.eta_symmetry_residual(su2_double, out) <= 1e-12
 
 
@@ -108,7 +105,7 @@ def test_retraction_iteration_budget(graph_metric_123):
     # from a residual of about 1e-2, two iterations reach about 4e-9: within 1e-6, not within 1e-300
     g = graph_metric_123.G + 5e-3 * np.eye(6)
     assert 1e-2 <= met.involution_residual(g) < 0.5
-    assert met.involution_residual(fl.involution_retract(g, 1e-6, max_iter=2)) <= 1e-6
+    assert met.involution_residual(fl.involution_retract(g, 1e-6, max_iter=2)[0]) <= 1e-6
     with pytest.raises(RetractionDiverged, match="after 2 iterations"):
         fl.involution_retract(g, 1e-300, max_iter=2)
 
@@ -197,7 +194,7 @@ def _euler_reference(a, G0, T, dt):
     t = 0.0
     while t < T - 1e-12:
         step = min(dt, T - t)
-        g = fl.involution_retract(g - 2.0 * step * ricci_closed_form(a, g))
+        g = fl.involution_retract(g - 2.0 * step * ricci_closed_form(a, g))[0]
         t += step
     return g
 
@@ -225,7 +222,8 @@ def test_soliton_residual_values(su2_double, graph_metric_123):
 def test_flow_params_validation():
     # the package's validation family, as TorusParams and the max_steps check use
     for bad in ({"dt": -1.0}, {"dt": 0.0}, {"T": 0.0}, {"T": -2.0}, {"dt": float("nan")}, {"T": float("nan")}):
-        with pytest.raises(ValidationError, match="dt and T must be positive"):
+        [(name, value)] = bad.items()
+        with pytest.raises(ValidationError, match=f"^{name} must be positive and finite, got {value!r}$"):
             fl.FlowParams(**bad)
 
 
@@ -318,6 +316,50 @@ def test_halved_step_reuses_k1(monkeypatch, su2_double, graph_metric_123):
     at_start = [args for args in rhs_calls if np.array_equal(args[1], st0.G)]
     assert len(at_start) == 1
     assert len(rhs_calls) == 1 + 2 * 3
+
+
+def test_each_state_forms_its_involution_residual_once(monkeypatch, su2_double, graph_metric_123):
+    # at dt 1e-3 an RK4 increment leaves G^2 - Id within retract_tol, so each step's retraction forms the residual
+    # once, and the trace row reads it: n steps cost n calls, and the initial record, which no retraction made, 1
+    residuals = _record_calls(monkeypatch, "involution_residual")
+    tr = fl.run_flow(su2_double, fl.FlowState(0.0, graph_metric_123.G, 0.0), fl.FlowParams(dt=1e-3, T=1e-2))
+    n = len(tr.t) - 1
+    assert n == 10 and tr.aborted is None
+    assert tr.step_dt[1:] == pytest.approx([1e-3] * n)  # no halving
+    assert len(residuals) == n + 1
+
+
+def _bitwise(x, y):
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+def test_trace_residual_is_each_states(monkeypatch, su2_double, graph_metric_123):
+    # each row's involution_residual is that of the state it records, bitwise, on a plain run and on one whose
+    # fifth step is halved; the last row's is that of final_G
+    step, retract = fl.flow_step, fl.involution_retract
+    states, attempts = [], []
+
+    def recorded(*args, **kwargs):
+        states.append(step(*args, **kwargs))
+        return states[-1]
+
+    def fails_fifth(G, *args, **kwargs):
+        attempts.append(1)
+        if len(attempts) == 5:
+            raise RetractionDiverged("forced")
+        return retract(G, *args, **kwargs)
+
+    monkeypatch.setattr(fl, "flow_step", recorded)
+    for halve in (False, True):
+        if halve:
+            monkeypatch.setattr(fl, "involution_retract", fails_fifth)
+        states.clear()
+        tr = fl.run_flow(su2_double, fl.FlowState(0.0, graph_metric_123.G, 0.0), fl.FlowParams(dt=1e-2, T=0.05))
+        assert tr.aborted is None and len(tr.t) == len(states) + 1
+        assert (tr.step_dt[5] == pytest.approx(5e-3)) is halve
+        rows = [met.involution_residual(g) for g in [graph_metric_123.G] + [st.G for st in states]]
+        assert [_bitwise(x, y) for x, y in zip(tr.involution_residual, rows)] == [True] * len(rows)
+        assert _bitwise(tr.involution_residual[-1], met.involution_residual(tr.final_G))
 
 
 _SU2_DOUBLE = alg.cotangent_double(alg.su2_structure())

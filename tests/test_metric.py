@@ -114,6 +114,25 @@ def test_validate_metric_wrong_shape():
         met.GeneralizedPseudometric.from_matrix(a, np.eye(2))
 
 
+def test_involution_residual_is_the_subtracted_identitys_bitwise(su2_double):
+    # Id is taken off G^2's diagonal in place: the same floats as G^2 - Id, overflow, NaN and inf included
+    rng = np.random.default_rng(3)
+    planted = rng.standard_normal((5, 5))
+    planted[1, 2], planted[3, 3] = np.nan, np.inf
+    cases = [rng.standard_normal((n, n)) for n in (2, 3, 6, 16)] + [
+        met.random_strictly_positive_metric(su2_double, 0).G,
+        1e200 * rng.standard_normal((4, 4)),  # G^2 overflows to +-inf
+        planted,
+        np.full((3, 3), np.inf),  # inf - inf in G^2: NaN
+        np.full((3, 3), np.nan),
+    ]
+    for g in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = float(np.max(np.abs(g @ g - np.eye(g.shape[0]))))
+        got = met.involution_residual(g)  # any warning is an error here
+        assert np.float64(got).tobytes() == np.float64(ref).tobytes(), (g, got, ref)
+
+
 def test_metric_invariants_random(su2_double):
     for seed in range(5):
         gm = met.random_strictly_positive_metric(su2_double, seed)

@@ -34,6 +34,15 @@ def _tracing():
     return _load("tracing")
 
 
+def _within(tracer, span, name):
+    """Whether a span named ``name`` encloses span ``span``."""
+    while span >= 0:
+        span = tracer.parent[span]
+        if span >= 0 and tracer.names[tracer.name_id[span]] == name:
+            return True
+    return False
+
+
 def test_tracer_installs_every_hook_and_uninstalls():
     tracing = _tracing()
     run, rhs = et.run_torus_flow, et.torus_rhs
@@ -60,7 +69,7 @@ def test_every_traced_torus_and_flow_name_is_called():
                                et.TorusParams(T=1e-3))
         su2_double = alg.cotangent_double(alg.su2_structure())
         g = met.metric_from_graph(su2_double, np.diag([1.0, 2.0, 3.0])).G
-        flow = fl.run_flow(su2_double, fl.FlowState(0.0, g, 0.0), fl.FlowParams(dt=1e-2, T=3e-2))
+        flow = fl.run_flow(su2_double, fl.FlowState(0.0, g, 0.0), fl.FlowParams(dt=1e-3, T=3e-3))
     finally:
         tracer.uninstall()
     assert tr.aborted is None and len(tr.t) == 2 and flow.aborted is None and len(flow.t) == 4
@@ -70,6 +79,14 @@ def test_every_traced_torus_and_flow_name_is_called():
     # flow_ode.rhs_per_step counts ricci_closed_form: each right side calls both closed forms once
     rhs = calls["flow_ode.flow_rhs"]
     assert rhs and calls["curvature.ricci_closed_form"] == calls["curvature.scalar_closed_form"] == rhs
+    # each accepted step forms G^2 - Id once, in its retraction (at dt 1e-3 an RK4 increment stays within
+    # retract_tol, so it does not iterate), and the trace row reads that residual; besides the steps, run_flow
+    # forms it twice: validating the initial G and recording it
+    steps = len(flow.t) - 1
+    assert calls["flow_ode.flow_step"] == calls["flow_ode.involution_retract"] == steps
+    residuals = [i for i, nid in enumerate(tracer.name_id) if tracer.names[nid] == "metric.involution_residual"]
+    assert sum(_within(tracer, i, "flow_ode.involution_retract") for i in residuals) == steps
+    assert sum(_within(tracer, i, "flow_ode.run_flow") for i in residuals) == steps + 2
 
 
 def test_every_traced_algebraic_name_is_called(tmp_path):
