@@ -47,10 +47,6 @@ flow trace columns:
   S                    Einstein-Hilbert value GR * sigma^2
   lambda               unit-mass infimum of S (equals GR over a point)
   involution_residual  max-abs of G^2 - Id after retraction
-  soliton_residual     sqrt(normRc2) for strictly positive G: the Frobenius norm of the
-                       Ricci endomorphism in an adapted frame, 0 exactly at fixed points.
-                       nan otherwise: there eta is indefinite on V+ or V- and every
-                       such norm depends on the frame
 
 torus trace columns:
   t           time

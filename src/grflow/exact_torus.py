@@ -43,13 +43,14 @@ last two axes, as ``np.linalg`` and the field dump read them. ``sym_pairs``, ``s
 full g and B. Gamma^k_ij (symmetric in ij), Rc, the Hessian, dt g and the RK4 update stay on the pairs,
 so each independent component is differentiated once. Geometry is built once per state: ``torus_fields``
 computes each field of the read-only ``TorusFields`` record (g^-1, w = sqrt(det g), w g^-1, Gamma,
-v_j = Gamma^k_kj, Rc, h, |H|^2, d phi, g^-1 d phi) and expands Gamma to (k, i, j) once, for v and Rc;
-``christoffel`` writes Gamma into the buffer of the partials of g, which it no longer reads. The members
-only records read (the trace row, the step size, GR and lambda) are formed on first read: the margin, the
-measure dv = w h^d and the potential R - |H|^2/12, so an RK4 stage, which reads the record only through
-``torus_rhs``, pays for none of them. One Laplacian, ``laplace_beltrami`` of the gradient its caller
-holds, serves the phi-equation and lambda's operator L (``dirichlet_operator``; GR = e^phi L e^-phi), and
-one measure, dv, serves lambda's weight W and the Einstein-Hilbert quadrature.
+v_j = Gamma^k_kj, Rc, h, |H|^2, d phi) and expands Gamma to (k, i, j) once, for v and Rc; ``christoffel``
+writes Gamma into the buffer of the partials of g, which it no longer reads, and ``torus_rhs``, the only
+reader of g^-1 d phi, forms it. The members only records read (the trace row, the step size, GR and
+lambda) are formed on first read: the margin, the measure dv = w h^d and the potential R - |H|^2/12, so an
+RK4 stage, which reads the record only through ``torus_rhs``, pays for none of them. One Laplacian,
+``laplace_beltrami`` of the gradient its caller holds, serves the phi-equation and lambda's operator L
+(``dirichlet_operator``; GR = e^phi L e^-phi), and one measure, dv, serves lambda's weight W and the
+Einstein-Hilbert quadrature.
 
 Contractions are plain einsums over the component axes, so numpy's inner loop runs along the whole
 grid, and the gathers (``christoffel``'s table, Gamma's expansion, the pairs of a full tensor) copy
@@ -62,9 +63,10 @@ Positivity. Every state ``torus_fields`` builds, each RK4 stage included, is cer
 det g positive make g positive definite with lambda_min >= det / m2 (det / tr on T^2), and
 where that bound, less a derived round-off allowance on g / s, clears SPD_FLOOR at every
 node, no eigenvalue is computed. Elsewhere the exact margin decides, so a stage raises
-exactly where the margin is below SPD_FLOOR. The margin (``TorusFieldState.spd_margin``,
-through ``degenerate_nodes``, once per record) is the grid minimum of ``eigvalsh`` bit for
-bit, but ``eigvalsh`` runs only on the few nodes that a closed-form lowest-eigenvalue screen
+exactly where the margin is below SPD_FLOOR; the check keeps no margin. A record forms its
+margin in one place, ``TorusFields.margin`` (``TorusFieldState.spd_margin`` through
+``degenerate_nodes``, once per record). It is the grid minimum of ``eigvalsh`` bit for bit,
+but ``eigvalsh`` runs only on the few nodes that a closed-form lowest-eigenvalue screen
 (``lowest_eig_estimate``) cannot rule out, and on one matrix when those candidates are all
 bitwise equal, as every node of a spatially constant metric (each flat start) is.
 """
@@ -425,18 +427,12 @@ def scaled_cofactors(gs: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     return scale, np.stack(adj).reshape((d, d) + gs.shape[1:]), det
 
 
-def _inverse(scale: float, adj: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """g^-1 and det g from ``scaled_cofactors``, in place: adj(g / s) / (det(g / s) s) is bitwise adj g / det g."""
+def inverse_and_det(scale: float, adj: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g^-1 and det g from ``scaled_cofactors`` (s, adj, det), in place: adj(g / s) / (det(g / s) s) is bitwise
+    adj g / det g. g^-1 is full, the matrix axes first, and symmetric bitwise."""
     adj /= det * scale
     det *= np.float64(scale) ** adj.shape[0]
     return adj, det
-
-
-def inverse_and_det(gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse and determinant of a field of symmetric 2 x 2 or 3 x 3 matrices given by their pairs (``_SYM``),
-    the pair axis first: g^-1 = adj g / det g from the cofactors (``scaled_cofactors``), returned as full
-    matrices on the first two axes, symmetric bitwise."""
-    return _inverse(*scaled_cofactors(gs))
 
 
 def lowest_eig_estimate(gs: np.ndarray, scale: float) -> np.ndarray:
@@ -468,9 +464,10 @@ def degenerate_nodes(state: TorusFieldState) -> float:
     return margin
 
 
-def positivity_check(state: TorusFieldState, scale: float, adj: np.ndarray, det: np.ndarray) -> float | None:
+def positivity_check(state: TorusFieldState, scale: float, adj: np.ndarray, det: np.ndarray) -> None:
     """A stage's positivity check: raises DegenerateMetric exactly where ``degenerate_nodes`` does, that is
-    iff ``spd_margin()`` < SPD_FLOOR, and returns that margin where it has to compute it, else None.
+    iff ``spd_margin()`` < SPD_FLOOR, and otherwise returns None: a record forms its own margin, once
+    (``TorusFields.margin``).
 
     It reads the ``scaled_cofactors`` (s, adj, det) of g. tr g, m2 = c00 + c11 + c22 and det g all positive
     make g positive definite (the coefficients of its characteristic polynomial then alternate in sign), with
@@ -482,9 +479,8 @@ def positivity_check(state: TorusFieldState, scale: float, adj: np.ndarray, det:
     tr = sum(state.gs[pair[i, i]] for i in range(adj.shape[0]))
     m2 = np.einsum("ii...->...", adj)
     bound = SPD_FLOOR / scale + ALLOWANCE
-    if np.all((tr > ALLOWANCE * scale) & (m2 > ALLOWANCE) & (det - ALLOWANCE >= bound * (m2 + ALLOWANCE))):
-        return None
-    return degenerate_nodes(state)
+    if not np.all((tr > ALLOWANCE * scale) & (m2 > ALLOWANCE) & (det - ALLOWANCE >= bound * (m2 + ALLOWANCE))):
+        degenerate_nodes(state)
 
 
 @dataclass(frozen=True)
@@ -503,7 +499,6 @@ class TorusFields:
     h: np.ndarray  # flux density H_012
     h_norm_sq: np.ndarray  # |H|^2_g = 6 h^2 / det g
     dphi: np.ndarray  # d_l phi
-    dphi_up: np.ndarray  # g^{kl} d_l phi
 
     @property
     def geom(self) -> TorusGeometry:
@@ -529,8 +524,8 @@ def torus_fields(state: TorusFieldState) -> TorusFields:
     """The one place each field of ``TorusFields`` is computed; raises on lost positivity (``positivity_check``)."""
     geom = state.geom
     cofactors = scaled_cofactors(state.gs)
-    margin = positivity_check(state, *cofactors)
-    ginv, det = _inverse(*cofactors)
+    positivity_check(state, *cofactors)
+    ginv, det = inverse_and_det(*cofactors)
     w = np.sqrt(det)
     gamma = christoffel(state, ginv)
     expanded = gamma[:, _SYM[geom.d][2]]  # (k, i, j): Gamma's one full copy
@@ -538,18 +533,13 @@ def torus_fields(state: TorusFieldState) -> TorusFields:
     rc = ricci_tensor(geom, gamma, expanded, v)
     h = flux_H(state)
     h_norm_sq = 6.0 * h * h / det
-    dphi = grad(geom, state.phi)
-    dphi_up = np.einsum("kl...,l...->k...", ginv, dphi)
-    fields = TorusFields(state, ginv, w, w * ginv, gamma, v, rc, h, h_norm_sq, dphi, dphi_up)
-    if margin is not None:  # the check computed the margin: the record keeps it
-        vars(fields)["margin"] = margin
-    return fields
+    return TorusFields(state, ginv, w, w * ginv, gamma, v, rc, h, h_norm_sq, grad(geom, state.phi))
 
 
 def torus_rhs(fields: TorusFields) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(dt g on the pairs, dt b, dt phi) of the exact-case flow with H = h eps, in the closed forms above, each
     laid out as the state's gs, b and phi, and each summed in place in the order of its closed form."""
-    geom, ginv, h, dphi, dphi_up = fields.geom, fields.ginv, fields.h, fields.dphi, fields.dphi_up
+    geom, ginv, h, dphi = fields.geom, fields.ginv, fields.h, fields.dphi
     dg = np.multiply(fields.rc, -2.0)
     dg += fields.h_norm_sq / 6.0 * fields.state.gs
     hess = hessian(geom, fields.gamma, dphi)
@@ -565,6 +555,7 @@ def torus_rhs(fields: TorusFields) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     else:
         db = np.zeros_like(fields.state.b)
     dphi_dt = laplace_beltrami(geom, fields.w, fields.wginv, dphi)
+    dphi_up = np.einsum("kl...,l...->k...", ginv, dphi)  # g^{kl} d_l phi
     dphi_dt -= 2.0 * np.einsum("i...,i...->...", dphi_up, dphi)
     dphi_dt += fields.h_norm_sq / 12.0
     return dg, db, dphi_dt
@@ -625,17 +616,16 @@ def generalized_scalar_field(fields: TorusFields) -> np.ndarray:
 # -- lambda functional ---------------------------------------------------------
 
 
-LAMBDA_RESIDUAL_TOL = 1e-8  # bound on ||L u - lambda u||_dV / (1 + |lambda|)
+LAMBDA_RESIDUAL_TOL = 1e-8  # bound on ||L u - lambda u||_dV / ((2 pi / L)^2 + |lambda|)
 LAMBDA_MAX_ITER = 500
 
 
-def _flat_inverse(geom: TorusGeometry):
-    """FFT inverse of -4 Lap + (2 pi / L)^2 on the flat torus; deriv's symbol is i (8 sin kh - sin 2kh) / 6h.
+def _flat_inverse(geom: TorusGeometry, shift: float):
+    """FFT inverse of -4 Lap + shift on the flat torus; deriv's symbol is i (8 sin kh - sin 2kh) / 6h.
 
-    The shift is the lowest nonzero mode's |k|^2, so it scales with the operator, and it is 1 at L = 2 pi.
+    ``lambda_torus`` shifts by the lowest nonzero mode's |k|^2, (2 pi / L)^2, which scales with the operator.
     """
     kh = [2.0 * np.pi * np.fft.fftfreq(geom.N)] * (geom.d - 1) + [2.0 * np.pi * np.fft.rfftfreq(geom.N)]
-    shift = (2.0 * np.pi / geom.L) ** 2
     inv = 1.0 / (4.0 * sum(np.ix_(*[((8.0 * np.sin(t) - np.sin(2.0 * t)) / (6.0 * geom.h)) ** 2 for t in kh])) + shift)
     return lambda x: np.fft.irfftn(np.fft.rfftn(x.reshape(geom.shape)) * inv, geom.shape, range(geom.d)).reshape(x.shape)
 
@@ -646,10 +636,11 @@ def lambda_torus(fields: TorusFields, u0: np.ndarray | None = None, return_vecto
     The W-symmetric standard form of (W L) u = lambda W u, W = dV, throughout: the operator
     A = W^1/2 L W^-1/2 on v = W^1/2 u, so ||A v - q v|| = ||L u - q u||_W. A unit start v, from ``u0``
     (constant if None), is rated by q = v^T A v and that residual; one that misses the bound
-    LAMBDA_RESIDUAL_TOL (1 + |q|) goes to LOBPCG (Knyazev 2001), preconditioned by W^1/2 M W^1/2 with
-    M = ``_flat_inverse``, whose closing Rayleigh-Ritz step on the vector it returns gives lambda and the
-    residual. A warm start that misses the bound is retried once from the constant; a solve that misses
-    it from there raises.
+    LAMBDA_RESIDUAL_TOL ((2 pi / L)^2 + |q|) goes to LOBPCG (Knyazev 2001), preconditioned by W^1/2 M W^1/2
+    with M = ``_flat_inverse``, whose closing Rayleigh-Ritz step on the vector it returns gives lambda and the
+    residual. The bound's absolute term is the flat torus's lowest nonzero |k|^2, so, like lambda, it scales
+    as 1/L^2. A warm start that misses the bound is retried once from the constant; a solve that misses it
+    from there raises.
 
     The solver runs in units where the period is in [4, 8): with L = 2^e L', lengths scale by 2^-e, so A,
     lambda and the residual scale by 4^e, and A and the preconditioner read W^1/2 times 2^-(de // 2), a
@@ -658,10 +649,11 @@ def lambda_torus(fields: TorusFields, u0: np.ndarray | None = None, return_vecto
     """
     geom = fields.geom
     e = math.frexp(geom.L)[1] - 3
-    unit = math.ldexp(1.0, 2 * e)  # the bound's 1, in the solver's units
+    period = math.ldexp(geom.L, -e)  # L' in [4, 8)
+    shift = (2.0 * np.pi / period) ** 2  # (2 pi / L)^2 in the solver's units: 1 at L = 2 pi
     root = np.sqrt(fields.dv).reshape(-1, 1)  # W^1/2
     inner = np.ldexp(root, -(geom.d * e // 2))
-    outer = unit * inner
+    outer = math.ldexp(1.0, 2 * e) * inner
 
     def operator(v):  # 4^e A, A = W^1/2 L W^-1/2 on columns
         return outer * dirichlet_operator(fields, (v / inner).reshape(geom.shape)).reshape(v.shape)
@@ -674,17 +666,17 @@ def lambda_torus(fields: TorusFields, u0: np.ndarray | None = None, return_vecto
         av = operator(v)
         q = float(np.vdot(v, av))
         res = float(np.linalg.norm(av - q * v))
-        if res > LAMBDA_RESIDUAL_TOL * (unit + abs(q)):
+        if res > LAMBDA_RESIDUAL_TOL * (shift + abs(q)):
             from scipy.sparse.linalg import lobpcg
-            flat_inverse = _flat_inverse(TorusGeometry(geom.d, geom.N, math.ldexp(geom.L, -e)))
+            flat_inverse = _flat_inverse(TorusGeometry(geom.d, geom.N, period), shift)
             # lambda <= q, so the bound at q is within the bound at lambda: 0.9 of it leaves room for round-off
-            tol = 0.9 * LAMBDA_RESIDUAL_TOL * (unit + max(0.0, -q))
+            tol = 0.9 * LAMBDA_RESIDUAL_TOL * (shift + max(0.0, -q))
             with warnings.catch_warnings():  # its notes on a missed tol: the residual it returns is the report
                 warnings.simplefilter("ignore", UserWarning)
                 lam, v, residuals = lobpcg(operator, v, M=lambda x: inner * flat_inverse(inner * x), tol=tol,
                                            maxiter=LAMBDA_MAX_ITER, largest=False, retResidualNormsHistory=True)
             q, res = float(lam[0]), float(residuals[-1])
-        if res <= LAMBDA_RESIDUAL_TOL * (unit + abs(q)):
+        if res <= LAMBDA_RESIDUAL_TOL * (shift + abs(q)):
             break
     else:
         q, res = math.ldexp(q, -2 * e), math.ldexp(res, -2 * e)

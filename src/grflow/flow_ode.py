@@ -29,7 +29,7 @@ class FlowState:
     t: float
     G: np.ndarray
     log_sigma: float = 0.0
-    residual: float | None = None  # involution_residual(G) from the retraction that produced G, if one did
+    residual: float | None = None  # involution_residual(G); set on every state of a run
 
     def __post_init__(self):
         self.G = np.asarray(self.G, dtype=float)
@@ -58,17 +58,15 @@ class FlowTrace:
     S: list[float] = field(default_factory=list)
     lam: list[float] = field(default_factory=list)
     involution_residual: list[float] = field(default_factory=list)
-    soliton_residual: list[float] = field(default_factory=list)
     monotonicity_defect: list[float] = field(default_factory=list)
     step_dt: list[float] = field(default_factory=list)
     aborted: str | None = None
     final_G: np.ndarray | None = None
 
-    COLUMNS = ("t", "GR", "normRc2", "log_sigma", "S", "lambda", "involution_residual", "soliton_residual")
+    COLUMNS = ("t", "GR", "normRc2", "log_sigma", "S", "lambda", "involution_residual")
 
     def rows(self):
-        return zip(self.t, self.GR, self.normRc2, self.log_sigma, self.S, self.lam, self.involution_residual,
-                   self.soliton_residual)
+        return zip(self.t, self.GR, self.normRc2, self.log_sigma, self.S, self.lam, self.involution_residual)
 
 
 def flow_rhs(a: QuadraticLieAlgebra, g: np.ndarray) -> tuple[np.ndarray, float]:
@@ -171,10 +169,7 @@ def run_flow(a: QuadraticLieAlgebra, init: FlowState, params: FlowParams) -> Flo
         trace.log_sigma.append(st.log_sigma)
         trace.S.append(gr * sigma_sq)
         trace.lam.append(gr)  # over a point the unit-mass infimum is GR itself
-        trace.involution_residual.append(involution_residual(st.G) if st.residual is None else st.residual)
-        # the Frobenius norm of GRc in an adapted frame of a strictly positive metric; where eta is
-        # indefinite on an eigenspace every such norm depends on the frame, so none is reported
-        trace.soliton_residual.append(float(np.sqrt(max(rc2, 0.0))) if watch_positivity else float("nan"))
+        trace.involution_residual.append(st.residual)
         trace.monotonicity_defect.append(defect)
         trace.step_dt.append(step_dt)
         return rhs
@@ -185,7 +180,8 @@ def run_flow(a: QuadraticLieAlgebra, init: FlowState, params: FlowParams) -> Flo
             raise DegenerateMetric(f"strict positivity lost at t = {new.t}")
         return new
 
-    state, trace.aborted = integrate(FlowState(init.t, init.G.copy(), init.log_sigma), params.T, params.max_steps,
-                                     observe, lambda rhs: rhs, lambda rhs: params.dt, advance)
+    start = FlowState(init.t, init.G.copy(), init.log_sigma, involution_residual(init.G))
+    state, trace.aborted = integrate(start, params.T, params.max_steps, observe, lambda rhs: rhs,
+                                     lambda rhs: params.dt, advance)
     trace.final_G = state.G
     return trace

@@ -15,6 +15,7 @@ from grflow import algebra as alg
 from grflow import cli
 from grflow import curvature as cur
 from grflow import exact_torus as et
+from grflow import flow_ode as fl
 from grflow.connection import Divergence
 from grflow.errors import ConfigParseError, EigensolverStalled, StepUnderflow
 
@@ -381,6 +382,21 @@ def test_curvature_divergence_of_wrong_length_exit_2(tmp_path, capsys):
     assert not (tmp_path / "curvature.json").exists()
 
 
+def test_trace_column_doc_names_every_trace_column_in_order():
+    # the --help epilog documents the columns the traces write: each line that starts a column's entry names it,
+    # and one line may name several ("g_norm, B_norm, phi_norm")
+    sections = {}
+    for block in cli.TRACE_COLUMN_DOC.strip().split("\n\n"):
+        title, *lines = block.splitlines()
+        names = []
+        for line in lines:
+            if not line.startswith("   "):  # an entry, indented two spaces, not its continuation
+                names += [name.strip() for name in line.strip().split("  ")[0].split(",")]
+        sections[title] = names
+    assert sections == {"flow trace columns:": list(fl.FlowTrace.COLUMNS),
+                        "torus trace columns:": list(et.TorusTrace.COLUMNS)}
+
+
 def test_flow_mode_and_exit_codes(tmp_path):
     cfg = {
         "mode": "flow",
@@ -393,7 +409,7 @@ def test_flow_mode_and_exit_codes(tmp_path):
     assert cli.run_config(path, out=tmp_path) == 0
     lines = (tmp_path / "flow_trace.csv").read_text().splitlines()
     assert lines[0].startswith("# grf ")
-    assert lines[1] == "t,GR,normRc2,log_sigma,S,lambda,involution_residual,soliton_residual"
+    assert lines[1] == "t,GR,normRc2,log_sigma,S,lambda,involution_residual"
     gr = [float(line.split(",")[1]) for line in lines[2:]]
     assert all(b >= a - 1e-8 * (1 + abs(a)) for a, b in zip(gr, gr[1:]))
 

@@ -210,9 +210,10 @@ def test_euler_oracle(su2_double, graph_metric_123):
 
 
 def test_soliton_residual_values(su2_double, graph_metric_123):
-    # the trace's first row: zero on a flat and an Einstein metric, not on the su(2) double's graph metric
+    # sqrt(|GRc|^2_G) of the trace's first row, the Frobenius norm of GRc in an adapted frame of a strictly
+    # positive metric: zero on a flat and an Einstein metric, not on the su(2) double's graph metric
     def first_row(a, g):
-        return fl.run_flow(a, fl.FlowState(0.0, g, 0.0), fl.FlowParams(dt=1e-3, T=1e-3)).soliton_residual[0]
+        return np.sqrt(fl.run_flow(a, fl.FlowState(0.0, g, 0.0), fl.FlowParams(dt=1e-3, T=1e-3)).normRc2[0])
 
     assert first_row(alg.abelian(4, 2), met.random_strictly_positive_metric(alg.abelian(4, 2), 1).G) == 0.0
     assert first_row(alg.so3(1.0), np.eye(3)) <= 1e-13
@@ -240,7 +241,6 @@ def test_run_flow_pseudometric_permitted(su2_double):
     assert len(tr.t) == 51
     assert max(tr.involution_residual) <= 1e-10
     assert np.all(np.isfinite(tr.GR))
-    assert np.all(np.isnan(tr.soliton_residual))  # frame-dependent here: not reported
 
 
 @pytest.mark.parametrize("max_steps", [0, -3, float("nan")])
