@@ -42,11 +42,12 @@ TRACE_COLUMN_DOC = """\
 flow trace columns:
   t                    time of the accepted step
   GR                   scalar curvature (closed form, divergence zero)
-  normRc2              |GRc|^2_G = minus the full eta-contraction of the Ricci
+  normRc2              |GRc|^2_G = minus the full eta-contraction of GRc with itself
   log_sigma            log of the half-density
   S                    Einstein-Hilbert value GR * sigma^2
   lambda               unit-mass infimum of S (equals GR over a point)
-  involution_residual  max-abs of G^2 - Id after retraction
+  involution_residual  max-abs of the recorded G^2 - Id: the retraction's residual
+                       on every row but the first (the initial G)
 
 torus trace columns:
   t           time

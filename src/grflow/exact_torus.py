@@ -339,7 +339,7 @@ def perturbed_state(geom: TorusGeometry, seed: int, amplitude: float = 0.05, k: 
         st.b[c] += sign * (amplitude * mode())
     st.phi += amplitude * mode()
     st = TorusFieldState(geom, st.gs, st.b, st.phi, k)  # the edits above are validated like any state
-    if st.spd_margin() <= SPD_FLOOR:
+    if st.spd_margin() < SPD_FLOOR:
         raise ValidationError("perturbation amplitude too large: g not positive definite")
     return st
 
@@ -673,9 +673,12 @@ def lambda_torus(fields: TorusFields, u0: np.ndarray | None = None, return_vecto
             tol = 0.9 * LAMBDA_RESIDUAL_TOL * (shift + max(0.0, -q))
             with warnings.catch_warnings():  # its notes on a missed tol: the residual it returns is the report
                 warnings.simplefilter("ignore", UserWarning)
-                lam, v, residuals = lobpcg(operator, v, M=lambda x: inner * flat_inverse(inner * x), tol=tol,
-                                           maxiter=LAMBDA_MAX_ITER, largest=False, retResidualNormsHistory=True)
-            q, res = float(lam[0]), float(residuals[-1])
+                try:
+                    lam, v, residuals = lobpcg(operator, v, M=lambda x: inner * flat_inverse(inner * x), tol=tol,
+                                               maxiter=LAMBDA_MAX_ITER, largest=False, retResidualNormsHistory=True)
+                    q, res = float(lam[0]), float(residuals[-1])
+                except ValueError:  # its Cholesky met infs or NaNs: a solve that missed its bound
+                    res = math.inf
         if res <= LAMBDA_RESIDUAL_TOL * (shift + abs(q)):
             break
     else:

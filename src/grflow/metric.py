@@ -115,8 +115,6 @@ def metric_from_subspace(a: QuadraticLieAlgebra, v_plus: np.ndarray) -> Generali
         else:
             raise DegenerateSubspace(f"basis shape {v.shape} incompatible with n={a.n}")
     k = v.shape[1]
-    if k == 1 or a.n - k == 1:
-        raise ForbiddenRank(f"eigenbundle ranks ({k},{a.n - k}) include 1")
     gram = v.T @ a.eta @ v
     if k > 0:
         w = np.linalg.eigvalsh((gram + gram.T) / 2)

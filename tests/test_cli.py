@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -316,13 +316,37 @@ _TWO_STEPS = functools.partial(et.TorusParams, max_steps=2)
 
 @settings(max_examples=150, deadline=None)
 @given(cfg=st.fixed_dictionaries({"mode": st.just("torus"), "torus": _torus}, optional={"seed": st.integers(-3, 99)}))
+@example(cfg={"mode": "torus", "torus": {"d": 3, "N": 8, "T": 0.01, "init": "perturbed", "kmax": 1, "k": 1e100}})
+@example(cfg={"mode": "torus", "torus": {"d": 3, "N": 8, "T": 0.001, "init": "flat", "k": -4.003091207070337e+138,
+                                         "L": 2.2081953922125267e-17}})
 def test_torus_config_fuzz_never_raises(tmp_path_factory, cfg):
     # the torus section has no step budget: two steps per run keep a long T or a small cfl cheap, and stop it
-    # with exit 3 like any run cut short
+    # with exit 3 like any run cut short; a flux so large that lambda's solver meets infs is such a run too
     out = tmp_path_factory.mktemp("fuzz")
     path = write_cfg(out, cfg)
     with np.errstate(all="ignore"), mock.patch.object(et, "TorusParams", _TWO_STEPS):
         assert cli.main(["torus", "--config", str(path), "--out", str(out)]) in (0, 2, 3)
+
+
+_flow = st.fixed_dictionaries({}, optional={
+    "dt": _number, "T": _number, "retract_tol": _number, "log_sigma0": _number, "max_steps": st.integers(-1, 3),
+    "integrator": st.just("rk4")})
+# the drawn algebras and metrics are mostly invalid; the su(2) double with a valid metric lets the flow numbers run
+_flow_start = st.fixed_dictionaries({"algebra": _algebra, "metric": _metric}) | st.fixed_dictionaries({
+    "algebra": st.just({"preset": "cotangent_double", "params": {"h": "su2"}}),
+    "metric": st.just({"identity": True}) | st.fixed_dictionaries({"random_positive_seed": st.integers(0, 99)})})
+_THREE_STEPS = functools.partial(fl.FlowParams, max_steps=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(start=_flow_start, rest=st.fixed_dictionaries({"mode": st.just("flow")},
+                                                     optional={"flow": _flow, "seed": st.integers(-3, 99)}))
+def test_flow_config_fuzz_never_raises(tmp_path_factory, start, rest):
+    # three steps per run keep a long T or a small dt cheap, unless the config draws its own small max_steps
+    out = tmp_path_factory.mktemp("fuzz")
+    path = write_cfg(out, {**start, **rest})
+    with np.errstate(all="ignore"), mock.patch.object(fl, "FlowParams", _THREE_STEPS):
+        assert cli.main(["flow", "--config", str(path), "--out", str(out)]) in (0, 2, 3)
 
 
 def test_mode_mismatch(tmp_path):

@@ -115,6 +115,13 @@ def test_perturbed_state_rejects_a_perturbation_past_positivity(geom8):
         et.perturbed_state(geom8, 0, amplitude=3.0)
 
 
+def test_perturbed_state_accepts_a_margin_at_the_floor(geom8, monkeypatch):
+    # the start keeps the runs' floor: a margin of exactly SPD_FLOOR passes, as it passes degenerate_nodes
+    monkeypatch.setattr(et.TorusFieldState, "spd_margin", lambda self: et.SPD_FLOOR)
+    st = et.perturbed_state(geom8, 0)
+    assert et.degenerate_nodes(st) == et.SPD_FLOOR
+
+
 def test_step_underflow_aborts_with_trace(geom8, stopped_short):
     # dt = cfl h^2 lambda_min(g) = 1e-20 h^2 on the flat start: below 1e-14, the run stops at its first step
     tr = et.run_torus_flow(et.flat_state(geom8), et.TorusParams(cfl=1e-20, max_steps=3))

@@ -152,6 +152,12 @@ def test_run_flow_stationary_traces():
     assert np.max(np.abs(np.array(tr.S) - s_ref)) <= 1e-12
 
 
+def test_run_flow_sigma_past_the_floats_reads_s_inf():
+    # sigma^2 = e^800 overflows a float: S reads inf from the first row on, and no warning is raised
+    tr = fl.run_flow(alg.so3(1.0), fl.FlowState(0.0, np.eye(3), 400.0), fl.FlowParams(dt=1e-2, T=0.1))
+    assert tr.aborted is None and tr.S[0] == np.inf and tr.GR[0] == pytest.approx(1.0)
+
+
 def test_run_flow_monotone_short(su2_double, graph_metric_123):
     tr = fl.run_flow(
         su2_double, fl.FlowState(0.0, graph_metric_123.G, 0.0), fl.FlowParams(dt=1e-3, T=0.5)
@@ -194,7 +200,7 @@ def _euler_reference(a, G0, T, dt):
     t = 0.0
     while t < T - 1e-12:
         step = min(dt, T - t)
-        g = fl.involution_retract(g - 2.0 * step * ricci_closed_form(a, g))[0]
+        g = fl.involution_retract(g - 2.0 * step * ricci_closed_form(a, g), 1e-10)[0]
         t += step
     return g
 
@@ -335,7 +341,8 @@ def _bitwise(x, y):
 
 def test_trace_residual_is_each_states(monkeypatch, su2_double, graph_metric_123):
     # each row's involution_residual is that of the state it records, bitwise, on a plain run and on one whose
-    # fifth step is halved; the last row's is that of final_G
+    # fifth step is halved; the last row's is that of final_G. Each row's S, step_dt and monotonicity_defect,
+    # formed from the columns after the run, are bitwise those of the row and the one before it
     step, retract = fl.flow_step, fl.involution_retract
     states, attempts = [], []
 
@@ -360,6 +367,22 @@ def test_trace_residual_is_each_states(monkeypatch, su2_double, graph_metric_123
         rows = [met.involution_residual(g) for g in [graph_metric_123.G] + [st.G for st in states]]
         assert [_bitwise(x, y) for x, y in zip(tr.involution_residual, rows)] == [True] * len(rows)
         assert _bitwise(tr.involution_residual[-1], met.involution_residual(tr.final_G))
+        steps = [0.0] + [t1 - t0 for t0, t1 in zip(tr.t, tr.t[1:])]
+        defects = [0.0] + [abs((gr1 - gr0) / dt - 0.5 * (rc0 + rc1)) for gr0, gr1, rc0, rc1, dt
+                           in zip(tr.GR, tr.GR[1:], tr.normRc2, tr.normRc2[1:], steps[1:])]
+        assert [_bitwise(x, y) for x, y in zip(tr.step_dt, steps)] == [True] * len(rows)
+        assert [_bitwise(x, y) for x, y in zip(tr.monotonicity_defect, defects)] == [True] * len(rows)
+        sigma = [gr * float(np.exp(2 * log_sigma)) for gr, log_sigma in zip(tr.GR, tr.log_sigma)]
+        assert [_bitwise(x, y) for x, y in zip(tr.S, sigma)] == [True] * len(rows)
+
+
+def test_steps_below_the_spacing_of_t_leave_the_diagnostics_non_finite(su2_double, graph_metric_123):
+    # at t = 1e6 a step of 1e-11 is below half the float spacing, so t + dt == t: such a row's step_dt reads 0 and
+    # its monotonicity_defect inf, with no error or warning, and the run stops at its step budget
+    tr = fl.run_flow(su2_double, fl.FlowState(1e6, graph_metric_123.G, 0.0),
+                     fl.FlowParams(dt=1e-11, T=1e6 + 1, max_steps=3))
+    assert tr.t == [1e6] * 4 and tr.step_dt == [0.0] * 4 and tr.aborted.startswith("step budget")
+    assert tr.monotonicity_defect[0] == 0.0 and not np.any(np.isfinite(tr.monotonicity_defect[1:]))
 
 
 _SU2_DOUBLE = alg.cotangent_double(alg.su2_structure())

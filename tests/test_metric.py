@@ -25,6 +25,12 @@ def test_forbidden_rank_line():
         met.metric_from_subspace(a, np.array([[1.0, 0.0, 0.0, 0.0]]).T)
 
 
+def test_forbidden_rank_hyperplane_names_both_ranks():
+    # V- of rank 1: GeneralizedPseudometric.from_matrix states the rank rule for every metric constructor
+    with pytest.raises(ForbiddenRank, match=r"^eigenbundle ranks \(3,1\) include 1$"):
+        met.metric_from_subspace(alg.abelian(4, 2), np.eye(4)[:, :3])
+
+
 def test_degenerate_subspace_rejected():
     a = alg.abelian(4, 2)
     # null vectors: e1 + e3 and e2 + e4 span an isotropic plane
