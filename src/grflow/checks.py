@@ -23,6 +23,7 @@ from . import flow_ode as fl
 from . import metric as met
 from . import variation as var
 from .errors import NumericalError
+from .runs import Trace
 
 
 @dataclass
@@ -47,9 +48,9 @@ def _from_run(trace, value) -> float:
     return float("inf") if trace.aborted else value(trace)
 
 
-def _fall(trace, series) -> float:
-    """The fastest decrease of a series recorded along ``trace``, 0 if it never falls."""
-    return _from_run(trace, lambda tr: float(np.max(np.maximum(0.0, -(np.diff(series) / np.diff(tr.t))))))
+def _fall(trace, column) -> float:
+    """The fastest decrease of a column recorded along ``trace``, 0 if it never falls."""
+    return _from_run(trace, lambda tr: float(np.max(np.maximum(0.0, -(np.diff(tr[column]) / np.diff(tr["t"]))))))
 
 
 def _peak(x) -> float:
@@ -188,7 +189,7 @@ class _Runs:
         self.seed, self.geom = seed, et.TorusGeometry(3, N, 2 * np.pi)
 
     @cached_property
-    def so3_flow(self) -> fl.FlowTrace:
+    def so3_flow(self) -> Trace:
         return fl.run_flow(alg.so3(1.0), fl.FlowState(0.0, np.eye(3), 0.0), fl.FlowParams(dt=1e-2, T=1.0))
 
     @cached_property
@@ -196,12 +197,12 @@ class _Runs:
         return et.perturbed_state(self.geom, self.seed + 1, amplitude=0.05)
 
     @cached_property
-    def bench(self) -> et.TorusTrace:
+    def bench(self) -> Trace:
         """The flux benchmark: flat g and H = eps, so g = (1 + 3t)^(1/3) Id and minR = -1 / (2 (1 + 3t))."""
         return et.run_torus_flow(et.flat_state(self.geom, k=1.0), et.TorusParams(T=1.0, cfl=0.2))
 
     @cached_property
-    def pert(self) -> et.TorusTrace:
+    def pert(self) -> Trace:
         return et.run_torus_flow(et.perturbed_state(self.geom, self.seed + 4, amplitude=0.05),
                                  et.TorusParams(T=0.5, cfl=0.2))
 
@@ -293,7 +294,7 @@ def _abelian_drift(x: _Runs) -> float:
     ab = alg.abelian(4, 2)
     g = met.random_strictly_positive_metric(ab, x.seed + 5).G
     return _from_run(fl.run_flow(ab, fl.FlowState(0.0, g, 0.0), fl.FlowParams(dt=1e-2, T=1.0)),
-                     lambda tr: _peak(tr.final_G - g))
+                     lambda tr: _peak(tr.final_state.G - g))
 
 
 def _flux_density_gap(x: _Runs) -> float:
@@ -359,9 +360,10 @@ PATH_CHECKS = {
     "eh_gradient_fd": (1e-6, lambda x: var.eh_gradient_check(x.a, x.g, x.sigma, x.sub ^ 0x13)),
 }
 FLOW_CHECKS = {
-    "flow_identity_stationary": (1e-10, lambda x: _from_run(x.so3_flow, lambda tr: _peak(tr.final_G - np.eye(3)))),
+    "flow_identity_stationary": (1e-10, lambda x: _from_run(x.so3_flow, lambda tr: _peak(
+        tr.final_state.G - np.eye(3)))),
     "flow_log_sigma_slope": (1e-8, lambda x: abs(_from_run(x.so3_flow, lambda tr: (
-        tr.log_sigma[-1] - tr.log_sigma[0]) / (tr.t[-1] - tr.t[0])) + alg.so3(1.0).norm_c_sq() / 12.0)),
+        tr["log_sigma"][-1] - tr["log_sigma"][0]) / (tr["t"][-1] - tr["t"][0])) + alg.so3(1.0).norm_c_sq() / 12.0)),
     "flow_abelian_stationary": (1e-10, _abelian_drift),
     # a symmetric commuting perturbation of the involution
     "retraction_convergence": (1e-12, lambda x: met.involution_residual(fl.involution_retract(
@@ -377,12 +379,12 @@ TORUS_CHECKS = {
     "torus_homogeneous_benchmark_g": (1e-4, lambda x: _from_run(x.bench, lambda tr: _peak(
         tr.final_state.g / (1 + 3 * 1.0) ** (1.0 / 3.0) - np.eye(3)))),
     "torus_homogeneous_benchmark_minR": (1e-4, lambda x: _from_run(x.bench, lambda tr: _peak(
-        np.array(tr.minR) + 1.0 / (2 * (1 + 3 * np.array(tr.t)))))),
-    "torus_lambda_monotone_benchmark": (1e-6, lambda x: _fall(x.bench, x.bench.lam)),
-    "torus_lambda_flux_value": (1e-6, lambda x: abs(x.bench.lam[0] + 0.5)),
+        np.array(tr["minR"]) + 1.0 / (2 * (1 + 3 * np.array(tr["t"])))))),
+    "torus_lambda_monotone_benchmark": (1e-6, lambda x: _fall(x.bench, "lambda")),
+    "torus_lambda_flux_value": (1e-6, lambda x: abs(x.bench["lambda"][0] + 0.5)),
     "torus_lambda_flat_value": (1e-6, lambda x: abs(et.lambda_torus(et.torus_fields(et.flat_state(x.geom))))),
-    "torus_lambda_monotone_perturbed": (1e-6, lambda x: _fall(x.pert, x.pert.lam)),
-    "torus_min_scalar_monotone_perturbed": (1e-6, lambda x: _fall(x.pert, x.pert.minR)),
+    "torus_lambda_monotone_perturbed": (1e-6, lambda x: _fall(x.pert, "lambda")),
+    "torus_min_scalar_monotone_perturbed": (1e-6, lambda x: _fall(x.pert, "minR")),
     "torus_spatial_convergence_g": ((8.0, 32.0), lambda x: spatial_convergence_ratios(x.seed + 6)["g"]),
     "torus_anisotropic_flux_closed_form": (1e-12, lambda x: anisotropic_flux_residual(x.geom, x.seed + 8)),
     "torus_single_mode_B_exact": (1e-12, lambda x: single_mode_b_residual(x.geom, x.seed + 9)),

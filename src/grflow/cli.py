@@ -330,12 +330,13 @@ def mode_flow(cfg, seed, out_dir):
 def _run_to_csv(name, trace, cfg, seed, out_dir):
     """Write ``trace`` (at least one row) to ``<name>_trace.csv`` and return the exit code: 0, or 3 with
     ``<name>_abort.json`` when its ``aborted`` says the run did not reach T."""
-    write_csv(out_dir / f"{name}_trace.csv", _header_line(cfg, seed), trace.COLUMNS, trace.rows())
+    write_csv(out_dir / f"{name}_trace.csv", _header_line(cfg, seed), trace.columns, trace.rows)
+    last_t = trace["t"][-1]  # the last row's: an observation that raised leaves final_state past it
     if trace.aborted:
-        write_json(out_dir / f"{name}_abort.json", cfg, seed, {"aborted": trace.aborted, "last_t": trace.t[-1]})
-        print(f"{name}: aborted ({trace.aborted}) after {len(trace.t)} records")
+        write_json(out_dir / f"{name}_abort.json", cfg, seed, {"aborted": trace.aborted, "last_t": last_t})
+        print(f"{name}: aborted ({trace.aborted}) after {len(trace.rows)} records")
         return 3
-    print(f"{name}: {len(trace.t)} records to t = {trace.t[-1]!r}")
+    print(f"{name}: {len(trace.rows)} records to t = {last_t!r}")
     return 0
 
 

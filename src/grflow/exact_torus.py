@@ -77,12 +77,12 @@ import functools
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateMetric, EigensolverStalled, ValidationError
-from .runs import check_max_steps, check_positive_finite, integrate
+from .runs import Trace, check_max_steps, check_positive_finite, integrate
 
 SPD_FLOOR = 1e-8
 KMAX = 2  # perturbed_state's default highest mode
@@ -720,23 +720,7 @@ class TorusParams:
         check_max_steps(self.max_steps)
 
 
-@dataclass
-class TorusTrace:
-    t: list[float] = field(default_factory=list)
-    minR: list[float] = field(default_factory=list)
-    meanR: list[float] = field(default_factory=list)
-    lam: list[float] = field(default_factory=list)
-    spd_margin: list[float] = field(default_factory=list)
-    g_norm: list[float] = field(default_factory=list)
-    B_norm: list[float] = field(default_factory=list)
-    phi_norm: list[float] = field(default_factory=list)
-    aborted: str | None = None
-    final_state: TorusFieldState | None = None
-
-    COLUMNS = ("t", "minR", "meanR", "lambda", "spd_margin", "g_norm", "B_norm", "phi_norm")
-
-    def rows(self):
-        return zip(self.t, self.minR, self.meanR, self.lam, self.spd_margin, self.g_norm, self.B_norm, self.phi_norm)
+COLUMNS = ("t", "minR", "meanR", "lambda", "spd_margin", "g_norm", "B_norm", "phi_norm")
 
 
 def _rk4_torus(state: TorusFieldState, dt: float, rhs, k1) -> TorusFieldState:
@@ -755,8 +739,9 @@ def _rk4_torus(state: TorusFieldState, dt: float, rhs, k1) -> TorusFieldState:
         raise DegenerateMetric(f"RK4 stage at t = {state.t!r}: {exc}") from exc
 
 
-def run_torus_flow(state: TorusFieldState, params: TorusParams, rhs=torus_rhs) -> TorusTrace:
-    """RK4 run with diffusion-limited steps, returning its trace whatever stops it after the initial record.
+def run_torus_flow(state: TorusFieldState, params: TorusParams, rhs=torus_rhs) -> Trace:
+    """RK4 run with diffusion-limited steps, returning its trace, in ``COLUMNS`` order, whatever stops it after
+    the initial record.
 
     ``runs.integrate`` runs the loop. The step dt = cfl h^2 lambda_min(g), cfl h^2 / lambda_max(g^-1) at the
     slowest node, is recomputed per step and cut to land exactly on T. Each RK4 stage state goes through the
@@ -766,29 +751,20 @@ def run_torus_flow(state: TorusFieldState, params: TorusParams, rhs=torus_rhs) -
     ``max_steps`` budget. ``final_state`` is the last state reached; a failure on the initial state (no
     positive metric, a stalled first lambda) raises.
     """
-    trace = TorusTrace()
     lam_vec = None
 
-    def observe(st: TorusFieldState) -> TorusFields:
+    def observe(st: TorusFieldState) -> tuple[tuple, TorusFields]:
         nonlocal lam_vec
         f = torus_fields(st)
         gr, lam = generalized_scalar_field(f), float("nan")
         if params.compute_lambda:
-            lam, lam_vec = lambda_torus(f, u0=lam_vec, return_vector=True)  # may raise: no partial row
-        trace.t.append(st.t)
-        trace.minR.append(float(np.min(gr)))
-        trace.meanR.append(float(np.mean(gr)))
-        trace.lam.append(lam)
-        trace.spd_margin.append(f.margin)
-        trace.g_norm.append(float(np.max(np.abs(st.gs))))  # max|g|: g holds each pair in one or two slots
-        trace.B_norm.append(float(np.max(np.abs(st.b))))  # max|B|: B holds b, 0 - b and zeros
-        trace.phi_norm.append(float(np.max(np.abs(st.phi))))
-        return f
+            lam, lam_vec = lambda_torus(f, u0=lam_vec, return_vector=True)
+        # max|g| and max|B|: g holds each pair in one or two slots, B holds b, 0 - b and zeros
+        return (st.t, float(np.min(gr)), float(np.mean(gr)), lam, f.margin, float(np.max(np.abs(st.gs))),
+                float(np.max(np.abs(st.b))), float(np.max(np.abs(st.phi)))), f
 
-    trace.final_state, trace.aborted = integrate(
-        state.copy(), params.T, params.max_steps, observe, rhs, lambda f: params.cfl * f.geom.h**2 * f.margin,
-        lambda st, dt, k1: _rk4_torus(st, dt, rhs, k1))
-    return trace
+    return integrate(state.copy(), params.T, params.max_steps, COLUMNS, observe, rhs,
+                     lambda f: params.cfl * f.geom.h**2 * f.margin, lambda st, dt, k1: _rk4_torus(st, dt, rhs, k1))
 
 
 # -- binary field dumps ----------------------------------------------------------

@@ -8,13 +8,13 @@ in G and therefore preserves eta-symmetry exactly.  Each accepted state forms
 each quantity once: the right-hand side there gives the trace GR and
 |GRc|^2_G and the next step its first stage (first same as last), and the
 residual max|G^2 - Id| that ended the retraction is the trace's
-``involution_residual``.  A row records only its own state: S and the step diagnostics
-``step_dt`` and ``monotonicity_defect`` are formed from the other columns after the run.
+``involution_residual``.  A row records only its own state, S = GR sigma^2 included; the step
+diagnostic ``monotonicity_defect``, which reads two rows, is formed from a trace after the run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,9 @@ from .algebra import QuadraticLieAlgebra
 from .curvature import moved_gram, ricci_closed_form, scalar_closed_form
 from .errors import DegenerateMetric, RetractionDiverged
 from .metric import GeneralizedPseudometric, involution_residual, is_strictly_positive, mixed_norm_sq
-from .runs import check_max_steps, check_positive_finite, check_step, integrate
+from .runs import Trace, check_max_steps, check_positive_finite, check_step, integrate
+
+COLUMNS = ("t", "GR", "normRc2", "log_sigma", "S", "lambda", "involution_residual")
 
 
 @dataclass
@@ -46,28 +48,6 @@ class FlowParams:
     def __post_init__(self):
         check_positive_finite(dt=self.dt, T=self.T, retract_tol=self.retract_tol)
         check_max_steps(self.max_steps)
-
-
-@dataclass
-class FlowTrace:
-    """Per-accepted-step diagnostic series of a flow run."""
-
-    t: list[float] = field(default_factory=list)
-    GR: list[float] = field(default_factory=list)
-    normRc2: list[float] = field(default_factory=list)
-    log_sigma: list[float] = field(default_factory=list)
-    S: list[float] = field(default_factory=list)
-    lam: list[float] = field(default_factory=list)
-    involution_residual: list[float] = field(default_factory=list)
-    monotonicity_defect: list[float] = field(default_factory=list)
-    step_dt: list[float] = field(default_factory=list)
-    aborted: str | None = None
-    final_G: np.ndarray | None = None
-
-    COLUMNS = ("t", "GR", "normRc2", "log_sigma", "S", "lambda", "involution_residual")
-
-    def rows(self):
-        return zip(self.t, self.GR, self.normRc2, self.log_sigma, self.S, self.lam, self.involution_residual)
 
 
 def flow_rhs(a: QuadraticLieAlgebra, g: np.ndarray) -> tuple[np.ndarray, float]:
@@ -116,17 +96,15 @@ def _rk4_increment(a, state, dt, k1):
     return dg, ds
 
 
-def flow_step(a: QuadraticLieAlgebra, state: FlowState, params: FlowParams, dt: float | None = None,
-              k1: tuple[np.ndarray, float] | None = None) -> FlowState:
-    """One accepted step: RK4 increment, then involution retraction.
+def flow_step(a: QuadraticLieAlgebra, state: FlowState, params: FlowParams, dt: float,
+              k1: tuple[np.ndarray, float]) -> FlowState:
+    """One accepted step of at most dt: RK4 increment, then involution retraction.
 
-    ``k1`` is ``flow_rhs(a, state.G)`` when the caller already has it.  The step
-    is halved whenever the increment is not finite or the retraction fails,
-    down to ``runs.check_step``'s floor; a halved retry starts from the same
-    state, so it reuses ``k1``.
+    ``k1`` is ``flow_rhs(a, state.G)``.  The step is halved whenever the
+    increment is not finite or the retraction fails, down to
+    ``runs.check_step``'s floor; a halved retry starts from the same state,
+    so it reuses ``k1``.
     """
-    dt = params.dt if dt is None else dt
-    k1 = flow_rhs(a, state.G) if k1 is None else k1
     while True:
         check_step(dt, state.t)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -142,30 +120,25 @@ def flow_step(a: QuadraticLieAlgebra, state: FlowState, params: FlowParams, dt: 
         return FlowState(state.t + dt, g_new, state.log_sigma + ds, res)
 
 
-def run_flow(a: QuadraticLieAlgebra, init: FlowState, params: FlowParams) -> FlowTrace:
-    """Integrate to params.T with ``runs.integrate``, recording diagnostics at every accepted step.
+def run_flow(a: QuadraticLieAlgebra, init: FlowState, params: FlowParams) -> Trace:
+    """Integrate to params.T with ``runs.integrate``, recording the row of every accepted state in ``COLUMNS`` order.
 
     The trace is returned whatever stops the run after its initial record: ``aborted`` is None when it reached T and
     otherwise says why not (step underflow, the ``max_steps`` budget, or lost strict positivity, which is monitored
     when the initial metric has it: the theory guarantees its preservation only through smooth existence). An
-    initial G that is no generalized pseudometric raises ValidationError. ``final_G`` is the last state reached.
+    initial G that is no generalized pseudometric raises ValidationError. ``final_state`` is the last state reached.
     """
     watch_positivity = GeneralizedPseudometric.from_matrix(a, init.G).strictly_positive
 
-    trace = FlowTrace()
-
-    def observe(st: FlowState) -> tuple[np.ndarray, float]:
+    def observe(st: FlowState) -> tuple[tuple, tuple[np.ndarray, float]]:
         rhs = flow_rhs(a, st.G)
         # GR and GRc read back from the RHS (-2 GRc, -GR/2): power-of-two rescalings, so exact
         gr = -2.0 * rhs[1]
         rc2 = mixed_norm_sq(a, a.eta @ (-0.5 * rhs[0]))
-        trace.t.append(st.t)
-        trace.GR.append(gr)
-        trace.normRc2.append(rc2)
-        trace.log_sigma.append(st.log_sigma)
-        trace.lam.append(gr)  # over a point the unit-mass infimum is GR itself
-        trace.involution_residual.append(st.residual)
-        return rhs
+        with np.errstate(over="ignore", invalid="ignore"):  # S = GR sigma^2 is inf past log sigma ~ 355
+            s = float(gr * np.exp(2 * st.log_sigma))
+        # over a point the unit-mass infimum lambda is GR itself
+        return (st.t, gr, rc2, st.log_sigma, s, gr, st.residual), rhs
 
     def advance(st: FlowState, dt: float, k1: tuple[np.ndarray, float]) -> FlowState:
         new = flow_step(a, st, params, dt, k1)
@@ -174,13 +147,12 @@ def run_flow(a: QuadraticLieAlgebra, init: FlowState, params: FlowParams) -> Flo
         return new
 
     start = FlowState(init.t, init.G.copy(), init.log_sigma, involution_residual(init.G))
-    state, trace.aborted = integrate(start, params.T, params.max_steps, observe, lambda rhs: rhs,
-                                     lambda rhs: params.dt, advance)
-    trace.final_G = state.G
-    # S = GR sigma^2 (inf past log sigma ~ 355); dGR/dt = |GRc|^2_G against each step's trapezoidal mean
-    t, gr, rc2 = np.array(trace.t), np.array(trace.GR), np.array(trace.normRc2)
+    return integrate(start, params.T, params.max_steps, COLUMNS, observe, lambda rhs: rhs, lambda rhs: params.dt,
+                     advance)
+
+
+def monotonicity_defect(trace: Trace) -> list[float]:
+    """|dGR/dt - |GRc|^2_G| along a flow trace, dGR/dt against each step's trapezoidal mean: 0.0 on the first row."""
+    t, gr, rc2 = (np.array(trace[name]) for name in ("t", "GR", "normRc2"))
     with np.errstate(all="ignore"):
-        trace.S = (gr * np.exp(2 * np.array(trace.log_sigma))).tolist()
-        trace.step_dt = [0.0, *np.diff(t).tolist()]
-        trace.monotonicity_defect = [0.0, *np.abs(np.diff(gr) / np.diff(t) - 0.5 * (rc2[:-1] + rc2[1:])).tolist()]
-    return trace
+        return [0.0, *np.abs(np.diff(gr) / np.diff(t) - 0.5 * (rc2[:-1] + rc2[1:])).tolist()]

@@ -1,6 +1,8 @@
-"""The run loop of ``flow_ode.run_flow`` and ``exact_torus.run_torus_flow``, and the rules both runs keep."""
+"""The run loop of ``flow_ode.run_flow`` and ``exact_torus.run_torus_flow``, the record both return, and the rules
+both runs keep."""
 
 import math
+from dataclasses import dataclass
 
 from .errors import NumericalError, StepBudgetExhausted, StepUnderflow, ValidationError
 
@@ -21,24 +23,43 @@ def check_positive_finite(**values) -> None:
 
 
 def check_step(dt: float, t: float) -> None:
-    """The step floor: a step dt from time t below STEP_FLOOR raises StepUnderflow."""
-    if dt < STEP_FLOOR:
+    """The step floor: a step dt from time t below STEP_FLOOR, or too short to move t (t + dt == t), raises
+    StepUnderflow."""
+    if dt < STEP_FLOOR or t + dt == t:
         raise StepUnderflow(f"step underflow at t = {t}")
 
 
-def integrate(state, T, max_steps, observe, rate, step_cap, advance):
-    """Run ``state``, which has a time ``t``, to T and return (the last state reached, the abort note or None).
+@dataclass
+class Trace:
+    """A run's record: one row per accepted state, its values in ``columns`` order, and how the run ended.
 
-    ``observe(state)`` records the state's row; with ``here`` its result, a step is dt = min(step_cap(here),
-    T - t), held to ``check_step``'s floor, and ``advance(state, dt, rate(here))``. The first numerical error
-    after the initial observation stops the run, and its message is the abort note; an error in the initial
-    observation propagates.
+    ``aborted`` is None when the run reached T and otherwise says why not; ``final_state`` is the last state
+    reached. ``trace[name]`` is one column as a list.
     """
-    here = observe(state)
-    rows = 1
+
+    columns: tuple[str, ...]
+    rows: list[tuple]
+    aborted: str | None
+    final_state: object
+
+    def __getitem__(self, name: str) -> list:
+        i = self.columns.index(name)
+        return [row[i] for row in self.rows]
+
+
+def integrate(state, T, max_steps, columns, observe, rate, step_cap, advance) -> Trace:
+    """Run ``state``, which has a time ``t``, to T and return its ``Trace``.
+
+    ``observe(state)`` returns the state's row, in ``columns`` order, and ``here``; a step is dt =
+    min(step_cap(here), T - t), held to ``check_step``'s floor, and ``advance(state, dt, rate(here))``. The
+    first numerical error after the initial observation stops the run, and its message is the abort note; an
+    error in the initial observation propagates.
+    """
+    row, here = observe(state)
+    rows, aborted = [row], None
     try:
         while state.t < T - 1e-12:
-            if rows > max_steps:  # a row per accepted step and one for the initial state
+            if len(rows) > max_steps:  # a row per accepted step and one for the initial state
                 raise StepBudgetExhausted(max_steps, state.t, T)
             dt = min(step_cap(here), T - state.t)
             check_step(dt, state.t)
@@ -46,8 +67,8 @@ def integrate(state, T, max_steps, observe, rate, step_cap, advance):
             del here  # the step's stages make their own observations; keeping this one raises peak memory
             state = advance(state, dt, k1)
             del k1  # likewise, before the next observation and its rate
-            here = observe(state)
-            rows += 1
+            row, here = observe(state)
+            rows.append(row)
     except NumericalError as exc:
-        return state, str(exc)
-    return state, None
+        aborted = str(exc)
+    return Trace(columns, rows, aborted, state)

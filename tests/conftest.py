@@ -65,10 +65,9 @@ def rng():
 @pytest.fixture(scope="session")
 def stopped_short():
     """Asserts that a returned run trace says why it stopped short of T (``note`` in ``aborted``) and holds
-    whole rows: at least one, and every column as long as ``t``."""
+    whole rows: at least one, and a value in every row for every column."""
     def check(trace, note):
         assert trace.aborted is not None and note in trace.aborted
-        columns = [value for value in vars(trace).values() if isinstance(value, list)]
-        assert len(trace.t) >= 1 and {len(column) for column in columns} == {len(trace.t)}
+        assert len(trace.rows) >= 1 and {len(row) for row in trace.rows} == {len(trace.columns)}
 
     return check

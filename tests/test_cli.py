@@ -417,8 +417,7 @@ def test_trace_column_doc_names_every_trace_column_in_order():
             if not line.startswith("   "):  # an entry, indented two spaces, not its continuation
                 names += [name.strip() for name in line.strip().split("  ")[0].split(",")]
         sections[title] = names
-    assert sections == {"flow trace columns:": list(fl.FlowTrace.COLUMNS),
-                        "torus trace columns:": list(et.TorusTrace.COLUMNS)}
+    assert sections == {"flow trace columns:": list(fl.COLUMNS), "torus trace columns:": list(et.COLUMNS)}
 
 
 def test_flow_mode_and_exit_codes(tmp_path):

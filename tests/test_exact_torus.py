@@ -126,7 +126,7 @@ def test_step_underflow_aborts_with_trace(geom8, stopped_short):
     # dt = cfl h^2 lambda_min(g) = 1e-20 h^2 on the flat start: below 1e-14, the run stops at its first step
     tr = et.run_torus_flow(et.flat_state(geom8), et.TorusParams(cfl=1e-20, max_steps=3))
     stopped_short(tr, "step underflow at t = 0.0")
-    assert len(tr.t) == 1
+    assert len(tr.rows) == 1
 
 
 @pytest.mark.parametrize("slot", [0, 1, 2])
@@ -139,7 +139,7 @@ def test_nonfinite_stage_aborts_with_trace(geom8, slot, stopped_short):
 
     tr = et.run_torus_flow(et.perturbed_state(geom8, 2, amplitude=0.05, k=0.5), et.TorusParams(T=0.1), rhs=blows_up)
     stopped_short(tr, "RK4 stage")
-    assert "must be finite" in tr.aborted and len(tr.t) == 1 and tr.final_state.t == 0.0
+    assert "must be finite" in tr.aborted and len(tr.rows) == 1 and tr.final_state.t == 0.0
 
 
 def test_deriv_fourth_order(geom16):
@@ -545,20 +545,19 @@ def test_run_torus_flow_terminal_states(seed, d, amplitude, k, T, max_steps):
     st = et.perturbed_state(geom, seed, amplitude=amplitude, k=k if d == 3 else 0.0, kmax=1)
     tr = et.run_torus_flow(st, et.TorusParams(T=T, max_steps=max_steps))
     if tr.aborted is None:
-        assert tr.final_state.t == tr.t[-1] and tr.t[-1] == pytest.approx(T, abs=1e-12)
+        assert tr.final_state.t == tr["t"][-1] and tr["t"][-1] == pytest.approx(T, abs=1e-12)
     elif "stalled" in tr.aborted:
-        assert tr.final_state.t > tr.t[-1]
+        assert tr.final_state.t > tr["t"][-1]
     else:
-        assert tr.final_state.t == tr.t[-1]
-        assert f"max_steps = {max_steps}" in tr.aborted and tr.t[-1] < T and len(tr.t) == max_steps + 1
-    assert len({len(column) for column in (tr.t, tr.minR, tr.meanR, tr.lam, tr.spd_margin, tr.g_norm, tr.B_norm,
-                                           tr.phi_norm)}) == 1
+        assert tr.final_state.t == tr["t"][-1]
+        assert f"max_steps = {max_steps}" in tr.aborted and tr["t"][-1] < T and len(tr.rows) == max_steps + 1
+    assert {len(row) for row in tr.rows} == {len(et.COLUMNS)}
     fs = tr.final_state
     assert fs.k == st.k
     assert np.array_equal(fs.B, -np.swapaxes(fs.B, -1, -2))
     assert np.max(np.abs(fs.g - np.swapaxes(fs.g, -1, -2))) <= 1e-12 * np.max(np.abs(fs.g))
-    assert min(tr.spd_margin) > et.SPD_FLOOR
-    assert np.all(np.diff(tr.lam) >= -1e-6 * np.diff(tr.t))
+    assert min(tr["spd_margin"]) > et.SPD_FLOOR
+    assert np.all(np.diff(tr["lambda"]) >= -1e-6 * np.diff(tr["t"]))
 
 
 def test_state_arrays_are_c_ordered(geom8):
@@ -674,9 +673,9 @@ def test_homogeneous_benchmark_short(geom8):
     f_exact = (1 + 3 * 0.5) ** (1 / 3)
     gerr = np.max(np.abs(tr.final_state.g / f_exact - np.broadcast_to(np.eye(3), tr.final_state.g.shape)))
     assert gerr <= 1e-5
-    ts = np.array(tr.t)
-    assert np.max(np.abs(np.array(tr.minR) + 1 / (2 * (1 + 3 * ts)))) <= 1e-5
-    lam = np.array(tr.lam)
+    ts = np.array(tr["t"])
+    assert np.max(np.abs(np.array(tr["minR"]) + 1 / (2 * (1 + 3 * ts)))) <= 1e-5
+    lam = np.array(tr["lambda"])
     assert np.all(np.diff(lam) >= -1e-6 * np.diff(ts))
 
 
@@ -739,11 +738,11 @@ def test_t2_flow_decays():
     tr = et.run_torus_flow(st, et.TorusParams(T=0.5, cfl=0.2))
     assert tr.aborted is None and np.any(st.b)
     assert np.array_equal(tr.final_state.b, st.b)  # H = 0 on T^2: b is inert
-    assert tr.phi_norm[-1] < tr.phi_norm[0]
-    lam = np.array(tr.lam)
-    ts = np.array(tr.t)
+    assert tr["phi_norm"][-1] < tr["phi_norm"][0]
+    lam = np.array(tr["lambda"])
+    ts = np.array(tr["t"])
     assert np.all(np.diff(lam) >= -1e-6 * np.diff(ts))
-    assert np.all(np.diff(np.array(tr.minR)) >= -1e-6 * np.diff(ts))
+    assert np.all(np.diff(np.array(tr["minR"])) >= -1e-6 * np.diff(ts))
 
 
 def test_field_dump_roundtrip(tmp_path):
@@ -816,7 +815,7 @@ def test_degenerate_abort_carries_trace(geom8, stopped_short):
     st.gs *= 1e-7 / np.max(np.abs(st.gs))
     tr = et.run_torus_flow(st, et.TorusParams(T=0.1, cfl=0.2))
     stopped_short(tr, "metric lost positivity")
-    assert len(tr.t) == 1 and tr.final_state.t == 0.0
+    assert len(tr.rows) == 1 and tr.final_state.t == 0.0
     st.gs *= 0.05
     with pytest.raises(DegenerateMetric, match="lost positivity"):
         et.run_torus_flow(st, et.TorusParams(T=0.1, cfl=0.2))
@@ -841,7 +840,7 @@ def test_geometry_built_once_per_state(monkeypatch, geom8):
     gammas = _count_calls(monkeypatch, et, "christoffel")
     margins = _count_calls(monkeypatch, et.TorusFieldState, "spd_margin")
     tr = et.run_torus_flow(et.flat_state(geom8, k=1.0), et.TorusParams(T=0.3, cfl=0.2))
-    n = len(tr.t) - 1
+    n = len(tr.rows) - 1
     assert n >= 2 and tr.aborted is None
     assert len(gammas) == 4 * n + 1
     assert len(margins) == n + 1
@@ -901,8 +900,8 @@ def test_torus_params_reject_infinite_time_and_cfl(bad):
 def test_max_steps_marks_abort(geom8, stopped_short):
     tr = et.run_torus_flow(et.flat_state(geom8), et.TorusParams(T=1.0, cfl=0.2, max_steps=2))
     stopped_short(tr, "max_steps = 2")
-    assert len(tr.t) == 3 and tr.t[-1] < 1.0
-    assert repr(tr.t[-1]) in tr.aborted
+    assert len(tr.rows) == 3 and tr["t"][-1] < 1.0
+    assert repr(tr["t"][-1]) in tr.aborted
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -985,7 +984,7 @@ def test_lambda_does_not_fall_on_t2_perturbed_run():
     # criterion 9's bound of 1e-6 per unit time on lambda's fall
     tr = et.run_torus_flow(et.perturbed_state(et.TorusGeometry(2, 16), 7), et.TorusParams(T=1.0))
     assert tr.aborted is None
-    assert np.all(np.diff(tr.lam) >= -1e-6 * np.diff(tr.t))
+    assert np.all(np.diff(tr["lambda"]) >= -1e-6 * np.diff(tr["t"]))
 
 
 def _seed15_state(**params):
@@ -1104,8 +1103,8 @@ def test_lambda_warm_start_stall_retried_from_constant():
     # stalls at the first stepped state, from the constant it converges
     tr = et.run_torus_flow(et.perturbed_state(et.TorusGeometry(3, 8), 15, amplitude=0.05, k=0.5),
                            et.TorusParams(T=0.25))
-    assert tr.aborted is None and tr.t[-1] == pytest.approx(0.25)
-    assert np.all(np.diff(tr.lam) >= 0.0)
+    assert tr.aborted is None and tr["t"][-1] == pytest.approx(0.25)
+    assert np.all(np.diff(tr["lambda"]) >= 0.0)
 
 
 def test_lambda_stall_keeps_partial_trace(monkeypatch, geom8, stopped_short):
@@ -1121,12 +1120,12 @@ def test_lambda_stall_keeps_partial_trace(monkeypatch, geom8, stopped_short):
     monkeypatch.setattr(et, "lambda_torus", stalls_second)
     tr = et.run_torus_flow(et.flat_state(geom8, k=1.0), et.TorusParams(T=0.3, cfl=0.2))
     stopped_short(tr, "stalled")
-    assert len(tr.t) == 1  # no half-written row
-    assert tr.final_state.t > tr.t[-1]
+    assert len(tr.rows) == 1  # no half-written row
+    assert tr.final_state.t > tr["t"][-1]
 
 
 def test_small_perturbed_grid_reaches_T(geom8):
     # an 8^3 input that takes about 100 LOBPCG iterations from the constant start
     tr = et.run_torus_flow(et.perturbed_state(geom8, 9, amplitude=0.05, k=0.5), et.TorusParams(T=0.3))
-    assert tr.aborted is None and tr.t[-1] == pytest.approx(0.3)
-    assert np.all(np.diff(tr.lam) >= -1e-6 * np.diff(tr.t))
+    assert tr.aborted is None and tr["t"][-1] == pytest.approx(0.3)
+    assert np.all(np.diff(tr["lambda"]) >= -1e-6 * np.diff(tr["t"]))

@@ -113,7 +113,7 @@ def test_retraction_iteration_budget(graph_metric_123):
 def test_flow_step_so3_identity():
     a = alg.so3(1.0)
     st = fl.FlowState(0.0, np.eye(3), 0.0)
-    out = fl.flow_step(a, st, fl.FlowParams(dt=0.1, T=1.0))
+    out = fl.flow_step(a, st, fl.FlowParams(dt=0.1, T=1.0), 0.1, fl.flow_rhs(a, st.G))
     assert np.max(np.abs(out.G - np.eye(3))) <= 1e-12
     assert out.log_sigma == pytest.approx(-0.05, abs=1e-12)
     assert out.t == pytest.approx(0.1)
@@ -123,7 +123,7 @@ def test_flow_step_abelian_only_time_moves():
     a = alg.abelian(4, 2)
     gm = met.random_strictly_positive_metric(a, 3)
     st = fl.FlowState(0.0, gm.G, 0.2)
-    out = fl.flow_step(a, st, fl.FlowParams(dt=0.05, T=1.0))
+    out = fl.flow_step(a, st, fl.FlowParams(dt=0.05, T=1.0), 0.05, fl.flow_rhs(a, st.G))
     assert np.array_equal(out.G, gm.G)
     assert out.log_sigma == st.log_sigma
     assert out.t == pytest.approx(0.05)
@@ -132,7 +132,7 @@ def test_flow_step_abelian_only_time_moves():
 def test_flow_step_postcondition(su2_double, graph_metric_123):
     st = fl.FlowState(0.0, graph_metric_123.G, 0.0)
     params = fl.FlowParams(dt=1e-2, T=1.0, retract_tol=1e-10)
-    out = fl.flow_step(su2_double, st, params)
+    out = fl.flow_step(su2_double, st, params, params.dt, fl.flow_rhs(su2_double, st.G))
     assert met.involution_residual(out.G) <= params.retract_tol
 
 
@@ -140,33 +140,38 @@ def test_run_flow_stationary_traces():
     a = alg.so3(1.0)
     tr = fl.run_flow(a, fl.FlowState(0.0, np.eye(3), 0.0), fl.FlowParams(dt=1e-2, T=1.0))
     assert tr.aborted is None
-    gr = np.array(tr.GR)
+    gr = np.array(tr["GR"])
     assert np.max(np.abs(gr - 1.0)) <= 1e-12
-    slope = (tr.log_sigma[-1] - tr.log_sigma[0]) / (tr.t[-1] - tr.t[0])
+    slope = (tr["log_sigma"][-1] - tr["log_sigma"][0]) / (tr["t"][-1] - tr["t"][0])
     assert slope == pytest.approx(-0.5, abs=1e-10)
-    assert np.max(np.abs(tr.final_G - np.eye(3))) <= 1e-10
+    assert np.max(np.abs(tr.final_state.G - np.eye(3))) <= 1e-10
     # lambda column equals GR over a point
-    assert np.array_equal(tr.lam, tr.GR)
+    assert np.array_equal(tr["lambda"], tr["GR"])
     # S = GR sigma^2
-    s_ref = gr * np.exp(2 * np.array(tr.log_sigma))
-    assert np.max(np.abs(np.array(tr.S) - s_ref)) <= 1e-12
+    s_ref = gr * np.exp(2 * np.array(tr["log_sigma"]))
+    assert np.max(np.abs(np.array(tr["S"]) - s_ref)) <= 1e-12
 
 
 def test_run_flow_sigma_past_the_floats_reads_s_inf():
-    # sigma^2 = e^800 overflows a float: S reads inf from the first row on, and no warning is raised
+    # sigma^2 = e^800 overflows a float: S reads inf from the first row on, NaN where GR is 0 (an abelian
+    # algebra), and no warning is raised
     tr = fl.run_flow(alg.so3(1.0), fl.FlowState(0.0, np.eye(3), 400.0), fl.FlowParams(dt=1e-2, T=0.1))
-    assert tr.aborted is None and tr.S[0] == np.inf and tr.GR[0] == pytest.approx(1.0)
+    assert tr.aborted is None and tr["S"][0] == np.inf and tr["GR"][0] == pytest.approx(1.0)
+    ab = alg.abelian(4, 2)
+    tr = fl.run_flow(ab, fl.FlowState(0.0, met.random_strictly_positive_metric(ab, 0).G, 400.0),
+                     fl.FlowParams(dt=1e-2, T=0.1))
+    assert tr.aborted is None and tr["GR"] == [0.0] * 11 and np.all(np.isnan(tr["S"]))
 
 
 def test_run_flow_monotone_short(su2_double, graph_metric_123):
     tr = fl.run_flow(
         su2_double, fl.FlowState(0.0, graph_metric_123.G, 0.0), fl.FlowParams(dt=1e-3, T=0.5)
     )
-    gr = np.array(tr.GR)
+    gr = np.array(tr["GR"])
     assert np.all(np.diff(gr) >= -1e-8 * (1 + np.abs(gr[:-1])))
-    assert max(tr.involution_residual) <= 1e-10
-    rc2 = np.array(tr.normRc2)
-    defect = np.array(tr.monotonicity_defect)
+    assert max(tr["involution_residual"]) <= 1e-10
+    rc2 = np.array(tr["normRc2"])
+    defect = np.array(fl.monotonicity_defect(tr))
     mask = rc2[1:] > 1e-6
     assert np.max(defect[1:][mask] / (1 + rc2[1:][mask])) <= 5e-3
 
@@ -188,9 +193,9 @@ def test_run_flow_underflow_carries_trace(su2_double, graph_metric_123, stopped_
     # the su(2) Ricci-type flow becomes extinct near t = 1.9; requesting a
     # longer horizon stops by step underflow and returns the trace with the note
     tr = fl.run_flow(su2_double, fl.FlowState(0.0, graph_metric_123.G, 0.0), fl.FlowParams(dt=5e-3, T=10.0))
-    stopped_short(tr, f"step underflow at t = {tr.t[-1]}")
-    assert tr.t[-1] > 1.5
-    gr = np.array(tr.GR)
+    stopped_short(tr, f"step underflow at t = {tr['t'][-1]}")
+    assert tr["t"][-1] > 1.5
+    gr = np.array(tr["GR"])
     assert np.all(np.diff(gr) >= -1e-8 * (1 + np.abs(gr[:-1])))
 
 
@@ -210,7 +215,7 @@ def test_euler_oracle(su2_double, graph_metric_123):
     st = fl.FlowState(0.0, graph_metric_123.G, 0.0)
     dt = 1e-3
     T = 0.5
-    g_rk4 = fl.run_flow(su2_double, st, fl.FlowParams(dt=dt, T=T)).final_G
+    g_rk4 = fl.run_flow(su2_double, st, fl.FlowParams(dt=dt, T=T)).final_state.G
     g_euler = _euler_reference(su2_double, graph_metric_123.G, T, dt / 100)
     assert np.max(np.abs(g_rk4 - g_euler)) <= 1e-5
 
@@ -219,7 +224,7 @@ def test_soliton_residual_values(su2_double, graph_metric_123):
     # sqrt(|GRc|^2_G) of the trace's first row, the Frobenius norm of GRc in an adapted frame of a strictly
     # positive metric: zero on a flat and an Einstein metric, not on the su(2) double's graph metric
     def first_row(a, g):
-        return np.sqrt(fl.run_flow(a, fl.FlowState(0.0, g, 0.0), fl.FlowParams(dt=1e-3, T=1e-3)).normRc2[0])
+        return np.sqrt(fl.run_flow(a, fl.FlowState(0.0, g, 0.0), fl.FlowParams(dt=1e-3, T=1e-3))["normRc2"][0])
 
     assert first_row(alg.abelian(4, 2), met.random_strictly_positive_metric(alg.abelian(4, 2), 1).G) == 0.0
     assert first_row(alg.so3(1.0), np.eye(3)) <= 1e-13
@@ -244,9 +249,9 @@ def test_run_flow_pseudometric_permitted(su2_double):
     gm = met.metric_from_subspace(su2_double, v_plus)
     assert not gm.strictly_positive
     tr = fl.run_flow(su2_double, fl.FlowState(0.0, gm.G, 0.0), fl.FlowParams(dt=1e-3, T=0.05))
-    assert len(tr.t) == 51
-    assert max(tr.involution_residual) <= 1e-10
-    assert np.all(np.isfinite(tr.GR))
+    assert len(tr.rows) == 51
+    assert max(tr["involution_residual"]) <= 1e-10
+    assert np.all(np.isfinite(tr["GR"]))
 
 
 @pytest.mark.parametrize("max_steps", [0, -3, float("nan")])
@@ -258,13 +263,13 @@ def test_flow_params_reject_empty_step_budget(max_steps):
 def test_run_flow_max_steps_marks_abort(stopped_short):
     tr = fl.run_flow(alg.so3(1.0), fl.FlowState(0.0, np.eye(3), 0.0), fl.FlowParams(dt=1e-3, T=1.0, max_steps=5))
     stopped_short(tr, "max_steps = 5")
-    assert len(tr.t) == 6 and tr.t[-1] < 1.0
-    assert repr(tr.t[-1]) in tr.aborted
+    assert len(tr.rows) == 6 and tr["t"][-1] < 1.0
+    assert repr(tr["t"][-1]) in tr.aborted
 
 
 def test_run_flow_positivity_loss_returns_trace(monkeypatch, su2_double, graph_metric_123, stopped_short):
     # a step that lands on -G (an involution, but eta G is negative definite) stops the run before that
-    # state is recorded; final_G is the last state reached
+    # state is recorded; final_state is the last state reached
     step = fl.flow_step
     steps = []
 
@@ -276,7 +281,7 @@ def test_run_flow_positivity_loss_returns_trace(monkeypatch, su2_double, graph_m
     monkeypatch.setattr(fl, "flow_step", flips_third)
     tr = fl.run_flow(su2_double, fl.FlowState(0.0, graph_metric_123.G, 0.0), fl.FlowParams(dt=1e-2, T=1.0))
     stopped_short(tr, f"strict positivity lost at t = {steps[2].t}")
-    assert len(tr.t) == 3 and np.array_equal(tr.final_G, steps[1].G)
+    assert len(tr.rows) == 3 and np.array_equal(tr.final_state.G, steps[1].G)
 
 
 def _record_calls(monkeypatch, name):
@@ -297,9 +302,9 @@ def test_closed_forms_once_per_state(monkeypatch, su2_double, graph_metric_123):
     riccis = _record_calls(monkeypatch, "ricci_closed_form")
     scalars = _record_calls(monkeypatch, "scalar_closed_form")
     tr = fl.run_flow(su2_double, fl.FlowState(0.0, graph_metric_123.G, 0.0), fl.FlowParams(dt=1e-2, T=0.1))
-    n = len(tr.t) - 1
+    n = len(tr.rows) - 1
     assert n == 10 and tr.aborted is None
-    assert tr.step_dt[1:] == pytest.approx([1e-2] * n)  # no halving
+    assert np.diff(tr["t"]) == pytest.approx([1e-2] * n)  # no halving
     assert len(riccis) == 4 * n + 1
     assert len(scalars) == 4 * n + 1
 
@@ -317,7 +322,7 @@ def test_halved_step_reuses_k1(monkeypatch, su2_double, graph_metric_123):
 
     monkeypatch.setattr(fl, "involution_retract", fails_first)
     rhs_calls = _record_calls(monkeypatch, "flow_rhs")
-    out = fl.flow_step(su2_double, st0, fl.FlowParams(dt=1e-2, T=1.0))
+    out = fl.flow_step(su2_double, st0, fl.FlowParams(dt=1e-2, T=1.0), 1e-2, fl.flow_rhs(su2_double, st0.G))
     assert len(attempts) == 2 and out.t == pytest.approx(5e-3)
     at_start = [args for args in rhs_calls if np.array_equal(args[1], st0.G)]
     assert len(at_start) == 1
@@ -329,9 +334,9 @@ def test_each_state_forms_its_involution_residual_once(monkeypatch, su2_double, 
     # once, and the trace row reads it: n steps cost n calls, and the initial record, which no retraction made, 1
     residuals = _record_calls(monkeypatch, "involution_residual")
     tr = fl.run_flow(su2_double, fl.FlowState(0.0, graph_metric_123.G, 0.0), fl.FlowParams(dt=1e-3, T=1e-2))
-    n = len(tr.t) - 1
+    n = len(tr.rows) - 1
     assert n == 10 and tr.aborted is None
-    assert tr.step_dt[1:] == pytest.approx([1e-3] * n)  # no halving
+    assert np.diff(tr["t"]) == pytest.approx([1e-3] * n)  # no halving
     assert len(residuals) == n + 1
 
 
@@ -341,8 +346,8 @@ def _bitwise(x, y):
 
 def test_trace_residual_is_each_states(monkeypatch, su2_double, graph_metric_123):
     # each row's involution_residual is that of the state it records, bitwise, on a plain run and on one whose
-    # fifth step is halved; the last row's is that of final_G. Each row's S, step_dt and monotonicity_defect,
-    # formed from the columns after the run, are bitwise those of the row and the one before it
+    # fifth step is halved; the last row's is that of the final state. Each row's S is bitwise its own GR sigma^2,
+    # and monotonicity_defect, formed from the trace after the run, is bitwise that of the row and the one before it
     step, retract = fl.flow_step, fl.involution_retract
     states, attempts = [], []
 
@@ -362,27 +367,37 @@ def test_trace_residual_is_each_states(monkeypatch, su2_double, graph_metric_123
             monkeypatch.setattr(fl, "involution_retract", fails_fifth)
         states.clear()
         tr = fl.run_flow(su2_double, fl.FlowState(0.0, graph_metric_123.G, 0.0), fl.FlowParams(dt=1e-2, T=0.05))
-        assert tr.aborted is None and len(tr.t) == len(states) + 1
-        assert (tr.step_dt[5] == pytest.approx(5e-3)) is halve
+        t, gr, rc2 = tr["t"], tr["GR"], tr["normRc2"]
+        assert tr.aborted is None and len(tr.rows) == len(states) + 1
+        assert (t[5] - t[4] == pytest.approx(5e-3)) is halve
         rows = [met.involution_residual(g) for g in [graph_metric_123.G] + [st.G for st in states]]
-        assert [_bitwise(x, y) for x, y in zip(tr.involution_residual, rows)] == [True] * len(rows)
-        assert _bitwise(tr.involution_residual[-1], met.involution_residual(tr.final_G))
-        steps = [0.0] + [t1 - t0 for t0, t1 in zip(tr.t, tr.t[1:])]
-        defects = [0.0] + [abs((gr1 - gr0) / dt - 0.5 * (rc0 + rc1)) for gr0, gr1, rc0, rc1, dt
-                           in zip(tr.GR, tr.GR[1:], tr.normRc2, tr.normRc2[1:], steps[1:])]
-        assert [_bitwise(x, y) for x, y in zip(tr.step_dt, steps)] == [True] * len(rows)
-        assert [_bitwise(x, y) for x, y in zip(tr.monotonicity_defect, defects)] == [True] * len(rows)
-        sigma = [gr * float(np.exp(2 * log_sigma)) for gr, log_sigma in zip(tr.GR, tr.log_sigma)]
-        assert [_bitwise(x, y) for x, y in zip(tr.S, sigma)] == [True] * len(rows)
+        assert [_bitwise(x, y) for x, y in zip(tr["involution_residual"], rows)] == [True] * len(rows)
+        assert _bitwise(tr["involution_residual"][-1], met.involution_residual(tr.final_state.G))
+        defects = [0.0] + [abs((gr1 - gr0) / (t1 - t0) - 0.5 * (rc0 + rc1)) for t0, t1, gr0, gr1, rc0, rc1
+                           in zip(t, t[1:], gr, gr[1:], rc2, rc2[1:])]
+        assert [_bitwise(x, y) for x, y in zip(fl.monotonicity_defect(tr), defects)] == [True] * len(rows)
+        sigma = [g * float(np.exp(2 * log_sigma)) for g, log_sigma in zip(gr, tr["log_sigma"])]
+        assert [_bitwise(x, y) for x, y in zip(tr["S"], sigma)] == [True] * len(rows)
 
 
-def test_steps_below_the_spacing_of_t_leave_the_diagnostics_non_finite(su2_double, graph_metric_123):
-    # at t = 1e6 a step of 1e-11 is below half the float spacing, so t + dt == t: such a row's step_dt reads 0 and
-    # its monotonicity_defect inf, with no error or warning, and the run stops at its step budget
+def test_steps_below_the_spacing_of_t_are_underflow(su2_double, graph_metric_123):
+    # at t = 1e6 a step of 1e-11 is below half the float spacing, so t + dt == t: the run stops by step underflow
+    # at its initial record, which no row of zero length follows
     tr = fl.run_flow(su2_double, fl.FlowState(1e6, graph_metric_123.G, 0.0),
                      fl.FlowParams(dt=1e-11, T=1e6 + 1, max_steps=3))
-    assert tr.t == [1e6] * 4 and tr.step_dt == [0.0] * 4 and tr.aborted.startswith("step budget")
-    assert tr.monotonicity_defect[0] == 0.0 and not np.any(np.isfinite(tr.monotonicity_defect[1:]))
+    assert len(tr.rows) == 1 and tr.aborted == "step underflow at t = 1000000.0"
+    assert fl.monotonicity_defect(tr) == [0.0]
+
+
+def test_halving_stops_where_a_step_no_longer_moves_t(su2_double):
+    # a large metric whose flow becomes extinct near t = 1894: flow_step halves dt = 10 down to the spacing of t
+    # (2.3e-13 there), and the run stops by underflow before it records a step that leaves t where it is
+    g = met.metric_from_graph(su2_double, 1000.0 * np.diag([1.0, 2.0, 3.0])).G
+    tr = fl.run_flow(su2_double, fl.FlowState(0.0, g, 0.0), fl.FlowParams(dt=10.0, T=1e4))
+    steps = np.diff(tr["t"])
+    assert tr.aborted == f"step underflow at t = {tr['t'][-1]}" and tr.final_state.t == tr["t"][-1]
+    assert np.all(steps > 0.0) and steps[-1] <= 2 * np.spacing(tr["t"][-1])
+    assert np.all(np.isfinite(fl.monotonicity_defect(tr)))
 
 
 _SU2_DOUBLE = alg.cotangent_double(alg.su2_structure())
@@ -396,11 +411,11 @@ def test_run_flow_terminal_states(seed, dt, max_steps):
     gm = met.random_strictly_positive_metric(_SU2_DOUBLE, seed)
     tr = fl.run_flow(_SU2_DOUBLE, fl.FlowState(0.0, gm.G, 0.0), fl.FlowParams(dt=dt, T=T, max_steps=max_steps))
     if tr.aborted is None:
-        assert tr.t[-1] >= T - 1e-12
+        assert tr["t"][-1] >= T - 1e-12
     else:
-        assert tr.t[-1] < T
-    assert len(tr.step_dt) == len(tr.t)
-    gr = np.array(tr.GR)
+        assert tr["t"][-1] < T
+    assert {len(row) for row in tr.rows} == {len(fl.COLUMNS)}
+    gr = np.array(tr["GR"])
     assert np.all(np.diff(gr) >= -1e-8 * (1 + np.abs(gr[:-1])))
 
 
@@ -414,11 +429,11 @@ def test_run_flow_commutes_with_su2_double_rotation(su2_double):
     assert np.max(np.abs(np.einsum("abg,ai,bj,gk->ijk", su2_double.c, p, p, p) - su2_double.c)) <= 1e-15
     g_inv = met.metric_from_graph(su2_double, np.diag([1.0, 2.0, 2.0])).G
     tr = fl.run_flow(su2_double, fl.FlowState(0.0, g_inv, 0.0), fl.FlowParams(dt=1e-2, T=1.0))
-    assert tr.aborted is None and np.max(np.abs(tr.final_G - g_inv)) >= 0.5  # the metric really moves
-    assert np.max(np.abs(p @ tr.final_G @ p.T - tr.final_G)) <= 1e-12
+    assert tr.aborted is None and np.max(np.abs(tr.final_state.G - g_inv)) >= 0.5  # the metric really moves
+    assert np.max(np.abs(p @ tr.final_state.G @ p.T - tr.final_state.G)) <= 1e-12
     g0 = met.random_strictly_positive_metric(su2_double, 3).G
     params = fl.FlowParams(dt=1e-2, T=0.3)  # this metric's flow becomes extinct before t = 1
-    moved = fl.run_flow(su2_double, fl.FlowState(0.0, p @ g0 @ p.T, 0.0), params).final_G
-    ref = fl.run_flow(su2_double, fl.FlowState(0.0, g0, 0.0), params).final_G
+    moved = fl.run_flow(su2_double, fl.FlowState(0.0, p @ g0 @ p.T, 0.0), params).final_state.G
+    ref = fl.run_flow(su2_double, fl.FlowState(0.0, g0, 0.0), params).final_state.G
     assert np.max(np.abs(ref - g0)) >= 0.1
     assert np.max(np.abs(moved - p @ ref @ p.T)) <= 1e-12 * np.max(np.abs(ref))

@@ -72,7 +72,7 @@ def test_every_traced_torus_and_flow_name_is_called():
         flow = fl.run_flow(su2_double, fl.FlowState(0.0, g, 0.0), fl.FlowParams(dt=1e-3, T=3e-3))
     finally:
         tracer.uninstall()
-    assert tr.aborted is None and len(tr.t) == 2 and flow.aborted is None and len(flow.t) == 4
+    assert tr.aborted is None and len(tr.rows) == 2 and flow.aborted is None and len(flow.rows) == 4
     calls = Counter(tracer.names[i] for i in tracer.name_id)
     for layer in ("exact_torus", "flow_ode"):
         assert [name for name in tracing.LAYERS[layer] if not calls[f"{layer}.{name}"]] == [], layer
@@ -82,7 +82,7 @@ def test_every_traced_torus_and_flow_name_is_called():
     # each accepted step forms G^2 - Id once, in its retraction (at dt 1e-3 an RK4 increment stays within
     # retract_tol, so it does not iterate), and the trace row reads that residual; besides the steps, run_flow
     # forms it twice: validating the initial G and recording it
-    steps = len(flow.t) - 1
+    steps = len(flow.rows) - 1
     assert calls["flow_ode.flow_step"] == calls["flow_ode.involution_retract"] == steps
     residuals = [i for i, nid in enumerate(tracer.name_id) if tracer.names[nid] == "metric.involution_residual"]
     assert sum(_within(tracer, i, "flow_ode.involution_retract") for i in residuals) == steps

@@ -1,9 +1,9 @@
 """The run loop ``runs.integrate`` on a toy scalar ODE, y' = -y, stepped by forward Euler.
 
-Each observation records a row and returns a ``Box`` holding the state's rate; ``rate`` copies it into a new
+Each observation returns the state's row (t, y) and a ``Box`` holding its rate; ``rate`` copies it into a new
 ``Box``, and ``advance`` takes the Euler step. The runners' own contracts (notes, rows, final states) are
-pinned in ``test_flow_ode`` and ``test_exact_torus``; these tests pin the loop they share and its two rules,
-the step budget and the step floor that ``flow_step``'s halving also reads.
+pinned in ``test_flow_ode`` and ``test_exact_torus``; these tests pin the loop they share, the ``Trace`` it
+returns and its two rules, the step budget and the step floor that ``flow_step``'s halving also reads.
 """
 
 import weakref
@@ -29,15 +29,13 @@ class Box:  # an observation or a rate; a plain class, so a weakref can watch it
 
 
 class Toy:
-    """The observe, rate, step_cap and advance of y' = -y with step ``cap``, recording each observed state."""
+    """The observe, rate, step_cap and advance of y' = -y with step ``cap``; a row is (t, y)."""
 
     def __init__(self, cap=0.3):
         self.cap = cap
-        self.rows = []
 
     def observe(self, st):
-        self.rows.append(st)
-        return Box(-st.y)
+        return (st.t, st.y), Box(-st.y)
 
     def rate(self, here):
         return Box(here.value)
@@ -49,45 +47,48 @@ class Toy:
         return State(st.t + dt, st.y + dt * k1.value)
 
     def run(self, T=1.0, max_steps=100, state=State(0.0, 1.0)):
-        return integrate(state, T, max_steps, self.observe, self.rate, self.step_cap, self.advance)
+        return integrate(state, T, max_steps, ("t", "y"), self.observe, self.rate, self.step_cap, self.advance)
 
 
 def test_run_lands_on_T():
-    toy = Toy(cap=0.3)
-    final, note = toy.run(T=1.0)
-    assert note is None
-    assert final.t == 1.0 and toy.rows[-1] is final
-    assert [row.t for row in toy.rows] == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0], abs=1e-15)
+    tr = Toy(cap=0.3).run(T=1.0)
+    final = tr.final_state
+    assert tr.aborted is None and tr.columns == ("t", "y")
+    assert final.t == 1.0 and tr.rows[-1] == (final.t, final.y)
+    assert tr["t"] == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0], abs=1e-15)
     y = 1.0
     for dt in (0.3, 0.3, 0.3, 0.1):
         y += dt * -y
-    assert final.y == pytest.approx(y, rel=1e-14)
+    assert final.y == pytest.approx(y, rel=1e-14) and tr["y"][-1] == final.y
 
 
 def test_state_within_the_landing_tolerance_takes_no_step():
-    toy = Toy()
-    final, note = toy.run(T=1.0, state=State(1.0 - 5e-13, 1.0))
-    assert note is None and len(toy.rows) == 1 and final.t == 1.0 - 5e-13
+    tr = Toy().run(T=1.0, state=State(1.0 - 5e-13, 1.0))
+    assert tr.aborted is None and tr.rows == [(1.0 - 5e-13, 1.0)] and tr.final_state.t == 1.0 - 5e-13
 
 
 def test_budget_note_comes_with_one_row_more_than_the_budget():
-    toy = Toy(cap=0.01)
-    final, note = toy.run(T=1.0, max_steps=3)
-    assert note == str(StepBudgetExhausted(3, final.t, 1.0))
-    assert len(toy.rows) == 4 and final.t == pytest.approx(0.03)
+    tr = Toy(cap=0.01).run(T=1.0, max_steps=3)
+    assert tr.aborted == str(StepBudgetExhausted(3, tr.final_state.t, 1.0))
+    assert len(tr.rows) == 4 and tr.final_state.t == pytest.approx(0.03)
 
 
 def test_budget_exactly_enough_reaches_T():
-    toy = Toy(cap=0.25)
-    final, note = toy.run(T=1.0, max_steps=4)
-    assert note is None and final.t == 1.0 and len(toy.rows) == 5
+    tr = Toy(cap=0.25).run(T=1.0, max_steps=4)
+    assert tr.aborted is None and tr.final_state.t == 1.0 and len(tr.rows) == 5
 
 
 def test_step_below_the_floor_is_underflow():
-    toy = Toy(cap=1e-15)
-    final, note = toy.run(T=1.0)
-    assert note == "step underflow at t = 0.0"
-    assert len(toy.rows) == 1 and final.t == 0.0
+    tr = Toy(cap=1e-15).run(T=1.0)
+    assert tr.aborted == "step underflow at t = 0.0"
+    assert tr.rows == [(0.0, 1.0)] and tr.final_state.t == 0.0
+
+
+def test_step_that_leaves_t_unmoved_is_underflow():
+    # at t = 1e6 the spacing of floats is 1.16e-10: a step of 1e-11, above the floor, would leave t where it is
+    tr = Toy(cap=1e-11).run(T=1e6 + 1, state=State(1e6, 1.0))
+    assert tr.aborted == "step underflow at t = 1000000.0"
+    assert tr.rows == [(1e6, 1.0)] and tr.final_state.t == 1e6
 
 
 def test_halving_run_reaches_the_step_floor():
@@ -103,8 +104,8 @@ def test_halving_run_reaches_the_step_floor():
             dt /= 2
 
     toy.advance = halving
-    final, note = toy.run(T=1.0)
-    assert note == "step underflow at t = 0.0" and final.t == 0.0 and len(toy.rows) == 1
+    tr = toy.run(T=1.0)
+    assert tr.aborted == "step underflow at t = 0.0" and tr.final_state.t == 0.0 and len(tr.rows) == 1
     assert len(tried) == 45 and tried[-1] >= runs.STEP_FLOOR > tried[-1] / 2
 
 
@@ -121,7 +122,7 @@ def test_flow_step_halves_down_to_the_runs_floor(monkeypatch, su2_double, graph_
     monkeypatch.setattr(flow_ode, "involution_retract", fails)
     state = flow_ode.FlowState(0.0, graph_metric_123.G)
     with pytest.raises(StepUnderflow, match=r"^step underflow at t = 0\.0$"):
-        flow_ode.flow_step(su2_double, state, flow_ode.FlowParams(dt=1.0), dt=1.0)
+        flow_ode.flow_step(su2_double, state, flow_ode.FlowParams(dt=1.0), 1.0, flow_ode.flow_rhs(su2_double, state.G))
     assert len(tries) == 4
 
 
@@ -135,31 +136,34 @@ def test_both_parameter_sets_keep_the_one_budget_rule(max_steps):
 
 def test_error_in_advance_returns_the_last_state_and_its_note():
     toy = Toy(cap=0.25)
-    step = toy.advance
+    step, steps = toy.advance, []
 
     def fails_third(st, dt, k1):
-        if len(toy.rows) == 3:
+        steps.append(st)
+        if len(steps) == 3:
             raise DegenerateMetric(f"planted at t = {st.t}")
         return step(st, dt, k1)
 
     toy.advance = fails_third
-    final, note = toy.run(T=1.0)
-    assert note == "planted at t = 0.5"
-    assert final is toy.rows[-1] and final.t == 0.5
+    tr = toy.run(T=1.0)
+    assert tr.aborted == "planted at t = 0.5"
+    assert tr.final_state is steps[-1] and tr.final_state.t == 0.5 and tr["t"] == [0.0, 0.25, 0.5]
 
 
 def test_error_in_a_later_observe_returns_the_state_it_observed():
+    # the state whose observation raised has no row: final_state is past the last one
     toy = Toy(cap=0.25)
-    seen = toy.observe
+    seen, observed = toy.observe, []
 
     def fails_second(st):
-        if toy.rows:
+        observed.append(st)
+        if len(observed) == 2:
             raise NumericalError(f"planted at t = {st.t}")
         return seen(st)
 
     toy.observe = fails_second
-    final, note = toy.run(T=1.0)
-    assert note == "planted at t = 0.25" and final.t == 0.25 and len(toy.rows) == 1
+    tr = toy.run(T=1.0)
+    assert tr.aborted == "planted at t = 0.25" and tr.final_state is observed[1] and tr.rows == [(0.0, 1.0)]
 
 
 def test_error_in_the_first_observe_propagates():
@@ -182,9 +186,9 @@ def test_observation_and_rate_are_released_before_the_next_ones():
 
     def observe(st):
         assert refs.get("k1", lambda: None)() is None
-        here = seen(st)
+        row, here = seen(st)
         refs["here"] = weakref.ref(here)
-        return here
+        return row, here
 
     def rate_of(here):
         k1 = rate(here)
@@ -196,5 +200,5 @@ def test_observation_and_rate_are_released_before_the_next_ones():
         return step(st, dt, k1)
 
     toy.observe, toy.rate, toy.advance = observe, rate_of, advance
-    final, note = toy.run(T=1.0)
-    assert note is None and len(toy.rows) == 5
+    tr = toy.run(T=1.0)
+    assert tr.aborted is None and len(tr.rows) == 5
