@@ -263,7 +263,7 @@ def write_csv(path: Path, header: str, columns, rows) -> None:
         fh.write(header + "\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.write(",".join(map(repr, map(float, row))) + "\n")
 
 
 def write_json(path: Path, cfg: dict, seed: int, body: dict) -> None:

@@ -63,12 +63,12 @@ Positivity. Every state ``torus_fields`` builds, each RK4 stage included, is cer
 det g positive make g positive definite with lambda_min >= det / m2 (det / tr on T^2), and
 where that bound, less a derived round-off allowance on g / s, clears SPD_FLOOR at every
 node, no eigenvalue is computed. Elsewhere the exact margin decides, so a stage raises
-exactly where the margin is below SPD_FLOOR; the check keeps no margin. A record forms its
-margin in one place, ``TorusFields.margin`` (``TorusFieldState.spd_margin`` through
-``degenerate_nodes``, once per record). It is the grid minimum of ``eigvalsh`` bit for bit,
-but ``eigvalsh`` runs only on the few nodes that a closed-form lowest-eigenvalue screen
-(``lowest_eig_estimate``) cannot rule out, and on one matrix when those candidates are all
-bitwise equal, as every node of a spatially constant metric (each flat start) is.
+exactly where the margin is below SPD_FLOOR, and hands the record the margin it formed. A
+record forms its margin at most once, ``TorusFields.margin`` (``TorusFieldState.spd_margin``
+through ``degenerate_nodes``), or reads the check's. It is the grid minimum of ``eigvalsh``
+bit for bit, but ``eigvalsh`` runs only on the few nodes that a closed-form lowest-eigenvalue
+screen (``lowest_eig_estimate``) cannot rule out, and on one matrix when those candidates are
+all bitwise equal, as every node of a spatially constant metric (each flat start) is.
 """
 
 from __future__ import annotations
@@ -464,10 +464,10 @@ def degenerate_nodes(state: TorusFieldState) -> float:
     return margin
 
 
-def positivity_check(state: TorusFieldState, scale: float, adj: np.ndarray, det: np.ndarray) -> None:
+def positivity_check(state: TorusFieldState, scale: float, adj: np.ndarray, det: np.ndarray) -> float | None:
     """A stage's positivity check: raises DegenerateMetric exactly where ``degenerate_nodes`` does, that is
-    iff ``spd_margin()`` < SPD_FLOOR, and otherwise returns None: a record forms its own margin, once
-    (``TorusFields.margin``).
+    iff ``spd_margin()`` < SPD_FLOOR, and otherwise returns the margin where it formed one and None where the
+    bound cleared the state, so a record forms its margin at most once (``TorusFields.margin``).
 
     It reads the ``scaled_cofactors`` (s, adj, det) of g. tr g, m2 = c00 + c11 + c22 and det g all positive
     make g positive definite (the coefficients of its characteristic polynomial then alternate in sign), with
@@ -480,7 +480,8 @@ def positivity_check(state: TorusFieldState, scale: float, adj: np.ndarray, det:
     m2 = np.einsum("ii...->...", adj)
     bound = SPD_FLOOR / scale + ALLOWANCE
     if not np.all((tr > ALLOWANCE * scale) & (m2 > ALLOWANCE) & (det - ALLOWANCE >= bound * (m2 + ALLOWANCE))):
-        degenerate_nodes(state)
+        return degenerate_nodes(state)
+    return None
 
 
 @dataclass(frozen=True)
@@ -499,6 +500,7 @@ class TorusFields:
     h: np.ndarray  # flux density H_012
     h_norm_sq: np.ndarray  # |H|^2_g = 6 h^2 / det g
     dphi: np.ndarray  # d_l phi
+    checked_margin: float | None = None  # the margin ``positivity_check`` formed, where it formed one
 
     @property
     def geom(self) -> TorusGeometry:
@@ -506,8 +508,8 @@ class TorusFields:
 
     @functools.cached_property
     def margin(self) -> float:
-        """Smallest eigenvalue of g over the grid (``degenerate_nodes``)."""
-        return degenerate_nodes(self.state)
+        """Smallest eigenvalue of g over the grid (``degenerate_nodes``, unless the stage check formed it)."""
+        return degenerate_nodes(self.state) if self.checked_margin is None else self.checked_margin
 
     @functools.cached_property
     def potential(self) -> np.ndarray:
@@ -524,7 +526,7 @@ def torus_fields(state: TorusFieldState) -> TorusFields:
     """The one place each field of ``TorusFields`` is computed; raises on lost positivity (``positivity_check``)."""
     geom = state.geom
     cofactors = scaled_cofactors(state.gs)
-    positivity_check(state, *cofactors)
+    margin = positivity_check(state, *cofactors)
     ginv, det = inverse_and_det(*cofactors)
     w = np.sqrt(det)
     gamma = christoffel(state, ginv)
@@ -533,7 +535,7 @@ def torus_fields(state: TorusFieldState) -> TorusFields:
     rc = ricci_tensor(geom, gamma, expanded, v)
     h = flux_H(state)
     h_norm_sq = 6.0 * h * h / det
-    return TorusFields(state, ginv, w, w * ginv, gamma, v, rc, h, h_norm_sq, grad(geom, state.phi))
+    return TorusFields(state, ginv, w, w * ginv, gamma, v, rc, h, h_norm_sq, grad(geom, state.phi), margin)
 
 
 def torus_rhs(fields: TorusFields) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

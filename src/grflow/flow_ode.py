@@ -10,10 +10,14 @@ each quantity once: the right-hand side there gives the trace GR and
 residual max|G^2 - Id| that ended the retraction is the trace's
 ``involution_residual``.  A row records only its own state, S = GR sigma^2 included; the step
 diagnostic ``monotonicity_defect``, which reads two rows, is formed from a trace after the run.
+Strict positivity of each accepted G is decided as ``metric.is_strictly_positive`` decides it,
+but by Weyl's inequality (``weyl_radius``) one margin, one ``eigvalsh``, certifies every G
+within half of it over |eta|_2 in Frobenius distance, so a run forms one per ~100 steps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +25,17 @@ import numpy as np
 from .algebra import QuadraticLieAlgebra
 from .curvature import moved_gram, ricci_closed_form, scalar_closed_form
 from .errors import DegenerateMetric, RetractionDiverged
-from .metric import GeneralizedPseudometric, involution_residual, is_strictly_positive, mixed_norm_sq
+from .metric import GeneralizedPseudometric, involution_residual, mixed_norm_sq, positivity_margin
 from .runs import Trace, check_max_steps, check_positive_finite, check_step, integrate
 
 COLUMNS = ("t", "GR", "normRc2", "log_sigma", "S", "lambda", "involution_residual")
+# weyl_radius's round-off allowance per n^2 s, s = |eta|_2 |g|_F, u = 2^-53. In the radius |G|_F <= 1.5 |g|_F
+# (the margin is at most s). Forming sym(eta G) errs by at most (n + 1) u |eta|_F |G|_F <= 2 n^2 u |eta|_2 |G|_F
+# and eigvalsh by a small multiple, say 8, of n u |sym(eta G)|_2, so the margins at g and G are each within
+# 15 n^2 u s of exact. The radius leaves half the margin, less a relative 1e-10 for the round-off of the distance
+# and of |eta|_2 (eta is symmetric to 1e-12), so a margin above 61 n^2 u s < 2^6 n^2 u s leaves every G in the
+# radius positive to eigvalsh, and 2^-42 keeps a 32-fold rest for the multiple
+WEYL_ALLOWANCE = 2.0**-42
 
 
 @dataclass
@@ -120,6 +131,22 @@ def flow_step(a: QuadraticLieAlgebra, state: FlowState, params: FlowParams, dt: 
         return FlowState(state.t + dt, g_new, state.log_sigma + ds, res)
 
 
+def weyl_radius(g: np.ndarray, margin: float, eta_norm: float) -> float:
+    """The Frobenius radius about g, whose ``positivity_margin`` is ``margin``, inside which ``eigvalsh`` reads
+    every G strictly positive; ``eta_norm`` is |eta|_2. Weyl: lambda_min(sym(eta G)) >= margin - |eta|_2 |G - g|_F,
+    so it is half the margin over |eta|_2, or -inf, certifying nothing, for a margin not above WEYL_ALLOWANCE
+    n^2 |eta|_2 |g|_F, where round-off could decide."""
+    if margin > WEYL_ALLOWANCE * g.shape[0] ** 2 * eta_norm * float(np.linalg.norm(g)):
+        return 0.5 * margin / eta_norm
+    return -math.inf
+
+
+def within_radius(g: np.ndarray, g_ref: np.ndarray, radius: float) -> bool:
+    """Whether |g - g_ref|_F <= radius: the certificate of ``run_flow``'s positivity watch."""
+    d = (g - g_ref).ravel()
+    return math.sqrt(d @ d) <= radius
+
+
 def run_flow(a: QuadraticLieAlgebra, init: FlowState, params: FlowParams) -> Trace:
     """Integrate to params.T with ``runs.integrate``, recording the row of every accepted state in ``COLUMNS`` order.
 
@@ -127,23 +154,38 @@ def run_flow(a: QuadraticLieAlgebra, init: FlowState, params: FlowParams) -> Tra
     otherwise says why not (step underflow, the ``max_steps`` budget, or lost strict positivity, which is monitored
     when the initial metric has it: the theory guarantees its preservation only through smooth existence). An
     initial G that is no generalized pseudometric raises ValidationError. ``final_state`` is the last state reached.
+
+    The positivity watch decides each accepted G as ``metric.is_strictly_positive`` does, but forms the margin
+    (one ``eigvalsh``) only for a G outside the ``weyl_radius`` of the last G whose margin it formed; that G
+    becomes the new reference. The su(2)-double run from graph(diag(1, 2, 3)) at dt 1e-3 to T 1 forms 11 margins
+    in its 1000 steps.
     """
     watch_positivity = GeneralizedPseudometric.from_matrix(a, init.G).strictly_positive
+    eta_norm = float(np.max(np.abs(np.linalg.eigvalsh(a.eta))))  # |eta|_2 of the symmetric eta; no SVD
+    g_ref, radius = init.G, -math.inf  # the last G whose margin was formed, and the radius that margin certifies
 
     def observe(st: FlowState) -> tuple[tuple, tuple[np.ndarray, float]]:
         rhs = flow_rhs(a, st.G)
         # GR and GRc read back from the RHS (-2 GRc, -GR/2): power-of-two rescalings, so exact
         gr = -2.0 * rhs[1]
         rc2 = mixed_norm_sq(a, a.eta @ (-0.5 * rhs[0]))
-        with np.errstate(over="ignore", invalid="ignore"):  # S = GR sigma^2 is inf past log sigma ~ 355
-            s = float(gr * np.exp(2 * st.log_sigma))
+        two_log = 2 * st.log_sigma
+        if two_log <= 709.0:  # sigma^2 is finite: a product of Python floats gives inf and NaN silently
+            s = gr * float(np.exp(two_log))
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):  # S = GR sigma^2 is inf past log sigma ~ 355
+                s = float(gr * np.exp(two_log))
         # over a point the unit-mass infimum lambda is GR itself
         return (st.t, gr, rc2, st.log_sigma, s, gr, st.residual), rhs
 
     def advance(st: FlowState, dt: float, k1: tuple[np.ndarray, float]) -> FlowState:
+        nonlocal g_ref, radius
         new = flow_step(a, st, params, dt, k1)
-        if watch_positivity and not is_strictly_positive(a, new.G):
-            raise DegenerateMetric(f"strict positivity lost at t = {new.t}")
+        if watch_positivity and not within_radius(new.G, g_ref, radius):
+            margin = positivity_margin(a, new.G)
+            if not margin > 0:
+                raise DegenerateMetric(f"strict positivity lost at t = {new.t}")
+            g_ref, radius = new.G, weyl_radius(new.G, margin, eta_norm)
         return new
 
     start = FlowState(init.t, init.G.copy(), init.log_sigma, involution_residual(init.G))

@@ -93,10 +93,15 @@ def validate_metric(a: QuadraticLieAlgebra, g: np.ndarray) -> MetricValidation:
     return MetricValidation(ok, ok and is_strictly_positive(a, g), n_plus, n_minus, inv_res, sym_res)
 
 
-def is_strictly_positive(a: QuadraticLieAlgebra, g: np.ndarray) -> bool:
-    """Whether <G ., .> is positive definite: the least eigenvalue of the symmetric part of eta G is > 0."""
+def positivity_margin(a: QuadraticLieAlgebra, g: np.ndarray) -> float:
+    """The least eigenvalue of the symmetric part of eta G, by ``eigvalsh``."""
     pairing = a.eta @ g
-    return bool(np.min(np.linalg.eigvalsh((pairing + pairing.T) / 2)) > 0)
+    return float(np.min(np.linalg.eigvalsh((pairing + pairing.T) / 2)))
+
+
+def is_strictly_positive(a: QuadraticLieAlgebra, g: np.ndarray) -> bool:
+    """Whether <G ., .> is positive definite: ``positivity_margin`` > 0."""
+    return positivity_margin(a, g) > 0
 
 
 def metric_from_subspace(a: QuadraticLieAlgebra, v_plus: np.ndarray) -> GeneralizedPseudometric:

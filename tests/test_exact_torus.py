@@ -449,17 +449,20 @@ def test_stage_positivity_check_within_round_off_of_the_floor(d):
 
 def test_positive_state_the_bound_cannot_clear_keeps_its_record_margin(monkeypatch, geom8):
     # three eigenvalues of 2 SPD_FLOOR at one node: the bound det / m2 = 2/3 SPD_FLOOR misses the floor, so the
-    # exact margin decides, and it is above the floor; the record forms its own margin, bitwise spd_margin
+    # exact margin decides, and it is above the floor; the record reads the margin the check formed, bitwise
+    # spd_margin, and forms none of its own
     g = np.broadcast_to(np.eye(3), geom8.shape + (3, 3)).copy()
     g[1, 2, 3] = 2.0 * et.SPD_FLOOR * np.eye(3)
     st = et.TorusFieldState.from_full(geom8, g, 0.0, 0.0, 0.0)
     exact = _count_calls(monkeypatch, et, "degenerate_nodes")
+    margins = _count_calls(monkeypatch, et.TorusFieldState, "spd_margin")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         fields = et.torus_fields(st)
         assert len(exact) == 1  # the stage's check could not clear the state
         margin = fields.margin
     assert not caught, [str(w.message) for w in caught]
+    assert len(exact) == len(margins) == 1
     assert margin == st.spd_margin() == 2.0 * et.SPD_FLOOR
 
 

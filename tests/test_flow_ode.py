@@ -284,6 +284,73 @@ def test_run_flow_positivity_loss_returns_trace(monkeypatch, su2_double, graph_m
     assert len(tr.rows) == 3 and np.array_equal(tr.final_state.G, steps[1].G)
 
 
+@pytest.mark.parametrize("seed, dt, T, note", [
+    (None, 1e-3, 1.0, None),  # the benchmark run
+    (None, 1e-3, 10.0, "step underflow at t = 1.8946357236655502"),
+    (5, 2e-2, 2.0, "step underflow at t = "),  # a random start whose steps are halved
+])
+def test_positivity_watch_decides_as_eigvalsh_on_every_step(monkeypatch, su2_double, graph_metric_123, seed, dt, T,
+                                                            note):
+    # the Weyl certificate only spares eigvalsh calls: with it never clearing, every accepted G forms its margin,
+    # and the traces and notes are bitwise the same
+    g = graph_metric_123.G if seed is None else met.random_strictly_positive_metric(su2_double, seed).G
+    params = fl.FlowParams(dt=dt, T=T)
+    tr = fl.run_flow(su2_double, fl.FlowState(0.0, g, 0.0), params)
+    monkeypatch.setattr(fl, "within_radius", lambda *args: False)
+    margins = _record_calls(monkeypatch, "positivity_margin")
+    ref = fl.run_flow(su2_double, fl.FlowState(0.0, g, 0.0), params)
+    assert len(margins) == len(ref.rows) - 1
+    assert np.array(tr.rows).tobytes() == np.array(ref.rows).tobytes() and tr.aborted == ref.aborted
+    assert (tr.aborted is None) if note is None else (note in tr.aborted)
+    if seed is not None:
+        assert np.min(np.diff(tr["t"])) < dt / 2
+
+
+def test_positivity_watch_forms_a_margin_per_hundred_steps(monkeypatch, su2_double, graph_metric_123):
+    margins = _record_calls(monkeypatch, "positivity_margin")
+    tr = fl.run_flow(su2_double, fl.FlowState(0.0, graph_metric_123.G, 0.0), fl.FlowParams(dt=1e-3, T=1.0))
+    assert len(tr.rows) == 1001 and tr.aborted is None
+    assert 1 <= len(margins) <= 20
+
+
+@pytest.mark.parametrize("preset", [0, 1, 2])
+def test_metrics_within_the_weyl_radius_are_strictly_positive(su2_double, complex_double, cap_metric, preset):
+    # seeded perturbations E of a positive reference g, of Frobenius norm up to the radius, and the steepest descent
+    # of the margin, -r (eta v) v^T / |eta v| for the least eigenvector v of sym(eta g): each g + E reads positive
+    a = (su2_double, complex_double, cap_metric[1])[preset]
+    eta_norm = float(np.linalg.norm(a.eta, 2))
+    rng = np.random.default_rng(60 + preset)
+    for seed in range(10):
+        g = met.random_strictly_positive_metric(a, seed).G
+        margin = met.positivity_margin(a, g)
+        r = fl.weyl_radius(g, margin, eta_norm)
+        assert r == 0.5 * margin / eta_norm > 0
+        pairing = a.eta @ g
+        v = np.linalg.eigh((pairing + pairing.T) / 2)[1][:, 0]
+        w = a.eta @ v
+        steepest = -r * np.outer(w, v) / np.linalg.norm(w)
+        for e in [steepest, *rng.standard_normal((20, a.n, a.n))]:
+            e = e * (r * rng.uniform(0.5, 1.0) / np.linalg.norm(e))
+            assert fl.within_radius(g + e, g, r) and met.is_strictly_positive(a, g + e)
+        assert met.positivity_margin(a, g + steepest) < margin - 0.5 * r * np.linalg.norm(w)  # near the bound
+    # a margin within round-off of 0 certifies nothing
+    assert fl.weyl_radius(np.eye(a.n), 1e-14, eta_norm) == -np.inf
+    assert fl.weyl_radius(np.eye(a.n), float("nan"), eta_norm) == -np.inf
+
+
+@pytest.mark.parametrize("c, log_sigma", [(c, x) for c in (0.0, 1.0, 2.0) for x in (354.5, 354.89, 354.9, 400.0)])
+def test_s_is_the_errstate_form_bitwise_and_silent(c, log_sigma):
+    # S = GR sigma^2 on both sides of the exp threshold (2 log sigma = 709, 709.78 and past the largest finite
+    # sigma^2), with GR 0 (an abelian algebra), 1 and 4: the trace's S is the errstate form bitwise, with no warning
+    a = alg.abelian(4, 2) if c == 0.0 else alg.so3(c)
+    g = met.random_strictly_positive_metric(a, 0).G if c == 0.0 else np.eye(3)
+    tr = fl.run_flow(a, fl.FlowState(0.0, g, log_sigma), fl.FlowParams(dt=1e-2, T=2e-2))  # warnings are errors here
+    assert tr["log_sigma"][0] == log_sigma and len(tr.rows) == 3
+    with np.errstate(over="ignore", invalid="ignore"):
+        old = [float(gr * np.exp(2 * ls)) for gr, ls in zip(tr["GR"], tr["log_sigma"])]
+    assert np.array(tr["S"]).tobytes() == np.array(old).tobytes()
+
+
 def _record_calls(monkeypatch, name):
     calls = []
     original = getattr(fl, name)
