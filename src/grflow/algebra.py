@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,19 +123,19 @@ def validate_algebra(a: QuadraticLieAlgebra) -> ValidationReport:
     scale-invariant.
     """
     c = a.c
-    scale = max(float(np.max(np.abs(c))), np.finfo(float).tiny) if c.size else 1.0
     anti = max(
         float(np.max(np.abs(c + c.transpose(1, 0, 2)))),
         float(np.max(np.abs(c + c.transpose(0, 2, 1)))),
     )
-    anti_res = anti / scale if np.any(c) else 0.0
+    anti_res = anti / float(np.max(np.abs(c))) if np.any(c) else 0.0
 
     cm = a.c_mixed
     n = a.n
+    if np.any(cm):  # over s, the power of two with s <= max|c_mixed| < 2 s: exact, and no product under- or overflows
+        cm = cm / 2.0 ** (math.frexp(float(np.max(np.abs(cm))))[1] - 1)
     j = (cm.reshape(n * n, n) @ cm.reshape(n, n * n)).reshape((n,) * 4)  # [[e_a, e_b], e_g]
     jac = j + j.transpose(1, 2, 0, 3) + j.transpose(2, 0, 1, 3)
-    jscale = max(float(np.max(np.abs(cm)) ** 2), np.finfo(float).tiny)  # numpy squares past the float range to inf
-    jac_res = float(np.max(np.abs(jac))) / jscale if np.any(cm) else 0.0
+    jac_res = float(np.max(np.abs(jac))) / float(np.max(np.abs(cm))) ** 2 if np.any(cm) else 0.0
 
     w = np.linalg.eigvalsh(a.eta)
     sig = (int(np.sum(w > 0)), int(np.sum(w < 0)))

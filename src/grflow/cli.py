@@ -38,26 +38,6 @@ from .connection import Divergence
 from .curvature import curvature_report
 from .errors import ConfigParseError, GrfError, NumericalError, ValidationError
 
-TRACE_COLUMN_DOC = """\
-flow trace columns:
-  t                    time of the accepted step
-  GR                   scalar curvature (closed form, divergence zero)
-  normRc2              |GRc|^2_G = minus the full eta-contraction of GRc with itself
-  log_sigma            log of the half-density
-  S                    Einstein-Hilbert value GR * sigma^2
-  lambda               unit-mass infimum of S (equals GR over a point)
-  involution_residual  max-abs of the recorded G^2 - Id: the retraction's residual
-                       on every row but the first (the initial G)
-
-torus trace columns:
-  t           time
-  minR        minimum over nodes of the generalized scalar field
-  meanR       mean over nodes of the generalized scalar field
-  lambda      lowest eigenvalue of -4 Lap_g + (R - |H|^2/12) under unit mass
-  spd_margin  smallest eigenvalue of g over all nodes
-  g_norm, B_norm, phi_norm   max-abs field magnitudes
-"""
-
 _ALGEBRA_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -349,10 +329,11 @@ def _torus_state_params(cfg, seed):
     t = cfg.get("torus", {})
     geom = et.TorusGeometry(t.get("d", 3), t.get("N", 16), **_given(t, "L"))
     if t.get("init", "flat") == "perturbed":
-        state = et.perturbed_state(geom, seed, **_given(t, "amplitude", "k", "kmax"))
+        et.check_flux(geom.d, t.get("k", 0.0))  # a flux on T^2 is named before a coarse grid
         if geom.N < 8 * (kmax := t.get("kmax", et.KMAX)):
             raise ConfigParseError(f"config field 'torus/N' = {geom.N} is too coarse for init 'perturbed': "
                                    f"modes up to kmax = {kmax} need N >= {8 * kmax}")
+        state = et.perturbed_state(geom, seed, **_given(t, "amplitude", "k", "kmax"))
     elif _given(t, "amplitude", "kmax"):
         raise ConfigParseError("config fields 'torus/amplitude' and 'torus/kmax' are for init 'perturbed' only")
     else:
@@ -464,10 +445,12 @@ def run_config(path, mode=None, seed=None, out=None) -> int:
 
 
 def main(argv=None) -> int:
+    epilog = "\n\n".join(f"{kind} trace columns:" + "".join(f"\n  {name:20} {doc}" for name, doc in cols.items())
+                         for kind, cols in (("flow", fl.COLUMNS), ("torus", et.COLUMNS)))
     parser = argparse.ArgumentParser(
         prog="grf",
         description="generalized Ricci flow runs on quadratic Lie algebras and flat tori",
-        epilog=TRACE_COLUMN_DOC,
+        epilog=epilog,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="mode", required=True)

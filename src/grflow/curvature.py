@@ -151,11 +151,6 @@ def scalar(a: QuadraticLieAlgebra, g: np.ndarray, d: Divergence | None = None) -
     return _agreed("scalar", val, scalar_closed_form(a, g, d))
 
 
-def dirac_square(a: QuadraticLieAlgebra) -> float:
-    """Constant by which the generating Dirac operator squares: -GR(Id, 0)/8."""
-    return -scalar_closed_form(a, np.eye(a.n), None) / 8.0
-
-
 def ricci_divergence_shift_check(a: QuadraticLieAlgebra, g: np.ndarray, e) -> float:
     """Residual of GRc(G, <e,.>) - GRc(G, 0) + 1/2 L_{Ge} G (max-abs) for a vector ``e``."""
     e = np.asarray(e, dtype=float)

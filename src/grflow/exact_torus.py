@@ -230,6 +230,16 @@ def exterior_derivative(geom: TorusGeometry, omega: np.ndarray, degree: int) -> 
     return sum((-1) ** (k * degree) * np.moveaxis(dw, axes, axes[k:] + axes[:k]) for k in range(degree + 1))
 
 
+def check_flux(d: int, k) -> float:
+    """The flux strength k as a float; ValidationError unless it is finite, and 0 on T^2."""
+    k = float(k)
+    if not np.isfinite(k):
+        raise ValidationError(f"flux strength k must be finite, got {k!r}")
+    if d == 2 and k != 0.0:
+        raise ValidationError(f"three-forms vanish on T^2: flux strength k must be 0 for d = 2, got {k!r}")
+    return k
+
+
 @dataclass
 class TorusFieldState:
     """(g, b, phi) by their independent components: ``gs``, g's d(d+1)/2 pairs g_ij, i <= j (``sym_pairs``),
@@ -248,17 +258,13 @@ class TorusFieldState:
         # C order, whatever the caller's layout: each component is one contiguous grid block, which the
         # stencil's slices and the whole-grid einsums run along
         self.gs, self.b, self.phi = (np.ascontiguousarray(f, dtype=float) for f in (self.gs, self.b, self.phi))
-        self.k = float(self.k)
         if (self.gs.shape != (len(_SYM[d][0]),) + shape or self.b.shape != (len(_FORM2[d][0]),) + shape
                 or self.phi.shape != shape):
             raise ValidationError("field arrays do not match the grid")
         for name, f in (("g", self.gs), ("b", self.b), ("phi", self.phi)):  # a NaN passes every comparison below
             if not np.isfinite(f).all():
                 raise ValidationError(f"{name} must be finite at every node")
-        if not np.isfinite(self.k):
-            raise ValidationError(f"flux strength k must be finite, got {self.k!r}")
-        if d == 2 and self.k != 0.0:
-            raise ValidationError(f"three-forms vanish on T^2: flux strength k must be 0 for d = 2, got {self.k!r}")
+        self.k = check_flux(d, self.k)
 
     @classmethod
     def from_full(cls, geom: TorusGeometry, g, B, phi, k: float, t: float = 0.0) -> "TorusFieldState":
@@ -722,7 +728,14 @@ class TorusParams:
         check_max_steps(self.max_steps)
 
 
-COLUMNS = ("t", "minR", "meanR", "lambda", "spd_margin", "g_norm", "B_norm", "phi_norm")
+COLUMNS = {  # the trace's columns in row order, each with its meaning, as ``grf --help`` lists them
+    "t": "time",
+    "minR": "minimum over nodes of the generalized scalar field",
+    "meanR": "mean over nodes of the generalized scalar field",
+    "lambda": "lowest eigenvalue of -4 Lap_g + (R - |H|^2/12) under unit mass",
+    "spd_margin": "smallest eigenvalue of g over all nodes",
+    "g_norm": "max-abs of g", "B_norm": "max-abs of B", "phi_norm": "max-abs of phi",
+}
 
 
 def _rk4_torus(state: TorusFieldState, dt: float, rhs, k1) -> TorusFieldState:
@@ -765,7 +778,7 @@ def run_torus_flow(state: TorusFieldState, params: TorusParams, rhs=torus_rhs) -
         return (st.t, float(np.min(gr)), float(np.mean(gr)), lam, f.margin, float(np.max(np.abs(st.gs))),
                 float(np.max(np.abs(st.b))), float(np.max(np.abs(st.phi)))), f
 
-    return integrate(state.copy(), params.T, params.max_steps, COLUMNS, observe, rhs,
+    return integrate(state.copy(), params.T, params.max_steps, tuple(COLUMNS), observe, rhs,
                      lambda f: params.cfl * f.geom.h**2 * f.margin, lambda st, dt, k1: _rk4_torus(st, dt, rhs, k1))
 
 

@@ -28,7 +28,14 @@ from .errors import DegenerateMetric, RetractionDiverged
 from .metric import GeneralizedPseudometric, involution_residual, mixed_norm_sq, positivity_margin
 from .runs import Trace, check_max_steps, check_positive_finite, check_step, integrate
 
-COLUMNS = ("t", "GR", "normRc2", "log_sigma", "S", "lambda", "involution_residual")
+COLUMNS = {  # the trace's columns in row order, each with its meaning, as ``grf --help`` lists them
+    "t": "time of the accepted step",
+    "GR": "scalar curvature (closed form, divergence zero); over a point it is the unit-mass infimum lambda",
+    "normRc2": "|GRc|^2_G = minus the full eta-contraction of GRc with itself",
+    "log_sigma": "log of the half-density",
+    "S": "Einstein-Hilbert value GR * sigma^2",
+    "involution_residual": "max-abs of the recorded G^2 - Id: the retraction's residual on every row but the first",
+}
 # weyl_radius's round-off allowance per n^2 s, s = |eta|_2 |g|_F, u = 2^-53. In the radius |G|_F <= 1.5 |g|_F
 # (the margin is at most s). Forming sym(eta G) errs by at most (n + 1) u |eta|_F |G|_F <= 2 n^2 u |eta|_2 |G|_F
 # and eigvalsh by a small multiple, say 8, of n u |sym(eta G)|_2, so the margins at g and G are each within
@@ -175,8 +182,7 @@ def run_flow(a: QuadraticLieAlgebra, init: FlowState, params: FlowParams) -> Tra
         else:
             with np.errstate(over="ignore", invalid="ignore"):  # S = GR sigma^2 is inf past log sigma ~ 355
                 s = float(gr * np.exp(two_log))
-        # over a point the unit-mass infimum lambda is GR itself
-        return (st.t, gr, rc2, st.log_sigma, s, gr, st.residual), rhs
+        return (st.t, gr, rc2, st.log_sigma, s, st.residual), rhs
 
     def advance(st: FlowState, dt: float, k1: tuple[np.ndarray, float]) -> FlowState:
         nonlocal g_ref, radius
@@ -189,7 +195,7 @@ def run_flow(a: QuadraticLieAlgebra, init: FlowState, params: FlowParams) -> Tra
         return new
 
     start = FlowState(init.t, init.G.copy(), init.log_sigma, involution_residual(init.G))
-    return integrate(start, params.T, params.max_steps, COLUMNS, observe, lambda rhs: rhs, lambda rhs: params.dt,
+    return integrate(start, params.T, params.max_steps, tuple(COLUMNS), observe, lambda rhs: rhs, lambda rhs: params.dt,
                      advance)
 
 

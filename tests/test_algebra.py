@@ -34,6 +34,14 @@ def test_non_antisymmetric_c_fails():
     assert rep.antisymmetry_residual == pytest.approx(2.0)
 
 
+def test_non_antisymmetric_c_fails_at_a_subnormal_scale():
+    # the bracket above at 2^-1060, every entry subnormal: its residual is relative to max|c| itself, exactly 2
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 2] = c[1, 0, 2] = 2.0 ** -1060
+    rep = alg.validate_algebra(alg.QuadraticLieAlgebra(np.eye(3), c))
+    assert rep.antisymmetry_residual == 2.0 and not rep.passed
+
+
 def test_singular_eta_rejected():
     with pytest.raises(NonInvertiblePairing):
         alg.QuadraticLieAlgebra(np.diag([1.0, 1e-15]), np.zeros((2, 2, 2)))
@@ -64,6 +72,20 @@ def test_jacobi_violation_detected():
     rep = alg.validate_algebra(a)
     assert rep.antisymmetry_residual <= 1e-14
     assert rep.jacobi_residual > 1e-3
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-100, 1e-160, 1e-200, pytest.param(2.0**-700, id="2^-700")])
+def test_jacobi_violation_detected_at_every_scale(scale):
+    # the bracket of test_jacobi_violation_detected, scaled: its Jacobi products underflow past about 1e-155, and
+    # the residual is formed on c_mixed over a power of two, so it reads the same at any scale, bitwise at 2^-700
+    from grflow.connection import antisymmetrize3
+
+    c = antisymmetrize3(np.random.default_rng(0).standard_normal((6, 6, 6)))
+    ref = alg.validate_algebra(alg.QuadraticLieAlgebra(np.eye(6), c)).jacobi_residual
+    rep = alg.validate_algebra(alg.QuadraticLieAlgebra(np.eye(6), scale * c))
+    assert not rep.passed and rep.jacobi_residual == pytest.approx(ref, rel=1e-14)
+    if scale == 2.0**-700:
+        assert rep.jacobi_residual == ref
 
 
 def test_cotangent_double_su2(su2_double):
@@ -155,9 +177,12 @@ def test_malformed_h_is_an_invalid_lie_algebra(h):
 
 
 def test_validate_algebra_past_the_float_range_reports():
-    # so(3) at scale 2^512: the Jacobi terms and the squared scale overflow, where a Python float power raised
+    # so(3) at scale 2^512 is a Lie algebra: its Jacobi products, formed over a power of two, do not overflow
+    rep = alg.validate_algebra(alg.so3(2.0 ** 512))
+    assert rep.antisymmetry_residual == rep.jacobi_residual == 0.0 and rep.passed
+    # with eta = 2^-600 Id its c_mixed is past the float range: the Jacobi residual reads NaN, and the check fails
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = alg.validate_algebra(alg.so3(2.0 ** 512))
+        rep = alg.validate_algebra(alg.QuadraticLieAlgebra(2.0 ** -600 * np.eye(3), alg.so3(2.0 ** 512).c))
     assert rep.antisymmetry_residual == 0.0 and np.isnan(rep.jacobi_residual) and not rep.passed
 
 

@@ -365,6 +365,17 @@ def test_validate_mode(tmp_path):
     assert rep["version"]
 
 
+def test_validate_mode_fails_a_tiny_non_lie_bracket(tmp_path, capsys):
+    # the non-Lie bracket of test_algebra at scale 1e-200, where its Jacobi products underflow unless scaled
+    from grflow.connection import antisymmetrize3
+
+    c = 1e-200 * antisymmetrize3(np.random.default_rng(0).standard_normal((6, 6, 6)))
+    path = write_cfg(tmp_path, {"mode": "validate", "algebra": {"eta": np.eye(6).tolist(), "c": c.tolist()}})
+    assert cli.run_config(path, out=tmp_path) == 2
+    assert capsys.readouterr().out.startswith("validate: FAIL")
+    assert json.loads((tmp_path / "validate.json").read_text())["algebra"]["jacobi_residual"] > 0.5
+
+
 def test_curvature_mode(tmp_path):
     cfg = {
         "mode": "curvature",
@@ -406,20 +417,6 @@ def test_curvature_divergence_of_wrong_length_exit_2(tmp_path, capsys):
     assert not (tmp_path / "curvature.json").exists()
 
 
-def test_trace_column_doc_names_every_trace_column_in_order():
-    # the --help epilog documents the columns the traces write: each line that starts a column's entry names it,
-    # and one line may name several ("g_norm, B_norm, phi_norm")
-    sections = {}
-    for block in cli.TRACE_COLUMN_DOC.strip().split("\n\n"):
-        title, *lines = block.splitlines()
-        names = []
-        for line in lines:
-            if not line.startswith("   "):  # an entry, indented two spaces, not its continuation
-                names += [name.strip() for name in line.strip().split("  ")[0].split(",")]
-        sections[title] = names
-    assert sections == {"flow trace columns:": list(fl.COLUMNS), "torus trace columns:": list(et.COLUMNS)}
-
-
 def test_flow_mode_and_exit_codes(tmp_path):
     cfg = {
         "mode": "flow",
@@ -432,7 +429,7 @@ def test_flow_mode_and_exit_codes(tmp_path):
     assert cli.run_config(path, out=tmp_path) == 0
     lines = (tmp_path / "flow_trace.csv").read_text().splitlines()
     assert lines[0].startswith("# grf ")
-    assert lines[1] == "t,GR,normRc2,log_sigma,S,lambda,involution_residual"
+    assert lines[1] == "t,GR,normRc2,log_sigma,S,involution_residual"
     gr = [float(line.split(",")[1]) for line in lines[2:]]
     assert all(b >= a - 1e-8 * (1 + abs(a)) for a, b in zip(gr, gr[1:]))
 
@@ -553,14 +550,20 @@ def test_run_config_without_mode_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("torus, need", [({"d": 2, "N": 8, "amplitude": 0.05, "T": 0.25}, 16),
-                                         ({"N": 16, "kmax": 3, "T": 0.01}, 24)])
-def test_torus_perturbed_start_on_too_coarse_a_grid_exit_2(tmp_path, capsys, torus, need):
+                                         ({"N": 16, "kmax": 3, "T": 0.01}, 24),
+                                         ({"d": 3, "N": 8, "kmax": 2, "amplitude": 0.9, "T": 0.01}, 16),
+                                         ({"N": 96, "kmax": 16, "T": 0.01}, 128)])
+def test_torus_perturbed_start_on_too_coarse_a_grid_exit_2(tmp_path, capsys, monkeypatch, torus, need):
     # modes up to kmax have fewer than 8 nodes a period below N = 8 kmax; on T^2 at N = 8 and the default
-    # kmax 2, lambda fell at -0.0116 per unit time
+    # kmax 2, lambda fell at -0.0116 per unit time. The grid is checked before the state is drawn: over an
+    # amplitude past positivity the coarse grid is named, and no 96^3 state is drawn only to be rejected
+    built = []
+    perturbed_state = et.perturbed_state
+    monkeypatch.setattr(cli.et, "perturbed_state", lambda *args, **kw: built.append(1) or perturbed_state(*args, **kw))
     cfg = {"mode": "torus", "torus": {"init": "perturbed", **torus}}
     code, err = exit_code_and_error_line(capsys, tmp_path, write_cfg(tmp_path, cfg), "torus", "--seed", "0")
     assert code == 2 and err.startswith("error: config field 'torus/N'") and f"need N >= {need}" in err
-    assert not (tmp_path / "out" / "torus_trace.csv").exists()
+    assert not built and not (tmp_path / "out" / "torus_trace.csv").exists()
 
 
 @pytest.mark.parametrize("torus, message", [

@@ -269,12 +269,6 @@ def test_scalar_divergence_shift_abelian(rng):
     assert val == pytest.approx(-float(e @ a.eta @ gm.G @ e), abs=1e-12)
 
 
-def test_dirac_square_values(su2_double):
-    assert cur.dirac_square(alg.abelian(4, 2)) == 0.0
-    assert cur.dirac_square(alg.so3(1.0)) == pytest.approx(-0.125, abs=1e-14)
-    assert cur.dirac_square(su2_double) == pytest.approx(0.0, abs=1e-14)
-
-
 def test_ricci_divergence_shift_check(su2_double, graph_metric_123, rng):
     assert cur.ricci_divergence_shift_check(su2_double, graph_metric_123.G, np.zeros(6)) <= 1e-14
     e = rng.standard_normal(6)
