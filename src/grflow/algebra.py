@@ -51,6 +51,7 @@ class QuadraticLieAlgebra:
     c_mixed: np.ndarray = field(init=False, repr=False, compare=False)  # c_{ab}^g, the last index raised
     c_up: np.ndarray = field(init=False, repr=False, compare=False)  # c with all indices raised
     gram_cc: np.ndarray = field(init=False, repr=False, compare=False)  # c^{agd} c_{bgd}
+    gram_cc_4: np.ndarray = field(init=False, repr=False, compare=False)  # gram_cc / 4
 
     def __post_init__(self):
         eta = np.asarray(self.eta, dtype=float)
@@ -79,8 +80,9 @@ class QuadraticLieAlgebra:
         object.__setattr__(self, "c_mixed", np.einsum("abd,dg->abg", c, eta_inv))
         c_up = _transform_slots(eta_inv.T, c)
         object.__setattr__(self, "c_up", c_up)
-        # the Gram contraction, reused by the curvature closed forms
+        # the Gram contraction S, reused by the curvature closed forms, and S/4, the scalar's constant term
         object.__setattr__(self, "gram_cc", np.einsum("agd,bgd->ab", c_up, c))
+        object.__setattr__(self, "gram_cc_4", self.gram_cc / 4)
 
     @property
     def n(self) -> int:

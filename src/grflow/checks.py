@@ -71,11 +71,11 @@ PRESETS = (
 
 
 def instance_stream(seed: int, count: int):
-    """(algebra, strictly positive metric, per-instance seed) tuples."""
+    """(algebra, strictly positive metric, per-instance seed) tuples; each preset's algebra is built once."""
     rng = np.random.default_rng(seed)
+    algebras = [make() for _, make in PRESETS[:count]]
     for i in range(count):
-        name, make = PRESETS[i % len(PRESETS)]
-        a = make()
+        a = algebras[i % len(PRESETS)]
         sub = int(rng.integers(2**31))
         gm = met.random_strictly_positive_metric(a, sub)
         yield a, gm, sub

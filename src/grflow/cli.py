@@ -30,7 +30,6 @@ import numpy as np
 
 from . import __version__
 from . import algebra as alg
-from . import checks as checks_mod
 from . import exact_torus as et
 from . import flow_ode as fl
 from . import metric as met
@@ -351,6 +350,8 @@ def mode_torus(cfg, seed, out_dir):
 
 
 def mode_check(cfg, seed, out_dir):
+    from . import checks as checks_mod  # the check suite, variation with it, loads only for this mode
+
     scope = cfg.get("check", {}).get("scope", "all")
     instances = int(cfg.get("check", {}).get("instances", 100))
     results = []

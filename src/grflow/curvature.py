@@ -133,10 +133,11 @@ def scalar_closed_form(a: QuadraticLieAlgebra, g: np.ndarray, d: Divergence | No
 
     GR = -<G e, e> + 1/4 G^a_d c_{abg} c^{dbg}
     - 1/12 G^a_d G^b_e G^g_z c_{abg} c^{dez}  (anchor terms vanish over a point), with e the vector of
-    the divergence.  The cubic term is Tr(G T), so GR = Tr(G (S/4 - T/12)) - <G e, e> (``moved_gram``);
-    ``t`` is ``moved_gram(a, g)`` when the caller already has it, and d = None skips the zero <G e, e>.
+    the divergence.  The cubic term is Tr(G T), so GR = Tr(G (S/4 - T/12)) - <G e, e> (``moved_gram``; S/4 is
+    ``a.gram_cc_4``); ``t`` is ``moved_gram(a, g)`` when the caller already has it, and d = None skips the zero
+    <G e, e>.
     """
-    gr = float(np.vdot(g.T, a.gram_cc / 4 - (moved_gram(a, g) if t is None else t) / 12))
+    gr = float(np.vdot(g.T, a.gram_cc_4 - (moved_gram(a, g) if t is None else t) / 12))
     if d is None:
         return gr
     return gr - float(d.d @ g @ (a.eta_inv @ d.d))

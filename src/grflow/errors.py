@@ -61,6 +61,10 @@ class StepBudgetExhausted(NumericalError):
         super().__init__(f"step budget max_steps = {max_steps} used up at t = {t!r} < T = {T!r}")
 
 
+class NonFiniteRecord(NumericalError):
+    """A run's record holds inf or NaN in a column its flow declares finite."""
+
+
 class RouteDisagreement(NumericalError):
     """Independent routes to the same curvature quantity disagree beyond their bound."""
 

@@ -762,23 +762,28 @@ def run_torus_flow(state: TorusFieldState, params: TorusParams, rhs=torus_rhs) -
     slowest node, is recomputed per step and cut to land exactly on T. Each RK4 stage state goes through the
     constructor, which asserts that every field has its shape and is finite (g and B are symmetric and
     antisymmetric by construction). ``aborted`` is None when the run reached T and otherwise says why not:
-    lost positivity or a rejected RK4 stage (DegenerateMetric), a stalled lambda solve, step underflow or the
-    ``max_steps`` budget. ``final_state`` is the last state reached; a failure on the initial state (no
-    positive metric, a stalled first lambda) raises.
+    lost positivity or a rejected RK4 stage (DegenerateMetric), a stalled lambda solve, a record with inf or NaN
+    in a column other than an uncomputed lambda (NonFiniteRecord), step underflow or the ``max_steps`` budget.
+    ``final_state`` is the last state reached; a failure on the initial state (no positive metric, a stalled
+    first lambda, a non-finite record) raises.
     """
     lam_vec = None
 
     def observe(st: TorusFieldState) -> tuple[tuple, TorusFields]:
         nonlocal lam_vec
         f = torus_fields(st)
-        gr, lam = generalized_scalar_field(f), float("nan")
+        with np.errstate(over="ignore", invalid="ignore"):  # e^phi past the floats: the finite-row rule reports it
+            gr = generalized_scalar_field(f)
+            min_r, mean_r = float(np.min(gr)), float(np.mean(gr))
+        lam = float("nan")
         if params.compute_lambda:
             lam, lam_vec = lambda_torus(f, u0=lam_vec, return_vector=True)
         # max|g| and max|B|: g holds each pair in one or two slots, B holds b, 0 - b and zeros
-        return (st.t, float(np.min(gr)), float(np.mean(gr)), lam, f.margin, float(np.max(np.abs(st.gs))),
+        return (st.t, min_r, mean_r, lam, f.margin, float(np.max(np.abs(st.gs))),
                 float(np.max(np.abs(st.b))), float(np.max(np.abs(st.phi)))), f
 
-    return integrate(state.copy(), params.T, params.max_steps, tuple(COLUMNS), observe, rhs,
+    finite = tuple(name for name in COLUMNS if params.compute_lambda or name != "lambda")
+    return integrate(state.copy(), params.T, params.max_steps, tuple(COLUMNS), finite, observe, rhs,
                      lambda f: params.cfl * f.geom.h**2 * f.margin, lambda st, dt, k1: _rk4_torus(st, dt, rhs, k1))
 
 

@@ -36,6 +36,8 @@ COLUMNS = {  # the trace's columns in row order, each with its meaning, as ``grf
     "S": "Einstein-Hilbert value GR * sigma^2",
     "involution_residual": "max-abs of the recorded G^2 - Id: the retraction's residual on every row but the first",
 }
+# the columns a row must hold finite, or the run ends (``runs.integrate``): all but S, inf past log sigma ~ 355
+FINITE = tuple(name for name in COLUMNS if name != "S")
 # weyl_radius's round-off allowance per n^2 s, s = |eta|_2 |g|_F, u = 2^-53. In the radius |G|_F <= 1.5 |g|_F
 # (the margin is at most s). Forming sym(eta G) errs by at most (n + 1) u |eta|_F |G|_F <= 2 n^2 u |eta|_2 |G|_F
 # and eigvalsh by a small multiple, say 8, of n u |sym(eta G)|_2, so the margins at g and G are each within
@@ -121,13 +123,14 @@ def flow_step(a: QuadraticLieAlgebra, state: FlowState, params: FlowParams, dt: 
     ``k1`` is ``flow_rhs(a, state.G)``.  The step is halved whenever the
     increment is not finite or the retraction fails, down to
     ``runs.check_step``'s floor; a halved retry starts from the same state,
-    so it reuses ``k1``.
+    so it reuses ``k1``.  A non-finite dG needs no scan of its own: it makes
+    G + dG non-finite, which the retraction's first test rejects.
     """
     while True:
         check_step(dt, state.t)
         with np.errstate(over="ignore", invalid="ignore"):
             dg, ds = _rk4_increment(a, state, dt, k1)
-        if not (np.all(np.isfinite(dg)) and np.isfinite(ds)):
+        if not math.isfinite(ds):
             dt /= 2
             continue
         try:
@@ -158,9 +161,10 @@ def run_flow(a: QuadraticLieAlgebra, init: FlowState, params: FlowParams) -> Tra
     """Integrate to params.T with ``runs.integrate``, recording the row of every accepted state in ``COLUMNS`` order.
 
     The trace is returned whatever stops the run after its initial record: ``aborted`` is None when it reached T and
-    otherwise says why not (step underflow, the ``max_steps`` budget, or lost strict positivity, which is monitored
-    when the initial metric has it: the theory guarantees its preservation only through smooth existence). An
-    initial G that is no generalized pseudometric raises ValidationError. ``final_state`` is the last state reached.
+    otherwise says why not (step underflow, the ``max_steps`` budget, a row with inf or NaN outside S, or lost strict
+    positivity, which is monitored when the initial metric has it: the theory guarantees its preservation only
+    through smooth existence). An initial G that is no generalized pseudometric raises ValidationError.
+    ``final_state`` is the last state reached.
 
     The positivity watch decides each accepted G as ``metric.is_strictly_positive`` does, but forms the margin
     (one ``eigvalsh``) only for a G outside the ``weyl_radius`` of the last G whose margin it formed; that G
@@ -195,8 +199,8 @@ def run_flow(a: QuadraticLieAlgebra, init: FlowState, params: FlowParams) -> Tra
         return new
 
     start = FlowState(init.t, init.G.copy(), init.log_sigma, involution_residual(init.G))
-    return integrate(start, params.T, params.max_steps, tuple(COLUMNS), observe, lambda rhs: rhs, lambda rhs: params.dt,
-                     advance)
+    return integrate(start, params.T, params.max_steps, tuple(COLUMNS), FINITE, observe, lambda rhs: rhs,
+                     lambda rhs: params.dt, advance)
 
 
 def monotonicity_defect(trace: Trace) -> list[float]:

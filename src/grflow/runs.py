@@ -4,7 +4,7 @@ both runs keep."""
 import math
 from dataclasses import dataclass
 
-from .errors import NumericalError, StepBudgetExhausted, StepUnderflow, ValidationError
+from .errors import NonFiniteRecord, NumericalError, StepBudgetExhausted, StepUnderflow, ValidationError
 
 STEP_FLOOR = 1e-14  # no run takes a shorter step
 
@@ -47,15 +47,25 @@ class Trace:
         return [row[i] for row in self.rows]
 
 
-def integrate(state, T, max_steps, columns, observe, rate, step_cap, advance) -> Trace:
+def integrate(state, T, max_steps, columns, finite, observe, rate, step_cap, advance) -> Trace:
     """Run ``state``, which has a time ``t``, to T and return its ``Trace``.
 
     ``observe(state)`` returns the state's row, in ``columns`` order, and ``here``; a step is dt =
-    min(step_cap(here), T - t), held to ``check_step``'s floor, and ``advance(state, dt, rate(here))``. The
+    min(step_cap(here), T - t), held to ``check_step``'s floor, and ``advance(state, dt, rate(here))``. A row
+    with inf or NaN in a column named in ``finite`` is rejected: its observation raises NonFiniteRecord. The
     first numerical error after the initial observation stops the run, and its message is the abort note; an
     error in the initial observation propagates.
     """
-    row, here = observe(state)
+    checked = [(i, name) for i, name in enumerate(columns) if name in finite]
+
+    def record(st):
+        row, here = observe(st)
+        for i, name in checked:
+            if not math.isfinite(row[i]):
+                raise NonFiniteRecord(f"non-finite {name} = {row[i]} at t = {st.t}")
+        return row, here
+
+    row, here = record(state)
     rows, aborted = [row], None
     try:
         while state.t < T - 1e-12:
@@ -67,7 +77,7 @@ def integrate(state, T, max_steps, columns, observe, rate, step_cap, advance) ->
             del here  # the step's stages make their own observations; keeping this one raises peak memory
             state = advance(state, dt, k1)
             del k1  # likewise, before the next observation and its rate
-            row, here = observe(state)
+            row, here = record(state)
             rows.append(row)
     except NumericalError as exc:
         aborted = str(exc)

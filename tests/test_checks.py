@@ -4,12 +4,14 @@ import functools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from grflow import checks, cli
 from grflow import curvature as cur
 from grflow import exact_torus as et
 from grflow import flow_ode as fl
+from grflow import metric as met
 from grflow.errors import DegenerateMetric, EigensolverStalled, RouteDisagreement
 
 ALGEBRAIC_NAMES = [
@@ -32,6 +34,20 @@ TORUS_NAMES = [
     "torus_diffeomorphism_ricci", "torus_b_gauge_invariant",
 ]
 TABLES = (checks.PRESET_CHECKS, checks.INSTANCE_CHECKS, checks.PATH_CHECKS, checks.FLOW_CHECKS)
+
+
+def test_instance_stream_builds_each_preset_once():
+    # instances of one preset share one algebra, and the (G, seed) stream is the one that builds per instance
+    stream = list(checks.instance_stream(7, 10))
+    assert len({id(a) for a, _, _ in stream}) == len(checks.PRESETS)
+    assert all(a is stream[i % len(checks.PRESETS)][0] for i, (a, _, _) in enumerate(stream))
+    rng = np.random.default_rng(7)
+    for i, (a, gm, sub) in enumerate(stream):
+        fresh = checks.PRESETS[i % len(checks.PRESETS)][1]()
+        assert sub == int(rng.integers(2**31))
+        assert np.array_equal(gm.G, met.random_strictly_positive_metric(fresh, sub).G)
+        assert np.array_equal(a.eta, fresh.eta) and np.array_equal(a.c, fresh.c)
+    assert len(list(checks.instance_stream(7, 2))) == 2
 
 
 def _planted(exc):

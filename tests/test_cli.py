@@ -1,6 +1,7 @@
 import functools
 import inspect
 import json
+import math
 import sys
 import warnings
 from unittest import mock
@@ -319,13 +320,21 @@ _TWO_STEPS = functools.partial(et.TorusParams, max_steps=2)
 @example(cfg={"mode": "torus", "torus": {"d": 3, "N": 8, "T": 0.01, "init": "perturbed", "kmax": 1, "k": 1e100}})
 @example(cfg={"mode": "torus", "torus": {"d": 3, "N": 8, "T": 0.001, "init": "flat", "k": -4.003091207070337e+138,
                                          "L": 2.2081953922125267e-17}})
+@example(cfg={"mode": "torus", "torus": {"d": 3, "N": 8, "T": 0.001, "init": "flat", "k": 13516620.6}})
 def test_torus_config_fuzz_never_raises(tmp_path_factory, cfg):
     # the torus section has no step budget: two steps per run keep a long T or a small cfl cheap, and stop it
-    # with exit 3 like any run cut short; a flux so large that lambda's solver meets infs is such a run too
+    # with exit 3 like any run cut short; a flux so large that lambda's solver meets infs is such a run too.
+    # A run that exits 0 holds every column finite, but lambda when it is not computed
     out = tmp_path_factory.mktemp("fuzz")
     path = write_cfg(out, cfg)
     with np.errstate(all="ignore"), mock.patch.object(et, "TorusParams", _TWO_STEPS):
-        assert cli.main(["torus", "--config", str(path), "--out", str(out)]) in (0, 2, 3)
+        code = cli.main(["torus", "--config", str(path), "--out", str(out)])
+    assert code in (0, 2, 3)
+    if code == 0:
+        _, header, *rows = (out / "torus_trace.csv").read_text().splitlines()
+        declared = [i for i, name in enumerate(header.split(","))
+                    if name != "lambda" or cfg["torus"].get("compute_lambda", True)]
+        assert all(math.isfinite(float(row.split(",")[i])) for row in rows for i in declared)
 
 
 _flow = st.fixed_dictionaries({}, optional={
@@ -521,6 +530,17 @@ def test_torus_first_lambda_stall_exit_3(tmp_path, monkeypatch, capsys):
     assert cli.main(["torus", "--config", str(path), "--out", str(tmp_path)]) == 3
     assert "numerical failure: lambda solver stalled" in capsys.readouterr().err
     assert not (tmp_path / "torus_abort.json").exists()
+
+
+def test_torus_non_finite_record_exit_3(tmp_path):
+    # a flux this strong drives phi to 4.6e10 in one step, where e^phi overflows: the second record's minR and
+    # meanR are NaN, so that row is rejected with a note, and numpy warns of nothing (warnings are errors here)
+    cfg = {"mode": "torus", "torus": {"d": 3, "N": 8, "T": 0.001, "init": "flat", "k": 13516620.6}}
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main(["torus", "--config", str(path), "--out", str(tmp_path)]) == 3
+    abort = json.loads((tmp_path / "torus_abort.json").read_text())
+    assert abort["aborted"] == "non-finite minR = nan at t = 0.001" and abort["last_t"] == 0.0
+    assert len((tmp_path / "torus_trace.csv").read_text().splitlines()) == 3
 
 
 def test_torus_mode(tmp_path):

@@ -205,6 +205,14 @@ def test_closed_forms_take_the_moved_gram_bitwise(su2_double, complex_double):
             assert cur.scalar_closed_form(a, g, con.Divergence(np.zeros(a.n))) == gr
 
 
+def test_scalar_closed_form_reads_the_quarter_gram_bitwise(preset_metrics, cap_metric):
+    # S/4 is formed once per algebra; GR is bitwise the form that divides S by 4 on every call
+    for label, a, g in preset_metrics + [cap_metric]:
+        assert np.array_equal(a.gram_cc_4, a.gram_cc / 4), label
+        inline = float(np.vdot(g.T, a.gram_cc / 4 - cur.moved_gram(a, g) / 12))
+        assert cur.scalar_closed_form(a, g) == inline, label
+
+
 def test_route_disagreement_raises(monkeypatch, su2_double, graph_metric_123):
     g = graph_metric_123.G
     bracket, closed = cur.ricci_bracket_route, cur.scalar_closed_form

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,7 @@ from grflow import curvature as cur
 from grflow import flow_ode as fl
 from grflow import metric as met
 from grflow.curvature import ricci, ricci_closed_form, scalar, scalar_closed_form
-from grflow.errors import DegenerateSubspace, ForbiddenRank, RetractionDiverged, ValidationError
+from grflow.errors import DegenerateSubspace, ForbiddenRank, NonFiniteRecord, RetractionDiverged, ValidationError
 
 
 def test_flow_rhs_abelian_zero():
@@ -282,27 +285,44 @@ def test_run_flow_positivity_loss_returns_trace(monkeypatch, su2_double, graph_m
     assert len(tr.rows) == 3 and np.array_equal(tr.final_state.G, steps[1].G)
 
 
+@pytest.fixture(scope="module")
+def watched_runs(su2_double, graph_metric_123):
+    """``run(seed, dt, T)``: the run from graph(diag(1, 2, 3)), or from a seeded random start, with its positivity
+    watch spied on, as (trace, each decision of the Weyl certificate, each G it cleared that eigvalsh reads not
+    strictly positive). Each run is formed once for the tests that read it."""
+    runs = {}
+
+    def run(seed, dt, T):
+        if (seed, dt, T) not in runs:
+            g = graph_metric_123.G if seed is None else met.random_strictly_positive_metric(su2_double, seed).G
+            within, cleared, wrong = fl.within_radius, [], []
+
+            def spy(g_new, g_ref, radius):
+                clears = within(g_new, g_ref, radius)
+                cleared.append(clears)
+                if clears and not met.is_strictly_positive(su2_double, g_new):
+                    wrong.append(g_new)
+                return clears
+
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(fl, "within_radius", spy)
+                tr = fl.run_flow(su2_double, fl.FlowState(0.0, g, 0.0), fl.FlowParams(dt=dt, T=T))
+            runs[seed, dt, T] = tr, cleared, wrong
+        return runs[seed, dt, T]
+
+    return run
+
+
 @pytest.mark.parametrize("seed, dt, T, note", [
     (None, 1e-3, 1.0, None),  # the benchmark run
     (None, 1e-3, 10.0, "step underflow at t = 1.8946357236655502"),
     (5, 2e-2, 2.0, "step underflow at t = "),  # a random start whose steps are halved
 ])
-def test_positivity_watch_decides_as_eigvalsh_on_every_step(monkeypatch, su2_double, graph_metric_123, seed, dt, T,
-                                                            note):
+def test_positivity_watch_decides_as_eigvalsh_on_every_step(watched_runs, seed, dt, T, note):
     # the Weyl certificate only spares eigvalsh calls: every accepted G it clears is one eigvalsh reads strictly
     # positive, and any other forms its margin, so each step decides as eigvalsh alone would, and so does the trace
-    g = graph_metric_123.G if seed is None else met.random_strictly_positive_metric(su2_double, seed).G
-    within = fl.within_radius
-    cleared = []
-
-    def spy(g_new, g_ref, radius):
-        clears = within(g_new, g_ref, radius)
-        cleared.append(clears)
-        assert not clears or met.is_strictly_positive(su2_double, g_new)
-        return clears
-
-    monkeypatch.setattr(fl, "within_radius", spy)
-    tr = fl.run_flow(su2_double, fl.FlowState(0.0, g, 0.0), fl.FlowParams(dt=dt, T=T))
+    tr, cleared, wrongly_cleared = watched_runs(seed, dt, T)
+    assert not wrongly_cleared
     assert len(cleared) == len(tr.rows) - 1 and any(cleared) and not all(cleared)  # both branches run
     assert (tr.aborted is None) if note is None else (note in tr.aborted)
     if seed is not None:
@@ -377,6 +397,90 @@ def test_closed_forms_once_per_state(monkeypatch, su2_double, graph_metric_123):
     assert np.diff(tr["t"]) == pytest.approx([1e-2] * n)  # no halving
     assert len(riccis) == 4 * n + 1
     assert len(scalars) == 4 * n + 1
+
+
+def _restore_the_old_scan(monkeypatch):
+    """Put back the step's scan of the RK4 increment: an increment whose dG is not finite reports ds = NaN, so
+    ``flow_step`` halves on it before the retraction, as its ``np.all(np.isfinite(dg))`` test did."""
+    increment = fl._rk4_increment
+
+    def scanned(*args):
+        dg, ds = increment(*args)
+        return dg, (ds if np.all(np.isfinite(dg)) else math.nan)
+
+    monkeypatch.setattr(fl, "_rk4_increment", scanned)
+
+
+@pytest.mark.parametrize("planted", ["dG inf", "dG nan", "ds nan"])
+def test_non_finite_stage_halves_once(monkeypatch, su2_double, graph_metric_123, planted):
+    # the last stage of the first attempt returns a non-finite rate: the retraction's guard rejects G + dG (or
+    # the ds test the increment), the step halves once, and the state is the one the old scan gave, with no
+    # warning. An earlier stage would carry a non-finite G into the next stages, and so into ds too
+    a, g = su2_double, graph_metric_123.G
+    state = fl.FlowState(0.0, g, 0.0, met.involution_residual(g))
+    k1 = fl.flow_rhs(a, g)
+    plant = {"dG inf": lambda dg, ds: (np.full_like(dg, math.inf), ds),
+             "dG nan": lambda dg, ds: (np.full_like(dg, math.nan), ds),
+             "ds nan": lambda dg, ds: (dg, math.nan)}[planted]
+
+    def step(old_scan):
+        with monkeypatch.context() as m:
+            rhs, stages = fl.flow_rhs, []
+
+            def plants_third(a, g):
+                stages.append(1)
+                return plant(*rhs(a, g)) if len(stages) == 3 else rhs(a, g)
+
+            m.setattr(fl, "flow_rhs", plants_third)
+            if old_scan:
+                _restore_the_old_scan(m)
+            retracts = _record_calls(m, "involution_retract")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                new = fl.flow_step(a, state, fl.FlowParams(dt=1e-2), 1e-2, k1)
+        return new, len(stages), len(retracts)
+
+    new, stages, retracts = step(old_scan=False)
+    old, old_stages, old_retracts = step(old_scan=True)
+    assert new.t == old.t == 5e-3 and stages == old_stages == 6
+    assert np.array_equal(new.G, old.G) and new.log_sigma == old.log_sigma and new.residual == old.residual
+    assert math.isfinite(new.log_sigma) and np.all(np.isfinite(new.G))
+    # the guard, not a scan, rejected the non-finite G + dG; a NaN ds is rejected before the retraction
+    assert (retracts, old_retracts) == ((1, 1) if planted == "ds nan" else (2, 1))
+
+
+@pytest.mark.parametrize("seed, dt, T", [(None, 1e-3, 1.0), (None, 1e-3, 10.0), (5, 2e-2, 2.0)])
+def test_runs_without_the_scan_are_bitwise_the_scanned_runs(monkeypatch, su2_double, graph_metric_123, watched_runs,
+                                                            seed, dt, T):
+    # the positivity watch's runs: the benchmark run, its continuation to a step underflow, and a random start
+    # whose steps are halved
+    g = graph_metric_123.G if seed is None else met.random_strictly_positive_metric(su2_double, seed).G
+    tr = watched_runs(seed, dt, T)[0]
+    _restore_the_old_scan(monkeypatch)
+    old = fl.run_flow(su2_double, fl.FlowState(0.0, g, 0.0), fl.FlowParams(dt=dt, T=T))
+    assert list(map(repr, tr.rows)) == list(map(repr, old.rows)) and tr.aborted == old.aborted  # repr: bitwise
+    assert (tr.aborted is None) == (T == 1.0)
+
+
+def test_non_finite_row_ends_the_run(monkeypatch, su2_double, graph_metric_123, stopped_short):
+    # a declared column that reads NaN rejects its row: the run stops with a note naming the column and t
+    norm, rows = fl.mixed_norm_sq, []
+
+    def nan_third(*args):
+        rows.append(1)
+        return math.nan if len(rows) == 3 else norm(*args)
+
+    monkeypatch.setattr(fl, "mixed_norm_sq", nan_third)
+    tr = fl.run_flow(su2_double, fl.FlowState(0.0, graph_metric_123.G, 0.0), fl.FlowParams(dt=1e-2, T=1.0))
+    stopped_short(tr, f"non-finite normRc2 = nan at t = {tr.final_state.t}")
+    assert len(tr.rows) == 2 and tr.final_state.t == pytest.approx(0.02)
+    assert fl.FINITE == ("t", "GR", "normRc2", "log_sigma", "involution_residual")
+
+
+def test_non_finite_initial_row_raises(monkeypatch, su2_double, graph_metric_123):
+    monkeypatch.setattr(fl, "mixed_norm_sq", lambda *args: math.inf)
+    with pytest.raises(NonFiniteRecord, match=r"^non-finite normRc2 = inf at t = 0\.0$"):
+        fl.run_flow(su2_double, fl.FlowState(0.0, graph_metric_123.G, 0.0), fl.FlowParams(dt=1e-2, T=1.0))
 
 
 def test_halved_step_reuses_k1(monkeypatch, su2_double, graph_metric_123):

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import pytest
 
 from grflow import exact_torus, flow_ode, runs
-from grflow.errors import (DegenerateMetric, NumericalError, RetractionDiverged, StepBudgetExhausted, StepUnderflow,
-                           ValidationError)
+from grflow.errors import (DegenerateMetric, NonFiniteRecord, NumericalError, RetractionDiverged, StepBudgetExhausted,
+                           StepUnderflow, ValidationError)
 from grflow.runs import integrate
 
 
@@ -29,10 +29,11 @@ class Box:  # an observation or a rate; a plain class, so a weakref can watch it
 
 
 class Toy:
-    """The observe, rate, step_cap and advance of y' = -y with step ``cap``; a row is (t, y)."""
+    """The observe, rate, step_cap and advance of y' = -y with step ``cap``; a row is (t, y), ``finite`` the columns
+    it must hold finite."""
 
-    def __init__(self, cap=0.3):
-        self.cap = cap
+    def __init__(self, cap=0.3, finite=("t", "y")):
+        self.cap, self.finite = cap, finite
 
     def observe(self, st):
         return (st.t, st.y), Box(-st.y)
@@ -47,7 +48,8 @@ class Toy:
         return State(st.t + dt, st.y + dt * k1.value)
 
     def run(self, T=1.0, max_steps=100, state=State(0.0, 1.0)):
-        return integrate(state, T, max_steps, ("t", "y"), self.observe, self.rate, self.step_cap, self.advance)
+        return integrate(state, T, max_steps, ("t", "y"), self.finite, self.observe, self.rate, self.step_cap,
+                         self.advance)
 
 
 def test_run_lands_on_T():
@@ -175,6 +177,25 @@ def test_error_in_the_first_observe_propagates():
     toy.observe = fails
     with pytest.raises(DegenerateMetric, match="planted on the initial state"):
         toy.run()
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_row_ends_the_run_unrecorded(bad):
+    # an advance that lands on a non-finite y at t = 0.5: the row there is rejected, like an observation that
+    # raised, with a note naming the column and t; a column left out of ``finite`` may hold any value
+    toy = Toy(cap=0.25)
+    toy.advance = lambda st, dt, k1: State(st.t + dt, bad if st.t + dt == 0.5 else st.y)
+    tr = toy.run(T=1.0)
+    assert tr.aborted == f"non-finite y = {bad} at t = 0.5" and tr.final_state.t == 0.5
+    assert tr.rows == [(0.0, 1.0), (0.25, 1.0)]
+    toy.finite = ("t",)
+    tr = toy.run(T=1.0)
+    assert tr.aborted is None and repr(tr["y"][2]) == repr(bad)
+
+
+def test_non_finite_initial_row_raises():
+    with pytest.raises(NonFiniteRecord, match=r"^non-finite y = nan at t = 0\.0$"):
+        Toy().run(state=State(0.0, float("nan")))
 
 
 def test_observation_and_rate_are_released_before_the_next_ones():

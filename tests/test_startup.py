@@ -1,9 +1,9 @@
 """Start-up cost and module boundaries: each module loads only what it imports, and scipy loads only
 where grflow calls expm or LOBPCG.
 
-``import grflow`` loads no submodule, ``grflow.runs`` none but ``grflow.errors``, and ``grflow.exact_torus``
-none but those two. Only ``exact_torus`` reads the index tables of its state's layout; every other module
-converts through its functions. The validate, curvature and flow modes load numpy alone. So does a flat torus
+``import grflow`` loads no submodule, ``grflow.runs`` none but ``grflow.errors``, ``grflow.exact_torus``
+none but those two, and ``grflow.cli`` neither ``grflow.checks`` nor ``grflow.variation``. Only ``exact_torus``
+reads the index tables of its state's layout; every other module converts through its functions. The validate, curvature and flow modes load numpy alone. So does a flat torus
 run with lambda on: its metric is constant, so the constant start is already an exact eigenfunction
 of lambda's operator (the potential is constant and the gradient term vanishes), the start meets
 lambda's residual bound and ``lambda_torus`` returns before it imports LOBPCG. ``grf check`` draws
@@ -80,6 +80,9 @@ def test_cli_modes_start_without_scipy(tmp_path):
     ("grflow.flow_ode", {"grflow.algebra", "grflow.connection", "grflow.curvature", "grflow.errors", "grflow.metric",
                          "grflow.runs", "grflow.flow_ode"}),
     ("grflow.runs", {"grflow.errors", "grflow.runs"}),
+    # the check suite, and variation with it, loads in `grf check` only
+    ("grflow.cli", {"grflow.algebra", "grflow.cli", "grflow.connection", "grflow.curvature", "grflow.errors",
+                    "grflow.exact_torus", "grflow.flow_ode", "grflow.metric", "grflow.runs"}),
 ])
 def test_import_loads_only_what_the_module_imports(module, allowed):
     code = f"import sys, {module}; print(' '.join(m for m in sys.modules if m.startswith('grflow.')))"
